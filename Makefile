@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint bench bench-sweep quick chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,28 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/benchjson -out BENCH.json < bench.out
 	rm -f bench.out
+
+# bench-digest gates "host-side only" claims mechanically. The repository's
+# benchmark (bench/, BENCHMARK.json) folds every simulated quantity of a
+# workload's timed phase — event count, message and drop counters, hop
+# latencies, every operation's outcome and latency — into one number,
+# sim.digest, which is a pure function of (workload, seed, seconds). A change
+# that only makes the host faster must leave all four digests equal to the
+# committed BENCH_DIGESTS.txt (seed 1, -seconds 10: the benchmark's own
+# defaults); a change that deliberately alters simulated behaviour re-records
+# the file in the same commit with `make -s bench-digests > BENCH_DIGESTS.txt`
+# and says why. Takes about three minutes (one untraced and one traced run
+# per workload).
+BENCH_WORKLOADS = paper-sinr-aodv ideal-walk-read ideal-routed-mixed scale-sinr-churn
+
+bench-digests:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "$$w $$($(GO) run ./bench -workload $$w -trace 1 -json | sed -n 's/.*"sim.digest":{"value":\([0-9]*\).*/\1/p')"; \
+	done
+
+bench-digest:
+	@$(MAKE) -s bench-digests | diff BENCH_DIGESTS.txt - || \
+		{ echo "bench-digest: sim.digest differs from BENCH_DIGESTS.txt (<: committed, >: this tree): the change is not host-side only"; exit 1; }
 
 # mega-smoke runs the 10k-node scale scenario (DESIGN.md §12) on a
 # shortened horizon: SINR/DCF with cell-noise interference, churn and a

@@ -15,9 +15,11 @@ import (
 	"runtime"
 	"testing"
 
+	"probquorum/internal/aodv"
 	"probquorum/internal/experiment"
 	"probquorum/internal/geom"
 	"probquorum/internal/graph"
+	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
 	"probquorum/internal/phy"
 	"probquorum/internal/quorum"
@@ -308,6 +310,70 @@ func BenchmarkDCFUnicastHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiment.Run(sc)
 	}
+}
+
+// BenchmarkIdealUnicastHop measures one acknowledged unicast on the ideal
+// stack — SendOneHop, the MAC's delivery event, MACSendDone — at two network
+// sizes. A hop touches the sender, the destination and the promiscuous
+// listeners (none here), so ns/op must not grow with n.
+func BenchmarkIdealUnicastHop(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := sim.NewEngine(1)
+			net := netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal})
+			src := 0
+			for len(net.Neighbors(src)) == 0 {
+				src++
+			}
+			dst := net.Neighbors(src)[0]
+			pkt := &netstack.Packet{Proto: netstack.ProtoQuorum, Src: src, Dst: dst, Bytes: 512}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Node(src).SendOneHop(dst, pkt, nil)
+				e.Run(e.Now() + 0.01)
+			}
+		})
+	}
+}
+
+// BenchmarkWalkLookupIdeal1k measures one early-halting UNIQUE-PATH lookup,
+// walk out and reply back, on a static 1000-node ideal stack against keys
+// placed by RANDOM advertises: the per-hop path of DESIGN.md §9 end to end.
+func BenchmarkWalkLookupIdeal1k(b *testing.B) {
+	const n, keys = 1000, 32
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal})
+	qa, ql := quorum.SizeForEpsilon(n, 0.1, 1)
+	sys := quorum.New(net, aodv.NewOracle(net), membership.New(net, membership.Config{Lazy: true}), quorum.Config{
+		AdvertiseStrategy: quorum.Random, LookupStrategy: quorum.UniquePath,
+		AdvertiseSize: qa, LookupSize: ql,
+		EarlyHalt: true, Salvation: true, ReplyPathReduction: true, LookupTimeout: 5,
+	})
+	for k := 0; k < keys; k++ {
+		sys.Advertise(k*31%n, fmt.Sprintf("key%d", k), "v", nil)
+	}
+	e.Run(e.Now() + 30)
+	name := make([]string, keys)
+	for k := range name {
+		name[k] = fmt.Sprintf("key%d", k)
+	}
+	hits := 0
+	done := func(r quorum.LookupResult) {
+		if r.Hit {
+			hits++
+		}
+	}
+	sent := net.Stats().Get(netstack.CtrAppMsgs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Lookup(i*7919%n, name[i%keys], done)
+		e.Run(e.Now() + 1)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(hits)/float64(b.N), "hit-ratio")
+	b.ReportMetric(float64(net.Stats().Get(netstack.CtrAppMsgs)-sent)/float64(b.N), "msgs/lookup")
 }
 
 func BenchmarkClusterLookup(b *testing.B) {

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math/rand"
+	"sort"
 
 	"probquorum/internal/geom"
 	"probquorum/internal/phy"
@@ -27,6 +28,11 @@ type IdealNet struct {
 	rng     *rand.Rand
 	macs    []*IdealMAC
 	enabled []bool
+	// listeners holds the ids of the promiscuous MACs in ascending order,
+	// maintained by SetPromiscuous, so a unicast delivery visits only the
+	// nodes that could overhear it — none at all in most runs — instead
+	// of scanning all n.
+	listeners []int
 	// flightFree recycles the per-send delivery callbacks: Send pops one
 	// and fire pushes it back, so steady-state sending does not allocate
 	// a closure per frame (DESIGN.md §9).
@@ -92,12 +98,28 @@ func (m *IdealMAC) SetHandler(h Handler) { m.handler = h }
 
 // SetPromiscuous implements MAC. Overhearing on the ideal layer delivers
 // unicast frames to all other enabled nodes in range of the sender.
-func (m *IdealMAC) SetPromiscuous(on bool) { m.promiscuous = on }
+func (m *IdealMAC) SetPromiscuous(on bool) {
+	if m.promiscuous == on {
+		return
+	}
+	m.promiscuous = on
+	in := m.net
+	i := sort.SearchInts(in.listeners, m.id)
+	if on {
+		in.listeners = append(in.listeners, 0)
+		copy(in.listeners[i+1:], in.listeners[i:])
+		in.listeners[i] = m.id
+	} else {
+		in.listeners = append(in.listeners[:i], in.listeners[i+1:]...)
+	}
+}
 
 // QueueLen implements MAC.
 func (m *IdealMAC) QueueLen() int { return m.pending }
 
 // Send implements MAC.
+//
+//pqlint:noalloc
 func (m *IdealMAC) Send(f *phy.Frame) {
 	in := m.net
 	f.Src = m.id
@@ -125,6 +147,7 @@ type flight struct {
 	fn  func()
 }
 
+//pqlint:noalloc
 func (in *IdealNet) newFlight(m *IdealMAC, f *phy.Frame) *flight {
 	var fl *flight
 	if n := len(in.flightFree); n > 0 {
@@ -132,8 +155,8 @@ func (in *IdealNet) newFlight(m *IdealMAC, f *phy.Frame) *flight {
 		in.flightFree[n-1] = nil
 		in.flightFree = in.flightFree[:n-1]
 	} else {
-		fl = &flight{net: in}
-		fl.fn = fl.fire
+		fl = &flight{net: in} //pqlint:allow noalloc(pool-dry cold path: one flight per in-flight-frame high-water increase)
+		fl.fn = fl.fire       //pqlint:allow noalloc(bound once per pooled flight, on the same cold path)
 	}
 	fl.mac, fl.f = m, f
 	return fl
@@ -148,6 +171,8 @@ func (fl *flight) fire() {
 	m.deliver(f)
 }
 
+// deliver completes one frame. A unicast touches the destination and the
+// promiscuous listeners only, so a hop costs the same at any n.
 func (m *IdealMAC) deliver(f *phy.Frame) {
 	in := m.net
 	m.pending--
@@ -176,27 +201,16 @@ func (m *IdealMAC) deliver(f *phy.Frame) {
 		if h := in.macs[dst].handler; h != nil {
 			h.MACReceive(f)
 		}
-		if m.promiscuousDeliver(f, src) {
-			// overhearing handled inside
+		for _, id := range in.listeners {
+			if id == m.id || id == dst || !in.enabled[id] {
+				continue
+			}
+			if mac := in.macs[id]; geom.Dist(src, in.pos(id)) <= in.r && mac.handler != nil {
+				mac.handler.MACOverhear(f)
+			}
 		}
 	}
 	m.done(f, ok)
-}
-
-// promiscuousDeliver hands a unicast frame to promiscuous neighbors.
-func (m *IdealMAC) promiscuousDeliver(f *phy.Frame, src geom.Point) bool {
-	in := m.net
-	any := false
-	for id, mac := range in.macs {
-		if id == m.id || id == f.Dst || !in.enabled[id] || !mac.promiscuous {
-			continue
-		}
-		if geom.Dist(src, in.pos(id)) <= in.r && mac.handler != nil {
-			mac.handler.MACOverhear(f)
-			any = true
-		}
-	}
-	return any
 }
 
 // lost samples the loss model: a frame is lost only if `attempts`

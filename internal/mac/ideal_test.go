@@ -1,0 +1,172 @@
+package mac
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"probquorum/internal/geom"
+	"probquorum/internal/phy"
+	"probquorum/internal/sim"
+)
+
+// TestIdealListenerListExact pins the bookkeeping behind the O(listeners)
+// unicast path: the list holds exactly the promiscuous MACs, ascending,
+// whatever the order and repetition of the toggles, and liveness flips do
+// not touch it (a disabled listener is skipped at delivery, not unlisted).
+func TestIdealListenerListExact(t *testing.T) {
+	e := sim.NewEngine(1)
+	in, _ := idealWorld(e, make([]geom.Point, 6))
+	check := func(step string, want ...int) {
+		t.Helper()
+		if len(in.listeners) != len(want) || (len(want) > 0 && !reflect.DeepEqual(in.listeners, want)) {
+			t.Fatalf("%s: listeners = %v, want %v", step, in.listeners, want)
+		}
+		for id, m := range in.macs {
+			i := sort.SearchInts(in.listeners, id)
+			if listed := i < len(in.listeners) && in.listeners[i] == id; listed != m.promiscuous {
+				t.Fatalf("%s: node %d promiscuous=%v but listed=%v", step, id, m.promiscuous, listed)
+			}
+		}
+	}
+	check("initial")
+	in.MAC(4).SetPromiscuous(true)
+	in.MAC(1).SetPromiscuous(true)
+	in.MAC(4).SetPromiscuous(true) // toggled on twice: listed once
+	check("on twice", 1, 4)
+	in.MAC(5).SetPromiscuous(true)
+	in.MAC(0).SetPromiscuous(true)
+	check("out of order", 0, 1, 4, 5)
+	in.SetEnabled(1, false)
+	check("disabled listener stays listed", 0, 1, 4, 5)
+	in.MAC(1).SetPromiscuous(false) // off while disabled
+	in.MAC(1).SetPromiscuous(false) // and off twice
+	in.MAC(3).SetPromiscuous(false) // never on
+	check("off while disabled", 0, 4, 5)
+	in.SetEnabled(1, true)
+	check("re-enabled, still off", 0, 4, 5)
+	in.MAC(0).SetPromiscuous(false)
+	in.MAC(5).SetPromiscuous(false)
+	in.MAC(4).SetPromiscuous(false)
+	check("all off")
+}
+
+// overhearOracle is the replaced implementation — a scan of all n MACs — kept
+// as the reference the listener list is tested against: the ids a unicast
+// frame from src to dst is overheard by, in delivery order.
+func overhearOracle(in *IdealNet, src, dst int) []int {
+	var ids []int
+	for id, mac := range in.macs {
+		if id == src || id == dst || !in.enabled[id] || !mac.promiscuous {
+			continue
+		}
+		if geom.Dist(in.pos(src), in.pos(id)) <= in.r && mac.handler != nil {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// orderRecorder notes which node overheard, into a log shared by all nodes.
+type orderRecorder struct {
+	recorder
+	id  int
+	log *[]int
+}
+
+func (r *orderRecorder) MACOverhear(*phy.Frame) { *r.log = append(*r.log, r.id) }
+
+// TestIdealOverhearMatchesFullScan sends random unicasts through a random
+// field while promiscuity and liveness keep flipping, and requires the same
+// overhearers in the same order as the full scan — and the same delivery
+// and completion — frame by frame.
+func TestIdealOverhearMatchesFullScan(t *testing.T) {
+	const n = 60
+	e := sim.NewEngine(1)
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 600, Y: rng.Float64() * 600}
+	}
+	in := NewIdealNet(e, DefaultConfig(), n, 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
+	var log []int
+	recs := make([]*orderRecorder, n)
+	for i := range recs {
+		recs[i] = &orderRecorder{id: i, log: &log}
+		if i%17 != 0 { // a few MACs have no layer above
+			in.MAC(i).SetHandler(recs[i])
+		}
+	}
+	overheardSome := 0
+	for trial := 0; trial < 2000; trial++ {
+		switch rng.Intn(4) {
+		case 0:
+			in.MAC(rng.Intn(n)).SetPromiscuous(rng.Intn(3) > 0)
+		case 1:
+			in.SetEnabled(rng.Intn(n), rng.Intn(4) > 0)
+		}
+		src, dst := rng.Intn(n), rng.Intn(n)
+		if src == dst {
+			continue
+		}
+		delivered := in.enabled[src] && in.enabled[dst] && geom.Dist(pts[src], pts[dst]) <= in.r
+		var want []int
+		if delivered {
+			want = overhearOracle(in, src, dst)
+		}
+		log = log[:0]
+		received, done := len(recs[dst].received), len(recs[src].done)
+		in.MAC(src).Send(&phy.Frame{Dst: dst, Bytes: 512})
+		e.Run(e.Now() + 1)
+		if !reflect.DeepEqual(append([]int(nil), log...), append([]int(nil), want...)) {
+			t.Fatalf("trial %d: %d→%d overheard by %v, full scan says %v", trial, src, dst, log, want)
+		}
+		if got := len(recs[dst].received) - received; in.macs[dst].handler != nil && (got == 1) != delivered {
+			t.Fatalf("trial %d: %d→%d delivered %d times, want delivered=%v", trial, src, dst, got, delivered)
+		}
+		if in.macs[src].handler != nil {
+			if len(recs[src].done) != done+1 || recs[src].done[done] != delivered {
+				t.Fatalf("trial %d: %d→%d completion %v, want one upcall with ok=%v", trial, src, dst, recs[src].done[done:], delivered)
+			}
+		}
+		if len(want) > 0 {
+			overheardSome++
+		}
+	}
+	if overheardSome < 200 {
+		t.Fatalf("only %d frames had overhearers: the field is too sparse to test anything", overheardSome)
+	}
+}
+
+// nopHandler is a layer above that keeps nothing.
+type nopHandler struct{}
+
+func (nopHandler) MACReceive(*phy.Frame)        {}
+func (nopHandler) MACOverhear(*phy.Frame)       {}
+func (nopHandler) MACSendDone(*phy.Frame, bool) {}
+
+// TestIdealUnicastHopAllocFree pins Send → deliver (destination and one
+// overhearer) → completion on the ideal MAC at zero allocations once the
+// flight and event pools are warm.
+func TestIdealUnicastHopAllocFree(t *testing.T) {
+	e := sim.NewEngine(1)
+	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}}
+	in := NewIdealNet(e, DefaultConfig(), len(pts), 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
+	for id := range pts {
+		in.MAC(id).SetHandler(nopHandler{})
+	}
+	in.MAC(2).SetPromiscuous(true)
+	f := &phy.Frame{Dst: 1}
+	hop := func() {
+		f.Bytes = 512
+		in.MAC(0).Send(f)
+		e.Run(e.Now() + 1)
+	}
+	for i := 0; i < 8; i++ {
+		hop()
+	}
+	if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+		t.Fatalf("ideal unicast hop allocates %.1f objects in steady state, want 0", avg)
+	}
+}

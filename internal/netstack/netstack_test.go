@@ -163,6 +163,38 @@ func TestHopLatencyObserved(t *testing.T) {
 	}
 }
 
+// TestSendOneHopAllocFree pins one acknowledged unicast — SendOneHop → ideal
+// MAC → delivery → MACSendDone with a completion callback — at zero
+// allocations in steady state: the in-flight state rides on the pooled
+// envelope, not in a per-node map.
+func TestSendOneHopAllocFree(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := lineNetwork(e, 2, 150, StackIdeal)
+	pkt := &Packet{Proto: testProto, Src: 0, Dst: 1, Bytes: 512}
+	acked := 0
+	done := func(ok bool) {
+		if ok {
+			acked++
+		}
+	}
+	hop := func() {
+		net.Node(0).SendOneHop(1, pkt, done)
+		e.Run(e.Now() + 1)
+	}
+	for i := 0; i < 8; i++ {
+		hop() // warm the envelope, flight and event pools
+	}
+	if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+		t.Fatalf("SendOneHop allocates %.1f objects per hop in steady state, want 0", avg)
+	}
+	if acked != 8+101 {
+		t.Fatalf("%d of %d hops acknowledged", acked, 8+101)
+	}
+	if got := net.Stats().Latency(LatHop).Count; got != 8+101 {
+		t.Fatalf("LatHop observed %d times, want one per hop (%d)", got, 8+101)
+	}
+}
+
 func TestOracleNeighbors(t *testing.T) {
 	e := sim.NewEngine(1)
 	net := lineNetwork(e, 5, 150, StackIdeal)

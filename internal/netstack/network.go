@@ -158,11 +158,11 @@ type Network struct {
 	// function is installed, so reorders are observable as a counter.
 	linkOrder map[linkKey]*linkOrder
 
-	// frameFree recycles the phy.Frame envelopes nodes wrap around
-	// outgoing packets: SendOneHop/BroadcastOneHop pop one and
-	// MACSendDone — the MAC's last touch of a frame — pushes it back, so
-	// steady-state sending is allocation-free (DESIGN.md §9).
-	frameFree []*phy.Frame
+	// envFree recycles the envelopes (MAC frame + in-flight send state)
+	// nodes wrap around outgoing packets: SendOneHop/BroadcastOneHop pop
+	// one and MACSendDone — the MAC's last touch of a frame — pushes it
+	// back, so steady-state sending is allocation-free (DESIGN.md §9).
+	envFree []*sendEnv
 	// aliveScratch backs AliveIDs.
 	aliveScratch []int
 }
@@ -489,30 +489,35 @@ func (net *Network) AliveIDs() []int {
 	return net.aliveScratch
 }
 
-// allocFrame takes a recycled frame envelope from the pool, or allocates
-// when the pool is dry. Frames are zeroed at release, so the returned frame
-// is field-for-field identical to a fresh &phy.Frame{}.
+// allocEnv takes a recycled envelope from the pool, or allocates when the
+// pool is dry, and addresses its frame. Envelopes are zeroed at release, so
+// apart from the fields set here the frame is field-for-field identical to
+// a fresh phy.Frame{}.
 //
 //pqlint:noalloc
-func (net *Network) allocFrame() *phy.Frame {
-	if n := len(net.frameFree); n > 0 {
-		f := net.frameFree[n-1]
-		net.frameFree[n-1] = nil
-		net.frameFree = net.frameFree[:n-1]
-		return f
+func (net *Network) allocEnv(dst int, pkt *Packet) *sendEnv {
+	var env *sendEnv
+	if n := len(net.envFree); n > 0 {
+		env = net.envFree[n-1]
+		net.envFree[n-1] = nil
+		net.envFree = net.envFree[:n-1]
+	} else {
+		env = &sendEnv{} //pqlint:allow noalloc(pool-dry cold path: one envelope per in-flight-frame high-water increase)
 	}
-	return &phy.Frame{} //pqlint:allow noalloc(pool-dry cold path: one envelope per in-flight-frame high-water increase)
+	env.pkt = pkt
+	env.frame.Dst, env.frame.Bytes, env.frame.Payload = dst, pkt.Bytes+IPHeaderBytes, env
+	return env
 }
 
-// freeFrame recycles a frame the MAC has finished with (MACSendDone is its
-// last touch: by then every receiver has been handed the payload and no
+// freeEnv recycles an envelope the MAC has finished with (MACSendDone is
+// its last touch: by then every receiver has been handed the payload and no
 // medium arrival references the frame any longer — end-of-signal events
 // fire before the sender's completion upcall at equal times).
 //
 //pqlint:noalloc
-func (net *Network) freeFrame(f *phy.Frame) {
-	*f = phy.Frame{}
-	net.frameFree = append(net.frameFree, f) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+func (net *Network) freeEnv(env *sendEnv) {
+	*env = sendEnv{}
+	net.envFree = append(net.envFree, env) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
 }
 
 // RandomAliveID returns a uniformly random live node id.

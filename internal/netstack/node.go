@@ -26,16 +26,20 @@ type Node struct {
 	id       int
 	mac      mac.MAC
 	protos   map[ProtocolID]Handler
-	cbs      map[*phy.Frame]pendingSend
 	overhear []OverhearFunc
 }
 
-// pendingSend tracks one in-flight MAC frame: the caller's completion
+// sendEnv is the pooled envelope one outgoing packet travels in: the MAC
+// frame, whose Payload points back at the envelope, plus what the sender
+// needs when the MAC reports the frame's fate — the caller's completion
 // callback (may be nil) and the hand-off time for the LatHop accumulator.
-type pendingSend struct {
-	done    func(ok bool)
-	sent    float64
-	unicast bool
+// Keeping the in-flight state on the envelope costs a send nothing beyond
+// the pool pop.
+type sendEnv struct {
+	frame phy.Frame
+	pkt   *Packet
+	done  func(ok bool)
+	sent  float64
 }
 
 func newNode(net *Network, id int, m mac.MAC) *Node {
@@ -44,7 +48,6 @@ func newNode(net *Network, id int, m mac.MAC) *Node {
 		id:     id,
 		mac:    m,
 		protos: make(map[ProtocolID]Handler),
-		cbs:    make(map[*phy.Frame]pendingSend),
 	}
 	m.SetHandler(n)
 	return n
@@ -86,11 +89,10 @@ func (n *Node) SendOneHop(next int, pkt *Packet, done func(ok bool)) {
 		}
 		return
 	}
-	f := n.net.allocFrame()
-	f.Dst, f.Bytes, f.Payload = next, pkt.Bytes+IPHeaderBytes, pkt
-	n.cbs[f] = pendingSend{done: done, sent: n.net.engine.Now(), unicast: true}
+	env := n.net.allocEnv(next, pkt)
+	env.done, env.sent = done, n.net.engine.Now()
 	n.net.countSend(pkt)
-	n.mac.Send(f)
+	n.mac.Send(&env.frame)
 }
 
 // BroadcastOneHop transmits pkt to all direct neighbors. done (may be nil)
@@ -99,13 +101,12 @@ func (n *Node) BroadcastOneHop(pkt *Packet, done func()) {
 	if !n.Alive() {
 		return
 	}
-	f := n.net.allocFrame()
-	f.Dst, f.Bytes, f.Payload = Broadcast, pkt.Bytes+IPHeaderBytes, pkt
+	env := n.net.allocEnv(Broadcast, pkt)
 	if done != nil {
-		n.cbs[f] = pendingSend{done: func(bool) { done() }}
+		env.done = func(bool) { done() }
 	}
 	n.net.countSend(pkt)
-	n.mac.Send(f)
+	n.mac.Send(&env.frame)
 }
 
 // MACReceive implements mac.Handler.
@@ -113,11 +114,11 @@ func (n *Node) MACReceive(f *phy.Frame) {
 	if !n.Alive() {
 		return
 	}
-	pkt, ok := f.Payload.(*Packet)
+	env, ok := f.Payload.(*sendEnv)
 	if !ok {
 		return
 	}
-	n.net.deliverRx(n, f.Src, pkt, false)
+	n.net.deliverRx(n, f.Src, env.pkt, false)
 }
 
 // MACOverhear implements mac.Handler.
@@ -125,11 +126,11 @@ func (n *Node) MACOverhear(f *phy.Frame) {
 	if !n.Alive() {
 		return
 	}
-	pkt, ok := f.Payload.(*Packet)
+	env, ok := f.Payload.(*sendEnv)
 	if !ok {
 		return
 	}
-	n.net.deliverRx(n, f.Src, pkt, true)
+	n.net.deliverRx(n, f.Src, env.pkt, true)
 }
 
 // MACSendDone implements mac.Handler. The completion upcall is the MAC's
@@ -137,16 +138,17 @@ func (n *Node) MACOverhear(f *phy.Frame) {
 // node sends was drawn from the network's pool in SendOneHop or
 // BroadcastOneHop.
 func (n *Node) MACSendDone(f *phy.Frame, ok bool) {
-	if ps, found := n.cbs[f]; found {
-		delete(n.cbs, f)
-		if ps.unicast {
-			n.net.stats.Observe(LatHop, n.net.engine.Now()-ps.sent)
-		}
-		if ps.done != nil {
-			ps.done(ok)
-		}
+	env, ours := f.Payload.(*sendEnv)
+	if !ours {
+		return
 	}
-	n.net.freeFrame(f)
+	if f.Dst != Broadcast {
+		n.net.stats.Observe(LatHop, n.net.engine.Now()-env.sent)
+	}
+	if env.done != nil {
+		env.done(ok)
+	}
+	n.net.freeEnv(env)
 }
 
 var _ mac.Handler = (*Node)(nil)

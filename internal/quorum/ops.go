@@ -51,8 +51,10 @@ func (s *System) Advertise(origin int, key, value string, done func(AdvertiseRes
 	case Path, UniquePath:
 		ad.res.Requested = s.cfg.AdvertiseSize
 		ad.pending = 1
-		s.startWalk(origin, op, true, key, value,
-			s.cfg.AdvertiseSize, s.cfg.AdvertiseStrategy == UniquePath)
+		s.startWalk(origin, walkHeader{
+			Op: op, Advertise: true, Key: key, Value: value,
+			Target: s.cfg.AdvertiseSize, SelfAvoiding: s.cfg.AdvertiseStrategy == UniquePath,
+		})
 	case Flooding:
 		s.advertiseFlood(origin, op, key, value)
 	case ExpandingRing:
@@ -113,12 +115,10 @@ func (s *System) dispatchLookup(origin int, op opID, key string, collect bool) {
 	case RandomOpt:
 		s.lookupRandomOpt(origin, op, key)
 	case Path, UniquePath:
-		if collect {
-			s.startWalkNoHalt(origin, op, key, s.cfg.LookupSize, s.cfg.LookupStrategy == UniquePath)
-		} else {
-			s.startWalk(origin, op, false, key, "",
-				s.cfg.LookupSize, s.cfg.LookupStrategy == UniquePath)
-		}
+		s.startWalk(origin, walkHeader{
+			Op: op, Key: key, NoHalt: collect,
+			Target: s.cfg.LookupSize, SelfAvoiding: s.cfg.LookupStrategy == UniquePath,
+		})
 	case Flooding:
 		s.lookupFlood(origin, op, key)
 	case ExpandingRing:
@@ -211,8 +211,8 @@ func (s *System) overhearTap(n *netstack.Node, pkt *netstack.Packet, _ int) {
 	// Reply along the overheard walk's path, extended with ourselves; the
 	// first hop is the frame's sender, necessarily a direct neighbor.
 	path := append(append(make([]int, 0, len(m.Visited)+1), m.Visited...), n.ID())
-	r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: path, Idx: len(path) - 1}
-	s.forwardReply(n, r)
+	r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: path}
+	s.forwardReply(n, r, len(path)-1)
 }
 
 // storeAt writes a mapping at node id and maintains per-op accounting

@@ -303,6 +303,14 @@ type System struct {
 	floodPrev     map[opID]map[int]int
 	floodCoverage map[opID]int
 
+	// stamp is the n-sized scratch set behind mark (id is a member iff
+	// stamp[id] == stampGen); poolFree recycles the walks' salvation
+	// candidate pools. Together they keep a walk or reply hop free of
+	// per-hop maps and copies.
+	stamp    []uint32
+	stampGen uint32
+	poolFree [][]int
+
 	// served counts lookup answers produced per node (owner and bystander
 	// alike) — the server-side load behind the load figure's skew metric.
 	served []int64
@@ -384,6 +392,7 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 		owned:         make(map[ownedKey]string),
 		floodPrev:     make(map[opID]map[int]int),
 		floodCoverage: make(map[opID]int),
+		stamp:         make([]uint32, net.N()),
 		served:        make([]int64, net.N()),
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)
@@ -621,7 +630,7 @@ type nodeDispatch struct{ s *System }
 func (d *nodeDispatch) HandlePacket(n *netstack.Node, pkt *netstack.Packet, from int) {
 	switch m := pkt.Payload.(type) {
 	case *walkMsg:
-		d.s.handleWalk(n, pkt, m)
+		d.s.handleWalk(n, m)
 	case *directMsg:
 		d.s.handleDirect(n, m)
 	case *replyMsg:
@@ -638,10 +647,16 @@ func (s *System) nextOp(origin int) opID {
 	return opID{Origin: origin, Seq: s.opSeq}
 }
 
-// newPacket builds a quorum packet of the configured payload size.
-func (s *System) newPacket(src, dst int, payload any) *netstack.Packet {
-	return &netstack.Packet{
+// packet fills in a quorum packet of the configured payload size; walk and
+// path-reply messages embed theirs, everything else takes newPacket's copy.
+func (s *System) packet(src, dst int, payload any) netstack.Packet {
+	return netstack.Packet{
 		Proto: netstack.ProtoQuorum, Src: src, Dst: dst,
 		Bytes: s.cfg.PayloadBytes, Payload: payload,
 	}
+}
+
+func (s *System) newPacket(src, dst int, payload any) *netstack.Packet {
+	pkt := s.packet(src, dst, payload)
+	return &pkt
 }

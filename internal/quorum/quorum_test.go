@@ -369,7 +369,7 @@ func TestReplyTravelsReversePath(t *testing.T) {
 		AdvertiseSize: 2, LookupSize: 2, LookupTimeout: 10,
 	})
 	_, r, res := primeReply(w, 0)
-	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r) })
+	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r, r.Idx) })
 	w.e.Run(20)
 	if !res.Hit || res.Value != "v" {
 		t.Fatalf("reply did not arrive: %+v", *res)
@@ -384,7 +384,7 @@ func TestReplyDroppedWithoutRepair(t *testing.T) {
 	})
 	w.net.Fail(3) // reply's first hop 4→3 breaks
 	_, r, res := primeReply(w, 0)
-	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r) })
+	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r, r.Idx) })
 	w.e.Run(30)
 	if res.Hit {
 		t.Fatal("reply survived a broken path without repair")
@@ -404,7 +404,7 @@ func TestReplyLocalRepairRescues(t *testing.T) {
 	_, r, res := primeReply(w, 0)
 	// Reply starts at 4; hop to 3 succeeds; 3→2 fails; scoped routing
 	// from 3 reaches 1 via the bypass.
-	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r) })
+	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r, r.Idx) })
 	w.e.Run(30)
 	if !res.Hit {
 		t.Fatalf("repair failed to deliver the reply: %+v (counters %+v)", *res, w.sys.Counters())
@@ -427,7 +427,7 @@ func TestReplyPathReductionSkipsHops(t *testing.T) {
 	})
 	before := w.net.Stats().Get(netstack.CtrAppMsgs)
 	_, r, res := primeReply(w, 0)
-	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r) })
+	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r, r.Idx) })
 	w.e.Run(20)
 	used := w.net.Stats().Get(netstack.CtrAppMsgs) - before
 	if !res.Hit {
@@ -472,7 +472,7 @@ func TestIntersectedWithoutHit(t *testing.T) {
 	w.sys.markIntersected(op)
 	w.net.Fail(3)
 	w.net.Fail(5)
-	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r) })
+	w.e.Schedule(0, func() { w.sys.forwardReply(w.net.Node(4), r, r.Idx) })
 	w.e.Run(30)
 	if res.Hit {
 		t.Fatal("unexpected hit")

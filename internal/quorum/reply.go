@@ -8,13 +8,19 @@ import "probquorum/internal/netstack"
 type replyMsg struct {
 	Op         opID
 	Key, Value string
-	// Path is the walk's visited list, origin first; Idx is the holder's
-	// current position in it. Nil for routed and flooding replies.
+	// Path is the walk's visited list, origin first (it may alias the
+	// walk's own list, which is only ever appended to); Idx is the
+	// position in it of the node the reply was last addressed to. Nil for
+	// routed and flooding replies.
 	Path []int
 	Idx  int
 	// Flood marks a reply travelling a flood's per-node previous-hop
 	// chain instead of an explicit path.
 	Flood bool
+
+	// pkt is the packet a path reply travels in, part of the message so
+	// that a reply hop allocates one object.
+	pkt netstack.Packet
 }
 
 // handleReply processes a reply arriving at node n (off the air or via
@@ -34,16 +40,16 @@ func (s *System) handleReply(n *netstack.Node, r *replyMsg) {
 	case r.Flood:
 		s.forwardFloodReply(n, r)
 	case r.Path != nil:
-		// Re-anchor Idx to this node's position in the path: after a
+		// Re-anchor to this node's position in the path: after a
 		// repaired (routed) hop the holder may differ from Path[Idx].
-		r2 := *r
+		idx := r.Idx
 		for i, v := range r.Path {
 			if v == n.ID() {
-				r2.Idx = i
+				idx = i
 				break
 			}
 		}
-		s.forwardReply(n, &r2)
+		s.forwardReply(n, r, idx)
 	default:
 		// Routed reply not yet at the origin: nothing to forward; the
 		// routing layer delivers only at the destination.
@@ -52,22 +58,19 @@ func (s *System) handleReply(n *netstack.Node, r *replyMsg) {
 
 // forwardReply moves a walk reply one step toward the origin along the
 // recorded path, applying reply-path reduction and, on failure, local
-// repair.
-func (s *System) forwardReply(n *netstack.Node, r *replyMsg) {
-	if r.Idx <= 0 || n.ID() == r.Path[0] {
+// repair. idx is the holder n's position in r.Path.
+func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
+	if idx <= 0 || n.ID() == r.Path[0] {
 		s.completeLookup(r.Op, r.Value)
 		return
 	}
-	j := r.Idx - 1
+	j := idx - 1
 	if s.cfg.ReplyPathReduction {
 		// Skip to the earliest path node that is currently a direct
 		// neighbor (Section 7.2).
-		nbset := make(map[int]bool)
-		for _, nb := range s.net.Neighbors(n.ID()) {
-			nbset[nb] = true
-		}
+		neighbor := s.mark(s.net.Neighbors(n.ID()))
 		for i := 0; i < j; i++ {
-			if nbset[r.Path[i]] {
+			if s.stamp[r.Path[i]] == neighbor {
 				s.counters.PathReductions += j - i
 				j = i
 				break
@@ -75,12 +78,11 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg) {
 		}
 	}
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: j}
-	pkt := s.newPacket(n.ID(), r.Path[j], next)
-	n.SendOneHop(r.Path[j], pkt, func(ok bool) {
-		if ok {
-			return
+	next.pkt = s.packet(n.ID(), r.Path[j], next)
+	n.SendOneHop(r.Path[j], &next.pkt, func(ok bool) {
+		if !ok {
+			s.replyHopBroken(n, next, j)
 		}
-		s.replyHopBroken(n, r, j)
 	})
 }
 

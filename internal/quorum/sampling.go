@@ -105,10 +105,7 @@ func (s *System) sampleArrived(n *netstack.Node, m *sampleMsg) {
 	}
 	s.markIntersected(m.Op)
 	if lk := s.lookups[s.resolve(m.Op)]; lk != nil && !lk.finished {
-		r := &replyMsg{
-			Op: m.Op, Key: m.Key, Value: value,
-			Path: m.Visited, Idx: len(m.Visited) - 1,
-		}
-		s.forwardReply(n, r)
+		r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: m.Visited}
+		s.forwardReply(n, r, len(m.Visited)-1)
 	}
 }

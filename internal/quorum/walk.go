@@ -2,10 +2,10 @@ package quorum
 
 import "probquorum/internal/netstack"
 
-// walkMsg carries a PATH / UNIQUE-PATH quorum access. The visited-node list
-// in the header both counts distinct coverage and records the reverse path
-// for replies, as the paper describes (Section 4.2).
-type walkMsg struct {
+// walkHeader is the part of a PATH / UNIQUE-PATH quorum access that stays
+// the same from hop to hop; one is shared, read-only, by all of a walk's
+// messages.
+type walkHeader struct {
 	Op           opID
 	Advertise    bool
 	Key, Value   string
@@ -13,59 +13,82 @@ type walkMsg struct {
 	SelfAvoiding bool
 	// NoHalt overrides early halting for this walk (collect-mode
 	// lookups must cover the full quorum).
-	NoHalt  bool
-	Visited []int // path so far, origin first
-	Unique  int   // distinct nodes among Visited
+	NoHalt bool
 }
+
+// walkMsg carries a walk over one hop. The visited-node list both counts
+// distinct coverage and records the reverse path for replies, as the paper
+// describes (Section 4.2).
+//
+// The part the receiver reads, the packet it travels in and the sender's
+// forwarding state are a single object, so a hop allocates that object and
+// the completion closure bound to it.
+type walkMsg struct {
+	*walkHeader
+	// Visited is the path so far, origin first. Its backing array is
+	// shared along the walk: each receiver appends itself in place, and
+	// no element is ever rewritten, so every earlier holder's (shorter)
+	// slice — and a reply's Path aliasing one — stays valid.
+	Visited []int
+	Unique  int // distinct nodes among Visited
+
+	// extended records that a delivery of this message has already
+	// appended to Visited in place. A second delivery of the same message
+	// (a duplicated frame; a salvation resend after a hop the MAC gave up
+	// on although the frame had arrived) must fork a private copy, or two
+	// continuations would write the same slot.
+	extended bool
+
+	// Forwarding state of the node that sends this message (pkt.Src);
+	// receivers never read it. pkt is the first attempt's packet, pool
+	// the salvation candidates — the sender's neighbors at the first
+	// attempt, minus those already tried — and done the completion
+	// callback, bound at the first attempt.
+	pkt  netstack.Packet
+	pool []int
+	done func(ok bool)
+}
+
+// walkPathCap is the initial capacity of a walk's visited list: most early-
+// halting lookups end within it, longer walks grow it geometrically.
+const walkPathCap = 8
 
 // startWalk launches a random-walk quorum access at origin. The origin
 // itself is the first covered node.
-func (s *System) startWalk(origin int, op opID, advertise bool, key, value string, target int, selfAvoiding bool) {
-	s.launchWalk(origin, op, advertise, false, key, value, target, selfAvoiding)
-}
-
-// startWalkNoHalt launches a lookup walk that covers its full target even
-// past hits (collect mode).
-func (s *System) startWalkNoHalt(origin int, op opID, key string, target int, selfAvoiding bool) {
-	s.launchWalk(origin, op, false, true, key, "", target, selfAvoiding)
-}
-
-func (s *System) launchWalk(origin int, op opID, advertise, noHalt bool, key, value string, target int, selfAvoiding bool) {
-	m := &walkMsg{
-		Op: op, Advertise: advertise, Key: key, Value: value,
-		Target: target, SelfAvoiding: selfAvoiding, NoHalt: noHalt,
-		Visited: []int{origin}, Unique: 1,
+func (s *System) startWalk(origin int, h walkHeader) {
+	m := &walkMsg{walkHeader: &h, Visited: append(make([]int, 0, walkPathCap), origin), Unique: 1}
+	if h.Advertise {
+		s.storeAt(origin, h.Key, h.Value, true, h.Op)
 	}
-	if advertise {
-		s.storeAt(origin, key, value, true, op)
-	}
-	node := s.net.Node(origin)
 	if m.Unique >= m.Target {
 		s.walkEnded(m)
 		return
 	}
-	s.forwardWalk(node, m)
+	s.forwardWalk(s.net.Node(origin), m)
+}
+
+// extendVisited returns m.Visited with u appended: in place for the first
+// delivery of m, into a private copy (the full slice expression forces
+// append to reallocate) for any later one.
+func extendVisited(m *walkMsg, u int) []int {
+	if m.extended {
+		return append(m.Visited[:len(m.Visited):len(m.Visited)], u)
+	}
+	m.extended = true
+	return append(m.Visited, u)
 }
 
 // handleWalk processes a walk message arriving at node n.
-func (s *System) handleWalk(n *netstack.Node, _ *netstack.Packet, m *walkMsg) {
+func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 	u := n.ID()
-	revisit := false
+	unique := m.Unique + 1
 	for _, v := range m.Visited {
 		if v == u {
-			revisit = true
+			unique-- // revisit
 			break
 		}
 	}
-	next := &walkMsg{
-		Op: m.Op, Advertise: m.Advertise, Key: m.Key, Value: m.Value,
-		Target: m.Target, SelfAvoiding: m.SelfAvoiding, NoHalt: m.NoHalt,
-		Visited: append(append(make([]int, 0, len(m.Visited)+1), m.Visited...), u),
-		Unique:  m.Unique,
-	}
-	if !revisit {
-		next.Unique++
-	}
+	next := &walkMsg{walkHeader: m.walkHeader, Visited: extendVisited(m, u), Unique: unique}
 
 	if m.Advertise {
 		s.storeAt(u, m.Key, m.Value, true, m.Op)
@@ -109,63 +132,117 @@ func (s *System) forwardWalk(n *netstack.Node, m *walkMsg) {
 		s.walkEnded(m)
 		return
 	}
-	neighbors := s.net.Neighbors(n.ID())
-	pool := make([]int, len(neighbors))
-	copy(pool, neighbors)
-	s.tryForwardWalk(n, m, pool, true)
+	m.pkt.Src = n.ID()
+	m.pool = s.takePool(s.net.Neighbors(n.ID()))
+	s.tryForwardWalk(m)
 }
 
-// tryForwardWalk attempts one forwarding step from the candidate pool.
-// first marks the initial attempt (later ones are salvations).
-func (s *System) tryForwardWalk(n *netstack.Node, m *walkMsg, pool []int, first bool) {
-	if len(pool) == 0 {
+// tryForwardWalk attempts one forwarding step from m's candidate pool: the
+// first attempt of a hop, or a salvation after the previous one failed.
+func (s *System) tryForwardWalk(m *walkMsg) {
+	if len(m.pool) == 0 {
 		s.counters.WalkDrops++
+		s.releasePool(m)
 		s.walkEnded(m)
 		return
 	}
-	idx := s.pickWalkNext(m, pool)
-	next := pool[idx]
-	pool[idx] = pool[len(pool)-1]
-	pool = pool[:len(pool)-1]
+	idx := s.pickWalkNext(m, m.pool)
+	next := m.pool[idx]
+	m.pool[idx] = m.pool[len(m.pool)-1]
+	m.pool = m.pool[:len(m.pool)-1]
 
-	pkt := s.newPacket(n.ID(), next, m)
-	n.SendOneHop(next, pkt, func(ok bool) {
-		if ok {
-			return
+	pkt := &m.pkt
+	if m.done == nil {
+		m.pkt = s.packet(pkt.Src, next, m)
+		m.done = func(ok bool) {
+			switch {
+			case ok:
+				s.releasePool(m)
+			case !s.cfg.Salvation:
+				s.counters.WalkDrops++
+				s.releasePool(m)
+				s.walkEnded(m)
+			default:
+				s.counters.Salvations++
+				s.tryForwardWalk(m)
+			}
 		}
-		if !s.cfg.Salvation {
-			s.counters.WalkDrops++
-			s.walkEnded(m)
-			return
-		}
-		s.counters.Salvations++
-		s.tryForwardWalk(n, m, pool, false)
-	})
-	_ = first
+	} else {
+		// A packet is immutable once sent and the failed attempt's may
+		// still be referenced (a fault-delayed delivery): salvations get
+		// their own.
+		pkt = s.newPacket(pkt.Src, next, m)
+	}
+	s.net.Node(pkt.Src).SendOneHop(next, pkt, m.done)
+}
+
+// takePool snapshots a neighbor list (owned by its provider, valid until the
+// next query) into a recycled candidate pool; releasePool hands the pool
+// back once the hop is settled.
+func (s *System) takePool(neighbors []int) []int {
+	var pool []int
+	if n := len(s.poolFree); n > 0 {
+		pool = s.poolFree[n-1]
+		s.poolFree = s.poolFree[:n-1]
+	}
+	return append(pool[:0], neighbors...)
+}
+
+func (s *System) releasePool(m *walkMsg) {
+	if m.pool != nil {
+		s.poolFree = append(s.poolFree, m.pool[:0])
+		m.pool = nil
+	}
+}
+
+// mark stamps ids into the System's n-sized scratch set and returns the
+// stamp: id is a member iff s.stamp[id] equals it. The set lasts until the
+// next mark.
+//
+//pqlint:noalloc
+func (s *System) mark(ids []int) uint32 {
+	s.stampGen++
+	if s.stampGen == 0 { // wrapped: stamps of 2^32 marks ago would read as members
+		clear(s.stamp)
+		s.stampGen = 1
+	}
+	for _, id := range ids {
+		s.stamp[id] = s.stampGen
+	}
+	return s.stampGen
 }
 
 // pickWalkNext selects the candidate index: a uniformly random neighbor for
 // PATH; for UNIQUE-PATH a uniformly random unvisited neighbor, falling back
 // to any neighbor when all have been visited (Section 4.3).
+//
+//pqlint:noalloc
 func (s *System) pickWalkNext(m *walkMsg, pool []int) int {
 	rng := s.engine.Rand()
 	if !m.SelfAvoiding {
 		return rng.Intn(len(pool))
 	}
-	visited := make(map[int]bool, len(m.Visited))
-	for _, v := range m.Visited {
-		visited[v] = true
-	}
-	var fresh []int
-	for i, c := range pool {
-		if !visited[c] {
-			fresh = append(fresh, i)
+	visited := s.mark(m.Visited)
+	fresh := 0
+	for _, c := range pool {
+		if s.stamp[c] != visited {
+			fresh++
 		}
 	}
-	if len(fresh) == 0 {
+	if fresh == 0 {
 		return rng.Intn(len(pool))
 	}
-	return fresh[rng.Intn(len(fresh))]
+	// The k-th unvisited candidate in pool order, k uniform.
+	k := rng.Intn(fresh)
+	for i, c := range pool {
+		if s.stamp[c] != visited {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("quorum: pickWalkNext: unvisited candidates miscounted")
 }
 
 // walkEnded finalizes bookkeeping when a walk stops (target covered or
@@ -180,9 +257,6 @@ func (s *System) walkEnded(m *walkMsg) {
 // sendWalkReply starts a reply from the hit node back along the walk's
 // recorded reverse path.
 func (s *System) sendWalkReply(n *netstack.Node, m *walkMsg, value string) {
-	r := &replyMsg{
-		Op: m.Op, Key: m.Key, Value: value,
-		Path: m.Visited, Idx: len(m.Visited) - 1,
-	}
-	s.forwardReply(n, r)
+	r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: m.Visited}
+	s.forwardReply(n, r, len(m.Visited)-1)
 }

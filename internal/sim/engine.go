@@ -42,7 +42,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -80,34 +79,97 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel was called.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
+// eventHeap is a binary min-heap on the strict total order (time, seq),
+// with sifts typed to *Event: the run loop pops one event per simulated
+// frame, and container/heap's interface dispatch was a measurable share of
+// that. Pop order depends on the order alone, never on the heap's layout.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+// before is the order: earlier time first, FIFO among equal times.
+func (a *Event) before(b *Event) bool {
 	//pqlint:allow floatequal(exact tie detection is the point: equal times fall through to FIFO seq ordering)
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up sifts element j toward the root; like down, it shifts the displaced
+// elements into the hole and places the sifted one once.
+//
+//pqlint:noalloc
+func (h eventHeap) up(j int) {
+	e := h[j]
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !e.before(h[i]) {
+			break
+		}
+		h[j], h[i].index = h[i], j
+		j = i
+	}
+	h[j], e.index = e, j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+
+// down sifts element i0 toward the leaves and reports whether it moved.
+//
+//pqlint:noalloc
+func (h eventHeap) down(i0 int) bool {
+	e, i := h[i0], i0
+	for {
+		j := 2*i + 1 // left child
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && h[j+1].before(h[j]) {
+			j++
+		}
+		if !h[j].before(e) {
+			break
+		}
+		h[i], h[j].index = h[j], i
+		i = j
+	}
+	h[i], e.index = e, i
+	return i > i0
+}
+
+//pqlint:noalloc
+func (h *eventHeap) push(e *Event) {
 	e.index = len(*h)
-	*h = append(*h, e)
+	*h = append(*h, e) //pqlint:allow noalloc(queue growth is amortized to the queued-event high-water mark)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+//
+//pqlint:noalloc
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e, last := old[0], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		old[:n].down(0)
+	}
 	e.index = -1
-	*h = old[:n-1]
 	return e
+}
+
+// fix restores the order after element i's key changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+// init establishes the heap order over arbitrary contents.
+func (h eventHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // compactMinQueue is the queue length below which cancelled events are never
@@ -223,7 +285,7 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	ev := e.alloc()
 	ev.time, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	e.live++
 	return ev
 }
@@ -243,7 +305,7 @@ func (e *Engine) rearm(ev *Event, t float64) bool {
 	ev.time = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	e.queue.fix(ev.index)
 	return true
 }
 
@@ -275,7 +337,7 @@ func (e *Engine) maybeCompact() {
 	for i, ev := range e.queue {
 		ev.index = i
 	}
-	heap.Init(&e.queue)
+	e.queue.init()
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -292,7 +354,7 @@ func (e *Engine) Run(until float64) uint64 {
 		if next.time > until {
 			break
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		if next.cancelled {
 			e.release(next)
 			continue
@@ -315,7 +377,7 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 	e.stopped = false
 	var n uint64
 	for len(e.queue) > 0 && !e.stopped {
-		next := heap.Pop(&e.queue).(*Event)
+		next := e.queue.pop()
 		if next.cancelled {
 			e.release(next)
 			continue

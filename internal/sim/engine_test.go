@@ -335,3 +335,114 @@ func TestRunAllLimit(t *testing.T) {
 		t.Fatal("RunAll should report exceeding the event budget")
 	}
 }
+
+// TestHeapPopsInKeyOrder drives the typed heap through a random interleaving
+// of At, Cancel, Timer.Reset (rearm in place) and bursts of cancellations
+// that trigger compaction, running the engine in between, and checks that
+// exactly the events never cancelled fire, in exactly the order of a sorted
+// reference over their final (time, seq) keys. Times are small integers so
+// that ties — and hence the FIFO half of the order — are common.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	type key struct {
+		time float64
+		seq  uint64
+		id   int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		e := NewEngine(seed)
+		rng := rand.New(rand.NewSource(seed))
+		var fired []int
+		want := map[int]key{} // live events by id, with their current keys
+		handles := map[int]*Event{}
+		nextID := 0
+		at := func(dt float64) {
+			id := nextID
+			nextID++
+			ev := e.At(e.Now()+dt, func() {
+				fired = append(fired, id)
+				delete(handles, id)
+			})
+			handles[id] = ev
+			want[id] = key{ev.time, ev.seq, id}
+		}
+		timers := make([]*Timer, 8)
+		timerID := make([]int, len(timers))
+		for i := range timers {
+			i := i
+			timers[i] = NewTimer(e, func() { fired = append(fired, timerID[i]) })
+		}
+		reset := func(i int, dt float64) {
+			if !timers[i].Armed() { // a fresh scheduling: new identity
+				timerID[i] = nextID
+				nextID++
+			}
+			timers[i].Reset(dt)
+			ev := timers[i].event
+			want[timerID[i]] = key{ev.time, ev.seq, timerID[i]}
+		}
+		cancelAny := func() {
+			// Victims in id order from a random start: deterministic per
+			// seed, unlike ranging over the map.
+			for off, start := 0, rng.Intn(nextID+1); off < nextID; off++ {
+				id := (start + off) % nextID
+				if ev, ok := handles[id]; ok {
+					ev.Cancel()
+					delete(handles, id)
+					delete(want, id)
+					return
+				}
+			}
+		}
+		compactions := 0
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(100); {
+			case r < 55:
+				at(float64(rng.Intn(40)))
+			case r < 65:
+				cancelAny()
+			case r < 90:
+				reset(rng.Intn(len(timers)), float64(rng.Intn(40)))
+			case r < 92:
+				// Cancel most of the queue: compaction (the only thing
+				// that shrinks the queue outside Run) must rebuild the
+				// heap without disturbing the order of what is left.
+				before := e.QueueLen()
+				for i, n := 0, 3*len(handles)/4; i < n; i++ {
+					cancelAny()
+				}
+				if e.QueueLen() < before {
+					compactions++
+				}
+			default:
+				e.Run(e.Now() + float64(rng.Intn(3)))
+			}
+		}
+		e.Run(math.Inf(1))
+
+		ref := make([]key, 0, len(want))
+		for _, k := range want {
+			ref = append(ref, k)
+		}
+		sort.Slice(ref, func(i, j int) bool {
+			if ref[i].time != ref[j].time {
+				return ref[i].time < ref[j].time
+			}
+			return ref[i].seq < ref[j].seq
+		})
+		if len(fired) != len(ref) {
+			t.Fatalf("seed %d: %d events fired, %d were never cancelled", seed, len(fired), len(ref))
+		}
+		for i := range ref {
+			if fired[i] != ref[i].id {
+				t.Fatalf("seed %d: pop %d was event %d, sorted reference has %d (time %v seq %d)",
+					seed, i, fired[i], ref[i].id, ref[i].time, ref[i].seq)
+			}
+		}
+		if compactions == 0 {
+			t.Fatalf("seed %d: no compaction happened, the test lost its coverage", seed)
+		}
+		if e.Pending() != 0 || e.QueueLen() != 0 {
+			t.Fatalf("seed %d: queue not drained: Pending=%d QueueLen=%d", seed, e.Pending(), e.QueueLen())
+		}
+	}
+}
