@@ -5,8 +5,8 @@
 #   1. build  — the whole tree compiles;
 #   2. lint   — pqlint's determinism invariants (fast, fails early);
 #   3. chaos  — the fault-injection acceptance sweep;
-#   4. shards — the sharded-phase determinism gate (bit-identity at shard
-#               widths 1/2/4/8 against a serial run);
+#   4. shards — the determinism gate of the engine's one parallel phase
+#               (bit-identity at shard widths 1/2/4/8 against a serial run);
 #   5. vet    — the standard toolchain's analyzers;
 #   6. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,13 @@ bench-digest:
 mega-smoke:
 	$(GO) run ./cmd/pqexp -megashort mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
+# mega-bench records the full-horizon 10k run serial and at -shards 2 — the
+# A/B behind DESIGN.md §15's "what the knob is worth". Each line's name ends
+# in -<GOMAXPROCS>, so the entries say which host width they came from.
+mega-bench:
+	$(GO) run ./cmd/pqexp mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -shards 2 mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+
 # giga-smoke runs the giga tier (DESIGN.md §15: oracle neighbors, lazy
 # membership, route cache, sharded prefetch) at a CI-sized 25k nodes on the
 # shortened horizon, churn/faults/invariants armed, 4 shards wide. The full
@@ -123,9 +130,10 @@ load-smoke:
 adapt-smoke:
 	$(GO) run ./cmd/pqexp -adaptshort adapt | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
-# bench-sweep surfaces only the parallel sweep executor's scaling.
+# bench-sweep records only the parallel sweep executor's scaling (flat on a
+# 1-core host; ~2× at parallel=2 on two cores).
 bench-sweep:
-	$(GO) test -bench=BenchmarkParallelSweep -benchtime=1x -run='^$$' .
+	$(GO) test -bench=BenchmarkParallelSweep -benchtime=1x -run='^$$' . | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # quick regenerates the recorded quick-profile results (with per-figure
 # wall clock and effective parallelism).

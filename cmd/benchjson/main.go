@@ -13,7 +13,9 @@
 // ns/op and the peak-heap-B metric; any regression beyond -threshold percent
 // is reported and the exit status is non-zero, so CI can gate (or soft-fail)
 // on performance drift. Benchmarks present on only one side are noted but
-// never fail the comparison.
+// never fail the comparison, and ns/op is skipped ("procs differ") when the
+// two sides were measured at different GOMAXPROCS — that is a different
+// host, not a regression; peak-heap-B is still compared.
 //
 // Every input line is passed through to stdout unchanged, so benchjson can
 // sit at the end of a pipe without hiding the human-readable report. The
@@ -115,7 +117,11 @@ func runCompare(w io.Writer, basePath, newPath string, thresholdPct float64) (bo
 			continue
 		}
 		compared++
-		regressed = compareQuantity(w, nb.Name, "ns/op", ob.NsPerOp, nb.NsPerOp, thresholdPct) || regressed
+		if op, np := procsOf(ob), procsOf(nb); op != np {
+			fmt.Fprintf(w, "skipped %s ns/op: procs differ (%d -> %d)\n", nb.Name, op, np)
+		} else {
+			regressed = compareQuantity(w, nb.Name, "ns/op", ob.NsPerOp, nb.NsPerOp, thresholdPct) || regressed
+		}
 		if obv, nbv := ob.Metrics[peakHeapMetric], nb.Metrics[peakHeapMetric]; obv > 0 && nbv > 0 {
 			regressed = compareQuantity(w, nb.Name, peakHeapMetric, obv, nbv, thresholdPct) || regressed
 		}
@@ -129,6 +135,15 @@ func runCompare(w io.Writer, basePath, newPath string, thresholdPct float64) (bo
 		fmt.Fprintf(w, "ok: %d benchmarks within %.0f%% tolerance\n", compared, thresholdPct)
 	}
 	return regressed, nil
+}
+
+// procsOf is the GOMAXPROCS a result was measured at. go test (and pqexp's
+// bench lines) omit the "-N" name suffix at 1, so an absent value means 1.
+func procsOf(b benchResult) int {
+	if b.Procs == 0 {
+		return 1
+	}
+	return b.Procs
 }
 
 // compareQuantity prints one comparison line and reports whether the change

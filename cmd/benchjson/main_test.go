@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"probquorum/internal/experiment"
+	"probquorum/internal/workload"
 )
 
 func TestParseBenchLine(t *testing.T) {
@@ -90,7 +94,7 @@ PASS
 		t.Fatal(err)
 	}
 	second := strings.NewReader(`BenchmarkReplaced-8   10   250 ns/op
-BenchmarkMegaScenario/n=10000/workers=2 1 9e9 ns/op 5e8 B/op 100 allocs/op 2e8 peak-heap-B
+BenchmarkMegaScenario/n=10000/shards=2-2 1 9e9 ns/op 5e8 B/op 100 allocs/op 2e8 peak-heap-B
 PASS
 `)
 	if err := run(second, &strings.Builder{}, out, true); err != nil {
@@ -103,7 +107,8 @@ PASS
 	got := string(data)
 	for _, want := range []string{
 		`"name": "BenchmarkKept"`,
-		`"name": "BenchmarkMegaScenario/n=10000/workers=2"`,
+		`"name": "BenchmarkMegaScenario/n=10000/shards=2"`,
+		`"procs": 2`,
 		`"ns_per_op": 250`,
 		`"peak-heap-B": 200000000`,
 		`"goos": "linux"`, // inherited from the first write
@@ -187,5 +192,57 @@ func TestCompareErrorsWithoutCommonBenchmarks(t *testing.T) {
 	writeReport(t, cur, "BenchmarkB-8   10   100 ns/op\n")
 	if _, err := runCompare(&strings.Builder{}, base, cur, 10); err == nil {
 		t.Fatal("expected an error when the reports share no benchmarks")
+	}
+}
+
+// TestCompareSkipsNsAcrossProcs: a wall-clock delta between recordings made
+// at different GOMAXPROCS is a different host, not a regression — ns/op is
+// reported as skipped while peak-heap-B is still gated. A name without a
+// suffix is procs=1, as go test prints it.
+func TestCompareSkipsNsAcrossProcs(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "base.json")
+	cur := filepath.Join(dir, "new.json")
+	writeReport(t, base, "BenchmarkMegaScenario/n=10000/shards=2 1 1e9 ns/op 2e8 peak-heap-B\n")
+	writeReport(t, cur, "BenchmarkMegaScenario/n=10000/shards=2-8 1 3e9 ns/op 2e8 peak-heap-B\n")
+	var out strings.Builder
+	regressed, err := runCompare(&out, base, cur, 10)
+	if err != nil || regressed {
+		t.Fatalf("cross-host ns/op delta flagged (err=%v):\n%s", err, out.String())
+	}
+	if want := "skipped BenchmarkMegaScenario/n=10000/shards=2 ns/op: procs differ (1 -> 8)"; !strings.Contains(out.String(), want) {
+		t.Errorf("compare output missing %q:\n%s", want, out.String())
+	}
+	if !strings.Contains(out.String(), "peak-heap-B") {
+		t.Errorf("peak-heap-B not compared:\n%s", out.String())
+	}
+
+	writeReport(t, cur, "BenchmarkMegaScenario/n=10000/shards=2-8 1 1e9 ns/op 3e8 peak-heap-B\n")
+	out.Reset()
+	if regressed, err = runCompare(&out, base, cur, 10); err != nil || !regressed {
+		t.Fatalf("peak-heap growth across hosts not flagged (err=%v):\n%s", err, out.String())
+	}
+}
+
+// TestPqexpBenchLinesCarryProcs round-trips the figures' own bench lines:
+// the name parses back without the suffix and procs is this process's
+// GOMAXPROCS (absent at 1, as go test prints it).
+func TestPqexpBenchLinesCarryProcs(t *testing.T) {
+	want := runtime.GOMAXPROCS(0)
+	if want == 1 {
+		want = 0
+	}
+	for _, c := range []struct{ line, name string }{
+		{experiment.MegaResult{N: 10000, Shards: 2, NoCache: true}.BenchLine(), "BenchmarkMegaScenario/n=10000/shards=2/nocache=1"},
+		{experiment.LoadMixResult{Mix: "ab"}.BenchLine(), "BenchmarkLoad/mix=ab/arrival=" + workload.Poisson.String()},
+		{experiment.AdaptDriftResult{Drift: "join3x"}.BenchLine(), "BenchmarkAdapt/drift=join3x"},
+	} {
+		r, ok := parseBenchLine(c.line)
+		if !ok {
+			t.Fatalf("bench line does not parse: %s", c.line)
+		}
+		if r.Name != c.name || r.Procs != want {
+			t.Errorf("%s\nparsed as name=%q procs=%d, want name=%q procs=%d", c.line, r.Name, r.Procs, c.name, want)
+		}
 	}
 }

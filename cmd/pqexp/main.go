@@ -17,7 +17,7 @@
 // with the cell-noise interference model, continuous churn and a fault
 // schedule live, invariant checkers on, and a go-bench-format metrics line
 // (wall clock, allocations, peak heap) on stdout for cmd/benchjson. Tune it
-// with -megan/-megashort/-workers. It is deliberately not part of "all".
+// with -megan/-megashort/-shards. It is deliberately not part of "all".
 //
 // `pqexp giga` is the 100k-node tier (DESIGN.md §15): the mega scenario with
 // oracle neighbor discovery, draw-on-demand membership views, and the
@@ -74,7 +74,6 @@ func run(args []string) error {
 	bigN := fs.Int("bign", 0, "override the large-network size")
 	seed := fs.Int64("seed", 1, "base random seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep worker-pool size (independent runs in flight at once)")
-	workers := fs.Int("workers", 0, "per-engine parallel-phase width for PHY evaluation (0 = serial; results identical at any width)")
 	shards := fs.Int("shards", 0, "per-engine sharded-phase width for bulk route builds (0 = serial; results identical at any width)")
 	megaN := fs.Int("megan", 10000, "node count for the mega scale scenario")
 	gigaN := fs.Int("gigan", 100000, "node count for the giga scale scenario")
@@ -140,7 +139,6 @@ func run(args []string) error {
 		p.BigN = *bigN
 	}
 	p.Parallel = *parallel
-	p.Workers = *workers
 	p.Shards = *shards
 	effective := p.Parallel
 	if effective < 1 {
@@ -154,16 +152,16 @@ func run(args []string) error {
 	}
 	for _, f := range figs {
 		if strings.EqualFold(f, "mega") {
-			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "giga") {
-			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Workers: *workers, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "load") {
 			if err := runLoad(experiment.LoadConfig{
-				Seed: *seed, Parallel: *parallel, Workers: *workers,
+				Seed: *seed, Parallel: *parallel,
 				Horizon: loadHorizon(*loadShort),
 			}); err != nil {
 				return err
@@ -172,7 +170,7 @@ func run(args []string) error {
 		}
 		if strings.EqualFold(f, "adapt") {
 			if err := runAdapt(experiment.AdaptFigConfig{
-				Seeds: *seeds, Seed: *seed, Parallel: *parallel, Workers: *workers,
+				Seeds: *seeds, Seed: *seed, Parallel: *parallel,
 				Horizon: adaptHorizon(*adaptShort),
 			}); err != nil {
 				return err
@@ -225,7 +223,7 @@ func adaptHorizon(short bool) float64 {
 }
 
 // runLoad executes the open-loop load figure and prints the data table
-// (bit-identical at any -parallel/-workers) followed by one go-bench
+// (bit-identical at any -parallel) followed by one go-bench
 // metrics line per strategy mix for cmd/benchjson. Any invariant violation
 // — the checkers run armed, including the pending-op drain assertion — is
 // an error, making `make load-smoke` a CI gate and not just a report.
@@ -245,11 +243,11 @@ func runLoad(lc experiment.LoadConfig) error {
 }
 
 // runAdapt executes the adaptive-sizing chaos figure and prints one
-// trajectory table per drift shape (bit-identical at any
-// -parallel/-workers) followed by a go-bench metrics line per drift for
-// cmd/benchjson. Invariant violations or leaked ops — the checkers run
-// armed, including the controller's resize-bounds watch — are an error, so
-// `make adapt-smoke` gates CI instead of just reporting.
+// trajectory table per drift shape (bit-identical at any -parallel)
+// followed by a go-bench metrics line per drift for cmd/benchjson.
+// Invariant violations or leaked ops — the checkers run armed, including
+// the controller's resize-bounds watch — are an error, so `make adapt-smoke`
+// gates CI instead of just reporting.
 func runAdapt(ac experiment.AdaptFigConfig) error {
 	results := experiment.RunAdapt(ac)
 	violations := 0

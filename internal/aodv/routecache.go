@@ -1,9 +1,5 @@
 package aodv
 
-import (
-	"probquorum/internal/sim"
-)
-
 // RoutePrefetcher is implemented by routers that can bulk-prepare routing
 // state for an imminent fan-out: the quorum layer calls it with the member
 // set it is about to message, so the router can build all missing routes in
@@ -28,10 +24,6 @@ type RouteCacheConfig struct {
 	// MaxTrees caps live trees; the oldest installed tree is evicted first
 	// (deterministic insertion order). 0 defaults to 1024.
 	MaxTrees int
-	// Shards assigns destinations to build shards for PrefetchRoutes; nil
-	// falls back to round-robin by id. Spatial maps keep one shard's BFS
-	// frontier in a coherent region of the grid.
-	Shards *sim.ShardMap
 }
 
 // routeTree is a cached shortest-path tree toward one destination:
@@ -56,7 +48,6 @@ type routeCache struct {
 	o        *Oracle
 	ttl      float64
 	maxTrees int
-	sm       *sim.ShardMap
 
 	trees map[int]*routeTree
 	// order holds every installed tree exactly once, oldest first (head is
@@ -76,14 +67,14 @@ type routeCache struct {
 	seen      []int32
 	seenStamp int32
 
-	// Per-shard BFS scratch, indexed by the ShardMap's (unclamped) shard id:
-	// items that could ever run concurrently live in different engine
-	// buckets, and distinct shard ids never share a bucket's scratch slot.
+	// Per-shard BFS scratch, indexed by the ShardedEval shard index (one
+	// goroutine owns a shard index for the length of a phase). prefetch
+	// grows it to the engine's width; the serial miss path uses slot 0.
 	visited [][]int32
 	stamps  []int32
 	queues  [][]int32
 
-	evalFn func(int)
+	evalFn func(shard, i int)
 }
 
 // EnableRouteCache switches the oracle's next-hop queries — unbounded and
@@ -97,27 +88,25 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 	if cfg.MaxTrees <= 0 {
 		cfg.MaxTrees = 1024
 	}
-	sm := cfg.Shards
-	if sm == nil {
-		sm = sim.NewShardMap(8, n, float64(n), func(id int) float64 { return float64(id) })
-	}
-	k := sm.Shards()
 	c := &routeCache{
 		o:        o,
 		ttl:      cfg.TTLSecs,
 		maxTrees: cfg.MaxTrees,
-		sm:       sm,
 		trees:    make(map[int]*routeTree),
 		seen:     make([]int32, n),
-		visited:  make([][]int32, k),
-		stamps:   make([]int32, k),
-		queues:   make([][]int32, k),
 	}
-	for s := 0; s < k; s++ {
-		c.visited[s] = make([]int32, n)
-	}
+	c.growScratch(1)
 	c.evalFn = c.eval
 	o.cache = c
+}
+
+// growScratch ensures BFS scratch slots 0..k-1 exist.
+func (c *routeCache) growScratch(k int) {
+	for len(c.visited) < k {
+		c.visited = append(c.visited, make([]int32, c.o.net.N()))
+		c.stamps = append(c.stamps, 0)
+		c.queues = append(c.queues, nil)
+	}
 }
 
 // PrefetchRoutes implements RoutePrefetcher: ensure a valid tree exists for
@@ -165,18 +154,17 @@ func (c *routeCache) prefetch(dsts []int) {
 	for range c.missing {
 		c.pending = append(c.pending, c.take())
 	}
-	c.o.engine.ShardedEval(len(c.missing), c.shardOfItem, c.evalFn)
+	c.growScratch(c.o.engine.Shards())
+	c.o.engine.ShardedEval(len(c.missing), c.evalFn)
 }
-
-func (c *routeCache) shardOfItem(i int) int { return c.sm.Shard(c.missing[i]) }
 
 // eval builds item i's tree on its shard's scratch and stages the install.
 // Reads frozen neighbor lists and writes only the item's own tree plus the
-// shard's scratch (items of one shard run sequentially on one worker).
-func (c *routeCache) eval(i int) {
+// shard's scratch (items of one shard run sequentially on one goroutine).
+func (c *routeCache) eval(shard, i int) {
 	dst := c.missing[i]
 	t := c.pending[i] //pqlint:parshared(per-item tree slot, pre-assigned serially before the phase)
-	c.build(t, dst, c.sm.Shard(dst))
+	c.build(t, dst, shard)
 	t.dst = dst
 	c.o.engine.Stage(i, func() { c.install(t) })
 }
@@ -190,7 +178,7 @@ func (c *routeCache) build(t *routeTree, dst, shard int) {
 	if len(t.next) != n {
 		t.next = make([]int32, n) //pqlint:parshared(per-item tree storage: t is this item's pre-assigned tree, touched by no other worker)
 	}
-	vis := c.visited[shard] //pqlint:parshared(per-shard BFS scratch; shard ids never share an engine bucket)
+	vis := c.visited[shard] //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
 	if c.stamps[shard] == 1<<31-1 {
 		for i := range vis {
 			vis[i] = 0
@@ -280,7 +268,7 @@ func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 		// install stamps the post-prepare version.
 		net.PrepareNeighbors()
 		t = c.take()
-		c.build(t, dst, c.sm.Shard(dst))
+		c.build(t, dst, 0)
 		t.dst = dst
 		c.install(t)
 	}

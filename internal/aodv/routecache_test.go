@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,4 +102,58 @@ func TestOracleRouteCacheScopedDelivery(t *testing.T) {
 	if o.DataDrops == 0 {
 		t.Fatal("drops not counted")
 	}
+}
+
+// TestPrefetchTreesMatchSerialMiss pins the sharded build against the serial
+// one: every next[] installed by PrefetchRoutes — at widths 0, 2 and 8, and
+// with the width grown between two prefetches so the per-shard BFS scratch
+// has to grow with it — equals the tree the serial miss path builds for the
+// same destination.
+func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, side = 60, 1000.0
+	pts := make([]geom.Point, n)
+	dsts := make([]int, 0, n+2)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+		dsts = append(dsts, i)
+	}
+	dsts = append(dsts, 3, 3) // duplicates are built once
+
+	_, _, serial := oracleWorld(pts, side, true)
+	for dst := 0; dst < n; dst++ {
+		serial.nextHop((dst+1)%n, dst, 0)
+	}
+	check := func(name string, o *Oracle) {
+		t.Helper()
+		if len(o.cache.trees) != n {
+			t.Fatalf("%s: %d trees installed, want %d", name, len(o.cache.trees), n)
+		}
+		for dst := 0; dst < n; dst++ {
+			got, want := o.cache.trees[dst].next, serial.cache.trees[dst].next
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("%s: tree %d next[%d] = %d, serial miss path built %d", name, dst, v, got[v], want[v])
+				}
+			}
+		}
+	}
+	for _, w := range []int{0, 2, 8} {
+		e, _, o := oracleWorld(pts, side, true)
+		e.SetShards(w)
+		o.PrefetchRoutes(0, dsts)
+		e.StopWorkers()
+		check(fmt.Sprintf("shards=%d", w), o)
+	}
+
+	e, _, o := oracleWorld(pts, side, true)
+	defer e.StopWorkers()
+	e.SetShards(2)
+	o.PrefetchRoutes(0, dsts[:n/2])
+	e.SetShards(8)
+	o.PrefetchRoutes(0, dsts)
+	if got := len(o.cache.visited); got != 8 {
+		t.Fatalf("BFS scratch has %d slots after growing the width to 8", got)
+	}
+	check("shards 2→8", o)
 }

@@ -38,7 +38,7 @@ import (
 // resize-bounds watch). The stack is ideal links + oracle routing so the
 // figure measures the quorum layer, not route discovery. All randomness
 // comes from engine streams: the data tables are bit-identical at any
-// -parallel / -workers setting; wall clock appears only in bench lines.
+// -parallel setting; wall clock appears only in bench lines.
 
 // AdaptFigConfig sizes the adapt figure. Zero values take defaults.
 type AdaptFigConfig struct {
@@ -49,8 +49,6 @@ type AdaptFigConfig struct {
 	Seed int64
 	// Parallel is the worker-pool width across cells (0 = all cores).
 	Parallel int
-	// Workers is the per-engine parallel-phase width (0 = serial).
-	Workers int
 	// DurationSecs is the measured span per run (default 600).
 	DurationSecs float64
 	// BucketSecs is the time-series resolution (default 30).
@@ -211,8 +209,8 @@ type AdaptDriftResult struct {
 // ns/op is the cell's wall clock; the custom metrics carry the settled
 // intersection ratios, per-lookup message costs, and resize count.
 func (r AdaptDriftResult) BenchLine() string {
-	return fmt.Sprintf("BenchmarkAdapt/drift=%s 1 %d ns/op %.3f static-intersect %.3f adaptive-intersect %.1f static-msgs-per-lookup %.1f adaptive-msgs-per-lookup %.0f resizes",
-		r.Drift, int64((r.Static.WallSecs+r.Adaptive.WallSecs)*1e9),
+	return fmt.Sprintf("BenchmarkAdapt/drift=%s%s 1 %d ns/op %.3f static-intersect %.3f adaptive-intersect %.1f static-msgs-per-lookup %.1f adaptive-msgs-per-lookup %.0f resizes",
+		r.Drift, procsSuffix(), int64((r.Static.WallSecs+r.Adaptive.WallSecs)*1e9),
 		r.Static.SettledIntersect(), r.Adaptive.SettledIntersect(),
 		r.Static.MsgsPerLookup(), r.Adaptive.MsgsPerLookup(),
 		r.Adaptive.Resizes)
@@ -253,7 +251,7 @@ func (r AdaptDriftResult) Table() Table {
 
 // RunAdapt executes the full figure: every (drift, variant, seed) cell on
 // a pool of Parallel workers, merged per (drift, variant) in index order so
-// the output is bit-identical at any Parallel / Workers setting.
+// the output is bit-identical at any Parallel setting.
 func RunAdapt(ac AdaptFigConfig) []AdaptDriftResult {
 	ac.fillDefaults()
 	drifts := adaptDrifts()
@@ -361,10 +359,10 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 
 	sc := Scenario{
 		N: dr.n0, Stack: netstack.StackIdeal, Seed: seed,
-		Workers: ac.Workers, OracleRouting: true,
-		AvgDegree:    dr.avgDegree,
-		JoinFraction: dr.joinFraction,
-		WarmupSecs:   warmupSecs,
+		OracleRouting: true,
+		AvgDegree:     dr.avgDegree,
+		JoinFraction:  dr.joinFraction,
+		WarmupSecs:    warmupSecs,
 	}
 	qa, ql := quorum.SizeForEpsilon(dr.n0, epsilon, 1)
 	sc.Quorum = quorum.Config{
@@ -385,7 +383,6 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 	joiners := sc.joinSlots()
 	total := sc.N + joiners
 	engine, net, _, members, sys := buildStack(sc)
-	defer engine.StopWorkers()
 	rng := engine.NewStream()
 	suite := check.NewSuite(net, sys)
 

@@ -7,16 +7,15 @@ import (
 
 // TestAdaptFigureParallelDeterminism locks in the adapt figure's
 // determinism contract: every per-drift result (wall clock aside) is
-// bit-identical whether the cells run on one worker or eight, serial or
-// parallel engine phases — the `pqexp adapt` data lines never depend on
-// -parallel or -workers.
+// bit-identical whether the cells run on one worker or eight — the
+// `pqexp adapt` data lines never depend on -parallel.
 func TestAdaptFigureParallelDeterminism(t *testing.T) {
 	ac := AdaptFigConfig{Seeds: 1, Seed: 3, Horizon: 0.05}
 
 	serial := ac
-	serial.Parallel, serial.Workers = 1, 0
+	serial.Parallel = 1
 	wide := ac
-	wide.Parallel, wide.Workers = 8, 2
+	wide.Parallel = 8
 
 	a := RunAdapt(serial)
 	b := RunAdapt(wide)
@@ -25,7 +24,7 @@ func TestAdaptFigureParallelDeterminism(t *testing.T) {
 		a[i].Adaptive.WallSecs, b[i].Adaptive.WallSecs = 0, 0
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("adapt results differ between parallel=1/workers=0 and parallel=8/workers=2:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("adapt results differ between parallel=1 and parallel=8:\n%+v\nvs\n%+v", a, b)
 	}
 
 	// The runs must be healthy: invariants clean (incl. the pending-op

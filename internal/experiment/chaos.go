@@ -151,7 +151,6 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	sc.fillDefaults()
 
 	engine, net, _, _, sys := buildStack(sc)
-	defer engine.StopWorkers()
 	inj := faults.New(net)
 	suite := check.NewSuite(net, sys)
 	suite.SetPartitionOracle(inj.Partitioned)

@@ -100,18 +100,14 @@ type Scenario struct {
 	// measuring the paper's "cost of a lookup miss" (Fig. 16): the whole
 	// target quorum is paid, with no early-halting savings.
 	LookupAbsentKeys bool
-	// Workers sets the engine's parallel-phase width (sim.SetWorkers):
-	// per-broadcast PHY evaluation fans out across this many goroutines.
-	// Results are bit-identical at any setting; 0 or 1 runs serially.
-	Workers int
 	// CellNoise selects the SINR stack's cell-aggregated far-field
 	// interference model (netstack.Config.CellNoise) — the approximate
 	// scale-out mode used by the mega scenario.
 	CellNoise bool
 	// Shards sets the engine's sharded-phase width (sim.SetShards): the
-	// route-prefetch and other ShardedEval phases fan out across this many
-	// spatial shards. Results are bit-identical at any setting; 0 or 1
-	// runs serially (DESIGN.md §15).
+	// route cache's prefetch phase fans out across this many goroutines.
+	// Results are bit-identical at any setting; 0 or 1 runs serially
+	// (DESIGN.md §15).
 	Shards int
 	// LazyMembership switches the membership service to draw-on-demand
 	// views (membership.Config.Lazy): O(1) refreshes and no materialized
@@ -289,7 +285,6 @@ func (d DecayPoint) IntersectRatio() float64 {
 func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *membership.Service, *quorum.System) {
 	sc.fillDefaults()
 	engine := sim.NewEngine(sc.Seed)
-	engine.SetWorkers(sc.Workers)
 	engine.SetShards(sc.Shards)
 
 	// Pre-allocate join capacity; joiners stay down until churn time.
@@ -332,23 +327,14 @@ func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *memb
 		if !ok {
 			panic("experiment: RouteCache requires OracleRouting")
 		}
-		// Spatial shard map over true positions at build time — shardOf
-		// must stay pure during phases, and node positions only enter it
-		// through this frozen stripe assignment. TTL bounds tree staleness
-		// against the heartbeat provider's lazily observed expiries; the
-		// oracle provider's version counter is exact, so no bound needed.
-		k := sc.Shards
-		if k < 1 {
-			k = 1
-		}
-		sm := sim.NewShardMap(k, total, cfg.Side, func(id int) float64 {
-			return net.Position(id).X
-		})
+		// TTL bounds tree staleness against the heartbeat provider's lazily
+		// observed expiries; the oracle provider's version counter is exact,
+		// so no bound needed.
 		ttl := 1.0
 		if sc.OracleNeighbors {
 			ttl = 0
 		}
-		oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: ttl, Shards: sm})
+		oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: ttl})
 	}
 	members := membership.New(net, membership.Config{
 		ViewSize:    membership.DefaultViewSize(sc.N),

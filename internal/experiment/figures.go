@@ -44,13 +44,9 @@ type Profile struct {
 	// Parallel is the worker-pool size used by RunSweep for the
 	// simulation-backed figures; 0 means runtime.GOMAXPROCS(0).
 	Parallel int
-	// Workers is the per-engine parallel-phase width (Scenario.Workers):
-	// PHY candidate evaluation inside each run fans out across this many
-	// goroutines, with bit-identical results at any setting. Orthogonal
-	// to Parallel, which runs whole seeds concurrently.
-	Workers int
-	// Shards is the per-engine sharded-phase width (Scenario.Shards),
-	// bit-identical at any setting like Workers.
+	// Shards is the per-engine sharded-phase width (Scenario.Shards):
+	// bit-identical results at any setting, and orthogonal to Parallel,
+	// which runs whole seeds concurrently.
 	Shards int
 }
 
@@ -84,7 +80,7 @@ func baseScenario(p Profile, n int, seed int64) Scenario {
 	return Scenario{
 		N: n, Stack: p.Stack, Seed: seed,
 		Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-		Workers: p.Workers, Shards: p.Shards,
+		Shards: p.Shards,
 	}
 }
 

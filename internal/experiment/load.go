@@ -5,6 +5,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -40,8 +41,6 @@ type LoadConfig struct {
 	// Parallel is the worker-pool width across strategy mixes (0 = all
 	// cores). The data table is bit-identical at any setting.
 	Parallel int
-	// Workers is the per-engine parallel-phase width (0 = serial).
-	Workers int
 	// RatePerNode is each node's mean arrival rate in ops/sec (default
 	// 0.5; the MMPP mix bursts at 4× with 1:3 on/off sojourns to match
 	// this mean).
@@ -166,18 +165,28 @@ func benchToken(name string) string {
 	return b.String()
 }
 
+// procsSuffix is the "-<GOMAXPROCS>" that go test appends to benchmark names
+// (nothing at 1). The figures' bench lines carry it so a BENCH.json entry
+// records the host width it was measured at.
+func procsSuffix() string {
+	if n := runtime.GOMAXPROCS(0); n != 1 {
+		return fmt.Sprintf("-%d", n)
+	}
+	return ""
+}
+
 // BenchLine renders the mix in go-bench format for cmd/benchjson: one
 // iteration whose ns/op is the mix's wall clock, plus the throughput,
 // latency, saturation, and skew metrics as custom units.
 func (r LoadMixResult) BenchLine() string {
-	return fmt.Sprintf("BenchmarkLoad/mix=%s/arrival=%v 1 %d ns/op %.1f ops/sec %.2f p50-ms %.2f p99-ms %d shed %.3f serve-skew",
-		benchToken(r.Mix), r.Arrival, int64(r.WallSecs*1e9),
+	return fmt.Sprintf("BenchmarkLoad/mix=%s/arrival=%v%s 1 %d ns/op %.1f ops/sec %.2f p50-ms %.2f p99-ms %d shed %.3f serve-skew",
+		benchToken(r.Mix), r.Arrival, procsSuffix(), int64(r.WallSecs*1e9),
 		r.OpsPerSec, r.P50*1e3, r.P99*1e3, r.WL.Shed, r.ServeSkew)
 }
 
 // RunLoad executes every mix of the load figure on a pool of lc.Parallel
-// workers. Results are in mix order and bit-identical at any Parallel or
-// Workers setting: each mix owns an isolated stack and the merge is by
+// workers. Results are in mix order and bit-identical at any Parallel
+// setting: each mix owns an isolated stack and the merge is by
 // index.
 func RunLoad(lc LoadConfig) []LoadMixResult {
 	lc.fillDefaults()
@@ -198,12 +207,11 @@ func RunLoad(lc LoadConfig) []LoadMixResult {
 func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 	sc := Scenario{
 		N: lc.N, Stack: netstack.StackIdeal, Seed: lc.Seed,
-		Workers: lc.Workers, OracleRouting: true,
+		OracleRouting: true,
 	}
 	sc.Quorum = mixConfig(lc.N, m.adv, m.lk)
 	sc.fillDefaults()
 	engine, net, _, _, sys := buildStack(sc)
-	defer engine.StopWorkers()
 	rng := engine.NewStream()
 	suite := check.NewSuite(net, sys)
 
@@ -305,7 +313,7 @@ func serveSkew(counts []int64) float64 {
 }
 
 // LoadTable renders the figure's data table. It contains no wall-clock
-// field, so the rendered text is bit-identical at any Parallel/Workers
+// field, so the rendered text is bit-identical at any Parallel
 // setting — the property TestLoadFigureParallelDeterminism locks in.
 func LoadTable(lc LoadConfig, results []LoadMixResult) Table {
 	lc.fillDefaults()

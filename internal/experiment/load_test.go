@@ -7,16 +7,15 @@ import (
 
 // TestLoadFigureParallelDeterminism locks in the load figure's determinism
 // contract: the data table and every per-mix result (wall clock aside) are
-// bit-identical whether the mixes run on one worker or eight, with serial
-// or parallel engine phases — the `pqexp load` data lines never depend on
-// -parallel or -workers.
+// bit-identical whether the mixes run on one worker or eight — the
+// `pqexp load` data lines never depend on -parallel.
 func TestLoadFigureParallelDeterminism(t *testing.T) {
 	lc := LoadConfig{Seed: 5, Horizon: 0.08}
 
 	serial := lc
-	serial.Parallel, serial.Workers = 1, 0
+	serial.Parallel = 1
 	wide := lc
-	wide.Parallel, wide.Workers = 8, 2
+	wide.Parallel = 8
 
 	a := RunLoad(serial)
 	b := RunLoad(wide)
@@ -24,7 +23,7 @@ func TestLoadFigureParallelDeterminism(t *testing.T) {
 		a[i].WallSecs, b[i].WallSecs = 0, 0
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("load results differ between parallel=1/workers=0 and parallel=8/workers=2:\n%+v\nvs\n%+v", a, b)
+		t.Fatalf("load results differ between parallel=1 and parallel=8:\n%+v\nvs\n%+v", a, b)
 	}
 	ta, tb := LoadTable(serial, a).String(), LoadTable(wide, b).String()
 	if ta != tb {

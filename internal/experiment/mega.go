@@ -17,10 +17,10 @@ import (
 
 // The mega scenario is the scale exercise behind DESIGN.md §12: a ≥10k-node
 // SINR/DCF network with continuous churn and a randomized fault schedule
-// live, the internal/check invariant suite armed, and the engine's
-// parallel-phase and cell-noise scale paths selectable — while recording
-// the process-level costs (wall clock, allocations, peak heap) that the
-// benchmarks track. Routing defaults to the oracle router: AODV route
+// live, the internal/check invariant suite armed, the cell-aggregated
+// interference model on, and the engine's sharded phase selectable — while
+// recording the process-level costs (wall clock, allocations, peak heap)
+// that the benchmarks track. Routing is the oracle router: AODV route
 // discovery floods the whole network per destination, which at 10k nodes
 // measures flooding rather than the quorum system, so the oracle isolates
 // the PHY/scale cost (Section 4.1's cost-of-using-the-routes framing).
@@ -31,31 +31,21 @@ type MegaConfig struct {
 	N int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers is the engine's parallel-phase width (0 = serial).
-	Workers int
 	// Shards is the engine's sharded-phase width (0 = serial): the route
-	// cache's bulk prefetch fans tree builds across this many spatial
-	// shards. Bit-identical at any setting (DESIGN.md §15).
+	// cache's bulk prefetch fans tree builds across this many goroutines.
+	// Bit-identical at any setting (DESIGN.md §15).
 	Shards int
 	// Giga selects the 100k-tier preset: N defaults to 100000 and neighbor
 	// discovery switches to the geometric oracle provider (100k beaconing
 	// nodes would swamp the PHY with traffic that measures nothing), and
 	// results report under the BenchmarkGigaScenario name.
 	Giga bool
-	// OracleNeighbors forces the geometric neighbor provider (implied by
-	// Giga).
-	OracleNeighbors bool
 	// DenseMembership opts out of lazy draw-on-demand membership views,
 	// restoring the previous eager posture (and its refresh allocations).
 	DenseMembership bool
 	// RouteCacheOff opts out of the oracle route-tree cache, restoring
 	// per-hop BFS routing.
 	RouteCacheOff bool
-	// CellNoiseOff disables the cell-aggregated interference model and
-	// runs the exact per-arrival SINR physics (much slower at this n).
-	CellNoiseOff bool
-	// AODV swaps the oracle router for real AODV (very slow at this n).
-	AODV bool
 	// Advertisements / Lookups / LookupNodes size the workload
 	// (defaults 30 / 60 / 12).
 	Advertisements, Lookups, LookupNodes int
@@ -73,11 +63,8 @@ type MegaConfig struct {
 }
 
 func (mc *MegaConfig) fillDefaults() {
-	if mc.Giga {
-		if mc.N == 0 {
-			mc.N = 100000
-		}
-		mc.OracleNeighbors = true
+	if mc.Giga && mc.N == 0 {
+		mc.N = 100000
 	}
 	if mc.N == 0 {
 		mc.N = 10000
@@ -123,10 +110,8 @@ func (mc *MegaConfig) fillDefaults() {
 // MegaResult is one mega run's protocol outcomes plus its process-level
 // cost metrics.
 type MegaResult struct {
-	N, Workers int
-	Shards     int
-	Giga       bool
-	CellNoise  bool
+	N, Shards int
+	Giga      bool
 	// Dense records that the run opted out of lazy membership, and NoCache
 	// that it opted out of the route-tree cache (together: the pre-scale-PR
 	// serial posture). Each suffixes the bench name so the A/B variants
@@ -183,23 +168,18 @@ func (r MegaResult) BenchLine() string {
 	if r.NoCache {
 		variant += "/nocache=1"
 	}
-	return fmt.Sprintf("Benchmark%sScenario/n=%d/workers=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
-		name, r.N, r.Workers, r.Shards, variant, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
+	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
+		name, r.N, r.Shards, variant, procsSuffix(), int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
 
 // Table renders the run for pqexp output.
 func (r MegaResult) Table() Table {
-	mode := "cellnoise"
-	if !r.CellNoise {
-		mode = "exact"
-	}
 	tier := "mega"
 	if r.Giga {
 		tier = "giga"
 	}
 	return Table{
-		Title: fmt.Sprintf("%s — %d-node SINR/DCF scale run (%s, workers=%d, shards=%d)",
-			tier, r.N, mode, r.Workers, r.Shards),
+		Title:  fmt.Sprintf("%s — %d-node SINR/DCF scale run (shards=%d)", tier, r.N, r.Shards),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"lookups", istr(r.Lookups)},
@@ -215,9 +195,8 @@ func (r MegaResult) Table() Table {
 	}
 }
 
-// RunMega executes one mega scenario. Deterministic per (config, Workers
-// included only as throughput): the simulation outcome depends on the seed
-// and model knobs, never on the worker count.
+// RunMega executes one mega scenario. The simulation outcome depends on the
+// seed and model knobs, never on Shards (a throughput knob).
 func RunMega(mc MegaConfig) MegaResult {
 	mc.fillDefaults()
 
@@ -228,15 +207,14 @@ func RunMega(mc MegaConfig) MegaResult {
 
 	sc := Scenario{
 		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
-		Workers: mc.Workers, Shards: mc.Shards, CellNoise: !mc.CellNoiseOff,
-		OracleRouting: !mc.AODV,
+		Shards: mc.Shards, CellNoise: true, OracleRouting: true,
 		// The scale posture: draw-on-demand membership views and cached
 		// route trees with sharded prefetch. Opt-outs restore the old
-		// behavior for A/B runs; the route cache requires the oracle
-		// router, so AODV runs keep it off automatically.
+		// behavior for A/B runs. The 100k tier also takes its neighbor
+		// lists from the geometric provider (see MegaConfig.Giga).
 		LazyMembership:  !mc.DenseMembership,
-		RouteCache:      !mc.RouteCacheOff && !mc.AODV,
-		OracleNeighbors: mc.OracleNeighbors,
+		RouteCache:      !mc.RouteCacheOff,
+		OracleNeighbors: mc.Giga,
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: mc.ChurnRate, ChurnJoinRate: mc.ChurnRate,
 		ChurnDurationSecs:     float64(mc.Lookups) * 0.5,
@@ -305,7 +283,7 @@ func RunMega(mc MegaConfig) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Workers: mc.Workers, Shards: mc.Shards, Giga: mc.Giga, CellNoise: !mc.CellNoiseOff, Dense: mc.DenseMembership, NoCache: mc.RouteCacheOff}
+	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga, Dense: mc.DenseMembership, NoCache: mc.RouteCacheOff}
 	origins := make([]int, mc.LookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)

@@ -25,8 +25,8 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Norm returns the Euclidean length of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
-// Dist returns the Euclidean distance between two points in the plane. It
-// runs inside the PHY's parallel evaluation phase and must stay pure.
+// Dist returns the Euclidean distance between two points in the plane. Pure,
+// and kept so by parsafe: a sharded phase may call it.
 //
 //pqlint:parallelpure
 func Dist(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }

@@ -13,16 +13,17 @@ import (
 //	pqlint:parallelpure        — the annotated function is part of the
 //	                             parallel-phase frontier: it and everything
 //	                             reachable from it must stay parallel-pure
-//	                             (parsafe checks it even if no ParallelEval
+//	                             (parsafe checks it even if no ShardedEval
 //	                             call site currently reaches it).
 //	pqlint:parshared(reason)   — on a function declaration: the function is
 //	                             a declared shared-state boundary and the
 //	                             parsafe walk stops there (the reason must
 //	                             say why that is safe). On a statement line
 //	                             (trailing, or the line above): the write on
-//	                             that line is the declared per-worker result
-//	                             slot — the one sanctioned shared write of a
-//	                             parallel phase.
+//	                             that line is a declared per-item result
+//	                             slot or per-shard scratch slot — the
+//	                             sanctioned shared writes of a parallel
+//	                             phase.
 //	pqlint:noalloc             — the annotated function and every function
 //	                             reachable from it must not allocate: pqlint
 //	                             flags heap-escaping composite literals,

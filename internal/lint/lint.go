@@ -2,7 +2,7 @@
 // invariant-enforcing static analysis suite.
 //
 // Every figure in this reproduction is accepted by bit-identical replay
-// across seeds and worker counts (see DESIGN.md §8). That guarantee rests on
+// across seeds and parallel widths (see DESIGN.md §8). That guarantee rests on
 // rules the compiler cannot check: all randomness flows from an
 // engine-seeded *rand.Rand, no simulation code reads the wall clock, and no
 // order-sensitive work hangs off Go's randomized map iteration. pqlint
@@ -16,7 +16,7 @@
 //   - detrange:     order-sensitive bodies under map iteration
 //   - floatequal:   ==/!= between floating-point operands
 //   - seedplumb:    wall-clock-derived seeds in exported constructors
-//   - parsafe:      whole-program — code reachable from a ParallelEval
+//   - parsafe:      whole-program — code reachable from a ShardedEval
 //     callback must not write shared state, schedule, send, or draw RNG
 //   - noalloc:      whole-program — pqlint:noalloc-annotated hot paths
 //     must not allocate anywhere along the call chain

@@ -34,7 +34,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		"detrange":     3, // RNG draw, scheduling, escaping append
 		"floatequal":   2, // a == b, x != 0.5
 		"seedplumb":    2, // wall-clock seed, pid seed (one per constructor)
-		"parsafe":      7, // captured write, schedule, RNG draw, callee write; sharded: shardOf RNG draw, captured write, schedule
+		"parsafe":      4, // captured write, schedule, RNG draw, callee write
 		"noalloc":      6, // escaping append, &lit, boxing, closure, method value, make
 	}
 	for _, az := range lint.Analyzers() {

@@ -8,9 +8,9 @@ import (
 )
 
 // ParSafe enforces the parallel-phase purity contract from DESIGN.md §8:
-// every function reachable from a sim.Engine.ParallelEval callback must be
+// every function reachable from a sim.Engine.ShardedEval callback must be
 // safe to run concurrently with its siblings and must keep results
-// bit-identical at any worker width. Concretely, reachable code must not
+// bit-identical at any shard width. Concretely, reachable code must not
 //
 //   - write state visible outside the callback invocation: any write whose
 //     base is a captured or package-level variable, or a write through a
@@ -18,33 +18,30 @@ import (
 //   - schedule or send (Engine.Schedule/At, timers, protocol sends) — the
 //     event queue is owned by the serial phases;
 //   - draw randomness or create RNG streams — draw order would depend on
-//     worker interleaving;
+//     goroutine interleaving;
 //   - spawn goroutines or touch channels.
 //
-// The one sanctioned shared write of a parallel phase — the per-item result
-// slot — is declared in place with a line-scope annotation:
+// The sanctioned shared writes of a parallel phase — the per-item result
+// slot and scratch indexed by the callback's shard argument — are declared
+// in place with a line-scope annotation:
 //
 //	m.out[i] = v //pqlint:parshared(per-item result slot, disjoint per i)
 //
 // and a function that is itself a deliberate shared-state boundary carries
 // a function-scope pqlint:parshared(reason), which stops the walk there.
 // Functions annotated pqlint:parallelpure are checked as roots even when no
-// ParallelEval call site currently reaches them, so leaf helpers keep their
+// ShardedEval call site currently reaches them, so leaf helpers keep their
 // contract as call sites come and go.
 //
-// Roots are found by call-site shape — a method call named ParallelEval
-// whose second argument has type func(int), or a method call named
-// ShardedEval taking (int-like, func(int) int, func(int)) — so the analyzer
-// needs no dependency on internal/sim and works on fixtures. For ShardedEval
-// both function arguments are parallel roots: the item callback runs on
-// shard workers, and the shard function is re-evaluated by Stage on the
-// worker goroutine, so it must be pure too. Stage itself is the sanctioned
-// effect boundary of a sharded phase — the real engine's Stage carries a
-// function-scope parshared annotation, and the ops it defers run serially at
-// the commit barrier, outside the walk.
+// Roots are found by call-site shape — a method call named ShardedEval
+// taking (int-like, func(int, int)) — so the analyzer needs no dependency on
+// internal/sim and works on fixtures. Stage is the sanctioned effect
+// boundary of the phase: the real engine's Stage carries a function-scope
+// parshared annotation, and the ops it defers run serially at the commit
+// barrier, outside the walk.
 var ParSafe = &Analyzer{
 	Name:       "parsafe",
-	Doc:        "code reachable from a ParallelEval callback must not write shared state, schedule, send, or draw RNG",
+	Doc:        "code reachable from a ShardedEval callback must not write shared state, schedule, send, or draw RNG",
 	RunProgram: runParSafe,
 }
 
@@ -64,28 +61,14 @@ func runParSafe(p *ProgramPass) {
 				return false // scanned as its own node
 			}
 			call, ok := x.(*ast.CallExpr)
-			if !ok {
+			if !ok || !isShardedEvalCall(n.Pkg, call) {
 				return true
 			}
-			var cbArgs []ast.Expr
-			switch {
-			case isParallelEvalCall(n.Pkg, call):
-				cbArgs = call.Args[1:2]
-			case isShardedEvalCall(n.Pkg, call):
-				// Both the shard function and the item callback run on
-				// shard workers (Stage re-evaluates shardOf there).
-				cbArgs = call.Args[1:3]
-			default:
-				return true
+			cbs := callbackNodes(g, n.Pkg, call.Args[1])
+			if len(cbs) == 0 {
+				p.Reportf(call.Args[1].Pos(), "cannot resolve the parallel-phase callback statically; pass a func literal, named func, or a tracked func-valued field")
 			}
-			for _, arg := range cbArgs {
-				cbs := callbackNodes(g, n.Pkg, arg)
-				if len(cbs) == 0 {
-					p.Reportf(arg.Pos(), "cannot resolve the parallel-phase callback statically; pass a func literal, named func, or a tracked func-valued field")
-					continue
-				}
-				roots = append(roots, cbs...)
-			}
+			roots = append(roots, cbs...)
 			return true
 		})
 	}
@@ -94,41 +77,27 @@ func runParSafe(p *ProgramPass) {
 	})
 }
 
-// isParallelEvalCall matches the ParallelEval call-site shape: a method
-// call named ParallelEval taking (int-like, func(int)).
-func isParallelEvalCall(pkg *Package, call *ast.CallExpr) bool {
+// isShardedEvalCall matches the ShardedEval call-site shape: a method call
+// named ShardedEval taking (int-like, func(shard, i int)).
+func isShardedEvalCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ParallelEval" || len(call.Args) != 2 {
+	if !ok || sel.Sel.Name != "ShardedEval" || len(call.Args) != 2 {
 		return false
 	}
 	sig, ok := pkg.Info.TypeOf(call.Args[1]).(*types.Signature)
-	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 0 {
 		return false
 	}
-	b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
+	for i := 0; i < 2; i++ {
+		b, ok := sig.Params().At(i).Type().Underlying().(*types.Basic)
+		if !ok || b.Info()&types.IsInteger == 0 {
+			return false
+		}
+	}
+	return true
 }
 
-// isShardedEvalCall matches the ShardedEval call-site shape: a method call
-// named ShardedEval taking (int-like, func(int) int, func(int)).
-func isShardedEvalCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ShardedEval" || len(call.Args) != 3 {
-		return false
-	}
-	shardSig, ok := pkg.Info.TypeOf(call.Args[1]).(*types.Signature)
-	if !ok || shardSig.Params().Len() != 1 || shardSig.Results().Len() != 1 {
-		return false
-	}
-	fnSig, ok := pkg.Info.TypeOf(call.Args[2]).(*types.Signature)
-	if !ok || fnSig.Params().Len() != 1 || fnSig.Results().Len() != 0 {
-		return false
-	}
-	b, ok := fnSig.Params().At(0).Type().Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// callbackNodes resolves a ParallelEval callback argument to its possible
+// callbackNodes resolves a ShardedEval callback argument to its possible
 // function nodes: a direct reference, the tracked assignment set of a
 // func-valued variable or field, or — as a last resort — every
 // address-taken function with a matching signature.
@@ -183,10 +152,6 @@ func checkParSafeNode(p *ProgramPass, n *FuncNode, chain []string) {
 			}
 			if sel, ok := unparen(x.Fun).(*ast.SelectorExpr); ok {
 				switch sel.Sel.Name {
-				case "ParallelEval":
-					if isParallelEvalCall(n.Pkg, x) {
-						p.Reportf(x.Pos(), "nested ParallelEval inside the parallel phase%s", via)
-					}
 				case "ShardedEval":
 					if isShardedEvalCall(n.Pkg, x) {
 						p.Reportf(x.Pos(), "nested ShardedEval inside the parallel phase%s", via)
@@ -212,7 +177,7 @@ func checkParSafeNode(p *ProgramPass, n *FuncNode, chain []string) {
 // are always fine; writes whose base escapes the callback — captured or
 // package-level variables, or stores through pointer-typed
 // parameters/receivers — are shared-state hazards unless a parshared line
-// annotation declares the write as the per-worker result slot.
+// annotation declares the write as a per-item or per-shard slot.
 func (p *ProgramPass) checkParallelWrite(pv *Pass, n *FuncNode, lhs ast.Expr, via string) {
 	base, through := writeBase(pv, lhs)
 	if base == nil {

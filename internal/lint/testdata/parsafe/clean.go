@@ -1,43 +1,29 @@
 package fixture
 
 type cleanMachine struct {
-	eng *Engine
-	in  []float64
-	out []float64
+	eng     *Engine
+	in      []float64
+	out     []float64
+	scratch [][]int
 }
 
-// run keeps the parallel phase pure: the only shared write is the declared
-// per-item result slot, and the helper on the path is annotation-checked.
+// run keeps a sharded phase legal: a declared per-shard scratch write, a
+// declared per-item result slot, an annotation-checked helper on the path,
+// and an effect deferred through Stage (the annotated boundary the walk
+// stops at).
 func (m *cleanMachine) run() {
-	m.eng.ParallelEval(len(m.in), func(i int) {
-		v := scale(m.in[i])
-		m.out[i] = v //pqlint:parshared(per-item result slot; index i is private to one worker item)
+	m.eng.ShardedEval(len(m.in), func(shard, i int) {
+		m.scratch[shard] = append(m.scratch[shard], i) //pqlint:parshared(per-shard scratch: one goroutine owns a shard index per phase)
+		m.out[i] = scale(m.in[i])                      //pqlint:parshared(per-item result slot; index i is private to one item)
+		m.eng.Stage(i, noop)
 	})
 }
 
 // scale is a pure helper on the parallel path; the annotation keeps it a
-// checked root even when no ParallelEval call site reaches it.
+// checked root even when no ShardedEval call site reaches it.
 //
 //pqlint:parallelpure
 func scale(x float64) float64 {
 	y := x * 2
 	return y
-}
-
-type cleanSharded struct {
-	eng     *Engine
-	out     []float64
-	scratch [][]int
-}
-
-// runSharded keeps a sharded phase legal: a pure shard function, a declared
-// per-shard scratch write, a declared per-item result slot, and an effect
-// deferred through Stage (the annotated boundary the walk stops at).
-func (m *cleanSharded) runSharded() {
-	m.eng.ShardedEval(len(m.out), func(id int) int { return id % 2 }, func(i int) {
-		s := i % 2
-		m.scratch[s] = append(m.scratch[s], i) //pqlint:parshared(per-shard scratch: one worker owns all items of shard s)
-		m.out[i] = scale(float64(i))           //pqlint:parshared(per-item result slot; index i is private to one worker item)
-		m.eng.Stage(i, noop)
-	})
 }

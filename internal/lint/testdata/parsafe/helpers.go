@@ -1,24 +1,15 @@
 package fixture
 
 // Engine mimics sim.Engine's parallel API shape: parsafe finds roots by
-// call-site shape (a method named ParallelEval taking (int, func(int))),
-// so the fixture needs no dependency on internal/sim.
+// call-site shape (a method named ShardedEval taking
+// (int, func(shard, i int))), so the fixture needs no dependency on
+// internal/sim.
 type Engine struct{}
 
-// ParallelEval runs fn for every index, as the real engine does.
-func (e *Engine) ParallelEval(n int, fn func(i int)) {
+// ShardedEval runs fn for every index, as the real engine does serially.
+func (e *Engine) ShardedEval(n int, fn func(shard, i int)) {
 	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// ShardedEval mimics the sharded phase entry point (a method named
-// ShardedEval taking (int-like, func(int) int, func(int))); parsafe treats
-// both function arguments as parallel roots.
-func (e *Engine) ShardedEval(n int, shardOf func(id int) int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		_ = shardOf(i)
-		fn(i)
+		fn(0, i)
 	}
 }
 

@@ -14,7 +14,7 @@ type posMachine struct {
 // state, schedules an event, draws randomness, and its callee writes
 // through the receiver.
 func (m *posMachine) run() {
-	m.eng.ParallelEval(len(m.in), func(i int) {
+	m.eng.ShardedEval(len(m.in), func(_, i int) {
 		m.shared++
 		m.eng.Schedule(0, noop)
 		_ = m.rng.Float64()
@@ -26,14 +26,4 @@ func (m *posMachine) run() {
 // pointer receiver is the hazard.
 func (m *posMachine) store(i int) {
 	m.out[i] = m.in[i]
-}
-
-// runSharded breaks the sharded-phase rules on both roots: the shard
-// function draws randomness (it is re-evaluated on shard workers by Stage),
-// and the item callback writes captured state and schedules.
-func (m *posMachine) runSharded() {
-	m.eng.ShardedEval(len(m.in), func(id int) int { return int(m.rng.Int63()) }, func(i int) {
-		m.shared++
-		m.eng.Schedule(0, noop)
-	})
 }

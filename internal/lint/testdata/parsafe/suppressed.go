@@ -7,9 +7,9 @@ type supMachine struct {
 }
 
 // run demonstrates an acknowledged violation silenced with a reasoned
-// directive (a real fix would make the accumulator per-worker).
+// directive (a real fix would make the accumulator per-shard).
 func (m *supMachine) run() {
-	m.eng.ParallelEval(len(m.in), func(i int) {
+	m.eng.ShardedEval(len(m.in), func(_, i int) {
 		m.counter++ //pqlint:allow parsafe(fixture: acknowledged shared accumulator, folded serially in real code)
 	})
 }

@@ -35,14 +35,10 @@ type DiskMedium struct {
 	// txFree recycles diskTransmission records the same way.
 	txFree []*diskTransmission
 
-	// Snapshot buffers for the two-phase transmit (see sinrRadio.Transmit;
-	// the disk model fans out its per-candidate distance computation the
-	// same way). Reused across transmissions.
-	evalDst  []int
-	evalPos  []geom.Point
-	evalDist []float64
-	evalSrc  geom.Point
-	evalFn   func(i int)
+	// Snapshot buffers for the two-phase transmit (see sinrRadio.Transmit).
+	// Reused across transmissions.
+	evalDst []int
+	evalPos []geom.Point
 }
 
 // DiskConfig configures a DiskMedium.
@@ -120,9 +116,6 @@ func NewDiskMedium(engine *sim.Engine, cfg DiskConfig) *DiskMedium {
 			r.noiseEndFn = func() { m.noise.txEnd(r.id) }
 		}
 		m.radios[i] = r
-	}
-	m.evalFn = func(i int) {
-		m.evalDist[i] = geom.Dist(m.evalSrc, m.evalPos[i]) //pqlint:parshared(per-item result slot: evalDist[i] is written by exactly one worker item and read only in the serial commit phase)
 	}
 	return m
 }
@@ -290,9 +283,7 @@ func (r *diskRadio) reset() {
 }
 
 // Transmit implements Channel. Like the SINR medium it snapshots candidate
-// positions serially, fans the pure distance computation through
-// ParallelEval, and commits arrivals serially in candidate order, so runs
-// are bit-identical at any worker count.
+// ids and positions first, then commits arrivals in candidate order.
 func (r *diskRadio) Transmit(f *Frame) {
 	m := r.medium
 	if !m.Enabled(r.id) {
@@ -327,18 +318,10 @@ func (r *diskRadio) Transmit(f *Frame) {
 		m.evalDst = append(m.evalDst, dst)
 		m.evalPos = append(m.evalPos, m.world.pos(dst))
 	}
-	nc := len(m.evalDst)
-	if cap(m.evalDist) < nc {
-		m.evalDist = make([]float64, nc)
-	}
-	m.evalDist = m.evalDist[:nc]
-
-	m.evalSrc = srcPos
-	m.engine.ParallelEval(nc, m.evalFn)
 
 	var tx *diskTransmission
 	for i, dst := range m.evalDst {
-		d := m.evalDist[i]
+		d := geom.Dist(srcPos, m.evalPos[i])
 		inRange := d <= m.r
 		interferes := d <= m.intfRange
 		senses := d <= m.csRange

@@ -191,8 +191,8 @@ func (p Params) Derived() Derived {
 // ReceivedPowerMw returns the received power in milliwatts at distance dist
 // meters — the same model as Params.ReceivedPowerMw, with the constant
 // subexpressions precomputed and every remaining operation performed in the
-// original order so results are bit-identical. It runs inside the PHY's
-// parallel power-evaluation phase and must stay side-effect free.
+// original order so results are bit-identical. Side-effect free, and kept
+// so by parsafe: a sharded phase may call it.
 //
 //pqlint:parallelpure
 func (d *Derived) ReceivedPowerMw(dist float64) float64 {

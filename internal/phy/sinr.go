@@ -40,16 +40,11 @@ type SINRMedium struct {
 	// txFree recycles transmission records the same way.
 	txFree []*transmission
 
-	// Snapshot buffers for the two-phase transmit: the serial phase
-	// records candidate ids and exact positions, the parallel phase fills
-	// evalPow, and the serial commit walks them in index order. evalFn is
-	// the prebound ParallelEval body; evalSrc parameterizes it without a
-	// per-call closure. All reused across transmissions.
+	// Snapshot buffers for the two-phase transmit: candidate ids and exact
+	// positions are recorded before the commit loop touches any receiver.
+	// Reused across transmissions.
 	evalDst []int
 	evalPos []geom.Point
-	evalPow []float64
-	evalSrc geom.Point
-	evalFn  func(i int)
 
 	// Corrupted counts receptions aborted by interference or collision —
 	// an observability hook for MAC-level loss studies.
@@ -108,9 +103,6 @@ func NewSINRMedium(engine *sim.Engine, cfg SINRConfig) *SINRMedium {
 		r := &sinrRadio{medium: m, id: i}
 		r.txDoneFn = r.txDone
 		m.radios[i] = r
-	}
-	m.evalFn = func(i int) {
-		m.evalPow[i] = m.d.ReceivedPowerMw(geom.Dist(m.evalSrc, m.evalPos[i])) //pqlint:parshared(per-item result slot: evalPow[i] is written by exactly one worker item and read only in the serial commit phase)
 	}
 	return m
 }
@@ -302,12 +294,11 @@ func (r *sinrRadio) reset() {
 	r.updateCarrier()
 }
 
-// Transmit implements Channel. It runs in three phases: a serial snapshot
-// of candidate ids and exact positions (position functions are stateful, so
-// they are never called concurrently), a pure power computation fanned out
-// through the engine's ParallelEval, and a serial commit that creates
-// arrivals in candidate order — so the mutation order, and therefore the
-// run, is bit-identical at any worker count.
+// Transmit implements Channel. It runs in two phases: a snapshot of
+// candidate ids and exact positions (position functions are stateful and the
+// candidate list is the index's own buffer, so both are read out before any
+// receiver is touched), then a commit that computes each candidate's
+// received power and creates arrivals in candidate order.
 func (r *sinrRadio) Transmit(f *Frame) {
 	m := r.medium
 	if !m.Enabled(r.id) {
@@ -330,7 +321,7 @@ func (r *sinrRadio) Transmit(f *Frame) {
 	}
 	end := now + dur
 
-	// Phase 1 (serial): snapshot candidates and exact positions.
+	// Phase 1: snapshot candidates and exact positions.
 	m.evalDst = m.evalDst[:0]
 	m.evalPos = m.evalPos[:0]
 	for _, dst := range m.world.candidates(r.id, m.candRange) {
@@ -340,20 +331,11 @@ func (r *sinrRadio) Transmit(f *Frame) {
 		m.evalDst = append(m.evalDst, dst)
 		m.evalPos = append(m.evalPos, m.world.pos(dst))
 	}
-	nc := len(m.evalDst)
-	if cap(m.evalPow) < nc {
-		m.evalPow = make([]float64, nc)
-	}
-	m.evalPow = m.evalPow[:nc]
 
-	// Phase 2 (parallel): pure per-candidate received-power computation.
-	m.evalSrc = srcPos
-	m.engine.ParallelEval(nc, m.evalFn)
-
-	// Phase 3 (serial commit): create arrivals in candidate order.
+	// Phase 2: create arrivals in candidate order.
 	var tx *transmission
 	for i, dst := range m.evalDst {
-		p := m.evalPow[i]
+		p := m.d.ReceivedPowerMw(geom.Dist(srcPos, m.evalPos[i]))
 		if p < m.d.CutoffMw {
 			continue
 		}

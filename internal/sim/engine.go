@@ -23,11 +23,11 @@
 // TestEnginesIsolated enforces the invariant under the race detector; new
 // code must preserve it.
 //
-// The one sanctioned exception is ParallelEval (parallel.go): a synchronous
-// fan-out/join of a pure per-item evaluation inside a single event. Its
-// contract — no engine calls, no RNG, results consumed in index order after
-// the barrier — keeps runs bit-identical at any worker count, so it extends
-// the invariant rather than weakening it.
+// The one sanctioned exception is ShardedEval (shard.go): a synchronous
+// fan-out/join of independent per-item work inside a single event. Its
+// contract — no engine calls, no RNG, effects staged and committed in item
+// order after the barrier — keeps runs bit-identical at any shard count, so
+// it extends the invariant rather than weakening it.
 //
 // # Event recycling
 //
@@ -193,20 +193,14 @@ type Engine struct {
 	free []*Event
 	// live counts queued events that are not cancelled.
 	live int
-	// workers is the ParallelEval fan-out width; pool holds the lazily
-	// started goroutines backing it (see parallel.go).
-	workers int
-	pool    *evalPool
-	// shards is the ShardedEval fan-out width; shardPool holds its lazily
-	// started goroutines, and the remaining fields are the sharded phase's
-	// reusable grouping/staging state (see shard.go).
-	shards        int
-	shardPool     *shardPool
-	shardBuckets  [][]int32
-	stageBufs     [][]stagedOp
-	phaseShardOf  func(int) int
-	inShardPhase  bool
-	commitScratch []stagedOp
+	// shards is the ShardedEval fan-out width and shardPool its lazily
+	// started goroutines; stageBufs holds the ops staged per chunk of the
+	// current phase and stageChunk that phase's chunk length (see shard.go).
+	shards       int
+	shardPool    *shardPool
+	stageBufs    [][]func()
+	stageChunk   int
+	inShardPhase bool
 }
 
 // NewEngine returns an engine at time zero whose random source is seeded
