@@ -20,6 +20,7 @@ import (
 	"probquorum/internal/geom"
 	"probquorum/internal/graph"
 	"probquorum/internal/membership"
+	"probquorum/internal/mobility"
 	"probquorum/internal/netstack"
 	"probquorum/internal/phy"
 	"probquorum/internal/quorum"
@@ -374,6 +375,59 @@ func BenchmarkWalkLookupIdeal1k(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(hits)/float64(b.N), "hit-ratio")
 	b.ReportMetric(float64(net.Stats().Get(netstack.CtrAppMsgs)-sent)/float64(b.N), "msgs/lookup")
+}
+
+// BenchmarkOracleNextHop measures one oracle routing query on a 600-node
+// ideal stack, answered both ways aodv.NewOracle can: "tree" is the static
+// stack (warm per-destination distance fields), "bfs" the same placement
+// declared mobile, where every query is a forward BFS. The clock never
+// advances, so the neighbor lists stay memoized on both.
+func BenchmarkOracleNextHop(b *testing.B) {
+	const n = 600
+	side := geom.AreaSide(n, 200, 10)
+	for _, router := range []string{"bfs", "tree"} {
+		b.Run(fmt.Sprintf("n=%d/%s", n, router), func(b *testing.B) {
+			e := sim.NewEngine(1)
+			pts := geom.UniformPoints(e.NewStream(), n, side)
+			var mob mobility.Model = mobility.NewStatic(pts)
+			if router == "bfs" {
+				mob = mobility.NewWaypoint(e.NewStream(), n, mobility.WaypointConfig{MinSpeed: 1, MaxSpeed: 1, Side: side}, pts)
+			}
+			o := aodv.NewOracle(netstack.New(e, netstack.Config{N: n, Side: side, Stack: netstack.StackIdeal, Mobility: mob}))
+			for dst := 0; dst < n; dst++ {
+				o.HasRoute(0, dst)
+			}
+			routed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if o.HasRoute(i*7919%n, i*104729%n) {
+					routed++
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(routed)/float64(b.N), "routed-ratio")
+		})
+	}
+}
+
+// BenchmarkRouteTreeBuild measures building one destination's distance field
+// on a static 10k-node ideal stack: with room for a single tree, every query
+// toward another destination evicts it and builds anew.
+func BenchmarkRouteTreeBuild(b *testing.B) {
+	const n = 10000
+	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		e := sim.NewEngine(1)
+		o := aodv.NewOracle(netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal}))
+		o.EnableRouteCache(aodv.RouteCacheConfig{MaxTrees: 1})
+		o.HasRoute(0, 1)
+		o.HasRoute(0, 2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o.HasRoute(0, 3+i%(n-3))
+		}
+	})
 }
 
 func BenchmarkClusterLookup(b *testing.B) {

@@ -79,7 +79,6 @@ func run(args []string) error {
 	gigaN := fs.Int("gigan", 100000, "node count for the giga scale scenario")
 	megaShort := fs.Bool("megashort", false, "shrink the mega/giga scenario workloads for smoke tests")
 	megaDense := fs.Bool("megadense", false, "mega/giga: opt out of lazy membership (the A/B baseline for the scale posture)")
-	megaNoCache := fs.Bool("meganocache", false, "mega/giga: opt out of the route-tree cache, restoring per-hop BFS routing (with -megadense, the full pre-cache serial posture)")
 	loadShort := fs.Bool("loadshort", false, "shrink the load figure's node count and duration for smoke tests")
 	adaptShort := fs.Bool("adaptshort", false, "shrink the adapt figure's duration for smoke tests")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
@@ -152,11 +151,11 @@ func run(args []string) error {
 	}
 	for _, f := range figs {
 		if strings.EqualFold(f, "mega") {
-			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "giga") {
-			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, RouteCacheOff: *megaNoCache, Horizon: megaHorizon(*megaShort)})
+			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
 			continue
 		}
 		if strings.EqualFold(f, "load") {

@@ -51,8 +51,10 @@ type Oracle struct {
 	queue   []int32
 	depths  []int32
 
-	// cache is the opt-in per-destination route-tree cache with sharded
-	// parallel prefetch (routecache.go); nil unless EnableRouteCache ran.
+	// cache is the per-destination route-tree cache with sharded parallel
+	// prefetch (routecache.go); nil on stacks NewOracle does not put it on
+	// unless EnableRouteCache ran. The BFS scratch above stays unallocated
+	// while it is set.
 	cache *routeCache
 
 	// DataDrops counts packets dropped because no path existed or a hop
@@ -73,7 +75,12 @@ func (h *oracleHandler) HandlePacket(n *netstack.Node, pkt *netstack.Packet, fro
 	h.o.handleData(n, pkt, from)
 }
 
-// NewOracle installs the oracle router on all nodes of net.
+// NewOracle installs the oracle router on all nodes of net. Queries are
+// answered from the route-tree cache where it is exact and pays: the
+// geometric neighbor provider (exact version counter, symmetric lists) on a
+// network that does not move. On a mobile one the version advances at every
+// timestamp and a tree never outlives its query, and heartbeat lists change
+// unobserved, so those stacks run the per-hop BFS (DESIGN.md §15).
 func NewOracle(net *netstack.Network) *Oracle {
 	o := &Oracle{
 		net:    net,
@@ -83,6 +90,9 @@ func NewOracle(net *netstack.Network) *Oracle {
 	h := &oracleHandler{o: o}
 	for id := 0; id < net.N(); id++ {
 		net.Node(id).Register(netstack.ProtoRouted, h)
+	}
+	if net.Config().Neighbors == netstack.NeighborsOracle && net.Mobility().MaxSpeed() == 0 {
+		o.EnableRouteCache(RouteCacheConfig{})
 	}
 	return o
 }
@@ -200,13 +210,10 @@ func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 // ascending-neighbor expansion), so tie-breaking — and every recorded run —
 // is unchanged while steady-state routing no longer allocates.
 //
-// When the route cache is enabled, every query is answered from the
-// per-destination next-hop trees instead (routecache.go): unbounded queries
-// read next[src] directly, and scoped queries walk the tree — tree paths
-// are shortest paths, so "dst within k hops" is decided in at most k steps.
-// The latter is what keeps per-hop forwarding off the BFS entirely: routed
-// packets carry a finite TTL, so without it every intermediate hop of an
-// "unbounded" send would fall through to a graph-sized traversal.
+// With the route cache, every query — routed packets carry a finite TTL, so
+// that includes each intermediate hop of an "unbounded" send — is answered
+// from the destination's distance field instead (routecache.go), and this
+// BFS is the reference the tests hold it to, hop for hop.
 func (o *Oracle) nextHop(src, dst int, maxTTL int) (int, bool) {
 	if src == dst {
 		return src, true

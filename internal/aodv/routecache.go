@@ -26,93 +26,80 @@ type RouteCacheConfig struct {
 	MaxTrees int
 }
 
-// routeTree is a cached shortest-path tree toward one destination:
-// next[v] is v's first hop toward dst (-1 when v cannot reach dst). Built by
-// a reverse BFS from dst treating the beacon graph as undirected — an
-// idealization that matches the forward BFS exactly on geometric (symmetric)
-// neighborhoods, which is the only regime the cache is enabled in
-// (DESIGN.md §15).
+// noRoute is the dist value of a node with no path to the destination;
+// real distances stay below it (build panics rather than wrap).
+const noRoute = 0xFFFF
+
+// routeTree is the cached hop-distance field of one destination: dist[v] is
+// the length of a shortest path from v to dst over the neighbor lists the
+// tree was built from (DESIGN.md §15).
 type routeTree struct {
 	dst     int
-	next    []int32
+	dist    []uint16
 	built   float64
 	version uint64
 }
 
 // routeCache answers next-hop queries — unbounded and TTL-scoped — from
-// per-destination trees.
-// A tree is valid while the neighbor-graph version is unchanged and its age
-// is within TTL; invalid or missing trees are rebuilt serially on demand, or
-// in bulk — one sharded parallel phase — by PrefetchRoutes.
+// per-destination distance fields. A tree is valid while the neighbor-graph
+// version is unchanged and its age is within TTL; an invalid tree is rebuilt
+// in place and a missing one built fresh, serially on demand or in bulk — one
+// sharded parallel phase — by PrefetchRoutes.
 type routeCache struct {
 	o        *Oracle
 	ttl      float64
 	maxTrees int
 
-	trees map[int]*routeTree
-	// order holds every installed tree exactly once, oldest first (head is
-	// the logical front). Popping releases the tree to the free list; if it
-	// is still the current tree for its destination it is also evicted from
-	// the map. A replaced tree is therefore released when its order entry
-	// pops, never earlier — each tree is released exactly once.
+	trees []*routeTree // by destination; nil = none
+	// order holds every tree of trees exactly once, in installation order
+	// (head is the logical front): a rebuild keeps the tree's place, eviction
+	// pops the front into the free list.
 	order []*routeTree
 	head  int
-	free  [][]int32
+	free  []*routeTree
 
-	// Prefetch scratch. missing/pending are the per-item destination and
-	// pre-assigned tree of the current parallel phase; seen is a stamp array
-	// deduplicating the dst list.
-	missing   []int
+	// Prefetch scratch. pending holds the trees the current parallel phase
+	// builds, one per item; seen is a stamp array deduplicating the dst list.
 	pending   []*routeTree
 	seen      []int32
 	seenStamp int32
 
-	// Per-shard BFS scratch, indexed by the ShardedEval shard index (one
+	// Per-shard BFS queue, indexed by the ShardedEval shard index (one
 	// goroutine owns a shard index for the length of a phase). prefetch
 	// grows it to the engine's width; the serial miss path uses slot 0.
-	visited [][]int32
-	stamps  []int32
-	queues  [][]int32
+	queues [][]int32
 
 	evalFn func(shard, i int)
 }
 
-// EnableRouteCache switches the oracle's next-hop queries — unbounded and
-// TTL-scoped — to cached next-hop trees and makes PrefetchRoutes build
-// missing trees in a sharded parallel phase. Purely a throughput
-// optimization on symmetric neighbor graphs: reachability answers match the
-// exact BFS (tree paths are shortest paths), with the reverse build's
-// tie-breaking choosing among equal-length first hops.
+// EnableRouteCache answers the oracle's next-hop queries from cached
+// per-destination distance fields and makes PrefetchRoutes build missing ones
+// in a sharded parallel phase. NewOracle already does this on the stacks
+// where the cache is exact and pays; call it to put the same cache on another
+// stack (a heartbeat stack, with a TTL) or to set non-default bounds — on a
+// stack that has the cache it only changes the bounds.
 func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
-	n := o.net.N()
 	if cfg.MaxTrees <= 0 {
 		cfg.MaxTrees = 1024
 	}
-	c := &routeCache{
-		o:        o,
-		ttl:      cfg.TTLSecs,
-		maxTrees: cfg.MaxTrees,
-		trees:    make(map[int]*routeTree),
-		seen:     make([]int32, n),
+	if o.cache == nil {
+		n := o.net.N()
+		c := &routeCache{
+			o:      o,
+			trees:  make([]*routeTree, n),
+			seen:   make([]int32, n),
+			queues: make([][]int32, 1),
+		}
+		c.evalFn = c.eval
+		o.cache = c
 	}
-	c.growScratch(1)
-	c.evalFn = c.eval
-	o.cache = c
-}
-
-// growScratch ensures BFS scratch slots 0..k-1 exist.
-func (c *routeCache) growScratch(k int) {
-	for len(c.visited) < k {
-		c.visited = append(c.visited, make([]int32, c.o.net.N()))
-		c.stamps = append(c.stamps, 0)
-		c.queues = append(c.queues, nil)
-	}
+	o.cache.ttl, o.cache.maxTrees = cfg.TTLSecs, cfg.MaxTrees
 }
 
 // PrefetchRoutes implements RoutePrefetcher: ensure a valid tree exists for
 // every alive destination in dsts, building all missing ones in one
-// ShardedEval phase over the frozen neighbor lists. A no-op unless
-// EnableRouteCache ran.
+// ShardedEval phase over the frozen neighbor lists. A no-op on an oracle
+// without the cache.
 func (o *Oracle) PrefetchRoutes(origin int, dsts []int) {
 	if o.cache != nil {
 		o.cache.prefetch(dsts)
@@ -130,7 +117,10 @@ func (c *routeCache) prefetch(dsts []int) {
 		c.seenStamp = 0
 	}
 	c.seenStamp++
-	c.missing = c.missing[:0]
+	// Claim trees serially (the free list is shared state), then fill them in
+	// parallel; new trees stage their install for the barrier, where they
+	// commit in ascending item order.
+	c.pending = c.pending[:0]
 	for _, dst := range dsts {
 		if c.seen[dst] == c.seenStamp {
 			continue
@@ -139,91 +129,82 @@ func (c *routeCache) prefetch(dsts []int) {
 		if !net.Alive(dst) {
 			continue
 		}
-		if t := c.trees[dst]; t != nil && c.valid(t, now, ver) {
-			continue
+		if t := c.trees[dst]; t == nil || !c.valid(t, now, ver) {
+			c.pending = append(c.pending, c.claim(dst, now, ver))
 		}
-		c.missing = append(c.missing, dst)
 	}
-	if len(c.missing) == 0 {
+	if len(c.pending) == 0 {
 		return
 	}
-	// Pre-assign tree buffers serially (the free list is shared state), then
-	// build tree contents in parallel and stage the map installs for the
-	// barrier, where they commit in ascending item order.
-	c.pending = c.pending[:0]
-	for range c.missing {
-		c.pending = append(c.pending, c.take())
+	for len(c.queues) < c.o.engine.Shards() {
+		c.queues = append(c.queues, nil)
 	}
-	c.growScratch(c.o.engine.Shards())
-	c.o.engine.ShardedEval(len(c.missing), c.evalFn)
+	c.o.engine.ShardedEval(len(c.pending), c.evalFn)
 }
 
-// eval builds item i's tree on its shard's scratch and stages the install.
-// Reads frozen neighbor lists and writes only the item's own tree plus the
-// shard's scratch (items of one shard run sequentially on one goroutine).
+// eval builds item i's tree on its shard's scratch. Reads frozen neighbor
+// lists and writes only the item's own tree plus the shard's queue (items of
+// one shard run sequentially on one goroutine).
 func (c *routeCache) eval(shard, i int) {
-	dst := c.missing[i]
-	t := c.pending[i] //pqlint:parshared(per-item tree slot, pre-assigned serially before the phase)
-	c.build(t, dst, shard)
-	t.dst = dst
-	c.o.engine.Stage(i, func() { c.install(t) })
+	t := c.pending[i]
+	c.build(t, shard)
+	if c.trees[t.dst] != t {
+		c.o.engine.Stage(i, func() { c.install(t) })
+	}
 }
 
-// build fills t.next with the first hop toward dst for every node that can
-// reach it, via BFS from dst over the frozen (symmetric) neighbor lists.
-// When a node w is first reached from u, u is one hop closer to dst, so
-// next[w] = u yields a shortest path.
-func (c *routeCache) build(t *routeTree, dst, shard int) {
-	n := c.o.net.N()
-	if len(t.next) != n {
-		t.next = make([]int32, n) //pqlint:parshared(per-item tree storage: t is this item's pre-assigned tree, touched by no other worker)
-	}
-	vis := c.visited[shard] //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
-	if c.stamps[shard] == 1<<31-1 {
-		for i := range vis {
-			vis[i] = 0
+// claim returns the tree a miss on dst has to fill, stamped valid as of
+// (now, ver): dst's stale tree, which keeps its storage and its place in the
+// eviction order, or a tree off the free list that install must publish.
+func (c *routeCache) claim(dst int, now float64, ver uint64) *routeTree {
+	t := c.trees[dst]
+	if t == nil {
+		if k := len(c.free); k > 0 {
+			t, c.free = c.free[k-1], c.free[:k-1]
+		} else {
+			t = &routeTree{dist: make([]uint16, len(c.trees))}
 		}
-		c.stamps[shard] = 0 //pqlint:parshared(per-shard BFS scratch)
+		t.dst = dst
 	}
-	c.stamps[shard]++ //pqlint:parshared(per-shard BFS scratch)
-	stamp := c.stamps[shard]
-	queue := c.queues[shard][:0]
-	vis[dst] = stamp
-	t.next[dst] = -1 //pqlint:parshared(per-item tree storage)
-	queue = append(queue, int32(dst))
+	t.built, t.version = now, ver
+	return t
+}
+
+// build fills t.dist by BFS from t.dst over the frozen neighbor lists; the
+// field doubles as the visited set.
+func (c *routeCache) build(t *routeTree, shard int) {
+	dist := t.dist
+	for i := range dist {
+		dist[i] = noRoute //pqlint:parshared(per-item tree storage: t is this item's claimed tree, touched by no other worker)
+	}
+	dist[t.dst] = 0 //pqlint:parshared(per-item tree storage)
+	queue := append(c.queues[shard][:0], int32(t.dst))
 	for head := 0; head < len(queue); head++ {
 		u := int(queue[head])
+		d := dist[u] + 1
 		for _, w := range c.o.net.FrozenNeighbors(u) {
-			if vis[w] == stamp {
+			if dist[w] != noRoute {
 				continue
 			}
-			vis[w] = stamp
-			t.next[w] = int32(u) //pqlint:parshared(per-item tree storage)
+			if d == noRoute {
+				panic("aodv: route tree deeper than 65534 hops")
+			}
+			dist[w] = d //pqlint:parshared(per-item tree storage)
 			queue = append(queue, int32(w))
 		}
 	}
-	for v := range t.next {
-		if vis[v] != stamp {
-			t.next[v] = -1 //pqlint:parshared(per-item tree storage)
-		}
-	}
-	c.queues[shard] = queue //pqlint:parshared(per-shard BFS scratch)
+	c.queues[shard] = queue //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
 }
 
-// install publishes a built tree: stamp validity, evict past the cap, and
-// make it current for its destination. Runs serially (commit phase or the
-// serial miss path).
+// install publishes a new tree, evicting the oldest ones past the cap. Runs
+// serially (commit phase or the serial miss path).
 func (c *routeCache) install(t *routeTree) {
-	t.built = c.o.engine.Now()
-	t.version = c.o.net.NeighborVersion()
-	for len(c.trees) >= c.maxTrees && c.head < len(c.order) {
+	for len(c.order)-c.head >= c.maxTrees {
 		old := c.order[c.head]
 		c.order[c.head] = nil
 		c.head++
-		if c.trees[old.dst] == old {
-			delete(c.trees, old.dst)
-		}
-		c.free = append(c.free, old.next)
+		c.trees[old.dst] = nil
+		c.free = append(c.free, old)
 	}
 	if c.head > len(c.order)/2 && c.head > 64 {
 		c.order = append(c.order[:0], c.order[c.head:]...)
@@ -233,28 +214,24 @@ func (c *routeCache) install(t *routeTree) {
 	c.order = append(c.order, t)
 }
 
-func (c *routeCache) take() *routeTree {
-	t := &routeTree{}
-	if k := len(c.free); k > 0 {
-		t.next = c.free[k-1]
-		c.free = c.free[:k-1]
-	}
-	return t
-}
-
 func (c *routeCache) valid(t *routeTree, now float64, ver uint64) bool {
 	return t.version == ver && (c.ttl <= 0 || now-t.built <= c.ttl)
 }
 
-// nextHop answers a query from the destination's tree, building it serially
-// on a miss. A dead destination is unreachable, exactly as the forward BFS
-// reports (a dead node appears in no live neighbor list).
+// nextHop answers a query from the destination's distance field, building it
+// serially on a miss: the first (lowest-id) neighbor of src that is one hop
+// closer to dst, provided dst is within maxTTL hops (0 = unbounded). On a
+// symmetric graph that is exactly the forward BFS's answer — its queue is
+// ordered by first hop, so it reaches any node first through the lowest-id
+// neighbor of src that lies on a shortest path — at O(degree) per query; the
+// tree build is the only graph-sized cost, amortized across all queries to
+// dst. A dead destination is unreachable, as the BFS reports (a dead node
+// appears in no live neighbor list).
 //
-// Scoped queries (maxTTL > 0) are answered by walking the tree from src:
-// tree paths are shortest paths, so dst is within maxTTL hops iff the walk
-// reaches it in at most maxTTL steps. That makes every per-hop forwarding
-// query O(remaining path) instead of an O(n) bounded BFS — the tree build
-// is the only graph-sized cost, amortized across all queries to dst.
+// The scan reads the frozen lists, which are what a valid tree was built
+// from; a live read could rebuild a heartbeat list, advance the version and
+// invalidate every tree. On an asymmetric heartbeat graph src may list no
+// closer neighbor: no route.
 func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 	net := c.o.net
 	if !net.Alive(dst) {
@@ -264,27 +241,22 @@ func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 	t := c.trees[dst]
 	if t == nil || !c.valid(t, now, ver) {
 		// Serial miss path: same snapshot discipline as prefetch — prepare
-		// (which may advance the version), then build over frozen lists;
-		// install stamps the post-prepare version.
+		// (which may advance the version), then build over frozen lists.
 		net.PrepareNeighbors()
-		t = c.take()
-		c.build(t, dst, 0)
-		t.dst = dst
-		c.install(t)
-	}
-	nh := t.next[src]
-	if nh < 0 {
-		return 0, false
-	}
-	if maxTTL > 0 {
-		v, steps := int(nh), 1
-		for v != dst {
-			if steps >= maxTTL {
-				return 0, false
-			}
-			v = int(t.next[v])
-			steps++
+		t = c.claim(dst, now, net.NeighborVersion())
+		c.build(t, 0)
+		if c.trees[dst] != t {
+			c.install(t)
 		}
 	}
-	return int(nh), true
+	d := t.dist[src]
+	if d == noRoute || (maxTTL > 0 && int(d) > maxTTL) {
+		return 0, false
+	}
+	for _, f := range net.FrozenNeighbors(src) {
+		if t.dist[f] == d-1 {
+			return f, true
+		}
+	}
+	return 0, false
 }

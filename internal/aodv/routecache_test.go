@@ -12,60 +12,265 @@ import (
 )
 
 // oracleWorld builds a static topology with an Oracle router on the ideal
-// stack, optionally with the route cache enabled.
-func oracleWorld(pts []geom.Point, side float64, cached bool) (*sim.Engine, *netstack.Network, *Oracle) {
+// stack: exact neighbors that never move, so NewOracle installs the cache.
+func oracleWorld(pts []geom.Point, side float64) (*sim.Engine, *netstack.Network, *Oracle) {
 	e := sim.NewEngine(1)
 	net := netstack.New(e, netstack.Config{
 		N: len(pts), Side: side, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal,
 	})
-	o := NewOracle(net)
-	if cached {
-		o.EnableRouteCache(RouteCacheConfig{})
-	}
-	return e, net, o
+	return e, net, NewOracle(net)
 }
 
-// TestRouteCacheScopedMatchesBFS compares the cached scoped next-hop answers
-// against the exact bounded BFS on a random static topology: for every
-// (src, dst, ttl) the reachability verdict must agree (tree paths are
-// shortest paths, so "within k hops" is the same predicate on both sides),
-// and any hop the cache returns must be a strictly-closer live neighbor.
-func TestRouteCacheScopedMatchesBFS(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n, side = 40, 900.0
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
-	_, _, plain := oracleWorld(pts, side, false)
-	_, _, cached := oracleWorld(pts, side, true)
+// bfsHop is the reference: o's answer with the cache taken away, i.e. the
+// per-hop forward BFS over the same network in the same state.
+func bfsHop(o *Oracle, src, dst, ttl int) (int, bool) {
+	c := o.cache
+	o.cache = nil
+	defer func() { o.cache = c }()
+	return o.nextHop(src, dst, ttl)
+}
 
+// checkAgainstBFS requires the cache to return the BFS's verdict and the
+// BFS's hop for every alive src, every dst and ttl 0…6.
+func checkAgainstBFS(t *testing.T, name string, net *netstack.Network, o *Oracle) {
+	t.Helper()
+	n := net.N()
 	for src := 0; src < n; src++ {
+		if !net.Alive(src) {
+			continue
+		}
 		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
 			for ttl := 0; ttl <= 6; ttl++ {
-				_, wantOK := plain.nextHop(src, dst, ttl)
-				hop, gotOK := cached.nextHop(src, dst, ttl)
-				if gotOK != wantOK {
-					t.Fatalf("src=%d dst=%d ttl=%d: cached reachable=%v, BFS says %v", src, dst, ttl, gotOK, wantOK)
-				}
-				if !gotOK {
-					continue
-				}
-				// The cached hop must make strict progress: dst reachable
-				// from hop within ttl-1 (unbounded stays unbounded).
-				rest := 0
-				if ttl > 0 {
-					rest = ttl - 1
-				}
-				if hop != dst {
-					if _, ok := plain.nextHop(hop, dst, rest); !ok {
-						t.Fatalf("src=%d dst=%d ttl=%d: cached hop %d cannot reach dst within %d", src, dst, ttl, hop, rest)
-					}
+				want, wantOK := bfsHop(o, src, dst, ttl)
+				got, gotOK := o.nextHop(src, dst, ttl)
+				if gotOK != wantOK || (gotOK && got != want) {
+					t.Fatalf("%s: src=%d dst=%d ttl=%d: cache says (%d, %v), BFS says (%d, %v)",
+						name, src, dst, ttl, got, gotOK, want, wantOK)
 				}
 			}
+		}
+	}
+}
+
+// TestRouteCacheScopedMatchesBFS pins the first-hop lemma (DESIGN.md §15):
+// on random static topologies — dense, sparse and disconnected — the cache
+// answers every query exactly as the bounded forward BFS does, hop for hop,
+// and keeps doing so while random nodes fail and come back.
+func TestRouteCacheScopedMatchesBFS(t *testing.T) {
+	worlds := []struct {
+		n    int
+		side float64
+	}{{40, 900}, {120, 1100}, {200, 3200}} // the last one is disconnected
+	for wi, w := range worlds {
+		rng := rand.New(rand.NewSource(int64(7 + wi)))
+		_, net, o := oracleWorld(geom.UniformPoints(rng, w.n, w.side), w.side)
+		if o.cache == nil {
+			t.Fatal("NewOracle put no cache on a static exact stack")
+		}
+		if wi == 2 {
+			reach := 0
+			for dst := 1; dst < w.n; dst++ {
+				if o.HasRoute(0, dst) {
+					reach++
+				}
+			}
+			if reach == w.n-1 {
+				t.Fatal("topology meant to be disconnected is connected")
+			}
+		}
+		name := fmt.Sprintf("n=%d", w.n)
+		checkAgainstBFS(t, name, net, o)
+		var down []int
+		for round := 0; round < 2; round++ {
+			for k := 0; k < w.n/8; k++ {
+				id := rng.Intn(w.n)
+				if net.Alive(id) {
+					net.Fail(id)
+					down = append(down, id)
+				}
+			}
+			checkAgainstBFS(t, fmt.Sprintf("%s after fails (round %d)", name, round), net, o)
+			for _, id := range down[:len(down)/2] {
+				net.Revive(id)
+			}
+			down = down[len(down)/2:]
+			checkAgainstBFS(t, fmt.Sprintf("%s after revives (round %d)", name, round), net, o)
+		}
+	}
+}
+
+// TestNewOracleSelectsRouter: the cache goes on by itself exactly where it is
+// exact and pays (geometric neighbors, nothing moves); EnableRouteCache puts
+// it on any other stack, and calling it again reconfigures the one cache.
+func TestNewOracleSelectsRouter(t *testing.T) {
+	const n, side = 30, 600.0
+	stacks := []struct {
+		name   string
+		cfg    func(e *sim.Engine) netstack.Config
+		cached bool
+	}{
+		{"exact+static", func(*sim.Engine) netstack.Config {
+			return netstack.Config{N: n, Side: side, Stack: netstack.StackIdeal}
+		}, true},
+		{"exact+waypoint", func(e *sim.Engine) netstack.Config {
+			return netstack.Config{N: n, Side: side, Stack: netstack.StackIdeal,
+				Mobility: mobility.NewWaypoint(e.NewStream(), n, mobility.WaypointConfig{MinSpeed: 1, MaxSpeed: 2, Side: side}, nil)}
+		}, false},
+		{"heartbeat", func(*sim.Engine) netstack.Config {
+			return netstack.Config{N: n, Side: side, Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat}
+		}, false},
+	}
+	for _, s := range stacks {
+		e := sim.NewEngine(1)
+		o := NewOracle(netstack.New(e, s.cfg(e)))
+		if got := o.cache != nil; got != s.cached {
+			t.Fatalf("%s: NewOracle installed cache = %v, want %v", s.name, got, s.cached)
+		}
+		o.EnableRouteCache(RouteCacheConfig{TTLSecs: 1})
+		c := o.cache
+		if c == nil || c.maxTrees != 1024 || c.ttl <= 0 {
+			t.Fatalf("%s: EnableRouteCache left cache %+v", s.name, c)
+		}
+		o.HasRoute(0, 1)
+		o.EnableRouteCache(RouteCacheConfig{MaxTrees: 5})
+		if o.cache != c || c.maxTrees != 5 || c.ttl > 0 || c.trees[1] == nil {
+			t.Fatalf("%s: second EnableRouteCache did not reconfigure the cache in place", s.name)
+		}
+	}
+}
+
+// TestOracleNextHopHitAllocFree: a query answered from a warm tree allocates
+// nothing.
+func TestOracleNextHopHitAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, side = 80, 900.0
+	_, _, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
+	o.nextHop(0, n-1, 0)
+	src := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		o.nextHop(src, n-1, 0)
+		o.nextHop(src, n-1, 4)
+		src = (src + 1) % (n - 1)
+	}); avg > 0 {
+		t.Fatalf("warm-tree query allocates %.1f objects", avg)
+	}
+}
+
+// TestRouteTreeDepthGuard: distances live in 16 bits, so a path that would
+// need the sentinel value must stop the build, not wrap around. The topology
+// is one snake-shaped chain 0—1—…—65535: every node is within 65534 hops of
+// node 1, and the far end is one hop too many from node 0.
+func TestRouteTreeDepthGuard(t *testing.T) {
+	const step, perRow = 180.0, 250 // diagonal 254 m > the 200 m range
+	pts := make([]geom.Point, 0, noRoute+1+perRow+2)
+	for row := 0; len(pts) <= noRoute; row++ {
+		y := float64(row) * 3 * step
+		for k := 0; k < perRow; k++ {
+			x := float64(k) * step
+			if row%2 == 1 {
+				x = float64(perRow-1-k) * step
+			}
+			pts = append(pts, geom.Point{X: x, Y: y})
+		}
+		// Two connectors up the side the row ended on.
+		x := pts[len(pts)-1].X
+		pts = append(pts, geom.Point{X: x, Y: y + step}, geom.Point{X: x, Y: y + 2*step})
+	}
+	pts = pts[:noRoute+1]
+	_, _, o := oracleWorld(pts, pts[noRoute].Y+step)
+
+	if hop, ok := o.nextHop(noRoute, 1, 0); !ok || hop != noRoute-1 {
+		t.Fatalf("chain is broken: nextHop(%d, 1) = %d, %v", noRoute, hop, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("build accepted a 65535-hop path")
+		}
+	}()
+	o.nextHop(noRoute, 0, 0)
+}
+
+// TestRouteCacheStaleTreesRebuiltInPlace: a version bump must not grow the
+// cache. Rebuilds — serial misses and prefetches alike — reuse the stale
+// tree's storage and its slot in the eviction order, so after 1000 bumps the
+// cache holds at most one tree, one order entry and one buffer per
+// destination (the parent leaked one n-sized buffer per re-queried
+// destination per bump below the MaxTrees cap).
+func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n, side = 40, 900.0
+	_, net, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	for bump := 0; bump < 1000; bump++ {
+		net.Fail(5)
+		net.Revive(5)
+		if bump%2 == 0 {
+			o.PrefetchRoutes(0, all)
+		}
+		for dst := 0; dst < n; dst++ {
+			o.nextHop((dst+1)%n, dst, 0)
+		}
+	}
+	c := o.cache
+	live := 0
+	for _, tr := range c.trees {
+		if tr != nil {
+			live++
+		}
+	}
+	if len(c.order) > n || live+len(c.free) > n || live != len(c.order)-c.head {
+		t.Fatalf("after 1000 version bumps: order=%d head=%d trees=%d free=%d, want ≤ %d each", len(c.order), c.head, live, len(c.free), n)
+	}
+	checkAgainstBFS(t, "after 1000 bumps", net, o)
+}
+
+// TestRouteCacheEvictionUnderPrefetch drives a cache far smaller than the
+// destination set through prefetches that mix in-place rebuilds, new trees
+// and evictions in one phase: every tree stays owned by exactly one of
+// trees/free, the cap holds, and answers still equal the BFS's.
+func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n, side, maxTrees = 60, 1000.0, 8
+	e, net, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
+	defer e.StopWorkers()
+	e.SetShards(4)
+	o.EnableRouteCache(RouteCacheConfig{MaxTrees: maxTrees})
+	c := o.cache
+	for round := 0; round < 200; round++ {
+		if round%3 == 0 {
+			net.Fail(7)
+			net.Revive(7)
+		}
+		dsts := make([]int, 2+rng.Intn(2*maxTrees))
+		for i := range dsts {
+			dsts[i] = rng.Intn(n)
+		}
+		o.PrefetchRoutes(0, dsts)
+		owner := map[*routeTree]int{}
+		for _, tr := range c.order[c.head:] {
+			owner[tr]++
+			if c.trees[tr.dst] != tr {
+				t.Fatalf("round %d: order holds a tree for %d that trees does not", round, tr.dst)
+			}
+		}
+		for _, tr := range c.free {
+			owner[tr]++
+		}
+		for tr, k := range owner {
+			if k != 1 {
+				t.Fatalf("round %d: tree for %d owned %d times", round, tr.dst, k)
+			}
+		}
+		if live := len(c.order) - c.head; live > maxTrees {
+			t.Fatalf("round %d: %d live trees past the cap of %d", round, live, maxTrees)
+		}
+		src, dst := rng.Intn(n), dsts[0]
+		want, wantOK := bfsHop(o, src, dst, 0)
+		if got, ok := o.nextHop(src, dst, 0); ok != wantOK || (ok && got != want) {
+			t.Fatalf("round %d: %d→%d: cache (%d, %v), BFS (%d, %v)", round, src, dst, got, ok, want, wantOK)
 		}
 	}
 }
@@ -75,7 +280,7 @@ func TestRouteCacheScopedMatchesBFS(t *testing.T) {
 // their scope, succeed within it, and unreachable destinations must drop.
 func TestOracleRouteCacheScopedDelivery(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}, {X: 450, Y: 0}, {X: 5000, Y: 0}}
-	e, net, o := oracleWorld(pts, 6000, true)
+	e, net, o := oracleWorld(pts, 6000)
 	s := &sink{}
 	net.Node(3).Register(testProto, s)
 	var beyond, within, far *bool
@@ -105,54 +310,53 @@ func TestOracleRouteCacheScopedDelivery(t *testing.T) {
 }
 
 // TestPrefetchTreesMatchSerialMiss pins the sharded build against the serial
-// one: every next[] installed by PrefetchRoutes — at widths 0, 2 and 8, and
+// one: every dist[] installed by PrefetchRoutes — at widths 0, 2 and 8, and
 // with the width grown between two prefetches so the per-shard BFS scratch
 // has to grow with it — equals the tree the serial miss path builds for the
 // same destination.
 func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, side = 60, 1000.0
-	pts := make([]geom.Point, n)
+	pts := geom.UniformPoints(rng, n, side)
 	dsts := make([]int, 0, n+2)
 	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 		dsts = append(dsts, i)
 	}
 	dsts = append(dsts, 3, 3) // duplicates are built once
 
-	_, _, serial := oracleWorld(pts, side, true)
+	_, _, serial := oracleWorld(pts, side)
 	for dst := 0; dst < n; dst++ {
 		serial.nextHop((dst+1)%n, dst, 0)
 	}
 	check := func(name string, o *Oracle) {
 		t.Helper()
-		if len(o.cache.trees) != n {
-			t.Fatalf("%s: %d trees installed, want %d", name, len(o.cache.trees), n)
+		if got := len(o.cache.order) - o.cache.head; got != n {
+			t.Fatalf("%s: %d trees installed, want %d", name, got, n)
 		}
 		for dst := 0; dst < n; dst++ {
-			got, want := o.cache.trees[dst].next, serial.cache.trees[dst].next
+			got, want := o.cache.trees[dst].dist, serial.cache.trees[dst].dist
 			for v := range want {
 				if got[v] != want[v] {
-					t.Fatalf("%s: tree %d next[%d] = %d, serial miss path built %d", name, dst, v, got[v], want[v])
+					t.Fatalf("%s: tree %d dist[%d] = %d, serial miss path built %d", name, dst, v, got[v], want[v])
 				}
 			}
 		}
 	}
 	for _, w := range []int{0, 2, 8} {
-		e, _, o := oracleWorld(pts, side, true)
+		e, _, o := oracleWorld(pts, side)
 		e.SetShards(w)
 		o.PrefetchRoutes(0, dsts)
 		e.StopWorkers()
 		check(fmt.Sprintf("shards=%d", w), o)
 	}
 
-	e, _, o := oracleWorld(pts, side, true)
+	e, _, o := oracleWorld(pts, side)
 	defer e.StopWorkers()
 	e.SetShards(2)
 	o.PrefetchRoutes(0, dsts[:n/2])
 	e.SetShards(8)
 	o.PrefetchRoutes(0, dsts)
-	if got := len(o.cache.visited); got != 8 {
+	if got := len(o.cache.queues); got != 8 {
 		t.Fatalf("BFS scratch has %d slots after growing the width to 8", got)
 	}
 	check("shards 2→8", o)

@@ -115,12 +115,11 @@ type Scenario struct {
 	// draws are a different (equally uniform) sample than the eager shared
 	// stream, so recorded eager figures keep this off.
 	LazyMembership bool
-	// RouteCache enables the oracle router's per-destination route-tree
-	// cache with sharded parallel prefetch (aodv.EnableRouteCache).
-	// Requires OracleRouting. Purely a throughput knob on symmetric
-	// neighbor graphs — every query returns the hop the exact BFS would —
-	// but cached trees see heartbeat-graph changes only on the
-	// version/TTL boundary, so recorded figures keep it off.
+	// RouteCache puts the oracle router's route-tree cache
+	// (aodv.EnableRouteCache, one-second TTL) on a heartbeat stack, where
+	// aodv.NewOracle does not install it by itself. Requires OracleRouting.
+	// Cached trees see heartbeat-graph changes only on the version/TTL
+	// boundary, so recorded figures keep it off.
 	RouteCache bool
 	// OracleNeighbors swaps the heartbeat neighbor protocol for the
 	// geometric oracle provider (no beacon traffic) — the giga tier's way
@@ -327,14 +326,12 @@ func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *memb
 		if !ok {
 			panic("experiment: RouteCache requires OracleRouting")
 		}
-		// TTL bounds tree staleness against the heartbeat provider's lazily
-		// observed expiries; the oracle provider's version counter is exact,
-		// so no bound needed.
-		ttl := 1.0
-		if sc.OracleNeighbors {
-			ttl = 0
+		// NewOracle already caches on exact static stacks. A heartbeat
+		// provider observes expiries lazily, so there trees also age out,
+		// after one second.
+		if net.Config().Neighbors == netstack.NeighborsHeartbeat {
+			oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: 1})
 		}
-		oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: ttl})
 	}
 	members := membership.New(net, membership.Config{
 		ViewSize:    membership.DefaultViewSize(sc.N),

@@ -43,9 +43,6 @@ type MegaConfig struct {
 	// DenseMembership opts out of lazy draw-on-demand membership views,
 	// restoring the previous eager posture (and its refresh allocations).
 	DenseMembership bool
-	// RouteCacheOff opts out of the oracle route-tree cache, restoring
-	// per-hop BFS routing.
-	RouteCacheOff bool
 	// Advertisements / Lookups / LookupNodes size the workload
 	// (defaults 30 / 60 / 12).
 	Advertisements, Lookups, LookupNodes int
@@ -112,12 +109,9 @@ func (mc *MegaConfig) fillDefaults() {
 type MegaResult struct {
 	N, Shards int
 	Giga      bool
-	// Dense records that the run opted out of lazy membership, and NoCache
-	// that it opted out of the route-tree cache (together: the pre-scale-PR
-	// serial posture). Each suffixes the bench name so the A/B variants
-	// coexist in BENCH.json.
+	// Dense records that the run opted out of lazy membership; it suffixes
+	// the bench name so the A/B variants coexist in BENCH.json.
 	Dense      bool
-	NoCache    bool
 	Lookups    int
 	Hits       int
 	Intersects int
@@ -165,9 +159,6 @@ func (r MegaResult) BenchLine() string {
 	if r.Dense {
 		variant = "/dense=1"
 	}
-	if r.NoCache {
-		variant += "/nocache=1"
-	}
 	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
 		name, r.N, r.Shards, variant, procsSuffix(), int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
@@ -208,12 +199,13 @@ func RunMega(mc MegaConfig) MegaResult {
 	sc := Scenario{
 		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
 		Shards: mc.Shards, CellNoise: true, OracleRouting: true,
-		// The scale posture: draw-on-demand membership views and cached
-		// route trees with sharded prefetch. Opt-outs restore the old
-		// behavior for A/B runs. The 100k tier also takes its neighbor
-		// lists from the geometric provider (see MegaConfig.Giga).
+		// The scale posture: draw-on-demand membership views (the opt-out
+		// restores the eager ones for A/B runs) and cached route trees with
+		// sharded prefetch. The 100k tier takes its neighbor lists from the
+		// geometric provider (see MegaConfig.Giga), where the oracle router
+		// caches by itself.
 		LazyMembership:  !mc.DenseMembership,
-		RouteCache:      !mc.RouteCacheOff,
+		RouteCache:      true,
 		OracleNeighbors: mc.Giga,
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: mc.ChurnRate, ChurnJoinRate: mc.ChurnRate,
@@ -283,7 +275,7 @@ func RunMega(mc MegaConfig) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga, Dense: mc.DenseMembership, NoCache: mc.RouteCacheOff}
+	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga, Dense: mc.DenseMembership}
 	origins := make([]int, mc.LookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)
