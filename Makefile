@@ -7,15 +7,19 @@
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. shards — the determinism gate of the engine's one parallel phase
 #               (bit-identity at shard widths 1/2/4/8 against a serial run);
-#   5. vet    — the standard toolchain's analyzers;
-#   6. race   — the short test set under the race detector, which enforces
+#   5. quick-check — `pqexp all` reproduces the data lines of the recorded
+#               results_quick.txt byte for byte;
+#   6. load-smoke, adapt-smoke — the two tier figures whose invariant
+#               violations are fatal;
+#   7. vet    — the standard toolchain's analyzers;
+#   8. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
 
 GO ?= go
 
-.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick quick-check chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -23,7 +27,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint chaos shards load-smoke adapt-smoke
+check: build lint chaos shards quick-check load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -96,7 +100,7 @@ bench-digest:
 # (wall clock, allocations, peak heap) is folded into BENCH.json so the
 # scale trajectory rides along with the micro-benchmarks.
 mega-smoke:
-	$(GO) run ./cmd/pqexp -megashort mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -short mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # mega-bench records the full-horizon 10k run serial and at -shards 2 — the
 # A/B behind DESIGN.md §15's "what the knob is worth". Each line's name ends
@@ -111,7 +115,7 @@ mega-bench:
 # 100k run is `pqexp giga`; this is the does-it-scale gate, and its
 # wall-clock/alloc/peak-heap line folds into BENCH.json like mega-smoke's.
 giga-smoke:
-	$(GO) run ./cmd/pqexp -megashort -gigan 25000 -shards 4 giga | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -short -n 25000 -shards 4 giga | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # load-smoke runs the open-loop workload figure (DESIGN.md §13) on a
 # shortened horizon: Poisson and MMPP arrivals against every strategy mix
@@ -119,7 +123,7 @@ giga-smoke:
 # leak — makes the run nonzero and fails check). The per-mix throughput and
 # latency-percentile lines fold into BENCH.json alongside the other suites.
 load-smoke:
-	$(GO) run ./cmd/pqexp -loadshort load | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -short load | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # adapt-smoke runs the adaptive-sizing chaos figure (DESIGN.md §14) on a
 # shortened horizon: static vs closed-loop quorum sizing under mass-join,
@@ -128,7 +132,7 @@ load-smoke:
 # fatal. The per-drift settled-intersection and message-cost lines fold
 # into BENCH.json alongside the other suites.
 adapt-smoke:
-	$(GO) run ./cmd/pqexp -adaptshort adapt | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -short adapt | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # bench-sweep records only the parallel sweep executor's scaling (flat on a
 # 1-core host; ~2× at parallel=2 on two cores).
@@ -139,3 +143,13 @@ bench-sweep:
 # wall clock and effective parallelism).
 quick:
 	$(GO) run ./cmd/pqexp all > results_quick.txt
+
+# quick-check gates "the recorded numbers stay put": it regenerates the
+# quick-profile figures (about a minute and a half on one core) and diffs
+# them against the committed results_quick.txt, ignoring only the per-figure
+# `# … wall clock` lines. A refactor must pass it untouched; a change that
+# means to move a figure re-records the file with `make quick` in the same
+# commit and says which tables moved and why.
+quick-check:
+	@$(GO) run ./cmd/pqexp all | diff -I '^# .* wall clock' results_quick.txt - || \
+		{ echo "quick-check: pqexp all differs from results_quick.txt (<: recorded, >: this tree)"; exit 1; }

@@ -233,7 +233,7 @@ func TestPqexpBenchLinesCarryProcs(t *testing.T) {
 		want = 0
 	}
 	for _, c := range []struct{ line, name string }{
-		{experiment.MegaResult{N: 10000, Shards: 2, Dense: true}.BenchLine(), "BenchmarkMegaScenario/n=10000/shards=2/dense=1"},
+		{experiment.MegaResult{N: 10000, Shards: 2}.BenchLine(), "BenchmarkMegaScenario/n=10000/shards=2"},
 		{experiment.LoadMixResult{Mix: "ab"}.BenchLine(), "BenchmarkLoad/mix=ab/arrival=" + workload.Poisson.String()},
 		{experiment.AdaptDriftResult{Drift: "join3x"}.BenchLine(), "BenchmarkAdapt/drift=join3x"},
 	} {

@@ -7,30 +7,27 @@
 //	pqexp [flags] <figure> [figure...]
 //	pqexp [flags] all
 //
-// Figures: fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-// fig14 fig15 fig16, plus tau, fig4series, crt, decay (the §6.1
-// continuous-churn decay/recovery experiment) and chaos (the fault-injection
-// harness: randomized partition/link-fault/jamming schedules with invariant
-// checkers armed).
+// The figures table below is the whole catalogue: the paper's Fig. 3–16,
+// tau (Lemma 5.6), fig4series, crt (Theorem 5.5), decay (§6.1 continuous
+// churn) and chaos (fault injection under invariant checkers) make up
+// "all"; run with no argument to list every name.
 //
-// `pqexp mega` runs the 10k-node scale exercise (DESIGN.md §12): SINR/DCF
-// with the cell-noise interference model, continuous churn and a fault
-// schedule live, invariant checkers on, and a go-bench-format metrics line
-// (wall clock, allocations, peak heap) on stdout for cmd/benchjson. Tune it
-// with -megan/-megashort/-shards. It is deliberately not part of "all".
+// Four tiers are deliberately not part of "all". Each prints go-bench
+// metric lines after its tables for cmd/benchjson (the `make *-smoke`
+// targets), runs with the invariant checkers armed, and shrinks to CI size
+// with -short:
 //
-// `pqexp giga` is the 100k-node tier (DESIGN.md §15): the mega scenario with
-// oracle neighbor discovery, draw-on-demand membership views, and the
-// sharded route-tree cache (-shards controls the build parallelism, with
-// bit-identical results at any width). Scale it down with -gigan for smoke
-// runs; like mega, it is not part of "all".
-//
-// `pqexp load` runs the open-loop workload figure: Poisson and bursty MMPP
-// arrivals with Zipf/uniform keys against every strategy mix, reporting
-// throughput, exact p50/p99 op latency, shed/queue saturation, and load
-// skew, with invariant checkers armed. Per-mix go-bench metric lines on
-// stdout feed cmd/benchjson (`make load-smoke`); shrink it with -loadshort.
-// Like mega, it is not part of "all".
+//   - mega: the 10k-node scale exercise (DESIGN.md §12) — SINR/DCF with the
+//     cell-noise interference model, continuous churn and a fault schedule
+//     live. -n overrides the node count, -shards the sharded-phase width.
+//   - giga: the 100k-node tier (DESIGN.md §15) — mega with oracle neighbor
+//     discovery; bit-identical results at any -shards.
+//   - load: open-loop Poisson/MMPP arrivals against every strategy mix —
+//     throughput, p50/p99 op latency, shed/queue saturation, load skew. Any
+//     invariant violation is an error.
+//   - adapt: static vs closed-loop quorum sizing under mass-join,
+//     mass-failure and ramp drifts (DESIGN.md §14). Violations or leaked ops
+//     are an error.
 //
 // By default it runs the quick profile (ideal link layer, scaled-down
 // sweep). Pass -full for the paper-scale configuration on the SINR stack
@@ -66,6 +63,86 @@ func main() {
 	}
 }
 
+// options is what the command line hands a figure.
+type options struct {
+	profile experiment.Profile
+	seed    int64
+	seeds   int  // -seeds as given (0 = the figure's default)
+	n       int  // -n: tier node count (0 = the tier's default)
+	short   bool // -short: tiers run their smoke-test horizon
+}
+
+// horizon is a tier's Horizon: its smoke-test scale under -short, else 1.
+func (o options) horizon(short float64) float64 {
+	if o.short {
+		return short
+	}
+	return 1
+}
+
+// figure is one runnable name. run returns the tables to print and, for the
+// tiers, the go-bench metric lines that follow them.
+type figure struct {
+	name, alias string
+	inAll       bool
+	run         func(o options) (tables []experiment.Table, bench []string, err error)
+}
+
+// sweep adapts a profile-driven figure generator.
+func sweep(gen func(experiment.Profile, int64) []experiment.Table) func(options) ([]experiment.Table, []string, error) {
+	return func(o options) ([]experiment.Table, []string, error) { return gen(o.profile, o.seed), nil, nil }
+}
+
+// analytic adapts a closed-form figure.
+func analytic(gen func() []experiment.Table) func(options) ([]experiment.Table, []string, error) {
+	return func(options) ([]experiment.Table, []string, error) { return gen(), nil, nil }
+}
+
+var figures = []figure{
+	{"fig3", "", true, analytic(func() []experiment.Table { return []experiment.Table{experiment.Fig3()} })},
+	{"fig4", "", true, sweep(experiment.Fig4)},
+	{"fig5", "", true, sweep(experiment.Fig5)},
+	{"fig6", "", true, analytic(func() []experiment.Table { return []experiment.Table{experiment.Fig6()} })},
+	{"fig7", "", true, analytic(experiment.Fig7)},
+	{"fig8", "", true, sweep(experiment.Fig8)},
+	{"fig9", "", true, sweep(experiment.Fig9)},
+	{"fig10", "", true, sweep(experiment.Fig10)},
+	{"fig11", "", true, sweep(experiment.Fig11)},
+	{"fig12", "", true, sweep(experiment.Fig12)},
+	{"fig13", "", true, sweep(experiment.Fig13)},
+	{"fig14", "", true, sweep(experiment.Fig14)},
+	{"fig15", "", true, sweep(experiment.Fig15)},
+	{"fig16", "", true, sweep(experiment.Fig16)},
+	{"tau", "lemma56", true, sweep(experiment.TauSweep)},
+	{"fig4series", "", true, sweep(experiment.Fig4Series)},
+	{"crt", "crossing", true, sweep(experiment.CrossingTime)},
+	{"decay", "churn", true, sweep(experiment.FigDecay)},
+	{"chaos", "faults", true, sweep(experiment.FigChaos)},
+	{"mega", "", false, mega(false)},
+	{"giga", "", false, mega(true)},
+	{"load", "", false, runLoad},
+	{"adapt", "", false, runAdapt},
+}
+
+// lookupFigure resolves a name or alias, case-insensitively.
+func lookupFigure(name string) (figure, bool) {
+	for _, f := range figures {
+		if strings.EqualFold(name, f.name) || (f.alias != "" && strings.EqualFold(name, f.alias)) {
+			return f, true
+		}
+	}
+	return figure{}, false
+}
+
+// figureNames lists the canonical names, for error messages.
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, " ")
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("pqexp", flag.ContinueOnError)
 	full := fs.Bool("full", false, "paper-scale profile (SINR stack, n up to 800, 10 seeds)")
@@ -75,12 +152,8 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "base random seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep worker-pool size (independent runs in flight at once)")
 	shards := fs.Int("shards", 0, "per-engine sharded-phase width for bulk route builds (0 = serial; results identical at any width)")
-	megaN := fs.Int("megan", 10000, "node count for the mega scale scenario")
-	gigaN := fs.Int("gigan", 100000, "node count for the giga scale scenario")
-	megaShort := fs.Bool("megashort", false, "shrink the mega/giga scenario workloads for smoke tests")
-	megaDense := fs.Bool("megadense", false, "mega/giga: opt out of lazy membership (the A/B baseline for the scale posture)")
-	loadShort := fs.Bool("loadshort", false, "shrink the load figure's node count and duration for smoke tests")
-	adaptShort := fs.Bool("adaptshort", false, "shrink the adapt figure's duration for smoke tests")
+	n := fs.Int("n", 0, "node count for the mega/giga scale tiers (0 = the tier's default: 10000/100000)")
+	short := fs.Bool("short", false, "shrink the mega/giga/load/adapt tiers to their smoke-test horizon")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering every figure run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile taken after all figures to this file")
@@ -88,7 +161,7 @@ func run(args []string) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("no figure given; try: pqexp fig10  (or: pqexp all)")
+		return fmt.Errorf("no figure given; try: pqexp fig10  (or: pqexp all); figures: %s", figureNames())
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -143,50 +216,41 @@ func run(args []string) error {
 	if effective < 1 {
 		effective = runtime.GOMAXPROCS(0)
 	}
+	opts := options{profile: p, seed: *seed, seeds: *seeds, n: *n, short: *short}
 
-	figs := fs.Args()
-	if len(figs) == 1 && figs[0] == "all" {
-		figs = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-			"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tau", "fig4series", "crt", "decay", "chaos"}
+	names := fs.Args()
+	if len(names) == 1 && names[0] == "all" {
+		names = names[:0]
+		for _, f := range figures {
+			if f.inAll {
+				names = append(names, f.name)
+			}
+		}
 	}
-	for _, f := range figs {
-		if strings.EqualFold(f, "mega") {
-			runMega(experiment.MegaConfig{N: *megaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
-			continue
-		}
-		if strings.EqualFold(f, "giga") {
-			runMega(experiment.MegaConfig{Giga: true, N: *gigaN, Seed: *seed, Shards: *shards, DenseMembership: *megaDense, Horizon: megaHorizon(*megaShort)})
-			continue
-		}
-		if strings.EqualFold(f, "load") {
-			if err := runLoad(experiment.LoadConfig{
-				Seed: *seed, Parallel: *parallel,
-				Horizon: loadHorizon(*loadShort),
-			}); err != nil {
-				return err
-			}
-			continue
-		}
-		if strings.EqualFold(f, "adapt") {
-			if err := runAdapt(experiment.AdaptFigConfig{
-				Seeds: *seeds, Seed: *seed, Parallel: *parallel,
-				Horizon: adaptHorizon(*adaptShort),
-			}); err != nil {
-				return err
-			}
-			continue
+	for _, name := range names {
+		f, ok := lookupFigure(name)
+		if !ok {
+			return fmt.Errorf("unknown figure %q; figures: %s", name, figureNames())
 		}
 		start := time.Now()
-		tables, err := runFigure(f, p, *seed)
-		if err != nil {
-			return err
-		}
+		tables, bench, err := f.run(opts)
 		for _, t := range tables {
 			fmt.Println(t)
 		}
-		// Wall-clock per figure, on stdout so recorded results files (e.g.
-		// results_quick.txt) surface perf regressions alongside the data.
-		fmt.Printf("# %s: %.2fs wall clock, parallel=%d\n\n", f, time.Since(start).Seconds(), effective)
+		for _, line := range bench {
+			fmt.Println(line)
+		}
+		if len(bench) > 0 {
+			fmt.Println() // the bench lines carry the tier's wall clock
+		} else {
+			// Wall-clock per figure, on stdout so recorded results files
+			// (e.g. results_quick.txt) surface perf regressions alongside
+			// the data.
+			fmt.Printf("# %s: %.2fs wall clock, parallel=%d\n\n", name, time.Since(start).Seconds(), effective)
+		}
+		if err != nil {
+			return err
+		}
 		if *csvDir != "" {
 			paths, err := experiment.WriteCSVFiles(*csvDir, tables)
 			if err != nil {
@@ -200,128 +264,67 @@ func run(args []string) error {
 	return nil
 }
 
-func megaHorizon(short bool) float64 {
-	if short {
-		return 0.15
-	}
-	return 1
-}
-
-func loadHorizon(short bool) float64 {
-	if short {
-		return 0.2
-	}
-	return 1
-}
-
-func adaptHorizon(short bool) float64 {
-	if short {
-		return 0.2
-	}
-	return 1
-}
-
-// runLoad executes the open-loop load figure and prints the data table
-// (bit-identical at any -parallel) followed by one go-bench
-// metrics line per strategy mix for cmd/benchjson. Any invariant violation
-// — the checkers run armed, including the pending-op drain assertion — is
-// an error, making `make load-smoke` a CI gate and not just a report.
-func runLoad(lc experiment.LoadConfig) error {
+// runLoad executes the open-loop load figure: the data table (bit-identical
+// at any -parallel) and one go-bench metrics line per strategy mix. Any
+// invariant violation — the checkers run armed, including the pending-op
+// drain assertion — is an error, making `make load-smoke` a CI gate and not
+// just a report.
+func runLoad(o options) ([]experiment.Table, []string, error) {
+	lc := experiment.LoadConfig{Seed: o.seed, Parallel: o.profile.Parallel, Horizon: o.horizon(0.2)}
 	results := experiment.RunLoad(lc)
-	fmt.Println(experiment.LoadTable(lc, results))
+	var bench []string
 	violations := 0
 	for _, r := range results {
-		fmt.Println(r.BenchLine())
+		bench = append(bench, r.BenchLine())
 		violations += r.Report.Violations
 	}
-	fmt.Println()
+	var err error
 	if violations > 0 {
-		return fmt.Errorf("load: %d invariant violations (see table)", violations)
+		err = fmt.Errorf("load: %d invariant violations (see table)", violations)
 	}
-	return nil
+	return []experiment.Table{experiment.LoadTable(lc, results)}, bench, err
 }
 
-// runAdapt executes the adaptive-sizing chaos figure and prints one
-// trajectory table per drift shape (bit-identical at any -parallel)
-// followed by a go-bench metrics line per drift for cmd/benchjson.
-// Invariant violations or leaked ops — the checkers run armed, including
-// the controller's resize-bounds watch — are an error, so `make adapt-smoke`
+// runAdapt executes the adaptive-sizing chaos figure: one trajectory table
+// per drift shape (bit-identical at any -parallel), then each variant's
+// first violation if any and a go-bench metrics line per drift. Invariant
+// violations or leaked ops — the checkers run armed, including the
+// controller's resize-bounds watch — are an error, so `make adapt-smoke`
 // gates CI instead of just reporting.
-func runAdapt(ac experiment.AdaptFigConfig) error {
-	results := experiment.RunAdapt(ac)
+func runAdapt(o options) ([]experiment.Table, []string, error) {
+	results := experiment.RunAdapt(experiment.AdaptFigConfig{
+		Seeds: o.seeds, Seed: o.seed, Parallel: o.profile.Parallel, Horizon: o.horizon(0.2),
+	})
+	var tables []experiment.Table
+	var notes, bench []string
 	violations := 0
 	leaked := 0.0
 	for _, r := range results {
-		fmt.Println(r.Table())
-		violations += r.Static.Violations + r.Adaptive.Violations
-		leaked += r.Static.LeakedOps + r.Adaptive.LeakedOps
+		tables = append(tables, r.Table())
+		bench = append(bench, r.BenchLine())
 		for _, v := range []experiment.AdaptVariantResult{r.Static, r.Adaptive} {
+			violations += v.Violations
+			leaked += v.LeakedOps
 			if v.FirstViolation != "" {
-				fmt.Printf("# %s/%s first violation: %s\n", r.Drift, v.Variant, v.FirstViolation)
+				notes = append(notes, fmt.Sprintf("# %s/%s first violation: %s", r.Drift, v.Variant, v.FirstViolation))
 			}
 		}
 	}
-	for _, r := range results {
-		fmt.Println(r.BenchLine())
-	}
-	fmt.Println()
+	var err error
 	if violations > 0 || leaked > 0 {
-		return fmt.Errorf("adapt: %d invariant violations, %.0f leaked ops", violations, leaked)
+		err = fmt.Errorf("adapt: %d invariant violations, %.0f leaked ops", violations, leaked)
 	}
-	return nil
+	return tables, append(notes, bench...), err
 }
 
-// runMega executes the scale scenario and prints both the human table and
-// the go-bench metrics line (the latter is what `make mega-smoke` pipes
+// mega executes the scale scenario at the 10k or the 100k (giga) tier: the
+// human table and the go-bench metrics line (what `make mega-smoke` pipes
 // into cmd/benchjson -merge).
-func runMega(mc experiment.MegaConfig) {
-	res := experiment.RunMega(mc)
-	fmt.Println(res.Table())
-	fmt.Println(res.BenchLine())
-	fmt.Println()
-}
-
-func runFigure(name string, p experiment.Profile, seed int64) ([]experiment.Table, error) {
-	switch strings.ToLower(name) {
-	case "fig3":
-		return []experiment.Table{experiment.Fig3()}, nil
-	case "fig4":
-		return experiment.Fig4(p, seed), nil
-	case "fig5":
-		return experiment.Fig5(p, seed), nil
-	case "fig6":
-		return []experiment.Table{experiment.Fig6()}, nil
-	case "fig7":
-		return experiment.Fig7(), nil
-	case "fig8":
-		return experiment.Fig8(p, seed), nil
-	case "fig9":
-		return experiment.Fig9(p, seed), nil
-	case "fig10":
-		return experiment.Fig10(p, seed), nil
-	case "fig11":
-		return experiment.Fig11(p, seed), nil
-	case "fig12":
-		return experiment.Fig12(p, seed), nil
-	case "fig13":
-		return experiment.Fig13(p, seed), nil
-	case "fig14":
-		return experiment.Fig14(p, seed), nil
-	case "fig15":
-		return experiment.Fig15(p, seed), nil
-	case "fig16":
-		return experiment.Fig16(p, seed), nil
-	case "tau", "lemma56":
-		return experiment.TauSweep(p, seed), nil
-	case "fig4series":
-		return experiment.Fig4Series(p, seed), nil
-	case "crt", "crossing":
-		return experiment.CrossingTime(p, seed), nil
-	case "decay", "churn":
-		return experiment.FigDecay(p, seed), nil
-	case "chaos", "faults":
-		return experiment.FigChaos(p, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown figure %q", name)
+func mega(giga bool) func(options) ([]experiment.Table, []string, error) {
+	return func(o options) ([]experiment.Table, []string, error) {
+		res := experiment.RunMega(experiment.MegaConfig{
+			Giga: giga, N: o.n, Seed: o.seed, Shards: o.profile.Shards, Horizon: o.horizon(0.15),
+		})
+		return []experiment.Table{res.Table()}, []string{res.BenchLine()}, nil
 	}
 }

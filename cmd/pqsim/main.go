@@ -115,5 +115,6 @@ func run(args []string) error {
 	fmt.Printf("avg placed          %.1f of %d requested\n", r.AvgPlaced, sc.Quorum.AdvertiseSize)
 	fmt.Printf("avg hit latency     %.3fs\n", r.AvgLatency)
 	fmt.Printf("counters            %+v\n", r.Counters)
+	fmt.Printf("invariant breaches  %d\n", r.Violations)
 	return nil
 }

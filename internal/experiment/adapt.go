@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"probquorum/internal/check"
 	"probquorum/internal/churn"
 	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
@@ -141,18 +140,12 @@ type AdaptBucket struct {
 
 // IntersectRatio is the bucket's measured intersection fraction.
 func (b AdaptBucket) IntersectRatio() float64 {
-	if b.Lookups <= 0 {
-		return 0
-	}
-	return b.Intersects / b.Lookups
+	return ratio(b.Intersects, b.Lookups)
 }
 
 // HitRatio is the bucket's measured hit fraction.
 func (b AdaptBucket) HitRatio() float64 {
-	if b.Lookups <= 0 {
-		return 0
-	}
-	return b.Hits / b.Lookups
+	return ratio(b.Hits, b.Lookups)
 }
 
 // AdaptVariantResult is one (drift, variant) cell, merged over seeds.
@@ -184,19 +177,13 @@ func (r AdaptVariantResult) SettledIntersect() float64 {
 		lk += b.Lookups
 		in += b.Intersects
 	}
-	if lk <= 0 {
-		return 0
-	}
-	return in / lk
+	return ratio(in, lk)
 }
 
 // MsgsPerLookup is total application transmissions over total lookups — a
 // per-op cost that charges the adaptive variant for its probe walks too.
 func (r AdaptVariantResult) MsgsPerLookup() float64 {
-	if r.Lookups <= 0 {
-		return 0
-	}
-	return r.Msgs / r.Lookups
+	return ratio(r.Msgs, r.Lookups)
 }
 
 // AdaptDriftResult pairs the two variants of one drift shape.
@@ -378,24 +365,10 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 			Enable: true, ProbeSecs: 10, ProbeWalks: 24,
 		}
 	}
-	sc.fillDefaults()
-
-	joiners := sc.joinSlots()
-	total := sc.N + joiners
-	engine, net, _, members, sys := buildStack(sc)
+	st := sc.build()
+	engine, net, members, sys, suite := st.Engine, st.Net, st.Members, st.Sys, st.Suite
 	rng := engine.NewStream()
-	suite := check.NewSuite(net, sys)
-
-	proc := churn.New(net, churn.Config{Schedule: dr.events(d)})
-	fresh := make([]int, 0, joiners)
-	for id := sc.N; id < total; id++ {
-		fresh = append(fresh, id)
-	}
-	proc.SetFreshPool(fresh)
-	proc.OnJoin(func(id int) {
-		sys.ResetNode(id)
-		members.RefreshNode(id)
-	})
+	proc := st.Churn(churn.Config{Schedule: dr.events(d)})
 
 	var ctl *quorum.Controller
 	if adaptive {
@@ -504,11 +477,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 
 	// Drain past every op horizon (advertise deadline dominates).
 	qc := sys.Config()
-	horizon := qc.AdvertiseTimeoutSecs
-	if qc.LookupTimeout > horizon {
-		horizon = qc.LookupTimeout
-	}
-	engine.Run(loadStart + d + horizon + 30)
+	engine.Run(loadStart + d + max(qc.AdvertiseTimeoutSecs, qc.LookupHorizon()) + 30)
 
 	for _, b := range res.Buckets {
 		res.Msgs += b.Msgs

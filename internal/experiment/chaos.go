@@ -98,19 +98,13 @@ type ChaosPhase struct {
 
 // HitRatio is the phase's hit fraction.
 func (p ChaosPhase) HitRatio() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Lookups)
+	return ratio(p.Hits, p.Lookups)
 }
 
 // IntersectRatio is the phase's intersection fraction — the quantity
 // Lemma 5.2 bounds below by 1−ε in the absence of faults.
 func (p ChaosPhase) IntersectRatio() float64 {
-	if p.Lookups == 0 {
-		return 0
-	}
-	return float64(p.Intersects) / float64(p.Lookups)
+	return ratio(p.Intersects, p.Lookups)
 }
 
 // add folds another phase tally in (cross-seed aggregation).
@@ -150,10 +144,9 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	sc.Quorum.ReadvertiseSecs = cs.ReadvertiseSecs
 	sc.fillDefaults()
 
-	engine, net, _, _, sys := buildStack(sc)
-	inj := faults.New(net)
-	suite := check.NewSuite(net, sys)
-	suite.SetPartitionOracle(inj.Partitioned)
+	st := sc.build()
+	engine, net, sys, suite := st.Engine, st.Net, st.Sys, st.Suite
+	inj := st.Faults()
 	rng := engine.NewStream()
 	scheduleRng := engine.NewStream()
 
@@ -236,21 +229,15 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	issuePhase(&res.Post, cs.PhaseSpanSecs)
 
 	// Drain past the slowest possible resolution: the full retry ladder
-	// plus the collect window and a safety margin.
-	drain := sc.Quorum.LookupTimeout
-	backoff := sc.Quorum.RetryBackoffSecs
-	for r := 0; r < sc.Quorum.LookupRetries; r++ {
-		drain += backoff + sc.Quorum.LookupTimeout
-		backoff *= 2
-	}
-	engine.Run(engine.Now() + drain + 15)
+	// plus a safety margin.
+	engine.Run(engine.Now() + sys.Config().LookupHorizon() + 15)
 
 	res.Report = suite.Final()
-	st := net.Stats()
-	res.Dupes = st.Get(netstack.CtrDupes)
-	res.Reorders = st.Get(netstack.CtrReorders)
-	res.PartitionDrops = st.Get(netstack.CtrPartitionDrops)
-	res.FaultDrops = st.Get(netstack.CtrFaultDrops)
+	stats := net.Stats()
+	res.Dupes = stats.Get(netstack.CtrDupes)
+	res.Reorders = stats.Get(netstack.CtrReorders)
+	res.PartitionDrops = stats.Get(netstack.CtrPartitionDrops)
+	res.FaultDrops = stats.Get(netstack.CtrFaultDrops)
 	return res
 }
 

@@ -56,10 +56,7 @@ func chaosSeverityTable(bySeverity []ChaosResult) Table {
 	var rows [][]string
 	for i, sev := range chaosSeverities {
 		r := bySeverity[i]
-		staleFrac := 0.0
-		if r.Report.Reads > 0 {
-			staleFrac = float64(r.Report.StaleReads+r.Report.MissedReads) / float64(r.Report.Reads)
-		}
+		staleFrac := ratio(r.Report.StaleReads+r.Report.MissedReads, r.Report.Reads)
 		rows = append(rows, []string{
 			f2(sev), istr(r.Runs),
 			f2(r.Pre.IntersectRatio()),
@@ -78,13 +75,11 @@ func chaosSeverityTable(bySeverity []ChaosResult) Table {
 	}
 }
 
-// chaosRecoveryNames labels the recovery escalation, mirroring the §6.1
-// burst comparison: none, lookup retry/backoff, retry + re-advertise.
-var chaosRecoveryNames = []string{"baseline", "retries", "retries+re-advertise"}
-
-// chaosRecoveryScenarios builds the three recovery variants under the same
-// deterministic worst-case schedule: a geometric 2-way partition spanning
-// most of the fault phase, healing inside it.
+// chaosRecoveryScenarios builds the three recovery variants of the §6.1
+// burst comparison (recoveryNames: none, lookup retry/backoff, retry +
+// re-advertise) under the same deterministic worst-case schedule: a
+// geometric 2-way partition spanning most of the fault phase, healing
+// inside it.
 func chaosRecoveryScenarios(seed int64) []ChaosScenario {
 	base := ChaosScenario{N: chaosN, Seed: seed}
 	base.fillDefaults()
@@ -118,7 +113,7 @@ func chaosRecoveryTable(p Profile, seed int64) Table {
 	}
 	results, _ := RunChaosSweep(context.Background(), scs, p.Parallel)
 	var rows [][]string
-	for i, name := range chaosRecoveryNames {
+	for i, name := range recoveryNames {
 		r := mergeChaos(results[i*seeds : (i+1)*seeds])
 		rows = append(rows, []string{
 			name,

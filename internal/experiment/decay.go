@@ -55,29 +55,24 @@ func FigDecay(p Profile, seed int64) []Table {
 
 func decayTable(p Profile, seed int64) Table {
 	n := p.BigN
-	fracs := []float64{0.1, 0.2, 0.3}
-	scs := make([]Scenario, len(fracs))
-	for i, f := range fracs {
-		scs[i] = decayScenario(p, n, seed+53, f)
-	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, f := range fracs {
-		for _, d := range results[i].Decay {
-			rows = append(rows, []string{
-				f2(f), f1(d.T), f2(d.FailedFrac),
-				f2(d.IntersectRatio()),
-				f2(analysis.DegradationChurn(decayEpsilon, d.FailedFrac)),
-				f2(d.HitRatio()),
-			})
-		}
-	}
-	return Table{
+	t := Table{
 		Title: fmt.Sprintf("Decay — intersection over time under continuous churn, n=%d, ε=%.2f, %d seeds",
 			n, decayEpsilon, p.Seeds),
 		Header: []string{"target f", "t (s)", "measured f(t)", "intersect", "analysis 1−ε^(1−f)", "hit"},
-		Rows:   rows,
 	}
+	var sw points
+	for _, f := range []float64{0.1, 0.2, 0.3} {
+		sw.add(decayScenario(p, n, seed+53, f), p.Seeds, func(r Result) {
+			for _, d := range r.Decay {
+				t.addRow(f2(f), f1(d.T), f2(d.FailedFrac),
+					f2(d.IntersectRatio()),
+					f2(analysis.DegradationChurn(decayEpsilon, d.FailedFrac)),
+					f2(d.HitRatio()))
+			}
+		})
+	}
+	sw.run(p)
+	return t
 }
 
 // recoveryNames labels burstScenarios' three configurations.

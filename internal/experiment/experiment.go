@@ -13,13 +13,12 @@ import (
 	"math"
 	"math/rand"
 
-	"probquorum/internal/aodv"
+	"probquorum/internal/check"
 	"probquorum/internal/churn"
 	"probquorum/internal/membership"
-	"probquorum/internal/mobility"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
-	"probquorum/internal/sim"
+	"probquorum/internal/stack"
 )
 
 // Scenario describes one simulation run. Zero values take the paper's
@@ -241,6 +240,10 @@ type Result struct {
 	// is a leaked termination path: under open-loop load it is unbounded
 	// memory, so tests gate it at exactly zero.
 	LeakedOps float64
+	// Violations counts breaches of the invariant suite every run is armed
+	// with (internal/check; summed over merged runs). Always zero unless
+	// there is a bug.
+	Violations int
 	// Runs is how many seeds were averaged.
 	Runs int
 }
@@ -264,99 +267,53 @@ type DecayPoint struct {
 
 // HitRatio is the bucket's measured hit fraction.
 func (d DecayPoint) HitRatio() float64 {
-	if d.Lookups == 0 {
-		return 0
-	}
-	return d.Hits / d.Lookups
+	return ratio(d.Hits, d.Lookups)
 }
 
 // IntersectRatio is the bucket's measured intersection fraction.
 func (d DecayPoint) IntersectRatio() float64 {
-	if d.Lookups == 0 {
-		return 0
-	}
-	return d.Intersects / d.Lookups
+	return ratio(d.Intersects, d.Lookups)
 }
 
-// buildStack constructs the full simulation stack for a scenario: engine,
-// network, routing, membership, and the quorum system. Nodes beyond sc.N
-// (join capacity) start failed.
-func buildStack(sc Scenario) (*sim.Engine, *netstack.Network, aodv.Router, *membership.Service, *quorum.System) {
-	sc.fillDefaults()
-	engine := sim.NewEngine(sc.Seed)
-	engine.SetShards(sc.Shards)
-
-	// Pre-allocate join capacity; joiners stay down until churn time.
-	joiners := sc.joinSlots()
-	total := sc.N + joiners
-
-	cfg := netstack.Config{
-		N: total, AvgDegree: sc.AvgDegree, Stack: sc.Stack,
-		LossProb: sc.LossProb, IdealHopDelay: sc.IdealHopDelay,
-		RxLossProb: sc.RxLossProb, CellNoise: sc.CellNoise,
+// spec maps the scenario onto the stack assembler's inputs. Call after
+// fillDefaults.
+func (sc *Scenario) spec() stack.Spec {
+	sp := stack.Spec{
+		N: sc.N, JoinSlots: sc.joinSlots(), Seed: sc.Seed, Shards: sc.Shards,
+		Link: netstack.Config{
+			AvgDegree: sc.AvgDegree, Stack: sc.Stack, CellNoise: sc.CellNoise,
+			LossProb: sc.LossProb, RxLossProb: sc.RxLossProb, IdealHopDelay: sc.IdealHopDelay,
+		},
+		SpeedMin: sc.SpeedMin, SpeedMax: sc.SpeedMax, PauseSecs: sc.PauseSecs,
+		OracleRouting: sc.OracleRouting, RouteCache: sc.RouteCache,
+		Members: membership.Config{
+			RefreshSecs: sc.MembershipRefreshSecs, Estimation: sc.Estimation, Lazy: sc.LazyMembership,
+		},
+		Quorum: sc.Quorum,
 	}
 	if sc.OracleNeighbors {
-		cfg.Neighbors = netstack.NeighborsOracle
+		sp.Link.Neighbors = netstack.NeighborsOracle
 	}
-	// Area sized for the *initial* population, per the paper's scaling.
-	cfg.Side = areaSide(sc.N, 200, sc.AvgDegree)
-	if sc.SpeedMax > 0 {
-		cfg.Mobility = mobility.NewWaypoint(engine.NewStream(), total, mobility.WaypointConfig{
-			MinSpeed: sc.SpeedMin, MaxSpeed: sc.SpeedMax,
-			Pause: sc.PauseSecs, Side: cfg.Side,
-		}, nil)
-	}
-	net := netstack.New(engine, cfg)
-	var routing aodv.Router
-	if sc.OracleRouting {
-		routing = aodv.NewOracle(net)
-	} else {
-		acfg := aodv.DefaultConfig()
-		if sc.IdealHopDelay > 0 {
-			// The ring-search timeouts assume NodeTraversalTime per
-			// hop; keep them consistent with the inflated hop latency.
-			if t := 2 * sc.IdealHopDelay; t > acfg.NodeTraversalTime {
-				acfg.NodeTraversalTime = t
-			}
-		}
-		routing = aodv.New(net, acfg)
-	}
-	if sc.RouteCache {
-		oracle, ok := routing.(*aodv.Oracle)
-		if !ok {
-			panic("experiment: RouteCache requires OracleRouting")
-		}
-		// NewOracle already caches on exact static stacks. A heartbeat
-		// provider observes expiries lazily, so there trees also age out,
-		// after one second.
-		if net.Config().Neighbors == netstack.NeighborsHeartbeat {
-			oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: 1})
-		}
-	}
-	members := membership.New(net, membership.Config{
-		ViewSize:    membership.DefaultViewSize(sc.N),
-		RefreshSecs: sc.MembershipRefreshSecs,
-		Estimation:  sc.Estimation,
-		Lazy:        sc.LazyMembership,
-	})
-	sys := quorum.New(net, routing, members, sc.Quorum)
-	for id := sc.N; id < total; id++ {
-		net.Fail(id) // joiners wait in the wings
-		// Release the view the initial refresh materialized for this
-		// not-yet-joined slot: dead nodes queued for reuse must not hold
-		// views (the draw itself already happened, keeping the shared
-		// stream — and every recorded figure — unchanged).
-		members.RefreshNode(id)
-	}
-	return engine, net, routing, members, sys
+	return sp
+}
+
+// build assembles the scenario's stack, invariant suite armed.
+func (sc Scenario) build() *stack.Stack {
+	sc.fillDefaults()
+	return stack.Build(sc.spec())
 }
 
 // Run executes one scenario and returns its measurements.
 func Run(sc Scenario) Result {
+	res, _ := run(sc)
+	return res
+}
+
+// run is Run plus the invariant suite's full report.
+func run(sc Scenario) (Result, check.Report) {
 	sc.fillDefaults()
-	joiners := sc.joinSlots()
-	total := sc.N + joiners
-	engine, net, _, members, sys := buildStack(sc)
+	st := sc.build()
+	engine, net, sys, suite := st.Engine, st.Net, st.Sys, st.Suite
 	defer engine.StopWorkers()
 	rng := engine.NewStream()
 
@@ -365,15 +322,14 @@ func Run(sc Scenario) Result {
 	// Phase 1: advertisements by random nodes (paper: 100, RANDOM 2√n).
 	keys := make([]string, sc.Advertisements)
 	adStart := net.Stats().Snapshot()
-	var placedSum, adDone int
+	var placedSum int
 	for i := 0; i < sc.Advertisements; i++ {
 		keys[i] = fmt.Sprintf("item-%d", i)
 		origin := net.RandomAliveID(rng)
 		key, value := keys[i], fmt.Sprintf("loc-of-%d", i)
 		engine.Schedule(float64(i)*sc.AdvertiseGapSecs, func() {
-			sys.Advertise(origin, key, value, func(r quorum.AdvertiseResult) {
+			suite.Advertise(origin, key, value, func(r quorum.AdvertiseResult) {
 				placedSum += r.Placed
-				adDone++
 			})
 		})
 	}
@@ -384,22 +340,7 @@ func Run(sc Scenario) Result {
 	// or the paper's one-shot event between the phases (Section 8.7).
 	var proc *churn.Process
 	if sc.continuousChurn() {
-		proc = churn.New(net, churn.Config{
-			FailRate: sc.ChurnFailRate, JoinRate: sc.ChurnJoinRate,
-		})
-		fresh := make([]int, 0, joiners)
-		for id := sc.N; id < total; id++ {
-			fresh = append(fresh, id)
-		}
-		proc.SetFreshPool(fresh)
-		proc.OnJoin(func(id int) {
-			// A joiner — fresh slot or rebooted crash — carries no quorum
-			// state and bootstraps a membership view immediately; the rest
-			// of the network's views catch up at the next refresh, stale in
-			// between exactly as a real membership service's would be.
-			sys.ResetNode(id)
-			members.RefreshNode(id)
-		})
+		proc = st.Churn(churn.Config{FailRate: sc.ChurnFailRate, JoinRate: sc.ChurnJoinRate})
 		engine.Schedule(sc.ChurnStartSecs, proc.Start)
 		engine.Schedule(sc.ChurnStartSecs+sc.churnDuration(), proc.Stop)
 	} else {
@@ -409,11 +350,11 @@ func Run(sc Scenario) Result {
 				net.Fail(id)
 			}
 		}
-		for id := sc.N; id < total; id++ {
+		for id := sc.N; id < net.N(); id++ {
 			net.Revive(id)
 		}
-		if fails > 0 || joiners > 0 {
-			members.RefreshAll()
+		if fails > 0 || net.N() > sc.N {
+			st.Members.RefreshAll()
 			if sc.AdjustLookupSize {
 				sys.SetLookupSize(adjustedLookupSize(sc.Quorum.LookupSize, sc.N, net.NumAlive()))
 			}
@@ -447,7 +388,6 @@ func Run(sc Scenario) Result {
 		}
 	}
 
-	var hits, intersects, lkDone int
 	var latencySum float64
 	for i := 0; i < sc.Lookups; i++ {
 		origin := lookupOrigins[i%len(lookupOrigins)]
@@ -464,20 +404,16 @@ func Run(sc Scenario) Result {
 		}
 		engine.Schedule(issueAt, func() {
 			if !net.Alive(origin) {
-				lkDone++ // origin died under churn: a global miss, but
-				return   // excluded from buckets (§6.1 assumes a live client)
+				// Origin died under churn: a global miss, but excluded from
+				// the buckets (§6.1 assumes a live client).
+				return
 			}
 			if bucket >= 0 {
 				decay[bucket].Lookups++
 			}
-			sys.Lookup(origin, key, func(r quorum.LookupResult) {
-				lkDone++
+			suite.Lookup(origin, key, func(r quorum.LookupResult) {
 				if r.Hit {
-					hits++
 					latencySum += r.Latency
-				}
-				if r.Intersected {
-					intersects++
 				}
 				if bucket >= 0 {
 					if r.Hit {
@@ -490,22 +426,17 @@ func Run(sc Scenario) Result {
 			})
 		})
 	}
-	lookupSpan := sc.lookupSpanSecs()
 	// Drain long enough for the last lookup to exhaust its retry ladder.
-	qc := sys.Config()
-	drain := qc.LookupTimeout + 30
-	for a := 1; a <= qc.LookupRetries; a++ {
-		drain += qc.RetryBackoffSecs*float64(int(1)<<(a-1)) + qc.LookupTimeout
-	}
-	engine.Run(engine.Now() + lookupSpan + drain)
+	engine.Run(engine.Now() + sc.lookupSpanSecs() + (sys.Config().LookupHorizon() + 30))
 	lkDiff := net.Stats().DiffSince(lkStart)
 
-	res := Result{Runs: 1, Counters: sys.Counters(), Decay: decay}
-	// Drain assertion: nothing may remain pending past its settlement
-	// horizon (ops still inside it — e.g. from a re-advertise tick during
-	// the drain tail — are in flight, not leaked).
-	leakedLk, leakedAds := sys.LeakedOps()
-	res.LeakedOps = float64(leakedLk + leakedAds)
+	// The suite's verdict includes the drain assertions: every op resolved
+	// exactly once, nothing pending past its settlement horizon (ops still
+	// inside it — e.g. from a re-advertise tick during the drain tail — are
+	// in flight, not leaked).
+	rep := suite.Final()
+	res := Result{Runs: 1, Counters: sys.Counters(), Decay: decay, Violations: rep.Violations}
+	res.LeakedOps = float64(rep.LeakedLookups + rep.LeakedAds)
 	res.AvgHopLatency = net.Stats().Latency(netstack.LatHop).Mean()
 	res.LossDrops = float64(net.Stats().Get(netstack.CtrLossDrops))
 	if proc != nil {
@@ -514,23 +445,21 @@ func Run(sc Scenario) Result {
 		res.ChurnJoins = float64(cs.Joins)
 	}
 	if sc.Lookups > 0 {
-		res.HitRatio = float64(hits) / float64(sc.Lookups)
-		res.IntersectRatio = float64(intersects) / float64(sc.Lookups)
+		res.HitRatio = float64(rep.Hits) / float64(sc.Lookups)
+		res.IntersectRatio = float64(rep.Intersections) / float64(sc.Lookups)
 		res.LookupAppMsgs = float64(lkDiff.Get(netstack.CtrAppMsgs)) / float64(sc.Lookups)
 		res.LookupRoutingMsgs = float64(lkDiff.Get(netstack.CtrRoutingMsgs)) / float64(sc.Lookups)
 	}
-	if intersects > 0 {
-		res.ReplyDropRatio = float64(intersects-hits) / float64(intersects)
-	}
-	if hits > 0 {
-		res.AvgLatency = latencySum / float64(hits)
+	res.ReplyDropRatio = ratio(rep.Intersections-rep.Hits, rep.Intersections)
+	if rep.Hits > 0 {
+		res.AvgLatency = latencySum / float64(rep.Hits)
 	}
 	if sc.Advertisements > 0 {
 		res.AdvertiseAppMsgs = float64(adDiff.Get(netstack.CtrAppMsgs)) / float64(sc.Advertisements)
 		res.AdvertiseRoutingMsgs = float64(adDiff.Get(netstack.CtrRoutingMsgs)) / float64(sc.Advertisements)
 		res.AvgPlaced = float64(placedSum) / float64(sc.Advertisements)
 	}
-	return res
+	return res, rep
 }
 
 // RunSeeds averages the scenario over `seeds` runs with seeds base,
@@ -556,10 +485,6 @@ func pickDistinct(rng *rand.Rand, net *netstack.Network, limit, k int) []int {
 		}
 	}
 	return out
-}
-
-func areaSide(n int, r, davg float64) float64 {
-	return math.Sqrt(math.Pi * r * r * float64(n) / davg)
 }
 
 // adjustedLookupSize rescales |Qℓ| with √(n(t)/n(0)) (Section 6.1's

@@ -303,3 +303,27 @@ func TestLookupMissCost(t *testing.T) {
 			miss.LookupAppMsgs, hit.LookupAppMsgs)
 	}
 }
+
+// TestRunArmsTheInvariantSuite: every scenario runs under internal/check,
+// whatever the strategy mix — each issued lookup is seen by the suite, all
+// resolve exactly once, and a static fault-free run breaches nothing.
+func TestRunArmsTheInvariantSuite(t *testing.T) {
+	strategies := []quorum.Strategy{
+		quorum.Random, quorum.RandomOpt, quorum.Path, quorum.UniquePath, quorum.Flooding, quorum.ExpandingRing,
+	}
+	for _, adv := range []quorum.Strategy{quorum.Random, quorum.UniquePath} {
+		for _, lk := range strategies {
+			sc := quickScenario(3)
+			sc.Lookups = 30
+			sc.Quorum = mixConfig(sc.N, adv, lk)
+			res, rep := run(sc)
+			if res.Violations != 0 || !rep.OK() {
+				t.Errorf("%v × %v: %d violations: %v", adv, lk, res.Violations, rep.Details)
+			}
+			if rep.Lookups != sc.Lookups || rep.Advertises != sc.Advertisements || rep.Outstanding != 0 {
+				t.Errorf("%v × %v: suite saw %d lookups, %d advertises, %d outstanding; want %d, %d, 0",
+					adv, lk, rep.Lookups, rep.Advertises, rep.Outstanding, sc.Lookups, sc.Advertisements)
+			}
+		}
+	}
+}

@@ -76,6 +76,16 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func istr(v int) string   { return fmt.Sprintf("%d", v) }
 func sqrtN(n int) float64 { return math.Sqrt(float64(n)) }
+
+// ratio is part/whole — a hit or intersection fraction of a lookup tally —
+// and 0 when nothing was counted.
+func ratio[T int | float64](part, whole T) float64 {
+	if whole <= 0 {
+		return 0
+	}
+	return float64(part) / float64(whole)
+}
+
 func baseScenario(p Profile, n int, seed int64) Scenario {
 	return Scenario{
 		N: n, Stack: p.Stack, Seed: seed,
@@ -86,35 +96,28 @@ func baseScenario(p Profile, n int, seed int64) Scenario {
 
 // Fig3 renders the strategy comparison table (analytic).
 func Fig3() Table {
-	rows := [][]string{}
-	for _, s := range analysis.StrategyTable() {
-		rows = append(rows, []string{
-			s.Name, s.AccessedNodes, s.CostGeneral, s.CostRGG,
-			fmt.Sprint(s.NeedsRouting), fmt.Sprint(s.NeedsMembership),
-			s.LookupReplies, fmt.Sprint(s.EarlyHalting),
-		})
-	}
-	return Table{
+	t := Table{
 		Title:  "Fig. 3 — access strategies: asymptotic & qualitative comparison",
 		Header: []string{"strategy", "accessed", "cost(general)", "cost(RGG)", "routing", "membership", "replies", "early-halt"},
-		Rows:   rows,
 	}
+	for _, s := range analysis.StrategyTable() {
+		t.addRow(s.Name, s.AccessedNodes, s.CostGeneral, s.CostRGG,
+			fmt.Sprint(s.NeedsRouting), fmt.Sprint(s.NeedsMembership),
+			s.LookupReplies, fmt.Sprint(s.EarlyHalting))
+	}
+	return t
 }
 
 // Fig6 renders the strategy-mix comparison table (analytic).
 func Fig6() Table {
-	rows := [][]string{}
-	for _, m := range analysis.MixTable() {
-		rows = append(rows, []string{
-			m.Advertise, m.Lookup, m.AdvertiseCost, m.LookupCost,
-			fmt.Sprint(m.TopologyIndependent),
-		})
-	}
-	return Table{
+	t := Table{
 		Title:  "Fig. 6 — strategy mixes at |Q|=Θ(√n) on RGGs",
 		Header: []string{"advertise", "lookup", "advertise cost", "lookup cost", "topology-independent"},
-		Rows:   rows,
 	}
+	for _, m := range analysis.MixTable() {
+		t.addRow(m.Advertise, m.Lookup, m.AdvertiseCost, m.LookupCost, fmt.Sprint(m.TopologyIndependent))
+	}
+	return t
 }
 
 // Fig4 measures the random-walk partial cover time: steps per unique node
@@ -141,56 +144,44 @@ func Fig4(p Profile, seed int64) []Table {
 		return float64(total) / float64(count) / float64(target)
 	}
 
-	var sizeRows [][]string
-	for _, n := range p.Sizes {
-		target := int(sqrtN(n))
-		sizeRows = append(sizeRows, []string{
-			istr(n), istr(target),
-			f2(measure(n, 10, graph.SimpleWalk, target)),
-			f2(measure(n, 10, graph.SelfAvoidingWalk, target)),
-		})
-	}
 	sizes := Table{
 		Title:  "Fig. 4(a,c) — PCT: steps per unique node at |Q|=√n, d_avg=10",
 		Header: []string{"n", "target", "PATH steps/unique", "UNIQUE-PATH steps/unique"},
-		Rows:   sizeRows,
+	}
+	for _, n := range p.Sizes {
+		target := int(sqrtN(n))
+		sizes.addRow(istr(n), istr(target),
+			f2(measure(n, 10, graph.SimpleWalk, target)),
+			f2(measure(n, 10, graph.SelfAvoidingWalk, target)))
 	}
 
-	var densRows [][]string
 	nd := p.BigN / 2
 	if nd < 50 {
 		nd = 50
 	}
-	for _, d := range p.Densities {
-		target := int(sqrtN(nd))
-		densRows = append(densRows, []string{
-			f1(d),
-			f2(measure(nd, d, graph.SimpleWalk, target)),
-			f2(measure(nd, d, graph.SelfAvoidingWalk, target)),
-		})
-	}
 	dens := Table{
 		Title:  fmt.Sprintf("Fig. 4(b,d) — PCT vs density, n=%d, |Q|=√n", nd),
 		Header: []string{"d_avg", "PATH steps/unique", "UNIQUE-PATH steps/unique"},
-		Rows:   densRows,
+	}
+	for _, d := range p.Densities {
+		target := int(sqrtN(nd))
+		dens.addRow(f1(d),
+			f2(measure(nd, d, graph.SimpleWalk, target)),
+			f2(measure(nd, d, graph.SelfAvoidingWalk, target)))
 	}
 
 	// Larger coverage targets: linearity persists (paper: PCT(n/2)≈1.3n
 	// for n=100).
-	var bigRows [][]string
-	for _, frac := range []float64{0.25, 0.5} {
-		n := 100
-		target := int(frac * float64(n))
-		bigRows = append(bigRows, []string{
-			fmt.Sprintf("%.0f%%", frac*100),
-			f2(measure(n, 10, graph.SimpleWalk, target)),
-			f2(measure(n, 10, graph.SelfAvoidingWalk, target)),
-		})
-	}
 	big := Table{
 		Title:  "Fig. 4 (large targets) — steps per unique at n=100",
 		Header: []string{"coverage", "PATH steps/unique", "UNIQUE-PATH steps/unique"},
-		Rows:   bigRows,
+	}
+	for _, frac := range []float64{0.25, 0.5} {
+		n := 100
+		target := int(frac * float64(n))
+		big.addRow(fmt.Sprintf("%.0f%%", frac*100),
+			f2(measure(n, 10, graph.SimpleWalk, target)),
+			f2(measure(n, 10, graph.SelfAvoidingWalk, target)))
 	}
 	return []Table{sizes, dens, big}
 }
@@ -219,24 +210,22 @@ func measureFloodCoverage(sc Scenario, ttl int, seed int64) int {
 		AdvertiseStrategy: quorum.Flooding, LookupStrategy: quorum.Flooding,
 		AdvertiseTTL: ttl, LookupTTL: ttl,
 	}
-	engine, net, _, _, sys := buildStack(sc)
-	engine.Run(5)
-	origin := net.RandomAliveID(engine.NewStream())
-	ref := sys.Advertise(origin, "probe", "v", nil)
-	engine.Run(engine.Now() + 5 + 0.5*float64(ttl))
-	return sys.FloodCoverage(ref)
+	st := sc.build()
+	st.Engine.Run(5)
+	origin := st.Net.RandomAliveID(st.Engine.NewStream())
+	ref := st.Suite.Advertise(origin, "probe", "v", nil)
+	st.Engine.Run(st.Engine.Now() + 5 + 0.5*float64(ttl))
+	return st.Sys.FloodCoverage(ref)
 }
 
 // Fig5 measures flooding coverage and coverage granularity vs TTL for the
 // profile's sizes and densities.
 func Fig5(p Profile, seed int64) []Table {
 	ttls := []int{1, 2, 3, 4, 5, 6}
-	header := []string{"TTL"}
-	cgHeader := []string{"TTL"}
+	header := []string{"TTL"} // shared by the coverage and granularity tables
 	covBySize := make([][]float64, len(p.Sizes))
 	for i, n := range p.Sizes {
 		header = append(header, fmt.Sprintf("n=%d", n))
-		cgHeader = append(cgHeader, fmt.Sprintf("n=%d", n))
 		covBySize[i] = FloodCoverageOnce(p, n, 10, ttls, seed+int64(i))
 	}
 	var covRows, cgRows [][]string
@@ -256,7 +245,7 @@ func Fig5(p Profile, seed int64) []Table {
 	}
 	tables := []Table{
 		{Title: "Fig. 5(a) — flooding coverage vs TTL (d_avg=10)", Header: header, Rows: covRows},
-		{Title: "Fig. 5(c) — coverage granularity CG(i)=N_i/N_{i-1}", Header: cgHeader, Rows: cgRows},
+		{Title: "Fig. 5(c) — coverage granularity CG(i)=N_i/N_{i-1}", Header: header, Rows: cgRows},
 	}
 
 	// Density sweep at a fixed medium size.
@@ -335,20 +324,15 @@ func Fig4Series(p Profile, seed int64) []Table {
 		}
 		return float64(total) / float64(count) / float64(target)
 	}
-	var rows [][]string
-	maxT := n / 2
-	for t := 5; t <= maxT; t += maxT / 8 {
-		rows = append(rows, []string{
-			istr(t),
-			f2(measure(graph.SimpleWalk, t)),
-			f2(measure(graph.SelfAvoidingWalk, t)),
-		})
-	}
-	return []Table{{
+	series := Table{
 		Title:  fmt.Sprintf("Fig. 4 (series) — steps per unique vs unique nodes visited, n=%d, d_avg=10", n),
 		Header: []string{"unique nodes", "PATH steps/unique", "UNIQUE-PATH steps/unique"},
-		Rows:   rows,
-	}}
+	}
+	maxT := n / 2
+	for t := 5; t <= maxT; t += maxT / 8 {
+		series.addRow(istr(t), f2(measure(graph.SimpleWalk, t)), f2(measure(graph.SelfAvoidingWalk, t)))
+	}
+	return []Table{series}
 }
 
 // CrossingTime measures Theorem 5.5 empirically: the expected number of
@@ -356,7 +340,10 @@ func Fig4Series(p Profile, seed int64) []Table {
 // the paper's Ω(n/log n) threshold-radius lower bound.
 func CrossingTime(p Profile, seed int64) []Table {
 	rng := rand.New(rand.NewSource(seed))
-	var rows [][]string
+	t := Table{
+		Title:  "Theorem 5.5 — empirical crossing time of two simple random walks (d_avg=10)",
+		Header: []string{"n", "measured steps", "n/ln n (bound scale)", "steps/n"},
+	}
 	for _, n := range p.Sizes {
 		side := geom.AreaSide(n, 200, 10)
 		total, count := 0, 0
@@ -374,14 +361,7 @@ func CrossingTime(p Profile, seed int64) []Table {
 			}
 		}
 		avg := float64(total) / float64(count)
-		rows = append(rows, []string{
-			istr(n), f1(avg), f1(analysis.CrossingTimeAtThreshold(n)),
-			f2(avg / float64(n)),
-		})
+		t.addRow(istr(n), f1(avg), f1(analysis.CrossingTimeAtThreshold(n)), f2(avg/float64(n)))
 	}
-	return []Table{{
-		Title:  "Theorem 5.5 — empirical crossing time of two simple random walks (d_avg=10)",
-		Header: []string{"n", "measured steps", "n/ln n (bound scale)", "steps/n"},
-		Rows:   rows,
-	}}
+	return []Table{t}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,20 +22,55 @@ func mixConfig(n int, adv, lk quorum.Strategy) quorum.Config {
 	}
 }
 
-// The figure generators below all follow the same shape: enumerate the
-// figure's sweep points as Scenario values (plus whatever per-point
-// metadata the table needs), execute them all with one RunSweep over the
-// profile's worker pool, and format the averaged results in point order.
+// The figure generators below all follow the same shape: every sweep point
+// is added together with the closure that turns its averaged result into a
+// table row, then one run executes them all over the profile's worker pool
+// and hands the results back in point order.
+
+// points is a figure's sweep under construction.
+type points struct {
+	pts  []Point
+	then []func(Result)
+}
+
+// add appends sc, averaged over seeds runs; then receives its result.
+func (ps *points) add(sc Scenario, seeds int, then func(Result)) {
+	ps.pts = append(ps.pts, Point{Scenario: sc, Seeds: seeds})
+	ps.then = append(ps.then, then)
+}
+
+// run executes the sweep and feeds each point's closure, in point order.
+func (ps *points) run(p Profile) {
+	// The background context never cancels, so the error is impossible.
+	results, _ := RunSweep(context.Background(), Sweep{Points: ps.pts}, p.Parallel)
+	for i, r := range results {
+		ps.then[i](r)
+	}
+}
+
+// addRow appends one row of cells.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+
+// mobileLabel names the two mobility modes the paired figures compare.
+func mobileLabel(mobile bool) string {
+	if mobile {
+		return "mobile 0.5–2 m/s"
+	}
+	return "static"
+}
 
 // Fig8 measures the cost of RANDOM advertise (a,b) and the hit ratio of
 // RANDOM lookup (c) on static networks at d_avg = 10.
 func Fig8(p Profile, seed int64) []Table {
-	type meta struct {
-		n, q int
-		f    float64
+	cost := Table{
+		Title:  "Fig. 8(a,b) — RANDOM advertise cost per request (static, d_avg=10)",
+		Header: []string{"n", "|Qa|", "msgs", "+routing", "total"},
 	}
-	var scs []Scenario
-	var costMeta, hitMeta []meta
+	hit := Table{
+		Title:  "Fig. 8(c) — RANDOM lookup hit ratio vs |Qℓ| (advertise 2√n)",
+		Header: []string{"n", "|Qℓ|", "hit ratio", "Lemma 5.2 bound"},
+	}
+	var sw points
 	for _, n := range p.Sizes {
 		for _, f := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
 			qa := int(math.Round(f * sqrtN(n)))
@@ -42,8 +78,11 @@ func Fig8(p Profile, seed int64) []Table {
 			sc.Lookups, sc.LookupNodes = 1, 1 // advertise-phase study
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.Random)
 			sc.Quorum.AdvertiseSize = qa
-			costMeta = append(costMeta, meta{n, qa, f})
-			scs = append(scs, sc)
+			sw.add(sc, p.Seeds, func(r Result) {
+				cost.addRow(istr(n), fmt.Sprintf("%.1f√n=%d", f, qa),
+					f1(r.AdvertiseAppMsgs), f1(r.AdvertiseRoutingMsgs),
+					f1(r.AdvertiseAppMsgs+r.AdvertiseRoutingMsgs))
+			})
 		}
 	}
 	for _, n := range p.Sizes {
@@ -55,41 +94,14 @@ func Fig8(p Profile, seed int64) []Table {
 			sc := baseScenario(p, n, seed+7)
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.Random)
 			sc.Quorum.LookupSize = ql
-			hitMeta = append(hitMeta, meta{n, ql, f})
-			scs = append(scs, sc)
+			qa := sc.Quorum.AdvertiseSize
+			sw.add(sc, p.Seeds, func(r Result) {
+				hit.addRow(istr(n), fmt.Sprintf("%.2f√n=%d", f, ql),
+					f2(r.HitRatio), f2(1-analysis.MissBound(n, float64(qa), float64(ql))))
+			})
 		}
 	}
-	results := sweepResults(p, scs)
-
-	var costRows [][]string
-	for i, m := range costMeta {
-		r := results[i]
-		costRows = append(costRows, []string{
-			istr(m.n), fmt.Sprintf("%.1f√n=%d", m.f, m.q),
-			f1(r.AdvertiseAppMsgs), f1(r.AdvertiseRoutingMsgs),
-			f1(r.AdvertiseAppMsgs + r.AdvertiseRoutingMsgs),
-		})
-	}
-	cost := Table{
-		Title:  "Fig. 8(a,b) — RANDOM advertise cost per request (static, d_avg=10)",
-		Header: []string{"n", "|Qa|", "msgs", "+routing", "total"},
-		Rows:   costRows,
-	}
-
-	var hitRows [][]string
-	for i, m := range hitMeta {
-		r := results[len(costMeta)+i]
-		qa := scs[len(costMeta)+i].Quorum.AdvertiseSize
-		hitRows = append(hitRows, []string{
-			istr(m.n), fmt.Sprintf("%.2f√n=%d", m.f, m.q),
-			f2(r.HitRatio), f2(1 - analysis.MissBound(m.n, float64(qa), float64(m.q))),
-		})
-	}
-	hit := Table{
-		Title:  "Fig. 8(c) — RANDOM lookup hit ratio vs |Qℓ| (advertise 2√n)",
-		Header: []string{"n", "|Qℓ|", "hit ratio", "Lemma 5.2 bound"},
-		Rows:   hitRows,
-	}
+	sw.run(p)
 	return []Table{cost, hit}
 }
 
@@ -98,57 +110,39 @@ func Fig8(p Profile, seed int64) []Table {
 func Fig9(p Profile, seed int64) []Table {
 	n := p.BigN
 	lnN := int(math.Ceil(math.Log(float64(n))))
-	var targets []int
-	for _, x := range []int{1, 2, lnN / 2, lnN, 2 * lnN} {
-		if x >= 1 {
-			targets = append(targets, x)
-		}
-	}
-	modes := []bool{false, true}
-	var scs []Scenario
-	for _, mobile := range modes {
-		for _, x := range targets {
+	tables := make([]Table, 2)
+	var sw points
+	for mi, mobile := range []bool{false, true} {
+		t := &tables[mi]
+		t.Title = fmt.Sprintf("Fig. 9 — RANDOM-OPT lookup, n=%d, %s", n, mobileLabel(mobile))
+		t.Header = []string{"targets X", "hit ratio", "msgs/lookup", "routing/lookup"}
+		for _, x := range []int{1, 2, lnN / 2, lnN, 2 * lnN} {
+			if x < 1 {
+				continue
+			}
 			sc := baseScenario(p, n, seed+11)
 			if mobile {
 				sc.SpeedMin, sc.SpeedMax = 0.5, 2
 			}
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.RandomOpt)
 			sc.Quorum.RandomOptTargets = x
-			scs = append(scs, sc)
-		}
-	}
-	results := sweepResults(p, scs)
-	var tables []Table
-	for mi, mobile := range modes {
-		label := "static"
-		if mobile {
-			label = "mobile 0.5–2 m/s"
-		}
-		var rows [][]string
-		for xi, x := range targets {
-			r := results[mi*len(targets)+xi]
-			rows = append(rows, []string{
-				istr(x), f2(r.HitRatio), f1(r.LookupAppMsgs), f1(r.LookupRoutingMsgs),
+			sw.add(sc, p.Seeds, func(r Result) {
+				t.addRow(istr(x), f2(r.HitRatio), f1(r.LookupAppMsgs), f1(r.LookupRoutingMsgs))
 			})
 		}
-		tables = append(tables, Table{
-			Title:  fmt.Sprintf("Fig. 9 — RANDOM-OPT lookup, n=%d, %s", n, label),
-			Header: []string{"targets X", "hit ratio", "msgs/lookup", "routing/lookup"},
-			Rows:   rows,
-		})
 	}
+	sw.run(p)
 	return tables
 }
 
 // Fig10 measures the UNIQUE-PATH lookup under walking-speed mobility: hit
 // ratio 0.9 at |Qℓ| ≈ 1.15√n and message cost below |Qℓ|.
 func Fig10(p Profile, seed int64) []Table {
-	type meta struct {
-		n, ql int
-		f     float64
+	t := Table{
+		Title:  "Fig. 10 — RANDOM advertise × UNIQUE-PATH lookup (mobile 0.5–2 m/s)",
+		Header: []string{"n", "target |Qℓ|", "hit ratio", "msgs/lookup", "msgs<|Qℓ|"},
 	}
-	var scs []Scenario
-	var metas []meta
+	var sw points
 	for _, n := range p.Sizes {
 		for _, f := range []float64{0.5, 0.75, 1.0, 1.15, 1.5, 2.0} {
 			ql := int(math.Round(f * sqrtN(n)))
@@ -159,69 +153,40 @@ func Fig10(p Profile, seed int64) []Table {
 			sc.SpeedMin, sc.SpeedMax = 0.5, 2
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
 			sc.Quorum.LookupSize = ql
-			metas = append(metas, meta{n, ql, f})
-			scs = append(scs, sc)
+			sw.add(sc, p.Seeds, func(r Result) {
+				t.addRow(istr(n), fmt.Sprintf("%.2f√n=%d", f, ql),
+					f2(r.HitRatio), f1(r.LookupAppMsgs),
+					fmt.Sprint(r.LookupAppMsgs < float64(ql)+1))
+			})
 		}
 	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, m := range metas {
-		r := results[i]
-		rows = append(rows, []string{
-			istr(m.n), fmt.Sprintf("%.2f√n=%d", m.f, m.ql),
-			f2(r.HitRatio), f1(r.LookupAppMsgs),
-			fmt.Sprint(r.LookupAppMsgs < float64(m.ql)+1),
-		})
-	}
-	return []Table{{
-		Title:  "Fig. 10 — RANDOM advertise × UNIQUE-PATH lookup (mobile 0.5–2 m/s)",
-		Header: []string{"n", "target |Qℓ|", "hit ratio", "msgs/lookup", "msgs<|Qℓ|"},
-		Rows:   rows,
-	}}
+	sw.run(p)
+	return []Table{t}
 }
 
 // Fig11 measures the FLOODING lookup vs TTL, static and mobile.
 func Fig11(p Profile, seed int64) []Table {
-	ttls := []int{1, 2, 3, 4}
-	modes := []bool{false, true}
-	var scs []Scenario
-	for _, mobile := range modes {
+	tables := make([]Table, 2)
+	var sw points
+	for mi, mobile := range []bool{false, true} {
+		t := &tables[mi]
+		t.Title = fmt.Sprintf("Fig. 11 — RANDOM advertise × FLOODING lookup, %s", mobileLabel(mobile))
+		t.Header = []string{"n", "TTL", "hit ratio", "msgs/lookup"}
 		for _, n := range p.Sizes {
-			for _, ttl := range ttls {
+			for _, ttl := range []int{1, 2, 3, 4} {
 				sc := baseScenario(p, n, seed+17)
 				if mobile {
 					sc.SpeedMin, sc.SpeedMax = 0.5, 2
 				}
 				sc.Quorum = mixConfig(n, quorum.Random, quorum.Flooding)
 				sc.Quorum.LookupTTL = ttl
-				scs = append(scs, sc)
-			}
-		}
-	}
-	results := sweepResults(p, scs)
-	var tables []Table
-	i := 0
-	for _, mobile := range modes {
-		label := "static"
-		if mobile {
-			label = "mobile 0.5–2 m/s"
-		}
-		var rows [][]string
-		for _, n := range p.Sizes {
-			for _, ttl := range ttls {
-				r := results[i]
-				i++
-				rows = append(rows, []string{
-					istr(n), istr(ttl), f2(r.HitRatio), f1(r.LookupAppMsgs),
+				sw.add(sc, p.Seeds, func(r Result) {
+					t.addRow(istr(n), istr(ttl), f2(r.HitRatio), f1(r.LookupAppMsgs))
 				})
 			}
 		}
-		tables = append(tables, Table{
-			Title:  fmt.Sprintf("Fig. 11 — RANDOM advertise × FLOODING lookup, %s", label),
-			Header: []string{"n", "TTL", "hit ratio", "msgs/lookup"},
-			Rows:   rows,
-		})
 	}
+	sw.run(p)
 	return tables
 }
 
@@ -229,8 +194,11 @@ func Fig11(p Profile, seed int64) []Table {
 // the combined walk coverage (paper: 0.9 needs ≈ n/2 combined at n=800).
 func Fig12(p Profile, seed int64) []Table {
 	n := p.BigN
-	var scs []Scenario
-	var qs []int
+	t := Table{
+		Title:  fmt.Sprintf("Fig. 12 — UNIQUE-PATH × UNIQUE-PATH, n=%d (static)", n),
+		Header: []string{"|Qa|=|Qℓ|", "combined", "combined/n", "hit ratio", "msgs/lookup"},
+	}
+	var sw points
 	for _, frac := range []float64{0.06, 0.1, 0.15, 0.21, 0.25, 0.3} {
 		q := int(frac * float64(n))
 		if q < 2 {
@@ -240,23 +208,13 @@ func Fig12(p Profile, seed int64) []Table {
 		sc.Quorum = mixConfig(n, quorum.UniquePath, quorum.UniquePath)
 		sc.Quorum.AdvertiseSize = q
 		sc.Quorum.LookupSize = q
-		qs = append(qs, q)
-		scs = append(scs, sc)
-	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, q := range qs {
-		r := results[i]
-		rows = append(rows, []string{
-			istr(q), istr(2 * q), fmt.Sprintf("%.3f", float64(2*q)/float64(n)),
-			f2(r.HitRatio), f1(r.LookupAppMsgs),
+		sw.add(sc, p.Seeds, func(r Result) {
+			t.addRow(istr(q), istr(2*q), fmt.Sprintf("%.3f", float64(2*q)/float64(n)),
+				f2(r.HitRatio), f1(r.LookupAppMsgs))
 		})
 	}
-	return []Table{{
-		Title:  fmt.Sprintf("Fig. 12 — UNIQUE-PATH × UNIQUE-PATH, n=%d (static)", n),
-		Header: []string{"|Qa|=|Qℓ|", "combined", "combined/n", "hit ratio", "msgs/lookup"},
-		Rows:   rows,
-	}}
+	sw.run(p)
+	return []Table{t}
 }
 
 // mobilityHopDelay is the fixed per-hop latency used by the fast-mobility
@@ -267,94 +225,64 @@ func Fig12(p Profile, seed int64) []Table {
 // latency naturally and the knob is ignored.)
 const mobilityHopDelay = 0.08
 
-// figSpeeds returns the mobility sweep for the profile.
-func figSpeeds(p Profile) []float64 {
-	if p.BigN >= 800 {
-		return []float64{2, 5, 10, 20}
-	}
-	return []float64{2, 5, 10, 20}
+// figSpeeds is the fast-mobility sweep's max speeds in m/s.
+var figSpeeds = []float64{2, 5, 10, 20}
+
+// fastMobility is the Fig. 13/14 scenario: RANDOM × UNIQUE-PATH at n=BigN
+// under waypoint mobility up to speed, reply-path local repair as given.
+func fastMobility(p Profile, seed int64, speed float64, repair bool) Scenario {
+	sc := baseScenario(p, p.BigN, seed)
+	sc.SpeedMin, sc.SpeedMax = 0.5, speed
+	sc.IdealHopDelay = mobilityHopDelay
+	sc.Quorum = mixConfig(p.BigN, quorum.Random, quorum.UniquePath)
+	sc.Quorum.ReplyLocalRepair = repair
+	return sc
 }
 
 // Fig13 measures fast mobility *without* reply-path repair: the hit ratio
 // degrades with speed while the raw intersection probability stays flat —
 // the gap is reply loss.
 func Fig13(p Profile, seed int64) []Table {
-	n := p.BigN
-	speeds := figSpeeds(p)
-	var scs []Scenario
-	for _, speed := range speeds {
-		sc := baseScenario(p, n, seed+23)
-		sc.SpeedMin, sc.SpeedMax = 0.5, speed
-		sc.IdealHopDelay = mobilityHopDelay
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
-		sc.Quorum.ReplyLocalRepair = false
-		scs = append(scs, sc)
+	t := Table{
+		Title:  fmt.Sprintf("Fig. 13 — fast mobility WITHOUT reply-path repair, n=%d", p.BigN),
+		Header: []string{"max speed m/s", "hit ratio", "intersection prob", "reply drop ratio"},
 	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, speed := range speeds {
-		r := results[i]
-		rows = append(rows, []string{
-			f1(speed), f2(r.HitRatio), f2(r.IntersectRatio), f2(r.ReplyDropRatio),
+	var sw points
+	for _, speed := range figSpeeds {
+		sw.add(fastMobility(p, seed+23, speed, false), p.Seeds, func(r Result) {
+			t.addRow(f1(speed), f2(r.HitRatio), f2(r.IntersectRatio), f2(r.ReplyDropRatio))
 		})
 	}
-	return []Table{{
-		Title:  fmt.Sprintf("Fig. 13 — fast mobility WITHOUT reply-path repair, n=%d", n),
-		Header: []string{"max speed m/s", "hit ratio", "intersection prob", "reply drop ratio"},
-		Rows:   rows,
-	}}
+	sw.run(p)
+	return []Table{t}
 }
 
 // Fig14 measures fast mobility *with* reply-path local repair (a–d), the
 // larger advertise quorum variant (e), and churn resilience (f).
 func Fig14(p Profile, seed int64) []Table {
 	n := p.BigN
-	speeds := figSpeeds(p)
-	var scs []Scenario
-	for _, speed := range speeds { // (a–d): repair on
-		sc := baseScenario(p, n, seed+29)
-		sc.SpeedMin, sc.SpeedMax = 0.5, speed
-		sc.IdealHopDelay = mobilityHopDelay
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
-		sc.Quorum.ReplyLocalRepair = true
-		scs = append(scs, sc)
-	}
-	for _, speed := range speeds { // (e): |Qa| = 3√n
-		sc := baseScenario(p, n, seed+31)
-		sc.SpeedMin, sc.SpeedMax = 0.5, speed
-		sc.IdealHopDelay = mobilityHopDelay
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
-		sc.Quorum.ReplyLocalRepair = true
-		sc.Quorum.AdvertiseSize = int(math.Round(3 * sqrtN(n)))
-		scs = append(scs, sc)
-	}
-	results := sweepResults(p, scs)
-
-	var rows [][]string
-	for i, speed := range speeds {
-		r := results[i]
-		rows = append(rows, []string{
-			f1(speed), f2(r.HitRatio), f2(r.IntersectRatio),
-			f1(r.LookupAppMsgs), f1(r.LookupAppMsgs + r.LookupRoutingMsgs),
-			istr(r.Counters.LocalRepairs + r.Counters.FullRouteRepairs),
-		})
-	}
 	repair := Table{
 		Title:  fmt.Sprintf("Fig. 14(a–d) — fast mobility WITH reply-path local repair, n=%d", n),
 		Header: []string{"max speed m/s", "hit ratio", "intersection prob", "msgs/lookup", "msgs+routing/lookup", "repairs"},
-		Rows:   rows,
-	}
-
-	var bigQRows [][]string
-	for i, speed := range speeds {
-		r := results[len(speeds)+i]
-		bigQRows = append(bigQRows, []string{f1(speed), f2(r.HitRatio)})
 	}
 	bigQ := Table{
 		Title:  "Fig. 14(e) — advertise |Q|=3√n under mobility",
 		Header: []string{"max speed m/s", "hit ratio"},
-		Rows:   bigQRows,
 	}
+	var sw points
+	for _, speed := range figSpeeds { // (a–d): repair on
+		sw.add(fastMobility(p, seed+29, speed, true), p.Seeds, func(r Result) {
+			repair.addRow(f1(speed), f2(r.HitRatio), f2(r.IntersectRatio),
+				f1(r.LookupAppMsgs), f1(r.LookupAppMsgs+r.LookupRoutingMsgs),
+				istr(r.Counters.LocalRepairs+r.Counters.FullRouteRepairs))
+		})
+	}
+	for _, speed := range figSpeeds { // (e): |Qa| = 3√n
+		sc := fastMobility(p, seed+31, speed, true)
+		sc.Quorum.AdvertiseSize = int(math.Round(3 * sqrtN(n)))
+		sw.add(sc, p.Seeds, func(r Result) { bigQ.addRow(f1(speed), f2(r.HitRatio)) })
+	}
+	sw.run(p)
 	return []Table{repair, bigQ, fig14f(p, seed)}
 }
 
@@ -364,74 +292,56 @@ func fig14f(p Profile, seed int64) Table {
 	n := p.BigN
 	eps := 0.1
 	qa, ql := quorum.SizeForEpsilon(n, eps, 1)
-	fracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	var scs []Scenario
-	for _, f := range fracs {
+	t := Table{
+		Title:  fmt.Sprintf("Fig. 14(f) — intersection under churn, n=%d, d_avg=15, initial 1−ε=0.9", n),
+		Header: []string{"churn fraction f", "hit ratio", "analysis 1−ε^(1−f)"},
+	}
+	var sw points
+	for _, f := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		sc := baseScenario(p, n, seed+37)
 		sc.AvgDegree = 15 // the paper's churn setup keeps the net connected
 		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
 		sc.Quorum.AdvertiseSize, sc.Quorum.LookupSize = qa, ql
 		sc.FailFraction, sc.JoinFraction = f, f
 		sc.AdjustLookupSize = true
-		scs = append(scs, sc)
-	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, f := range fracs {
-		rows = append(rows, []string{
-			f2(f), f2(results[i].HitRatio), f2(analysis.DegradationChurn(eps, f)),
+		sw.add(sc, p.Seeds, func(r Result) {
+			t.addRow(f2(f), f2(r.HitRatio), f2(analysis.DegradationChurn(eps, f)))
 		})
 	}
-	return Table{
-		Title:  fmt.Sprintf("Fig. 14(f) — intersection under churn, n=%d, d_avg=15, initial 1−ε=0.9", n),
-		Header: []string{"churn fraction f", "hit ratio", "analysis 1−ε^(1−f)"},
-		Rows:   rows,
-	}
+	sw.run(p)
+	return t
 }
 
 // Fig15 compares the three lookup strategies on the hit-ratio-vs-messages
 // plane (RANDOM advertise everywhere).
 func Fig15(p Profile, seed int64) []Table {
 	n := p.BigN
-	type meta struct{ strategy, param string }
-	var scs []Scenario
-	var metas []meta
+	t := Table{
+		Title:  fmt.Sprintf("Fig. 15 — lookup strategies: hit ratio vs messages, n=%d, RANDOM advertise 2√n", n),
+		Header: []string{"strategy", "param", "hit ratio", "msgs/lookup", "routing/lookup"},
+	}
+	var sw points
+	add := func(seedOff int64, lk quorum.Strategy, param string, tune func(*quorum.Config)) {
+		sc := baseScenario(p, n, seed+seedOff)
+		sc.Quorum = mixConfig(n, quorum.Random, lk)
+		tune(&sc.Quorum)
+		sw.add(sc, p.Seeds, func(r Result) {
+			t.addRow(lk.String(), param, f2(r.HitRatio), f1(r.LookupAppMsgs), f1(r.LookupRoutingMsgs))
+		})
+	}
 	for _, f := range []float64{0.5, 1.0, 1.15, 1.5} {
 		ql := int(math.Round(f * sqrtN(n)))
-		sc := baseScenario(p, n, seed+41)
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
-		sc.Quorum.LookupSize = ql
-		metas = append(metas, meta{"UNIQUE-PATH", fmt.Sprintf("|Q|=%d", ql)})
-		scs = append(scs, sc)
+		add(41, quorum.UniquePath, fmt.Sprintf("|Q|=%d", ql), func(c *quorum.Config) { c.LookupSize = ql })
 	}
 	for _, ttl := range []int{1, 2, 3, 4} {
-		sc := baseScenario(p, n, seed+43)
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.Flooding)
-		sc.Quorum.LookupTTL = ttl
-		metas = append(metas, meta{"FLOODING", fmt.Sprintf("TTL=%d", ttl)})
-		scs = append(scs, sc)
+		add(43, quorum.Flooding, fmt.Sprintf("TTL=%d", ttl), func(c *quorum.Config) { c.LookupTTL = ttl })
 	}
 	lnN := int(math.Ceil(math.Log(float64(n))))
 	for _, x := range []int{1, 2, lnN, 2 * lnN} {
-		sc := baseScenario(p, n, seed+47)
-		sc.Quorum = mixConfig(n, quorum.Random, quorum.RandomOpt)
-		sc.Quorum.RandomOptTargets = x
-		metas = append(metas, meta{"RANDOM-OPT", fmt.Sprintf("X=%d", x)})
-		scs = append(scs, sc)
+		add(47, quorum.RandomOpt, fmt.Sprintf("X=%d", x), func(c *quorum.Config) { c.RandomOptTargets = x })
 	}
-	results := sweepResults(p, scs)
-	var rows [][]string
-	for i, m := range metas {
-		r := results[i]
-		rows = append(rows, []string{
-			m.strategy, m.param, f2(r.HitRatio), f1(r.LookupAppMsgs), f1(r.LookupRoutingMsgs),
-		})
-	}
-	return []Table{{
-		Title:  fmt.Sprintf("Fig. 15 — lookup strategies: hit ratio vs messages, n=%d, RANDOM advertise 2√n", n),
-		Header: []string{"strategy", "param", "hit ratio", "msgs/lookup", "routing/lookup"},
-		Rows:   rows,
-	}}
+	sw.run(p)
+	return []Table{t}
 }
 
 // Fig16 regenerates the summary table: per-mix advertise and lookup costs
@@ -453,15 +363,15 @@ func Fig16(p Profile, seed int64) []Table {
 			c.AdvertiseSize, c.LookupSize = q, q
 		}},
 	}
+	t := Table{
+		Title:  fmt.Sprintf("Fig. 16 — summary of strategy mixes, n=%d, d_avg=10, target intersection 0.9", n),
+		Header: []string{"mix", "net", "adv msgs", "adv routing", "hit lookup msgs", "miss lookup msgs", "lookup routing", "hit ratio"},
+	}
 	// Each (mix, net) cell needs two runs: the main measurement and the
 	// paper's "cost of a lookup miss" variant (same mix, absent keys,
-	// single seed). Both become points of one sweep.
-	type meta struct {
-		name  string
-		label string
-	}
-	var pts []Point
-	var metas []meta
+	// single seed). Both are points of the one sweep; the second renders
+	// the row.
+	var sw points
 	for _, m := range mixes {
 		for _, mobile := range []bool{false, true} {
 			sc := baseScenario(p, n, seed+53)
@@ -477,26 +387,18 @@ func Fig16(p Profile, seed int64) []Table {
 			missSc := sc
 			missSc.LookupAbsentKeys = true
 			missSc.Lookups = p.Lookups / 2
-			metas = append(metas, meta{m.name, label})
-			pts = append(pts, Point{Scenario: sc, Seeds: p.Seeds}, Point{Scenario: missSc, Seeds: 1})
+			var r Result
+			sw.add(sc, p.Seeds, func(main Result) { r = main })
+			sw.add(missSc, 1, func(miss Result) {
+				t.addRow(m.name, label,
+					f1(r.AdvertiseAppMsgs), f1(r.AdvertiseRoutingMsgs),
+					f1(r.LookupAppMsgs), f1(miss.LookupAppMsgs), f1(r.LookupRoutingMsgs),
+					f2(r.HitRatio))
+			})
 		}
 	}
-	results := sweepPoints(p, pts)
-	var rows [][]string
-	for i, m := range metas {
-		r, miss := results[2*i], results[2*i+1]
-		rows = append(rows, []string{
-			m.name, m.label,
-			f1(r.AdvertiseAppMsgs), f1(r.AdvertiseRoutingMsgs),
-			f1(r.LookupAppMsgs), f1(miss.LookupAppMsgs), f1(r.LookupRoutingMsgs),
-			f2(r.HitRatio),
-		})
-	}
-	return []Table{{
-		Title:  fmt.Sprintf("Fig. 16 — summary of strategy mixes, n=%d, d_avg=10, target intersection 0.9", n),
-		Header: []string{"mix", "net", "adv msgs", "adv routing", "hit lookup msgs", "miss lookup msgs", "lookup routing", "hit ratio"},
-		Rows:   rows,
-	}}
+	sw.run(p)
+	return []Table{t}
 }
 
 // TauSweep validates Lemma 5.6 empirically (Section 5.4): for a fixed
@@ -511,12 +413,14 @@ func TauSweep(p Profile, seed int64) []Table {
 	for _, tau := range []float64{2, 10} {
 		ads := 12
 		lookups := int(float64(ads) * tau)
-		type meta struct {
-			ratio  float64
-			qa, ql int
+		t := Table{
+			Title: fmt.Sprintf(
+				"Section 5.4 — total workload cost vs size ratio |Qℓ|/|Qa|, τ=%g", tau),
+			Header: []string{"|Qℓ|/|Qa|", "|Qa|", "|Qℓ|", "total msgs (workload)", "hit ratio"},
 		}
-		var scs []Scenario
-		var metas []meta
+		bestCost, bestRatio := math.Inf(1), 0.0
+		var costA, costL float64
+		var sw points
 		for _, ratio := range []float64{0.25, 0.5, 1, 2, 4, 8, 16} {
 			qa, ql := quorum.SizeForEpsilon(n, eps, ratio)
 			if qa >= n || ql >= n/2 {
@@ -527,50 +431,31 @@ func TauSweep(p Profile, seed int64) []Table {
 			sc.LookupNodes = 8
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
 			sc.Quorum.AdvertiseSize, sc.Quorum.LookupSize = qa, ql
-			metas = append(metas, meta{ratio, qa, ql})
-			scs = append(scs, sc)
-		}
-		results := sweepResults(p, scs)
-
-		var rows [][]string
-		bestCost, bestRatio := math.Inf(1), 0.0
-		var costA, costL float64
-		for i, m := range metas {
-			r := results[i]
-			total := float64(ads)*(r.AdvertiseAppMsgs+r.AdvertiseRoutingMsgs) +
-				float64(lookups)*(r.LookupAppMsgs+r.LookupRoutingMsgs)
-			if total < bestCost {
-				bestCost, bestRatio = total, m.ratio
-			}
-			//pqlint:allow floatequal(ratio is copied verbatim from the sweep's literal table; 1 is exactly representable)
-			if m.ratio == 1 {
-				// Per-node access costs measured at the symmetric point,
-				// feeding Lemma 5.6's prediction.
-				costA = (r.AdvertiseAppMsgs + r.AdvertiseRoutingMsgs) / float64(m.qa)
-				costL = (r.LookupAppMsgs + r.LookupRoutingMsgs) / float64(m.ql)
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%.3f", m.ratio), istr(m.qa), istr(m.ql),
-				f1(total), f2(r.HitRatio),
+			sw.add(sc, p.Seeds, func(r Result) {
+				total := float64(ads)*(r.AdvertiseAppMsgs+r.AdvertiseRoutingMsgs) +
+					float64(lookups)*(r.LookupAppMsgs+r.LookupRoutingMsgs)
+				if total < bestCost {
+					bestCost, bestRatio = total, ratio
+				}
+				//pqlint:allow floatequal(ratio is copied verbatim from the sweep's literal table; 1 is exactly representable)
+				if ratio == 1 {
+					// Per-node access costs measured at the symmetric point,
+					// feeding Lemma 5.6's prediction.
+					costA = (r.AdvertiseAppMsgs + r.AdvertiseRoutingMsgs) / float64(qa)
+					costL = (r.LookupAppMsgs + r.LookupRoutingMsgs) / float64(ql)
+				}
+				t.addRow(fmt.Sprintf("%.3f", ratio), istr(qa), istr(ql), f1(total), f2(r.HitRatio))
 			})
 		}
+		sw.run(p)
 		predicted := math.NaN()
 		if costA > 0 && costL > 0 {
 			predicted = quorum.OptimalSizeRatio(tau, costA, costL)
 		}
-		rows = append(rows, []string{
-			fmt.Sprintf("measured min @ %.3f", bestRatio), "", "", f1(bestCost), "",
-		})
-		rows = append(rows, []string{
-			fmt.Sprintf("Lemma 5.6 predicts @ %.1f", predicted),
-			"", "", fmt.Sprintf("(Cost_a=%.1f, Cost_ℓ=%.1f)", costA, costL), "",
-		})
-		tables = append(tables, Table{
-			Title: fmt.Sprintf(
-				"Section 5.4 — total workload cost vs size ratio |Qℓ|/|Qa|, τ=%g", tau),
-			Header: []string{"|Qℓ|/|Qa|", "|Qa|", "|Qℓ|", "total msgs (workload)", "hit ratio"},
-			Rows:   rows,
-		})
+		t.addRow(fmt.Sprintf("measured min @ %.3f", bestRatio), "", "", f1(bestCost), "")
+		t.addRow(fmt.Sprintf("Lemma 5.6 predicts @ %.1f", predicted),
+			"", "", fmt.Sprintf("(Cost_a=%.1f, Cost_ℓ=%.1f)", costA, costL), "")
+		tables = append(tables, t)
 	}
 	return tables
 }

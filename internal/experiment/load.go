@@ -211,9 +211,9 @@ func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 	}
 	sc.Quorum = mixConfig(lc.N, m.adv, m.lk)
 	sc.fillDefaults()
-	engine, net, _, _, sys := buildStack(sc)
+	st := sc.build()
+	engine, net, sys, suite := st.Engine, st.Net, st.Sys, st.Suite
 	rng := engine.NewStream()
-	suite := check.NewSuite(net, sys)
 
 	engine.Run(sc.WarmupSecs)
 
@@ -271,10 +271,7 @@ func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 	// advertise deadline or the lookup timeout — so three serial waves
 	// cover everything the generator admitted.
 	qc := sys.Config()
-	horizon := qc.AdvertiseTimeoutSecs
-	if qc.LookupTimeout > horizon {
-		horizon = qc.LookupTimeout
-	}
+	horizon := max(qc.AdvertiseTimeoutSecs, qc.LookupHorizon())
 	engine.Run(engine.Now() + lc.DurationSecs + 3*horizon + 10)
 	diff := stats.DiffSince(loadStart)
 

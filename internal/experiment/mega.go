@@ -40,9 +40,6 @@ type MegaConfig struct {
 	// nodes would swamp the PHY with traffic that measures nothing), and
 	// results report under the BenchmarkGigaScenario name.
 	Giga bool
-	// DenseMembership opts out of lazy draw-on-demand membership views,
-	// restoring the previous eager posture (and its refresh allocations).
-	DenseMembership bool
 	// Advertisements / Lookups / LookupNodes size the workload
 	// (defaults 30 / 60 / 12).
 	Advertisements, Lookups, LookupNodes int
@@ -107,17 +104,13 @@ func (mc *MegaConfig) fillDefaults() {
 // MegaResult is one mega run's protocol outcomes plus its process-level
 // cost metrics.
 type MegaResult struct {
-	N, Shards int
-	Giga      bool
-	// Dense records that the run opted out of lazy membership; it suffixes
-	// the bench name so the A/B variants coexist in BENCH.json.
-	Dense      bool
-	Lookups    int
-	Hits       int
-	Intersects int
+	N, Shards  int
+	Giga       bool
 	ChurnFails int
 	ChurnJoins int
-	Report     check.Report
+	// Report is the invariant suite's verdict; its Lookups, Hits and
+	// Intersections are the run's lookup tallies.
+	Report check.Report
 	// Events is how many engine events the run executed.
 	Events uint64
 	// WallSecs is the real elapsed time of the whole run (build through
@@ -133,18 +126,12 @@ type MegaResult struct {
 
 // HitRatio is the measured lookup hit fraction.
 func (r MegaResult) HitRatio() float64 {
-	if r.Lookups == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Lookups)
+	return ratio(r.Report.Hits, r.Report.Lookups)
 }
 
 // IntersectRatio is the measured intersection fraction.
 func (r MegaResult) IntersectRatio() float64 {
-	if r.Lookups == 0 {
-		return 0
-	}
-	return float64(r.Intersects) / float64(r.Lookups)
+	return ratio(r.Report.Intersections, r.Report.Lookups)
 }
 
 // BenchLine renders the run in go-bench format so cmd/benchjson can fold it
@@ -155,12 +142,8 @@ func (r MegaResult) BenchLine() string {
 	if r.Giga {
 		name = "Giga"
 	}
-	variant := ""
-	if r.Dense {
-		variant = "/dense=1"
-	}
-	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
-		name, r.N, r.Shards, variant, procsSuffix(), int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
+	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
+		name, r.N, r.Shards, procsSuffix(), int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
 
 // Table renders the run for pqexp output.
@@ -173,7 +156,7 @@ func (r MegaResult) Table() Table {
 		Title:  fmt.Sprintf("%s — %d-node SINR/DCF scale run (shards=%d)", tier, r.N, r.Shards),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
-			{"lookups", istr(r.Lookups)},
+			{"lookups", istr(r.Report.Lookups)},
 			{"hit ratio", f2(r.HitRatio())},
 			{"intersect ratio", f2(r.IntersectRatio())},
 			{"churn fails/joins", fmt.Sprintf("%d/%d", r.ChurnFails, r.ChurnJoins)},
@@ -199,12 +182,11 @@ func RunMega(mc MegaConfig) MegaResult {
 	sc := Scenario{
 		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
 		Shards: mc.Shards, CellNoise: true, OracleRouting: true,
-		// The scale posture: draw-on-demand membership views (the opt-out
-		// restores the eager ones for A/B runs) and cached route trees with
-		// sharded prefetch. The 100k tier takes its neighbor lists from the
-		// geometric provider (see MegaConfig.Giga), where the oracle router
-		// caches by itself.
-		LazyMembership:  !mc.DenseMembership,
+		// The scale posture: draw-on-demand membership views and cached
+		// route trees with sharded prefetch. The 100k tier takes its
+		// neighbor lists from the geometric provider (see MegaConfig.Giga),
+		// where the oracle router caches by itself.
+		LazyMembership:  true,
 		RouteCache:      true,
 		OracleNeighbors: mc.Giga,
 		// Continuous churn over the lookup phase (sets the join pool).
@@ -216,17 +198,13 @@ func RunMega(mc MegaConfig) MegaResult {
 		WarmupSecs: mc.WarmupSecs,
 	}
 	sc.Quorum = mixConfig(mc.N, quorum.Random, quorum.Random)
-	sc.fillDefaults()
 
-	joiners := sc.joinSlots()
-	total := sc.N + joiners
-	engine, net, _, members, sys := buildStack(sc)
+	st := sc.build()
+	engine, net, suite := st.Engine, st.Net, st.Suite
 	defer engine.StopWorkers()
 	startEvents := engine.Processed()
 
-	inj := faults.New(net)
-	suite := check.NewSuite(net, sys)
-	suite.SetPartitionOracle(inj.Partitioned)
+	inj := st.Faults()
 	rng := engine.NewStream()
 	scheduleRng := engine.NewStream()
 
@@ -256,16 +234,7 @@ func RunMega(mc MegaConfig) MegaResult {
 
 	// Lookup phase with churn and faults live.
 	lookupSpan := float64(mc.Lookups) * 0.5
-	proc := churn.New(net, churn.Config{FailRate: mc.ChurnRate, JoinRate: mc.ChurnRate})
-	fresh := make([]int, 0, joiners)
-	for id := sc.N; id < total; id++ {
-		fresh = append(fresh, id)
-	}
-	proc.SetFreshPool(fresh)
-	proc.OnJoin(func(id int) {
-		sys.ResetNode(id)
-		members.RefreshNode(id)
-	})
+	proc := st.Churn(churn.Config{FailRate: mc.ChurnRate, JoinRate: mc.ChurnRate})
 	inj.Schedule(faults.RandomSchedule(scheduleRng, faults.ScheduleConfig{
 		HorizonSecs: lookupSpan,
 		Episodes:    2,
@@ -275,7 +244,7 @@ func RunMega(mc MegaConfig) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga, Dense: mc.DenseMembership}
+	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga}
 	origins := make([]int, mc.LookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)
@@ -284,18 +253,9 @@ func RunMega(mc MegaConfig) MegaResult {
 		origin := origins[i%len(origins)]
 		key := keys[rng.Intn(len(keys))]
 		engine.Schedule(float64(i)*0.5, func() {
-			if !net.Alive(origin) {
-				return
+			if net.Alive(origin) {
+				suite.Lookup(origin, key, nil)
 			}
-			res.Lookups++
-			suite.Lookup(origin, key, func(lr quorum.LookupResult) {
-				if lr.Hit {
-					res.Hits++
-				}
-				if lr.Intersected {
-					res.Intersects++
-				}
-			})
 		})
 	}
 	engine.Run(engine.Now() + lookupSpan + sc.Quorum.LookupTimeout + 30)

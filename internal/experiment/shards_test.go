@@ -55,8 +55,8 @@ func TestShardsBitIdentical(t *testing.T) {
 // a scheduled SetShards; the run must be unperturbed (pure throughput knob).
 func TestShardsResizeMidRun(t *testing.T) {
 	run := func(resize bool) string {
-		sc := shardsScenario(2)
-		engine, net, _, _, _ := buildStack(sc)
+		st := shardsScenario(2).build()
+		engine, net := st.Engine, st.Net
 		defer engine.StopWorkers()
 		if resize {
 			engine.Schedule(40, func() { engine.SetShards(8) })

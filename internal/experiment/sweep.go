@@ -157,6 +157,7 @@ func mergeRuns(runs []Result) Result {
 		agg.Counters.ReadvertiseRetunes += one.Counters.ReadvertiseRetunes
 		// Leak counts stay sums: any nonzero leak must survive averaging.
 		agg.LeakedOps += one.LeakedOps
+		agg.Violations += one.Violations
 	}
 	f := float64(len(runs))
 	agg.HitRatio /= f
@@ -181,17 +182,12 @@ func mergeRuns(runs []Result) Result {
 	return agg
 }
 
-// sweepResults is the figure generators' entry point: it runs one scenario
-// per element, each averaged over p.Seeds seeds, with the profile's
-// parallelism, and returns results in input order. The background context
-// never cancels, so the error is impossible by construction.
+// sweepResults runs one scenario per element, each averaged over p.Seeds
+// seeds, with the profile's parallelism, and returns results in input order
+// — for tables that read several results side by side (see points for the
+// row-per-point figures). The background context never cancels, so the
+// error is impossible by construction.
 func sweepResults(p Profile, scs []Scenario) []Result {
-	return sweepPoints(p, NewSweep(scs, p.Seeds).Points)
-}
-
-// sweepPoints is sweepResults for figures whose points carry their own
-// per-point seed counts (e.g. Fig16's single-seed miss-cost runs).
-func sweepPoints(p Profile, pts []Point) []Result {
-	res, _ := RunSweep(context.Background(), Sweep{Points: pts}, p.Parallel)
+	res, _ := RunSweep(context.Background(), NewSweep(scs, p.Seeds), p.Parallel)
 	return res
 }

@@ -594,6 +594,19 @@ func (s *System) PendingOps() (lookups, ads int) {
 	return len(s.lookups), len(s.ads)
 }
 
+// LookupHorizon is the longest a lookup can stay unresolved: one timeout,
+// plus a doubling backoff and another timeout per retry. Runners drain past
+// it; LeakedOps counts what is still pending beyond it.
+func (c Config) LookupHorizon() float64 {
+	horizon := c.LookupTimeout
+	backoff := c.RetryBackoffSecs
+	for r := 0; r < c.LookupRetries; r++ {
+		horizon += backoff + c.LookupTimeout
+		backoff *= 2
+	}
+	return horizon
+}
+
 // LeakedOps counts pending ops past the horizon at which their termination
 // path must have settled them: the full retry/backoff ladder plus one
 // timeout for lookups, AdvertiseTimeoutSecs for advertises. Unlike
@@ -604,12 +617,7 @@ func (s *System) PendingOps() (lookups, ads int) {
 // Suite.Final.
 func (s *System) LeakedOps() (lookups, ads int) {
 	now := s.engine.Now()
-	horizon := s.cfg.LookupTimeout
-	backoff := s.cfg.RetryBackoffSecs
-	for r := 0; r < s.cfg.LookupRetries; r++ {
-		horizon += backoff + s.cfg.LookupTimeout
-		backoff *= 2
-	}
+	horizon := s.cfg.LookupHorizon()
 	for _, lk := range s.lookups {
 		if now > lk.issued+horizon {
 			lookups++

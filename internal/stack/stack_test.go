@@ -1,0 +1,125 @@
+package stack
+
+import (
+	"testing"
+
+	"probquorum/internal/churn"
+	"probquorum/internal/netstack"
+	"probquorum/internal/quorum"
+)
+
+func idealSpec(n, joinSlots int) Spec {
+	qc := quorum.DefaultConfig(n)
+	qc.AdvertiseStrategy, qc.LookupStrategy = quorum.Random, quorum.Random
+	return Spec{
+		N: n, JoinSlots: joinSlots, Seed: 7, OracleRouting: true, Quorum: qc,
+		Link: netstack.Config{AvgDegree: 12, Stack: netstack.StackIdeal},
+	}
+}
+
+// TestJoinSlotsStartFailedAndViewless: slots behind the initial population
+// are down and hold no membership view; the area (hence the density of the
+// live network) is that of the initial population alone.
+func TestJoinSlotsStartFailedAndViewless(t *testing.T) {
+	st := Build(idealSpec(40, 10))
+	if st.Net.N() != 50 || st.Net.NumAlive() != 40 {
+		t.Fatalf("N=%d alive=%d, want 50 slots with 40 alive", st.Net.N(), st.Net.NumAlive())
+	}
+	for id := 40; id < 50; id++ {
+		if st.Net.Alive(id) {
+			t.Errorf("join slot %d starts alive", id)
+		}
+		if v := st.Members.View(id); len(v) != 0 {
+			t.Errorf("join slot %d holds a %d-entry view before joining", id, len(v))
+		}
+	}
+	if got, want := st.Net.Config().Side, Build(idealSpec(40, 0)).Net.Config().Side; got != want {
+		t.Errorf("area side %v with join slots, %v without: the slots resized the area", got, want)
+	}
+}
+
+// TestChurnJoinersComeBackClean: a join takes the join slots first, and the
+// joiner — fresh slot or rebooted crash — has an empty store and a fresh
+// view the moment it is up.
+func TestChurnJoinersComeBackClean(t *testing.T) {
+	st := Build(idealSpec(40, 2))
+	st.Engine.Run(5)
+	st.Suite.Advertise(0, "k", "v", nil)
+	st.Engine.Run(st.Engine.Now() + 30)
+
+	var joined []int
+	proc := st.Churn(churn.Config{Schedule: []churn.Event{
+		{At: 1, Op: churn.Fail, Count: 5},
+		{At: 2, Op: churn.Join, Count: 4}, // two fresh slots, then two reboots
+	}})
+	proc.OnJoin(func(id int) {
+		joined = append(joined, id)
+		if n := st.Sys.Store(id).Len(); n != 0 {
+			t.Errorf("joiner %d came up with %d stored entries", id, n)
+		}
+		if len(st.Members.View(id)) == 0 {
+			t.Errorf("joiner %d came up without a membership view", id)
+		}
+	})
+	proc.Start()
+	st.Engine.Run(st.Engine.Now() + 5)
+
+	if len(joined) != 4 || joined[0] != 40 || joined[1] != 41 {
+		t.Fatalf("joined %v, want the fresh slots 40, 41 first and then two reboots", joined)
+	}
+	for _, id := range joined[2:] {
+		if id >= 40 {
+			t.Errorf("third and fourth joins should reboot crashed nodes, got slot %d", id)
+		}
+	}
+	if rep := st.Suite.Final(); !rep.OK() {
+		t.Errorf("violations: %v", rep.Details)
+	}
+}
+
+// TestFaultsArmsPartitionOracle: after Faults the suite knows the injector's
+// partition, so a frame that does cross it is a recorded violation. The
+// netstack's own partition filter is lifted to let such frames through;
+// without Faults the same traffic is clean, because nobody asked.
+func TestFaultsArmsPartitionOracle(t *testing.T) {
+	run := func(armed bool) int {
+		st := Build(idealSpec(30, 0))
+		if armed {
+			inj := st.Faults()
+			half := make([]int, 15)
+			for i := range half {
+				half[i] = i
+			}
+			inj.PartitionSets([][]int{half})
+			st.Net.SetPartitionFunc(nil)
+		}
+		st.Engine.Run(5)
+		st.Suite.Advertise(0, "k", "v", nil)
+		st.Engine.Run(st.Engine.Now() + 30)
+		crossings := 0
+		for _, v := range st.Suite.Final().Details {
+			if v.Invariant == "cross-partition-delivery" {
+				crossings++
+			}
+		}
+		return crossings
+	}
+	if n := run(true); n == 0 {
+		t.Error("frames crossed the injector's partition and the suite recorded no violation")
+	}
+	if n := run(false); n != 0 {
+		t.Errorf("%d cross-partition violations with no injector built", n)
+	}
+}
+
+// TestRouteCacheNeedsOracle: the misconfiguration is refused, not ignored.
+func TestRouteCacheNeedsOracle(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("RouteCache without OracleRouting did not panic")
+		}
+	}()
+	sp := idealSpec(20, 0)
+	sp.OracleRouting, sp.RouteCache = false, true
+	Build(sp)
+}

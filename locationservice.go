@@ -19,5 +19,5 @@ type (
 // ChurnPerSecond to enable automatic re-advertisement at the Section 6.1
 // derived period.
 func (c *Cluster) NewLocationService(cfg LocationServiceConfig) *LocationService {
-	return locservice.New(c.system, c.network, cfg)
+	return locservice.New(c.st.Sys, c.st.Net, cfg)
 }

@@ -27,17 +27,14 @@
 package probquorum
 
 import (
-	"probquorum/internal/aodv"
 	"probquorum/internal/check"
 	"probquorum/internal/churn"
 	"probquorum/internal/experiment"
 	"probquorum/internal/faults"
-	"probquorum/internal/geom"
 	"probquorum/internal/membership"
-	"probquorum/internal/mobility"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
-	"probquorum/internal/sim"
+	"probquorum/internal/stack"
 )
 
 // Re-exported quorum types. See the quorum package docs on each.
@@ -199,17 +196,12 @@ type (
 )
 
 // Cluster is a simulated ad hoc network running the quorum system. It wraps
-// the engine, stack, routing, membership and quorum layers behind a small
-// API; advance simulated time with RunFor.
+// the assembled stack (engine, network, routing, membership, quorum layer,
+// invariant checkers) behind a small API; advance simulated time with RunFor.
 type Cluster struct {
-	engine   *sim.Engine
-	network  *netstack.Network
-	routing  *aodv.Routing
-	members  *membership.Service
-	system   *quorum.System
+	st       *stack.Stack
 	churn    *churn.Process
 	injector *faults.Injector
-	checks   *check.Suite
 	adapter  *quorum.Controller
 }
 
@@ -225,56 +217,34 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Stack == 0 {
 		cfg.Stack = StackIdeal
 	}
-	if cfg.AvgDegree == 0 {
-		cfg.AvgDegree = 10
-	}
 	if cfg.Quorum.AdvertiseStrategy == 0 && cfg.Quorum.LookupStrategy == 0 {
 		cfg.Quorum = quorum.DefaultConfig(cfg.Nodes)
 	}
-	engine := sim.NewEngine(cfg.Seed)
-	side := geom.AreaSide(cfg.Nodes, 200, cfg.AvgDegree)
-	ncfg := netstack.Config{
-		N: cfg.Nodes, AvgDegree: cfg.AvgDegree, Stack: cfg.Stack, Side: side,
-		RxLossProb: cfg.RxLossProb,
-	}
-	if cfg.MaxSpeed > 0 {
-		ncfg.Mobility = mobility.NewWaypoint(engine.NewStream(), cfg.Nodes, mobility.WaypointConfig{
-			MinSpeed: 0.5, MaxSpeed: cfg.MaxSpeed, Pause: 30, Side: side,
-		}, nil)
-	}
-	network := netstack.New(engine, ncfg)
-	routing := aodv.New(network, aodv.Config{})
-	mcfg := membership.Config{}
-	if cfg.Adaptive {
-		mcfg.Estimation = membership.EstimationConfig{Enable: true, ProbeSecs: 10}
-	}
-	members := membership.New(network, mcfg)
-	system := quorum.New(network, routing, members, cfg.Quorum)
-	injector := faults.New(network)
-	checks := check.NewSuite(network, system)
-	checks.SetPartitionOracle(injector.Partitioned)
-	c := &Cluster{
-		engine: engine, network: network, routing: routing,
-		members: members, system: system,
-		injector: injector, checks: checks,
+	sp := stack.Spec{
+		N: cfg.Nodes, Seed: cfg.Seed, Quorum: cfg.Quorum,
+		Link: netstack.Config{
+			AvgDegree: cfg.AvgDegree, Stack: cfg.Stack, RxLossProb: cfg.RxLossProb,
+		},
+		SpeedMin: 0.5, SpeedMax: cfg.MaxSpeed, PauseSecs: 30,
 	}
 	if cfg.Adaptive {
-		c.adapter = quorum.NewController(system, members, cfg.AdaptTuning)
-		checks.WatchController(c.adapter)
+		sp.Members.Estimation = membership.EstimationConfig{Enable: true, ProbeSecs: 10}
+	}
+	st := stack.Build(sp)
+	c := &Cluster{st: st, injector: st.Faults()}
+	if cfg.Adaptive {
+		c.adapter = quorum.NewController(st.Sys, st.Members, cfg.AdaptTuning)
+		st.Suite.WatchController(c.adapter)
 	}
 	c.RunFor(25) // neighbor discovery warm-up
 	if len(cfg.Faults) > 0 {
 		// Episode starts are relative to the cluster being ready.
-		injector.Schedule(cfg.Faults)
+		c.injector.Schedule(cfg.Faults)
 	}
 	if cfg.ChurnFailRate > 0 || cfg.ChurnJoinRate > 0 {
-		c.churn = churn.New(network, churn.Config{
+		// No join slots: every join reboots a crashed node.
+		c.churn = st.Churn(churn.Config{
 			FailRate: cfg.ChurnFailRate, JoinRate: cfg.ChurnJoinRate,
-		})
-		c.churn.OnJoin(func(id int) {
-			// Rebooted nodes carry no quorum state and bootstrap a view.
-			system.ResetNode(id)
-			members.RefreshNode(id)
 		})
 		if c.adapter != nil {
 			// Crash events feed the controller's churn-rate meter.
@@ -286,26 +256,26 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 }
 
 // RunFor advances simulated time by d seconds.
-func (c *Cluster) RunFor(d float64) { c.engine.Run(c.engine.Now() + d) }
+func (c *Cluster) RunFor(d float64) { c.st.Engine.Run(c.st.Engine.Now() + d) }
 
 // Now returns the current simulated time in seconds.
-func (c *Cluster) Now() float64 { return c.engine.Now() }
+func (c *Cluster) Now() float64 { return c.st.Engine.Now() }
 
 // N returns the node count.
-func (c *Cluster) N() int { return c.network.N() }
+func (c *Cluster) N() int { return c.st.Net.N() }
 
 // Advertise publishes key→value from node origin to an advertise quorum.
 // Advance time with RunFor for the operation to complete. The operation is
 // routed through the invariant checkers; see CheckReport.
 func (c *Cluster) Advertise(origin int, key, value string, done func(AdvertiseResult)) OpRef {
-	return c.checks.Advertise(origin, key, value, done)
+	return c.st.Suite.Advertise(origin, key, value, done)
 }
 
 // Lookup searches for key from node origin. done fires with the result
 // (possibly a timeout miss) as simulated time advances. The operation is
 // routed through the invariant checkers; see CheckReport.
 func (c *Cluster) Lookup(origin int, key string, done func(LookupResult)) OpRef {
-	return c.checks.Lookup(origin, key, done)
+	return c.st.Suite.Lookup(origin, key, done)
 }
 
 // LookupWait is a convenience that issues a lookup and advances time until
@@ -354,51 +324,51 @@ func (c *Cluster) Heal() { c.injector.Heal() }
 // Operations still in flight count as both Outstanding and an
 // "op-never-resolved" violation, so for the authoritative verdict drain
 // them first by advancing time with RunFor past the lookup timeout.
-func (c *Cluster) CheckReport() CheckReport { return c.checks.Final() }
+func (c *Cluster) CheckReport() CheckReport { return c.st.Suite.Final() }
 
 // Fail crashes a node (it stops sending, receiving and interfering).
-func (c *Cluster) Fail(id int) { c.network.Fail(id) }
+func (c *Cluster) Fail(id int) { c.st.Net.Fail(id) }
 
 // Revive rejoins a failed node.
-func (c *Cluster) Revive(id int) { c.network.Revive(id) }
+func (c *Cluster) Revive(id int) { c.st.Net.Revive(id) }
 
 // NumAlive returns the number of live nodes.
-func (c *Cluster) NumAlive() int { return c.network.NumAlive() }
+func (c *Cluster) NumAlive() int { return c.st.Net.NumAlive() }
 
 // Alive reports whether node id is currently up.
-func (c *Cluster) Alive(id int) bool { return c.network.Alive(id) }
+func (c *Cluster) Alive(id int) bool { return c.st.Net.Alive(id) }
 
 // Store returns node id's local dictionary slice.
-func (c *Cluster) Store(id int) *Store { return c.system.Store(id) }
+func (c *Cluster) Store(id int) *Store { return c.st.Sys.Store(id) }
 
 // Counters returns protocol diagnostics.
-func (c *Cluster) Counters() Counters { return c.system.Counters() }
+func (c *Cluster) Counters() Counters { return c.st.Sys.Counters() }
 
 // Messages returns the cumulative application-message count (network-layer
 // transmissions of quorum traffic).
 func (c *Cluster) Messages() int64 {
-	return c.network.Stats().Get(netstack.CtrAppMsgs)
+	return c.st.Net.Stats().Get(netstack.CtrAppMsgs)
 }
 
 // RoutingMessages returns the cumulative AODV control-message count.
 func (c *Cluster) RoutingMessages() int64 {
-	return c.network.Stats().Get(netstack.CtrRoutingMsgs)
+	return c.st.Net.Stats().Get(netstack.CtrRoutingMsgs)
 }
 
 // SetLookupSize adjusts |Qℓ| at runtime (Section 6.1 adaptation).
-func (c *Cluster) SetLookupSize(k int) { c.system.SetLookupSize(k) }
+func (c *Cluster) SetLookupSize(k int) { c.st.Sys.SetLookupSize(k) }
 
 // Resize adjusts both quorum sizes at runtime. In-flight operations keep
 // the sizes they were drawn with; retries re-draw at the new sizes.
 func (c *Cluster) Resize(advertiseSize, lookupSize int) {
-	c.system.Resize(advertiseSize, lookupSize)
+	c.st.Sys.Resize(advertiseSize, lookupSize)
 }
 
 // SizeEstimate returns the membership layer's pooled network-size estimate
 // (zero-valued with OK=false unless ClusterConfig.Adaptive is set and
 // enough walk evidence has accumulated).
 func (c *Cluster) SizeEstimate() SizeEstimate {
-	return c.members.AggregateEstimate()
+	return c.st.Members.AggregateEstimate()
 }
 
 // AdaptStatus snapshots the adaptation controller (zero-valued when

@@ -25,5 +25,5 @@ var RegisterMerge = register.Merge
 // Config.Merge = RegisterMerge. writeBack enables read-repair (each read
 // re-advertises the value it returns).
 func (c *Cluster) NewRegister(key string, writeBack bool) *Register {
-	return register.New(c.system, key, register.Config{WriteBack: writeBack})
+	return register.New(c.st.Sys, key, register.Config{WriteBack: writeBack})
 }
