@@ -327,3 +327,19 @@ func TestRunArmsTheInvariantSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomQuorumAboveDefaultViewIsNotClamped: membership.Pick returns at
+// most the view, so with the view fixed at ⌈2√n⌉ = 20 a RANDOM advertise
+// quorum of 30 at n=100 used to place at most 20 replicas — silently. The
+// stack assembler sizes the view for the configured RANDOM quorum.
+func TestRandomQuorumAboveDefaultViewIsNotClamped(t *testing.T) {
+	sc := Scenario{
+		N: 100, Stack: netstack.StackIdeal, Seed: 1,
+		Advertisements: 10, Lookups: 1, LookupNodes: 1,
+		Quorum: mixConfig(100, quorum.Random, quorum.UniquePath),
+	}
+	sc.Quorum.AdvertiseSize = 30
+	if r := Run(sc); r.AvgPlaced <= 20 {
+		t.Errorf("|Qa|=30 at n=100 placed %.1f replicas on average: clamped to the 2√n=20 view", r.AvgPlaced)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"probquorum/internal/analysis"
+	"probquorum/internal/membership"
 	"probquorum/internal/quorum"
 )
 
@@ -77,7 +78,9 @@ func Fig8(p Profile, seed int64) []Table {
 			sc := baseScenario(p, n, seed)
 			sc.Lookups, sc.LookupNodes = 1, 1 // advertise-phase study
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.Random)
-			sc.Quorum.AdvertiseSize = qa
+			// The paper's plateau past 2√n exists because "membership holds
+			// only 2√n ids" (§8.1); the stack would otherwise grow the view.
+			sc.Quorum.AdvertiseSize = min(qa, membership.DefaultViewSize(n))
 			sw.add(sc, p.Seeds, func(r Result) {
 				cost.addRow(istr(n), fmt.Sprintf("%.1f√n=%d", f, qa),
 					f1(r.AdvertiseAppMsgs), f1(r.AdvertiseRoutingMsgs),

@@ -38,7 +38,8 @@ type Spec struct {
 	// RouteCache additionally gives the oracle route trees on a heartbeat
 	// stack (on exact static stacks aodv.NewOracle installs them itself).
 	OracleRouting, RouteCache bool
-	// Members configures the membership service; Build owns ViewSize.
+	// Members configures the membership service; Build owns ViewSize: the
+	// paper's ⌈2√N⌉, or a RANDOM strategy's quorum size where that is larger.
 	Members membership.Config
 	// Quorum is the strategy mix, sizing and techniques.
 	Quorum quorum.Config
@@ -99,8 +100,16 @@ func Build(sp Spec) *Stack {
 		router = aodv.New(net, acfg)
 	}
 
+	// membership.Pick returns at most the view, so a RANDOM quorum larger
+	// than the paper's 2√n view would be truncated to it without a word.
 	mcfg := sp.Members
 	mcfg.ViewSize = membership.DefaultViewSize(sp.N)
+	if sp.Quorum.AdvertiseStrategy == quorum.Random {
+		mcfg.ViewSize = max(mcfg.ViewSize, sp.Quorum.AdvertiseSize)
+	}
+	if sp.Quorum.LookupStrategy == quorum.Random {
+		mcfg.ViewSize = max(mcfg.ViewSize, sp.Quorum.LookupSize)
+	}
 	members := membership.New(net, mcfg)
 	sys := quorum.New(net, router, members, sp.Quorum)
 	for id := sp.N; id < total; id++ {

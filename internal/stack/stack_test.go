@@ -123,3 +123,26 @@ func TestRouteCacheNeedsOracle(t *testing.T) {
 	sp.OracleRouting, sp.RouteCache = false, true
 	Build(sp)
 }
+
+// TestViewCoversRandomQuorums: the membership view is the paper's ⌈2√N⌉
+// unless a RANDOM strategy is configured with a larger quorum, which Pick
+// could otherwise only truncate; sizes of walk strategies do not matter.
+func TestViewCoversRandomQuorums(t *testing.T) {
+	for _, c := range []struct {
+		adv, lk      quorum.Strategy
+		qa, ql, want int
+	}{
+		{quorum.Random, quorum.UniquePath, 20, 12, 20},
+		{quorum.Random, quorum.UniquePath, 30, 60, 30},
+		{quorum.UniquePath, quorum.Random, 60, 35, 35},
+		{quorum.Random, quorum.Random, 25, 40, 40},
+		{quorum.UniquePath, quorum.UniquePath, 60, 60, 20},
+	} {
+		sp := idealSpec(100, 0)
+		sp.Quorum.AdvertiseStrategy, sp.Quorum.LookupStrategy = c.adv, c.lk
+		sp.Quorum.AdvertiseSize, sp.Quorum.LookupSize = c.qa, c.ql
+		if got := len(Build(sp).Members.View(0)); got != c.want {
+			t.Errorf("%v %d × %v %d: view holds %d ids, want %d", c.adv, c.qa, c.lk, c.ql, got, c.want)
+		}
+	}
+}

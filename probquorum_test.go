@@ -140,6 +140,17 @@ func TestClusterCustomMix(t *testing.T) {
 	}
 }
 
+// TestClusterLargeRandomQuorumIsNotClamped: a configured RANDOM |Qa| above
+// the default ⌈2√n⌉ = 20 membership view is honoured, not truncated to it.
+func TestClusterLargeRandomQuorumIsNotClamped(t *testing.T) {
+	cfg := DefaultQuorumConfig(100)
+	cfg.AdvertiseSize = 30
+	c := NewCluster(ClusterConfig{Nodes: 100, Seed: 1, Quorum: cfg})
+	if res := c.AdvertiseWait(0, "k", "v"); res.Placed <= 20 {
+		t.Errorf("|Qa|=30 at n=100 placed %d replicas: clamped to the 2√n=20 view", res.Placed)
+	}
+}
+
 func TestClusterSetLookupSize(t *testing.T) {
 	c := NewCluster(ClusterConfig{Nodes: 60, Seed: 7})
 	c.SetLookupSize(5) // must not panic; behaviour covered in internal tests
