@@ -80,21 +80,24 @@ func (o options) horizon(short float64) float64 {
 	return 1
 }
 
-// figure is one runnable name. run returns the tables to print and, for the
-// tiers, the go-bench metric lines that follow them.
+// runFunc runs a figure: the tables to print and, for the tiers, the
+// go-bench metric lines that follow them.
+type runFunc func(o options) (tables []experiment.Table, bench []string, err error)
+
+// figure is one runnable name.
 type figure struct {
 	name, alias string
 	inAll       bool
-	run         func(o options) (tables []experiment.Table, bench []string, err error)
+	run         runFunc
 }
 
 // sweep adapts a profile-driven figure generator.
-func sweep(gen func(experiment.Profile, int64) []experiment.Table) func(options) ([]experiment.Table, []string, error) {
+func sweep(gen func(experiment.Profile, int64) []experiment.Table) runFunc {
 	return func(o options) ([]experiment.Table, []string, error) { return gen(o.profile, o.seed), nil, nil }
 }
 
 // analytic adapts a closed-form figure.
-func analytic(gen func() []experiment.Table) func(options) ([]experiment.Table, []string, error) {
+func analytic(gen func() []experiment.Table) runFunc {
 	return func(options) ([]experiment.Table, []string, error) { return gen(), nil, nil }
 }
 
@@ -320,7 +323,7 @@ func runAdapt(o options) ([]experiment.Table, []string, error) {
 // mega executes the scale scenario at the 10k or the 100k (giga) tier: the
 // human table and the go-bench metrics line (what `make mega-smoke` pipes
 // into cmd/benchjson -merge).
-func mega(giga bool) func(options) ([]experiment.Table, []string, error) {
+func mega(giga bool) runFunc {
 	return func(o options) ([]experiment.Table, []string, error) {
 		res := experiment.RunMega(experiment.MegaConfig{
 			Giga: giga, N: o.n, Seed: o.seed, Shards: o.profile.Shards, Horizon: o.horizon(0.15),

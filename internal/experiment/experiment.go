@@ -426,7 +426,8 @@ func run(sc Scenario) (Result, check.Report) {
 			})
 		})
 	}
-	// Drain long enough for the last lookup to exhaust its retry ladder.
+	// Drain long enough for the last lookup to exhaust its retry ladder
+	// (horizon and margin are one addend, as the recorded runs summed them).
 	engine.Run(engine.Now() + sc.lookupSpanSecs() + (sys.Config().LookupHorizon() + 30))
 	lkDiff := net.Stats().DiffSince(lkStart)
 
