@@ -19,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint bench bench-sweep bench-digest bench-digests quick quick-check chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,18 @@ check: build lint chaos shards quick-check load-smoke adapt-smoke
 # and the pipeline (hence the target) fails with the findings echoed.
 lint:
 	$(GO) run ./cmd/pqlint -bench ./... | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+
+# loc prints the size every design PR quotes: non-test Go lines outside
+# testdata, per package directory and in total. bench/ (the repository's
+# benchmark, frozen between benchmark PRs) gets its own line and stays out of
+# the total.
+LOC_FIND = -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*'
+
+loc:
+	@for d in $$(find . $(LOC_FIND) -not -path './bench/*' -exec dirname {} \; | sort -u) bench; do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 $(LOC_FIND) -exec cat {} + | wc -l) $${d#./}; \
+	done
+	@printf '%7d total (without bench)\n' $$(find . $(LOC_FIND) -not -path './bench/*' -exec cat {} + | wc -l)
 
 # chaos runs the fault-injection acceptance sweep: ≥50 randomized fault
 # schedules with the invariant checkers armed (skipped under -short, so it

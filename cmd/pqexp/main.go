@@ -196,16 +196,11 @@ func run(args []string) error {
 	if *full {
 		p = experiment.Full()
 	}
-	switch strings.ToLower(*stack) {
-	case "":
-	case "sinr":
-		p.Stack = netstack.StackSINR
-	case "disk":
-		p.Stack = netstack.StackDisk
-	case "ideal":
-		p.Stack = netstack.StackIdeal
-	default:
-		return fmt.Errorf("unknown stack %q", *stack)
+	if *stack != "" {
+		var err error
+		if p.Stack, err = netstack.ParseStack(*stack); err != nil {
+			return err
+		}
 	}
 	if *seeds > 0 {
 		p.Seeds = *seeds

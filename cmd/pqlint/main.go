@@ -18,7 +18,7 @@
 //
 // Benign violations are silenced in place with
 // //pqlint:allow analyzer(reason); see DESIGN.md §8 for each rule, the
-// directive grammar, and the parallelpure/parshared/noalloc annotation
+// directive grammar, and the parshared/noalloc annotation
 // contracts.
 package main
 

@@ -71,22 +71,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	kind, err := netstack.ParseStack(*stack)
+	if err != nil {
+		return err
+	}
 
 	sc := experiment.Scenario{
-		N: *n, AvgDegree: *density, Seed: *seed,
+		N: *n, AvgDegree: *density, Seed: *seed, Stack: kind,
 		Advertisements: *ads, Lookups: *lookups,
 		FailFraction: *churn, JoinFraction: *churn,
 		OracleRouting: *oracle,
-	}
-	switch strings.ToLower(*stack) {
-	case "sinr":
-		sc.Stack = netstack.StackSINR
-	case "disk":
-		sc.Stack = netstack.StackDisk
-	case "ideal":
-		sc.Stack = netstack.StackIdeal
-	default:
-		return fmt.Errorf("unknown stack %q", *stack)
 	}
 	if *speed > 0 {
 		sc.SpeedMin, sc.SpeedMax = 0.5, *speed

@@ -100,8 +100,9 @@ type Scenario struct {
 	// target quorum is paid, with no early-halting savings.
 	LookupAbsentKeys bool
 	// CellNoise selects the SINR stack's cell-aggregated far-field
-	// interference model (netstack.Config.CellNoise) — the approximate
-	// scale-out mode used by the mega scenario.
+	// interference model (netstack.Config.CellNoise; SINR only, ignored
+	// by the disk and ideal stacks) — the approximate scale-out mode used
+	// by the mega scenario.
 	CellNoise bool
 	// Shards sets the engine's sharded-phase width (sim.SetShards): the
 	// route cache's prefetch phase fans out across this many goroutines.

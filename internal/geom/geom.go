@@ -25,10 +25,7 @@ func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 // Norm returns the Euclidean length of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
-// Dist returns the Euclidean distance between two points in the plane. Pure,
-// and kept so by parsafe: a sharded phase may call it.
-//
-//pqlint:parallelpure
+// Dist returns the Euclidean distance between two points in the plane.
 func Dist(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
 
 // Dist2 returns the squared Euclidean distance; cheaper when only

@@ -10,11 +10,6 @@ import (
 // Where an allow directive silences one finding, an annotation *adds* an
 // obligation that the whole-program analyzers enforce along the call graph:
 //
-//	pqlint:parallelpure        — the annotated function is part of the
-//	                             parallel-phase frontier: it and everything
-//	                             reachable from it must stay parallel-pure
-//	                             (parsafe checks it even if no ShardedEval
-//	                             call site currently reaches it).
 //	pqlint:parshared(reason)   — on a function declaration: the function is
 //	                             a declared shared-state boundary and the
 //	                             parsafe walk stops there (the reason must
@@ -31,17 +26,16 @@ import (
 //	                             escaping slices, closure and bound-method
 //	                             allocations, and interface boxing.
 //
-// parallelpure and noalloc take no payload and must sit on a function
-// declaration (its doc comment, the func line, or the line above).
+// noalloc takes no payload and must sit on a function declaration (its doc
+// comment, the func line, or the line above).
 // Malformed payloads, unknown verbs, and unattached function-scope
 // annotations are diagnostics under the reserved analyzer name "pqlint"
 // and cannot be suppressed.
 const annoPrefix = "//pqlint:"
 
 const (
-	annoParallelPure = "parallelpure"
-	annoParShared    = "parshared"
-	annoNoAlloc      = "noalloc"
+	annoParShared = "parshared"
+	annoNoAlloc   = "noalloc"
 )
 
 // annotation is one parsed, well-formed annotation comment.
@@ -101,7 +95,7 @@ func (t *annotationTable) collectFile(fset *token.FileSet, file *SourceFile) []F
 			}
 			a := &annotation{verb: verb, line: fset.Position(c.Pos()).Line, pos: c.Pos()}
 			switch verb {
-			case annoParallelPure, annoNoAlloc:
+			case annoNoAlloc:
 				if hasPayload {
 					report(c.Pos(), "annotation "+quote(verb)+" takes no payload")
 					continue
@@ -117,7 +111,7 @@ func (t *annotationTable) collectFile(fset *token.FileSet, file *SourceFile) []F
 					continue
 				}
 			default:
-				report(c.Pos(), "unknown pqlint annotation "+quote(verb)+" (want allow, parallelpure, parshared, or noalloc)")
+				report(c.Pos(), "unknown pqlint annotation "+quote(verb)+" (want allow, parshared, or noalloc)")
 				continue
 			}
 			fa.byLine[a.line] = append(fa.byLine[a.line], a)
@@ -133,15 +127,14 @@ func (t *annotationTable) collectFile(fset *token.FileSet, file *SourceFile) []F
 // declAnnotations is the set of function-scope annotations on one
 // declaration.
 type declAnnotations struct {
-	parallelPure bool
-	noAlloc      bool
-	parShared    string // reason, "" when absent
+	noAlloc   bool
+	parShared string // reason, "" when absent
 }
 
 // attach claims function-scope annotations for every function declaration
-// in pkgs and returns findings for parallelpure/noalloc annotations left
-// floating (a parshared annotation that attaches to no declaration stays a
-// valid line-scope write marker). An annotation attaches to a declaration
+// in pkgs and returns findings for noalloc annotations left floating (a
+// parshared annotation that attaches to no declaration stays a valid
+// line-scope write marker). An annotation attaches to a declaration
 // when it sits in the doc comment group, on the func line itself, or on
 // the line directly above.
 func (t *annotationTable) attach(pkgs []*Package) (map[*ast.FuncDecl]declAnnotations, []Finding) {
@@ -169,8 +162,6 @@ func (t *annotationTable) attach(pkgs []*Package) (map[*ast.FuncDecl]declAnnotat
 					for _, a := range fa.byLine[l] {
 						a.attached = true
 						switch a.verb {
-						case annoParallelPure:
-							da.parallelPure = true
 						case annoNoAlloc:
 							da.noAlloc = true
 						case annoParShared:

@@ -43,9 +43,8 @@ type FuncNode struct {
 	Edges []Edge
 
 	// Function-scope annotation contracts (see annotations.go).
-	ParallelPure bool
-	NoAlloc      bool
-	ParShared    string // reason; "" when not a declared shared boundary
+	NoAlloc   bool
+	ParShared string // reason; "" when not a declared shared boundary
 }
 
 // Pos returns the node's declaration position.
@@ -164,7 +163,6 @@ func (g *CallGraph) collectNodes(pkg *Package, file *SourceFile, decls map[*ast.
 				}
 			}
 			da := decls[fn]
-			node.ParallelPure = da.parallelPure
 			node.NoAlloc = da.noAlloc
 			node.ParShared = da.parShared
 			g.Nodes = append(g.Nodes, node)

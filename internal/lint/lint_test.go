@@ -183,13 +183,13 @@ func TestAnnotationErrors(t *testing.T) {
 			t.Errorf("unexpected non-pqlint finding: %s", f)
 		}
 	}
-	if len(pq) != 5 {
-		t.Fatalf("want 5 annotation diagnostics, got %d: %v", len(pq), pq)
+	if len(pq) != 4 {
+		t.Fatalf("want 4 annotation diagnostics, got %d: %v", len(pq), pq)
 	}
 	wants := []string{
 		"needs a (reason) payload",
 		"takes no payload",
-		"unknown pqlint annotation",
+		"unknown pqlint annotation \"frobnicate\" (want allow, parshared, or noalloc)",
 		"not attached to a function declaration",
 	}
 	for _, want := range wants {

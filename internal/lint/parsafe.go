@@ -29,9 +29,6 @@ import (
 //
 // and a function that is itself a deliberate shared-state boundary carries
 // a function-scope pqlint:parshared(reason), which stops the walk there.
-// Functions annotated pqlint:parallelpure are checked as roots even when no
-// ShardedEval call site currently reaches them, so leaf helpers keep their
-// contract as call sites come and go.
 //
 // Roots are found by call-site shape — a method call named ShardedEval
 // taking (int-like, func(int, int)) — so the analyzer needs no dependency on
@@ -49,9 +46,6 @@ func runParSafe(p *ProgramPass) {
 	g := p.Graph
 	var roots []*FuncNode
 	for _, n := range g.Nodes {
-		if n.ParallelPure {
-			roots = append(roots, n)
-		}
 		body := n.Body()
 		if body == nil || n.Pkg.Info == nil {
 			continue

@@ -7,9 +7,6 @@ package fixture
 //pqlint:parshared
 func badBarePayload() {}
 
-//pqlint:parallelpure(payload)
-func badPureWithPayload() {}
-
 //pqlint:noalloc(payload)
 func badNoAllocWithPayload() {}
 

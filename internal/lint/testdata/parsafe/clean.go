@@ -8,9 +8,8 @@ type cleanMachine struct {
 }
 
 // run keeps a sharded phase legal: a declared per-shard scratch write, a
-// declared per-item result slot, an annotation-checked helper on the path,
-// and an effect deferred through Stage (the annotated boundary the walk
-// stops at).
+// declared per-item result slot, a pure helper on the path, and an effect
+// deferred through Stage (the annotated boundary the walk stops at).
 func (m *cleanMachine) run() {
 	m.eng.ShardedEval(len(m.in), func(shard, i int) {
 		m.scratch[shard] = append(m.scratch[shard], i) //pqlint:parshared(per-shard scratch: one goroutine owns a shard index per phase)
@@ -19,10 +18,8 @@ func (m *cleanMachine) run() {
 	})
 }
 
-// scale is a pure helper on the parallel path; the annotation keeps it a
-// checked root even when no ShardedEval call site reaches it.
-//
-//pqlint:parallelpure
+// scale is a pure helper on the parallel path, checked because the callback
+// above reaches it.
 func scale(x float64) float64 {
 	y := x * 2
 	return y

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"probquorum/internal/geom"
@@ -386,5 +387,32 @@ func TestIdealHopDelay(t *testing.T) {
 	}
 	if when < 0.5 {
 		t.Fatalf("delivery at %v, want >= configured 0.5s hop delay", when)
+	}
+}
+
+// TestParseStack: every kind round-trips through its name in any case, and
+// an unknown name is an error that lists the valid ones.
+func TestParseStack(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want StackKind
+	}{
+		{"sinr", StackSINR}, {"disk", StackDisk}, {"ideal", StackIdeal},
+		{"SINR", StackSINR}, {"Disk", StackDisk},
+		{"", 0}, {"sinr ", 0}, {"unitdisk", 0}, {"StackKind(0)", 0},
+	} {
+		got, err := ParseStack(tc.in)
+		if got != tc.want || (err == nil) != (tc.want != 0) {
+			t.Errorf("ParseStack(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if err != nil && !strings.Contains(err.Error(), "sinr, disk or ideal") {
+			t.Errorf("ParseStack(%q) error %q does not list the valid names", tc.in, err)
+		}
+		if err == nil && got.String() != strings.ToLower(tc.in) {
+			t.Errorf("%v.String() = %q, want %q", tc.want, got.String(), strings.ToLower(tc.in))
+		}
+	}
+	if s := StackKind(9).String(); s != "StackKind(9)" {
+		t.Errorf("out-of-range kind prints %q", s)
 	}
 }

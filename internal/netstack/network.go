@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"probquorum/internal/geom"
 	"probquorum/internal/mac"
@@ -26,6 +27,30 @@ const (
 	// fast sweeps.
 	StackIdeal
 )
+
+// String returns the kind's command-line name.
+func (k StackKind) String() string {
+	switch k {
+	case StackSINR:
+		return "sinr"
+	case StackDisk:
+		return "disk"
+	case StackIdeal:
+		return "ideal"
+	}
+	return fmt.Sprintf("StackKind(%d)", int(k))
+}
+
+// ParseStack is the inverse of String, case-insensitive: the one reading of
+// a -stack flag.
+func ParseStack(name string) (StackKind, error) {
+	for k := StackSINR; k <= StackIdeal; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown stack %q (want %v, %v or %v)", name, StackSINR, StackDisk, StackIdeal)
+}
 
 // NeighborMode selects how nodes learn their one-hop neighborhood.
 type NeighborMode int
@@ -81,11 +106,9 @@ type Config struct {
 	// (models queueing/channel access without contention).
 	IdealHopDelay float64
 	// CellNoise selects the cell-aggregated far-field interference model
-	// — the approximate scale-out mode for very large n — on the SINR
-	// stack (see phy.SINRConfig.CellNoise) and the disk stack (see
-	// phy.DiskConfig.CellNoise; effective there only when a carrier-sense
-	// range inside the interference range is configured). Ignored by the
-	// ideal stack, which has no interference.
+	// — the approximate scale-out mode for very large n (see
+	// phy.SINRConfig.CellNoise). SINR stack only; ignored by the disk and
+	// ideal stacks.
 	CellNoise bool
 }
 
@@ -235,24 +258,10 @@ func New(engine *sim.Engine, cfg Config) *Network {
 			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, cfg.MAC, i, m, engine.NewStream()))
 		}
 	case StackDisk:
-		dc := phy.DiskConfig{
+		m := phy.NewDiskMedium(engine, phy.DiskConfig{
 			N: cfg.N, Side: cfg.Side, Pos: pos,
 			MaxSpeed: net.mob.MaxSpeed(), Range: cfg.Range,
-		}
-		if cfg.CellNoise {
-			// Scale-out mode: exact arrivals only within the reception
-			// range; the (r, (1+Δ)·r] guard annulus is aggregated at cell
-			// granularity. Carrier sense contracts with the near field —
-			// like the SINR stack's mode, the far field gates locking and
-			// delivery, never Busy (DCF resumes from defer on channel-
-			// state edges, which only local arrivals generate).
-			dc.CellNoise = true
-			dc.CarrierSenseRange = dc.Range
-			if dc.CarrierSenseRange == 0 {
-				dc.CarrierSenseRange = 200 // the medium's Range default
-			}
-		}
-		m := phy.NewDiskMedium(engine, dc)
+		})
 		net.medium = m
 		for i := 0; i < cfg.N; i++ {
 			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, cfg.MAC, i, m, engine.NewStream()))

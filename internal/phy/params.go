@@ -191,10 +191,7 @@ func (p Params) Derived() Derived {
 // ReceivedPowerMw returns the received power in milliwatts at distance dist
 // meters — the same model as Params.ReceivedPowerMw, with the constant
 // subexpressions precomputed and every remaining operation performed in the
-// original order so results are bit-identical. Side-effect free, and kept
-// so by parsafe: a sharded phase may call it.
-//
-//pqlint:parallelpure
+// original order so results are bit-identical.
 func (d *Derived) ReceivedPowerMw(dist float64) float64 {
 	if dist < 1e-9 {
 		return d.TxPowerMw

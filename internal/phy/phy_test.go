@@ -67,31 +67,6 @@ func TestFrameAirTime(t *testing.T) {
 	}
 }
 
-// collector records frames and channel transitions.
-type collector struct {
-	frames []*Frame
-	busy   []bool
-}
-
-func (c *collector) ChannelStateChanged(b bool) { c.busy = append(c.busy, b) }
-func (c *collector) FrameReceived(f *Frame)     { c.frames = append(c.frames, f) }
-
-func staticPos(pts []geom.Point) PositionFunc {
-	return func(id int) geom.Point { return pts[id] }
-}
-
-func newTestSINR(e *sim.Engine, pts []geom.Point) (*SINRMedium, []*collector) {
-	m := NewSINRMedium(e, SINRConfig{
-		N: len(pts), Side: 5000, Pos: staticPos(pts), MaxSpeed: 0,
-	})
-	cs := make([]*collector, len(pts))
-	for i := range pts {
-		cs[i] = &collector{}
-		m.Channel(i).SetHandler(cs[i])
-	}
-	return m, cs
-}
-
 func TestSINRDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 1000, Y: 0}}
@@ -141,81 +116,6 @@ func TestSINRCapture(t *testing.T) {
 	}
 }
 
-func TestSINRHalfDuplex(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}}
-	m, cs := newTestSINR(e, pts)
-	fa := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	fb := &Frame{Src: 1, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	// Node 1 starts transmitting first; node 0's frame arrives during
-	// node 1's transmission and must not be received by node 1.
-	e.Schedule(0, func() { m.Channel(1).Transmit(fb) })
-	e.Schedule(0.0001, func() { m.Channel(0).Transmit(fa) })
-	e.Run(1)
-	if len(cs[1].frames) != 0 {
-		t.Fatal("half-duplex violated: transmitting node received a frame")
-	}
-}
-
-func TestSINRCarrierSense(t *testing.T) {
-	e := sim.NewEngine(1)
-	// 250 m: beyond reception (~213 m) but within carrier sense (299 m).
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 250, Y: 0}}
-	m, cs := newTestSINR(e, pts)
-	f := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	busyDuring := false
-	e.Schedule(0, func() { m.Channel(0).Transmit(f) })
-	e.Schedule(0.0001, func() { busyDuring = m.Channel(1).Busy() })
-	e.Run(1)
-	if !busyDuring {
-		t.Fatal("node within CS range did not sense carrier")
-	}
-	if len(cs[1].frames) != 0 {
-		t.Fatal("node beyond reception range decoded the frame")
-	}
-	if m.Channel(1).Busy() {
-		t.Fatal("carrier still busy after transmission ended")
-	}
-	// Transitions reported: busy then idle.
-	if len(cs[1].busy) != 2 || cs[1].busy[0] != true || cs[1].busy[1] != false {
-		t.Fatalf("carrier transitions %v, want [true false]", cs[1].busy)
-	}
-}
-
-func TestSINRDisabledNode(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}}
-	m, cs := newTestSINR(e, pts)
-	m.SetEnabled(1, false)
-	f := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	e.Schedule(0, func() { m.Channel(0).Transmit(f) })
-	e.Run(1)
-	if len(cs[1].frames) != 0 {
-		t.Fatal("disabled node received a frame")
-	}
-	m.SetEnabled(1, true)
-	e.Schedule(0, func() { m.Channel(0).Transmit(f) })
-	e.Run(2)
-	if len(cs[1].frames) != 1 {
-		t.Fatal("re-enabled node did not receive")
-	}
-	if !m.Enabled(1) {
-		t.Fatal("Enabled(1) should be true")
-	}
-}
-
-func newTestDisk(e *sim.Engine, pts []geom.Point) (*DiskMedium, []*collector) {
-	m := NewDiskMedium(e, DiskConfig{
-		N: len(pts), Side: 5000, Pos: staticPos(pts), MaxSpeed: 0,
-	})
-	cs := make([]*collector, len(pts))
-	for i := range pts {
-		cs[i] = &collector{}
-		m.Channel(i).SetHandler(cs[i])
-	}
-	return m, cs
-}
-
 func TestDiskDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 199, Y: 0}, {X: 201, Y: 0}}
@@ -261,26 +161,6 @@ func TestDiskNoInterferenceOutsideGuard(t *testing.T) {
 	e.Run(1)
 	if len(cs[1].frames) != 1 {
 		t.Fatal("protocol model: reception should succeed with interferer beyond (1+Δ)r")
-	}
-}
-
-func TestDiskCarrierSense(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 290, Y: 0}, {X: 310, Y: 0}}
-	m, _ := newTestDisk(e, pts)
-	f := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	var nearBusy, farBusy bool
-	e.Schedule(0, func() { m.Channel(0).Transmit(f) })
-	e.Schedule(0.0001, func() {
-		nearBusy = m.Channel(1).Busy()
-		farBusy = m.Channel(2).Busy()
-	})
-	e.Run(1)
-	if !nearBusy {
-		t.Fatal("node at 290 m should sense carrier (cs range 300)")
-	}
-	if farBusy {
-		t.Fatal("node at 310 m should not sense carrier")
 	}
 }
 
@@ -387,45 +267,6 @@ func TestInterferenceRangeOrdering(t *testing.T) {
 	}
 }
 
-func TestDiskDisable(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
-	m, cs := newTestDisk(e, pts)
-	m.SetEnabled(1, false)
-	e.Schedule(0, func() {
-		m.Channel(0).Transmit(&Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6})
-	})
-	e.Run(1)
-	if len(cs[1].frames) != 0 {
-		t.Fatal("disabled disk node received")
-	}
-	if m.Enabled(1) {
-		t.Fatal("Enabled(1) should be false")
-	}
-	m.SetEnabled(1, true)
-	e.Schedule(0, func() {
-		m.Channel(0).Transmit(&Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6})
-	})
-	e.Run(2)
-	if len(cs[1].frames) != 1 {
-		t.Fatal("re-enabled disk node did not receive")
-	}
-}
-
-func TestSINRCorruptedCounter(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}}
-	m, _ := newTestSINR(e, pts)
-	fa := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	fb := &Frame{Src: 2, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	e.Schedule(0, func() { m.Channel(0).Transmit(fa) })
-	e.Schedule(0.0001, func() { m.Channel(2).Transmit(fb) })
-	e.Run(1)
-	if m.Corrupted == 0 {
-		t.Fatal("collision not counted as corruption")
-	}
-}
-
 // TestDerivedReceivedPowerBitIdentical pins the Derived cache's received
 // power to the exact bits of the Params method across both path-loss
 // branches and several radio configurations: the cache must hoist only
@@ -469,52 +310,4 @@ func TestDerivedReceivedPowerBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// transmitAllocScenario builds a static 60-node medium, warms the event,
-// arrival, and candidate-scratch pools, then measures steady-state
-// allocations of one broadcast plus the run that drains its end events.
-func transmitAllocScenario(t *testing.T, e *sim.Engine, mkMedium func(n int, side float64, pos PositionFunc) Medium) float64 {
-	t.Helper()
-	const n = 60
-	side := 800.0
-	rng := e.NewStream()
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
-	m := mkMedium(n, side, staticPos(pts))
-	f := &Frame{Src: 0, Dst: Broadcast, Kind: FrameData, Bytes: 512, Rate: 2e6}
-	step := func() {
-		m.Channel(0).Transmit(f)
-		e.Run(e.Now() + 0.01)
-	}
-	for i := 0; i < 8; i++ {
-		step() // warm the pools
-	}
-	return testing.AllocsPerRun(100, step)
-}
-
-// TestTransmitAllocsBounded pins the SINR and disk transmit hot paths at
-// zero steady-state allocations per broadcast: events, arrivals, and end
-// events must all come from their pools (DESIGN.md §9).
-func TestTransmitAllocsBounded(t *testing.T) {
-	t.Run("sinr", func(t *testing.T) {
-		e := sim.NewEngine(1)
-		avg := transmitAllocScenario(t, e, func(n int, side float64, pos PositionFunc) Medium {
-			return NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos})
-		})
-		if avg != 0 {
-			t.Fatalf("SINR broadcast allocates %.1f objects/op in steady state, want 0", avg)
-		}
-	})
-	t.Run("disk", func(t *testing.T) {
-		e := sim.NewEngine(1)
-		avg := transmitAllocScenario(t, e, func(n int, side float64, pos PositionFunc) Medium {
-			return NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos})
-		})
-		if avg != 0 {
-			t.Fatalf("disk broadcast allocates %.1f objects/op in steady state, want 0", avg)
-		}
-	})
 }
