@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"probquorum/internal/aodv"
@@ -247,27 +248,66 @@ func BenchmarkDiskBroadcast(b *testing.B) {
 	}
 }
 
+// sinrField10k is the static 10k-node cell-noise SINR field the per-broadcast
+// and per-query micro-benchmarks share.
+func sinrField10k() (*sim.Engine, *phy.SINRMedium) {
+	e := sim.NewEngine(1)
+	rng := e.NewStream()
+	const n = 10000
+	side := geom.AreaSide(n, 200, 10)
+	pts := geom.UniformPoints(rng, n, side)
+	return e, phy.NewSINRMedium(e, phy.SINRConfig{
+		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+		CellNoise: true,
+	})
+}
+
 // BenchmarkSINRBroadcast10k measures one broadcast through the cell-noise
 // SINR medium on a static 10k-node field: grid candidate collection over the
 // carrier-sense radius, the (inline) power evaluation, and the aggregated
 // far-field lookups. This is the per-broadcast unit cost the mega scenario
 // pays (DESIGN.md §12).
 func BenchmarkSINRBroadcast10k(b *testing.B) {
-	e := sim.NewEngine(1)
-	rng := e.NewStream()
 	const n = 10000
-	side := geom.AreaSide(n, 200, 10)
-	pts := geom.UniformPoints(rng, n, side)
-	m := phy.NewSINRMedium(e, phy.SINRConfig{
-		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
-		CellNoise: true,
-	})
+	e, m := sinrField10k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := &phy.Frame{Src: i % n, Dst: phy.Broadcast, Bytes: 512, Rate: 2e6}
 		m.Channel(i % n).Transmit(f)
 		e.Run(e.Now() + 0.01)
+	}
+}
+
+// BenchmarkFarNoise measures one far-field query on that field — what every
+// lock, corruption and delivery check of a cell-noise run asks — with
+// nothing on the air (the common case at delivery: the frame's own sender
+// has just left the index), with the handful of concurrent frames a 10k run
+// carries network-wide, and with a load no DCF network reaches, where the
+// occupied-row walk must still not lose to scanning the whole cell box.
+func BenchmarkFarNoise(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		onAir int
+	}{{"idle", 0}, {"sparse=8", 8}, {"dense=500", 500}} {
+		b.Run(c.name, func(b *testing.B) {
+			const n = 10000
+			_, m := sinrField10k()
+			// Frames stay on the air: the engine never runs.
+			for k := 0; k < c.onAir; k++ {
+				id := k * (n / c.onAir)
+				m.Channel(id).Transmit(&phy.Frame{Src: id, Dst: phy.Broadcast, Bytes: 1500, Rate: 1e6})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			heard := 0
+			for i := 0; i < b.N; i++ {
+				if m.FarNoiseMw(i%n) > 0 {
+					heard++
+				}
+			}
+			b.ReportMetric(float64(heard)/float64(b.N), "nonzero-ratio")
+		})
 	}
 }
 
@@ -411,23 +451,71 @@ func BenchmarkOracleNextHop(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteTreeBuild measures building one destination's distance field
-// on a static 10k-node ideal stack: with room for a single tree, every query
-// toward another destination evicts it and builds anew.
+// BenchmarkRouteTreeBuild measures growing one destination's distance field
+// on a static 10k-node ideal stack. With room for a single tree every query
+// toward another destination evicts it and starts anew, and a field grows
+// only until it covers its asker, so what a query costs is where it is asked
+// from: /near asks within four hops of the destination, /far from the
+// opposite corner of the area, /exhaust from a failed node no field ever
+// reaches — the whole component, which is what every build cost before trees
+// were resumable. visited/op is the number of nodes a query leaves labelled.
 func BenchmarkRouteTreeBuild(b *testing.B) {
-	const n = 10000
-	b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-		e := sim.NewEngine(1)
-		o := aodv.NewOracle(netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal}))
-		o.EnableRouteCache(aodv.RouteCacheConfig{MaxTrees: 1})
-		o.HasRoute(0, 1)
-		o.HasRoute(0, 2)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o.HasRoute(0, 3+i%(n-3))
+	const n, dead = 10000, 1
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal})
+	o := aodv.NewOracle(net)
+	o.EnableRouteCache(aodv.RouteCacheConfig{MaxTrees: 1})
+	net.Fail(dead)
+
+	// near[k] is a node one to four hops from destination 3+k.
+	near := make([]int, 256)
+	for k := range near {
+		src := 3 + k
+		for hop := 0; hop < 4; hop++ {
+			if nb := net.Neighbors(src); len(nb) > 0 && nb[len(nb)-1] != 3+k {
+				src = nb[len(nb)-1]
+			}
 		}
+		near[k] = src
+	}
+	// The two connected nodes closest to opposite corners of the area.
+	byDiagonal := make([]int, n)
+	for id := range byDiagonal {
+		byDiagonal[id] = id
+	}
+	sort.Slice(byDiagonal, func(i, j int) bool {
+		p, q := net.Position(byDiagonal[i]), net.Position(byDiagonal[j])
+		return p.X+p.Y < q.X+q.Y
 	})
+	corner := [2]int{byDiagonal[0], byDiagonal[n-1]}
+	for k := 1; !o.HasRoute(corner[0], corner[1]); k++ {
+		corner = [2]int{byDiagonal[k], byDiagonal[n-1-k]}
+	}
+
+	for _, c := range []struct {
+		name string
+		pair func(i int) (src, dst int)
+	}{
+		{"near", func(i int) (int, int) { return near[i%len(near)], 3 + i%len(near) }},
+		{"far", func(i int) (int, int) { return corner[i%2], corner[(i+1)%2] }},
+		{"exhaust", func(i int) (int, int) { return dead, 3 + i%(n-3) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.HasRoute(c.pair(i))
+			}
+			b.StopTimer()
+			visited, samples := 0, min(b.N, 64)
+			for i := 0; i < samples; i++ {
+				src, dst := c.pair(i)
+				o.HasRoute(src, dst)
+				visited += o.RouteTreeNodes(dst)
+			}
+			b.ReportMetric(float64(visited)/float64(samples), "visited/op")
+		})
+	}
 }
 
 func BenchmarkClusterLookup(b *testing.B) {

@@ -26,25 +26,35 @@ type RouteCacheConfig struct {
 	MaxTrees int
 }
 
-// noRoute is the dist value of a node with no path to the destination;
-// real distances stay below it (build panics rather than wrap).
+// noRoute is the dist value of a node the field has not labelled: one with
+// no path to the destination or, while the tree's frontier is non-empty, one
+// the BFS has not reached yet. Real distances stay below it (extend panics
+// rather than wrap).
 const noRoute = 0xFFFF
 
-// routeTree is the cached hop-distance field of one destination: dist[v] is
-// the length of a shortest path from v to dst over the neighbor lists the
-// tree was built from (DESIGN.md §15).
+// routeTree is the cached hop-distance field of one destination, grown on
+// demand: dist[v] is the length of a shortest path from v to dst over the
+// neighbor lists of the tree's version, for every v the BFS from dst has
+// reached so far (DESIGN.md §15).
 type routeTree struct {
-	dst     int
-	dist    []uint16
-	built   float64
-	version uint64
+	dst  int
+	dist []uint16
+	// frontier is where the BFS stopped: the labelled nodes not yet expanded,
+	// in queue order — the queue's unexpanded suffix only, a level or two of
+	// the field, never the whole queue. Empty means the component is
+	// exhausted and every noRoute is final.
+	frontier []int32
+	built    float64
+	version  uint64
 }
 
 // routeCache answers next-hop queries — unbounded and TTL-scoped — from
 // per-destination distance fields. A tree is valid while the neighbor-graph
-// version is unchanged and its age is within TTL; an invalid tree is rebuilt
-// in place and a missing one built fresh, serially on demand or in bulk — one
-// sharded parallel phase — by PrefetchRoutes.
+// version is unchanged and its age is within TTL; an invalid tree is restarted
+// in place and a missing one started fresh, and either grows only as far as
+// its askers are from the destination: serially on demand, or in bulk — one
+// sharded parallel phase, out to the origin of the fan-out — by
+// PrefetchRoutes.
 type routeCache struct {
 	o        *Oracle
 	ttl      float64
@@ -59,8 +69,10 @@ type routeCache struct {
 	free  []*routeTree
 
 	// Prefetch scratch. pending holds the trees the current parallel phase
-	// builds, one per item; seen is a stamp array deduplicating the dst list.
+	// starts and extends to origin, one per item; seen is a stamp array
+	// deduplicating the dst list.
 	pending   []*routeTree
+	origin    int
 	seen      []int32
 	seenStamp int32
 
@@ -73,7 +85,7 @@ type routeCache struct {
 }
 
 // EnableRouteCache answers the oracle's next-hop queries from cached
-// per-destination distance fields and makes PrefetchRoutes build missing ones
+// per-destination distance fields and makes PrefetchRoutes start missing ones
 // in a sharded parallel phase. NewOracle already does this on the stacks
 // where the cache is exact and pays; call it to put the same cache on another
 // stack (a heartbeat stack, with a TTL) or to set non-default bounds — on a
@@ -97,16 +109,30 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 }
 
 // PrefetchRoutes implements RoutePrefetcher: ensure a valid tree exists for
-// every alive destination in dsts, building all missing ones in one
-// ShardedEval phase over the frozen neighbor lists. A no-op on an oracle
-// without the cache.
+// every alive destination in dsts, starting all missing ones and growing
+// them out to origin — the node about to send — in one ShardedEval phase over
+// the frozen neighbor lists. A no-op on an oracle without the cache.
 func (o *Oracle) PrefetchRoutes(origin int, dsts []int) {
 	if o.cache != nil {
-		o.cache.prefetch(dsts)
+		o.cache.prefetch(origin, dsts)
 	}
 }
 
-func (c *routeCache) prefetch(dsts []int) {
+// RouteTreeNodes returns how many nodes dst's cached tree has labelled so
+// far — what growing it has cost; 0 without a tree.
+func (o *Oracle) RouteTreeNodes(dst int) (labelled int) {
+	if o.cache == nil || o.cache.trees[dst] == nil {
+		return 0
+	}
+	for _, d := range o.cache.trees[dst].dist {
+		if d != noRoute {
+			labelled++
+		}
+	}
+	return labelled
+}
+
+func (c *routeCache) prefetch(origin int, dsts []int) {
 	net := c.o.net
 	net.PrepareNeighbors()
 	now, ver := c.o.engine.Now(), net.NeighborVersion()
@@ -136,18 +162,21 @@ func (c *routeCache) prefetch(dsts []int) {
 	if len(c.pending) == 0 {
 		return
 	}
+	c.origin = origin
 	for len(c.queues) < c.o.engine.Shards() {
 		c.queues = append(c.queues, nil)
 	}
 	c.o.engine.ShardedEval(len(c.pending), c.evalFn)
 }
 
-// eval builds item i's tree on its shard's scratch. Reads frozen neighbor
-// lists and writes only the item's own tree plus the shard's queue (items of
-// one shard run sequentially on one goroutine).
+// eval starts item i's tree and grows it to the phase's origin on its shard's
+// scratch. Reads frozen neighbor lists and writes only the item's own tree
+// plus the shard's queue (items of one shard run sequentially on one
+// goroutine).
 func (c *routeCache) eval(shard, i int) {
 	t := c.pending[i]
-	c.build(t, shard)
+	c.start(t)
+	c.extend(t, c.origin, 0, shard)
 	if c.trees[t.dst] != t {
 		c.o.engine.Stage(i, func() { c.install(t) })
 	}
@@ -170,16 +199,39 @@ func (c *routeCache) claim(dst int, now float64, ver uint64) *routeTree {
 	return t
 }
 
-// build fills t.dist by BFS from t.dst over the frozen neighbor lists; the
-// field doubles as the visited set.
-func (c *routeCache) build(t *routeTree, shard int) {
+// start resets t to the BFS's initial state: only dst labelled, only dst on
+// the frontier.
+func (c *routeCache) start(t *routeTree) {
 	dist := t.dist
-	for i := range dist {
-		dist[i] = noRoute //pqlint:parshared(per-item tree storage: t is this item's claimed tree, touched by no other worker)
+	dist[0] = noRoute //pqlint:parshared(per-item tree storage: t is this item's claimed tree, touched by no other worker)
+	for i := 1; i < len(dist); i *= 2 {
+		copy(dist[i:], dist[:i]) // fill by doubling: memmove speed, not a store per node
 	}
-	dist[t.dst] = 0 //pqlint:parshared(per-item tree storage)
-	queue := append(c.queues[shard][:0], int32(t.dst))
-	for head := 0; head < len(queue); head++ {
+	dist[t.dst] = 0                                   //pqlint:parshared(per-item tree storage)
+	t.frontier = append(t.frontier[:0], int32(t.dst)) //pqlint:parshared(per-item tree storage)
+}
+
+// extend resumes t's BFS from dst over the frozen neighbor lists — the field
+// doubles as the visited set — expanding whole nodes in queue order until src
+// is labelled, every node within ttl hops of dst is (ttl > 0: a scoped query
+// needs no more than that ball), or the component is exhausted. Levels
+// complete in order, so a label, once written, is the full BFS's.
+//
+//pqlint:noalloc
+func (c *routeCache) extend(t *routeTree, src, ttl, shard int) {
+	dist := t.dist
+	// Nodes at depth limit and beyond stay unexpanded; no real depth reaches
+	// noRoute, so an unbounded extension never stops on it.
+	limit := uint16(noRoute)
+	if 0 < ttl && ttl < noRoute {
+		limit = uint16(ttl)
+	}
+	if len(t.frontier) == 0 || dist[t.frontier[0]] >= limit {
+		return
+	}
+	queue := append(c.queues[shard][:0], t.frontier...) //pqlint:allow noalloc(per-shard scratch grows to the largest component once, then is reused)
+	head := 0
+	for ; head < len(queue) && dist[src] == noRoute && dist[queue[head]] < limit; head++ {
 		u := int(queue[head])
 		d := dist[u] + 1
 		for _, w := range c.o.net.FrozenNeighbors(u) {
@@ -193,7 +245,9 @@ func (c *routeCache) build(t *routeTree, shard int) {
 			queue = append(queue, int32(w))
 		}
 	}
-	c.queues[shard] = queue //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
+	//pqlint:parshared(per-item tree storage)
+	t.frontier = append(t.frontier[:0], queue[head:]...) //pqlint:allow noalloc(grows to the widest frontier the tree has paused on, then is reused)
+	c.queues[shard] = queue                              //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
 }
 
 // install publishes a new tree, evicting the oldest ones past the cap. Runs
@@ -218,20 +272,21 @@ func (c *routeCache) valid(t *routeTree, now float64, ver uint64) bool {
 	return t.version == ver && (c.ttl <= 0 || now-t.built <= c.ttl)
 }
 
-// nextHop answers a query from the destination's distance field, building it
-// serially on a miss: the first (lowest-id) neighbor of src that is one hop
-// closer to dst, provided dst is within maxTTL hops (0 = unbounded). On a
-// symmetric graph that is exactly the forward BFS's answer — its queue is
-// ordered by first hop, so it reaches any node first through the lowest-id
-// neighbor of src that lies on a shortest path — at O(degree) per query; the
-// tree build is the only graph-sized cost, amortized across all queries to
-// dst. A dead destination is unreachable, as the BFS reports (a dead node
-// appears in no live neighbor list).
+// nextHop answers a query from the destination's distance field, starting it
+// on a miss and growing it serially until it covers src: the first
+// (lowest-id) neighbor of src that is one hop closer to dst, provided dst is
+// within maxTTL hops (0 = unbounded). On a symmetric graph that is exactly the
+// forward BFS's answer — its queue is ordered by first hop, so it reaches any
+// node first through the lowest-id neighbor of src that lies on a shortest
+// path — at O(degree) per query once src is labelled; growing the field is
+// the only graph-sized cost, paid once per node across all queries to dst and
+// only out to the farthest asker. A dead destination is unreachable, as the
+// BFS reports (a dead node appears in no live neighbor list).
 //
-// The scan reads the frozen lists, which are what a valid tree was built
-// from; a live read could rebuild a heartbeat list, advance the version and
-// invalidate every tree. On an asymmetric heartbeat graph src may list no
-// closer neighbor: no route.
+// Scan and extension read the frozen lists, which at an unchanged version are
+// what the tree was started from; a live read could rebuild a heartbeat list,
+// advance the version and invalidate every tree. On an asymmetric heartbeat
+// graph src may list no closer neighbor: no route.
 func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 	net := c.o.net
 	if !net.Alive(dst) {
@@ -241,13 +296,16 @@ func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 	t := c.trees[dst]
 	if t == nil || !c.valid(t, now, ver) {
 		// Serial miss path: same snapshot discipline as prefetch — prepare
-		// (which may advance the version), then build over frozen lists.
+		// (which may advance the version), then grow over frozen lists.
 		net.PrepareNeighbors()
 		t = c.claim(dst, now, net.NeighborVersion())
-		c.build(t, 0)
+		c.start(t)
 		if c.trees[dst] != t {
 			c.install(t)
 		}
+	}
+	if t.dist[src] == noRoute {
+		c.extend(t, src, maxTTL, 0)
 	}
 	d := t.dist[src]
 	if d == noRoute || (maxTTL > 0 && int(d) > maxTTL) {

@@ -52,16 +52,63 @@ func checkAgainstBFS(t *testing.T, name string, net *netstack.Network, o *Oracle
 	}
 }
 
+// referenceField is the exhausted distance field of dst, by a BFS of the
+// test's own over the live neighbor lists: what a tree's labels are held to.
+func referenceField(net *netstack.Network, dst int) []uint16 {
+	dist := make([]uint16, net.N())
+	for i := range dist {
+		dist[i] = noRoute
+	}
+	dist[dst] = 0
+	for queue := []int{dst}; len(queue) > 0; queue = queue[1:] {
+		for _, w := range net.Neighbors(queue[0]) {
+			if dist[w] == noRoute {
+				dist[w] = dist[queue[0]] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	return dist
+}
+
+// checkLabels requires every distance dst's tree has labelled so far to be
+// the exhausted field's; full additionally requires nothing to be missing.
+func checkLabels(t *testing.T, name string, net *netstack.Network, tr *routeTree, full bool) {
+	t.Helper()
+	want := referenceField(net, tr.dst)
+	for v, d := range tr.dist {
+		if d != want[v] && (full || d != noRoute) {
+			t.Fatalf("%s: tree %d dist[%d] = %d, exhausted field has %d", name, tr.dst, v, d, want[v])
+		}
+	}
+}
+
+// exhaustTree makes dst's tree valid and grows it until no node that has a
+// route is unlabelled.
+func exhaustTree(o *Oracle, dst int) *routeTree {
+	o.nextHop((dst+1)%o.net.N(), dst, 0)
+	tr := o.cache.trees[dst]
+	for v := range tr.dist {
+		if tr.dist[v] == noRoute {
+			o.cache.extend(tr, v, 0, 0)
+		}
+	}
+	return tr
+}
+
+// cacheWorlds are the random static topologies (seed 7 + index) the cache is
+// held to the BFS on: dense, sparse, and one that is disconnected.
+var cacheWorlds = []struct {
+	n    int
+	side float64
+}{{40, 900}, {120, 1100}, {200, 3200}}
+
 // TestRouteCacheScopedMatchesBFS pins the first-hop lemma (DESIGN.md §15):
 // on random static topologies — dense, sparse and disconnected — the cache
 // answers every query exactly as the bounded forward BFS does, hop for hop,
 // and keeps doing so while random nodes fail and come back.
 func TestRouteCacheScopedMatchesBFS(t *testing.T) {
-	worlds := []struct {
-		n    int
-		side float64
-	}{{40, 900}, {120, 1100}, {200, 3200}} // the last one is disconnected
-	for wi, w := range worlds {
+	for wi, w := range cacheWorlds {
 		rng := rand.New(rand.NewSource(int64(7 + wi)))
 		_, net, o := oracleWorld(geom.UniformPoints(rng, w.n, w.side), w.side)
 		if o.cache == nil {
@@ -95,6 +142,61 @@ func TestRouteCacheScopedMatchesBFS(t *testing.T) {
 			}
 			down = down[len(down)/2:]
 			checkAgainstBFS(t, fmt.Sprintf("%s after revives (round %d)", name, round), net, o)
+		}
+	}
+}
+
+// TestLazyTreeMatchesExhaustedField drives trees that grow only as far as
+// they are asked: on the cacheWorlds topologies, random
+// queries in random order — ttl 0…6, sources in another component, dead
+// destinations, a Fail/Revive version bump mid-sequence — each answered as the
+// forward BFS of oracle.go answers it and as a second cache whose tree was
+// grown to exhaustion first does. Unreachable must mean exhausted, never "not
+// reached yet": an unbounded no-route answer leaves the frontier empty.
+func TestLazyTreeMatchesExhaustedField(t *testing.T) {
+	for wi, w := range cacheWorlds {
+		rng := rand.New(rand.NewSource(int64(7 + wi)))
+		_, net, lazy := oracleWorld(geom.UniformPoints(rng, w.n, w.side), w.side)
+		full := &Oracle{net: net, engine: net.Engine()}
+		full.EnableRouteCache(RouteCacheConfig{})
+		for k := 0; k < w.n/10; k++ {
+			net.Fail(rng.Intn(w.n))
+		}
+		partial := 0
+		for q := 0; q < 3000; q++ {
+			if q == 1500 {
+				id := rng.Intn(w.n)
+				net.Fail(id)
+				net.Revive(id)
+			}
+			src, dst, ttl := rng.Intn(w.n), rng.Intn(w.n), rng.Intn(7)
+			if !net.Alive(src) || src == dst {
+				continue
+			}
+			name := fmt.Sprintf("n=%d query %d (%d→%d ttl %d)", w.n, q, src, dst, ttl)
+			got, ok := lazy.nextHop(src, dst, ttl)
+			want, wantOK := bfsHop(lazy, src, dst, ttl)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("%s: lazy tree says (%d, %v), BFS says (%d, %v)", name, got, ok, want, wantOK)
+			}
+			if !net.Alive(dst) {
+				continue
+			}
+			checkLabels(t, name+", exhausted", net, exhaustTree(full, dst), true)
+			if hop, fullOK := full.nextHop(src, dst, ttl); fullOK != ok || (ok && hop != got) {
+				t.Fatalf("%s: lazy tree says (%d, %v), exhausted tree says (%d, %v)", name, got, ok, hop, fullOK)
+			}
+			tr := lazy.cache.trees[dst]
+			checkLabels(t, name, net, tr, false)
+			if len(tr.frontier) > 0 {
+				partial++
+				if !ok && ttl == 0 {
+					t.Fatalf("%s: unbounded query found no route with %d nodes still on the frontier", name, len(tr.frontier))
+				}
+			}
+		}
+		if partial == 0 {
+			t.Fatalf("n=%d: no query was answered from a partly grown tree", w.n)
 		}
 	}
 }
@@ -204,6 +306,14 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
+	c := o.cache
+	frontierCap := func() (sum int) {
+		for _, tr := range c.trees {
+			sum += cap(tr.frontier)
+		}
+		return sum
+	}
+	settled := 0
 	for bump := 0; bump < 1000; bump++ {
 		net.Fail(5)
 		net.Revive(5)
@@ -213,8 +323,13 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			o.nextHop((dst+1)%n, dst, 0)
 		}
+		if bump == 9 {
+			settled = frontierCap()
+		}
 	}
-	c := o.cache
+	if got := frontierCap(); settled == 0 || got != settled {
+		t.Fatalf("frontier buffers hold %d entries after 1000 bumps, %d after 10: a restarted tree must reuse its frontier", got, settled)
+	}
 	live := 0
 	for _, tr := range c.trees {
 		if tr != nil {
@@ -239,6 +354,7 @@ func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 	e.SetShards(4)
 	o.EnableRouteCache(RouteCacheConfig{MaxTrees: maxTrees})
 	c := o.cache
+	frontierCap := map[*routeTree]int{} // every tree ever seen → its frontier buffer
 	for round := 0; round < 200; round++ {
 		if round%3 == 0 {
 			net.Fail(7)
@@ -263,6 +379,13 @@ func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 			if k != 1 {
 				t.Fatalf("round %d: tree for %d owned %d times", round, tr.dst, k)
 			}
+			if cap(tr.frontier) < frontierCap[tr] {
+				t.Fatalf("round %d: recycled tree for %d dropped its frontier buffer (%d → %d)", round, tr.dst, frontierCap[tr], cap(tr.frontier))
+			}
+			frontierCap[tr] = cap(tr.frontier)
+		}
+		if len(frontierCap) > 3*maxTrees {
+			t.Fatalf("round %d: %d trees allocated for a cap of %d: evicted trees are not recycled", round, len(frontierCap), maxTrees)
 		}
 		if live := len(c.order) - c.head; live > maxTrees {
 			t.Fatalf("round %d: %d live trees past the cap of %d", round, live, maxTrees)
@@ -309,55 +432,62 @@ func TestOracleRouteCacheScopedDelivery(t *testing.T) {
 	}
 }
 
-// TestPrefetchTreesMatchSerialMiss pins the sharded build against the serial
-// one: every dist[] installed by PrefetchRoutes — at widths 0, 2 and 8, and
-// with the width grown between two prefetches so the per-shard BFS scratch
-// has to grow with it — equals the tree the serial miss path builds for the
-// same destination.
+// TestPrefetchTreesMatchSerialMiss pins the sharded phase against the serial
+// miss path by what a caller can observe: after PrefetchRoutes — at widths 0,
+// 2 and 8, and with the width grown between two prefetches so the per-shard
+// BFS scratch has to grow with it — every destination has a tree that already
+// covers the origin, every distance it has labelled is the exhausted field's,
+// and nextHop answers every alive src exactly as an oracle that only ever
+// missed serially does.
 func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const n, side = 60, 1000.0
+	const n, side, origin = 60, 1000.0, 0
 	pts := geom.UniformPoints(rng, n, side)
 	dsts := make([]int, 0, n+2)
 	for i := range pts {
 		dsts = append(dsts, i)
 	}
-	dsts = append(dsts, 3, 3) // duplicates are built once
+	dsts = append(dsts, 3, 3) // duplicates are started once
 
 	_, _, serial := oracleWorld(pts, side)
-	for dst := 0; dst < n; dst++ {
-		serial.nextHop((dst+1)%n, dst, 0)
-	}
-	check := func(name string, o *Oracle) {
+	check := func(name string, net *netstack.Network, o *Oracle) {
 		t.Helper()
 		if got := len(o.cache.order) - o.cache.head; got != n {
 			t.Fatalf("%s: %d trees installed, want %d", name, got, n)
 		}
 		for dst := 0; dst < n; dst++ {
-			got, want := o.cache.trees[dst].dist, serial.cache.trees[dst].dist
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("%s: tree %d dist[%d] = %d, serial miss path built %d", name, dst, v, got[v], want[v])
+			tr := o.cache.trees[dst]
+			if tr.dist[origin] == noRoute && len(tr.frontier) > 0 {
+				t.Fatalf("%s: tree %d was not grown to the origin", name, dst)
+			}
+			checkLabels(t, name, net, tr, false)
+		}
+		for dst := 0; dst < n; dst++ {
+			for src := 0; src < n; src++ {
+				want, wantOK := serial.nextHop(src, dst, 0)
+				if got, ok := o.nextHop(src, dst, 0); ok != wantOK || got != want {
+					t.Fatalf("%s: %d→%d: prefetched tree says (%d, %v), serial miss path (%d, %v)", name, src, dst, got, ok, want, wantOK)
 				}
 			}
+			checkLabels(t, name+", after the queries", net, o.cache.trees[dst], false)
 		}
 	}
 	for _, w := range []int{0, 2, 8} {
-		e, _, o := oracleWorld(pts, side)
+		e, net, o := oracleWorld(pts, side)
 		e.SetShards(w)
-		o.PrefetchRoutes(0, dsts)
+		o.PrefetchRoutes(origin, dsts)
 		e.StopWorkers()
-		check(fmt.Sprintf("shards=%d", w), o)
+		check(fmt.Sprintf("shards=%d", w), net, o)
 	}
 
-	e, _, o := oracleWorld(pts, side)
+	e, net, o := oracleWorld(pts, side)
 	defer e.StopWorkers()
 	e.SetShards(2)
-	o.PrefetchRoutes(0, dsts[:n/2])
+	o.PrefetchRoutes(origin, dsts[:n/2])
 	e.SetShards(8)
-	o.PrefetchRoutes(0, dsts)
+	o.PrefetchRoutes(origin, dsts)
 	if got := len(o.cache.queues); got != 8 {
 		t.Fatalf("BFS scratch has %d slots after growing the width to 8", got)
 	}
-	check("shards 2→8", o)
+	check("shards 2→8", net, o)
 }

@@ -92,18 +92,6 @@ func (g *Grid) removeFromCell(id, ci int) {
 // Position returns the last indexed position of id.
 func (g *Grid) Position(id int) Point { return g.pos[id] }
 
-// CellSize returns the actual cell side length (the constructor's cellSize
-// rounded so an integral number of cells tiles the area).
-func (g *Grid) CellSize() float64 { return g.cellSize }
-
-// Cols returns the number of cells per axis.
-func (g *Grid) Cols() int { return g.cols }
-
-// Cell returns the ids currently indexed in cell (cx, cy). The slice is the
-// index's own storage: callers must not retain it past the next Update or
-// Remove, and must not modify it.
-func (g *Grid) Cell(cx, cy int) []int32 { return g.cells[cy*g.cols+cx] }
-
 // cellBox returns the inclusive cell-coordinate bounds of every cell
 // intersecting the axis-aligned square of half-width radius around p.
 func (g *Grid) cellBox(p Point, radius float64) (minCX, maxCX, minCY, maxCY int) {
@@ -112,22 +100,6 @@ func (g *Grid) cellBox(p Point, radius float64) (minCX, maxCX, minCY, maxCY int)
 	minCY = clampInt(int((p.Y-radius)/g.cellSize), 0, g.cols-1)
 	maxCY = clampInt(int((p.Y+radius)/g.cellSize), 0, g.cols-1)
 	return
-}
-
-// ForEachCellWithin invokes fn once per cell whose bounding box intersects
-// the axis-aligned square of half-width radius around p — a superset of the
-// cells overlapping the radius disc — passing the cell coordinates and its
-// current id slice (possibly empty). It materializes no candidate slice, so
-// consumers that only need to iterate (aggregate-noise summaries, counting)
-// avoid Within's copy. The id slices are the index's own storage; fn must
-// not retain or modify them, and must not mutate the grid.
-func (g *Grid) ForEachCellWithin(p Point, radius float64, fn func(cx, cy int, ids []int32)) {
-	minCX, maxCX, minCY, maxCY := g.cellBox(p, radius)
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			fn(cx, cy, g.cells[cy*g.cols+cx])
-		}
-	}
 }
 
 // Within appends to out all indexed ids whose last indexed position lies

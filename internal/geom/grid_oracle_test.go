@@ -77,12 +77,14 @@ func TestGridWithinOracle(t *testing.T) {
 			t.Fatalf("trial %d: Count=%d want %d", trial, g.Count(), len(present))
 		}
 
-		cs := g.CellSize()
+		// The grid rounds the cell size so that whole cells tile the area.
+		cols := max(int(side/min(cellSize, side)), 1)
+		cs := side / float64(cols)
 		queries := []Point{
 			{X: rng.Float64() * side, Y: rng.Float64() * side},
 			{X: 0, Y: 0}, {X: side, Y: side}, {X: 0, Y: side}, {X: side, Y: 0}, // corners
-			{X: cs * float64(rng.Intn(g.Cols())), Y: cs * float64(rng.Intn(g.Cols()))}, // cell corner
-			{X: cs*float64(rng.Intn(g.Cols())) + cs/2, Y: rng.Float64() * side},        // cell edge midline
+			{X: cs * float64(rng.Intn(cols)), Y: cs * float64(rng.Intn(cols))}, // cell corner
+			{X: cs*float64(rng.Intn(cols)) + cs/2, Y: rng.Float64() * side},    // cell edge midline
 		}
 		radii := []float64{0, cs * 0.5, cs, cs * 1.7, side / 3, side, g.MaxQueryRadius()}
 		var scratch []int
@@ -102,47 +104,6 @@ func TestGridWithinOracle(t *testing.T) {
 				if len(all) != len(present) {
 					t.Fatalf("trial %d: MaxQueryRadius query returned %d of %d ids", trial, len(all), len(present))
 				}
-			}
-		}
-	}
-}
-
-// TestForEachCellWithinCoversWithin pins that the cell-iteration API visits
-// a superset of the ids Within returns, each cell exactly once, with valid
-// coordinates.
-func TestForEachCellWithinCoversWithin(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(60)
-		side := 100 + rng.Float64()*900
-		g := NewGrid(n, side, side*(0.05+rng.Float64()*0.5))
-		for id := 0; id < n; id++ {
-			g.Update(id, Point{X: rng.Float64() * side, Y: rng.Float64() * side})
-		}
-		q := Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		radius := rng.Float64() * side
-		visited := map[[2]int]bool{}
-		seen := map[int]bool{}
-		g.ForEachCellWithin(q, radius, func(cx, cy int, ids []int32) {
-			if cx < 0 || cx >= g.Cols() || cy < 0 || cy >= g.Cols() {
-				t.Fatalf("cell (%d,%d) out of bounds (cols=%d)", cx, cy, g.Cols())
-			}
-			key := [2]int{cx, cy}
-			if visited[key] {
-				t.Fatalf("cell (%d,%d) visited twice", cx, cy)
-			}
-			visited[key] = true
-			for _, id := range ids {
-				seen[int(id)] = true
-			}
-			// The iterator hands out the same storage Cell exposes.
-			if len(ids) != len(g.Cell(cx, cy)) {
-				t.Fatalf("cell (%d,%d): iterator saw %d ids, Cell reports %d", cx, cy, len(ids), len(g.Cell(cx, cy)))
-			}
-		})
-		for _, id := range g.Within(q, radius, nil) {
-			if !seen[id] {
-				t.Fatalf("Within returned id %d not visited by ForEachCellWithin", id)
 			}
 		}
 	}

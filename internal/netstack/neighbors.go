@@ -53,6 +53,7 @@ type oracleNeighbors struct {
 	static  bool    // positions never change: the grid fills exactly once
 	lists   [][]int // memoized per-node neighbor lists
 	valid   []bool
+	allLive bool // every live node's list is valid: Prepare has nothing to do
 	cand    []int
 	version uint64
 }
@@ -83,6 +84,7 @@ func (o *oracleNeighbors) refresh() {
 	for i := range o.valid {
 		o.valid[i] = false
 	}
+	o.allLive = false
 	o.stamp, o.epoch = now, o.net.aliveEpoch
 	o.version++
 }
@@ -119,14 +121,20 @@ func (o *oracleNeighbors) Version() uint64 {
 	return o.version
 }
 
-// Prepare implements NeighborProvider: revalidate every live node's list.
+// Prepare implements NeighborProvider: revalidate every live node's list,
+// once per invalidation — a route-tree miss at an unchanged version finds
+// them all valid without looking.
 func (o *oracleNeighbors) Prepare() {
 	o.refresh()
+	if o.allLive {
+		return
+	}
 	for id := 0; id < o.net.N(); id++ {
 		if o.net.alive[id] && !o.valid[id] {
 			o.Neighbors(id)
 		}
 	}
+	o.allLive = true
 }
 
 // Frozen implements NeighborProvider.

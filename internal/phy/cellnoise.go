@@ -33,28 +33,38 @@ import "probquorum/internal/geom"
 //     ChannelStateChanged notifications remain mutually consistent (the far
 //     field generates no begin/end events that could re-notify DCF).
 //
-// Membership is count-based: a node enters the grid when its outstanding
+// Membership is count-based: a node enters the index when its outstanding
 // transmission count goes 0→1 and leaves at 1→0, so overlapping or
 // rescheduled transmissions cannot unbalance the index, and no floating-
 // point accumulator drifts.
+//
+// The index holds only what is on the air: per cell row, the occupied cells
+// in ascending column order. A query walks the rows of its cell box and, in
+// each, the occupied entries inside the box's columns — the row-major scan of
+// the box restricted to the cells that contribute, so the sum adds the same
+// terms in the same order — and costs O(rows + occupied) however large the
+// box is and however few transmitters there are.
 type noiseField struct {
-	grid *geom.Grid
-	d    Derived
+	d Derived
 	// txCount is the number of in-flight transmissions per node; the node
-	// is indexed while the count is positive.
+	// is indexed, in cell cellOf[id], while the count is positive.
 	txCount []int32
+	cellOf  []int32
+	// rows[cy] lists row cy's occupied cells, ascending cx; indexed is the
+	// number of nodes they hold between them.
+	rows    [][]noiseCell
+	indexed int
 	// innerRadius separates the exact near field (real arrivals) from the
 	// aggregated far field; intfRange bounds the far field's support.
 	innerRadius float64
 	intfRange   float64
 	cell        float64
-
-	// Query state for the prebound visit closure, so farMwAt allocates
-	// nothing: qp is the receiver position, acc the running power sum.
-	qp    geom.Point
-	acc   float64
-	visit func(cx, cy int, ids []int32)
+	cols        int
 }
+
+// noiseCell is one occupied cell of a row: its column and how many indexed
+// transmitters sit in it.
+type noiseCell struct{ cx, count int32 }
 
 // noiseCellsPerIntfRange sets the summary resolution: the interference range
 // spans about this many cells, trading center-distance error (~cell·√2/2)
@@ -62,45 +72,43 @@ type noiseField struct {
 const noiseCellsPerIntfRange = 3.0
 
 func newNoiseField(n int, side float64, d Derived, maxSpeed float64) *noiseField {
-	f := &noiseField{
+	// An integral number of cells tiles the area, at least one.
+	cols := 1
+	if size := d.InterferenceRange / noiseCellsPerIntfRange; size > 0 && size <= side {
+		cols = int(side / size)
+	}
+	return &noiseField{
 		d:       d,
 		txCount: make([]int32, n),
+		cellOf:  make([]int32, n),
+		rows:    make([][]noiseCell, cols),
 		// Both the world index and this one can be up to worldRefreshSecs
 		// stale, so a transmitter's true distance can differ from the
 		// indexed one by 2·maxSpeed·refresh on each side.
 		innerRadius: d.CarrierSenseRange + 4*maxSpeed*worldRefreshSecs,
 		intfRange:   d.InterferenceRange,
-		grid:        geom.NewGrid(n, side, d.InterferenceRange/noiseCellsPerIntfRange),
+		cell:        side / float64(cols),
+		cols:        cols,
 	}
-	f.cell = f.grid.CellSize()
-	inner2 := f.innerRadius * f.innerRadius
-	intf2 := f.intfRange * f.intfRange
-	f.visit = func(cx, cy int, ids []int32) {
-		if len(ids) == 0 {
-			return
+}
+
+// cellCoord maps a coordinate to its cell column or row, clamped to the area.
+func (f *noiseField) cellCoord(x float64) int {
+	return min(max(int(x/f.cell), 0), f.cols-1)
+}
+
+// find returns the position of column cx in row — where it is or where it
+// would be inserted.
+func find(row []noiseCell, cx int32) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		if mid := (lo + hi) / 2; row[mid].cx < cx {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		x0 := float64(cx) * f.cell
-		y0 := float64(cy) * f.cell
-		// Nearest point of the cell square to the query position.
-		dx, dy := 0.0, 0.0
-		if f.qp.X < x0 {
-			dx = x0 - f.qp.X
-		} else if f.qp.X > x0+f.cell {
-			dx = f.qp.X - x0 - f.cell
-		}
-		if f.qp.Y < y0 {
-			dy = y0 - f.qp.Y
-		} else if f.qp.Y > y0+f.cell {
-			dy = f.qp.Y - y0 - f.cell
-		}
-		min2 := dx*dx + dy*dy
-		if min2 <= inner2 || min2 > intf2 {
-			return
-		}
-		center := geom.Point{X: x0 + f.cell/2, Y: y0 + f.cell/2}
-		f.acc += float64(len(ids)) * f.d.ReceivedPowerMw(geom.Dist(f.qp, center))
 	}
-	return f
+	return lo
 }
 
 // txStart registers one outstanding transmission from id at indexed
@@ -109,25 +117,86 @@ func newNoiseField(n int, side float64, d Derived, maxSpeed float64) *noiseField
 // quantization dominates any intra-frame movement.
 func (f *noiseField) txStart(id int, p geom.Point) {
 	f.txCount[id]++
-	if f.txCount[id] == 1 {
-		f.grid.Update(id, p)
+	if f.txCount[id] != 1 {
+		return
 	}
+	cx, cy := int32(f.cellCoord(p.X)), f.cellCoord(p.Y)
+	f.cellOf[id] = int32(cy*f.cols) + cx
+	f.indexed++
+	row := f.rows[cy]
+	i := find(row, cx)
+	if i < len(row) && row[i].cx == cx {
+		row[i].count++
+		return
+	}
+	row = append(row, noiseCell{}) // grows to the row's occupied-cell high-water mark, then is reused
+	copy(row[i+1:], row[i:])
+	row[i] = noiseCell{cx: cx, count: 1}
+	f.rows[cy] = row
 }
 
 // txEnd retires one outstanding transmission from id.
 func (f *noiseField) txEnd(id int) {
 	f.txCount[id]--
-	if f.txCount[id] == 0 {
-		f.grid.Remove(id)
+	if f.txCount[id] != 0 {
+		return
+	}
+	cy, cx := int(f.cellOf[id])/f.cols, f.cellOf[id]%int32(f.cols)
+	f.indexed--
+	row := f.rows[cy]
+	i := find(row, cx)
+	if row[i].count--; row[i].count == 0 {
+		f.rows[cy] = append(row[:i], row[i+1:]...)
 	}
 }
 
 // farMwAt returns the aggregated far-field interference power (milliwatts)
 // at position p: for every occupied cell fully outside the near field and
 // inside the interference range, count times the power a transmitter at the
-// cell center would deliver. Allocation-free.
+// cell center would deliver. Nothing on the air, nothing to add.
+//
+//pqlint:noalloc
 func (f *noiseField) farMwAt(p geom.Point) float64 {
-	f.qp, f.acc = p, 0
-	f.grid.ForEachCellWithin(p, f.intfRange, f.visit)
-	return f.acc
+	if f.indexed == 0 {
+		return 0
+	}
+	// Every cell intersecting the square of half-width intfRange around p.
+	minCX, maxCX := int32(f.cellCoord(p.X-f.intfRange)), int32(f.cellCoord(p.X+f.intfRange))
+	minCY, maxCY := f.cellCoord(p.Y-f.intfRange), f.cellCoord(p.Y+f.intfRange)
+	inner2 := f.innerRadius * f.innerRadius
+	intf2 := f.intfRange * f.intfRange
+	acc := 0.0
+	for cy := minCY; cy <= maxCY; cy++ {
+		row := f.rows[cy]
+		if len(row) == 0 {
+			continue
+		}
+		// Nearest point of the cell square to p, per axis.
+		y0 := float64(cy) * f.cell
+		dy := 0.0
+		if p.Y < y0 {
+			dy = y0 - p.Y
+		} else if p.Y > y0+f.cell {
+			dy = p.Y - y0 - f.cell
+		}
+		for _, oc := range row[find(row, minCX):] {
+			if oc.cx > maxCX {
+				break
+			}
+			x0 := float64(oc.cx) * f.cell
+			dx := 0.0
+			if p.X < x0 {
+				dx = x0 - p.X
+			} else if p.X > x0+f.cell {
+				dx = p.X - x0 - f.cell
+			}
+			min2 := dx*dx + dy*dy
+			if min2 <= inner2 || min2 > intf2 {
+				continue
+			}
+			center := geom.Point{X: x0 + f.cell/2, Y: y0 + f.cell/2}
+			acc += float64(oc.count) * f.d.ReceivedPowerMw(geom.Dist(p, center))
+		}
+	}
+	return acc
 }

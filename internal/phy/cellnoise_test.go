@@ -9,17 +9,26 @@ import (
 	"probquorum/internal/sim"
 )
 
-// oracleFarMw recomputes the far-field aggregate by scanning every cell of
-// the noise grid directly and applying the documented rule: occupied cells
-// fully outside innerRadius and not beyond intfRange contribute
-// count·ReceivedPowerMw(center distance).
+// oracleFarMw recomputes the far-field aggregate from first principles: a
+// census of every cell taken from txCount and the per-node cell record — not
+// from the row index under test — then a row-major scan of all cells applying
+// the documented rule: occupied cells fully outside innerRadius and not
+// beyond intfRange contribute count·ReceivedPowerMw(center distance). The
+// scan order is the order farMwAt promises, so the two sums are equal to the
+// last bit.
 func oracleFarMw(f *noiseField, p geom.Point) float64 {
-	cs := f.grid.CellSize()
+	census := make([]int, f.cols*f.cols)
+	for id, c := range f.txCount {
+		if c > 0 {
+			census[f.cellOf[id]]++
+		}
+	}
+	cs := f.cell
 	sum := 0.0
-	for cy := 0; cy < f.grid.Cols(); cy++ {
-		for cx := 0; cx < f.grid.Cols(); cx++ {
-			ids := f.grid.Cell(cx, cy)
-			if len(ids) == 0 {
+	for cy := 0; cy < f.cols; cy++ {
+		for cx := 0; cx < f.cols; cx++ {
+			count := census[cy*f.cols+cx]
+			if count == 0 {
 				continue
 			}
 			x0, y0 := float64(cx)*cs, float64(cy)*cs
@@ -30,46 +39,96 @@ func oracleFarMw(f *noiseField, p geom.Point) float64 {
 				continue
 			}
 			c := geom.Point{X: x0 + cs/2, Y: y0 + cs/2}
-			sum += float64(len(ids)) * f.d.ReceivedPowerMw(geom.Dist(p, c))
+			sum += float64(count) * f.d.ReceivedPowerMw(geom.Dist(p, c))
 		}
 	}
 	return sum
 }
 
-// TestNoiseFieldOracle property-tests farMwAt against the full-scan oracle
-// under random start/end churn, and checks the count-based membership
-// invariant (a node is indexed iff its outstanding count is positive).
-func TestNoiseFieldOracle(t *testing.T) {
-	const n, side = 120, 3000.0
-	rng := rand.New(rand.NewSource(11))
-	f := newNoiseField(n, side, DefaultParams().Derived(), 2.0)
+// checkNoiseIndex holds the row index to the count-based membership
+// invariant: rows are strictly ascending in cx with positive counts, and they
+// hold exactly the nodes whose outstanding count is positive.
+func checkNoiseIndex(t *testing.T, step int, f *noiseField) {
+	t.Helper()
+	transmitting := 0
+	for _, c := range f.txCount {
+		if c < 0 {
+			t.Fatal("negative outstanding-transmission count")
+		}
+		if c > 0 {
+			transmitting++
+		}
+	}
+	held := 0
+	for cy, row := range f.rows {
+		for i, oc := range row {
+			if oc.count <= 0 || (i > 0 && row[i-1].cx >= oc.cx) {
+				t.Fatalf("step %d: row %d is not ascending occupied cells: %v", step, cy, row)
+			}
+			held += int(oc.count)
+		}
+	}
+	if held != transmitting || f.indexed != transmitting {
+		t.Fatalf("step %d: rows hold %d ids, indexed says %d, %d nodes transmitting", step, held, f.indexed, transmitting)
+	}
+}
 
-	for step := 0; step < 2000; step++ {
-		id := rng.Intn(n)
-		if f.txCount[id] == 0 || rng.Float64() < 0.4 {
-			f.txStart(id, geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side})
-		} else {
-			f.txEnd(id)
+// TestNoiseFieldOracle property-tests farMwAt against the full-scan oracle
+// under random start/end churn — sparse (a few dozen on the air over a 3 km
+// field) and dense (≥ 500 concurrent transmitters, several per cell, starts
+// and ends interleaved) — and checks the count-based membership invariant (a
+// node is indexed iff its outstanding count is positive). The comparison is
+// exact: a reordered or regrouped sum must fail.
+func TestNoiseFieldOracle(t *testing.T) {
+	cases := []struct {
+		name      string
+		n         int
+		side      float64
+		startProb float64
+		minOnAir  int
+	}{
+		{"sparse", 120, 3000, 0.4, 0},
+		{"dense", 1500, 2500, 0.7, 500},
+	}
+	for _, tc := range cases {
+		rng := rand.New(rand.NewSource(11))
+		f := newNoiseField(tc.n, tc.side, DefaultParams().Derived(), 2.0)
+		if f.farMwAt(geom.Point{X: tc.side / 2, Y: tc.side / 2}) != 0 {
+			t.Fatalf("%s: far field of an idle network is not 0", tc.name)
 		}
-		if step%97 != 0 {
-			continue
-		}
-		indexed := 0
-		for _, c := range f.txCount {
-			if c < 0 {
-				t.Fatal("negative outstanding-transmission count")
+		peak := 0
+		for step := 0; step < 6000; step++ {
+			id := rng.Intn(tc.n)
+			if f.txCount[id] == 0 || rng.Float64() < tc.startProb {
+				f.txStart(id, geom.Point{X: rng.Float64() * tc.side, Y: rng.Float64() * tc.side})
+			} else {
+				f.txEnd(id)
 			}
-			if c > 0 {
-				indexed++
+			peak = max(peak, f.indexed)
+			if step%97 != 0 {
+				continue
+			}
+			checkNoiseIndex(t, step, f)
+			for k := 0; k < 8; k++ {
+				q := geom.Point{X: rng.Float64() * tc.side, Y: rng.Float64() * tc.side}
+				if got, want := f.farMwAt(q), oracleFarMw(f, q); got != want {
+					t.Fatalf("%s step %d: farMwAt(%v) = %g, oracle %g", tc.name, step, q, got, want)
+				}
 			}
 		}
-		if got := f.grid.Count(); got != indexed {
-			t.Fatalf("step %d: grid holds %d ids, %d nodes transmitting", step, got, indexed)
+		if peak < tc.minOnAir {
+			t.Fatalf("%s: at most %d concurrent transmitters, want ≥ %d", tc.name, peak, tc.minOnAir)
 		}
-		q := geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-		got, want := f.farMwAt(q), oracleFarMw(f, q)
-		if math.Abs(got-want) > 1e-18+1e-12*want {
-			t.Fatalf("step %d: farMwAt(%v) = %g, oracle %g", step, q, got, want)
+		for id := range f.txCount {
+			for f.txCount[id] > 0 {
+				f.txEnd(id)
+			}
+		}
+		checkNoiseIndex(t, -1, f)
+		for cy, row := range f.rows {
+			if len(row) != 0 {
+				t.Fatalf("%s: row %d holds %v after all frames ended", tc.name, cy, row)
+			}
 		}
 	}
 }
@@ -131,10 +190,11 @@ func TestCellNoiseFarFieldEntersSINR(t *testing.T) {
 	if m.Corrupted == 0 {
 		t.Fatal("Corrupted counter did not record the far-field loss")
 	}
-	// All transmissions have ended: the noise grid must have drained.
-	if got := m.noise.grid.Count(); got != 0 {
-		t.Fatalf("noise grid holds %d ids after all frames ended, want 0", got)
+	// All transmissions have ended: the noise index must have drained.
+	if got := m.noise.indexed; got != 0 {
+		t.Fatalf("noise index holds %d ids after all frames ended, want 0", got)
 	}
+	checkNoiseIndex(t, -1, m.noise)
 }
 
 // TestCellNoiseNearFieldNotDoubleCounted pins the inner exclusion: a

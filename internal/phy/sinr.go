@@ -104,23 +104,23 @@ func (m *SINRMedium) signal(d float64) (signal, bool) {
 
 // locks: strong enough and clean enough at its start. The threshold is the
 // cheap question and goes first: an arrival between the reception and
-// carrier-sense ranges never sums the near field or walks the far-field grid.
+// carrier-sense ranges never sums the near field or walks the far-field index.
 func (m *SINRMedium) locks(r *radio, a *arrival) bool {
 	return a.powerMw >= m.d.RxThreshMw &&
-		m.captures(r, a, r.totalPower()-a.powerMw+m.farNoise(r))
+		m.captures(r, a, r.totalPower()-a.powerMw+m.FarNoiseMw(r.id))
 }
 
 // corrupts: the newcomer (or a jamming change) pushes the locked signal's
 // SINR below β.
 func (m *SINRMedium) corrupts(r *radio) bool {
-	return !m.captures(r, r.locked, r.totalPower()-r.locked.powerMw+m.farNoise(r))
+	return !m.captures(r, r.locked, r.totalPower()-r.locked.powerMw+m.FarNoiseMw(r.id))
 }
 
 // survives: the far field raises no mid-frame events, so it is re-sampled at
 // delivery — if the aggregate now swamps the locked signal, the frame did
 // not survive the frame time. Always true in the exact model.
 func (m *SINRMedium) survives(r *radio) bool {
-	return m.noise == nil || m.captures(r, r.locked, r.totalPower()+m.farNoise(r))
+	return m.noise == nil || m.captures(r, r.locked, r.totalPower()+m.FarNoiseMw(r.id))
 }
 
 func (m *SINRMedium) txStart(id int, p geom.Point) {
@@ -141,11 +141,11 @@ func (m *SINRMedium) captures(r *radio, a *arrival, interference float64) bool {
 	return a.powerMw/(m.d.NoiseMw+r.noiseMw+interference) >= m.params.SINRCapture
 }
 
-// farNoise returns the cell-aggregated far-field interference power at r's
-// current position; zero in the exact model.
-func (m *SINRMedium) farNoise(r *radio) float64 {
+// FarNoiseMw returns the cell-aggregated far-field interference power
+// (milliwatts) at node id's current position; zero in the exact model.
+func (m *SINRMedium) FarNoiseMw(id int) float64 {
 	if m.noise == nil {
 		return 0
 	}
-	return m.noise.farMwAt(m.world.pos(r.id))
+	return m.noise.farMwAt(m.world.pos(id))
 }
