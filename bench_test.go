@@ -459,6 +459,10 @@ func BenchmarkOracleNextHop(b *testing.B) {
 // opposite corner of the area, /exhaust from a failed node no field ever
 // reaches — the whole component, which is what every build cost before trees
 // were resumable. visited/op is the number of nodes a query leaves labelled.
+// /fanout is the quorum layer's use: the version moves (a node fails or comes
+// back), then one PrefetchRoutes of 48 random members from a random origin in
+// a cache with room for all of them; its visited/op adds up the origin's own
+// field and the 48 member trees.
 func BenchmarkRouteTreeBuild(b *testing.B) {
 	const n, dead = 10000, 1
 	e := sim.NewEngine(1)
@@ -516,6 +520,36 @@ func BenchmarkRouteTreeBuild(b *testing.B) {
 			b.ReportMetric(float64(visited)/float64(samples), "visited/op")
 		})
 	}
+
+	b.Run("fanout", func(b *testing.B) {
+		o.EnableRouteCache(aodv.RouteCacheConfig{})
+		rng := e.NewStream()
+		dsts := make([]int, 48)
+		fanOut := func() (origin int) {
+			net.Revive(dead)
+			net.Fail(dead)
+			for k := range dsts {
+				dsts[k] = rng.Intn(n)
+			}
+			origin = net.RandomAliveID(rng)
+			o.PrefetchRoutes(origin, dsts)
+			return origin
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fanOut()
+		}
+		b.StopTimer()
+		visited, samples := 0, min(b.N, 64)
+		for i := 0; i < samples; i++ {
+			visited += o.RouteTreeNodes(fanOut())
+			for _, dst := range dsts {
+				visited += o.RouteTreeNodes(dst)
+			}
+		}
+		b.ReportMetric(float64(visited)/float64(samples), "visited/op")
+	})
 }
 
 func BenchmarkClusterLookup(b *testing.B) {

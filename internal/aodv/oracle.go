@@ -57,6 +57,10 @@ type Oracle struct {
 	// while it is set.
 	cache *routeCache
 
+	// hopDone is the send-done callback of every forwarded hop, bound once:
+	// it captures only o, and a literal at the call site is built per hop.
+	hopDone func(ok bool)
+
 	// DataDrops counts packets dropped because no path existed or a hop
 	// failed.
 	DataDrops uint64
@@ -86,6 +90,11 @@ func NewOracle(net *netstack.Network) *Oracle {
 		net:    net,
 		engine: net.Engine(),
 		taps:   make([][]TransitTap, net.N()),
+	}
+	o.hopDone = func(ok bool) {
+		if !ok {
+			o.DataDrops++
+		}
 	}
 	h := &oracleHandler{o: o}
 	for id := 0; id < net.N(); id++ {
@@ -196,11 +205,7 @@ func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	fwd := pkt.Clone()
 	fwd.TTL--
 	fwd.Hops++
-	n.SendOneHop(next, fwd, func(ok bool) {
-		if !ok {
-			o.DataDrops++
-		}
-	})
+	n.SendOneHop(next, fwd, o.hopDone)
 }
 
 // nextHop returns the first hop of a shortest path from src to dst within

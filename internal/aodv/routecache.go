@@ -1,5 +1,7 @@
 package aodv
 
+import "probquorum/internal/netstack"
+
 // RoutePrefetcher is implemented by routers that can bulk-prepare routing
 // state for an imminent fan-out: the quorum layer calls it with the member
 // set it is about to message, so the router can build all missing routes in
@@ -46,6 +48,10 @@ type routeTree struct {
 	frontier []int32
 	built    float64
 	version  uint64
+	// lens marks a field PrefetchRoutes grew only over the shortest paths
+	// between dst and one origin. It cannot tell "off those paths" from
+	// "unreachable", so a noRoute read on it restarts it whole.
+	lens bool
 }
 
 // routeCache answers next-hop queries — unbounded and TTL-scoped — from
@@ -53,12 +59,17 @@ type routeTree struct {
 // version is unchanged and its age is within TTL; an invalid tree is restarted
 // in place and a missing one started fresh, and either grows only as far as
 // its askers are from the destination: serially on demand, or in bulk — one
-// sharded parallel phase, out to the origin of the fan-out — by
+// sharded parallel phase, out to the origin of the fan-out and, where the
+// lists are symmetric, over the origin–destination geodesics only — by
 // PrefetchRoutes.
 type routeCache struct {
 	o        *Oracle
 	ttl      float64
 	maxTrees int
+	// symmetric: w lists v iff v lists w (the geometric provider), so
+	// d(o,w)+d(w,m) = d(o,m) picks out the shortest o–m paths and prefetch may
+	// restrict member trees to them. Heartbeat lists are not.
+	symmetric bool
 
 	trees []*routeTree // by destination; nil = none
 	// order holds every tree of trees exactly once, in installation order
@@ -69,12 +80,15 @@ type routeCache struct {
 	free  []*routeTree
 
 	// Prefetch scratch. pending holds the trees the current parallel phase
-	// starts and extends to origin, one per item; seen is a stamp array
-	// deduplicating the dst list.
-	pending   []*routeTree
-	origin    int
-	seen      []int32
-	seenStamp int32
+	// starts and extends to origin, one per item; originDist is the origin's
+	// own field the items restrict themselves by — set for the length of the
+	// phase only, the barrier's installs may evict and recycle that tree; seen
+	// is a stamp array deduplicating the dst list.
+	pending    []*routeTree
+	origin     int
+	originDist []uint16
+	seen       []int32
+	seenStamp  int32
 
 	// Per-shard BFS queue, indexed by the ShardedEval shard index (one
 	// goroutine owns a shard index for the length of a phase). prefetch
@@ -97,10 +111,11 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 	if o.cache == nil {
 		n := o.net.N()
 		c := &routeCache{
-			o:      o,
-			trees:  make([]*routeTree, n),
-			seen:   make([]int32, n),
-			queues: make([][]int32, 1),
+			o:         o,
+			symmetric: o.net.Config().Neighbors == netstack.NeighborsOracle,
+			trees:     make([]*routeTree, n),
+			seen:      make([]int32, n),
+			queues:    make([][]int32, 1),
 		}
 		c.evalFn = c.eval
 		o.cache = c
@@ -111,7 +126,10 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 // PrefetchRoutes implements RoutePrefetcher: ensure a valid tree exists for
 // every alive destination in dsts, starting all missing ones and growing
 // them out to origin — the node about to send — in one ShardedEval phase over
-// the frozen neighbor lists. A no-op on an oracle without the cache.
+// the frozen neighbor lists. On symmetric lists a member's tree labels only
+// the nodes a packet from origin can ask from, the shortest origin–member
+// paths, found with one field grown from origin first (DESIGN.md §15). A
+// no-op on an oracle without the cache.
 func (o *Oracle) PrefetchRoutes(origin int, dsts []int) {
 	if o.cache != nil {
 		o.cache.prefetch(origin, dsts)
@@ -145,41 +163,76 @@ func (c *routeCache) prefetch(origin int, dsts []int) {
 	c.seenStamp++
 	// Claim trees serially (the free list is shared state), then fill them in
 	// parallel; new trees stage their install for the barrier, where they
-	// commit in ascending item order.
+	// commit in ascending item order. The origin's tree is made valid before
+	// the first claim: installing it later could evict a stale tree already
+	// claimed in place, which the barrier would then install a second time.
+	var ot *routeTree
 	c.pending = c.pending[:0]
 	for _, dst := range dsts {
 		if c.seen[dst] == c.seenStamp {
 			continue
 		}
 		c.seen[dst] = c.seenStamp
-		if !net.Alive(dst) {
+		if t := c.trees[dst]; !net.Alive(dst) || t != nil && c.valid(t, now, ver) {
 			continue
 		}
-		if t := c.trees[dst]; t == nil || !c.valid(t, now, ver) {
-			c.pending = append(c.pending, c.claim(dst, now, ver))
+		if ot == nil && c.symmetric && net.Alive(origin) {
+			if ot = c.trees[origin]; ot == nil || !c.valid(ot, now, ver) {
+				ot = c.miss(origin, now, ver)
+			} else if ot.lens {
+				c.start(ot, false)
+			}
+			if dst == origin {
+				continue
+			}
 		}
+		c.pending = append(c.pending, c.claim(dst, now, ver))
 	}
 	if len(c.pending) == 0 {
 		return
+	}
+	if ot != nil {
+		for _, t := range c.pending {
+			c.extend(ot, t.dst, 0, 0, nil)
+		}
+		c.originDist = ot.dist
 	}
 	c.origin = origin
 	for len(c.queues) < c.o.engine.Shards() {
 		c.queues = append(c.queues, nil)
 	}
 	c.o.engine.ShardedEval(len(c.pending), c.evalFn)
+	c.originDist = nil
 }
 
 // eval starts item i's tree and grows it to the phase's origin on its shard's
-// scratch. Reads frozen neighbor lists and writes only the item's own tree
-// plus the shard's queue (items of one shard run sequentially on one
+// scratch — as a lens when the origin's field reaches the destination, whole
+// when there is no such field or the destination is in another component.
+// Reads frozen neighbor lists and the origin's field, writes only the item's
+// own tree plus the shard's queue (items of one shard run sequentially on one
 // goroutine).
 func (c *routeCache) eval(shard, i int) {
 	t := c.pending[i]
-	c.start(t)
-	c.extend(t, c.origin, 0, shard)
+	lens := c.originDist // the origin's tree is valid, so no item owns it: read-only until the barrier
+	if lens != nil && lens[t.dst] == noRoute {
+		lens = nil
+	}
+	c.start(t, lens != nil)
+	c.extend(t, c.origin, 0, shard, lens)
 	if c.trees[t.dst] != t {
 		c.o.engine.Stage(i, func() { c.install(t) })
 	}
+}
+
+// miss makes dst's tree valid as of (now, ver) on the serial path: restarted
+// in place, or a new one installed.
+func (c *routeCache) miss(dst int, now float64, ver uint64) *routeTree {
+	t := c.claim(dst, now, ver)
+	c.start(t, false)
+	if c.trees[dst] != t {
+		c.install(t)
+	}
+	return t
 }
 
 // claim returns the tree a miss on dst has to fill, stamped valid as of
@@ -200,8 +253,10 @@ func (c *routeCache) claim(dst int, now float64, ver uint64) *routeTree {
 }
 
 // start resets t to the BFS's initial state: only dst labelled, only dst on
-// the frontier.
-func (c *routeCache) start(t *routeTree) {
+// the frontier; lens says whether what follows is restricted to one origin's
+// geodesics.
+func (c *routeCache) start(t *routeTree, lens bool) {
+	t.lens = lens //pqlint:parshared(per-item tree storage)
 	dist := t.dist
 	dist[0] = noRoute //pqlint:parshared(per-item tree storage: t is this item's claimed tree, touched by no other worker)
 	for i := 1; i < len(dist); i *= 2 {
@@ -217,8 +272,15 @@ func (c *routeCache) start(t *routeTree) {
 // needs no more than that ball), or the component is exhausted. Levels
 // complete in order, so a label, once written, is the full BFS's.
 //
+// A non-nil lens is the distance field of src — grown at least as far as dst,
+// over symmetric lists — and restricts the BFS to the nodes on shortest
+// src–dst paths: w at depth d is labelled only if lens[w]+d = lens[dst].
+// Every shortest path from such a w to dst stays inside that set, so the
+// depths are still the true distances and each labelled node's closer
+// neighbors are all labelled too.
+//
 //pqlint:noalloc
-func (c *routeCache) extend(t *routeTree, src, ttl, shard int) {
+func (c *routeCache) extend(t *routeTree, src, ttl, shard int, lens []uint16) {
 	dist := t.dist
 	// Nodes at depth limit and beyond stay unexpanded; no real depth reaches
 	// noRoute, so an unbounded extension never stops on it.
@@ -226,8 +288,12 @@ func (c *routeCache) extend(t *routeTree, src, ttl, shard int) {
 	if 0 < ttl && ttl < noRoute {
 		limit = uint16(ttl)
 	}
-	if len(t.frontier) == 0 || dist[t.frontier[0]] >= limit {
+	if dist[src] != noRoute || len(t.frontier) == 0 || dist[t.frontier[0]] >= limit {
 		return
+	}
+	var want int // lens[dst], hoisted: the compiler cannot know lens and dist do not alias
+	if lens != nil {
+		want = int(lens[t.dst])
 	}
 	queue := append(c.queues[shard][:0], t.frontier...) //pqlint:allow noalloc(per-shard scratch grows to the largest component once, then is reused)
 	head := 0
@@ -235,7 +301,7 @@ func (c *routeCache) extend(t *routeTree, src, ttl, shard int) {
 		u := int(queue[head])
 		d := dist[u] + 1
 		for _, w := range c.o.net.FrozenNeighbors(u) {
-			if dist[w] != noRoute {
+			if dist[w] != noRoute || lens != nil && int(lens[w])+int(d) != want {
 				continue
 			}
 			if d == noRoute {
@@ -298,14 +364,16 @@ func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 		// Serial miss path: same snapshot discipline as prefetch — prepare
 		// (which may advance the version), then grow over frozen lists.
 		net.PrepareNeighbors()
-		t = c.claim(dst, now, net.NeighborVersion())
-		c.start(t)
-		if c.trees[dst] != t {
-			c.install(t)
-		}
+		t = c.miss(dst, now, net.NeighborVersion())
 	}
 	if t.dist[src] == noRoute {
-		c.extend(t, src, maxTTL, 0)
+		if t.lens {
+			// src is off the lens or unreachable, and only the whole field can
+			// say which. A second asker is also the evidence that the tree is
+			// shared, so it stays whole.
+			c.start(t, false)
+		}
+		c.extend(t, src, maxTTL, 0, nil)
 	}
 	d := t.dist[src]
 	if d == noRoute || (maxTTL > 0 && int(d) > maxTTL) {

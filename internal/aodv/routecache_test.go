@@ -90,7 +90,7 @@ func exhaustTree(o *Oracle, dst int) *routeTree {
 	tr := o.cache.trees[dst]
 	for v := range tr.dist {
 		if tr.dist[v] == noRoute {
-			o.cache.extend(tr, v, 0, 0)
+			o.cache.extend(tr, v, 0, 0, nil)
 		}
 	}
 	return tr
@@ -198,6 +198,191 @@ func TestLazyTreeMatchesExhaustedField(t *testing.T) {
 		if partial == 0 {
 			t.Fatalf("n=%d: no query was answered from a partly grown tree", w.n)
 		}
+	}
+}
+
+// labelled is the set of nodes tr's field has reached so far.
+func labelled(tr *routeTree) []bool {
+	in := make([]bool, len(tr.dist))
+	for v, d := range tr.dist {
+		in[v] = d != noRoute
+	}
+	return in
+}
+
+// ballTo is what a whole tree prefetched toward origin labels: a BFS of the
+// test's own from dst over the live lists, expanding whole nodes in queue
+// order until origin is labelled or the component runs out.
+func ballTo(net *netstack.Network, dst, origin int) []bool {
+	in := make([]bool, net.N())
+	in[dst] = true
+	for queue := []int{dst}; len(queue) > 0 && !in[origin]; queue = queue[1:] {
+		for _, w := range net.Neighbors(queue[0]) {
+			if !in[w] {
+				in[w] = true
+				queue = append(queue, w)
+			}
+		}
+	}
+	return in
+}
+
+// TestPrefetchLensIsTheGeodesicSet holds the prefetched member trees of a
+// symmetric stack to the lens's definition and to the BFS, on the cacheWorlds
+// topologies over random origins and fan-outs (the origin among the members,
+// dead members, members in another component, a Fail/Revive bump between
+// rounds): a member the origin reaches is labelled at exactly the nodes v with
+// d(o,v)+d(v,m) = d(o,m) — every one of them, or a packet would find the path
+// pruned; no other, or nothing was saved — with the exhausted field's
+// distances; walking origin→member asks the BFS's hop at every step and never
+// leaves the lens; and every other asker — first scoped queries (ttl 1…6) on
+// still-restricted trees, then, with the same members prefetched again from a
+// second origin, every src × dst × ttl 0…6 — gets the forward BFS's answer.
+func TestPrefetchLensIsTheGeodesicSet(t *testing.T) {
+	for wi, w := range cacheWorlds {
+		rng := rand.New(rand.NewSource(int64(21 + wi)))
+		_, net, o := oracleWorld(geom.UniformPoints(rng, w.n, w.side), w.side)
+		for k := 0; k < w.n/10; k++ {
+			net.Fail(rng.Intn(w.n))
+		}
+		lenses, whole := 0, 0
+		for round := 0; round < 8; round++ {
+			id := net.RandomAliveID(rng) // every round starts from stale trees
+			net.Fail(id)
+			if round%2 == 0 {
+				net.Revive(id)
+			}
+			origin := net.RandomAliveID(rng)
+			dsts := []int{origin}
+			for k := 2 + rng.Intn(w.n/4); k > 0; k-- {
+				dsts = append(dsts, rng.Intn(w.n))
+			}
+			name := fmt.Sprintf("n=%d round %d origin %d", w.n, round, origin)
+			o.PrefetchRoutes(origin, dsts)
+			fromOrigin := referenceField(net, origin)
+			if ot := o.cache.trees[origin]; ot == nil || ot.lens {
+				t.Fatalf("%s: the origin's own tree is missing or restricted", name)
+			}
+			for _, m := range dsts[1:] {
+				tr := o.cache.trees[m]
+				if !net.Alive(m) || m == origin {
+					continue
+				}
+				if tr == nil || tr.version != net.NeighborVersion() {
+					t.Fatalf("%s: member %d has no valid tree", name, m)
+				}
+				toMember := referenceField(net, m)
+				checkLabels(t, name, net, tr, false)
+				if fromOrigin[m] == noRoute {
+					if tr.lens || len(tr.frontier) > 0 {
+						t.Fatalf("%s: member %d in another component: lens=%v, %d on the frontier", name, m, tr.lens, len(tr.frontier))
+					}
+					whole++
+					continue
+				}
+				if !tr.lens {
+					t.Fatalf("%s: member %d is reachable but its tree is whole", name, m)
+				}
+				lenses++
+				for v, in := range labelled(tr) {
+					if on := int(fromOrigin[v])+int(toMember[v]) == int(fromOrigin[m]); in != on {
+						t.Fatalf("%s: member %d: node %d labelled=%v, on a shortest path=%v", name, m, v, in, on)
+					}
+				}
+				for v := origin; v != m; {
+					hop, ok := o.nextHop(v, m, 0)
+					if want, wantOK := bfsHop(o, v, m, 0); !ok || !wantOK || hop != want {
+						t.Fatalf("%s: on the way to %d at %d: lens says (%d, %v), BFS (%d, %v)", name, m, v, hop, ok, want, wantOK)
+					}
+					v = hop
+				}
+				if !tr.lens {
+					t.Fatalf("%s: the packet's own queries restarted the lens of %d", name, m)
+				}
+			}
+			for q := 0; q < 40*len(dsts); q++ {
+				src, dst, ttl := net.RandomAliveID(rng), dsts[rng.Intn(len(dsts))], 1+rng.Intn(6)
+				got, ok := o.nextHop(src, dst, ttl)
+				if want, wantOK := bfsHop(o, src, dst, ttl); ok != wantOK || (ok && got != want) {
+					t.Fatalf("%s: scoped %d→%d ttl %d: cache (%d, %v), BFS (%d, %v)", name, src, dst, ttl, got, ok, want, wantOK)
+				}
+			}
+			o.PrefetchRoutes(net.RandomAliveID(rng), dsts)
+			if round%2 == 1 {
+				checkAgainstBFS(t, name+", second origin", net, o)
+			}
+		}
+		if lenses == 0 || (wi == 2 && whole == 0) {
+			t.Fatalf("n=%d: %d lenses and %d other-component members checked", w.n, lenses, whole)
+		}
+	}
+}
+
+// TestPrefetchOnHeartbeatListsIsNotRestricted: heartbeat lists are not
+// symmetric, the geodesic identity does not hold on them, and a prefetched
+// tree there is the whole ball out to the origin, as before the lens.
+func TestPrefetchOnHeartbeatListsIsNotRestricted(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n, side = 80, 900.0
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{
+		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
+		Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat, HeartbeatSecs: 1,
+	})
+	o := NewOracle(net)
+	o.EnableRouteCache(RouteCacheConfig{TTLSecs: 1})
+	e.Run(5)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	const origin = 3
+	o.PrefetchRoutes(origin, all)
+	smaller := 0
+	for dst := 0; dst < n; dst++ {
+		tr := o.cache.trees[dst]
+		if tr == nil || tr.lens {
+			t.Fatalf("tree %d missing or restricted on a heartbeat stack", dst)
+		}
+		want := ballTo(net, dst, origin)
+		for v, in := range labelled(tr) {
+			if in != want[v] {
+				t.Fatalf("tree %d: node %d labelled=%v, the ball to the origin has %v", dst, v, in, want[v])
+			}
+		}
+		if o.RouteTreeNodes(dst) < n {
+			smaller++
+		}
+	}
+	if smaller == 0 {
+		t.Fatal("every ball is the whole network: the topology cannot tell a ball from a lens")
+	}
+}
+
+// TestLensLabelsATenthOfTheBall is the point of the lens as a number: at the
+// scale posture (n = 10 000, a fan-out of 48 from one origin) the member trees
+// label less than a tenth of what the same prefetch labels unrestricted.
+func TestLensLabelsATenthOfTheBall(t *testing.T) {
+	const n, fanout = 10000, 48
+	rng := rand.New(rand.NewSource(17))
+	side := geom.AreaSide(n, 200, 10)
+	pts := geom.UniformPoints(rng, n, side)
+	origin, dsts := rng.Intn(n), rng.Perm(n)[:fanout]
+	sum := func(symmetric bool) (nodes int) {
+		_, _, o := oracleWorld(pts, side)
+		o.cache.symmetric = symmetric
+		o.PrefetchRoutes(origin, dsts)
+		for _, m := range dsts {
+			if m != origin {
+				nodes += o.RouteTreeNodes(m)
+			}
+		}
+		return nodes
+	}
+	lens, ball := sum(true), sum(false)
+	t.Logf("48 member trees at n=%d: %d nodes labelled as lenses, %d as balls", n, lens, ball)
+	if lens == 0 || 10*lens >= ball {
+		t.Fatalf("lenses label %d nodes, balls %d: want under a tenth", lens, ball)
 	}
 }
 

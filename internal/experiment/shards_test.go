@@ -14,14 +14,17 @@ import (
 // routing with the route cache on (so quorum fan-outs trigger ShardedEval
 // prefetches with staged installs), heartbeat neighbor discovery (the
 // version/TTL validity path), lazy membership, SINR with continuous churn so
-// trees invalidate and rebuild mid-run.
-func shardsScenario(shards int) Scenario {
+// trees invalidate and rebuild mid-run. oracleNeighbors swaps in the geometric
+// provider, whose symmetric lists turn the prefetch items into lenses that
+// all read the origin's field (DESIGN.md §15).
+func shardsScenario(shards int, oracleNeighbors bool) Scenario {
 	sc := Scenario{
 		N: 120, Stack: netstack.StackSINR, Seed: 9,
 		Advertisements: 8, Lookups: 40, LookupNodes: 8,
 		ChurnFailRate: 0.2, ChurnJoinRate: 0.2,
 		OracleRouting: true, RouteCache: true, LazyMembership: true,
-		Shards: shards,
+		OracleNeighbors: oracleNeighbors,
+		Shards:          shards,
 	}
 	sc.Quorum = mixConfig(sc.N, quorum.Random, quorum.Random)
 	return sc
@@ -30,10 +33,11 @@ func shardsScenario(shards int) Scenario {
 // TestShardsBitIdentical is the sharded-phase determinism gate (run by make
 // check): a full experiment over the route cache's parallel prefetch path
 // must render bit-identically with sharding off and at widths 1, 2, 4, and
-// 8. CI's race-stress step overrides the width via PQ_SHARDS_STRESS to run
-// one width at a time under -race with GORACE=halt_on_error=1,
-// cross-checking parsafe's static audit of ShardedEval callbacks against the
-// dynamic detector.
+// 8, on heartbeat lists (whole trees) and on geometric ones (lenses reading
+// the origin's field from every shard). CI's race-stress step overrides the
+// width via PQ_SHARDS_STRESS to run one width at a time under -race with
+// GORACE=halt_on_error=1, cross-checking parsafe's static audit of
+// ShardedEval callbacks against the dynamic detector.
 func TestShardsBitIdentical(t *testing.T) {
 	widths := []int{1, 2, 4, 8}
 	if s := os.Getenv("PQ_SHARDS_STRESS"); s != "" {
@@ -43,10 +47,12 @@ func TestShardsBitIdentical(t *testing.T) {
 		}
 		widths = []int{w}
 	}
-	wantRes := fmt.Sprintf("%+v", Run(shardsScenario(0)))
-	for _, w := range widths {
-		if got := fmt.Sprintf("%+v", Run(shardsScenario(w))); got != wantRes {
-			t.Errorf("Shards=%d result diverged from serial run:\n got %s\nwant %s", w, got, wantRes)
+	for _, exact := range []bool{false, true} {
+		wantRes := fmt.Sprintf("%+v", Run(shardsScenario(0, exact)))
+		for _, w := range widths {
+			if got := fmt.Sprintf("%+v", Run(shardsScenario(w, exact))); got != wantRes {
+				t.Errorf("Shards=%d (oracle neighbors %v) result diverged from serial run:\n got %s\nwant %s", w, exact, got, wantRes)
+			}
 		}
 	}
 }
@@ -55,7 +61,7 @@ func TestShardsBitIdentical(t *testing.T) {
 // a scheduled SetShards; the run must be unperturbed (pure throughput knob).
 func TestShardsResizeMidRun(t *testing.T) {
 	run := func(resize bool) string {
-		st := shardsScenario(2).build()
+		st := shardsScenario(2, false).build()
 		engine, net := st.Engine, st.Net
 		defer engine.StopWorkers()
 		if resize {

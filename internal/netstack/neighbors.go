@@ -28,6 +28,9 @@ type NeighborProvider interface {
 	// after Prepare in the same event; read-only, safe for concurrent
 	// readers (DESIGN.md §15).
 	Frozen(id int) []int
+	// AliveFlipped is called by Fail and Revive, after the flip, with the
+	// node whose liveness changed.
+	AliveFlipped(id int)
 }
 
 // oracleNeighbors computes neighborhoods geometrically from true positions —
@@ -41,7 +44,9 @@ type NeighborProvider interface {
 //   - computed neighbor lists are memoized per (timestamp, aliveEpoch),
 //     so the router's per-hop BFS — which queries every visited node —
 //     recomputes each list at most once per event, and on a static
-//     network without churn exactly once per run.
+//     network without churn exactly once per run; a liveness flip on a
+//     static network invalidates only the lists it can change, those of
+//     the nodes within range of the flipped one (AliveFlipped).
 //
 // Together these take the per-hop BFS from O(n²) to amortized O(reached),
 // which is what lets open-loop load runs route 10⁵+ messages per figure.
@@ -111,6 +116,23 @@ func (o *oracleNeighbors) Neighbors(id int) []int {
 	o.lists[id] = list
 	o.valid[id] = true
 	return list
+}
+
+// AliveFlipped implements NeighborProvider. Where nothing moves, id enters or
+// leaves exactly the lists of the nodes within range of it, so only those are
+// invalidated (and the version advanced) here and refresh finds the epoch
+// current; a mobile network, or one not indexed yet, leaves it to refresh.
+func (o *oracleNeighbors) AliveFlipped(id int) {
+	if !o.static || o.stamp < 0 {
+		return
+	}
+	o.cand = o.grid.Within(o.net.Position(id), o.net.Range(), o.cand[:0])
+	for _, near := range o.cand {
+		o.valid[near] = false
+	}
+	o.allLive = false
+	o.epoch = o.net.aliveEpoch
+	o.version++
 }
 
 // Version implements NeighborProvider: the counter advances with every
@@ -282,6 +304,10 @@ func (h *heartbeatService) Prepare() {
 
 // Frozen implements NeighborProvider.
 func (h *heartbeatService) Frozen(id int) []int { return h.lists[id] }
+
+// AliveFlipped implements NeighborProvider: nothing to do, every cached list
+// is keyed on the alive epoch.
+func (h *heartbeatService) AliveFlipped(int) {}
 
 func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {

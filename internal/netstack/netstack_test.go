@@ -211,6 +211,58 @@ func TestOracleNeighbors(t *testing.T) {
 	}
 }
 
+// TestOracleNeighborsFlipRelistsLocally: on a static network a liveness flip
+// invalidates only the lists around the flipped node, and what the provider
+// then serves — Neighbors for every node, dead ones too, and the frozen lists
+// after Prepare — is what a provider built from scratch computes. Flips land
+// on a warm cache, so a list wrongly kept valid shows.
+func TestOracleNeighborsFlipRelistsLocally(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n, side = 300, 1500.0
+	e := sim.NewEngine(1)
+	net := New(e, Config{
+		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
+		Stack: StackIdeal, Neighbors: NeighborsOracle,
+	})
+	o := net.neighbors.(*oracleNeighbors)
+	net.PrepareNeighbors()
+	relisted := 0
+	for flip := 0; flip < 200; flip++ {
+		id := rng.Intn(n)
+		before := net.NeighborVersion()
+		if net.Alive(id) {
+			net.Fail(id)
+		} else {
+			net.Revive(id)
+		}
+		if net.NeighborVersion() == before {
+			t.Fatalf("flip %d: version did not advance", flip)
+		}
+		for _, ok := range o.valid {
+			if !ok {
+				relisted++
+			}
+		}
+		if flip%3 == 0 {
+			continue // the next flip lands on the lists this one left stale
+		}
+		net.PrepareNeighbors()
+		fresh := newOracleNeighbors(net)
+		for v := 0; v < n; v++ {
+			want := fresh.Neighbors(v)
+			if got := net.FrozenNeighbors(v); net.Alive(v) && !intsEqual(got, want) {
+				t.Fatalf("flip %d (node %d): frozen list of %d = %v, a fresh provider lists %v", flip, id, v, got, want)
+			}
+			if got := net.Neighbors(v); !intsEqual(got, want) {
+				t.Fatalf("flip %d (node %d): neighbors of %d = %v, a fresh provider lists %v", flip, id, v, got, want)
+			}
+		}
+	}
+	if relisted >= 200*n/4 {
+		t.Fatalf("%d lists invalidated by 200 flips of %d nodes: not local", relisted, n)
+	}
+}
+
 func TestHeartbeatNeighbors(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}}

@@ -546,8 +546,7 @@ func (net *Network) Fail(id int) {
 	}
 	net.alive[id] = false
 	net.nAlive--
-	net.aliveEpoch++
-	net.setMediumEnabled(id, false)
+	net.aliveFlipped(id, false)
 }
 
 // Revive (re)joins node id at its current mobility position.
@@ -557,11 +556,13 @@ func (net *Network) Revive(id int) {
 	}
 	net.alive[id] = true
 	net.nAlive++
-	net.aliveEpoch++
-	net.setMediumEnabled(id, true)
+	net.aliveFlipped(id, true)
 }
 
-func (net *Network) setMediumEnabled(id int, on bool) {
+// aliveFlipped propagates a liveness flip already recorded in net.alive.
+func (net *Network) aliveFlipped(id int, on bool) {
+	net.aliveEpoch++
+	net.neighbors.AliveFlipped(id)
 	if net.medium != nil {
 		net.medium.SetEnabled(id, on)
 	}

@@ -326,6 +326,39 @@ func TestTimerRearmAllocFree(t *testing.T) {
 	}
 }
 
+// TestTimerFireResetAllocFree pins the two ways a disarmed timer is armed
+// again — after it fired and after a Cancel — at zero allocations: DCF cycles
+// through both (DIFS fires → back-off armed; medium busy → Cancel → idle →
+// Reset), so neither is a cold path.
+func TestTimerFireResetAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	tm := NewTimer(e, func() { fired++ })
+	tm.Reset(1)
+	e.Run(e.Now() + 2) // warm the event pool
+	avg := testing.AllocsPerRun(200, func() {
+		tm.Reset(1)
+		e.Run(e.Now() + 2)
+	})
+	if avg != 0 {
+		t.Fatalf("Reset after a fire allocates %.1f objects/op, want 0", avg)
+	}
+	if fired != 202 {
+		t.Fatalf("timer fired %d times, want 202", fired)
+	}
+	avg = testing.AllocsPerRun(200, func() {
+		tm.Reset(1)
+		tm.Cancel()
+		e.Run(e.Now() + 2) // drains the cancelled event back into the pool
+	})
+	if avg != 0 {
+		t.Fatalf("Reset after a Cancel allocates %.1f objects/op, want 0", avg)
+	}
+	if fired != 202 || tm.Armed() {
+		t.Fatalf("cancelled timer fired (%d) or is still armed", fired)
+	}
+}
+
 func TestRunAllLimit(t *testing.T) {
 	e := NewEngine(1)
 	var recur func()

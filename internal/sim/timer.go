@@ -54,19 +54,26 @@ func (t *Ticker) Stop() {
 type Timer struct {
 	engine *Engine
 	fn     func()
+	// fireFn is t.fire bound once: a method value written at the Schedule
+	// call is materialised per call, and arming a disarmed timer is DCF's
+	// steady state (fire → Reset, Cancel → Reset), not a cold path.
+	fireFn func()
 	event  *Event
 }
 
 // NewTimer creates an unarmed timer that will invoke fn when it expires.
 func NewTimer(e *Engine, fn func()) *Timer {
-	return &Timer{engine: e, fn: fn}
+	t := &Timer{engine: e, fn: fn}
+	t.fireFn = t.fire
+	return t
 }
 
 // Reset (re)arms the timer to fire after delay seconds, superseding any
 // earlier deadline. While the timer is armed the pending event is rearmed
-// in place — no allocation and no cancelled ghost left in the engine queue
-// — which is what keeps retry-heavy MACs (ACK timeouts rearm on every
-// frame) allocation-free in steady state.
+// in place — no cancelled ghost left in the engine queue; a fired or
+// cancelled timer schedules a pooled event. Neither allocates, which is what
+// keeps retry-heavy MACs (ACK timeouts rearm on every frame, back-off arms
+// after every DIFS) allocation-free in steady state.
 //
 //pqlint:noalloc
 func (t *Timer) Reset(delay float64) {
@@ -77,7 +84,7 @@ func (t *Timer) Reset(delay float64) {
 		return
 	}
 	t.Cancel()
-	t.event = t.engine.Schedule(delay, t.fire) //pqlint:allow noalloc(first-arm cold path: the t.fire method value is created once per disarmed timer, rearms hit the in-place path above)
+	t.event = t.engine.Schedule(delay, t.fireFn)
 }
 
 func (t *Timer) fire() {
