@@ -231,6 +231,65 @@ func BenchmarkSINRBroadcast(b *testing.B) {
 	}
 }
 
+// BenchmarkSINRBroadcastStorm is BenchmarkSINRBroadcast's layout with the air
+// shared: each iteration puts eight frames on it a quarter of a millisecond
+// apart (a 512-byte frame lasts 2.2 ms, so all eight overlap) from senders
+// spread over the field, then runs them out. One frame at a time every radio's
+// sum is a single term; here each signal starts and ends among up to seven
+// others, which is where a flood spends its time. ns/arrival divides by the
+// receivers the interference cutoff gives the senders, counted here from the
+// geometry rather than read from the medium.
+func BenchmarkSINRBroadcastStorm(b *testing.B) {
+	const n, burst, stride, gapSecs = 200, 8, 25, 0.25e-3
+	e := sim.NewEngine(1)
+	rng := e.NewStream()
+	side := geom.AreaSide(n, 200, 10)
+	pts := geom.UniformPoints(rng, n, side)
+	m := phy.NewSINRMedium(e, phy.SINRConfig{
+		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+	})
+	d := phy.DefaultParams().Derived()
+	reach := make([]int, n) // arrivals one frame of sender i creates
+	frames := make([]*phy.Frame, n)
+	for i := range frames {
+		frames[i] = &phy.Frame{Src: i, Dst: phy.Broadcast, Bytes: 512, Rate: 2e6}
+		for j := range pts {
+			if j != i && d.ReceivedPowerMw(geom.Dist(pts[i], pts[j])) >= d.CutoffMw {
+				reach[i]++
+			}
+		}
+	}
+	first, arrivals := 0, 0
+	var send [burst]func()
+	for k := range send {
+		send[k] = func() {
+			id := (first + k*stride) % n
+			arrivals += reach[id]
+			m.Channel(id).Transmit(frames[id])
+		}
+	}
+	storm := func() {
+		for k, fn := range send {
+			e.At(e.Now()+float64(k)*gapSecs, fn)
+		}
+		e.Run(e.Now() + 0.01)
+		first++
+	}
+	for i := 0; i < n; i++ {
+		storm() // every sender has transmitted: the pools are at their high-water marks
+	}
+	if a := testing.AllocsPerRun(20, storm); a != 0 {
+		b.Fatalf("a storm of %d overlapping broadcasts allocates %.1f objects, want 0", burst, a)
+	}
+	arrivals = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		storm()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+}
+
 func BenchmarkDiskBroadcast(b *testing.B) {
 	e := sim.NewEngine(1)
 	rng := e.NewStream()

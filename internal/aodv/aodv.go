@@ -108,16 +108,33 @@ type rreqKey struct {
 	id   uint32
 }
 
+// pathDiscoveryTime is RFC 3561's PATH_DISCOVERY_TIME, 2·NET_TRAVERSAL_TIME =
+// 4·NodeTraversalTime·NetDiameter: how long a node must remember a RREQ to
+// recognise a late copy of it (§6.3, §6.5).
+func (c Config) pathDiscoveryTime() float64 {
+	return 4 * c.NodeTraversalTime * float64(c.NetDiameter)
+}
+
+// seenAt is one duplicate-RREQ cache entry in the order it was made.
+type seenAt struct {
+	key rreqKey
+	at  float64
+}
+
 // nodeState is the per-node AODV state.
 type nodeState struct {
-	id      int
-	seq     uint32
-	rreqID  uint32
-	routes  map[int]*route
-	seen    map[rreqKey]float64
-	disc    map[int]*discovery
-	taps    []TransitTap
-	handler *nodeHandler
+	id     int
+	seq    uint32
+	rreqID uint32
+	routes map[int]*route
+	// seen is the duplicate-RREQ cache; seenOrder[seenHead:] lists its
+	// entries oldest first, so markSeen can forget the expired ones.
+	seen      map[rreqKey]struct{}
+	seenOrder []seenAt
+	seenHead  int
+	disc      map[int]*discovery
+	taps      []TransitTap
+	handler   *nodeHandler
 }
 
 // Routing runs AODV on every node of a network.
@@ -165,7 +182,7 @@ func New(net *netstack.Network, cfg Config) *Routing {
 		st := &nodeState{
 			id:     id,
 			routes: make(map[int]*route),
-			seen:   make(map[rreqKey]float64),
+			seen:   make(map[rreqKey]struct{}),
 			disc:   make(map[int]*discovery),
 		}
 		st.handler = &nodeHandler{r: r, id: id}
@@ -195,7 +212,25 @@ func (r *Routing) ResetNode(id int) {
 		r.finishDiscovery(st, dst, false)
 	}
 	st.routes = make(map[int]*route)
-	st.seen = make(map[rreqKey]float64)
+	st.seen = make(map[rreqKey]struct{})
+	st.seenOrder, st.seenHead = st.seenOrder[:0], 0
+}
+
+// markSeen enters key into st's duplicate-RREQ cache, first forgetting every
+// entry older than PATH_DISCOVERY_TIME: a copy that late is a new request as
+// far as RFC 3561 is concerned, and a cache that only grew would hold every
+// flood of the run at every node.
+func (r *Routing) markSeen(st *nodeState, key rreqKey) {
+	now, q := r.engine.Now(), st.seenOrder
+	for horizon := r.cfg.pathDiscoveryTime(); st.seenHead < len(q) && q[st.seenHead].at+horizon < now; st.seenHead++ {
+		delete(st.seen, q[st.seenHead].key)
+	}
+	if st.seenHead > len(q)/2 {
+		q = q[:copy(q, q[st.seenHead:])]
+		st.seenHead = 0
+	}
+	st.seenOrder = append(q, seenAt{key, now})
+	st.seen[key] = struct{}{}
 }
 
 // AddTransitTap registers a transit observer at node id.

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"math"
 	"testing"
 
 	"probquorum/internal/geom"
@@ -597,5 +598,98 @@ func TestSequenceNumberFreshness(t *testing.T) {
 	r.updateRoute(st, 2, 1, 3, 11, true)
 	if st.routes[2].hops != 3 {
 		t.Fatal("shorter same-seq route rejected")
+	}
+}
+
+// TestRREQDedupHorizon: a copy of a request inside PATH_DISCOVERY_TIME is
+// still a duplicate (it must not touch the reverse route), and the cache lets
+// go of an entry once a later insert finds it older than that.
+func TestRREQDedupHorizon(t *testing.T) {
+	e := sim.NewEngine(1)
+	net, r, _ := lineWorld(e, 5, 150)
+	n, st := net.Node(2), r.nodes[2]
+	horizon := r.cfg.pathDiscoveryTime()
+	if math.Abs(horizon-5.6) > 1e-9 {
+		t.Fatalf("PATH_DISCOVERY_TIME = %g s with the default constants, want 5.6", horizon)
+	}
+	// copyOf hands node 2 request (0, 7) from neighbour from, each copy with
+	// a fresher originator sequence number so an accepted one shows in the
+	// reverse route's next hop.
+	seq := uint32(10)
+	copyOf := func(id uint32, from int) {
+		seq++
+		req := &rreqMsg{ID: id, Orig: 0, OrigSeq: seq, Dst: 4, HopCount: 1}
+		r.handleRREQ(n, st, &netstack.Packet{Proto: netstack.ProtoAODV, Src: from, TTL: 5, Payload: req}, req, from)
+	}
+	e.At(0, func() { copyOf(7, 1) })
+	e.At(horizon-0.1, func() { copyOf(7, 3) })
+	e.Run(horizon)
+	if hop := st.routes[0].nextHop; hop != 1 {
+		t.Fatalf("a copy inside the horizon was processed: reverse route now via %d, want 1", hop)
+	}
+	if len(st.seen) != 1 {
+		t.Fatalf("cache holds %d entries after one request and its copy, want 1", len(st.seen))
+	}
+	// Another request after the horizon drains (0, 7) on its way in.
+	e.At(horizon+0.1, func() { copyOf(8, 1) })
+	e.Run(horizon + 1)
+	if _, held := st.seen[rreqKey{0, 7}]; held || len(st.seen) != 1 {
+		t.Fatalf("cache after the horizon: %v, want only (0, 8)", st.seen)
+	}
+}
+
+// TestRREQDedupCacheBounded: under sustained discovery every node's cache
+// holds what one horizon of floods put there, not the run's history, and a
+// reset node starts empty.
+func TestRREQDedupCacheBounded(t *testing.T) {
+	e := sim.NewEngine(1)
+	// Five connected nodes and one out of everyone's reach: every discovery
+	// of it runs the whole ring search and fails.
+	pts := []geom.Point{{X: 0}, {X: 150}, {X: 300}, {X: 450}, {X: 600}, {X: 9000}}
+	net := netstack.New(e, netstack.Config{
+		N: len(pts), Side: 10000, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal,
+	})
+	r := New(net, Config{})
+	const horizonRuns = 60
+	horizon := r.cfg.pathDiscoveryTime()
+	peak := 0
+	for at := 0.0; at < horizonRuns*horizon; at += 0.5 {
+		src := int(at*2) % 5
+		e.At(at, func() {
+			r.Send(src, 5, innerPkt(src, 5), nil)
+			for _, st := range r.nodes {
+				if len(st.seen) > peak {
+					peak = len(st.seen)
+				}
+			}
+		})
+	}
+	e.Run(horizonRuns * horizon)
+	for _, st := range r.nodes[:5] {
+		live := st.seenOrder[st.seenHead:]
+		if len(live) != len(st.seen) || len(live) == 0 {
+			t.Fatalf("node %d: %d queued entries for %d cached", st.id, len(live), len(st.seen))
+		}
+		newest := live[len(live)-1].at
+		for i, s := range live {
+			if _, ok := st.seen[s.key]; !ok || s.at+horizon < newest || (i > 0 && s.at < live[i-1].at) {
+				t.Fatalf("node %d: entry %d %+v is unknown to the map, out of order, or older than the horizon before the newest (%g)", st.id, i, s, newest)
+			}
+		}
+	}
+	// Every request reaches all five nodes, so a cache that never forgot
+	// would hold all of them.
+	if r.Discoveries < 500 || uint64(peak)*10 > r.Discoveries {
+		t.Fatalf("%d requests flooded, largest cache ever %d entries: want ≥ 500 and a cache under a tenth of them", r.Discoveries, peak)
+	}
+
+	r.ResetNode(2)
+	st := r.nodes[2]
+	if len(st.seen) != 0 || len(st.seenOrder) != 0 || st.seenHead != 0 {
+		t.Fatalf("reset node keeps %d cached, %d queued requests (head %d)", len(st.seen), len(st.seenOrder), st.seenHead)
+	}
+	r.markSeen(st, rreqKey{0, 1})
+	if len(st.seen) != 1 || len(st.seenOrder) != 1 {
+		t.Fatal("reset node's cache does not take a new entry")
 	}
 }

@@ -71,7 +71,7 @@ func (r *Routing) broadcastRREQ(st *nodeState, dst int, d *discovery) {
 		req.HasDSeq = true
 	}
 	// Suppress our own re-reception of this request.
-	st.seen[rreqKey{st.id, req.ID}] = r.engine.Now()
+	r.markSeen(st, rreqKey{st.id, req.ID})
 	pkt := &netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: d.ttl, Bytes: rreqBytes, Payload: req,
@@ -166,7 +166,7 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 	if _, dup := st.seen[key]; dup {
 		return
 	}
-	st.seen[key] = r.engine.Now()
+	r.markSeen(st, key)
 	// Reverse route to the previous hop and to the originator.
 	r.updateRoute(st, from, from, 1, 0, false)
 	r.updateRoute(st, req.Orig, from, req.HopCount+1, req.OrigSeq, true)

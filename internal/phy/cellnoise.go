@@ -7,15 +7,15 @@ import "probquorum/internal/geom"
 // bookkeeping for the far field with a running spatial summary of who is
 // transmitting where.
 //
-// In the exact model every transmission creates an arrival object at every
-// receiver out to the interference range (~508 m), so interference cost per
-// broadcast grows with the full interference disc — the dominant term at
-// 10k-node densities. With CellNoise the medium creates arrivals only out to
-// the carrier-sense range (the near field, where locking, capture, and
-// carrier decisions need exact per-signal powers) and folds everything
-// beyond into this field: transmitters register their indexed position here
-// for the duration of each frame, and a receiver queries the cumulative
-// far-field power in one pass over nearby cells.
+// In the exact model every transmission gives every receiver out to the
+// interference range (≈670 m, Derived.InterferenceRange) an arrival, so
+// interference cost per broadcast grows with the full interference disc —
+// the dominant term at 10k-node densities. With CellNoise the medium creates
+// arrivals only out to the carrier-sense range (the near field, where
+// locking, capture, and carrier decisions need exact per-signal powers) and
+// folds everything beyond into this field: transmitters register their
+// indexed position here for the duration of each frame, and a receiver
+// queries the cumulative far-field power in one pass over nearby cells.
 //
 // The far power is approximate by construction — each occupied cell
 // contributes count·ReceivedPowerMw(distance to cell center) — but the

@@ -215,8 +215,8 @@ func TestCellNoiseNearFieldNotDoubleCounted(t *testing.T) {
 		if far := m.noise.farMwAt(pts[0]); far != 0 {
 			t.Errorf("far field at receiver = %g during a near-field-only frame, want 0", far)
 		}
-		if len(m.radios[0].active) != 1 {
-			t.Errorf("receiver tracks %d arrivals, want 1 exact near-field arrival", len(m.radios[0].active))
+		if m.radios[0].nActive != 1 {
+			t.Errorf("receiver tracks %d arrivals, want 1 exact near-field arrival", m.radios[0].nActive)
 		}
 	})
 	e.Run(1)

@@ -60,8 +60,8 @@ func (m *DiskMedium) signal(d float64) (signal, bool) {
 	return signal{powerMw: 1, inRange: d <= m.r}, d <= m.intfRange
 }
 
-// locks: decodable and alone on the air (a is already in r.active).
-func (m *DiskMedium) locks(r *radio, a *arrival) bool { return a.inRange && len(r.active) == 1 }
+// locks: decodable and alone on the air (s is already counted).
+func (m *DiskMedium) locks(r *radio, s signal) bool { return s.inRange && r.nActive == 1 }
 
 func (m *DiskMedium) corrupts(*radio) bool { return true }
 

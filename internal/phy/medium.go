@@ -13,20 +13,20 @@ const plcpPreambleSecs = 192e-6
 // reception is what is left of a reception model once the shared medium has
 // done everything else (Section 2.3 of the paper gives two: physical/SINR and
 // protocol/disk). The medium calls it at fixed points of a signal's life; a
-// rule reads the radio's state (active, locked) but never writes it.
+// rule reads the radio's state (sumMw, nActive, lockedSig) but never writes it.
 type reception interface {
 	// signal classifies a transmission for a receiver at distance d; ok is
 	// false when the receiver is out of the model's reach and gets no
 	// arrival at all.
 	signal(d float64) (s signal, ok bool)
-	// locks reports whether an idle r starts decoding the new arrival a
-	// (already in r.active).
-	locks(r *radio, a *arrival) bool
-	// corrupts reports whether r.active, which has just grown by one,
-	// destroys the frame r is decoding (r.locked).
+	// locks reports whether an idle r starts decoding the new signal s
+	// (already counted in r.sumMw and r.nActive).
+	locks(r *radio, s signal) bool
+	// corrupts reports whether what r hears, which has just grown by one
+	// signal, destroys the frame r is decoding (r.lockedSig).
 	corrupts(r *radio) bool
-	// survives is asked at the end of an uncorrupted r.locked (already out
-	// of r.active): did the frame hold to the end?
+	// survives is asked at the end of an uncorrupted r.lockedSig (already
+	// out of r.sumMw): did the frame hold to the end?
 	survives(r *radio) bool
 	// txStart and txEnd bracket node id's time on the air; p is its
 	// position at the start.
@@ -45,9 +45,10 @@ type signal struct {
 }
 
 // medium is the machinery both reception models share: per-node radios,
-// candidate receivers from the spatial index, the two-phase Transmit, one
-// end event per transmission, half-duplex, carrier edges, enable/disable and
-// the object pools. SINRMedium and DiskMedium embed it and supply the rule.
+// candidate receivers from the spatial index, Transmit's classify and begin
+// loops, one end event per transmission, half-duplex, carrier edges,
+// enable/disable and the transmission pool. SINRMedium and DiskMedium embed
+// it and supply the rule.
 type medium struct {
 	engine *sim.Engine
 	world  *world
@@ -61,18 +62,10 @@ type medium struct {
 
 	radios []*radio
 
-	// arrivalFree recycles arrival objects: Transmit pops one per
-	// candidate receiver and the transmission's end walk pushes it back,
-	// so steady-state transmission is allocation-free (DESIGN.md §9).
-	arrivalFree []*arrival
-	// txFree recycles transmission records the same way.
+	// txFree recycles transmission records, arrival slices included:
+	// Transmit pops one and the transmission's end walk pushes it back, so
+	// steady-state transmission is allocation-free (DESIGN.md §9).
 	txFree []*transmission
-
-	// Snapshot buffers for the two-phase transmit: candidate ids and exact
-	// positions are recorded before the commit loop touches any receiver.
-	// Reused across transmissions.
-	evalDst []int
-	evalPos []geom.Point
 
 	// Corrupted counts receptions aborted by interference, collision or
 	// the receiver's own transmission — an observability hook for
@@ -86,7 +79,7 @@ func (m *medium) init(engine *sim.Engine, rule reception, w *world, candRange, c
 	m.engine, m.rule, m.world, m.candRange, m.csThreshMw = engine, rule, w, candRange, csThreshMw
 	m.radios = make([]*radio, w.n)
 	for i := range m.radios {
-		r := &radio{medium: m, id: i}
+		r := &radio{medium: m, id: i, epoch: 1}
 		r.txDoneFn = r.txDone
 		m.radios[i] = r
 	}
@@ -106,53 +99,32 @@ func (m *medium) SetEnabled(id int, on bool) {
 // Enabled implements Medium.
 func (m *medium) Enabled(id int) bool { return m.world.enabled[id] }
 
-// arrival is one signal currently impinging on a radio. Arrivals are
-// recycled through the medium's free list: the medium owns the object
-// again as soon as its signalEnd has run, so nothing may retain an arrival
-// past that point.
+// arrival is one transmission's signal at one radio: a value in the
+// transmission's own slice, so it lives exactly as long as the frame is on
+// the air and needs no pool and no per-radio list.
 type arrival struct {
 	signal
-	frame *Frame
 	// rx is the radio this arrival impinges on.
 	rx *radio
+	// epoch is rx.epoch at the moment the signal entered rx's running sum;
+	// zero (no radio's epoch) while it has not. The end of the signal leaves
+	// the sum only under the same epoch: a radio reset in between has
+	// forgotten it.
+	epoch uint32
 }
 
-// newArrival takes a recycled arrival from the pool (or allocates the
-// pool's next object) and initializes it for one receiver.
-//
-//pqlint:noalloc
-func (m *medium) newArrival(rx *radio, f *Frame, s signal) *arrival {
-	var a *arrival
-	if n := len(m.arrivalFree); n > 0 {
-		a = m.arrivalFree[n-1]
-		m.arrivalFree[n-1] = nil
-		m.arrivalFree = m.arrivalFree[:n-1]
-	} else {
-		a = &arrival{} //pqlint:allow noalloc(pool-dry cold path: one arrival per concurrent-arrival high-water increase)
-	}
-	a.signal, a.frame, a.rx = s, f, rx
-	return a
-}
-
-// freeArrival recycles an arrival whose signalEnd has run, dropping the
-// frame and radio references so they do not outlive the signal.
-//
-//pqlint:noalloc
-func (m *medium) freeArrival(a *arrival) {
-	a.frame, a.rx = nil, nil
-	m.arrivalFree = append(m.arrivalFree, a) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
-}
-
-// transmission is the per-broadcast record of every arrival a frame
-// produced, in creation (candidate) order. One engine event per
-// transmission walks the list at the frame's end time and runs each
-// receiver's signalEnd in that order — equivalent to the former
-// one-event-per-arrival scheme (the arrival end events were scheduled
-// back-to-back with consecutive sequence numbers, and no other event in the
-// system can tie their timestamp exactly), but with event-queue pressure
-// per broadcast reduced from O(receivers) to O(1).
+// transmission is the per-broadcast record of the frame and every arrival it
+// produced, in creation (candidate) order. One engine event per transmission
+// walks the list at the frame's end time and runs each receiver's signalEnd
+// in that order — equivalent to one event per arrival (they would be
+// scheduled back-to-back with consecutive sequence numbers, and no other
+// event in the system can tie their timestamp exactly), but with event-queue
+// pressure per broadcast reduced from O(receivers) to O(1). A radio decoding
+// the frame names it by this record: a transmission gives a radio at most one
+// arrival.
 type transmission struct {
-	arrivals []*arrival
+	frame    *Frame
+	arrivals []arrival
 	// endFn is the bound end-walk closure, created once per pooled record
 	// so scheduling the end of a transmission does not allocate.
 	endFn func()
@@ -176,25 +148,38 @@ func (m *medium) newTransmission() *transmission {
 // endTransmission runs signalEnd for every arrival in creation order, then
 // recycles the record. The record returns to the pool only after the walk:
 // a handler inside signalEnd may synchronously transmit, and that nested
-// transmission must not grab this record while it is being iterated.
+// transmission must not grab this record while it is being iterated. The
+// frame reference is dropped so it does not outlive the signal.
+//
+//pqlint:noalloc
 func (m *medium) endTransmission(t *transmission) {
-	for i, a := range t.arrivals {
-		t.arrivals[i] = nil
-		a.rx.signalEnd(a)
+	for i := range t.arrivals {
+		a := &t.arrivals[i]
+		a.rx.signalEnd(t, a)
 	}
-	t.arrivals = t.arrivals[:0]
-	m.txFree = append(m.txFree, t)
+	t.frame, t.arrivals = nil, t.arrivals[:0]
+	m.txFree = append(m.txFree, t) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
 }
 
-// radio is the per-node receiver state.
+// radio is the per-node receiver state. What it hears is a running total, as
+// in SWANS's RadioNoiseAdditive: sumMw adds at a signal's start and subtracts
+// at its end, and is set back to exactly 0 whenever nActive returns to 0, so
+// rounding residue never outlives a busy period.
 type radio struct {
 	medium  *medium
 	id      int
 	handler Handler
 
-	txUntil   float64 // transmitting until this time (half-duplex)
-	active    []*arrival
-	locked    *arrival
+	txUntil float64 // transmitting until this time (half-duplex)
+	sumMw   float64 // Σ powerMw of the signals currently impinging
+	nActive int     // how many those are
+	// epoch stamps the arrivals counted in sumMw/nActive; reset bumps it, so
+	// the end of a signal the radio forgot at a disable subtracts nothing.
+	epoch uint32
+	// locked is the transmission being decoded (nil: none), lockedSig its
+	// signal here.
+	locked    *transmission
+	lockedSig signal
 	corrupted bool
 	busy      bool // last reported carrier state
 	// noiseMw is ambient noise injected at this receiver on top of the
@@ -212,39 +197,33 @@ func (r *radio) SetHandler(h Handler) { r.handler = h }
 func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime(plcpPreambleSecs) }
 
 // Busy implements Channel: carrier is busy while transmitting or while the
-// cumulative power of the active arrivals, plus injected noise, is at or
+// cumulative power of the impinging signals, plus injected noise, is at or
 // above the carrier-sense threshold. This one question is data rather than a
 // hook because it is asked at every signal start and end: as a hook it alone
 // cost about 3 % of a contended DCF second.
 func (r *radio) Busy() bool {
 	m := r.medium
-	return m.engine.Now() < r.txUntil || r.totalPower()+r.noiseMw >= m.csThreshMw
-}
-
-func (r *radio) totalPower() float64 {
-	sum := 0.0
-	for _, a := range r.active {
-		sum += a.powerMw
-	}
-	return sum
+	return m.engine.Now() < r.txUntil || r.sumMw+r.noiseMw >= m.csThreshMw
 }
 
 func (r *radio) reset() {
-	// Dropped arrivals are not recycled here: each one is still reachable
-	// from its transmission's end walk, and signalEnd is the single owner
-	// hand-off point.
-	r.active = r.active[:0]
+	// The forgotten arrivals stay in their transmissions' end walks; the
+	// epoch bump is what keeps their ends from touching the fresh sum.
+	r.sumMw, r.nActive = 0, 0
+	r.epoch++
 	r.locked = nil
 	r.corrupted = false
 	r.txUntil = 0
 	r.updateCarrier()
 }
 
-// Transmit implements Channel. It runs in two phases: a snapshot of
-// candidate ids and exact positions (position functions are stateful and the
-// candidate list is the index's own buffer, so both are read out before any
-// receiver is touched), then a commit that classifies each candidate's
-// signal and creates arrivals in candidate order.
+// Transmit implements Channel. One loop classifies each candidate's signal
+// and builds the frame's arrivals in candidate order — it touches no
+// receiver, so the index's own candidate buffer and the stateful position
+// functions are read out before anything can react — and a second starts
+// them.
+//
+//pqlint:noalloc
 func (r *radio) Transmit(f *Frame) {
 	m := r.medium
 	if !m.Enabled(r.id) {
@@ -263,36 +242,29 @@ func (r *radio) Transmit(f *Frame) {
 	srcPos := m.world.pos(r.id)
 	m.rule.txStart(r.id, srcPos)
 
-	// Phase 1: snapshot candidates and exact positions.
-	m.evalDst = m.evalDst[:0]
-	m.evalPos = m.evalPos[:0]
+	var tx *transmission
 	for _, dst := range m.world.candidates(r.id, m.candRange) {
 		if dst == r.id {
 			continue
 		}
-		m.evalDst = append(m.evalDst, dst)
-		m.evalPos = append(m.evalPos, m.world.pos(dst))
-	}
-
-	// Phase 2: create arrivals in candidate order.
-	var tx *transmission
-	rule := m.rule
-	for i, dst := range m.evalDst {
-		s, ok := rule.signal(geom.Dist(srcPos, m.evalPos[i]))
+		s, ok := m.rule.signal(geom.Dist(srcPos, m.world.pos(dst)))
 		if !ok {
 			continue
 		}
-		rx := m.radios[dst]
-		a := m.newArrival(rx, f, s)
 		if tx == nil {
 			tx = m.newTransmission()
+			tx.frame = f
 		}
-		tx.arrivals = append(tx.arrivals, a)
-		rx.signalBegin(a)
+		tx.arrivals = append(tx.arrivals, arrival{signal: s, rx: m.radios[dst]}) //pqlint:allow noalloc(a pooled record's slice grows to the receivers-per-frame high-water mark)
 	}
-	if tx != nil {
-		m.engine.At(end, tx.endFn)
+	if tx == nil {
+		return
 	}
+	for i := range tx.arrivals {
+		a := &tx.arrivals[i]
+		a.rx.signalBegin(tx, a)
+	}
+	m.engine.At(end, tx.endFn)
 }
 
 func (r *radio) txDone() {
@@ -300,18 +272,21 @@ func (r *radio) txDone() {
 	r.updateCarrier()
 }
 
-func (r *radio) signalBegin(a *arrival) {
+//pqlint:noalloc
+func (r *radio) signalBegin(t *transmission, a *arrival) {
 	m := r.medium
 	if !m.Enabled(r.id) {
 		return
 	}
-	r.active = append(r.active, a)
+	a.epoch = r.epoch
+	r.sumMw += a.powerMw
+	r.nActive++
 	switch {
 	case m.engine.Now() < r.txUntil:
 		// A transmitting radio cannot receive; the signal is noise only.
 	case r.locked == nil:
-		if m.rule.locks(r, a) {
-			r.locked = a
+		if m.rule.locks(r, a.signal) {
+			r.locked, r.lockedSig = t, a.signal
 			r.corrupted = false
 		}
 	default:
@@ -323,17 +298,17 @@ func (r *radio) signalBegin(a *arrival) {
 	r.updateCarrier()
 }
 
-func (r *radio) signalEnd(a *arrival) {
+//pqlint:noalloc
+func (r *radio) signalEnd(t *transmission, a *arrival) {
 	m := r.medium
-	for i, x := range r.active {
-		if x == a {
-			r.active[i] = r.active[len(r.active)-1]
-			r.active = r.active[:len(r.active)-1]
-			break
+	if a.epoch == r.epoch {
+		if r.nActive--; r.nActive == 0 {
+			r.sumMw = 0
+		} else {
+			r.sumMw -= a.powerMw
 		}
 	}
-	var deliver *Frame
-	if r.locked == a {
+	if r.locked == t {
 		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.rule.survives(r)
 		if !delivered {
 			m.Corrupted++
@@ -341,14 +316,8 @@ func (r *radio) signalEnd(a *arrival) {
 		r.locked = nil
 		r.corrupted = false
 		if delivered && r.handler != nil && m.Enabled(r.id) {
-			deliver = a.frame
+			r.handler.FrameReceived(t.frame)
 		}
-	}
-	// The arrival's lifetime ends here; recycle it before the handler
-	// runs so a synchronous retransmission can reuse it.
-	m.freeArrival(a)
-	if deliver != nil {
-		r.handler.FrameReceived(deliver)
 	}
 	r.updateCarrier()
 }

@@ -1,6 +1,6 @@
 // Package phy models the wireless physical layer: radio parameters,
 // path-loss propagation (two-ray ground with a Friis near-field), and shared
-// transmission media at three fidelities:
+// transmission media at two fidelities:
 //
 //   - SINRMedium: cumulative-noise signal-to-interference-plus-noise model
 //     with capture, equivalent to SWANS's RadioNoiseAdditive and the paper's

@@ -104,23 +104,23 @@ func (m *SINRMedium) signal(d float64) (signal, bool) {
 
 // locks: strong enough and clean enough at its start. The threshold is the
 // cheap question and goes first: an arrival between the reception and
-// carrier-sense ranges never sums the near field or walks the far-field index.
-func (m *SINRMedium) locks(r *radio, a *arrival) bool {
-	return a.powerMw >= m.d.RxThreshMw &&
-		m.captures(r, a, r.totalPower()-a.powerMw+m.FarNoiseMw(r.id))
+// carrier-sense ranges never walks the far-field index.
+func (m *SINRMedium) locks(r *radio, s signal) bool {
+	return s.powerMw >= m.d.RxThreshMw &&
+		m.captures(r, s, r.sumMw-s.powerMw+m.FarNoiseMw(r.id))
 }
 
 // corrupts: the newcomer (or a jamming change) pushes the locked signal's
 // SINR below β.
 func (m *SINRMedium) corrupts(r *radio) bool {
-	return !m.captures(r, r.locked, r.totalPower()-r.locked.powerMw+m.FarNoiseMw(r.id))
+	return !m.captures(r, r.lockedSig, r.sumMw-r.lockedSig.powerMw+m.FarNoiseMw(r.id))
 }
 
 // survives: the far field raises no mid-frame events, so it is re-sampled at
 // delivery — if the aggregate now swamps the locked signal, the frame did
 // not survive the frame time. Always true in the exact model.
 func (m *SINRMedium) survives(r *radio) bool {
-	return m.noise == nil || m.captures(r, r.locked, r.totalPower()+m.FarNoiseMw(r.id))
+	return m.noise == nil || m.captures(r, r.lockedSig, r.sumMw+m.FarNoiseMw(r.id))
 }
 
 func (m *SINRMedium) txStart(id int, p geom.Point) {
@@ -135,10 +135,10 @@ func (m *SINRMedium) txEnd(id int) {
 	}
 }
 
-// captures reports whether a's signal-to-interference-plus-noise ratio at r
+// captures reports whether s's signal-to-interference-plus-noise ratio at r
 // is at or above β, given the interference power of everything else.
-func (m *SINRMedium) captures(r *radio, a *arrival, interference float64) bool {
-	return a.powerMw/(m.d.NoiseMw+r.noiseMw+interference) >= m.params.SINRCapture
+func (m *SINRMedium) captures(r *radio, s signal, interference float64) bool {
+	return s.powerMw/(m.d.NoiseMw+r.noiseMw+interference) >= m.params.SINRCapture
 }
 
 // FarNoiseMw returns the cell-aggregated far-field interference power

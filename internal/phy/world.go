@@ -113,7 +113,7 @@ func (w *world) refreshIfStale() {
 		}
 		w.grid.Update(id, w.pos(id))
 		w.idxTime[id] = now
-		w.queue = append(w.queue, int32(id))
+		w.queue = append(w.queue, int32(id)) //pqlint:allow noalloc(the queue is compacted below once its dead prefix passes n, so its capacity settles at a high-water mark)
 	}
 	// Compact once the dead prefix dominates; copy tolerates overlap, and
 	// capacity is reused so steady state does not allocate.

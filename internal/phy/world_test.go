@@ -61,7 +61,7 @@ func TestCandidatesNeverMissUnderMaxSpeedMobility(t *testing.T) {
 	w := newWorld(engine, n, side, 300, pos, maxSpeed)
 	rng := rand.New(rand.NewSource(2))
 
-	radii := []float64{120, 300, 508}
+	radii := []float64{120, 300, 670} // the last two: carrier-sense and interference ranges
 	for step := 0; step < 400; step++ {
 		// Advance by a random span straddling the refresh interval, so
 		// queries land both just after and long after refreshes.
