@@ -437,6 +437,54 @@ func BenchmarkIdealUnicastHop(b *testing.B) {
 	}
 }
 
+// routedSink is the destination of BenchmarkOracleRoutedMember.
+type routedSink struct{ delivered int }
+
+func (s *routedSink) HandlePacket(*netstack.Node, *netstack.Packet, int) { s.delivered++ }
+
+// BenchmarkOracleRoutedMember measures one routed quorum member end to end on
+// the oracle router over a static ideal-stack line — the message with its
+// inner packet, one envelope per hop, the destination's delivered copy — one
+// hop away and ten. allocs/op must be the same at both: a relayed hop costs
+// the host pooled envelopes only (DESIGN.md §9).
+func BenchmarkOracleRoutedMember(b *testing.B) {
+	const proto netstack.ProtocolID = 60
+	type member struct {
+		key string
+		pkt netstack.Packet
+	}
+	for _, hops := range []int{1, 10} {
+		b.Run(fmt.Sprintf("hops=%d", hops), func(b *testing.B) {
+			pts := make([]geom.Point, hops+1)
+			for i := range pts {
+				pts[i] = geom.Point{X: float64(i) * 150}
+			}
+			e := sim.NewEngine(1)
+			net := netstack.New(e, netstack.Config{
+				N: len(pts), Side: float64(len(pts)) * 150, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal,
+			})
+			o := aodv.NewOracle(net)
+			sink := &routedSink{}
+			net.Node(hops).Register(proto, sink)
+			send := func() {
+				m := &member{key: "k"}
+				m.pkt = netstack.Packet{Proto: proto, Src: 0, Dst: hops, Bytes: 512, Payload: m}
+				o.Send(0, hops, &m.pkt, nil)
+				e.Run(e.Now() + 1)
+			}
+			send() // builds the route tree and fills the pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+			if sink.delivered != b.N+1 {
+				b.Fatalf("%d of %d members delivered", sink.delivered, b.N+1)
+			}
+		})
+	}
+}
+
 // BenchmarkWalkLookupIdeal1k measures one early-halting UNIQUE-PATH lookup,
 // walk out and reply back, on a static 1000-node ideal stack against keys
 // placed by RANDOM advertises: the per-hop path of DESIGN.md §9 end to end.

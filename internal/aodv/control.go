@@ -77,7 +77,7 @@ func (r *Routing) broadcastRREQ(st *nodeState, dst int, d *discovery) {
 		TTL: d.ttl, Bytes: rreqBytes, Payload: req,
 	}
 	node := r.net.Node(st.id)
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt, nil) })
+	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
 	// Ring traversal timeout: out and back at NodeTraversalTime per hop,
 	// with RFC 3561's two-hop safety margin.
 	d.timer.Reset(2 * r.cfg.NodeTraversalTime * float64(d.ttl+2))
@@ -200,7 +200,7 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: pkt.TTL - 1, Bytes: rreqBytes, Payload: fwd, Hops: pkt.Hops + 1,
 	}
-	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(out, nil) })
+	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(out) })
 }
 
 // sendRREP unicasts a reply from st toward the request originator along the
@@ -262,7 +262,7 @@ func (r *Routing) linkBroken(st *nodeState, next int) {
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: lost},
 	}
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt, nil) })
+	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
 }
 
 func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from int) {
@@ -282,5 +282,5 @@ func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: propagate},
 	}
-	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(pkt, nil) })
+	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(pkt) })
 }

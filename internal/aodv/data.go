@@ -2,9 +2,41 @@ package aodv
 
 import "probquorum/internal/netstack"
 
-// dataMsg is the routed-data envelope carried hop by hop.
-type dataMsg struct {
-	Inner *netstack.Packet
+// arrive is what both routers do with a routed-data envelope — a ProtoRouted
+// packet whose Payload is the inner *netstack.Packet, shared by every hop's
+// copy — arriving at n, before either looks for a next hop: the destination
+// hands the inner packet up, a transit node offers it to each tap, and an
+// envelope out of TTL is counted in *drops. What is handed out is a heap copy
+// with Hops filled in, which the receiver may keep. arrive reports whether
+// the envelope is still to be forwarded.
+//
+//pqlint:noalloc
+func arrive(n *netstack.Node, pkt *netstack.Packet, from int, taps []TransitTap, drops *uint64) bool {
+	inner, ok := pkt.Payload.(*netstack.Packet)
+	if !ok {
+		return false
+	}
+	if pkt.Dst == n.ID() {
+		n.DeliverLocal(delivered(inner, pkt), from) //pqlint:allow noalloc(end of the forwarding path: the application's handler takes over)
+		return false
+	}
+	for _, tap := range taps {
+		if tap(n, delivered(inner, pkt)) { //pqlint:allow noalloc(a tap is application code, installed by RANDOM-OPT and caching only)
+			return false
+		}
+	}
+	if pkt.TTL <= 1 {
+		*drops++
+		return false
+	}
+	return true
+}
+
+// delivered returns inner as the node receiving envelope pkt sees it.
+func delivered(inner, pkt *netstack.Packet) *netstack.Packet {
+	cp := inner.Clone() //pqlint:allow noalloc(per delivery, not per hop: the destination's or a tap's own copy of the shared inner packet)
+	cp.Hops = pkt.Hops + 1
+	return cp
 }
 
 // transmitData sends op's packet toward its destination via route rt from
@@ -12,17 +44,14 @@ type dataMsg struct {
 func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 	r.touchRoute(st, op.dst)
 	node := r.net.Node(st.id)
-	pkt := &netstack.Packet{
+	pkt := netstack.Packet{
 		Proto: netstack.ProtoRouted, Src: st.id, Dst: op.dst,
 		TTL:   r.cfg.NetDiameter,
 		Bytes: op.inner.Bytes + dataEnvelopeBytes,
-		Hops:  op.inner.Hops,
-		Payload: &dataMsg{
-			Inner: op.inner,
-		},
+		Hops:  op.inner.Hops, Payload: op.inner,
 	}
 	next := rt.nextHop
-	node.SendOneHop(next, pkt, func(ok bool) {
+	node.SendOneHop(next, &pkt, func(ok bool) {
 		if ok {
 			if op.done != nil {
 				op.done(true)
@@ -49,34 +78,11 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 // handleData processes a routed envelope arriving at node n.
 func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	st := r.nodes[n.ID()]
-	env, ok := pkt.Payload.(*dataMsg)
-	if !ok {
-		return
-	}
 	// Keep the active paths fresh in both directions.
 	r.updateRoute(st, from, from, 1, 0, false)
 	r.touchRoute(st, pkt.Src)
 	r.touchRoute(st, pkt.Dst)
-
-	if pkt.Dst == st.id {
-		inner := env.Inner.Clone()
-		inner.Hops = pkt.Hops + 1
-		n.DeliverLocal(inner, from)
-		return
-	}
-
-	// Transit: offer the packet to cross-layer taps (RANDOM-OPT). A tap
-	// consuming the packet stops forwarding.
-	for _, tap := range st.taps {
-		inner := env.Inner.Clone()
-		inner.Hops = pkt.Hops + 1
-		if tap(n, inner) {
-			return
-		}
-	}
-
-	if pkt.TTL <= 1 {
-		r.DataDrops++
+	if !arrive(n, pkt, from, st.taps, &r.DataDrops) {
 		return
 	}
 	rt := r.validRoute(st, pkt.Dst)
@@ -85,11 +91,11 @@ func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 		r.linkLess(st, pkt.Dst)
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.TTL--
 	fwd.Hops++
 	next := rt.nextHop
-	n.SendOneHop(next, fwd, func(ok bool) {
+	n.SendOneHop(next, &fwd, func(ok bool) {
 		if !ok {
 			r.linkBroken(st, next)
 			r.DataDrops++
@@ -111,5 +117,5 @@ func (r *Routing) linkLess(st *nodeState, dst int) {
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: []unreachable{{dst: dst, seq: seq}}},
 	}
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt, nil) })
+	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
 }

@@ -57,18 +57,14 @@ type Oracle struct {
 	// while it is set.
 	cache *routeCache
 
-	// hopDone is the send-done callback of every forwarded hop, bound once:
-	// it captures only o, and a literal at the call site is built per hop.
+	// hopDone is the send-done callback of every hop nobody else waits on,
+	// bound once: it captures only o, and a literal at the call site is
+	// built per hop.
 	hopDone func(ok bool)
 
 	// DataDrops counts packets dropped because no path existed or a hop
 	// failed.
 	DataDrops uint64
-}
-
-// oracleMsg is the hop-by-hop envelope (TTL carried on the packet).
-type oracleMsg struct {
-	Inner *netstack.Packet
 }
 
 // oracleHandler adapts netstack dispatch.
@@ -152,19 +148,19 @@ func (o *Oracle) send(src, dst int, inner *netstack.Packet, maxTTL int, done fun
 	if ttl == 0 {
 		ttl = o.net.N() // effectively unbounded
 	}
-	pkt := &netstack.Packet{
+	pkt := netstack.Packet{
 		Proto: netstack.ProtoRouted, Src: src, Dst: dst,
 		TTL: ttl, Bytes: inner.Bytes + dataEnvelopeBytes, Hops: inner.Hops,
-		Payload: &oracleMsg{Inner: inner},
+		Payload: inner,
 	}
-	node.SendOneHop(next, pkt, func(ok bool) {
-		if done != nil {
+	hop := o.hopDone
+	if done != nil {
+		hop = func(ok bool) {
 			done(ok)
+			o.hopDone(ok)
 		}
-		if !ok {
-			o.DataDrops++
-		}
-	})
+	}
+	node.SendOneHop(next, &pkt, hop)
 }
 
 func (o *Oracle) fail(done func(bool)) {
@@ -174,27 +170,12 @@ func (o *Oracle) fail(done func(bool)) {
 	}
 }
 
-// handleData forwards a routed envelope toward its destination.
+// handleData forwards a routed envelope toward its destination. The next
+// hop's envelope is built on this stack: SendOneHop copies it.
+//
+//pqlint:noalloc
 func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
-	env, ok := pkt.Payload.(*oracleMsg)
-	if !ok {
-		return
-	}
-	if pkt.Dst == n.ID() {
-		inner := env.Inner.Clone()
-		inner.Hops = pkt.Hops + 1
-		n.DeliverLocal(inner, from)
-		return
-	}
-	for _, tap := range o.taps[n.ID()] {
-		inner := env.Inner.Clone()
-		inner.Hops = pkt.Hops + 1
-		if tap(n, inner) {
-			return
-		}
-	}
-	if pkt.TTL <= 1 {
-		o.DataDrops++
+	if !arrive(n, pkt, from, o.taps[n.ID()], &o.DataDrops) {
 		return
 	}
 	next, found := o.nextHop(n.ID(), pkt.Dst, pkt.TTL-1)
@@ -202,10 +183,10 @@ func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 		o.DataDrops++
 		return
 	}
-	fwd := pkt.Clone()
+	fwd := *pkt
 	fwd.TTL--
 	fwd.Hops++
-	n.SendOneHop(next, fwd, o.hopDone)
+	n.SendOneHop(next, &fwd, o.hopDone)
 }
 
 // nextHop returns the first hop of a shortest path from src to dst within
@@ -228,8 +209,7 @@ func (o *Oracle) nextHop(src, dst int, maxTTL int) (int, bool) {
 	}
 	n := o.net.N()
 	if len(o.visited) != n {
-		o.visited = make([]int32, n)
-		o.parent = make([]int32, n)
+		o.visited, o.parent = make([]int32, n), make([]int32, n) //pqlint:allow noalloc(BFS scratch, sized once per network and reused)
 		o.stamp = 0
 	}
 	if o.stamp == math.MaxInt32 {

@@ -262,8 +262,9 @@ func (c *routeCache) start(t *routeTree, lens bool) {
 	for i := 1; i < len(dist); i *= 2 {
 		copy(dist[i:], dist[:i]) // fill by doubling: memmove speed, not a store per node
 	}
-	dist[t.dst] = 0                                   //pqlint:parshared(per-item tree storage)
-	t.frontier = append(t.frontier[:0], int32(t.dst)) //pqlint:parshared(per-item tree storage)
+	dist[t.dst] = 0 //pqlint:parshared(per-item tree storage)
+	//pqlint:parshared(per-item tree storage)
+	t.frontier = append(t.frontier[:0], int32(t.dst)) //pqlint:allow noalloc(one element into the tree's own frontier: allocates for a new tree only)
 }
 
 // extend resumes t's BFS from dst over the frozen neighbor lists — the field
@@ -364,7 +365,7 @@ func (c *routeCache) nextHop(src, dst, maxTTL int) (int, bool) {
 		// Serial miss path: same snapshot discipline as prefetch — prepare
 		// (which may advance the version), then grow over frozen lists.
 		net.PrepareNeighbors()
-		t = c.miss(dst, now, net.NeighborVersion())
+		t = c.miss(dst, now, net.NeighborVersion()) //pqlint:allow noalloc(a tree is claimed or built once per destination and neighbor version, not per hop)
 	}
 	if t.dist[src] == noRoute {
 		if t.lens {

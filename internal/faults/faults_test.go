@@ -17,7 +17,7 @@ const testProto netstack.ProtocolID = 41
 type sink struct{ pkts []*netstack.Packet }
 
 func (s *sink) HandlePacket(_ *netstack.Node, pkt *netstack.Packet, _ int) {
-	s.pkts = append(s.pkts, pkt)
+	s.pkts = append(s.pkts, pkt.Clone()) // valid for the upcall only
 }
 
 // lineNet builds an ideal-stack line network with nodes 150 m apart.

@@ -430,8 +430,9 @@ func sigMatches(a, b *types.Signature) bool {
 
 // walk runs a breadth-first traversal from roots, calling visit once per
 // reachable node with the call chain (node names from the root, inclusive)
-// that first reached it. skip prunes a node and its unvisited subtree.
-func (g *CallGraph) walk(roots []*FuncNode, skip func(*FuncNode) bool, visit func(n *FuncNode, chain []string)) {
+// that first reached it. cut prunes a call edge, and with it whatever only
+// that edge reaches.
+func (g *CallGraph) walk(roots []*FuncNode, cut func(Edge) bool, visit func(n *FuncNode, chain []string)) {
 	type item struct {
 		node  *FuncNode
 		chain []string
@@ -448,12 +449,9 @@ func (g *CallGraph) walk(roots []*FuncNode, skip func(*FuncNode) bool, visit fun
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		if skip != nil && skip(it.node) {
-			continue
-		}
 		visit(it.node, it.chain)
 		for _, e := range it.node.Edges {
-			if visited[e.Callee] {
+			if visited[e.Callee] || cut(e) {
 				continue
 			}
 			visited[e.Callee] = true

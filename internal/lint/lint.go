@@ -194,9 +194,10 @@ type ProgramPass struct {
 	// Graph is the module call graph (see callgraph.go).
 	Graph *CallGraph
 
-	annots   *annotationTable
-	analyzer string
-	findings *[]Finding
+	annots     *annotationTable
+	directives map[string]*directiveSet // by filename
+	analyzer   string
+	findings   *[]Finding
 }
 
 // Fset returns the file set positions resolve against.
@@ -279,7 +280,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		for _, az := range program {
 			pass := &ProgramPass{
 				Pkgs: pkgs, Graph: graph,
-				annots: annots, analyzer: az.Name, findings: &findings,
+				annots: annots, directives: directives,
+				analyzer: az.Name, findings: &findings,
 			}
 			az.RunProgram(pass)
 		}

@@ -26,7 +26,10 @@ import (
 // A pool's own refill/spill sites are real allocations by design — the
 // pool trades a cold-path allocation for a hot-path pop — and are
 // suppressed in place with //pqlint:allow noalloc(reason), which doubles
-// as documentation of where the cold paths are.
+// as documentation of where the cold paths are. On a call's line the same
+// directive also keeps the walk out of the callees: what a declared cold
+// path, or caller-supplied code a hot path hands off to, goes on to do is
+// not the hot path's.
 var NoAlloc = &Analyzer{
 	Name:       "noalloc",
 	Doc:        "pqlint:noalloc-annotated hot paths must not allocate anywhere along the call chain",
@@ -40,7 +43,12 @@ func runNoAlloc(p *ProgramPass) {
 			roots = append(roots, n)
 		}
 	}
-	p.Graph.walk(roots, nil, func(n *FuncNode, chain []string) {
+	cut := func(e Edge) bool {
+		pos := p.Fset().Position(e.Site) // in a loaded file: Run parsed its directives
+		_, allowed := p.directives[pos.Filename].covers(p.analyzer, pos.Line)
+		return allowed
+	}
+	p.Graph.walk(roots, cut, func(n *FuncNode, chain []string) {
 		checkNoAllocNode(p, n, chain)
 	})
 }

@@ -66,7 +66,7 @@ func runParSafe(p *ProgramPass) {
 			return true
 		})
 	}
-	g.walk(roots, func(n *FuncNode) bool { return n.ParShared != "" }, func(n *FuncNode, chain []string) {
+	g.walk(roots, func(e Edge) bool { return e.Callee.ParShared != "" }, func(n *FuncNode, chain []string) {
 		checkParSafeNode(p, n, chain)
 	})
 }

@@ -148,3 +148,45 @@ func TestFaultConservationIdentity(t *testing.T) {
 		t.Fatalf("sink saw %d, delivered counter says %d", len(s.pkts), st.Get(CtrRxDelivered))
 	}
 }
+
+// TestFaultDelayedDeliveryOwnsItsPacket: a fault-delayed frame is the one
+// delivery that outlives its sender's envelope. By the time it is handed up
+// the envelope has been recycled and is in flight again with a different
+// send; the delayed frame must still be the packet that was sent.
+func TestFaultDelayedDeliveryOwnsItsPacket(t *testing.T) {
+	e := sim.NewEngine(1)
+	net := lineNetwork(e, 2, 150, StackIdeal)
+	s := &sink{}
+	net.Node(1).Register(testProto, s)
+	send := func(payload string, ttl int) {
+		net.Node(0).SendOneHop(1, &Packet{Proto: testProto, Src: 0, Dst: 1, TTL: ttl, Bytes: 64, Payload: payload}, nil)
+	}
+	first := true
+	net.SetLinkFaultFunc(func(from, to int, pkt *Packet) FaultAction {
+		if !first {
+			return FaultAction{}
+		}
+		first = false
+		// Now is one air time: the second send leaves half an air time
+		// before the delayed frame lands, and lands after it.
+		e.Schedule(0.5-e.Now()/2, func() { send("reuser", 3) })
+		return FaultAction{Delay: 0.5}
+	})
+	var freeAtDelivery []int
+	net.SetDeliveryObserver(func(int, int, *Packet) { freeAtDelivery = append(freeAtDelivery, len(net.envFree)) })
+	e.Schedule(0, func() { send("delayed", 7) })
+	e.Run(2)
+
+	if len(freeAtDelivery) != 2 || freeAtDelivery[0] != 0 || len(net.envFree) != 1 {
+		t.Fatalf("free envelopes at the deliveries %v, %d at the end; want the one envelope in flight again when the delayed frame lands",
+			freeAtDelivery, len(net.envFree))
+	}
+	if len(s.pkts) != 2 {
+		t.Fatalf("delivered %d packets, want 2", len(s.pkts))
+	}
+	for i, want := range []Packet{{Payload: "delayed", TTL: 7}, {Payload: "reuser", TTL: 3}} {
+		if got := s.pkts[i]; got.Payload != want.Payload || got.TTL != want.TTL {
+			t.Errorf("delivery %d = {%v TTL %d}, want {%v TTL %d}", i, got.Payload, got.TTL, want.Payload, want.TTL)
+		}
+	}
+}

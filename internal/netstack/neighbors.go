@@ -232,7 +232,7 @@ func (h *heartbeatService) beacon(n *Node) {
 	if !n.Alive() {
 		return
 	}
-	n.BroadcastOneHop(h.beacons[n.ID()], nil)
+	n.BroadcastOneHop(h.beacons[n.ID()])
 }
 
 // HandlePacket implements Handler: record the beacon sender. The cached

@@ -12,14 +12,15 @@ import (
 
 const testProto ProtocolID = 40
 
-// sink records delivered packets.
+// sink records delivered packets — as copies: a one-hop packet is only valid
+// for the upcall.
 type sink struct {
 	pkts []*Packet
 	from []int
 }
 
 func (s *sink) HandlePacket(_ *Node, pkt *Packet, from int) {
-	s.pkts = append(s.pkts, pkt)
+	s.pkts = append(s.pkts, pkt.Clone())
 	s.from = append(s.from, from)
 }
 
@@ -86,7 +87,7 @@ func TestBroadcastOneHop(t *testing.T) {
 		net.Node(i).Register(testProto, sinks[i])
 	}
 	e.Schedule(0, func() {
-		net.Node(1).BroadcastOneHop(&Packet{Proto: testProto, Src: 1, Dst: Broadcast, Bytes: 512}, nil)
+		net.Node(1).BroadcastOneHop(&Packet{Proto: testProto, Src: 1, Dst: Broadcast, Bytes: 512})
 	})
 	e.Run(2)
 	// Nodes 0 and 2 are within 150 m; node 3 is 300 m away.

@@ -377,10 +377,13 @@ func (net *Network) deliverRx(n *Node, from int, pkt *Packet, overhear bool) {
 			net.dispatchRx(n, from, pkt, overhear)
 			continue
 		}
+		// The one delivery that outlives the upcall, and with it the
+		// sender's envelope pkt points into: it takes its own copy.
+		held := pkt.Clone()
 		net.pendingDelayed++
 		net.engine.Schedule(act.Delay, func() {
 			net.pendingDelayed--
-			net.finishDelayed(n, from, pkt, overhear, lo, seq)
+			net.finishDelayed(n, from, held, overhear, lo, seq)
 		})
 	}
 }
@@ -499,9 +502,9 @@ func (net *Network) AliveIDs() []int {
 }
 
 // allocEnv takes a recycled envelope from the pool, or allocates when the
-// pool is dry, and addresses its frame. Envelopes are zeroed at release, so
-// apart from the fields set here the frame is field-for-field identical to
-// a fresh phy.Frame{}.
+// pool is dry, copies *pkt into it and addresses its frame. Envelopes are
+// zeroed at release, so apart from the fields set here the frame is
+// field-for-field identical to a fresh phy.Frame{}.
 //
 //pqlint:noalloc
 func (net *Network) allocEnv(dst int, pkt *Packet) *sendEnv {
@@ -513,7 +516,7 @@ func (net *Network) allocEnv(dst int, pkt *Packet) *sendEnv {
 	} else {
 		env = &sendEnv{} //pqlint:allow noalloc(pool-dry cold path: one envelope per in-flight-frame high-water increase)
 	}
-	env.pkt = pkt
+	env.pkt = *pkt
 	env.frame.Dst, env.frame.Bytes, env.frame.Payload = dst, pkt.Bytes+IPHeaderBytes, env
 	return env
 }

@@ -10,12 +10,13 @@ import (
 // Handler processes packets delivered to a node for a registered protocol.
 type Handler interface {
 	// HandlePacket is invoked with the receiving node, the packet, and
-	// the previous-hop node id. The packet must be treated as read-only;
-	// Clone before forwarding.
+	// the previous-hop node id. pkt is read-only and valid for the upcall
+	// only (see Packet): Clone it to keep it past the return.
 	HandlePacket(n *Node, pkt *Packet, from int)
 }
 
-// OverhearFunc observes packets captured in promiscuous mode.
+// OverhearFunc observes packets captured in promiscuous mode, under the
+// same ownership rule as Handler.HandlePacket.
 type OverhearFunc func(n *Node, pkt *Packet, from int)
 
 // Node is one station's network layer: it demultiplexes packets to protocol
@@ -30,14 +31,16 @@ type Node struct {
 }
 
 // sendEnv is the pooled envelope one outgoing packet travels in: the MAC
-// frame, whose Payload points back at the envelope, plus what the sender
-// needs when the MAC reports the frame's fate — the caller's completion
-// callback (may be nil) and the hand-off time for the LatHop accumulator.
-// Keeping the in-flight state on the envelope costs a send nothing beyond
-// the pool pop.
+// frame, whose Payload points back at the envelope, this hop's own copy of
+// the packet, and what the sender needs when the MAC reports the frame's
+// fate — the caller's completion callback (may be nil) and the hand-off time
+// for the LatHop accumulator. A send costs nothing beyond the pool pop, and
+// every reader of the hop (a retransmission, an overhearing neighbor) sees
+// the TTL/Hops this hop sent, whatever a receiver has forwarded since
+// (DESIGN.md §9).
 type sendEnv struct {
 	frame phy.Frame
-	pkt   *Packet
+	pkt   Packet
 	done  func(ok bool)
 	sent  float64
 }
@@ -78,14 +81,17 @@ func (n *Node) AddOverhearTap(f OverhearFunc) {
 	n.mac.SetPromiscuous(true)
 }
 
-// SendOneHop transmits pkt to the direct neighbor next. done (may be nil)
-// reports link-layer success: true once the MAC ACK arrives, false after
-// the MAC exhausts its retransmissions. This is the cross-layer failure
-// notification used for RW salvation and reply-path repair.
+// SendOneHop transmits a copy of *pkt to the direct neighbor next; the
+// caller keeps pkt, which may live on its stack. done (may be nil) reports
+// link-layer success: true once the MAC ACK arrives, false after the MAC
+// exhausts its retransmissions. This is the cross-layer failure notification
+// used for RW salvation and reply-path repair.
+//
+//pqlint:noalloc
 func (n *Node) SendOneHop(next int, pkt *Packet, done func(ok bool)) {
 	if !n.Alive() {
 		if done != nil {
-			done(false)
+			done(false) //pqlint:allow noalloc(cold path: a dead sender's refusal runs the caller's failure handling)
 		}
 		return
 	}
@@ -95,42 +101,28 @@ func (n *Node) SendOneHop(next int, pkt *Packet, done func(ok bool)) {
 	n.mac.Send(&env.frame)
 }
 
-// BroadcastOneHop transmits pkt to all direct neighbors. done (may be nil)
-// fires when the frame has been transmitted.
-func (n *Node) BroadcastOneHop(pkt *Packet, done func()) {
+// BroadcastOneHop transmits a copy of *pkt to all direct neighbors.
+func (n *Node) BroadcastOneHop(pkt *Packet) {
 	if !n.Alive() {
 		return
 	}
 	env := n.net.allocEnv(Broadcast, pkt)
-	if done != nil {
-		env.done = func(bool) { done() }
-	}
 	n.net.countSend(pkt)
 	n.mac.Send(&env.frame)
 }
 
 // MACReceive implements mac.Handler.
-func (n *Node) MACReceive(f *phy.Frame) {
-	if !n.Alive() {
-		return
-	}
-	env, ok := f.Payload.(*sendEnv)
-	if !ok {
-		return
-	}
-	n.net.deliverRx(n, f.Src, env.pkt, false)
-}
+func (n *Node) MACReceive(f *phy.Frame) { n.receive(f, false) }
 
 // MACOverhear implements mac.Handler.
-func (n *Node) MACOverhear(f *phy.Frame) {
-	if !n.Alive() {
-		return
+func (n *Node) MACOverhear(f *phy.Frame) { n.receive(f, true) }
+
+// receive hands the hop's packet up: the envelope's own copy, which the
+// sender recycles after this upcall.
+func (n *Node) receive(f *phy.Frame, overhear bool) {
+	if env, ok := f.Payload.(*sendEnv); ok && n.Alive() {
+		n.net.deliverRx(n, f.Src, &env.pkt, overhear)
 	}
-	env, ok := f.Payload.(*sendEnv)
-	if !ok {
-		return
-	}
-	n.net.deliverRx(n, f.Src, env.pkt, true)
 }
 
 // MACSendDone implements mac.Handler. The completion upcall is the MAC's

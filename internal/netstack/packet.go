@@ -28,9 +28,13 @@ const Broadcast = phy.Broadcast
 // (paper Fig. 2: "512 bytes + IP + MAC + PHY headers").
 const IPHeaderBytes = 20
 
-// Packet is a network-layer datagram. Packets are treated as immutable once
-// sent; a node that forwards a packet must Clone it first, because broadcast
-// delivers the same instance to several receivers.
+// Packet is a network-layer datagram. A send copies it into the hop's
+// envelope, so the sender may build it on its stack. What a Handler, an
+// overhear tap or a fault hook is handed points into that envelope: one
+// instance shared, read-only, by every receiver of the hop and valid for the
+// upcall only. A forwarder edits and sends its own copy (fwd := *pkt); code
+// that keeps a packet past the upcall — a jittered rebroadcast, a delayed
+// delivery — takes a heap copy with Clone. All copies share Payload.
 type Packet struct {
 	// Proto selects the handler at the receiving node.
 	Proto ProtocolID
@@ -49,7 +53,8 @@ type Packet struct {
 	Payload any
 }
 
-// Clone returns a shallow copy for forwarding.
+// Clone returns a shallow heap copy, for keeping a packet past the upcall
+// that delivered it.
 func (p *Packet) Clone() *Packet {
 	cp := *p
 	return &cp

@@ -12,11 +12,21 @@ func (s *System) prefetchRoutes(origin int, members []int) {
 }
 
 // directMsg carries a RANDOM / RANDOM-OPT quorum access delivered to a
-// specific member via multihop routing.
+// specific member via multihop routing. The message and the inner packet the
+// router carries it in are one object.
 type directMsg struct {
 	Op         opID
 	Advertise  bool
 	Key, Value string
+
+	pkt netstack.Packet
+}
+
+// sendDirect routes one directMsg from origin to member.
+func (s *System) sendDirect(origin, member int, op opID, advertise bool, key, value string, done func(ok bool)) {
+	msg := &directMsg{Op: op, Advertise: advertise, Key: key, Value: value}
+	msg.pkt = s.packet(origin, member, msg)
+	s.routing.Send(origin, member, &msg.pkt, done)
 }
 
 // advertiseRandom contacts |Qa| uniformly sampled members through routing.
@@ -33,46 +43,43 @@ func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 		return
 	}
 	ad.pending = len(members)
+	ad.contacted = members
 	s.prefetchRoutes(origin, members)
-	used := make(map[int]bool, len(members))
 	for _, m := range members {
-		used[m] = true
-	}
-	for _, m := range members {
-		s.sendAdvertiseTo(origin, op, key, value, m, used, true)
+		s.sendAdvertiseTo(ad, key, value, m, true)
 	}
 }
 
-func (s *System) sendAdvertiseTo(origin int, op opID, key, value string, member int, used map[int]bool, mayAdapt bool) {
-	msg := &directMsg{Op: op, Advertise: true, Key: key, Value: value}
-	pkt := s.newPacket(origin, member, msg)
-	s.routing.Send(origin, member, pkt, func(ok bool) {
+func (s *System) sendAdvertiseTo(ad *pendingAdvertise, key, value string, member int, mayAdapt bool) {
+	op, origin := ad.id, ad.id.Origin
+	s.sendDirect(origin, member, op, true, key, value, func(ok bool) {
 		if ok {
 			s.advertiseSettled(op)
 			return
 		}
 		if mayAdapt {
-			if alt, found := s.pickFreshMember(origin, used); found {
+			if alt, found := s.pickFreshMember(origin, ad.contacted); found {
 				s.counters.Adaptations++
-				used[alt] = true
-				s.sendAdvertiseTo(origin, op, key, value, alt, used, false)
+				ad.contacted = append(ad.contacted, alt)
+				s.sendAdvertiseTo(ad, key, value, alt, false)
 				return
 			}
 		}
-		if ad := s.ads[op]; ad != nil {
+		if !ad.finished {
 			ad.res.FailedSends++
 		}
 		s.advertiseSettled(op)
 	})
 }
 
-// pickFreshMember draws a membership-view node not yet used by this op.
-func (s *System) pickFreshMember(origin int, used map[int]bool) (int, bool) {
+// pickFreshMember draws a membership-view node the op has not contacted yet.
+func (s *System) pickFreshMember(origin int, contacted []int) (int, bool) {
 	view := s.members.View(origin)
 	rng := s.engine.Rand()
+	used := s.mark(contacted)
 	for attempts := 0; attempts < 2*len(view) && len(view) > 0; attempts++ {
 		c := view[rng.Intn(len(view))]
-		if !used[c] && c != origin {
+		if s.stamp[c] != used && c != origin {
 			return c, true
 		}
 	}
@@ -106,9 +113,7 @@ func (s *System) lookupRandom(origin int, op opID, key string) {
 	}
 	s.prefetchRoutes(origin, members)
 	for _, m := range members {
-		msg := &directMsg{Op: op, Advertise: false, Key: key}
-		pkt := s.newPacket(origin, m, msg)
-		s.routing.Send(origin, m, pkt, nil)
+		s.sendDirect(origin, m, op, false, key, "", nil)
 	}
 }
 
@@ -128,9 +133,7 @@ func (s *System) serialLookupStep(origin int, op opID, key string, gen int) {
 	m := lk.serialTargets[lk.serialNext]
 	lk.serialNext++
 	next := lk.serialNext
-	msg := &directMsg{Op: op, Advertise: false, Key: key}
-	pkt := s.newPacket(origin, m, msg)
-	s.routing.Send(origin, m, pkt, func(ok bool) {
+	s.sendDirect(origin, m, op, false, key, "", func(ok bool) {
 		if !ok {
 			s.serialLookupStep(origin, op, key, gen)
 		}
@@ -151,9 +154,7 @@ func (s *System) lookupRandomOpt(origin int, op opID, key string) {
 	s.observeMembers(origin, members)
 	s.prefetchRoutes(origin, members)
 	for _, m := range members {
-		msg := &directMsg{Op: op, Advertise: false, Key: key}
-		pkt := s.newPacket(origin, m, msg)
-		s.routing.Send(origin, m, pkt, nil)
+		s.sendDirect(origin, m, op, false, key, "", nil)
 	}
 }
 

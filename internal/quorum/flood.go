@@ -69,7 +69,7 @@ func (s *System) startFloodProb(origin int, op opID, advertise bool, key, value 
 	pkt.TTL = ttl
 	node := s.net.Node(origin)
 	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		node.BroadcastOneHop(pkt, nil)
+		node.BroadcastOneHop(pkt)
 	})
 }
 
@@ -108,6 +108,6 @@ func (s *System) handleFlood(n *netstack.Node, pkt *netstack.Packet, m *floodMsg
 	fwd.Hops++
 	fwd.Src = n.ID()
 	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		n.BroadcastOneHop(fwd, nil)
+		n.BroadcastOneHop(fwd)
 	})
 }

@@ -370,6 +370,9 @@ type pendingAdvertise struct {
 	timer *sim.Timer
 	// storedAt tracks the distinct nodes this operation has written.
 	storedAt map[int]bool
+	// contacted lists the members a RANDOM advertise has sent to, the drawn
+	// quorum first, so that an adaptation draws a node not among them.
+	contacted []int
 }
 
 // New installs the quorum protocol on every node of net. routing is any
@@ -655,8 +658,9 @@ func (s *System) nextOp(origin int) opID {
 	return opID{Origin: origin, Seq: s.opSeq}
 }
 
-// packet fills in a quorum packet of the configured payload size; walk and
-// path-reply messages embed theirs, everything else takes newPacket's copy.
+// packet fills in a quorum packet of the configured payload size. A one-hop
+// send takes it from the sender's stack; a routed message's inner packet and
+// a jittered broadcast outlive the call and live on the heap (newPacket).
 func (s *System) packet(src, dst int, payload any) netstack.Packet {
 	return netstack.Packet{
 		Proto: netstack.ProtoQuorum, Src: src, Dst: dst,

@@ -17,10 +17,6 @@ type replyMsg struct {
 	// Flood marks a reply travelling a flood's per-node previous-hop
 	// chain instead of an explicit path.
 	Flood bool
-
-	// pkt is the packet a path reply travels in, part of the message so
-	// that a reply hop allocates one object.
-	pkt netstack.Packet
 }
 
 // handleReply processes a reply arriving at node n (off the air or via
@@ -78,8 +74,8 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 		}
 	}
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: j}
-	next.pkt = s.packet(n.ID(), r.Path[j], next)
-	n.SendOneHop(r.Path[j], &next.pkt, func(ok bool) {
+	pkt := s.packet(n.ID(), r.Path[j], next)
+	n.SendOneHop(r.Path[j], &pkt, func(ok bool) {
 		if !ok {
 			s.replyHopBroken(n, next, j)
 		}
@@ -153,8 +149,8 @@ func (s *System) forwardFloodReply(n *netstack.Node, r *replyMsg) {
 		return
 	}
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Flood: true}
-	pkt := s.newPacket(n.ID(), prev, next)
-	n.SendOneHop(prev, pkt, func(ok bool) {
+	pkt := s.packet(n.ID(), prev, next)
+	n.SendOneHop(prev, &pkt, func(ok bool) {
 		if ok {
 			return
 		}

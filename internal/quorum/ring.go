@@ -38,7 +38,7 @@ func (s *System) ringRound(origin int, op opID, key string, ttl int) {
 	pkt.TTL = ttl
 	node := s.net.Node(origin)
 	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		node.BroadcastOneHop(pkt, nil)
+		node.BroadcastOneHop(pkt)
 	})
 
 	if ttl >= s.cfg.MaxRingTTL {
@@ -75,7 +75,7 @@ func (s *System) advertiseRingRound(origin int, op opID, key, value string, ttl 
 	pkt.TTL = ttl
 	node := s.net.Node(origin)
 	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		node.BroadcastOneHop(pkt, nil)
+		node.BroadcastOneHop(pkt)
 	})
 
 	s.engine.Schedule(ringWait(ttl), func() {

@@ -53,8 +53,8 @@ func (s *System) stepSample(n *netstack.Node, m *sampleMsg) {
 			StepsLeft: m.StepsLeft - 1,
 			Visited:   append(append(make([]int, 0, len(m.Visited)+1), m.Visited...), next),
 		}
-		pkt := s.newPacket(n.ID(), next, fwd)
-		n.SendOneHop(next, pkt, func(ok bool) {
+		pkt := s.packet(n.ID(), next, fwd)
+		n.SendOneHop(next, &pkt, func(ok bool) {
 			if ok {
 				return
 			}

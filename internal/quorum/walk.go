@@ -20,9 +20,9 @@ type walkHeader struct {
 // distinct coverage and records the reverse path for replies, as the paper
 // describes (Section 4.2).
 //
-// The part the receiver reads, the packet it travels in and the sender's
-// forwarding state are a single object, so a hop allocates that object and
-// the completion closure bound to it.
+// The part the receiver reads and the sender's forwarding state are a single
+// object, so a hop allocates that object and the completion closure bound to
+// it; the packet it travels in is built on the sender's stack.
 type walkMsg struct {
 	*walkHeader
 	// Visited is the path so far, origin first. Its backing array is
@@ -39,12 +39,11 @@ type walkMsg struct {
 	// continuations would write the same slot.
 	extended bool
 
-	// Forwarding state of the node that sends this message (pkt.Src);
-	// receivers never read it. pkt is the first attempt's packet, pool
-	// the salvation candidates — the sender's neighbors at the first
-	// attempt, minus those already tried — and done the completion
-	// callback, bound at the first attempt.
-	pkt  netstack.Packet
+	// Forwarding state of the node that sends this message, src; receivers
+	// never read it. pool holds the salvation candidates — the sender's
+	// neighbors at the first attempt, minus those already tried — and done
+	// is the completion callback, bound at the first attempt.
+	src  int
 	pool []int
 	done func(ok bool)
 }
@@ -132,7 +131,7 @@ func (s *System) forwardWalk(n *netstack.Node, m *walkMsg) {
 		s.walkEnded(m)
 		return
 	}
-	m.pkt.Src = n.ID()
+	m.src = n.ID()
 	m.pool = s.takePool(s.net.Neighbors(n.ID()))
 	s.tryForwardWalk(m)
 }
@@ -151,9 +150,7 @@ func (s *System) tryForwardWalk(m *walkMsg) {
 	m.pool[idx] = m.pool[len(m.pool)-1]
 	m.pool = m.pool[:len(m.pool)-1]
 
-	pkt := &m.pkt
 	if m.done == nil {
-		m.pkt = s.packet(pkt.Src, next, m)
 		m.done = func(ok bool) {
 			switch {
 			case ok:
@@ -167,13 +164,9 @@ func (s *System) tryForwardWalk(m *walkMsg) {
 				s.tryForwardWalk(m)
 			}
 		}
-	} else {
-		// A packet is immutable once sent and the failed attempt's may
-		// still be referenced (a fault-delayed delivery): salvations get
-		// their own.
-		pkt = s.newPacket(pkt.Src, next, m)
 	}
-	s.net.Node(pkt.Src).SendOneHop(next, pkt, m.done)
+	pkt := s.packet(m.src, next, m)
+	s.net.Node(m.src).SendOneHop(next, &pkt, m.done)
 }
 
 // takePool snapshots a neighbor list (owned by its provider, valid until the
