@@ -10,7 +10,8 @@
 #   5. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
 #   6. load-smoke, adapt-smoke — the two tier figures whose invariant
-#               violations are fatal;
+#               violations are fatal, their tables diffed against the
+#               recorded results_tiers.txt;
 #   7. vet    — the standard toolchain's analyzers;
 #   8. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
@@ -19,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check tiers chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -129,13 +130,34 @@ mega-bench:
 giga-smoke:
 	$(GO) run ./cmd/pqexp -short -n 25000 -shards 4 giga | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
+# tiers records what `pqexp -short load` and `pqexp -short adapt` print apart
+# from their go-bench lines: the tier tables, free of wall-clock fields by
+# construction. results_quick.txt covers `pqexp all` only; this file is the
+# same gate for the two tiers whose smoke runs are part of check. A refactor
+# must pass it untouched; a change that means to move a tier table re-records
+# the file with `make tiers` in the same commit and says which rows and why.
+tiers:
+	@for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^Benchmark' > results_tiers.txt
+
+# tier-smoke runs tier $(1) on its smoke horizon (a violation makes pqexp exit
+# nonzero and fails the target), folds its go-bench lines into BENCH.json and
+# diffs everything else against the tier's own tables in results_tiers.txt:
+# from its first "## $(1)" title up to the next tier's.
+define tier-smoke
+	$(GO) run ./cmd/pqexp -short $(1) > $(1).out || { cat $(1).out; rm -f $(1).out; exit 1; }
+	$(GO) run ./cmd/benchjson -merge -out BENCH.json < $(1).out
+	@awk '/^## /{on = ($$2 == "$(1)")} on' results_tiers.txt | diff -I '^Benchmark' - $(1).out || \
+		{ echo "$(1)-smoke: pqexp -short $(1) differs from results_tiers.txt (<: recorded, >: this tree)"; rm -f $(1).out; exit 1; }
+	@rm -f $(1).out
+endef
+
 # load-smoke runs the open-loop workload figure (DESIGN.md §13) on a
 # shortened horizon: Poisson and MMPP arrivals against every strategy mix
 # with the invariant checkers armed (any violation — including a pending-op
 # leak — makes the run nonzero and fails check). The per-mix throughput and
 # latency-percentile lines fold into BENCH.json alongside the other suites.
 load-smoke:
-	$(GO) run ./cmd/pqexp -short load | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(call tier-smoke,load)
 
 # adapt-smoke runs the adaptive-sizing chaos figure (DESIGN.md §14) on a
 # shortened horizon: static vs closed-loop quorum sizing under mass-join,
@@ -144,7 +166,7 @@ load-smoke:
 # fatal. The per-drift settled-intersection and message-cost lines fold
 # into BENCH.json alongside the other suites.
 adapt-smoke:
-	$(GO) run ./cmd/pqexp -short adapt | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(call tier-smoke,adapt)
 
 # bench-sweep records only the parallel sweep executor's scaling (flat on a
 # 1-core host; ~2× at parallel=2 on two cores).

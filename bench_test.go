@@ -1,6 +1,5 @@
 // Benchmarks regenerating (scaled-down) versions of every table and figure
-// in the paper's evaluation, plus micro-benchmarks of the substrates and
-// ablations of the design choices called out in DESIGN.md.
+// in the paper's evaluation, plus micro-benchmarks of the substrates.
 //
 // Each figure benchmark runs the corresponding experiment on a small
 // profile and reports the headline quantity via b.ReportMetric, so
@@ -667,61 +666,6 @@ func BenchmarkClusterLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.LookupWait(i%100, "k")
 	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md) --------------------
-
-// ablationScenario runs the RANDOM × UNIQUE-PATH mix with one technique
-// toggled and reports hit ratio and msgs/lookup.
-func ablationScenario(b *testing.B, mutate func(*quorum.Config)) {
-	p := benchProfile()
-	b.ReportAllocs()
-	var last experiment.Result
-	for i := 0; i < b.N; i++ {
-		sc := experiment.Scenario{
-			N: p.BigN, Stack: p.Stack, Seed: int64(i) + 1,
-			Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-			SpeedMin: 0.5, SpeedMax: 5, LossProb: 0.55,
-		}
-		sc.Quorum = quorum.DefaultConfig(p.BigN)
-		sc.Quorum.LookupTimeout = 10
-		mutate(&sc.Quorum)
-		last = experiment.Run(sc)
-	}
-	b.ReportMetric(last.HitRatio, "hit-ratio")
-	b.ReportMetric(last.LookupAppMsgs, "msgs/lookup")
-}
-
-func BenchmarkAblationSalvationOn(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.Salvation = true })
-}
-
-func BenchmarkAblationSalvationOff(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.Salvation = false })
-}
-
-func BenchmarkAblationEarlyHaltOn(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.EarlyHalt = true })
-}
-
-func BenchmarkAblationEarlyHaltOff(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.EarlyHalt = false })
-}
-
-func BenchmarkAblationPathReductionOn(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.ReplyPathReduction = true })
-}
-
-func BenchmarkAblationPathReductionOff(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.ReplyPathReduction = false })
-}
-
-func BenchmarkAblationLocalRepairOn(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.ReplyLocalRepair = true })
-}
-
-func BenchmarkAblationLocalRepairOff(b *testing.B) {
-	ablationScenario(b, func(c *quorum.Config) { c.ReplyLocalRepair = false })
 }
 
 // BenchmarkSizingSweep exercises the sizing math across the paper's range.

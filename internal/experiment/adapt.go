@@ -48,34 +48,21 @@ type AdaptFigConfig struct {
 	Seed int64
 	// Parallel is the worker-pool width across cells (0 = all cores).
 	Parallel int
-	// DurationSecs is the measured span per run (default 600).
-	DurationSecs float64
-	// BucketSecs is the time-series resolution (default 30).
-	BucketSecs float64
 	// Horizon scales the run down for smoke tests: duration shrinks by
 	// min(1, Horizon) when in (0,1).
 	Horizon float64
 }
 
-func (ac *AdaptFigConfig) fillDefaults() {
-	if ac.Seeds == 0 {
-		ac.Seeds = 2
-	}
-	if ac.DurationSecs == 0 {
-		ac.DurationSecs = 600
-	}
-	if ac.BucketSecs == 0 {
-		ac.BucketSecs = 30
-	}
-	if ac.Horizon <= 0 || ac.Horizon > 1 {
-		ac.Horizon = 1
-	}
-	if ac.Horizon < 1 {
-		ac.DurationSecs *= ac.Horizon
-		if ac.DurationSecs < 90 {
-			ac.DurationSecs = 90
-		}
-	}
+const (
+	// adaptDurationSecs is the measured span per run at full horizon.
+	adaptDurationSecs = 600.0
+	// adaptBucketSecs is the time-series resolution.
+	adaptBucketSecs = 30.0
+)
+
+// durationSecs is the horizon-scaled measured span, at least three buckets.
+func (ac AdaptFigConfig) durationSecs() float64 {
+	return max(adaptDurationSecs*clampHorizon(ac.Horizon), 90)
 }
 
 // adaptDrift is one population-drift shape.
@@ -240,7 +227,9 @@ func (r AdaptDriftResult) Table() Table {
 // a pool of Parallel workers, merged per (drift, variant) in index order so
 // the output is bit-identical at any Parallel setting.
 func RunAdapt(ac AdaptFigConfig) []AdaptDriftResult {
-	ac.fillDefaults()
+	if ac.Seeds == 0 {
+		ac.Seeds = 2
+	}
 	drifts := adaptDrifts()
 
 	type cell struct {
@@ -342,7 +331,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 		readvertise   = 40.0
 		lookupTimeout = 10.0
 	)
-	d := ac.DurationSecs
+	d := ac.durationSecs()
 
 	sc := Scenario{
 		N: dr.n0, Stack: netstack.StackIdeal, Seed: seed,
@@ -356,7 +345,6 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 		AdvertiseStrategy: quorum.Random, LookupStrategy: quorum.Random,
 		AdvertiseSize: qa, LookupSize: ql,
 		EarlyHalt: true, Salvation: true, ReplyPathReduction: true,
-		PayloadBytes:    512,
 		LookupTimeout:   lookupTimeout,
 		ReadvertiseSecs: readvertise,
 	}
@@ -390,13 +378,13 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 	if adaptive {
 		res.Variant = "adaptive"
 	}
-	buckets := int(d / ac.BucketSecs)
+	buckets := int(d / adaptBucketSecs)
 	if buckets < 1 {
 		buckets = 1
 	}
 	res.Buckets = make([]AdaptBucket, buckets)
 	for bi := range res.Buckets {
-		res.Buckets[bi].T = float64(bi) * ac.BucketSecs
+		res.Buckets[bi].T = float64(bi) * adaptBucketSecs
 	}
 
 	// Bucket sampler: gauges at each bucket's end, app-message deltas per
@@ -404,7 +392,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 	stats := net.Stats()
 	lastMsgs := stats.Get(netstack.CtrAppMsgs)
 	bucketIdx := 0
-	sampler := sim.NewTicker(engine, ac.BucketSecs, ac.BucketSecs, func() {
+	sampler := sim.NewTicker(engine, adaptBucketSecs, adaptBucketSecs, func() {
 		if bucketIdx >= buckets {
 			return
 		}
@@ -456,7 +444,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 			if !net.Alive(origin) {
 				return
 			}
-			bi := int((engine.Now() - loadStart) / ac.BucketSecs)
+			bi := int((engine.Now() - loadStart) / adaptBucketSecs)
 			if bi >= buckets {
 				bi = buckets - 1
 			}

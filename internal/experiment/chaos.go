@@ -23,36 +23,18 @@ import (
 
 // ChaosScenario describes one chaos run: a three-phase lookup workload
 // (pre-fault, during-fault, post-heal) plus a register read/write workload,
-// with a fault schedule active during the middle phase.
+// with a fault schedule active during the middle phase. The run is on the
+// ideal stack; its shape is the constants below.
 type ChaosScenario struct {
 	// N is the node count (default 50).
 	N int
 	// Seed drives all randomness, including the fault schedule.
 	Seed int64
-	// Stack selects fidelity (default netstack.StackIdeal).
-	Stack netstack.StackKind
-	// Epsilon sizes the RANDOM×RANDOM biquorum (default 0.1).
-	Epsilon float64
 	// Severity in [0,1] scales the randomized fault schedule.
 	Severity float64
-	// Episodes is the number of fault episodes drawn (default 3).
-	Episodes int
 	// Schedule overrides the randomized schedule with an explicit one
 	// (still confined to the fault phase).
 	Schedule []faults.Episode
-	// FaultSpanSecs is the fault phase length; every episode starts and
-	// heals inside it (default 40).
-	FaultSpanSecs float64
-	// PhaseSpanSecs is the pre- and post-phase length (default 15).
-	PhaseSpanSecs float64
-	// Advertisements is how many keys are published before the phases
-	// (default 12).
-	Advertisements int
-	// LookupsPerPhase is the lookup workload per phase (default 12).
-	LookupsPerPhase int
-	// RegisterOpsPerPhase is the register write+read pairs per phase
-	// (default 2).
-	RegisterOpsPerPhase int
 	// LookupRetries / RetryBackoffSecs / ReadvertiseSecs arm the
 	// recovery mechanisms (zero = off), as in the §6.1 burst comparison.
 	LookupRetries    int
@@ -60,35 +42,23 @@ type ChaosScenario struct {
 	ReadvertiseSecs  float64
 }
 
-func (cs *ChaosScenario) fillDefaults() {
-	if cs.N == 0 {
-		cs.N = 50
-	}
-	if cs.Stack == 0 {
-		cs.Stack = netstack.StackIdeal
-	}
-	if cs.Epsilon == 0 {
-		cs.Epsilon = 0.1
-	}
-	if cs.Episodes == 0 {
-		cs.Episodes = 3
-	}
-	if cs.FaultSpanSecs == 0 {
-		cs.FaultSpanSecs = 40
-	}
-	if cs.PhaseSpanSecs == 0 {
-		cs.PhaseSpanSecs = 15
-	}
-	if cs.Advertisements == 0 {
-		cs.Advertisements = 12
-	}
-	if cs.LookupsPerPhase == 0 {
-		cs.LookupsPerPhase = 12
-	}
-	if cs.RegisterOpsPerPhase == 0 {
-		cs.RegisterOpsPerPhase = 2
-	}
-}
+const (
+	// chaosEpsilon sizes the RANDOM×RANDOM biquorum.
+	chaosEpsilon = 0.1
+	// chaosEpisodes is the number of fault episodes a randomized schedule
+	// draws.
+	chaosEpisodes = 3
+	// chaosFaultSpanSecs is the fault phase length; every episode starts and
+	// heals inside it. chaosPhaseSpanSecs is the pre- and post-phase length.
+	chaosFaultSpanSecs = 40.0
+	chaosPhaseSpanSecs = 15.0
+	// chaosAdvertisements keys are published before the phases; each phase
+	// issues chaosLookupsPerPhase lookups and chaosRegisterOpsPerPhase
+	// register write+read pairs.
+	chaosAdvertisements      = 12
+	chaosLookupsPerPhase     = 12
+	chaosRegisterOpsPerPhase = 2
+)
 
 // ChaosPhase tallies lookup outcomes for one phase of a chaos run,
 // attributed by issue time.
@@ -130,12 +100,14 @@ type ChaosResult struct {
 // deterministic per Seed: the engine, workload, and fault schedule all draw
 // from the run's own engine streams.
 func RunChaos(cs ChaosScenario) ChaosResult {
-	cs.fillDefaults()
+	if cs.N == 0 {
+		cs.N = 50
+	}
 	sc := Scenario{
-		N: cs.N, AvgDegree: 15, Stack: cs.Stack, Seed: cs.Seed,
+		N: cs.N, AvgDegree: 15, Stack: netstack.StackIdeal, Seed: cs.Seed,
 		MembershipRefreshSecs: 5,
 	}
-	qa, ql := quorum.SizeForEpsilon(cs.N, cs.Epsilon, 1)
+	qa, ql := quorum.SizeForEpsilon(cs.N, chaosEpsilon, 1)
 	sc.Quorum = mixConfig(cs.N, quorum.Random, quorum.Random)
 	sc.Quorum.AdvertiseSize, sc.Quorum.LookupSize = qa, ql
 	sc.Quorum.Merge = register.Merge
@@ -153,7 +125,7 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	engine.Run(sc.WarmupSecs)
 
 	// Publish the keys the lookup workload will search for.
-	keys := make([]string, cs.Advertisements)
+	keys := make([]string, chaosAdvertisements)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("chaos-key-%d", i)
 		i := i
@@ -161,7 +133,7 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 			suite.Advertise(net.RandomAliveID(rng), keys[i], "v", nil)
 		})
 	}
-	engine.Run(engine.Now() + float64(cs.Advertisements)*0.5 + 20)
+	engine.Run(engine.Now() + float64(chaosAdvertisements)*0.5 + 20)
 
 	reg := suite.WrapRegister(register.New(sys, "chaos-register", register.Config{}))
 	regSeq := 0
@@ -171,8 +143,8 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	// attributed to the phase that issued them even if they resolve
 	// later (retries can outlive an episode — that is the recovery).
 	issuePhase := func(ph *ChaosPhase, span float64) {
-		gap := span / float64(cs.LookupsPerPhase+1)
-		for i := 0; i < cs.LookupsPerPhase; i++ {
+		gap := span / float64(chaosLookupsPerPhase+1)
+		for i := 0; i < chaosLookupsPerPhase; i++ {
 			i := i
 			engine.Schedule(float64(i+1)*gap, func() {
 				ph.Lookups++
@@ -187,14 +159,14 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 					})
 			})
 		}
-		for i := 0; i < cs.RegisterOpsPerPhase; i++ {
+		for i := 0; i < chaosRegisterOpsPerPhase; i++ {
 			regSeq++
 			data := fmt.Sprintf("chaos-data-%d", regSeq)
-			at := span * (float64(i) + 0.3) / float64(cs.RegisterOpsPerPhase)
+			at := span * (float64(i) + 0.3) / float64(chaosRegisterOpsPerPhase)
 			engine.Schedule(at, func() {
 				reg.Write(net.RandomAliveID(rng), data, nil)
 			})
-			engine.Schedule(at+span*0.3/float64(cs.RegisterOpsPerPhase), func() {
+			engine.Schedule(at+span*0.3/float64(chaosRegisterOpsPerPhase), func() {
 				reg.Read(net.RandomAliveID(rng), nil)
 			})
 		}
@@ -205,20 +177,20 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	res.Runs = 1
 
 	// Phase 1: fault-free baseline.
-	issuePhase(&res.Pre, cs.PhaseSpanSecs)
+	issuePhase(&res.Pre, chaosPhaseSpanSecs)
 
 	// Phase 2: the fault schedule goes live.
 	schedule := cs.Schedule
 	if schedule == nil {
 		schedule = faults.RandomSchedule(scheduleRng, faults.ScheduleConfig{
-			HorizonSecs: cs.FaultSpanSecs,
-			Episodes:    cs.Episodes,
+			HorizonSecs: chaosFaultSpanSecs,
+			Episodes:    chaosEpisodes,
 			Severity:    cs.Severity,
 			N:           cs.N,
 		})
 	}
 	inj.Schedule(schedule)
-	issuePhase(&res.During, cs.FaultSpanSecs)
+	issuePhase(&res.During, chaosFaultSpanSecs)
 
 	// Settle: every episode has healed; let in-flight retries resolve
 	// before the post-heal measurement.
@@ -226,7 +198,7 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 
 	// Phase 3: post-heal — the regime where the 1−ε bound must hold
 	// again.
-	issuePhase(&res.Post, cs.PhaseSpanSecs)
+	issuePhase(&res.Post, chaosPhaseSpanSecs)
 
 	// Drain past the slowest possible resolution: the full retry ladder
 	// plus a safety margin.

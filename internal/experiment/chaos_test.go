@@ -105,10 +105,9 @@ func TestChaosExplicitPartitionDegradesAndRecovers(t *testing.T) {
 	agg := ChaosResult{}
 	for seed := int64(0); seed < 4; seed++ {
 		cs := ChaosScenario{N: 50, Seed: 100 + seed*7}
-		cs.fillDefaults()
 		cs.Schedule = []faults.Episode{{
 			Kind: faults.Partition, Start: 2,
-			Duration: cs.FaultSpanSecs - 6, Parts: 2,
+			Duration: chaosFaultSpanSecs - 6, Parts: 2,
 		}}
 		agg = mergeChaos([]ChaosResult{agg, RunChaos(cs)})
 	}

@@ -50,9 +50,7 @@ func FigChaos(p Profile, seed int64) []Table {
 }
 
 func chaosSeverityTable(bySeverity []ChaosResult) Table {
-	var cs ChaosScenario
-	cs.fillDefaults()
-	bound := 1 - cs.Epsilon
+	bound := 1 - chaosEpsilon
 	var rows [][]string
 	for i, sev := range chaosSeverities {
 		r := bySeverity[i]
@@ -69,7 +67,7 @@ func chaosSeverityTable(bySeverity []ChaosResult) Table {
 	}
 	return Table{
 		Title: fmt.Sprintf("Chaos — intersection by phase vs fault severity, n=%d, ε=%.2f, %d randomized schedules",
-			chaosN, cs.Epsilon, len(chaosSeverities)*chaosSchedulesPerSeverity),
+			chaosN, chaosEpsilon, len(chaosSeverities)*chaosSchedulesPerSeverity),
 		Header: []string{"severity", "runs", "pre", "during", "post-heal", "bound 1−ε", "stale/missed reads", "violations"},
 		Rows:   rows,
 	}
@@ -82,10 +80,9 @@ func chaosSeverityTable(bySeverity []ChaosResult) Table {
 // inside it.
 func chaosRecoveryScenarios(seed int64) []ChaosScenario {
 	base := ChaosScenario{N: chaosN, Seed: seed}
-	base.fillDefaults()
 	base.Schedule = []faults.Episode{{
-		Kind: faults.Partition, Start: base.FaultSpanSecs * 0.1,
-		Duration: base.FaultSpanSecs * 0.6, Parts: 2,
+		Kind: faults.Partition, Start: chaosFaultSpanSecs * 0.1,
+		Duration: chaosFaultSpanSecs * 0.6, Parts: 2,
 	}}
 
 	retry := base
@@ -93,7 +90,7 @@ func chaosRecoveryScenarios(seed int64) []ChaosScenario {
 	retry.RetryBackoffSecs = 0.5
 
 	full := retry
-	full.ReadvertiseSecs = base.FaultSpanSecs / 4
+	full.ReadvertiseSecs = chaosFaultSpanSecs / 4
 	return []ChaosScenario{base, retry, full}
 }
 

@@ -33,15 +33,11 @@ type Scenario struct {
 	// SpeedMin/SpeedMax are random-waypoint speeds in m/s; both zero
 	// means a static network. Paper default mobile range: 0.5–2.
 	SpeedMin, SpeedMax float64
-	// PauseSecs is the waypoint pause (paper: 30).
-	PauseSecs float64
 	// Quorum is the strategy mix and sizing.
 	Quorum quorum.Config
 	// Advertisements and Lookups size the workload (paper: 100 and 1000,
 	// the latter from LookupNodes=25 random nodes).
 	Advertisements, Lookups, LookupNodes int
-	// AdvertiseGapSecs and LookupGapSecs pace the phases.
-	AdvertiseGapSecs, LookupGapSecs float64
 	// WarmupSecs runs the network before the workload (paper: 200).
 	WarmupSecs float64
 	// Seed drives all randomness.
@@ -63,9 +59,6 @@ type Scenario struct {
 	// ChurnDurationSecs bounds the continuous process; zero runs it for
 	// the whole lookup-issue span.
 	ChurnDurationSecs float64
-	// JoinCapacity overrides how many fresh node slots are pre-allocated
-	// for continuous joins; zero derives ⌈JoinRate·duration⌉ plus slack.
-	JoinCapacity int
 	// DecayBucketSecs, when positive, buckets lookup outcomes by issue
 	// time into Result.Decay — the measured intersection probability over
 	// time as churn accumulates, comparable to §6.1's ε^(1−f(t)).
@@ -138,9 +131,6 @@ func (sc *Scenario) fillDefaults() {
 	if sc.Stack == 0 {
 		sc.Stack = netstack.StackSINR
 	}
-	if sc.PauseSecs == 0 {
-		sc.PauseSecs = 30
-	}
 	if sc.Advertisements == 0 {
 		sc.Advertisements = 100
 	}
@@ -149,12 +139,6 @@ func (sc *Scenario) fillDefaults() {
 	}
 	if sc.LookupNodes == 0 {
 		sc.LookupNodes = 25
-	}
-	if sc.AdvertiseGapSecs == 0 {
-		sc.AdvertiseGapSecs = 1.0
-	}
-	if sc.LookupGapSecs == 0 {
-		sc.LookupGapSecs = 0.35
 	}
 	if sc.WarmupSecs == 0 {
 		if sc.Stack == netstack.StackIdeal {
@@ -171,10 +155,17 @@ func (sc *Scenario) continuousChurn() bool {
 	return sc.ChurnFailRate > 0 || sc.ChurnJoinRate > 0
 }
 
+// advertiseGapSecs and lookupGapSecs pace the two phases: one advertise a
+// second, then about three lookups a second.
+const (
+	advertiseGapSecs = 1.0
+	lookupGapSecs    = 0.35
+)
+
 // lookupSpanSecs is the duration of the lookup-issue phase. Call after
 // fillDefaults.
 func (sc *Scenario) lookupSpanSecs() float64 {
-	return float64(sc.Lookups) * sc.LookupGapSecs
+	return float64(sc.Lookups) * lookupGapSecs
 }
 
 // churnDuration is how long the continuous process runs. Call after
@@ -187,12 +178,10 @@ func (sc *Scenario) churnDuration() float64 {
 }
 
 // joinSlots is how many extra node slots are pre-allocated (kept down until
-// they join). Call after fillDefaults.
+// they join): under continuous churn ⌈JoinRate·duration⌉ plus slack. Call
+// after fillDefaults.
 func (sc *Scenario) joinSlots() int {
 	if sc.continuousChurn() {
-		if sc.JoinCapacity > 0 {
-			return sc.JoinCapacity
-		}
 		return int(math.Ceil(sc.ChurnJoinRate*sc.churnDuration())) + 2
 	}
 	return int(math.Round(sc.JoinFraction * float64(sc.N)))
@@ -285,7 +274,7 @@ func (sc *Scenario) spec() stack.Spec {
 			AvgDegree: sc.AvgDegree, Stack: sc.Stack, CellNoise: sc.CellNoise,
 			LossProb: sc.LossProb, RxLossProb: sc.RxLossProb, IdealHopDelay: sc.IdealHopDelay,
 		},
-		SpeedMin: sc.SpeedMin, SpeedMax: sc.SpeedMax, PauseSecs: sc.PauseSecs,
+		SpeedMin: sc.SpeedMin, SpeedMax: sc.SpeedMax,
 		OracleRouting: sc.OracleRouting, RouteCache: sc.RouteCache,
 		Members: membership.Config{
 			RefreshSecs: sc.MembershipRefreshSecs, Estimation: sc.Estimation, Lazy: sc.LazyMembership,
@@ -328,13 +317,13 @@ func run(sc Scenario) (Result, check.Report) {
 		keys[i] = fmt.Sprintf("item-%d", i)
 		origin := net.RandomAliveID(rng)
 		key, value := keys[i], fmt.Sprintf("loc-of-%d", i)
-		engine.Schedule(float64(i)*sc.AdvertiseGapSecs, func() {
+		engine.Schedule(float64(i)*advertiseGapSecs, func() {
 			suite.Advertise(origin, key, value, func(r quorum.AdvertiseResult) {
 				placedSum += r.Placed
 			})
 		})
 	}
-	engine.Run(engine.Now() + float64(sc.Advertisements)*sc.AdvertiseGapSecs + 30)
+	engine.Run(engine.Now() + float64(sc.Advertisements)*advertiseGapSecs + 30)
 	adDiff := net.Stats().DiffSince(adStart)
 
 	// Churn: either the continuous Poisson process over the lookup phase,
@@ -396,7 +385,7 @@ func run(sc Scenario) (Result, check.Report) {
 		if sc.LookupAbsentKeys {
 			key = fmt.Sprintf("absent-%d", i)
 		}
-		issueAt := float64(i) * sc.LookupGapSecs
+		issueAt := float64(i) * lookupGapSecs
 		bucket := -1
 		if len(decay) > 0 {
 			if b := int(issueAt / sc.DecayBucketSecs); b < len(decay) {

@@ -32,66 +32,40 @@ import (
 // the strategies under load; the SINR stack would measure MAC contention
 // instead.
 
-// LoadConfig sizes a load run. Zero values take scale-appropriate defaults.
+// LoadConfig selects a load run; its shape is the constants below.
 type LoadConfig struct {
-	// N is the node count (default 300).
-	N int
 	// Seed drives all randomness.
 	Seed int64
 	// Parallel is the worker-pool width across strategy mixes (0 = all
 	// cores). The data table is bit-identical at any setting.
 	Parallel int
-	// RatePerNode is each node's mean arrival rate in ops/sec (default
-	// 0.5; the MMPP mix bursts at 4× with 1:3 on/off sojourns to match
-	// this mean).
-	RatePerNode float64
-	// DurationSecs is the issue-phase length (default 120).
-	DurationSecs float64
-	// Keys is the key-space size (default 64); every key is advertised
-	// once before the load phase so reads can hit from the first arrival.
-	Keys int
-	// WriteFraction is the advertise share of arrivals (default 0.1).
-	WriteFraction float64
-	// MaxInFlight is the per-node window (default 8; queue limit is the
-	// workload package's 2× default).
-	MaxInFlight int
 	// Horizon scales the run down for smoke tests: node count and
 	// duration shrink by min(1, Horizon) when in (0,1).
 	Horizon float64
 }
 
-func (lc *LoadConfig) fillDefaults() {
-	if lc.N == 0 {
-		lc.N = 300
-	}
-	if lc.RatePerNode == 0 {
-		lc.RatePerNode = 0.5
-	}
-	if lc.DurationSecs == 0 {
-		lc.DurationSecs = 120
-	}
-	if lc.Keys == 0 {
-		lc.Keys = 64
-	}
-	if lc.WriteFraction == 0 {
-		lc.WriteFraction = 0.1
-	}
-	if lc.MaxInFlight == 0 {
-		lc.MaxInFlight = 8
-	}
-	if lc.Horizon <= 0 || lc.Horizon > 1 {
-		lc.Horizon = 1
-	}
-	if lc.Horizon < 1 {
-		lc.N = int(float64(lc.N) * lc.Horizon)
-		if lc.N < 40 {
-			lc.N = 40
-		}
-		lc.DurationSecs *= lc.Horizon
-		if lc.DurationSecs < 15 {
-			lc.DurationSecs = 15
-		}
-	}
+const (
+	// loadN nodes issue for loadDurationSecs at full horizon.
+	loadN            = 300
+	loadDurationSecs = 120.0
+	// loadRatePerNode is each node's mean arrival rate in ops/sec (the MMPP
+	// mix bursts at 4× with 1:3 on/off sojourns to match this mean), of which
+	// loadWriteFraction are advertises.
+	loadRatePerNode   = 0.5
+	loadWriteFraction = 0.1
+	// loadKeys is the key-space size; every key is advertised once before
+	// the load phase so reads can hit from the first arrival.
+	loadKeys = 64
+	// loadMaxInFlight is the per-node window (the queue limit is the
+	// workload package's 2× default).
+	loadMaxInFlight = 8
+)
+
+// size is the horizon-scaled node count (at least 40) and issue-phase length
+// (at least 15 s).
+func (lc LoadConfig) size() (n int, durationSecs float64) {
+	h := clampHorizon(lc.Horizon)
+	return max(int(loadN*h), 40), max(loadDurationSecs*h, 15)
 }
 
 // loadMix is one strategy/traffic combination of the figure.
@@ -189,7 +163,6 @@ func (r LoadMixResult) BenchLine() string {
 // setting: each mix owns an isolated stack and the merge is by
 // index.
 func RunLoad(lc LoadConfig) []LoadMixResult {
-	lc.fillDefaults()
 	mixes := loadMixes()
 	out := make([]LoadMixResult, len(mixes))
 	// Background context never cancels, so the error is impossible.
@@ -205,11 +178,12 @@ func RunLoad(lc LoadConfig) []LoadMixResult {
 // advertises the whole key table, then the open-loop load phase with the
 // stats snapshot diffed around it.
 func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
+	n, durationSecs := lc.size()
 	sc := Scenario{
-		N: lc.N, Stack: netstack.StackIdeal, Seed: lc.Seed,
+		N: n, Stack: netstack.StackIdeal, Seed: lc.Seed,
 		OracleRouting: true,
 	}
-	sc.Quorum = mixConfig(lc.N, m.adv, m.lk)
+	sc.Quorum = mixConfig(n, m.adv, m.lk)
 	sc.fillDefaults()
 	st := sc.build()
 	engine, net, sys, suite := st.Engine, st.Net, st.Sys, st.Suite
@@ -219,14 +193,14 @@ func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 
 	// Seeding: advertise every key the generator can draw (its table is
 	// "key-%d") so reads contend with real data from the first arrival.
-	for i := 0; i < lc.Keys; i++ {
+	for i := 0; i < loadKeys; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		origin := net.RandomAliveID(rng)
 		engine.Schedule(float64(i)*0.25, func() {
 			suite.Advertise(origin, key, "v", nil)
 		})
 	}
-	engine.Run(engine.Now() + float64(lc.Keys)*0.25 + 30)
+	engine.Run(engine.Now() + float64(loadKeys)*0.25 + 30)
 
 	// Load phase. The issue wrapper times each op into the netstack's
 	// op-latency histogram; the snapshot diff below isolates this phase's
@@ -247,20 +221,20 @@ func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 			done(r.Hit)
 		})
 	}
-	nodes := make([]int, lc.N)
+	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i
 	}
 	wcfg := workload.Config{
-		Arrival: m.arrival, RatePerNode: lc.RatePerNode,
-		Keys: lc.Keys, KeyDist: m.keyDist,
-		WriteFraction: lc.WriteFraction, MaxInFlight: lc.MaxInFlight,
-		DurationSecs: lc.DurationSecs,
+		Arrival: m.arrival, RatePerNode: loadRatePerNode,
+		Keys: loadKeys, KeyDist: m.keyDist,
+		WriteFraction: loadWriteFraction, MaxInFlight: loadMaxInFlight,
+		DurationSecs: durationSecs,
 	}
 	if m.arrival == workload.MMPP {
 		// Burst at 4× with 1:3 on/off sojourns: same mean rate as the
 		// Poisson mixes, strongly modulated.
-		wcfg.RatePerNode = 4 * lc.RatePerNode
+		wcfg.RatePerNode = 4 * loadRatePerNode
 		wcfg.MeanOnSecs, wcfg.MeanOffSecs = 5, 15
 	}
 	gen := workload.New(engine, wcfg, nodes, issue)
@@ -272,13 +246,13 @@ func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
 	// cover everything the generator admitted.
 	qc := sys.Config()
 	horizon := max(qc.AdvertiseTimeoutSecs, qc.LookupHorizon())
-	engine.Run(engine.Now() + lc.DurationSecs + 3*horizon + 10)
+	engine.Run(engine.Now() + durationSecs + 3*horizon + 10)
 	diff := stats.DiffSince(loadStart)
 
 	ws := gen.Stats()
 	res := LoadMixResult{
 		Mix: m.name, Arrival: m.arrival, KeyDist: m.keyDist, WL: ws,
-		OpsPerSec: float64(ws.Completed) / lc.DurationSecs,
+		OpsPerSec: float64(ws.Completed) / durationSecs,
 		P50:       diff.LatencyQuantile(netstack.LatOp, 0.5),
 		P99:       diff.LatencyQuantile(netstack.LatOp, 0.99),
 		IssueSkew: gen.LoadSkew(),
@@ -313,7 +287,7 @@ func serveSkew(counts []int64) float64 {
 // field, so the rendered text is bit-identical at any Parallel
 // setting — the property TestLoadFigureParallelDeterminism locks in.
 func LoadTable(lc LoadConfig, results []LoadMixResult) Table {
-	lc.fillDefaults()
+	n, durationSecs := lc.size()
 	var rows [][]string
 	for _, r := range results {
 		rows = append(rows, []string{
@@ -329,7 +303,7 @@ func LoadTable(lc LoadConfig, results []LoadMixResult) Table {
 	}
 	return Table{
 		Title: fmt.Sprintf("load — open-loop throughput by strategy mix, n=%d, %.2g ops/s/node × %.0fs, window %d",
-			lc.N, lc.RatePerNode, lc.DurationSecs, lc.MaxInFlight),
+			n, loadRatePerNode, durationSecs, loadMaxInFlight),
 		Header: []string{"mix", "arrival", "keys", "ops/sec", "p50 ms", "p99 ms", "hit", "queued/shed", "issue-skew", "serve-skew", "owner/cache", "violations"},
 		Rows:   rows,
 	}

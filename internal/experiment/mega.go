@@ -40,21 +40,21 @@ type MegaConfig struct {
 	// nodes would swamp the PHY with traffic that measures nothing), and
 	// results report under the BenchmarkGigaScenario name.
 	Giga bool
-	// Advertisements / Lookups / LookupNodes size the workload
-	// (defaults 30 / 60 / 12).
-	Advertisements, Lookups, LookupNodes int
-	// WarmupSecs precedes the workload (default 30).
-	WarmupSecs float64
-	// ChurnRate is the continuous fail and join rate in nodes/sec during
-	// the lookup phase (default N/20000, i.e. 0.5/s at 10k).
-	ChurnRate float64
-	// Severity in [0,1] scales the randomized fault schedule (default
-	// 0.25).
-	Severity float64
 	// Horizon scales the whole run down for smoke tests: it multiplies
 	// the workload counts and spans by min(1, Horizon) when in (0,1).
 	Horizon float64
 }
+
+// The workload of a full-horizon run: 30 advertisements one second apart, then
+// 60 lookups half a second apart from 12 origins, after a 30 s warm-up, with
+// two fault episodes at quarter severity over the lookup phase.
+const (
+	megaAdvertisements = 30
+	megaLookups        = 60
+	megaLookupNodes    = 12
+	megaWarmupSecs     = 30.0
+	megaSeverity       = 0.25
+)
 
 func (mc *MegaConfig) fillDefaults() {
 	if mc.Giga && mc.N == 0 {
@@ -63,42 +63,23 @@ func (mc *MegaConfig) fillDefaults() {
 	if mc.N == 0 {
 		mc.N = 10000
 	}
-	if mc.Advertisements == 0 {
-		mc.Advertisements = 30
+	mc.Horizon = clampHorizon(mc.Horizon)
+}
+
+// clampHorizon reads a tier's Horizon: a fraction in (0,1) scales the run
+// down, anything else is the full run.
+func clampHorizon(h float64) float64 {
+	if h <= 0 || h > 1 {
+		return 1
 	}
-	if mc.Lookups == 0 {
-		mc.Lookups = 60
-	}
-	if mc.LookupNodes == 0 {
-		mc.LookupNodes = 12
-	}
-	if mc.WarmupSecs == 0 {
-		mc.WarmupSecs = 30
-	}
-	if mc.ChurnRate == 0 {
-		mc.ChurnRate = float64(mc.N) / 20000
-	}
-	if mc.Severity == 0 {
-		mc.Severity = 0.25
-	}
-	if mc.Horizon <= 0 || mc.Horizon > 1 {
-		mc.Horizon = 1
-	}
-	if mc.Horizon < 1 {
-		scale := func(v int) int {
-			s := int(float64(v) * mc.Horizon)
-			if s < 2 {
-				s = 2
-			}
-			return s
-		}
-		mc.Advertisements = scale(mc.Advertisements)
-		mc.Lookups = scale(mc.Lookups)
-		mc.WarmupSecs *= mc.Horizon
-		if mc.WarmupSecs < 5 {
-			mc.WarmupSecs = 5
-		}
-	}
+	return h
+}
+
+// workload is the horizon-scaled size of the run: advertisement and lookup
+// counts (at least 2) and the warm-up (at least 5 s). Call after fillDefaults.
+func (mc *MegaConfig) workload() (advertisements, lookups int, warmupSecs float64) {
+	scale := func(v int) int { return max(int(float64(v)*mc.Horizon), 2) }
+	return scale(megaAdvertisements), scale(megaLookups), max(megaWarmupSecs*mc.Horizon, 5)
 }
 
 // MegaResult is one mega run's protocol outcomes plus its process-level
@@ -173,6 +154,10 @@ func (r MegaResult) Table() Table {
 // seed and model knobs, never on Shards (a throughput knob).
 func RunMega(mc MegaConfig) MegaResult {
 	mc.fillDefaults()
+	advertisements, lookups, warmupSecs := mc.workload()
+	// Continuous fail and join rate in nodes/sec over the lookup phase:
+	// 0.5/s at 10k.
+	churnRate := float64(mc.N) / 20000
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -190,12 +175,12 @@ func RunMega(mc MegaConfig) MegaResult {
 		RouteCache:      true,
 		OracleNeighbors: mc.Giga,
 		// Continuous churn over the lookup phase (sets the join pool).
-		ChurnFailRate: mc.ChurnRate, ChurnJoinRate: mc.ChurnRate,
-		ChurnDurationSecs:     float64(mc.Lookups) * 0.5,
+		ChurnFailRate: churnRate, ChurnJoinRate: churnRate,
+		ChurnDurationSecs:     float64(lookups) * 0.5,
 		MembershipRefreshSecs: 20,
-		Advertisements:        mc.Advertisements,
-		Lookups:               mc.Lookups, LookupNodes: mc.LookupNodes,
-		WarmupSecs: mc.WarmupSecs,
+		Advertisements:        advertisements,
+		Lookups:               lookups, LookupNodes: megaLookupNodes,
+		WarmupSecs: warmupSecs,
 	}
 	sc.Quorum = mixConfig(mc.N, quorum.Random, quorum.Random)
 
@@ -219,10 +204,10 @@ func RunMega(mc MegaConfig) MegaResult {
 	})
 	defer heapTicker.Stop()
 
-	engine.Run(mc.WarmupSecs)
+	engine.Run(warmupSecs)
 
 	// Advertise phase.
-	keys := make([]string, mc.Advertisements)
+	keys := make([]string, advertisements)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("mega-key-%d", i)
 		i := i
@@ -230,26 +215,26 @@ func RunMega(mc MegaConfig) MegaResult {
 			suite.Advertise(net.RandomAliveID(rng), keys[i], "v", nil)
 		})
 	}
-	engine.Run(engine.Now() + float64(mc.Advertisements)*1.0 + 20)
+	engine.Run(engine.Now() + float64(advertisements)*1.0 + 20)
 
 	// Lookup phase with churn and faults live.
-	lookupSpan := float64(mc.Lookups) * 0.5
-	proc := st.Churn(churn.Config{FailRate: mc.ChurnRate, JoinRate: mc.ChurnRate})
+	lookupSpan := float64(lookups) * 0.5
+	proc := st.Churn(churn.Config{FailRate: churnRate, JoinRate: churnRate})
 	inj.Schedule(faults.RandomSchedule(scheduleRng, faults.ScheduleConfig{
 		HorizonSecs: lookupSpan,
 		Episodes:    2,
-		Severity:    mc.Severity,
+		Severity:    megaSeverity,
 		N:           mc.N,
 	}))
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
 	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga}
-	origins := make([]int, mc.LookupNodes)
+	origins := make([]int, megaLookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)
 	}
-	for i := 0; i < mc.Lookups; i++ {
+	for i := 0; i < lookups; i++ {
 		origin := origins[i%len(origins)]
 		key := keys[rng.Intn(len(keys))]
 		engine.Schedule(float64(i)*0.5, func() {

@@ -151,14 +151,8 @@ func TestFillDefaults(t *testing.T) {
 	if sc.N != 100 || sc.AvgDegree != 10 || sc.Stack != netstack.StackSINR {
 		t.Fatalf("network defaults: %+v", sc)
 	}
-	if sc.PauseSecs != 30 {
-		t.Fatalf("PauseSecs = %v, want 30", sc.PauseSecs)
-	}
 	if sc.Advertisements != 100 || sc.Lookups != 1000 || sc.LookupNodes != 25 {
 		t.Fatalf("workload defaults: %+v", sc)
-	}
-	if sc.AdvertiseGapSecs != 1.0 || sc.LookupGapSecs != 0.35 {
-		t.Fatalf("pacing defaults: %+v", sc)
 	}
 	// SINR default stack warms up for 60 s.
 	if sc.WarmupSecs != 60 {
@@ -177,15 +171,13 @@ func TestFillDefaultsIdealWarmup(t *testing.T) {
 func TestFillDefaultsPreservesExplicit(t *testing.T) {
 	sc := Scenario{
 		N: 7, AvgDegree: 3, Stack: netstack.StackDisk,
-		PauseSecs: 5, Advertisements: 1, Lookups: 2, LookupNodes: 3,
-		AdvertiseGapSecs: 0.5, LookupGapSecs: 0.25, WarmupSecs: 12,
+		Advertisements: 1, Lookups: 2, LookupNodes: 3, WarmupSecs: 12,
 	}
 	got := sc
 	got.fillDefaults()
 	if got.N != sc.N || got.AvgDegree != sc.AvgDegree || got.Stack != sc.Stack ||
-		got.PauseSecs != sc.PauseSecs || got.Advertisements != sc.Advertisements ||
+		got.Advertisements != sc.Advertisements ||
 		got.Lookups != sc.Lookups || got.LookupNodes != sc.LookupNodes ||
-		got.AdvertiseGapSecs != sc.AdvertiseGapSecs || got.LookupGapSecs != sc.LookupGapSecs ||
 		got.WarmupSecs != sc.WarmupSecs {
 		t.Fatalf("fillDefaults overwrote explicit values:\nbefore %+v\nafter  %+v", sc, got)
 	}

@@ -49,12 +49,13 @@ type EstimationConfig struct {
 	// ProbeSecs, when positive, launches periodic probe walks: every
 	// period one live node (round-robin) draws ProbeWalks maximum-degree
 	// walk endpoints on a connectivity-graph snapshot and feeds them to
-	// its estimator. Like the RaWMS refresher, the walks are charged no
+	// its estimator. Like the view refresh, the walks are charged no
 	// messages (the paper's amortization argument, DESIGN.md §4).
 	ProbeSecs float64
 	// ProbeWalks is the number of walk endpoints per probe (default 12).
 	ProbeWalks int
-	// ProbeWalkLength is the probe walk length (default WalkLength).
+	// ProbeWalkLength is the probe walk length (default n/2, the paper's
+	// mixing-time estimate for G²(n,r)).
 	ProbeWalkLength int
 }
 
@@ -289,4 +290,21 @@ func (s *Service) probe() {
 		end := graph.Sample(g, s.probeRng, start, s.cfg.Estimation.ProbeWalkLength)
 		s.ObserveSample(start, end)
 	}
+}
+
+// snapshotGraph builds the current connectivity graph from the network's
+// neighbor relation.
+func (s *Service) snapshotGraph() *graph.Graph {
+	g := graph.New(s.net.N())
+	for id := 0; id < s.net.N(); id++ {
+		if !s.net.Alive(id) {
+			continue
+		}
+		for _, nb := range s.net.Neighbors(id) {
+			if nb > id {
+				g.AddEdge(id, nb)
+			}
+		}
+	}
+	return g
 }

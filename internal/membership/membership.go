@@ -4,16 +4,10 @@
 // The paper's simulations construct membership with RaWMS during a 200 s
 // warm-up and then amortize its cost across quorum accesses, so every node
 // holds 2√n uniformly random ids. This package reproduces that steady state
-// in two ways:
-//
-//   - the default oracle refresher draws each node's view uniformly from
-//     the currently live nodes, refreshed periodically, so views go stale
-//     under churn exactly as a real membership service's do between
-//     refreshes;
-//   - an optional random-walk refresher draws view entries as endpoints of
-//     maximum-degree random walks on a snapshot of the connectivity graph,
-//     reproducing RaWMS's sampling mechanism (at zero message cost, per the
-//     paper's amortization argument, documented in DESIGN.md).
+// with one refresher: it draws each node's view uniformly from the currently
+// live nodes and redraws it periodically, so views go stale under churn
+// exactly as a real membership service's do between refreshes. The draw is
+// charged no messages, per the paper's amortization argument (DESIGN.md §4).
 package membership
 
 import (
@@ -25,18 +19,6 @@ import (
 	"probquorum/internal/sim"
 )
 
-// Mode selects how views are drawn.
-type Mode int
-
-// Sampling modes.
-const (
-	// ModeOracle draws views uniformly from the live node set.
-	ModeOracle Mode = iota + 1
-	// ModeRandomWalk draws views as max-degree random-walk endpoints on a
-	// connectivity-graph snapshot (RaWMS-style).
-	ModeRandomWalk
-)
-
 // Config parameterizes the service.
 type Config struct {
 	// ViewSize is each node's membership list length (paper: 2√n). Zero
@@ -46,17 +28,12 @@ type Config struct {
 	// stale between refreshes, which is what makes RANDOM quorums degrade
 	// under churn until the membership catches up.
 	RefreshSecs float64
-	// Mode selects the sampler (default ModeOracle).
-	Mode Mode
-	// WalkLength is the RaWMS walk length for ModeRandomWalk (default
-	// n/2, the paper's mixing-time estimate for G²(n,r)).
-	WalkLength int
 	// Estimation configures the continuous network-size estimator
 	// (estimator.go). Disabled by default; enabling it must be the only
 	// way existing runs change, so its streams are created after every
 	// pre-existing one.
 	Estimation EstimationConfig
-	// Lazy switches ModeOracle to draw-on-demand views: no view is
+	// Lazy switches to draw-on-demand views: no view is
 	// materialized until some quorum access reads it, and a refresh is an
 	// O(1) generation bump instead of an O(n·|view|) redraw of every node.
 	// At n=100k the dense views alone are ~500 MB and each periodic
@@ -120,12 +97,6 @@ func New(net *netstack.Network, cfg Config) *Service {
 	if cfg.RefreshSecs == 0 {
 		cfg.RefreshSecs = 30
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeOracle
-	}
-	if cfg.WalkLength == 0 {
-		cfg.WalkLength = net.N() / 2
-	}
 	s := &Service{
 		net:   net,
 		cfg:   cfg,
@@ -133,9 +104,6 @@ func New(net *netstack.Network, cfg Config) *Service {
 		views: make([][]int, net.N()),
 	}
 	if cfg.Lazy {
-		if cfg.Mode != ModeOracle {
-			panic("membership: Lazy requires ModeOracle (walk views need the shared stream)")
-		}
 		if cfg.Estimation.Enable {
 			panic("membership: Lazy and Estimation are mutually exclusive")
 		}
@@ -152,7 +120,7 @@ func New(net *netstack.Network, cfg Config) *Service {
 		// Estimation state is created only when enabled, and its stream
 		// only after the service's own, so disabled runs keep the exact
 		// stream-derivation order (and results) of estimator-free builds.
-		s.cfg.Estimation.fillDefaults(cfg.WalkLength)
+		s.cfg.Estimation.fillDefaults(net.N() / 2)
 		s.est = make([]*Estimator, net.N())
 		s.gens = make([]int64, net.N())
 		if s.cfg.Estimation.ProbeSecs > 0 {
@@ -182,11 +150,14 @@ func (s *Service) RefreshAll() {
 		s.curGen++
 		return
 	}
-	switch s.cfg.Mode {
-	case ModeOracle:
-		s.refreshOracle()
-	case ModeRandomWalk:
-		s.refreshRandomWalk()
+	alive := s.net.AliveIDs()
+	for id := range s.views {
+		if !s.net.Alive(id) {
+			s.skipDead(id)
+			continue
+		}
+		s.views[id] = sampleDistinct(s.rng, alive, id, s.cfg.ViewSize)
+		s.bumpGen(id)
 	}
 }
 
@@ -201,18 +172,6 @@ func (s *Service) skipDead(id int) {
 	s.deadSkips++
 }
 
-func (s *Service) refreshOracle() {
-	alive := s.net.AliveIDs()
-	for id := range s.views {
-		if !s.net.Alive(id) {
-			s.skipDead(id)
-			continue
-		}
-		s.views[id] = sampleDistinct(s.rng, alive, id, s.cfg.ViewSize)
-		s.bumpGen(id)
-	}
-}
-
 // bumpGen advances a node's view generation: the redrawn view is a fresh
 // independent sample, so estimator observations from it may be compared
 // against observations from earlier generations.
@@ -220,51 +179,6 @@ func (s *Service) bumpGen(id int) {
 	if s.gens != nil {
 		s.gens[id]++
 	}
-}
-
-func (s *Service) refreshRandomWalk() {
-	g := s.snapshotGraph()
-	for id := range s.views {
-		if !s.net.Alive(id) {
-			s.skipDead(id)
-			continue
-		}
-		s.refreshNodeWalk(g, id)
-		s.bumpGen(id)
-	}
-}
-
-// refreshNodeWalk redraws one live node's view as MD-walk endpoints on g.
-func (s *Service) refreshNodeWalk(g *graph.Graph, id int) {
-	view := make([]int, 0, s.cfg.ViewSize)
-	seen := map[int]bool{id: true}
-	// Each entry is an independent MD-walk endpoint; collisions are
-	// redrawn, bounded to keep termination certain on small graphs.
-	for attempts := 0; len(view) < s.cfg.ViewSize && attempts < 4*s.cfg.ViewSize; attempts++ {
-		end := graph.Sample(g, s.rng, id, s.cfg.WalkLength)
-		if !seen[end] && s.net.Alive(end) {
-			seen[end] = true
-			view = append(view, end)
-		}
-	}
-	s.views[id] = view
-}
-
-// snapshotGraph builds the current connectivity graph from the network's
-// neighbor relation.
-func (s *Service) snapshotGraph() *graph.Graph {
-	g := graph.New(s.net.N())
-	for id := 0; id < s.net.N(); id++ {
-		if !s.net.Alive(id) {
-			continue
-		}
-		for _, nb := range s.net.Neighbors(id) {
-			if nb > id {
-				g.AddEdge(id, nb)
-			}
-		}
-	}
-	return g
 }
 
 // View returns node id's current membership list. The slice is owned by the
@@ -368,12 +282,7 @@ func (s *Service) RefreshNode(id int) {
 		s.bootEpoch[id]++
 		return
 	}
-	switch s.cfg.Mode {
-	case ModeOracle:
-		s.views[id] = sampleDistinct(s.rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
-	case ModeRandomWalk:
-		s.refreshNodeWalk(s.snapshotGraph(), id)
-	}
+	s.views[id] = sampleDistinct(s.rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
 	s.bumpGen(id)
 }
 

@@ -137,29 +137,6 @@ func TestViewsAgeUnderChurnThenRecover(t *testing.T) {
 	}
 }
 
-func TestRandomWalkMode(t *testing.T) {
-	e := sim.NewEngine(5)
-	net := testNet(e, 80)
-	s := New(net, Config{ViewSize: 10, Mode: ModeRandomWalk, WalkLength: 40})
-	nonEmpty := 0
-	for id := 0; id < 80; id++ {
-		view := s.View(id)
-		seen := map[int]bool{}
-		for _, v := range view {
-			if v == id || seen[v] {
-				t.Fatal("RW view invalid")
-			}
-			seen[v] = true
-		}
-		if len(view) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty < 60 {
-		t.Fatalf("only %d/80 RW views non-empty", nonEmpty)
-	}
-}
-
 func TestEstimateN(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 200

@@ -73,21 +73,3 @@ func TestRefreshNodeBootstrapsJoiner(t *testing.T) {
 		}
 	}
 }
-
-func TestRefreshNodeRandomWalkMode(t *testing.T) {
-	e := sim.NewEngine(8)
-	net := testNet(e, 60)
-	s := New(net, Config{ViewSize: 8, RefreshSecs: 1e9, Mode: ModeRandomWalk})
-	net.Fail(10)
-	net.Revive(10)
-	s.RefreshNode(10)
-	view := s.View(10)
-	if len(view) == 0 {
-		t.Fatal("walk-mode RefreshNode produced an empty view")
-	}
-	for _, v := range view {
-		if v == 10 || !net.Alive(v) {
-			t.Fatalf("bad view entry %d", v)
-		}
-	}
-}

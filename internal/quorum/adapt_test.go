@@ -34,7 +34,7 @@ func adaptWorld(seed int64, src *stubSource, cfg AdaptConfig) (*world, *Controll
 	w := newWorld(seed, 40, Config{
 		AdvertiseStrategy: Random, LookupStrategy: Random,
 		AdvertiseSize: qa, LookupSize: ql,
-		LookupTimeout: 10, PayloadBytes: 512,
+		LookupTimeout: 10,
 	})
 	ctl := NewController(w.sys, src, cfg)
 	return w, ctl

@@ -86,64 +86,18 @@ func (s *System) pickFreshMember(origin int, contacted []int) (int, bool) {
 	return 0, false
 }
 
-// lookupRandom contacts |Qℓ| sampled members; each member holding the key
-// replies through routing. Parallel by default; serial with early halting
-// when SerialRandomLookup is set.
+// lookupRandom contacts |Qℓ| sampled members in parallel; each member
+// holding the key replies through routing.
 func (s *System) lookupRandom(origin int, op opID, key string) {
 	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.LookupSize)
 	s.observeMembers(origin, members)
 	if len(members) == 0 {
 		return // origin-only quorum: timeout will declare the miss
 	}
-	if s.cfg.SerialRandomLookup {
-		lk := s.lookups[s.resolve(op)]
-		if lk == nil || lk.finished {
-			// The op resolved (or was released) before this dispatch
-			// ran — e.g. a retry re-draw racing a late reply.
-			return
-		}
-		lk.serialTargets = members
-		lk.serialNext = 0
-		// Invalidate routing callbacks and step timeouts left over from
-		// a previous attempt: they carry the old generation and become
-		// no-ops.
-		lk.serialGen++
-		s.serialLookupStep(origin, op, key, lk.serialGen)
-		return
-	}
 	s.prefetchRoutes(origin, members)
 	for _, m := range members {
 		s.sendDirect(origin, m, op, false, key, "", nil)
 	}
-}
-
-// serialLookupStep contacts the next member of a serial Random lookup. gen
-// is the attempt generation the step belongs to: retries re-draw the quorum
-// on the same pending-lookup state, so routing callbacks and step timeouts
-// scheduled by an earlier attempt must become no-ops instead of advancing
-// (or re-triggering) the new attempt's progression.
-func (s *System) serialLookupStep(origin int, op opID, key string, gen int) {
-	lk := s.lookups[s.resolve(op)]
-	if lk == nil || lk.finished || lk.serialGen != gen {
-		return
-	}
-	if lk.serialNext >= len(lk.serialTargets) {
-		return // all contacted; op times out into a miss
-	}
-	m := lk.serialTargets[lk.serialNext]
-	lk.serialNext++
-	next := lk.serialNext
-	s.sendDirect(origin, m, op, false, key, "", func(ok bool) {
-		if !ok {
-			s.serialLookupStep(origin, op, key, gen)
-		}
-	})
-	s.engine.Schedule(s.cfg.SerialStepTimeoutSecs, func() {
-		if cur := s.lookups[s.resolve(op)]; cur != nil && !cur.finished &&
-			cur.serialGen == gen && cur.serialNext == next {
-			s.serialLookupStep(origin, op, key, gen)
-		}
-	})
 }
 
 // lookupRandomOpt sends ~ln n routed lookups; every transit node performs a

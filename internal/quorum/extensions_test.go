@@ -10,7 +10,7 @@ import (
 func TestExpandingRingLookup(t *testing.T) {
 	w := newWorld(40, 150, Config{
 		AdvertiseStrategy: Random, LookupStrategy: ExpandingRing,
-		AdvertiseSize: 25, MaxRingTTL: 6, LookupTimeout: 20,
+		AdvertiseSize: 25, LookupTimeout: 20,
 	})
 	hr := w.hitRatio(4, 20)
 	if hr < 0.7 {
@@ -23,7 +23,7 @@ func TestExpandingRingEscalates(t *testing.T) {
 	// and escalation must kick in.
 	w := newWorld(41, 200, Config{
 		AdvertiseStrategy: Random, LookupStrategy: ExpandingRing,
-		AdvertiseSize: 6, MaxRingTTL: 8, LookupTimeout: 25,
+		AdvertiseSize: 6, LookupTimeout: 25,
 	})
 	w.advertise(0, "k", "v")
 	for i := 0; i < 6; i++ {
@@ -40,7 +40,7 @@ func TestExpandingRingCheaperOnEarlyHit(t *testing.T) {
 	run := func(strategy Strategy, ttl int) int64 {
 		w := newWorld(42, 150, Config{
 			AdvertiseStrategy: Random, LookupStrategy: strategy,
-			AdvertiseSize: 75, LookupTTL: ttl, MaxRingTTL: 6, LookupTimeout: 15,
+			AdvertiseSize: 75, LookupTTL: ttl, LookupTimeout: 15,
 		})
 		w.advertise(0, "k", "v")
 		before := w.net.Stats().Get(netstack.CtrAppMsgs)
@@ -67,7 +67,7 @@ func TestExpandingRingAdvertise(t *testing.T) {
 	// must then be RANDOM to keep the intersection guarantee.
 	w := newWorld(43, 150, Config{
 		AdvertiseStrategy: ExpandingRing, LookupStrategy: Random,
-		AdvertiseSize: 20, LookupSize: 25, MaxRingTTL: 6,
+		AdvertiseSize: 20, LookupSize: 25,
 		LookupTimeout: 20,
 	})
 	res := w.advertise(10, "k", "v")
@@ -86,30 +86,37 @@ func TestExpandingRingAdvertise(t *testing.T) {
 }
 
 func TestRandomSamplingAdvertise(t *testing.T) {
-	w := newWorld(44, 100, Config{
-		AdvertiseStrategy: RandomSampling, LookupStrategy: UniquePath,
-		AdvertiseSize: 20, LookupSize: 12, SampleWalkSteps: 150,
-		EarlyHalt: true, Salvation: true, LookupTimeout: 20,
-	})
-	res := w.advertise(0, "k", "v")
-	if res.Placed < 10 {
-		t.Fatalf("sampling advertise placed %d (walk endpoints may collide, but not this much)", res.Placed)
-	}
-	hits := 0
-	for i := 0; i < 10; i++ {
-		if w.lookup((i*11+3)%100, "k").Hit {
-			hits++
+	// The walks run n/2 = 50 steps, about half of them self-loops at d_max 24
+	// over degree 12, so ten lookups of one seed are a noisy reading (5 to 10
+	// hits over seeds 40–51): four seeds are pooled against the same 60 %
+	// floor.
+	hits, lookups := 0, 0
+	for seed := int64(44); seed < 48; seed++ {
+		w := newWorld(seed, 100, Config{
+			AdvertiseStrategy: RandomSampling, LookupStrategy: UniquePath,
+			AdvertiseSize: 20, LookupSize: 12,
+			EarlyHalt: true, Salvation: true, LookupTimeout: 20,
+		})
+		res := w.advertise(0, "k", "v")
+		if res.Placed < 10 {
+			t.Fatalf("seed %d: sampling advertise placed %d (walk endpoints may collide, but not this much)", seed, res.Placed)
+		}
+		for i := 0; i < 10; i++ {
+			lookups++
+			if w.lookup((i*11+3)%100, "k").Hit {
+				hits++
+			}
 		}
 	}
-	if hits < 6 {
-		t.Fatalf("only %d/10 hits after sampling advertise", hits)
+	if 10*hits < 6*lookups {
+		t.Fatalf("only %d/%d hits after sampling advertise", hits, lookups)
 	}
 }
 
 func TestRandomSamplingLookup(t *testing.T) {
 	w := newWorld(45, 100, Config{
 		AdvertiseStrategy: Random, LookupStrategy: RandomSampling,
-		AdvertiseSize: 20, LookupSize: 12, SampleWalkSteps: 50,
+		AdvertiseSize: 20, LookupSize: 12,
 		LookupTimeout: 25,
 	})
 	if hr := w.hitRatio(3, 12); hr < 0.6 {
@@ -122,7 +129,7 @@ func TestSamplingCostsMixingTime(t *testing.T) {
 	// far more than the membership-based RANDOM at the same size.
 	w := newWorld(46, 100, Config{
 		AdvertiseStrategy: RandomSampling, LookupStrategy: UniquePath,
-		AdvertiseSize: 10, LookupSize: 10, SampleWalkSteps: 50,
+		AdvertiseSize: 10, LookupSize: 10,
 		EarlyHalt: true, Salvation: true,
 	})
 	before := w.net.Stats().Get(netstack.CtrAppMsgs)
@@ -130,28 +137,6 @@ func TestSamplingCostsMixingTime(t *testing.T) {
 	used := w.net.Stats().Get(netstack.CtrAppMsgs) - before
 	if used < 100 {
 		t.Fatalf("sampling advertise used only %d msgs; expected Θ(|Q|·T_mix·p_move)", used)
-	}
-}
-
-func TestProbabilisticFloodAdvertise(t *testing.T) {
-	w := newWorld(47, 200, Config{
-		AdvertiseStrategy: Flooding, LookupStrategy: UniquePath,
-		AdvertiseSize: 28, LookupSize: 17, ProbabilisticFloodAdvertise: true,
-		EarlyHalt: true, Salvation: true, LookupTimeout: 20,
-	})
-	res := w.advertise(0, "k", "v")
-	// Expected ≈ |Qa| owners (binomial over the whole network).
-	if res.Placed < 14 || res.Placed > 56 {
-		t.Fatalf("probabilistic flood placed %d copies, want ≈28", res.Placed)
-	}
-	hits := 0
-	for i := 0; i < 10; i++ {
-		if w.lookup((i*19+5)%200, "k").Hit {
-			hits++
-		}
-	}
-	if hits < 6 {
-		t.Fatalf("only %d/10 hits after probabilistic flood advertise", hits)
 	}
 }
 
@@ -192,8 +177,7 @@ func TestAllMixesSmoke(t *testing.T) {
 				w := newWorld(49, 80, Config{
 					AdvertiseStrategy: adv, LookupStrategy: lk,
 					AdvertiseSize: 18, LookupSize: 12,
-					AdvertiseTTL: 3, LookupTTL: 3, MaxRingTTL: 5,
-					SampleWalkSteps: 40, RandomOptTargets: 4,
+					AdvertiseTTL: 3, LookupTTL: 3, RandomOptTargets: 4,
 					EarlyHalt: true, Salvation: true, ReplyPathReduction: true,
 					LookupTimeout: 15,
 				})
@@ -326,28 +310,5 @@ func TestRandomOptAdvertiseStoresAtTransitNodes(t *testing.T) {
 	if owners <= res.Requested {
 		t.Fatalf("RANDOM-OPT advertise reached only %d owners (requested %d); transit storing inactive",
 			owners, res.Requested)
-	}
-}
-
-func TestSerialLookupUsesFewerContacts(t *testing.T) {
-	run := func(serial bool) int64 {
-		w := newWorld(55, 100, Config{
-			AdvertiseStrategy: Random, LookupStrategy: Random,
-			AdvertiseSize: 30, LookupSize: 20,
-			SerialRandomLookup: serial, LookupTimeout: 45,
-		})
-		w.advertise(0, "k", "v")
-		before := w.net.Stats().Get(netstack.CtrAppMsgs)
-		for i := 0; i < 6; i++ {
-			w.lookup((i*17+3)%100, "k")
-		}
-		return w.net.Stats().Get(netstack.CtrAppMsgs) - before
-	}
-	serial := run(true)
-	parallel := run(false)
-	// Serial access halts after the first replying member (Section 8.2's
-	// "two times reduction ... at the cost of increased latency").
-	if serial >= parallel {
-		t.Fatalf("serial lookups (%d msgs) not cheaper than parallel (%d)", serial, parallel)
 	}
 }

@@ -9,11 +9,6 @@ type floodMsg struct {
 	Op         opID
 	Advertise  bool
 	Key, Value string
-	// StoreProb, when positive, makes each reached node join the
-	// advertise quorum only with this probability (the paper's
-	// alternative FLOODING advertise: flood the whole network, each node
-	// participates with probability |Q|/n).
-	StoreProb float64
 }
 
 // floodJitterSecs is the random rebroadcast delay preventing synchronized
@@ -21,23 +16,13 @@ type floodMsg struct {
 const floodJitterSecs = 0.010
 
 // advertiseFlood publishes by TTL-scoped flooding: every node the flood
-// reaches joins the advertise quorum. With ProbabilisticFloodAdvertise the
-// flood instead spans the whole network and each node joins with
-// probability |Qa|/n (Section 4.4).
+// reaches joins the advertise quorum.
 func (s *System) advertiseFlood(origin int, op opID, key, value string) {
 	ad := s.ads[op]
 	ad.res.Requested = s.cfg.AdvertiseSize
 	ad.pending = 1
 	ttl := s.cfg.AdvertiseTTL
-	prob := 0.0
-	if s.cfg.ProbabilisticFloodAdvertise {
-		ttl = 64 // network-wide
-		prob = float64(s.cfg.AdvertiseSize) / float64(s.net.NumAlive())
-		if prob > 1 {
-			prob = 1
-		}
-	}
-	s.startFloodProb(origin, op, true, key, value, ttl, prob)
+	s.startFlood(origin, op, true, key, value, ttl)
 	// A flood has no deterministic end; settle after the TTL's worth of
 	// hop latency plus jitter, generously bounded.
 	s.engine.Schedule(1.0+0.2*float64(ttl), func() { s.advertiseSettled(op) })
@@ -49,11 +34,10 @@ func (s *System) lookupFlood(origin int, op opID, key string) {
 	s.startFlood(origin, op, false, key, "", s.cfg.LookupTTL)
 }
 
+// startFlood covers the origin under op, which may be a child operation (an
+// expanding-ring round; storeAt resolves it to its root), and broadcasts the
+// flood after a jitter.
 func (s *System) startFlood(origin int, op opID, advertise bool, key, value string, ttl int) {
-	s.startFloodProb(origin, op, advertise, key, value, ttl, 0)
-}
-
-func (s *System) startFloodProb(origin int, op opID, advertise bool, key, value string, ttl int, storeProb float64) {
 	prev := make(map[int]int)
 	prev[origin] = origin // origin is covered and terminates replies
 	s.floodPrev[op] = prev
@@ -64,7 +48,7 @@ func (s *System) startFloodProb(origin int, op opID, advertise bool, key, value 
 	if ttl < 1 {
 		return
 	}
-	m := &floodMsg{Op: op, Advertise: advertise, Key: key, Value: value, StoreProb: storeProb}
+	m := &floodMsg{Op: op, Advertise: advertise, Key: key, Value: value}
 	pkt := s.newPacket(origin, netstack.Broadcast, m)
 	pkt.TTL = ttl
 	node := s.net.Node(origin)
@@ -87,9 +71,7 @@ func (s *System) handleFlood(n *netstack.Node, pkt *netstack.Packet, m *floodMsg
 	s.floodCoverage[m.Op]++
 
 	if m.Advertise {
-		if m.StoreProb <= 0 || s.engine.Rand().Float64() < m.StoreProb {
-			s.storeAt(n.ID(), m.Key, m.Value, true, m.Op)
-		}
+		s.storeAt(n.ID(), m.Key, m.Value, true, m.Op)
 	} else if value, ok := s.stores[n.ID()].Get(m.Key); ok {
 		// Even nodes at the flood's TTL boundary reply (Section 8.4).
 		s.markIntersected(m.Op)

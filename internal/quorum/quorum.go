@@ -72,7 +72,15 @@ func (s Strategy) String() string {
 	}
 }
 
-// Config selects the strategy mix and the engineering options.
+// DrawsFromView reports whether s picks its members from the origin's
+// membership view and reaches them through routing.
+func (s Strategy) DrawsFromView() bool { return s == Random || s == RandomOpt }
+
+// Config selects the strategy mix, the two sizes, the flood TTLs and which of
+// the Section 6–7 techniques are on. What the paper fixes rather than varies
+// is not a field but a constant beside its one use: payloadBytes (below),
+// walkTTLFactor (walk.go), repairTTL (reply.go), maxRingTTL (ring.go),
+// maxDegreeEstimate and the n/2 walk length (sampling.go).
 type Config struct {
 	// AdvertiseStrategy and LookupStrategy pick the biquorum mix. Any
 	// combination is legal; Lemma 5.2 guarantees the intersection bound
@@ -92,9 +100,6 @@ type Config struct {
 	// Salvation retries a failed walk forwarding through another
 	// neighbor within the same step (Section 6.2).
 	Salvation bool
-	// WalkTTLFactor bounds a walk's total steps to factor·target+20
-	// (default 8), terminating walks trapped in disconnected pockets.
-	WalkTTLFactor int
 	// ReplyPathReduction lets replies skip ahead along the recorded
 	// reverse path when a later node is a direct neighbor (Section 7.2).
 	ReplyPathReduction bool
@@ -102,36 +107,13 @@ type Config struct {
 	// routing (Section 6.2). Without it, a broken reverse path drops the
 	// reply (the Fig. 13 behaviour).
 	ReplyLocalRepair bool
-	// RepairTTL is the scoped-routing TTL for local repair (paper: 3).
-	RepairTTL int
 	// Caching lets nodes that relay replies cache the mapping as
 	// bystanders (Section 7.1).
 	Caching bool
-	// SerialRandomLookup accesses a Random lookup quorum one node at a
-	// time with early halting instead of in parallel (Section 8.2's
-	// latency/cost trade-off).
-	SerialRandomLookup bool
-	// SerialStepTimeoutSecs is how long a serial Random lookup waits for
-	// each member before moving to the next (default 2).
-	SerialStepTimeoutSecs float64
-	// MaxRingTTL bounds the ExpandingRing escalation (default 7).
-	MaxRingTTL int
-	// ProbabilisticFloodAdvertise makes a Flooding advertise span the
-	// whole network, with each node joining the quorum with probability
-	// |Qa|/n (Section 4.4's alternative advertise implementation).
-	ProbabilisticFloodAdvertise bool
 	// Overhearing lets nodes in promiscuous mode answer walk lookups
 	// they overhear for keys they hold (Section 7.2, the paper's
 	// future-work optimization).
 	Overhearing bool
-	// SampleWalkSteps is the RandomSampling walk length (default n/2,
-	// the paper's mixing-time estimate for G²(n,r)).
-	SampleWalkSteps int
-	// MaxDegreeEstimate is the d_max the maximum-degree walks assume
-	// (default 24 ≈ 2.5× the paper's default density).
-	MaxDegreeEstimate int
-	// PayloadBytes sizes quorum messages (paper: 512).
-	PayloadBytes int
 	// LookupTimeout bounds how long a lookup waits for a reply before
 	// reporting a miss (seconds).
 	LookupTimeout float64
@@ -177,8 +159,6 @@ func DefaultConfig(n int) Config {
 		EarlyHalt:          true,
 		Salvation:          true,
 		ReplyPathReduction: true,
-		RepairTTL:          3,
-		PayloadBytes:       512,
 		LookupTimeout:      30,
 	}
 }
@@ -341,12 +321,6 @@ type pendingLookup struct {
 	issued      float64
 	finished    bool
 	intersected bool
-	// serial Random lookup state. serialGen increments on every re-draw
-	// (retry) so that callbacks scheduled by an earlier attempt cannot
-	// act on a later attempt's progress.
-	serialTargets []int
-	serialNext    int
-	serialGen     int
 	// collect mode (LookupCollect): gather every reply in a window
 	// instead of finishing on the first one.
 	collect     bool
@@ -399,14 +373,10 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 		served:        make([]int64, net.N()),
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)
-	needsRouting := cfg.AdvertiseStrategy == Random || cfg.AdvertiseStrategy == RandomOpt ||
-		cfg.LookupStrategy == Random || cfg.LookupStrategy == RandomOpt ||
-		cfg.ReplyLocalRepair
-	if needsRouting && routing == nil {
+	needsMembers := cfg.AdvertiseStrategy.DrawsFromView() || cfg.LookupStrategy.DrawsFromView()
+	if (needsMembers || cfg.ReplyLocalRepair) && routing == nil {
 		panic("quorum: configuration requires routing but none was provided")
 	}
-	needsMembers := cfg.AdvertiseStrategy == Random || cfg.AdvertiseStrategy == RandomOpt ||
-		cfg.LookupStrategy == Random || cfg.LookupStrategy == RandomOpt
 	if needsMembers && members == nil {
 		panic("quorum: configuration requires a membership service but none was provided")
 	}
@@ -452,20 +422,11 @@ func (s *System) addChild(parent, child opID) {
 }
 
 func applyDefaults(cfg *Config, n int) {
-	if cfg.PayloadBytes == 0 {
-		cfg.PayloadBytes = 512
-	}
 	if cfg.LookupTimeout == 0 {
 		cfg.LookupTimeout = 30
 	}
 	if cfg.AdvertiseTimeoutSecs == 0 {
 		cfg.AdvertiseTimeoutSecs = 60
-	}
-	if cfg.SerialStepTimeoutSecs == 0 {
-		cfg.SerialStepTimeoutSecs = 2
-	}
-	if cfg.RepairTTL == 0 {
-		cfg.RepairTTL = 3
 	}
 	if cfg.RandomOptTargets == 0 {
 		cfg.RandomOptTargets = lnCeil(n)
@@ -481,18 +442,6 @@ func applyDefaults(cfg *Config, n int) {
 	}
 	if cfg.LookupTTL == 0 {
 		cfg.LookupTTL = 3
-	}
-	if cfg.MaxRingTTL == 0 {
-		cfg.MaxRingTTL = 7
-	}
-	if cfg.SampleWalkSteps == 0 {
-		cfg.SampleWalkSteps = n / 2
-		if cfg.SampleWalkSteps < 10 {
-			cfg.SampleWalkSteps = 10
-		}
-	}
-	if cfg.MaxDegreeEstimate == 0 {
-		cfg.MaxDegreeEstimate = 24
 	}
 	if cfg.LookupRetries > 0 && cfg.RetryBackoffSecs == 0 {
 		cfg.RetryBackoffSecs = 1
@@ -658,13 +607,16 @@ func (s *System) nextOp(origin int) opID {
 	return opID{Origin: origin, Seq: s.opSeq}
 }
 
-// packet fills in a quorum packet of the configured payload size. A one-hop
-// send takes it from the sender's stack; a routed message's inner packet and
-// a jittered broadcast outlive the call and live on the heap (newPacket).
+// payloadBytes sizes every quorum message (paper: 512).
+const payloadBytes = 512
+
+// packet fills in a quorum packet. A one-hop send takes it from the sender's
+// stack; a routed message's inner packet and a jittered broadcast outlive the
+// call and live on the heap (newPacket).
 func (s *System) packet(src, dst int, payload any) netstack.Packet {
 	return netstack.Packet{
 		Proto: netstack.ProtoQuorum, Src: src, Dst: dst,
-		Bytes: s.cfg.PayloadBytes, Payload: payload,
+		Bytes: payloadBytes, Payload: payload,
 	}
 }
 

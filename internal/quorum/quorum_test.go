@@ -398,7 +398,7 @@ func TestReplyLocalRepairRescues(t *testing.T) {
 	w := lineWorld(22, bypassTopology(), Config{
 		AdvertiseStrategy: Random, LookupStrategy: UniquePath,
 		AdvertiseSize: 2, LookupSize: 2, LookupTimeout: 10,
-		ReplyLocalRepair: true, RepairTTL: 3,
+		ReplyLocalRepair: true,
 	})
 	w.net.Fail(2) // mid-path node dies; bypass node 5 links 1 and 3
 	_, r, res := primeReply(w, 0)
@@ -438,17 +438,6 @@ func TestReplyPathReductionSkipsHops(t *testing.T) {
 	}
 	if w.sys.Counters().PathReductions == 0 {
 		t.Fatal("PathReductions not counted")
-	}
-}
-
-func TestSerialRandomLookup(t *testing.T) {
-	w := newWorld(24, 100, Config{
-		AdvertiseStrategy: Random, LookupStrategy: Random,
-		AdvertiseSize: 20, LookupSize: 12, SerialRandomLookup: true,
-		LookupTimeout: 40,
-	})
-	if hr := w.hitRatio(3, 15); hr < 0.6 {
-		t.Fatalf("serial RANDOM lookup hit ratio = %.2f", hr)
 	}
 }
 

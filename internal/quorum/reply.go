@@ -99,6 +99,9 @@ func (s *System) replyHopBroken(n *netstack.Node, r *replyMsg, j int) {
 	s.tryScopedRepair(n, r, j-1)
 }
 
+// repairTTL is the scoped-routing TTL of local repair (paper: 3).
+const repairTTL = 3
+
 // tryScopedRepair attempts TTL-limited routed delivery to Path[c], falling
 // back toward the origin on failure.
 func (s *System) tryScopedRepair(n *netstack.Node, r *replyMsg, c int) {
@@ -108,7 +111,7 @@ func (s *System) tryScopedRepair(n *netstack.Node, r *replyMsg, c int) {
 	}
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: c}
 	pkt := s.newPacket(n.ID(), r.Path[c], next)
-	s.routing.SendScoped(n.ID(), r.Path[c], pkt, s.cfg.RepairTTL, func(ok bool) {
+	s.routing.SendScoped(n.ID(), r.Path[c], pkt, repairTTL, func(ok bool) {
 		if ok {
 			s.counters.LocalRepairs++
 			return

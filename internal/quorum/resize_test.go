@@ -2,25 +2,37 @@ package quorum
 
 import (
 	"testing"
+
+	"probquorum/internal/netstack"
 )
 
 // TestResizeMidFlightLookupRetry pins the interaction the adaptation
 // controller introduces: an op drawn under the old |Qℓ| whose retry fires
 // after a resize must re-draw at the new size (dispatch reads the live
 // config), settle exactly once, and leave nothing pending past the horizon.
+// The draw is read off the network: every member of a RANDOM lookup quorum
+// is delivered one routed directMsg carrying its attempt's op id.
 func TestResizeMidFlightLookupRetry(t *testing.T) {
 	const oldSize, newSize = 6, 12
 	w := newWorld(7, 60, Config{
 		AdvertiseStrategy: Random, LookupStrategy: Random,
 		AdvertiseSize: oldSize, LookupSize: oldSize,
-		SerialRandomLookup:    true,
-		SerialStepTimeoutSecs: 1,
-		LookupTimeout:         10,
-		LookupRetries:         1,
-		RetryBackoffSecs:      1,
-		PayloadBytes:          512,
+		LookupTimeout:    10,
+		LookupRetries:    1,
+		RetryBackoffSecs: 1,
 	})
 	w.e.Run(5) // let membership warm up
+
+	reached := map[opID]int{} // lookup members reached, per attempt
+	w.net.SetDeliveryObserver(func(_, to int, pkt *netstack.Packet) {
+		inner, routed := pkt.Payload.(*netstack.Packet)
+		if !routed || to != pkt.Dst {
+			return
+		}
+		if m, ok := inner.Payload.(*directMsg); ok && !m.Advertise {
+			reached[m.Op]++
+		}
+	})
 
 	fires := 0
 	var ref OpRef
@@ -35,8 +47,8 @@ func TestResizeMidFlightLookupRetry(t *testing.T) {
 	if lk == nil {
 		t.Fatal("lookup not pending after dispatch")
 	}
-	if got := len(lk.serialTargets); got != oldSize {
-		t.Fatalf("first attempt drew %d targets, want old size %d", got, oldSize)
+	if len(reached) != 1 || reached[ref.id] != oldSize {
+		t.Fatalf("first attempt reached %v members, want old size %d under op %v", reached, oldSize, ref.id)
 	}
 
 	// Resize mid-flight, before the first attempt's timeout.
@@ -46,8 +58,14 @@ func TestResizeMidFlightLookupRetry(t *testing.T) {
 	if lk.finished {
 		t.Fatal("lookup finished before the retry could run")
 	}
-	if got := len(lk.serialTargets); got != newSize {
-		t.Fatalf("retry drew %d targets, want new size %d", got, newSize)
+	delete(reached, ref.id)
+	if len(reached) != 1 {
+		t.Fatalf("retry ran %d attempts, want 1: %v", len(reached), reached)
+	}
+	for op, got := range reached {
+		if got != newSize {
+			t.Fatalf("retry %v reached %d members, want new size %d", op, got, newSize)
+		}
 	}
 
 	w.e.Run(w.e.Now() + 60) // drain the retry's timeout
@@ -70,7 +88,7 @@ func TestResizeMidFlightAdvertise(t *testing.T) {
 	w := newWorld(11, 60, Config{
 		AdvertiseStrategy: Random, LookupStrategy: Random,
 		AdvertiseSize: oldSize, LookupSize: oldSize,
-		LookupTimeout: 10, PayloadBytes: 512,
+		LookupTimeout: 10,
 	})
 	w.e.Run(5)
 

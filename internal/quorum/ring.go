@@ -6,6 +6,9 @@ package quorum
 // advertise, until the flood covers the target quorum size. Robust on any
 // topology, at the cost of repeated partial floods.
 
+// maxRingTTL bounds the escalation: the widest ring is a TTL-7 flood.
+const maxRingTTL = 7
+
 // ringWait estimates how long one flood round of the given TTL takes to
 // spread and for a reply to return.
 func ringWait(ttl int) float64 { return 0.4 + 0.25*float64(ttl) }
@@ -27,21 +30,9 @@ func (s *System) ringRound(origin int, op opID, key string, ttl int) {
 	// nodes covered by the previous ring must process the wider flood.
 	child := s.nextOp(origin)
 	s.addChild(root, child)
-	prev := make(map[int]int)
-	prev[origin] = origin
-	s.floodPrev[child] = prev
-	s.floodCoverage[child] = 1
+	s.startFlood(origin, child, false, key, "", ttl)
 
-	m := &floodMsg{Op: child, Advertise: false, Key: key}
-	pkt := s.newPacket(origin, -1, m)
-	pkt.Dst = -1
-	pkt.TTL = ttl
-	node := s.net.Node(origin)
-	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		node.BroadcastOneHop(pkt)
-	})
-
-	if ttl >= s.cfg.MaxRingTTL {
+	if ttl >= maxRingTTL {
 		return // widest ring out; the op timeout decides the miss
 	}
 	s.engine.Schedule(ringWait(ttl), func() {
@@ -64,26 +55,14 @@ func (s *System) advertiseExpandingRing(origin int, op opID, key, value string) 
 func (s *System) advertiseRingRound(origin int, op opID, key, value string, ttl int) {
 	child := s.nextOp(origin)
 	s.addChild(op, child)
-	prev := make(map[int]int)
-	prev[origin] = origin
-	s.floodPrev[child] = prev
-	s.floodCoverage[child] = 1
-	s.storeAt(origin, key, value, true, op)
-
-	m := &floodMsg{Op: child, Advertise: true, Key: key, Value: value}
-	pkt := s.newPacket(origin, -1, m)
-	pkt.TTL = ttl
-	node := s.net.Node(origin)
-	s.engine.Schedule(s.engine.Rand().Float64()*floodJitterSecs, func() {
-		node.BroadcastOneHop(pkt)
-	})
+	s.startFlood(origin, child, true, key, value, ttl)
 
 	s.engine.Schedule(ringWait(ttl), func() {
 		ad := s.ads[op]
 		if ad == nil || ad.finished {
 			return
 		}
-		if ad.res.Placed >= s.cfg.AdvertiseSize || ttl >= s.cfg.MaxRingTTL {
+		if ad.res.Placed >= s.cfg.AdvertiseSize || ttl >= maxRingTTL {
 			s.advertiseSettled(op)
 			return
 		}

@@ -20,13 +20,19 @@ type sampleMsg struct {
 	Visited    []int // reverse path for lookup replies
 }
 
+// maxDegreeEstimate is the d_max the maximum-degree walks assume: about 2.5×
+// the paper's default density of 10.
+const maxDegreeEstimate = 24
+
 // accessBySampling launches |Q| independent maximum-degree walks; each
-// endpoint becomes one quorum member.
+// endpoint becomes one quorum member. A walk is n/2 steps long, the paper's
+// mixing-time estimate for G²(n,r), and never under 10.
 func (s *System) accessBySampling(origin int, op opID, advertise bool, key, value string, q int) {
+	steps := max(s.net.N()/2, 10)
 	for i := 0; i < q; i++ {
 		m := &sampleMsg{
 			Op: op, Advertise: advertise, Key: key, Value: value,
-			StepsLeft: s.cfg.SampleWalkSteps,
+			StepsLeft: steps,
 			Visited:   []int{origin},
 		}
 		s.stepSample(s.net.Node(origin), m)
@@ -42,7 +48,7 @@ func (s *System) stepSample(n *netstack.Node, m *sampleMsg) {
 		if len(nbs) == 0 {
 			break // isolated: the walk ends here
 		}
-		slot := rng.Intn(s.cfg.MaxDegreeEstimate)
+		slot := rng.Intn(maxDegreeEstimate)
 		if slot >= len(nbs) {
 			m.StepsLeft-- // self-loop
 			continue

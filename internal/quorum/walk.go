@@ -110,23 +110,17 @@ func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 	s.forwardWalk(n, next)
 }
 
-// walkStepCap bounds a walk's total steps. A walk trapped in a network
-// pocket smaller than its target could otherwise wander forever; real
-// deployments bound the walk with a TTL for the same reason (the paper
-// plots "RW TTL" in Fig. 12). The cap is generous relative to the measured
-// partial cover times (≈1.3–2.5 steps per unique node, Fig. 4).
-func (s *System) walkStepCap(target int) int {
-	factor := s.cfg.WalkTTLFactor
-	if factor <= 0 {
-		factor = 8
-	}
-	return factor*target + 20
-}
+// walkTTLFactor bounds a walk's total steps to walkTTLFactor·target+20. A walk
+// trapped in a network pocket smaller than its target could otherwise wander
+// forever; real deployments bound the walk with a TTL for the same reason (the
+// paper plots "RW TTL" in Fig. 12). The cap is generous relative to the
+// measured partial cover times (≈1.3–2.5 steps per unique node, Fig. 4).
+const walkTTLFactor = 8
 
 // forwardWalk picks the next hop and sends, salvaging through alternative
 // neighbors on MAC failure when configured (Section 6.2).
 func (s *System) forwardWalk(n *netstack.Node, m *walkMsg) {
-	if len(m.Visited) >= s.walkStepCap(m.Target) {
+	if len(m.Visited) >= walkTTLFactor*m.Target+20 {
 		s.counters.WalkExpirations++
 		s.walkEnded(m)
 		return

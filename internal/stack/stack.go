@@ -32,14 +32,15 @@ type Spec struct {
 	// population at Link.AvgDegree (default 10), not for N+JoinSlots.
 	Link netstack.Config
 	// SpeedMax > 0 moves all slots by random waypoint at SpeedMin–SpeedMax
-	// m/s with PauseSecs pauses; zero is a static uniform placement.
-	SpeedMin, SpeedMax, PauseSecs float64
+	// m/s with pauseSecs pauses; zero is a static uniform placement.
+	SpeedMin, SpeedMax float64
 	// OracleRouting replaces AODV by the zero-overhead oracle router.
 	// RouteCache additionally gives the oracle route trees on a heartbeat
 	// stack (on exact static stacks aodv.NewOracle installs them itself).
 	OracleRouting, RouteCache bool
 	// Members configures the membership service; Build owns ViewSize: the
-	// paper's ⌈2√N⌉, or a RANDOM strategy's quorum size where that is larger.
+	// paper's ⌈2√N⌉, or the size of a quorum drawn from the view where that
+	// is larger.
 	Members membership.Config
 	// Quorum is the strategy mix, sizing and techniques.
 	Quorum quorum.Config
@@ -58,6 +59,9 @@ type Stack struct {
 	n int // initial population; ids n..Net.N()-1 are the join slots
 }
 
+// pauseSecs is the waypoint pause (paper: 30).
+const pauseSecs = 30
+
 // Build assembles sp. Engine streams are drawn in layer order (mobility,
 // netstack, routing, membership); Faults and Churn draw theirs when called.
 func Build(sp Spec) *Stack {
@@ -73,7 +77,7 @@ func Build(sp Spec) *Stack {
 	cfg.Side = geom.AreaSide(sp.N, 200, cfg.AvgDegree)
 	if sp.SpeedMax > 0 {
 		cfg.Mobility = mobility.NewWaypoint(engine.NewStream(), total, mobility.WaypointConfig{
-			MinSpeed: sp.SpeedMin, MaxSpeed: sp.SpeedMax, Pause: sp.PauseSecs, Side: cfg.Side,
+			MinSpeed: sp.SpeedMin, MaxSpeed: sp.SpeedMax, Pause: pauseSecs, Side: cfg.Side,
 		}, nil)
 	}
 	net := netstack.New(engine, cfg)
@@ -100,11 +104,13 @@ func Build(sp Spec) *Stack {
 		router = aodv.New(net, acfg)
 	}
 
-	// membership.Pick returns at most the view, so a RANDOM quorum larger
-	// than the paper's 2√n view would be truncated to it without a word.
+	// membership.Pick returns at most the view, so a quorum drawn from it
+	// that is larger than the paper's 2√n view would be truncated without a
+	// word. RANDOM and RANDOM-OPT advertise through the same draw of |Qa|; of
+	// the lookups only RANDOM draws |Qℓ| (RANDOM-OPT draws its ~ln n targets).
 	mcfg := sp.Members
 	mcfg.ViewSize = membership.DefaultViewSize(sp.N)
-	if sp.Quorum.AdvertiseStrategy == quorum.Random {
+	if sp.Quorum.AdvertiseStrategy.DrawsFromView() {
 		mcfg.ViewSize = max(mcfg.ViewSize, sp.Quorum.AdvertiseSize)
 	}
 	if sp.Quorum.LookupStrategy == quorum.Random {

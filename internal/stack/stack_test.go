@@ -125,8 +125,10 @@ func TestRouteCacheNeedsOracle(t *testing.T) {
 }
 
 // TestViewCoversRandomQuorums: the membership view is the paper's ⌈2√N⌉
-// unless a RANDOM strategy is configured with a larger quorum, which Pick
-// could otherwise only truncate; sizes of walk strategies do not matter.
+// unless a strategy that draws from it — RANDOM, or RANDOM-OPT, whose
+// advertise is the same draw — is configured with a larger quorum, which Pick
+// could otherwise only truncate; sizes of walk strategies do not matter, nor
+// does |Qℓ| to a RANDOM-OPT lookup, which draws its ~ln n targets.
 func TestViewCoversRandomQuorums(t *testing.T) {
 	for _, c := range []struct {
 		adv, lk      quorum.Strategy
@@ -137,6 +139,8 @@ func TestViewCoversRandomQuorums(t *testing.T) {
 		{quorum.UniquePath, quorum.Random, 60, 35, 35},
 		{quorum.Random, quorum.Random, 25, 40, 40},
 		{quorum.UniquePath, quorum.UniquePath, 60, 60, 20},
+		{quorum.RandomOpt, quorum.UniquePath, 60, 12, 60},
+		{quorum.Random, quorum.RandomOpt, 20, 60, 20},
 	} {
 		sp := idealSpec(100, 0)
 		sp.Quorum.AdvertiseStrategy, sp.Quorum.LookupStrategy = c.adv, c.lk

@@ -225,7 +225,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Link: netstack.Config{
 			AvgDegree: cfg.AvgDegree, Stack: cfg.Stack, RxLossProb: cfg.RxLossProb,
 		},
-		SpeedMin: 0.5, SpeedMax: cfg.MaxSpeed, PauseSecs: 30,
+		SpeedMin: 0.5, SpeedMax: cfg.MaxSpeed,
 	}
 	if cfg.Adaptive {
 		sp.Members.Estimation = membership.EstimationConfig{Enable: true, ProbeSecs: 10}
