@@ -9,9 +9,9 @@
 #               (bit-identity at shard widths 1/2/4/8 against a serial run);
 #   5. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
-#   6. load-smoke, adapt-smoke — the two tier figures whose invariant
-#               violations are fatal, their tables diffed against the
-#               recorded results_tiers.txt;
+#   6. load-smoke, adapt-smoke — two of the four tiers (an invariant
+#               violation is fatal in all of them), their tables diffed
+#               against the recorded results_tiers.txt;
 #   7. vet    — the standard toolchain's analyzers;
 #   8. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
@@ -106,14 +106,24 @@ bench-digest:
 	@$(MAKE) -s bench-digests | diff BENCH_DIGESTS.txt - || \
 		{ echo "bench-digest: sim.digest differs from BENCH_DIGESTS.txt (<: committed, >: this tree): the change is not host-side only"; exit 1; }
 
+# tier-run runs `pqexp $(2) $(1)` into $(1).out — a tier exits nonzero on an
+# invariant violation or a leaked op (or a crash), which fails the target with
+# the output shown — and then folds its go-bench lines into BENCH.json. All
+# four smoke targets go through it; the caller removes $(1).out.
+define tier-run
+	$(GO) run ./cmd/pqexp $(2) $(1) > $(1).out || { cat $(1).out; rm -f $(1).out; exit 1; }
+	$(GO) run ./cmd/benchjson -merge -out BENCH.json < $(1).out
+endef
+
 # mega-smoke runs the 10k-node scale scenario (DESIGN.md §12) on a
 # shortened horizon: SINR/DCF with cell-noise interference, churn and a
-# fault schedule live, invariant checkers armed. No -race — the point is
-# that 10k nodes complete in CI time — and the go-bench metrics line
+# fault schedule live, invariant checkers armed and fatal. No -race — the
+# point is that 10k nodes complete in CI time — and the go-bench metrics line
 # (wall clock, allocations, peak heap) is folded into BENCH.json so the
 # scale trajectory rides along with the micro-benchmarks.
 mega-smoke:
-	$(GO) run ./cmd/pqexp -short mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(call tier-run,mega,-short)
+	@rm -f mega.out
 
 # mega-bench records the full-horizon 10k run serial and at -shards 2 — the
 # A/B behind DESIGN.md §15's "what the knob is worth". Each line's name ends
@@ -124,11 +134,12 @@ mega-bench:
 
 # giga-smoke runs the giga tier (DESIGN.md §15: oracle neighbors, lazy
 # membership, route cache, sharded prefetch) at a CI-sized 25k nodes on the
-# shortened horizon, churn/faults/invariants armed, 4 shards wide. The full
-# 100k run is `pqexp giga`; this is the does-it-scale gate, and its
+# shortened horizon, churn/faults/invariants armed and fatal, 4 shards wide.
+# The full 100k run is `pqexp giga`; this is the does-it-scale gate, and its
 # wall-clock/alloc/peak-heap line folds into BENCH.json like mega-smoke's.
 giga-smoke:
-	$(GO) run ./cmd/pqexp -short -n 25000 -shards 4 giga | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(call tier-run,giga,-short -n 25000 -shards 4)
+	@rm -f giga.out
 
 # tiers records what `pqexp -short load` and `pqexp -short adapt` print apart
 # from their go-bench lines: the tier tables, free of wall-clock fields by
@@ -139,13 +150,12 @@ giga-smoke:
 tiers:
 	@for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^Benchmark' > results_tiers.txt
 
-# tier-smoke runs tier $(1) on its smoke horizon (a violation makes pqexp exit
-# nonzero and fails the target), folds its go-bench lines into BENCH.json and
-# diffs everything else against the tier's own tables in results_tiers.txt:
-# from its first "## $(1)" title up to the next tier's.
+# tier-smoke runs tier $(1) on its smoke horizon (tier-run: a violation fails
+# the target) and diffs everything but its go-bench lines against the tier's
+# own tables in results_tiers.txt: from its first "## $(1)" title up to the
+# next tier's.
 define tier-smoke
-	$(GO) run ./cmd/pqexp -short $(1) > $(1).out || { cat $(1).out; rm -f $(1).out; exit 1; }
-	$(GO) run ./cmd/benchjson -merge -out BENCH.json < $(1).out
+	$(call tier-run,$(1),-short)
 	@awk '/^## /{on = ($$2 == "$(1)")} on' results_tiers.txt | diff -I '^Benchmark' - $(1).out || \
 		{ echo "$(1)-smoke: pqexp -short $(1) differs from results_tiers.txt (<: recorded, >: this tree)"; rm -f $(1).out; exit 1; }
 	@rm -f $(1).out

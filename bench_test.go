@@ -39,6 +39,15 @@ func benchProfile() experiment.Profile {
 	}
 }
 
+// benchScenario is the paper's two-phase workload on n nodes of the given
+// stack, at the default quorum sizes.
+func benchScenario(kind netstack.StackKind, n int, seed int64, ads, lookups, lookupNodes int) experiment.Scenario {
+	sc := experiment.Scenario{Advertisements: ads, Lookups: lookups, LookupNodes: lookupNodes}
+	sc.N, sc.Seed, sc.Link.Stack = n, seed, kind
+	sc.Quorum = quorum.DefaultConfig(n)
+	return sc
+}
+
 func reportTables(b *testing.B, tables []experiment.Table) {
 	b.Helper()
 	if len(tables) == 0 || len(tables[0].Rows) == 0 {
@@ -116,12 +125,8 @@ func BenchmarkFig10UniquePathLookup(b *testing.B) {
 		reportTables(b, tables)
 	}
 	// Single representative point for the metric: |Qℓ| = 1.15√n.
-	sc := experiment.Scenario{
-		N: p.BigN, Stack: p.Stack, Seed: 1,
-		Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-		SpeedMin: 0.5, SpeedMax: 2,
-	}
-	sc.Quorum = quorum.DefaultConfig(p.BigN)
+	sc := benchScenario(p.Stack, p.BigN, 1, p.Advertisements, p.Lookups, p.LookupNodes)
+	sc.SpeedMin, sc.SpeedMax = 0.5, 2
 	hit = experiment.Run(sc).HitRatio
 	b.ReportMetric(hit, "hit-ratio")
 }
@@ -399,11 +404,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 }
 
 func BenchmarkDCFUnicastHop(b *testing.B) {
-	sc := experiment.Scenario{
-		N: 50, Stack: netstack.StackSINR, Seed: 1,
-		Advertisements: 1, Lookups: 1, LookupNodes: 1,
-	}
-	sc.Quorum = quorum.DefaultConfig(50)
+	sc := benchScenario(netstack.StackSINR, 50, 1, 1, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -690,11 +691,7 @@ func BenchmarkDefaultMixHitRatio(b *testing.B) {
 	b.ReportAllocs()
 	var sum float64
 	for i := 0; i < b.N; i++ {
-		sc := experiment.Scenario{
-			N: p.BigN, Stack: p.Stack, Seed: int64(i) + 1,
-			Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-		}
-		sc.Quorum = quorum.DefaultConfig(p.BigN)
+		sc := benchScenario(p.Stack, p.BigN, int64(i)+1, p.Advertisements, p.Lookups, p.LookupNodes)
 		sum += experiment.Run(sc).HitRatio
 	}
 	avg := sum / float64(b.N)
@@ -719,12 +716,8 @@ func benchRoutingCost(b *testing.B, oracle bool) {
 	b.ReportAllocs()
 	var last experiment.Result
 	for i := 0; i < b.N; i++ {
-		sc := experiment.Scenario{
-			N: 100, Stack: netstack.StackIdeal, Seed: int64(i) + 1,
-			Advertisements: 15, Lookups: 30, LookupNodes: 5,
-			OracleRouting: oracle,
-		}
-		sc.Quorum = quorum.DefaultConfig(100)
+		sc := benchScenario(netstack.StackIdeal, 100, int64(i)+1, 15, 30, 5)
+		sc.OracleRouting = oracle
 		sc.Quorum.AdvertiseStrategy, sc.Quorum.LookupStrategy = quorum.Random, quorum.Random
 		last = experiment.Run(sc)
 	}
@@ -742,12 +735,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 	p := benchProfile()
 	var scs []experiment.Scenario
 	for _, n := range []int{50, 80, 100, 120} {
-		sc := experiment.Scenario{
-			N: n, Stack: p.Stack, Seed: 1,
-			Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-		}
-		sc.Quorum = quorum.DefaultConfig(n)
-		scs = append(scs, sc)
+		scs = append(scs, benchScenario(p.Stack, n, 1, p.Advertisements, p.Lookups, p.LookupNodes))
 	}
 	sw := experiment.NewSweep(scs, 4) // 4 points × 4 seeds = 16 runs
 	pools := []int{1, 2, 4}

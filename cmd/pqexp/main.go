@@ -12,10 +12,12 @@
 // churn) and chaos (fault injection under invariant checkers) make up
 // "all"; run with no argument to list every name.
 //
-// Four tiers are deliberately not part of "all". Each prints go-bench
-// metric lines after its tables for cmd/benchjson (the `make *-smoke`
-// targets), runs with the invariant checkers armed, and shrinks to CI size
-// with -short:
+// Four tiers are deliberately not part of "all". They share one contract
+// (experiment.TierConfig in; tables, go-bench lines and an error out): each
+// prints its go-bench metric lines after its tables for cmd/benchjson (the
+// `make *-smoke` targets), runs with the invariant checkers armed — a
+// violation or a leaked op is an error and a nonzero exit — and shrinks to CI
+// size with -short:
 //
 //   - mega: the 10k-node scale exercise (DESIGN.md §12) — SINR/DCF with the
 //     cell-noise interference model, continuous churn and a fault schedule
@@ -23,11 +25,10 @@
 //   - giga: the 100k-node tier (DESIGN.md §15) — mega with oracle neighbor
 //     discovery; bit-identical results at any -shards.
 //   - load: open-loop Poisson/MMPP arrivals against every strategy mix —
-//     throughput, p50/p99 op latency, shed/queue saturation, load skew. Any
-//     invariant violation is an error.
+//     throughput, p50/p99 op latency, shed/queue saturation, load skew.
 //   - adapt: static vs closed-loop quorum sizing under mass-join,
-//     mass-failure and ramp drifts (DESIGN.md §14). Violations or leaked ops
-//     are an error.
+//     mass-failure and ramp drifts (DESIGN.md §14); -seeds sets the seeds
+//     per cell.
 //
 // By default it runs the quick profile (ideal link layer, scaled-down
 // sweep). Pass -full for the paper-scale configuration on the SINR stack
@@ -63,21 +64,12 @@ func main() {
 	}
 }
 
-// options is what the command line hands a figure.
+// options is what the command line hands a figure: the profile and base seed
+// of the sweeps, and the tiers' configuration with Horizon left to the tier.
 type options struct {
 	profile experiment.Profile
-	seed    int64
-	seeds   int  // -seeds as given (0 = the figure's default)
-	n       int  // -n: tier node count (0 = the tier's default)
+	tier    experiment.TierConfig
 	short   bool // -short: tiers run their smoke-test horizon
-}
-
-// horizon is a tier's Horizon: its smoke-test scale under -short, else 1.
-func (o options) horizon(short float64) float64 {
-	if o.short {
-		return short
-	}
-	return 1
 }
 
 // runFunc runs a figure: the tables to print and, for the tiers, the
@@ -93,12 +85,22 @@ type figure struct {
 
 // sweep adapts a profile-driven figure generator.
 func sweep(gen func(experiment.Profile, int64) []experiment.Table) runFunc {
-	return func(o options) ([]experiment.Table, []string, error) { return gen(o.profile, o.seed), nil, nil }
+	return func(o options) ([]experiment.Table, []string, error) { return gen(o.profile, o.tier.Seed), nil, nil }
 }
 
 // analytic adapts a closed-form figure.
 func analytic(gen func() []experiment.Table) runFunc {
 	return func(options) ([]experiment.Table, []string, error) { return gen(), nil, nil }
+}
+
+// tier adapts a tier, which runs at shortHorizon of its full size under -short.
+func tier(run func(experiment.TierConfig) ([]experiment.Table, []string, error), shortHorizon float64) runFunc {
+	return func(o options) ([]experiment.Table, []string, error) {
+		if o.short {
+			o.tier.Horizon = shortHorizon
+		}
+		return run(o.tier)
+	}
 }
 
 var figures = []figure{
@@ -121,10 +123,10 @@ var figures = []figure{
 	{"crt", "crossing", true, sweep(experiment.CrossingTime)},
 	{"decay", "churn", true, sweep(experiment.FigDecay)},
 	{"chaos", "faults", true, sweep(experiment.FigChaos)},
-	{"mega", "", false, mega(false)},
-	{"giga", "", false, mega(true)},
-	{"load", "", false, runLoad},
-	{"adapt", "", false, runAdapt},
+	{"mega", "", false, tier(experiment.Mega, 0.15)},
+	{"giga", "", false, tier(experiment.Giga, 0.15)},
+	{"load", "", false, tier(experiment.Load, 0.2)},
+	{"adapt", "", false, tier(experiment.Adapt, 0.2)},
 }
 
 // lookupFigure resolves a name or alias, case-insensitively.
@@ -214,7 +216,9 @@ func run(args []string) error {
 	if effective < 1 {
 		effective = runtime.GOMAXPROCS(0)
 	}
-	opts := options{profile: p, seed: *seed, seeds: *seeds, n: *n, short: *short}
+	opts := options{profile: p, short: *short, tier: experiment.TierConfig{
+		Seed: *seed, Seeds: *seeds, N: *n, Parallel: p.Parallel, Shards: p.Shards,
+	}}
 
 	names := fs.Args()
 	if len(names) == 1 && names[0] == "all" {
@@ -260,69 +264,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// runLoad executes the open-loop load figure: the data table (bit-identical
-// at any -parallel) and one go-bench metrics line per strategy mix. Any
-// invariant violation — the checkers run armed, including the pending-op
-// drain assertion — is an error, making `make load-smoke` a CI gate and not
-// just a report.
-func runLoad(o options) ([]experiment.Table, []string, error) {
-	lc := experiment.LoadConfig{Seed: o.seed, Parallel: o.profile.Parallel, Horizon: o.horizon(0.2)}
-	results := experiment.RunLoad(lc)
-	var bench []string
-	violations := 0
-	for _, r := range results {
-		bench = append(bench, r.BenchLine())
-		violations += r.Report.Violations
-	}
-	var err error
-	if violations > 0 {
-		err = fmt.Errorf("load: %d invariant violations (see table)", violations)
-	}
-	return []experiment.Table{experiment.LoadTable(lc, results)}, bench, err
-}
-
-// runAdapt executes the adaptive-sizing chaos figure: one trajectory table
-// per drift shape (bit-identical at any -parallel), then each variant's
-// first violation if any and a go-bench metrics line per drift. Invariant
-// violations or leaked ops — the checkers run armed, including the
-// controller's resize-bounds watch — are an error, so `make adapt-smoke`
-// gates CI instead of just reporting.
-func runAdapt(o options) ([]experiment.Table, []string, error) {
-	results := experiment.RunAdapt(experiment.AdaptFigConfig{
-		Seeds: o.seeds, Seed: o.seed, Parallel: o.profile.Parallel, Horizon: o.horizon(0.2),
-	})
-	var tables []experiment.Table
-	var notes, bench []string
-	violations := 0
-	leaked := 0.0
-	for _, r := range results {
-		tables = append(tables, r.Table())
-		bench = append(bench, r.BenchLine())
-		for _, v := range []experiment.AdaptVariantResult{r.Static, r.Adaptive} {
-			violations += v.Violations
-			leaked += v.LeakedOps
-			if v.FirstViolation != "" {
-				notes = append(notes, fmt.Sprintf("# %s/%s first violation: %s", r.Drift, v.Variant, v.FirstViolation))
-			}
-		}
-	}
-	var err error
-	if violations > 0 || leaked > 0 {
-		err = fmt.Errorf("adapt: %d invariant violations, %.0f leaked ops", violations, leaked)
-	}
-	return tables, append(notes, bench...), err
-}
-
-// mega executes the scale scenario at the 10k or the 100k (giga) tier: the
-// human table and the go-bench metrics line (what `make mega-smoke` pipes
-// into cmd/benchjson -merge).
-func mega(giga bool) runFunc {
-	return func(o options) ([]experiment.Table, []string, error) {
-		res := experiment.RunMega(experiment.MegaConfig{
-			Giga: giga, N: o.n, Seed: o.seed, Shards: o.profile.Shards, Horizon: o.horizon(0.15),
-		})
-		return []experiment.Table{res.Table()}, []string{res.BenchLine()}, nil
-	}
 }

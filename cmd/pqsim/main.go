@@ -14,6 +14,7 @@ import (
 	"probquorum/internal/experiment"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
+	"probquorum/internal/stack"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func run(args []string) error {
 	lkSize := fs.Int("lookup-size", 0, "lookup quorum size (default 1.15sqrt(n))")
 	ttl := fs.Int("ttl", 3, "flooding TTL")
 	speed := fs.Float64("speed", 0, "max waypoint speed m/s (0 = static)")
-	stack := fs.String("stack", "sinr", "stack: sinr | disk | ideal")
+	stackStr := fs.String("stack", "sinr", "stack: sinr | disk | ideal")
 	ads := fs.Int("ads", 50, "advertisements")
 	lookups := fs.Int("lookups", 300, "lookups")
 	seeds := fs.Int("seeds", 1, "seeds to average")
@@ -71,16 +72,18 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	kind, err := netstack.ParseStack(*stack)
+	kind, err := netstack.ParseStack(*stackStr)
 	if err != nil {
 		return err
 	}
 
 	sc := experiment.Scenario{
-		N: *n, AvgDegree: *density, Seed: *seed, Stack: kind,
+		Spec: stack.Spec{
+			N: *n, Seed: *seed, OracleRouting: *oracle,
+			Link: netstack.Config{AvgDegree: *density, Stack: kind},
+		},
 		Advertisements: *ads, Lookups: *lookups,
 		FailFraction: *churn, JoinFraction: *churn,
-		OracleRouting: *oracle,
 	}
 	if *speed > 0 {
 		sc.SpeedMin, sc.SpeedMax = 0.5, *speed

@@ -82,6 +82,25 @@ type Report struct {
 // OK reports whether the run was violation-free.
 func (r Report) OK() bool { return r.Violations == 0 }
 
+// Add folds another run's report into r: every tally sums, the details
+// concatenate. A tally added to Report is added here (the merge test fails on
+// one left out).
+func (r *Report) Add(o Report) {
+	r.Violations += o.Violations
+	r.Details = append(r.Details, o.Details...)
+	r.Lookups += o.Lookups
+	r.Hits += o.Hits
+	r.Intersections += o.Intersections
+	r.Advertises += o.Advertises
+	r.Reads += o.Reads
+	r.Writes += o.Writes
+	r.StaleReads += o.StaleReads
+	r.MissedReads += o.MissedReads
+	r.Outstanding += o.Outstanding
+	r.LeakedLookups += o.LeakedLookups
+	r.LeakedAds += o.LeakedAds
+}
+
 // Suite arms the checkers on one network + quorum system. Construct with
 // NewSuite; route operations through Suite.Lookup / Suite.Advertise and
 // wrap registers with WrapRegister so the op-level invariants see them.

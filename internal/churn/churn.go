@@ -54,16 +54,17 @@ type Config struct {
 	// Poisson streams), with times relative to Start. Used by tests and
 	// by reproducible burst scenarios.
 	Schedule []Event
-	// MinAlive is the live-population floor below which failures are
-	// skipped (default 2), keeping the simulation meaningful.
-	MinAlive int
 }
+
+// minAlive is the live-population floor below which failures are skipped,
+// keeping the simulation meaningful.
+const minAlive = 2
 
 // Stats counts what the process has done so far.
 type Stats struct {
 	// Fails and Joins count nodes actually crashed / brought up.
 	Fails, Joins int
-	// SkippedFails counts failure events suppressed by the MinAlive
+	// SkippedFails counts failure events suppressed by the minAlive
 	// floor; SkippedJoins counts join events with no node left to start.
 	SkippedFails, SkippedJoins int
 }
@@ -88,9 +89,6 @@ type Process struct {
 
 // New builds a process over net. It does nothing until Start.
 func New(net *netstack.Network, cfg Config) *Process {
-	if cfg.MinAlive <= 0 {
-		cfg.MinAlive = 2
-	}
 	return &Process{
 		engine: net.Engine(),
 		net:    net,
@@ -173,7 +171,7 @@ func (p *Process) apply(op Op) {
 }
 
 func (p *Process) failOne() {
-	if p.net.NumAlive() <= p.cfg.MinAlive {
+	if p.net.NumAlive() <= minAlive {
 		p.stats.SkippedFails++
 		return
 	}

@@ -117,8 +117,8 @@ func TestMinAliveFloor(t *testing.T) {
 	p := New(net, Config{Schedule: []Event{{At: 1, Op: Fail, Count: 10}}})
 	p.Start()
 	e.Run(5)
-	if got := net.NumAlive(); got != 2 {
-		t.Fatalf("alive = %d, want the MinAlive floor 2", got)
+	if got := net.NumAlive(); got != minAlive {
+		t.Fatalf("alive = %d, want the floor %d", got, minAlive)
 	}
 	s := p.Stats()
 	if s.Fails != 3 || s.SkippedFails != 7 {

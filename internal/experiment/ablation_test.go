@@ -13,11 +13,8 @@ import (
 // stack: n=100, 10 advertisements, 50 lookups from 5 nodes, averaged over
 // seeds 1–8 (400 lookups a variant).
 func ablation(mutate func(*quorum.Config)) Result {
-	sc := Scenario{
-		N: 100, Stack: netstack.StackIdeal, Seed: 1,
-		Advertisements: 10, Lookups: 50, LookupNodes: 5,
-		SpeedMin: 0.5, SpeedMax: 5, LossProb: 0.55,
-	}
+	sc := testScenario(netstack.StackIdeal, 100, 1, 10, 50, 5)
+	sc.SpeedMin, sc.SpeedMax, sc.Link.LossProb = 0.5, 5, 0.55
 	sc.Quorum = quorum.DefaultConfig(sc.N)
 	sc.Quorum.LookupTimeout = 10
 	mutate(&sc.Quorum)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	"probquorum/internal/check"
 	"probquorum/internal/churn"
 	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
@@ -39,31 +40,12 @@ import (
 // comes from engine streams: the data tables are bit-identical at any
 // -parallel setting; wall clock appears only in bench lines.
 
-// AdaptFigConfig sizes the adapt figure. Zero values take defaults.
-type AdaptFigConfig struct {
-	// Seeds is how many seeds each (drift, variant) cell averages
-	// (default 2).
-	Seeds int
-	// Seed is the base seed; run i uses Seed+i.
-	Seed int64
-	// Parallel is the worker-pool width across cells (0 = all cores).
-	Parallel int
-	// Horizon scales the run down for smoke tests: duration shrinks by
-	// min(1, Horizon) when in (0,1).
-	Horizon float64
-}
-
 const (
 	// adaptDurationSecs is the measured span per run at full horizon.
 	adaptDurationSecs = 600.0
 	// adaptBucketSecs is the time-series resolution.
 	adaptBucketSecs = 30.0
 )
-
-// durationSecs is the horizon-scaled measured span, at least three buckets.
-func (ac AdaptFigConfig) durationSecs() float64 {
-	return max(adaptDurationSecs*clampHorizon(ac.Horizon), 90)
-}
 
 // adaptDrift is one population-drift shape.
 type adaptDrift struct {
@@ -107,13 +89,13 @@ func adaptDrifts() []adaptDrift {
 	}
 }
 
-// AdaptBucket is one time bucket of a variant's trajectory. Counts are
-// sums over merged seeds; gauges are means.
+// AdaptBucket is one time bucket of a variant's trajectory. The tally and
+// Msgs are sums over merged seeds; the gauges are means.
 type AdaptBucket struct {
 	// T is the bucket start, seconds since the measured span began.
 	T float64
-	// Lookups, Hits, Intersects count lookups issued in the bucket.
-	Lookups, Hits, Intersects float64
+	// Tally counts lookups issued in the bucket.
+	Tally
 	// Msgs is application-layer transmissions during the bucket.
 	Msgs float64
 	// AliveN is the live population at the bucket's end.
@@ -125,52 +107,47 @@ type AdaptBucket struct {
 	Qa, Ql float64
 }
 
-// IntersectRatio is the bucket's measured intersection fraction.
-func (b AdaptBucket) IntersectRatio() float64 {
-	return ratio(b.Intersects, b.Lookups)
-}
-
-// HitRatio is the bucket's measured hit fraction.
-func (b AdaptBucket) HitRatio() float64 {
-	return ratio(b.Hits, b.Lookups)
+// means lists the bucket's gauges, which a merge averages over seeds.
+func (b *AdaptBucket) means() []*float64 {
+	return []*float64{&b.AliveN, &b.NHat, &b.Qa, &b.Ql}
 }
 
 // AdaptVariantResult is one (drift, variant) cell, merged over seeds.
 type AdaptVariantResult struct {
 	Drift, Variant string
 	Buckets        []AdaptBucket
-	// Lookups / Hits / Intersects are run totals (sums over seeds).
-	Lookups, Hits, Intersects float64
+	// Tally is the run total (the sum of the buckets').
+	Tally
 	// Msgs is total application transmissions over the measured span.
 	Msgs float64
-	// Resizes and Retunes are controller actions (0 for static).
+	// Resizes and Retunes are controller actions per seed (0 for static).
 	Resizes, Retunes float64
-	// Violations sums invariant breaches over seeds; FirstViolation keeps
-	// one detail for diagnostics.
-	Violations     int
-	FirstViolation string
-	// LeakedOps sums pending-map leaks over seeds (must be 0).
-	LeakedOps float64
+	// Report is the invariant suite's verdict, summed over seeds: its
+	// Violations and leaked ops must be 0.
+	Report check.Report
 	// WallSecs is real elapsed time (bench lines only; not in tables).
 	WallSecs float64
+}
+
+// means lists the cell's per-seed averages.
+func (r *AdaptVariantResult) means() []*float64 {
+	return []*float64{&r.Resizes, &r.Retunes}
 }
 
 // SettledIntersect is the intersection ratio over the final third of the
 // measured span — after every drift shape has fully landed.
 func (r AdaptVariantResult) SettledIntersect() float64 {
-	var lk, in float64
-	start := len(r.Buckets) * 2 / 3
-	for _, b := range r.Buckets[start:] {
-		lk += b.Lookups
-		in += b.Intersects
+	var settled Tally
+	for _, b := range r.Buckets[len(r.Buckets)*2/3:] {
+		settled.add(b.Tally)
 	}
-	return ratio(in, lk)
+	return settled.IntersectRatio()
 }
 
 // MsgsPerLookup is total application transmissions over total lookups — a
 // per-op cost that charges the adaptive variant for its probe walks too.
 func (r AdaptVariantResult) MsgsPerLookup() float64 {
-	return ratio(r.Msgs, r.Lookups)
+	return ratio(r.Msgs, float64(r.Lookups))
 }
 
 // AdaptDriftResult pairs the two variants of one drift shape.
@@ -183,11 +160,11 @@ type AdaptDriftResult struct {
 // ns/op is the cell's wall clock; the custom metrics carry the settled
 // intersection ratios, per-lookup message costs, and resize count.
 func (r AdaptDriftResult) BenchLine() string {
-	return fmt.Sprintf("BenchmarkAdapt/drift=%s%s 1 %d ns/op %.3f static-intersect %.3f adaptive-intersect %.1f static-msgs-per-lookup %.1f adaptive-msgs-per-lookup %.0f resizes",
-		r.Drift, procsSuffix(), int64((r.Static.WallSecs+r.Adaptive.WallSecs)*1e9),
-		r.Static.SettledIntersect(), r.Adaptive.SettledIntersect(),
-		r.Static.MsgsPerLookup(), r.Adaptive.MsgsPerLookup(),
-		r.Adaptive.Resizes)
+	return benchLine("Adapt/drift="+r.Drift, r.Static.WallSecs+r.Adaptive.WallSecs,
+		fmt.Sprintf("%.3f static-intersect %.3f adaptive-intersect %.1f static-msgs-per-lookup %.1f adaptive-msgs-per-lookup %.0f resizes",
+			r.Static.SettledIntersect(), r.Adaptive.SettledIntersect(),
+			r.Static.MsgsPerLookup(), r.Adaptive.MsgsPerLookup(),
+			r.Adaptive.Resizes))
 }
 
 // Table renders the drift's bucket-by-bucket trajectory.
@@ -223,105 +200,100 @@ func (r AdaptDriftResult) Table() Table {
 	return t
 }
 
+// Adapt is the adapt tier: one trajectory table per drift shape
+// (bit-identical at any Parallel), then each variant's first violation if any
+// and a bench line per drift.
+func Adapt(tc TierConfig) ([]Table, []string, error) {
+	var tables []Table
+	var notes, bench []string
+	var reports []check.Report
+	for _, r := range RunAdapt(tc) {
+		tables = append(tables, r.Table())
+		bench = append(bench, r.BenchLine())
+		for _, v := range []AdaptVariantResult{r.Static, r.Adaptive} {
+			reports = append(reports, v.Report)
+			if len(v.Report.Details) > 0 {
+				notes = append(notes, fmt.Sprintf("# %s/%s first violation: %s", r.Drift, v.Variant, v.Report.Details[0]))
+			}
+		}
+	}
+	return tables, append(notes, bench...), verdict("adapt", reports...)
+}
+
 // RunAdapt executes the full figure: every (drift, variant, seed) cell on
-// a pool of Parallel workers, merged per (drift, variant) in index order so
+// a pool of Parallel workers, merged per (drift, variant) in seed order so
 // the output is bit-identical at any Parallel setting.
-func RunAdapt(ac AdaptFigConfig) []AdaptDriftResult {
-	if ac.Seeds == 0 {
-		ac.Seeds = 2
+func RunAdapt(tc TierConfig) []AdaptDriftResult {
+	if tc.Seeds == 0 {
+		tc.Seeds = 2
 	}
 	drifts := adaptDrifts()
 
+	// Cells in (drift, variant, seed) order: each (drift, variant) is
+	// tc.Seeds consecutive runs.
 	type cell struct {
-		drift    int
+		drift    adaptDrift
 		adaptive bool
 		seed     int64
 	}
 	var cells []cell
-	for di := range drifts {
+	for _, dr := range drifts {
 		for _, adaptive := range []bool{false, true} {
-			for s := 0; s < ac.Seeds; s++ {
-				cells = append(cells, cell{di, adaptive, ac.Seed + int64(s)})
+			for s := 0; s < tc.Seeds; s++ {
+				cells = append(cells, cell{dr, adaptive, tc.Seed + int64(s)})
 			}
 		}
 	}
 	runs := make([]AdaptVariantResult, len(cells))
 	// Background context never cancels, so the error is impossible.
-	_ = forEachJob(context.Background(), len(cells), ac.Parallel, func(i int) {
+	_ = forEachJob(context.Background(), len(cells), tc.Parallel, func(i int) {
 		start := time.Now()
-		runs[i] = runAdaptCell(ac, drifts[cells[i].drift], cells[i].adaptive, cells[i].seed)
+		runs[i] = runAdaptCell(tc, cells[i].drift, cells[i].adaptive, cells[i].seed)
 		runs[i].WallSecs = time.Since(start).Seconds()
 	})
 
 	out := make([]AdaptDriftResult, len(drifts))
-	for di := range drifts {
-		out[di].Drift = drifts[di].name
-		for i, c := range cells {
-			if c.drift != di {
-				continue
-			}
-			if c.adaptive {
-				out[di].Adaptive = mergeAdaptRuns(out[di].Adaptive, runs[i])
-			} else {
-				out[di].Static = mergeAdaptRuns(out[di].Static, runs[i])
-			}
+	for di, dr := range drifts {
+		ofDrift := runs[di*2*tc.Seeds:]
+		out[di] = AdaptDriftResult{
+			Drift:    dr.name,
+			Static:   mergeAdapt(ofDrift[:tc.Seeds]),
+			Adaptive: mergeAdapt(ofDrift[tc.Seeds : 2*tc.Seeds]),
 		}
-		finishAdaptMerge(&out[di].Static, ac.Seeds)
-		finishAdaptMerge(&out[di].Adaptive, ac.Seeds)
 	}
 	return out
 }
 
-// mergeAdaptRuns folds one seed's run into the accumulating cell: counts
-// sum (gauges are averaged afterwards by finishAdaptMerge).
-func mergeAdaptRuns(agg, one AdaptVariantResult) AdaptVariantResult {
-	if agg.Drift == "" {
-		agg.Drift, agg.Variant = one.Drift, one.Variant
-	}
-	for bi, b := range one.Buckets {
-		if bi >= len(agg.Buckets) {
-			agg.Buckets = append(agg.Buckets, AdaptBucket{T: b.T})
+// mergeAdapt folds one cell's per-seed runs together: tallies, message counts,
+// reports and wall clock sum; the fields of the two means() lists average.
+func mergeAdapt(runs []AdaptVariantResult) AdaptVariantResult {
+	agg := AdaptVariantResult{Drift: runs[0].Drift, Variant: runs[0].Variant}
+	for _, one := range runs {
+		for bi := range one.Buckets {
+			b := &one.Buckets[bi]
+			if bi >= len(agg.Buckets) {
+				agg.Buckets = append(agg.Buckets, AdaptBucket{T: b.T})
+			}
+			ab := &agg.Buckets[bi]
+			ab.add(b.Tally)
+			ab.Msgs += b.Msgs
+			addMeans(ab.means(), b.means())
 		}
-		ab := &agg.Buckets[bi]
-		ab.Lookups += b.Lookups
-		ab.Hits += b.Hits
-		ab.Intersects += b.Intersects
-		ab.Msgs += b.Msgs
-		ab.AliveN += b.AliveN
-		ab.NHat += b.NHat
-		ab.Qa += b.Qa
-		ab.Ql += b.Ql
+		agg.add(one.Tally)
+		agg.Msgs += one.Msgs
+		addMeans(agg.means(), one.means())
+		agg.Report.Add(one.Report)
+		agg.WallSecs += one.WallSecs
 	}
-	agg.Lookups += one.Lookups
-	agg.Hits += one.Hits
-	agg.Intersects += one.Intersects
-	agg.Msgs += one.Msgs
-	agg.Resizes += one.Resizes
-	agg.Retunes += one.Retunes
-	agg.Violations += one.Violations
-	if agg.FirstViolation == "" {
-		agg.FirstViolation = one.FirstViolation
+	for bi := range agg.Buckets {
+		divMeans(agg.Buckets[bi].means(), len(runs))
 	}
-	agg.LeakedOps += one.LeakedOps
-	agg.WallSecs += one.WallSecs
+	divMeans(agg.means(), len(runs))
 	return agg
 }
 
-// finishAdaptMerge averages the gauge fields over the merged seeds.
-func finishAdaptMerge(r *AdaptVariantResult, seeds int) {
-	f := float64(seeds)
-	for bi := range r.Buckets {
-		r.Buckets[bi].AliveN /= f
-		r.Buckets[bi].NHat /= f
-		r.Buckets[bi].Qa /= f
-		r.Buckets[bi].Ql /= f
-	}
-	r.Resizes /= f
-	r.Retunes /= f
-}
-
 // runAdaptCell executes one (drift, variant, seed) run.
-func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) AdaptVariantResult {
+func runAdaptCell(tc TierConfig, dr adaptDrift, adaptive bool, seed int64) AdaptVariantResult {
 	const (
 		epsilon       = 0.1
 		warmupSecs    = 30
@@ -331,15 +303,13 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 		readvertise   = 40.0
 		lookupTimeout = 10.0
 	)
-	d := ac.durationSecs()
+	// The horizon-scaled measured span, at least three buckets.
+	d := max(adaptDurationSecs*tc.horizon(), 90)
 
-	sc := Scenario{
-		N: dr.n0, Stack: netstack.StackIdeal, Seed: seed,
-		OracleRouting: true,
-		AvgDegree:     dr.avgDegree,
-		JoinFraction:  dr.joinFraction,
-		WarmupSecs:    warmupSecs,
-	}
+	sc := idealOracleScenario(dr.n0, seed)
+	sc.Link.AvgDegree = dr.avgDegree
+	sc.JoinFraction = dr.joinFraction
+	sc.WarmupSecs = warmupSecs
 	qa, ql := quorum.SizeForEpsilon(dr.n0, epsilon, 1)
 	sc.Quorum = quorum.Config{
 		AdvertiseStrategy: quorum.Random, LookupStrategy: quorum.Random,
@@ -349,7 +319,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 		ReadvertiseSecs: readvertise,
 	}
 	if adaptive {
-		sc.Estimation = membership.EstimationConfig{
+		sc.Members.Estimation = membership.EstimationConfig{
 			Enable: true, ProbeSecs: 10, ProbeWalks: 24,
 		}
 	}
@@ -449,17 +419,7 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 				bi = buckets - 1
 			}
 			res.Buckets[bi].Lookups++
-			res.Lookups++
-			suite.Lookup(origin, key, func(lr quorum.LookupResult) {
-				if lr.Hit {
-					res.Buckets[bi].Hits++
-					res.Hits++
-				}
-				if lr.Intersected {
-					res.Buckets[bi].Intersects++
-					res.Intersects++
-				}
-			})
+			suite.Lookup(origin, key, res.Buckets[bi].record)
 		})
 	}
 
@@ -468,14 +428,10 @@ func runAdaptCell(ac AdaptFigConfig, dr adaptDrift, adaptive bool, seed int64) A
 	engine.Run(loadStart + d + max(qc.AdvertiseTimeoutSecs, qc.LookupHorizon()) + 30)
 
 	for _, b := range res.Buckets {
+		res.add(b.Tally)
 		res.Msgs += b.Msgs
 	}
-	report := suite.Final()
-	res.Violations = report.Violations
-	if len(report.Details) > 0 {
-		res.FirstViolation = report.Details[0].String()
-	}
-	res.LeakedOps = float64(report.LeakedLookups + report.LeakedAds)
+	res.Report = suite.Final()
 	if ctl != nil {
 		st := ctl.Status()
 		res.Resizes = float64(st.Resizes)

@@ -10,7 +10,7 @@ import (
 // bit-identical whether the cells run on one worker or eight — the
 // `pqexp adapt` data lines never depend on -parallel.
 func TestAdaptFigureParallelDeterminism(t *testing.T) {
-	ac := AdaptFigConfig{Seeds: 1, Seed: 3, Horizon: 0.05}
+	ac := TierConfig{Seeds: 1, Seed: 3, Horizon: 0.05}
 
 	serial := ac
 	serial.Parallel = 1
@@ -32,12 +32,8 @@ func TestAdaptFigureParallelDeterminism(t *testing.T) {
 	// every cell, and the adaptive variant's controller actually live.
 	for _, r := range a {
 		for _, v := range []AdaptVariantResult{r.Static, r.Adaptive} {
-			if v.Violations != 0 {
-				t.Fatalf("%s/%s: %d invariant violations, first: %s",
-					r.Drift, v.Variant, v.Violations, v.FirstViolation)
-			}
-			if v.LeakedOps > 0 {
-				t.Fatalf("%s/%s: %.0f leaked ops after drain", r.Drift, v.Variant, v.LeakedOps)
+			if err := verdict(r.Drift+"/"+v.Variant, v.Report); err != nil {
+				t.Fatalf("%v: %v", err, v.Report.Details)
 			}
 			if v.Lookups == 0 {
 				t.Fatalf("%s/%s: no lookups issued", r.Drift, v.Variant)

@@ -60,34 +60,12 @@ const (
 	chaosRegisterOpsPerPhase = 2
 )
 
-// ChaosPhase tallies lookup outcomes for one phase of a chaos run,
-// attributed by issue time.
-type ChaosPhase struct {
-	Lookups, Hits, Intersects int
-}
-
-// HitRatio is the phase's hit fraction.
-func (p ChaosPhase) HitRatio() float64 {
-	return ratio(p.Hits, p.Lookups)
-}
-
-// IntersectRatio is the phase's intersection fraction — the quantity
-// Lemma 5.2 bounds below by 1−ε in the absence of faults.
-func (p ChaosPhase) IntersectRatio() float64 {
-	return ratio(p.Intersects, p.Lookups)
-}
-
-// add folds another phase tally in (cross-seed aggregation).
-func (p *ChaosPhase) add(o ChaosPhase) {
-	p.Lookups += o.Lookups
-	p.Hits += o.Hits
-	p.Intersects += o.Intersects
-}
-
 // ChaosResult is the outcome of one chaos run (or a cross-seed aggregate).
 type ChaosResult struct {
-	// Pre, During, Post are the phase tallies.
-	Pre, During, Post ChaosPhase
+	// Pre, During, Post tally each phase's lookups, attributed by issue
+	// time. Post.IntersectRatio() is what Lemma 5.2 bounds below by 1−ε
+	// once the faults have healed.
+	Pre, During, Post Tally
 	// Report is the invariant checkers' verdict.
 	Report check.Report
 	// Fault-pipeline counters observed over the run.
@@ -103,10 +81,10 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	if cs.N == 0 {
 		cs.N = 50
 	}
-	sc := Scenario{
-		N: cs.N, AvgDegree: 15, Stack: netstack.StackIdeal, Seed: cs.Seed,
-		MembershipRefreshSecs: 5,
-	}
+	var sc Scenario
+	sc.N, sc.Seed = cs.N, cs.Seed
+	sc.Link.AvgDegree, sc.Link.Stack = 15, netstack.StackIdeal
+	sc.Members.RefreshSecs = 5
 	qa, ql := quorum.SizeForEpsilon(cs.N, chaosEpsilon, 1)
 	sc.Quorum = mixConfig(cs.N, quorum.Random, quorum.Random)
 	sc.Quorum.AdvertiseSize, sc.Quorum.LookupSize = qa, ql
@@ -142,21 +120,13 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	// seconds, then runs the engine to the end of the span. Outcomes are
 	// attributed to the phase that issued them even if they resolve
 	// later (retries can outlive an episode — that is the recovery).
-	issuePhase := func(ph *ChaosPhase, span float64) {
+	issuePhase := func(ph *Tally, span float64) {
 		gap := span / float64(chaosLookupsPerPhase+1)
 		for i := 0; i < chaosLookupsPerPhase; i++ {
 			i := i
 			engine.Schedule(float64(i+1)*gap, func() {
 				ph.Lookups++
-				suite.Lookup(net.RandomAliveID(rng), keys[rng.Intn(len(keys))],
-					func(res quorum.LookupResult) {
-						if res.Hit {
-							ph.Hits++
-						}
-						if res.Intersected {
-							ph.Intersects++
-						}
-					})
+				suite.Lookup(net.RandomAliveID(rng), keys[rng.Intn(len(keys))], ph.record)
 			})
 		}
 		for i := 0; i < chaosRegisterOpsPerPhase; i++ {
@@ -227,24 +197,14 @@ func RunChaosSweep(ctx context.Context, scs []ChaosScenario, parallel int) ([]Ch
 	return out, nil
 }
 
-// mergeChaos aggregates per-seed chaos results into one.
+// mergeChaos aggregates per-seed chaos results into one: everything sums.
 func mergeChaos(runs []ChaosResult) ChaosResult {
 	var agg ChaosResult
 	for _, one := range runs {
 		agg.Pre.add(one.Pre)
 		agg.During.add(one.During)
 		agg.Post.add(one.Post)
-		agg.Report.Violations += one.Report.Violations
-		agg.Report.Details = append(agg.Report.Details, one.Report.Details...)
-		agg.Report.Lookups += one.Report.Lookups
-		agg.Report.Hits += one.Report.Hits
-		agg.Report.Intersections += one.Report.Intersections
-		agg.Report.Advertises += one.Report.Advertises
-		agg.Report.Reads += one.Report.Reads
-		agg.Report.Writes += one.Report.Writes
-		agg.Report.StaleReads += one.Report.StaleReads
-		agg.Report.MissedReads += one.Report.MissedReads
-		agg.Report.Outstanding += one.Report.Outstanding
+		agg.Report.Add(one.Report)
 		agg.Dupes += one.Dupes
 		agg.Reorders += one.Reorders
 		agg.PartitionDrops += one.PartitionDrops

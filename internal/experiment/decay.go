@@ -29,12 +29,12 @@ const decayBuckets = 6
 // the residual decay is then the irrecoverable replica loss ε^(1−f).
 func decayScenario(p Profile, n int, seed int64, targetF float64) Scenario {
 	sc := baseScenario(p, n, seed)
-	sc.AvgDegree = 15
+	sc.Link.AvgDegree = 15
 	qa, ql := quorum.SizeForEpsilon(n, decayEpsilon, 1)
 	sc.Quorum = mixConfig(n, quorum.Random, quorum.Random)
 	sc.Quorum.AdvertiseSize = qa
 	sc.Quorum.LookupSize = ql
-	sc.MembershipRefreshSecs = 5
+	sc.Members.RefreshSecs = 5
 	sc.fillDefaults()
 	span := sc.lookupSpanSecs()
 	rate := targetF * float64(n) / span

@@ -41,7 +41,7 @@ func TestDecayMatchesSection61(t *testing.T) {
 			res := RunSeeds(sc, p.Seeds)
 			last := res.Decay[len(res.Decay)-1]
 			if last.Lookups < 50 {
-				t.Fatalf("final bucket has only %.0f lookups", last.Lookups)
+				t.Fatalf("final bucket has only %d lookups", last.Lookups)
 			}
 			// The Poisson process must have churned a meaningful fraction.
 			if last.FailedFrac < f/2 || last.FailedFrac > 2*f {
@@ -62,13 +62,10 @@ func TestDecayMatchesSection61(t *testing.T) {
 // merge identically at parallel 1 and parallel 8.
 func TestChurnSweepDeterminism(t *testing.T) {
 	mk := func(n int, seed int64, rate float64) Scenario {
-		sc := Scenario{
-			N: n, Stack: netstack.StackIdeal, Seed: seed,
-			Advertisements: 6, Lookups: 30, LookupNodes: 4,
-			Quorum:        mixConfig(n, quorum.Random, quorum.Random),
-			ChurnFailRate: rate, ChurnJoinRate: rate,
-			DecayBucketSecs: 3, RxLossProb: 0.05,
-		}
+		sc := testScenario(netstack.StackIdeal, n, seed, 6, 30, 4)
+		sc.Quorum = mixConfig(n, quorum.Random, quorum.Random)
+		sc.ChurnFailRate, sc.ChurnJoinRate = rate, rate
+		sc.DecayBucketSecs, sc.Link.RxLossProb = 3, 0.05
 		sc.Quorum.LookupRetries = 1
 		sc.Quorum.ReadvertiseSecs = 5
 		return sc
@@ -131,15 +128,14 @@ func TestRetryAndReadvertiseRecoverFromBurst(t *testing.T) {
 	}
 	// Compare the post-burst tail (final two buckets, live-origin lookups).
 	tail := func(res Result) float64 {
-		var lk, hits float64
+		var tail Tally
 		for _, d := range res.Decay[len(res.Decay)-2:] {
-			lk += d.Lookups
-			hits += d.Hits
+			tail.add(d.Tally)
 		}
-		if lk == 0 {
+		if tail.Lookups == 0 {
 			t.Fatal("empty tail buckets")
 		}
-		return hits / lk
+		return tail.HitRatio()
 	}
 	bh, th, fh := tail(base), tail(retry), tail(full)
 	if th < bh+0.03 {

@@ -4,7 +4,11 @@
 // injects churn between the phases when asked, and reports the metrics the
 // figures plot — hit ratio, intersection probability, messages per
 // operation with and without routing overhead, and reply-drop counts —
-// averaged over seeds.
+// averaged over seeds. Lookup outcomes are counted in one type, Tally, by
+// every workload in the package (the two-phase run's decay buckets, the chaos
+// phases, the adapt trajectories); a merge over seeds sums tallies and the
+// counters of quorum.Counters and check.Report through their own Add, and
+// averages only what Result.means lists.
 package experiment
 
 import (
@@ -15,33 +19,24 @@ import (
 
 	"probquorum/internal/check"
 	"probquorum/internal/churn"
-	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
 	"probquorum/internal/stack"
 )
 
-// Scenario describes one simulation run. Zero values take the paper's
-// defaults (Fig. 2) where they exist.
+// Scenario is one simulation run: the stack to build (the embedded Spec — its
+// fields are promoted, so sc.N, sc.Seed, sc.Quorum, sc.Link.Stack,
+// sc.Members.RefreshSecs are the stack's own options, documented there) plus
+// the paper's two-phase workload and the churn injected around it. Zero values
+// take the paper's defaults (Fig. 2) where they exist; N defaults to 100, and
+// Spec.JoinSlots is owned by the run, which sizes it from the churn settings.
 type Scenario struct {
-	// N is the node count (paper: 50–800).
-	N int
-	// AvgDegree is the target density (paper default: 10).
-	AvgDegree float64
-	// Stack selects fidelity; default netstack.StackSINR.
-	Stack netstack.StackKind
-	// SpeedMin/SpeedMax are random-waypoint speeds in m/s; both zero
-	// means a static network. Paper default mobile range: 0.5–2.
-	SpeedMin, SpeedMax float64
-	// Quorum is the strategy mix and sizing.
-	Quorum quorum.Config
+	stack.Spec
 	// Advertisements and Lookups size the workload (paper: 100 and 1000,
 	// the latter from LookupNodes=25 random nodes).
 	Advertisements, Lookups, LookupNodes int
 	// WarmupSecs runs the network before the workload (paper: 200).
 	WarmupSecs float64
-	// Seed drives all randomness.
-	Seed int64
 	// FailFraction / JoinFraction inject churn between the phases: the
 	// fraction of N to crash and to newly join (Section 8.7). Joining
 	// nodes are pre-allocated and kept down until the churn point.
@@ -63,73 +58,18 @@ type Scenario struct {
 	// time into Result.Decay — the measured intersection probability over
 	// time as churn accumulates, comparable to §6.1's ε^(1−f(t)).
 	DecayBucketSecs float64
-	// RxLossProb drops each received frame at the receiver with this
-	// probability on any stack (per-hop loss injection; counted under
-	// netstack.CtrLossDrops).
-	RxLossProb float64
-	// MembershipRefreshSecs overrides the membership view refresh period
-	// (default 30 s). Under continuous churn the refresh period bounds how
-	// stale views get — §6.1's closed forms assume fresh membership, so the
-	// decay-validation runs shorten it.
-	MembershipRefreshSecs float64
-	// Estimation enables the membership layer's continuous network-size
-	// estimator (birthday-paradox over walk samples) for adaptive runs.
-	Estimation membership.EstimationConfig
 	// AdjustLookupSize recomputes |Qℓ| for the post-churn network size
 	// (Section 6.1's "adjusted" variant, used by Fig. 14(f)).
 	AdjustLookupSize bool
-	// LossProb is per-attempt loss for the ideal stack.
-	LossProb float64
-	// IdealHopDelay adds fixed per-hop latency on the ideal stack,
-	// surfacing mobility-induced path breakage (Fig. 13) without the
-	// full SINR stack's cost.
-	IdealHopDelay float64
-	// OracleRouting replaces AODV with the zero-overhead oracle router,
-	// isolating the paper's "cost of establishing the routes" from the
-	// "cost of using the routes" (Section 4.1).
-	OracleRouting bool
 	// LookupAbsentKeys makes every lookup query a never-advertised key,
 	// measuring the paper's "cost of a lookup miss" (Fig. 16): the whole
 	// target quorum is paid, with no early-halting savings.
 	LookupAbsentKeys bool
-	// CellNoise selects the SINR stack's cell-aggregated far-field
-	// interference model (netstack.Config.CellNoise; SINR only, ignored
-	// by the disk and ideal stacks) — the approximate scale-out mode used
-	// by the mega scenario.
-	CellNoise bool
-	// Shards sets the engine's sharded-phase width (sim.SetShards): the
-	// route cache's prefetch phase fans out across this many goroutines.
-	// Results are bit-identical at any setting; 0 or 1 runs serially
-	// (DESIGN.md §15).
-	Shards int
-	// LazyMembership switches the membership service to draw-on-demand
-	// views (membership.Config.Lazy): O(1) refreshes and no materialized
-	// [][]int views — the memory posture the mega/giga tiers need. Lazy
-	// draws are a different (equally uniform) sample than the eager shared
-	// stream, so recorded eager figures keep this off.
-	LazyMembership bool
-	// RouteCache puts the oracle router's route-tree cache
-	// (aodv.EnableRouteCache, one-second TTL) on a heartbeat stack, where
-	// aodv.NewOracle does not install it by itself. Requires OracleRouting.
-	// Cached trees see heartbeat-graph changes only on the version/TTL
-	// boundary, so recorded figures keep it off.
-	RouteCache bool
-	// OracleNeighbors swaps the heartbeat neighbor protocol for the
-	// geometric oracle provider (no beacon traffic) — the giga tier's way
-	// to drop 100k nodes' beacon load from the PHY while keeping the
-	// routed workload honest.
-	OracleNeighbors bool
 }
 
 func (sc *Scenario) fillDefaults() {
 	if sc.N == 0 {
 		sc.N = 100
-	}
-	if sc.AvgDegree == 0 {
-		sc.AvgDegree = 10
-	}
-	if sc.Stack == 0 {
-		sc.Stack = netstack.StackSINR
 	}
 	if sc.Advertisements == 0 {
 		sc.Advertisements = 100
@@ -141,7 +81,7 @@ func (sc *Scenario) fillDefaults() {
 		sc.LookupNodes = 25
 	}
 	if sc.WarmupSecs == 0 {
-		if sc.Stack == netstack.StackIdeal {
+		if sc.Link.Stack == netstack.StackIdeal {
 			sc.WarmupSecs = 30
 		} else {
 			sc.WarmupSecs = 60
@@ -222,14 +162,14 @@ type Result struct {
 	// Counters are the quorum protocol diagnostics.
 	Counters quorum.Counters
 	// Decay holds the per-time-bucket lookup outcomes when
-	// DecayBucketSecs is set (counts are sums over merged runs).
+	// DecayBucketSecs is set (tallies are sums over merged runs).
 	Decay []DecayPoint
 	// LeakedOps counts operations still registered in the quorum system's
 	// pending maps after the final drain (summed over merged runs) — the
 	// drain assertion of the op-termination leak audit. Any nonzero value
 	// is a leaked termination path: under open-loop load it is unbounded
 	// memory, so tests gate it at exactly zero.
-	LeakedOps float64
+	LeakedOps int
 	// Violations counts breaches of the invariant suite every run is armed
 	// with (internal/check; summed over merged runs). Always zero unless
 	// there is a bug.
@@ -237,6 +177,50 @@ type Result struct {
 	// Runs is how many seeds were averaged.
 	Runs int
 }
+
+// means lists the fields a merge averages over seeds; every other number in a
+// Result is a sum. Ratios and latencies here have per-seed denominators, so
+// the merged value is the mean of the per-seed values, not a pooled ratio.
+func (r *Result) means() []*float64 {
+	return []*float64{
+		&r.HitRatio, &r.IntersectRatio, &r.ReplyDropRatio,
+		&r.AdvertiseAppMsgs, &r.AdvertiseRoutingMsgs, &r.LookupAppMsgs, &r.LookupRoutingMsgs,
+		&r.AvgPlaced, &r.AvgLatency, &r.AvgHopLatency,
+		&r.LossDrops, &r.ChurnFails, &r.ChurnJoins,
+	}
+}
+
+// Tally is the paper's outcome triple, the one counter of lookup outcomes the
+// package has: lookups issued, lookups whose reply reached the origin (§8's
+// hit ratio), and lookups whose quorum touched a holder of the key whatever
+// became of the reply (the event Lemma 5.2 bounds below by 1−ε). Merged runs
+// sum it.
+type Tally struct {
+	Lookups, Hits, Intersects int
+}
+
+// record counts one finished lookup's outcome; the issuer counts Lookups.
+func (t *Tally) record(r quorum.LookupResult) {
+	if r.Hit {
+		t.Hits++
+	}
+	if r.Intersected {
+		t.Intersects++
+	}
+}
+
+// add sums another tally in.
+func (t *Tally) add(o Tally) {
+	t.Lookups += o.Lookups
+	t.Hits += o.Hits
+	t.Intersects += o.Intersects
+}
+
+// HitRatio is the measured hit fraction.
+func (t Tally) HitRatio() float64 { return ratio(t.Hits, t.Lookups) }
+
+// IntersectRatio is the measured intersection fraction.
+func (t Tally) IntersectRatio() float64 { return ratio(t.Intersects, t.Lookups) }
 
 // DecayPoint is one time bucket of the decay-over-time measurement: the
 // outcomes of lookups *issued* within [T, T+DecayBucketSecs) seconds of the
@@ -246,51 +230,22 @@ type Result struct {
 type DecayPoint struct {
 	// T is the bucket start, seconds since the lookup phase began.
 	T float64
-	// Lookups, Hits, Intersects count issued lookups and their outcomes
-	// (float64 so merged runs sum without conversion).
-	Lookups, Hits, Intersects float64
+	Tally
 	// FailedFrac is f(t) = cumulative fails / N sampled at the bucket
 	// end, averaged over merged runs. 1−ε^(1−f(t)) is the §6.1 predicted
 	// intersection probability for this bucket.
 	FailedFrac float64
 }
 
-// HitRatio is the bucket's measured hit fraction.
-func (d DecayPoint) HitRatio() float64 {
-	return ratio(d.Hits, d.Lookups)
-}
+// means lists what a merge averages in a bucket: the sampled churned fraction.
+func (d *DecayPoint) means() []*float64 { return []*float64{&d.FailedFrac} }
 
-// IntersectRatio is the bucket's measured intersection fraction.
-func (d DecayPoint) IntersectRatio() float64 {
-	return ratio(d.Intersects, d.Lookups)
-}
-
-// spec maps the scenario onto the stack assembler's inputs. Call after
-// fillDefaults.
-func (sc *Scenario) spec() stack.Spec {
-	sp := stack.Spec{
-		N: sc.N, JoinSlots: sc.joinSlots(), Seed: sc.Seed, Shards: sc.Shards,
-		Link: netstack.Config{
-			AvgDegree: sc.AvgDegree, Stack: sc.Stack, CellNoise: sc.CellNoise,
-			LossProb: sc.LossProb, RxLossProb: sc.RxLossProb, IdealHopDelay: sc.IdealHopDelay,
-		},
-		SpeedMin: sc.SpeedMin, SpeedMax: sc.SpeedMax,
-		OracleRouting: sc.OracleRouting, RouteCache: sc.RouteCache,
-		Members: membership.Config{
-			RefreshSecs: sc.MembershipRefreshSecs, Estimation: sc.Estimation, Lazy: sc.LazyMembership,
-		},
-		Quorum: sc.Quorum,
-	}
-	if sc.OracleNeighbors {
-		sp.Link.Neighbors = netstack.NeighborsOracle
-	}
-	return sp
-}
-
-// build assembles the scenario's stack, invariant suite armed.
+// build assembles the scenario's stack, invariant suite armed, with the join
+// pool the churn settings need.
 func (sc Scenario) build() *stack.Stack {
 	sc.fillDefaults()
-	return stack.Build(sc.spec())
+	sc.JoinSlots = sc.joinSlots()
+	return stack.Build(sc.Spec)
 }
 
 // Run executes one scenario and returns its measurements.
@@ -406,12 +361,7 @@ func run(sc Scenario) (Result, check.Report) {
 					latencySum += r.Latency
 				}
 				if bucket >= 0 {
-					if r.Hit {
-						decay[bucket].Hits++
-					}
-					if r.Intersected {
-						decay[bucket].Intersects++
-					}
+					decay[bucket].record(r)
 				}
 			})
 		})
@@ -427,7 +377,7 @@ func run(sc Scenario) (Result, check.Report) {
 	// in flight, not leaked).
 	rep := suite.Final()
 	res := Result{Runs: 1, Counters: sys.Counters(), Decay: decay, Violations: rep.Violations}
-	res.LeakedOps = float64(rep.LeakedLookups + rep.LeakedAds)
+	res.LeakedOps = rep.LeakedLookups + rep.LeakedAds
 	res.AvgHopLatency = net.Stats().Latency(netstack.LatHop).Mean()
 	res.LossDrops = float64(net.Stats().Get(netstack.CtrLossDrops))
 	if proc != nil {

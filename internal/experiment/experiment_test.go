@@ -7,14 +7,23 @@ import (
 
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
+	"probquorum/internal/stack"
 )
 
-func quickScenario(seed int64) Scenario {
+// testScenario is a RANDOM × UNIQUE-PATH run of the two-phase workload at the
+// paper's default sizes.
+func testScenario(kind netstack.StackKind, n int, seed int64, ads, lookups, lookupNodes int) Scenario {
 	return Scenario{
-		N: 80, Stack: netstack.StackIdeal, Seed: seed,
-		Advertisements: 10, Lookups: 60, LookupNodes: 5,
-		Quorum: mixConfig(80, quorum.Random, quorum.UniquePath),
+		Spec: stack.Spec{
+			N: n, Seed: seed, Link: netstack.Config{Stack: kind},
+			Quorum: mixConfig(n, quorum.Random, quorum.UniquePath),
+		},
+		Advertisements: ads, Lookups: lookups, LookupNodes: lookupNodes,
 	}
+}
+
+func quickScenario(seed int64) Scenario {
+	return testScenario(netstack.StackIdeal, 80, seed, 10, 60, 5)
 }
 
 func TestRunBasicMetrics(t *testing.T) {
@@ -63,7 +72,7 @@ func TestRunSeedsAverages(t *testing.T) {
 func TestChurnScenario(t *testing.T) {
 	sc := quickScenario(3)
 	sc.N = 100
-	sc.AvgDegree = 15
+	sc.Link.AvgDegree = 15
 	sc.Quorum = mixConfig(100, quorum.Random, quorum.UniquePath)
 	sc.FailFraction, sc.JoinFraction = 0.3, 0.3
 	sc.AdjustLookupSize = true
@@ -158,11 +167,7 @@ func TestSINRStackScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-fidelity run")
 	}
-	sc := Scenario{
-		N: 60, Stack: netstack.StackSINR, Seed: 2,
-		Advertisements: 5, Lookups: 25, LookupNodes: 5,
-		Quorum: mixConfig(60, quorum.Random, quorum.UniquePath),
-	}
+	sc := testScenario(netstack.StackSINR, 60, 2, 5, 25, 5)
 	r := Run(sc)
 	if r.HitRatio < 0.5 {
 		t.Fatalf("SINR-stack hit ratio %v", r.HitRatio)
@@ -333,11 +338,7 @@ func TestRunArmsTheInvariantSuite(t *testing.T) {
 // quorum of 30 at n=100 used to place at most 20 replicas — silently. The
 // stack assembler sizes the view for the configured RANDOM quorum.
 func TestRandomQuorumAboveDefaultViewIsNotClamped(t *testing.T) {
-	sc := Scenario{
-		N: 100, Stack: netstack.StackIdeal, Seed: 1,
-		Advertisements: 10, Lookups: 1, LookupNodes: 1,
-		Quorum: mixConfig(100, quorum.Random, quorum.UniquePath),
-	}
+	sc := testScenario(netstack.StackIdeal, 100, 1, 10, 1, 1)
 	sc.Quorum.AdvertiseSize = 30
 	if r := Run(sc); r.AvgPlaced <= 20 {
 		t.Errorf("|Qa|=30 at n=100 placed %.1f replicas on average: clamped to the 2√n=20 view", r.AvgPlaced)

@@ -10,6 +10,7 @@ import (
 	"probquorum/internal/graph"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
+	"probquorum/internal/stack"
 )
 
 // Table is one figure's (or table's) data, renderable as aligned text.
@@ -44,7 +45,7 @@ type Profile struct {
 	// Parallel is the worker-pool size used by RunSweep for the
 	// simulation-backed figures; 0 means runtime.GOMAXPROCS(0).
 	Parallel int
-	// Shards is the per-engine sharded-phase width (Scenario.Shards):
+	// Shards is the per-engine sharded-phase width (stack.Spec.Shards):
 	// bit-identical results at any setting, and orthogonal to Parallel,
 	// which runs whole seeds concurrently.
 	Shards int
@@ -88,9 +89,8 @@ func ratio[T int | float64](part, whole T) float64 {
 
 func baseScenario(p Profile, n int, seed int64) Scenario {
 	return Scenario{
-		N: n, Stack: p.Stack, Seed: seed,
+		Spec:           stack.Spec{N: n, Seed: seed, Shards: p.Shards, Link: netstack.Config{Stack: p.Stack}},
 		Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
-		Shards: p.Shards,
 	}
 }
 
@@ -188,8 +188,7 @@ func Fig4(p Profile, seed int64) []Table {
 
 // FloodCoverageOnce measures nodes covered by floods of each TTL.
 func FloodCoverageOnce(p Profile, n int, davg float64, ttls []int, seed int64) []float64 {
-	sc := Scenario{N: n, AvgDegree: davg, Stack: p.Stack, Seed: seed}
-	sc.fillDefaults()
+	sc := Scenario{Spec: stack.Spec{N: n, Link: netstack.Config{AvgDegree: davg, Stack: p.Stack}}}
 	out := make([]float64, len(ttls))
 	for i, ttl := range ttls {
 		total := 0.0

@@ -236,7 +236,7 @@ var figSpeeds = []float64{2, 5, 10, 20}
 func fastMobility(p Profile, seed int64, speed float64, repair bool) Scenario {
 	sc := baseScenario(p, p.BigN, seed)
 	sc.SpeedMin, sc.SpeedMax = 0.5, speed
-	sc.IdealHopDelay = mobilityHopDelay
+	sc.Link.IdealHopDelay = mobilityHopDelay
 	sc.Quorum = mixConfig(p.BigN, quorum.Random, quorum.UniquePath)
 	sc.Quorum.ReplyLocalRepair = repair
 	return sc
@@ -302,7 +302,7 @@ func fig14f(p Profile, seed int64) Table {
 	var sw points
 	for _, f := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		sc := baseScenario(p, n, seed+37)
-		sc.AvgDegree = 15 // the paper's churn setup keeps the net connected
+		sc.Link.AvgDegree = 15 // the paper's churn setup keeps the net connected
 		sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
 		sc.Quorum.AdvertiseSize, sc.Quorum.LookupSize = qa, ql
 		sc.FailFraction, sc.JoinFraction = f, f

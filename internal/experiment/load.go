@@ -5,7 +5,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -32,18 +31,6 @@ import (
 // the strategies under load; the SINR stack would measure MAC contention
 // instead.
 
-// LoadConfig selects a load run; its shape is the constants below.
-type LoadConfig struct {
-	// Seed drives all randomness.
-	Seed int64
-	// Parallel is the worker-pool width across strategy mixes (0 = all
-	// cores). The data table is bit-identical at any setting.
-	Parallel int
-	// Horizon scales the run down for smoke tests: node count and
-	// duration shrink by min(1, Horizon) when in (0,1).
-	Horizon float64
-}
-
 const (
 	// loadN nodes issue for loadDurationSecs at full horizon.
 	loadN            = 300
@@ -61,10 +48,10 @@ const (
 	loadMaxInFlight = 8
 )
 
-// size is the horizon-scaled node count (at least 40) and issue-phase length
-// (at least 15 s).
-func (lc LoadConfig) size() (n int, durationSecs float64) {
-	h := clampHorizon(lc.Horizon)
+// loadSize is the horizon-scaled node count (at least 40) and issue-phase
+// length (at least 15 s).
+func loadSize(tc TierConfig) (n int, durationSecs float64) {
+	h := tc.horizon()
 	return max(int(loadN*h), 40), max(loadDurationSecs*h, 15)
 }
 
@@ -91,7 +78,7 @@ func loadMixes() []loadMix {
 }
 
 // LoadMixResult is one mix's outcomes. Every field except WallSecs is a
-// pure function of (LoadConfig, mix, seed).
+// pure function of (TierConfig, mix).
 type LoadMixResult struct {
 	Mix     string
 	Arrival workload.Arrival
@@ -139,36 +126,39 @@ func benchToken(name string) string {
 	return b.String()
 }
 
-// procsSuffix is the "-<GOMAXPROCS>" that go test appends to benchmark names
-// (nothing at 1). The figures' bench lines carry it so a BENCH.json entry
-// records the host width it was measured at.
-func procsSuffix() string {
-	if n := runtime.GOMAXPROCS(0); n != 1 {
-		return fmt.Sprintf("-%d", n)
-	}
-	return ""
-}
-
 // BenchLine renders the mix in go-bench format for cmd/benchjson: one
 // iteration whose ns/op is the mix's wall clock, plus the throughput,
 // latency, saturation, and skew metrics as custom units.
 func (r LoadMixResult) BenchLine() string {
-	return fmt.Sprintf("BenchmarkLoad/mix=%s/arrival=%v%s 1 %d ns/op %.1f ops/sec %.2f p50-ms %.2f p99-ms %d shed %.3f serve-skew",
-		benchToken(r.Mix), r.Arrival, procsSuffix(), int64(r.WallSecs*1e9),
-		r.OpsPerSec, r.P50*1e3, r.P99*1e3, r.WL.Shed, r.ServeSkew)
+	return benchLine(fmt.Sprintf("Load/mix=%s/arrival=%v", benchToken(r.Mix), r.Arrival), r.WallSecs,
+		fmt.Sprintf("%.1f ops/sec %.2f p50-ms %.2f p99-ms %d shed %.3f serve-skew",
+			r.OpsPerSec, r.P50*1e3, r.P99*1e3, r.WL.Shed, r.ServeSkew))
 }
 
-// RunLoad executes every mix of the load figure on a pool of lc.Parallel
+// Load is the load tier: the data table (bit-identical at any Parallel) and
+// one bench line per strategy mix.
+func Load(tc TierConfig) ([]Table, []string, error) {
+	results := RunLoad(tc)
+	var bench []string
+	var reports []check.Report
+	for _, r := range results {
+		bench = append(bench, r.BenchLine())
+		reports = append(reports, r.Report)
+	}
+	return []Table{LoadTable(tc, results)}, bench, verdict("load", reports...)
+}
+
+// RunLoad executes every mix of the load figure on a pool of tc.Parallel
 // workers. Results are in mix order and bit-identical at any Parallel
 // setting: each mix owns an isolated stack and the merge is by
 // index.
-func RunLoad(lc LoadConfig) []LoadMixResult {
+func RunLoad(tc TierConfig) []LoadMixResult {
 	mixes := loadMixes()
 	out := make([]LoadMixResult, len(mixes))
 	// Background context never cancels, so the error is impossible.
-	_ = forEachJob(context.Background(), len(mixes), lc.Parallel, func(i int) {
+	_ = forEachJob(context.Background(), len(mixes), tc.Parallel, func(i int) {
 		start := time.Now()
-		out[i] = runLoadMix(lc, mixes[i])
+		out[i] = runLoadMix(tc, mixes[i])
 		out[i].WallSecs = time.Since(start).Seconds()
 	})
 	return out
@@ -177,12 +167,9 @@ func RunLoad(lc LoadConfig) []LoadMixResult {
 // runLoadMix runs one strategy/traffic mix: warmup, a seeding phase that
 // advertises the whole key table, then the open-loop load phase with the
 // stats snapshot diffed around it.
-func runLoadMix(lc LoadConfig, m loadMix) LoadMixResult {
-	n, durationSecs := lc.size()
-	sc := Scenario{
-		N: n, Stack: netstack.StackIdeal, Seed: lc.Seed,
-		OracleRouting: true,
-	}
+func runLoadMix(tc TierConfig, m loadMix) LoadMixResult {
+	n, durationSecs := loadSize(tc)
+	sc := idealOracleScenario(n, tc.Seed)
 	sc.Quorum = mixConfig(n, m.adv, m.lk)
 	sc.fillDefaults()
 	st := sc.build()
@@ -286,8 +273,8 @@ func serveSkew(counts []int64) float64 {
 // LoadTable renders the figure's data table. It contains no wall-clock
 // field, so the rendered text is bit-identical at any Parallel
 // setting — the property TestLoadFigureParallelDeterminism locks in.
-func LoadTable(lc LoadConfig, results []LoadMixResult) Table {
-	n, durationSecs := lc.size()
+func LoadTable(tc TierConfig, results []LoadMixResult) Table {
+	n, durationSecs := loadSize(tc)
 	var rows [][]string
 	for _, r := range results {
 		rows = append(rows, []string{

@@ -10,7 +10,7 @@ import (
 // bit-identical whether the mixes run on one worker or eight — the
 // `pqexp load` data lines never depend on -parallel.
 func TestLoadFigureParallelDeterminism(t *testing.T) {
-	lc := LoadConfig{Seed: 5, Horizon: 0.08}
+	lc := TierConfig{Seed: 5, Horizon: 0.08}
 
 	serial := lc
 	serial.Parallel = 1

@@ -10,9 +10,11 @@ import (
 	"probquorum/internal/check"
 	"probquorum/internal/churn"
 	"probquorum/internal/faults"
+	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
 	"probquorum/internal/sim"
+	"probquorum/internal/stack"
 )
 
 // The mega scenario is the scale exercise behind DESIGN.md §12: a ≥10k-node
@@ -25,26 +27,6 @@ import (
 // measures flooding rather than the quorum system, so the oracle isolates
 // the PHY/scale cost (Section 4.1's cost-of-using-the-routes framing).
 
-// MegaConfig sizes a mega run. Zero values take scale-appropriate defaults.
-type MegaConfig struct {
-	// N is the node count (default 10000; the point of the exercise).
-	N int
-	// Seed drives all randomness.
-	Seed int64
-	// Shards is the engine's sharded-phase width (0 = serial): the route
-	// cache's bulk prefetch fans tree builds across this many goroutines.
-	// Bit-identical at any setting (DESIGN.md §15).
-	Shards int
-	// Giga selects the 100k-tier preset: N defaults to 100000 and neighbor
-	// discovery switches to the geometric oracle provider (100k beaconing
-	// nodes would swamp the PHY with traffic that measures nothing), and
-	// results report under the BenchmarkGigaScenario name.
-	Giga bool
-	// Horizon scales the whole run down for smoke tests: it multiplies
-	// the workload counts and spans by min(1, Horizon) when in (0,1).
-	Horizon float64
-}
-
 // The workload of a full-horizon run: 30 advertisements one second apart, then
 // 60 lookups half a second apart from 12 origins, after a 30 s warm-up, with
 // two fault episodes at quarter severity over the lookup phase.
@@ -55,32 +37,6 @@ const (
 	megaWarmupSecs     = 30.0
 	megaSeverity       = 0.25
 )
-
-func (mc *MegaConfig) fillDefaults() {
-	if mc.Giga && mc.N == 0 {
-		mc.N = 100000
-	}
-	if mc.N == 0 {
-		mc.N = 10000
-	}
-	mc.Horizon = clampHorizon(mc.Horizon)
-}
-
-// clampHorizon reads a tier's Horizon: a fraction in (0,1) scales the run
-// down, anything else is the full run.
-func clampHorizon(h float64) float64 {
-	if h <= 0 || h > 1 {
-		return 1
-	}
-	return h
-}
-
-// workload is the horizon-scaled size of the run: advertisement and lookup
-// counts (at least 2) and the warm-up (at least 5 s). Call after fillDefaults.
-func (mc *MegaConfig) workload() (advertisements, lookups int, warmupSecs float64) {
-	scale := func(v int) int { return max(int(float64(v)*mc.Horizon), 2) }
-	return scale(megaAdvertisements), scale(megaLookups), max(megaWarmupSecs*mc.Horizon, 5)
-}
 
 // MegaResult is one mega run's protocol outcomes plus its process-level
 // cost metrics.
@@ -123,8 +79,8 @@ func (r MegaResult) BenchLine() string {
 	if r.Giga {
 		name = "Giga"
 	}
-	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
-		name, r.N, r.Shards, procsSuffix(), int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
+	return benchLine(fmt.Sprintf("%sScenario/n=%d/shards=%d", name, r.N, r.Shards), r.WallSecs,
+		fmt.Sprintf("%d B/op %d allocs/op %d peak-heap-B %d events", r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events))
 }
 
 // Table renders the run for pqexp output.
@@ -150,14 +106,38 @@ func (r MegaResult) Table() Table {
 	}
 }
 
-// RunMega executes one mega scenario. The simulation outcome depends on the
-// seed and model knobs, never on Shards (a throughput knob).
-func RunMega(mc MegaConfig) MegaResult {
-	mc.fillDefaults()
-	advertisements, lookups, warmupSecs := mc.workload()
+// Mega is the 10k-node scale tier: the run's table and its bench line.
+func Mega(tc TierConfig) ([]Table, []string, error) { return scaleTier("mega", tc, false) }
+
+// Giga is the 100k-node scale tier (see RunMega for what it changes).
+func Giga(tc TierConfig) ([]Table, []string, error) { return scaleTier("giga", tc, true) }
+
+func scaleTier(name string, tc TierConfig, giga bool) ([]Table, []string, error) {
+	res := RunMega(tc, giga)
+	return []Table{res.Table()}, []string{res.BenchLine()}, verdict(name, res.Report)
+}
+
+// RunMega executes one mega scenario at tc.N nodes (default 10000). giga
+// selects the 100k-tier preset: N defaults to 100000, neighbor discovery
+// switches to the geometric oracle provider (100k beaconing nodes would swamp
+// the PHY with traffic that measures nothing), and results report under the
+// BenchmarkGigaScenario name. The simulation outcome depends on the seed and
+// model knobs, never on Shards (a throughput knob).
+func RunMega(tc TierConfig, giga bool) MegaResult {
+	n := tc.N
+	if n == 0 {
+		n = 10000
+		if giga {
+			n = 100000
+		}
+	}
+	// The horizon-scaled workload: counts at least 2, warm-up at least 5 s.
+	h := tc.horizon()
+	scale := func(v int) int { return max(int(float64(v)*h), 2) }
+	advertisements, lookups, warmupSecs := scale(megaAdvertisements), scale(megaLookups), max(megaWarmupSecs*h, 5)
 	// Continuous fail and join rate in nodes/sec over the lookup phase:
 	// 0.5/s at 10k.
-	churnRate := float64(mc.N) / 20000
+	churnRate := float64(n) / 20000
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -165,24 +145,26 @@ func RunMega(mc MegaConfig) MegaResult {
 	startWall := time.Now()
 
 	sc := Scenario{
-		N: mc.N, Stack: netstack.StackSINR, Seed: mc.Seed,
-		Shards: mc.Shards, CellNoise: true, OracleRouting: true,
-		// The scale posture: draw-on-demand membership views and cached
-		// route trees with sharded prefetch. The 100k tier takes its
-		// neighbor lists from the geometric provider (see MegaConfig.Giga),
-		// where the oracle router caches by itself.
-		LazyMembership:  true,
-		RouteCache:      true,
-		OracleNeighbors: mc.Giga,
+		Spec: stack.Spec{
+			N: n, Seed: tc.Seed, Shards: tc.Shards,
+			Link: netstack.Config{Stack: netstack.StackSINR, CellNoise: true},
+			// The scale posture: draw-on-demand membership views and cached
+			// route trees with sharded prefetch.
+			OracleRouting: true, RouteCache: true,
+			Members: membership.Config{RefreshSecs: 20, Lazy: true},
+			Quorum:  mixConfig(n, quorum.Random, quorum.Random),
+		},
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: churnRate, ChurnJoinRate: churnRate,
-		ChurnDurationSecs:     float64(lookups) * 0.5,
-		MembershipRefreshSecs: 20,
-		Advertisements:        advertisements,
-		Lookups:               lookups, LookupNodes: megaLookupNodes,
+		ChurnDurationSecs: float64(lookups) * 0.5,
+		Advertisements:    advertisements,
+		Lookups:           lookups, LookupNodes: megaLookupNodes,
 		WarmupSecs: warmupSecs,
 	}
-	sc.Quorum = mixConfig(mc.N, quorum.Random, quorum.Random)
+	if giga {
+		// Geometric neighbor lists, where the oracle router caches by itself.
+		sc.Link.Neighbors = netstack.NeighborsOracle
+	}
 
 	st := sc.build()
 	engine, net, suite := st.Engine, st.Net, st.Suite
@@ -224,12 +206,12 @@ func RunMega(mc MegaConfig) MegaResult {
 		HorizonSecs: lookupSpan,
 		Episodes:    2,
 		Severity:    megaSeverity,
-		N:           mc.N,
+		N:           n,
 	}))
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: mc.N, Shards: mc.Shards, Giga: mc.Giga}
+	res := MegaResult{N: n, Shards: tc.Shards, Giga: giga}
 	origins := make([]int, megaLookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)

@@ -18,15 +18,14 @@ import (
 // provider, whose symmetric lists turn the prefetch items into lenses that
 // all read the origin's field (DESIGN.md §15).
 func shardsScenario(shards int, oracleNeighbors bool) Scenario {
-	sc := Scenario{
-		N: 120, Stack: netstack.StackSINR, Seed: 9,
-		Advertisements: 8, Lookups: 40, LookupNodes: 8,
-		ChurnFailRate: 0.2, ChurnJoinRate: 0.2,
-		OracleRouting: true, RouteCache: true, LazyMembership: true,
-		OracleNeighbors: oracleNeighbors,
-		Shards:          shards,
-	}
+	sc := testScenario(netstack.StackSINR, 120, 9, 8, 40, 8)
 	sc.Quorum = mixConfig(sc.N, quorum.Random, quorum.Random)
+	sc.ChurnFailRate, sc.ChurnJoinRate = 0.2, 0.2
+	sc.OracleRouting, sc.RouteCache, sc.Members.Lazy = true, true, true
+	if oracleNeighbors {
+		sc.Link.Neighbors = netstack.NeighborsOracle
+	}
+	sc.Shards = shards
 	return sc
 }
 

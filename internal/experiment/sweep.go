@@ -110,75 +110,46 @@ feed:
 	return ctx.Err()
 }
 
+// addMeans adds each of src's averaged fields to dst's; divMeans divides them
+// by the number of runs merged. Together with the means() lists they are how
+// every merge in the package averages: sum in slice order, divide once.
+func addMeans(dst, src []*float64) {
+	for i, p := range dst {
+		*p += *src[i]
+	}
+}
+
+func divMeans(dst []*float64, runs int) {
+	for _, p := range dst {
+		*p /= float64(runs)
+	}
+}
+
 // mergeRuns averages per-seed results into one Result, accumulating in
-// slice order so the merge is independent of run completion order.
+// slice order so the merge is independent of run completion order. Counters,
+// bucket tallies, leaks and violations stay sums (a nonzero leak must survive
+// averaging; bucket ratios come from the tallies); the fields of the result's
+// and the buckets' means() average.
 func mergeRuns(runs []Result) Result {
 	var agg Result
 	for _, one := range runs {
-		agg.HitRatio += one.HitRatio
-		agg.IntersectRatio += one.IntersectRatio
-		agg.ReplyDropRatio += one.ReplyDropRatio
-		agg.AdvertiseAppMsgs += one.AdvertiseAppMsgs
-		agg.AdvertiseRoutingMsgs += one.AdvertiseRoutingMsgs
-		agg.LookupAppMsgs += one.LookupAppMsgs
-		agg.LookupRoutingMsgs += one.LookupRoutingMsgs
-		agg.AvgPlaced += one.AvgPlaced
-		agg.AvgLatency += one.AvgLatency
-		agg.AvgHopLatency += one.AvgHopLatency
-		agg.LossDrops += one.LossDrops
-		agg.ChurnFails += one.ChurnFails
-		agg.ChurnJoins += one.ChurnJoins
+		addMeans(agg.means(), one.means())
+		agg.Counters.Add(one.Counters)
 		for bi, d := range one.Decay {
 			if bi >= len(agg.Decay) {
 				agg.Decay = append(agg.Decay, DecayPoint{T: d.T})
 			}
-			agg.Decay[bi].Lookups += d.Lookups
-			agg.Decay[bi].Hits += d.Hits
-			agg.Decay[bi].Intersects += d.Intersects
-			agg.Decay[bi].FailedFrac += d.FailedFrac
+			agg.Decay[bi].add(d.Tally)
+			addMeans(agg.Decay[bi].means(), d.means())
 		}
-		agg.Counters.Salvations += one.Counters.Salvations
-		agg.Counters.WalkDrops += one.Counters.WalkDrops
-		agg.Counters.WalkExpirations += one.Counters.WalkExpirations
-		agg.Counters.ReplyDrops += one.Counters.ReplyDrops
-		agg.Counters.LocalRepairs += one.Counters.LocalRepairs
-		agg.Counters.FullRouteRepairs += one.Counters.FullRouteRepairs
-		agg.Counters.PathReductions += one.Counters.PathReductions
-		agg.Counters.Adaptations += one.Counters.Adaptations
-		agg.Counters.CacheHits += one.Counters.CacheHits
-		agg.Counters.OwnerHits += one.Counters.OwnerHits
-		agg.Counters.AdvertiseTimeouts += one.Counters.AdvertiseTimeouts
-		agg.Counters.RingEscalations += one.Counters.RingEscalations
-		agg.Counters.OverhearReplies += one.Counters.OverhearReplies
-		agg.Counters.LookupRetries += one.Counters.LookupRetries
-		agg.Counters.Readvertises += one.Counters.Readvertises
-		agg.Counters.DeadOriginOps += one.Counters.DeadOriginOps
-		agg.Counters.Resizes += one.Counters.Resizes
-		agg.Counters.ReadvertiseRetunes += one.Counters.ReadvertiseRetunes
-		// Leak counts stay sums: any nonzero leak must survive averaging.
 		agg.LeakedOps += one.LeakedOps
 		agg.Violations += one.Violations
+		agg.Runs += one.Runs
 	}
-	f := float64(len(runs))
-	agg.HitRatio /= f
-	agg.IntersectRatio /= f
-	agg.ReplyDropRatio /= f
-	agg.AdvertiseAppMsgs /= f
-	agg.AdvertiseRoutingMsgs /= f
-	agg.LookupAppMsgs /= f
-	agg.LookupRoutingMsgs /= f
-	agg.AvgPlaced /= f
-	agg.AvgLatency /= f
-	agg.AvgHopLatency /= f
-	agg.LossDrops /= f
-	agg.ChurnFails /= f
-	agg.ChurnJoins /= f
-	// Decay bucket counts stay sums (ratios come from the accessors);
-	// only the sampled churned fraction averages.
+	divMeans(agg.means(), len(runs))
 	for bi := range agg.Decay {
-		agg.Decay[bi].FailedFrac /= f
+		divMeans(agg.Decay[bi].means(), len(runs))
 	}
-	agg.Runs = len(runs)
 	return agg
 }
 

@@ -8,17 +8,13 @@ import (
 	"testing"
 
 	"probquorum/internal/netstack"
-	"probquorum/internal/quorum"
+	"probquorum/internal/stack"
 )
 
 // microSweep is a small two-point sweep used by the executor tests.
 func microSweep() Sweep {
 	mk := func(n int, seed int64) Scenario {
-		return Scenario{
-			N: n, Stack: netstack.StackIdeal, Seed: seed,
-			Advertisements: 6, Lookups: 24, LookupNodes: 4,
-			Quorum: mixConfig(n, quorum.Random, quorum.UniquePath),
-		}
+		return testScenario(netstack.StackIdeal, n, seed, 6, 24, 4)
 	}
 	return Sweep{Points: []Point{
 		{Scenario: mk(40, 3), Seeds: 3},
@@ -148,7 +144,8 @@ func TestForEachJobBoundedWorkers(t *testing.T) {
 func TestFillDefaults(t *testing.T) {
 	var sc Scenario
 	sc.fillDefaults()
-	if sc.N != 100 || sc.AvgDegree != 10 || sc.Stack != netstack.StackSINR {
+	// Density and stack kind default where the stack is built (netstack).
+	if sc.N != 100 {
 		t.Fatalf("network defaults: %+v", sc)
 	}
 	if sc.Advertisements != 100 || sc.Lookups != 1000 || sc.LookupNodes != 25 {
@@ -161,7 +158,8 @@ func TestFillDefaults(t *testing.T) {
 }
 
 func TestFillDefaultsIdealWarmup(t *testing.T) {
-	sc := Scenario{Stack: netstack.StackIdeal}
+	var sc Scenario
+	sc.Link.Stack = netstack.StackIdeal
 	sc.fillDefaults()
 	if sc.WarmupSecs != 30 {
 		t.Fatalf("ideal warmup = %v, want 30", sc.WarmupSecs)
@@ -170,12 +168,12 @@ func TestFillDefaultsIdealWarmup(t *testing.T) {
 
 func TestFillDefaultsPreservesExplicit(t *testing.T) {
 	sc := Scenario{
-		N: 7, AvgDegree: 3, Stack: netstack.StackDisk,
+		Spec:           stack.Spec{N: 7, Link: netstack.Config{AvgDegree: 3, Stack: netstack.StackDisk}},
 		Advertisements: 1, Lookups: 2, LookupNodes: 3, WarmupSecs: 12,
 	}
 	got := sc
 	got.fillDefaults()
-	if got.N != sc.N || got.AvgDegree != sc.AvgDegree || got.Stack != sc.Stack ||
+	if got.N != sc.N || got.Link != sc.Link ||
 		got.Advertisements != sc.Advertisements ||
 		got.Lookups != sc.Lookups || got.LookupNodes != sc.LookupNodes ||
 		got.WarmupSecs != sc.WarmupSecs {

@@ -83,15 +83,17 @@ func (k Kind) String() string {
 type Episode struct {
 	// Start is when the episode begins, seconds after Schedule.
 	Start float64
-	// Duration is how long it lasts; the injector heals it afterwards.
+	// Duration is how long it lasts; the injector heals it afterwards
+	// (at once when Duration is not positive).
 	Duration float64
 	// Kind selects the fault class.
 	Kind Kind
 
 	// Groups lists explicit partition member sets (Partition). Nodes in
-	// no group share the implicit last group. Nil Groups with Parts ≥ 2
-	// partitions geometrically instead: the deployment area is cut into
-	// Parts vertical slabs at episode start.
+	// no group share the implicit last group; an id outside [0, N) names
+	// no node and is skipped. Nil Groups with Parts ≥ 2 partitions
+	// geometrically instead: the deployment area is cut into Parts
+	// vertical slabs at episode start.
 	Groups [][]int
 	// Parts is the geometric partition slab count (default 2).
 	Parts int
@@ -105,7 +107,8 @@ type Episode struct {
 	MaxDelay float64
 
 	// Nodes selects the affected stations for Blackhole and Jam; nil
-	// draws Count live nodes uniformly at episode start.
+	// draws Count live nodes uniformly at episode start. An id outside
+	// [0, N) names no node and is skipped.
 	Nodes []int
 	// Count is how many nodes to draw when Nodes is nil (default 1).
 	Count int
@@ -152,6 +155,10 @@ func New(net *netstack.Network) *Injector {
 	return inj
 }
 
+// known reports whether id names a node. Episodes come from outside the
+// program (the facade's ClusterConfig.Faults), so their ids are checked here.
+func (inj *Injector) known(id int) bool { return id >= 0 && id < inj.net.N() }
+
 // Partitioned reports whether a and b are currently in different
 // partitions. It doubles as the check package's partition oracle.
 func (inj *Injector) Partitioned(a, b int) bool {
@@ -162,7 +169,8 @@ func (inj *Injector) Partitioned(a, b int) bool {
 func (inj *Injector) PartitionActive() bool { return inj.group != nil }
 
 // PartitionSets splits the network into the given member sets; nodes listed
-// nowhere form one extra implicit group. A previous partition is replaced.
+// nowhere form one extra implicit group, and ids that name no node are
+// skipped. A previous partition is replaced.
 func (inj *Injector) PartitionSets(groups [][]int) {
 	g := make([]int, inj.net.N())
 	for i := range g {
@@ -170,7 +178,9 @@ func (inj *Injector) PartitionSets(groups [][]int) {
 	}
 	for gi, members := range groups {
 		for _, id := range members {
-			g[id] = gi
+			if inj.known(id) {
+				g[id] = gi
+			}
 		}
 	}
 	inj.group = g
@@ -208,7 +218,9 @@ func (inj *Injector) Schedule(eps []Episode) {
 	for _, ep := range eps {
 		ep := ep
 		inj.engine.Schedule(ep.Start, func() { inj.apply(ep) })
-		inj.engine.Schedule(ep.Start+ep.Duration, func() { inj.clear(ep.Kind) })
+		// Never before the apply: a negative Duration would otherwise leave
+		// the fault in force for good.
+		inj.engine.Schedule(ep.Start+max(ep.Duration, 0), func() { inj.clear(ep.Kind) })
 	}
 }
 
@@ -257,7 +269,9 @@ func (inj *Injector) nodeSet(ep Episode) map[int]bool {
 	set := make(map[int]bool)
 	if ep.Nodes != nil {
 		for _, id := range ep.Nodes {
-			set[id] = true
+			if inj.known(id) {
+				set[id] = true
+			}
 		}
 		return set
 	}
@@ -278,7 +292,7 @@ func (inj *Injector) nodeSet(ep Episode) map[int]bool {
 // plus, with Radius > 0, every node within Radius of the first one.
 func (inj *Injector) startJam(ep Episode) {
 	set := inj.nodeSet(ep)
-	if ep.Radius > 0 {
+	if ep.Radius > 0 && len(set) > 0 {
 		var center geom.Point
 		ids := make([]int, 0, len(set))
 		for id := range set {

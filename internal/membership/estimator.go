@@ -31,21 +31,6 @@ type EstimationConfig struct {
 	// few comparisons per quorum access, and disabled runs must stay
 	// bit-identical to builds without the estimator.
 	Enable bool
-	// HalfLifeSecs is the exponential-decay half-life of the observation
-	// window (default 60): an observation contributes half its weight
-	// after one half-life, a quarter after two, and so on.
-	HalfLifeSecs float64
-	// MaxSamples bounds each node's comparison ring (default 64). Evicted
-	// samples stop generating new pairs but their accumulated weight
-	// still decays normally.
-	MaxSamples int
-	// MinPairs is the minimum decay-weighted pair count below which the
-	// estimator reports not-OK (default 8): too little evidence for even
-	// an "at least" claim.
-	MinPairs float64
-	// Z is the normal quantile of the confidence band (default 1.64,
-	// ~90% two-sided under the Poisson collision model).
-	Z float64
 	// ProbeSecs, when positive, launches periodic probe walks: every
 	// period one live node (round-robin) draws ProbeWalks maximum-degree
 	// walk endpoints on a connectivity-graph snapshot and feeds them to
@@ -54,29 +39,28 @@ type EstimationConfig struct {
 	ProbeSecs float64
 	// ProbeWalks is the number of walk endpoints per probe (default 12).
 	ProbeWalks int
-	// ProbeWalkLength is the probe walk length (default n/2, the paper's
-	// mixing-time estimate for G²(n,r)).
-	ProbeWalkLength int
 }
 
-func (ec *EstimationConfig) fillDefaults(walkLength int) {
-	if ec.HalfLifeSecs <= 0 {
-		ec.HalfLifeSecs = 60
-	}
-	if ec.MaxSamples <= 0 {
-		ec.MaxSamples = 64
-	}
-	if ec.MinPairs <= 0 {
-		ec.MinPairs = 8
-	}
-	if ec.Z <= 0 {
-		ec.Z = 1.64
-	}
+const (
+	// halfLifeSecs is the exponential-decay half-life of the observation
+	// window: an observation contributes half its weight after one
+	// half-life, a quarter after two, and so on.
+	halfLifeSecs = 60.0
+	// maxSamples bounds each node's comparison ring. Evicted samples stop
+	// generating new pairs but their accumulated weight still decays
+	// normally.
+	maxSamples = 64
+	// minPairs is the decay-weighted pair count below which the estimator
+	// reports not-OK: too little evidence for even an "at least" claim.
+	minPairs = 8.0
+	// bandZ is the normal quantile of the confidence band (~90% two-sided
+	// under the Poisson collision model).
+	bandZ = 1.64
+)
+
+func (ec *EstimationConfig) fillDefaults() {
 	if ec.ProbeWalks <= 0 {
 		ec.ProbeWalks = 12
-	}
-	if ec.ProbeWalkLength <= 0 {
-		ec.ProbeWalkLength = walkLength
 	}
 }
 
@@ -96,7 +80,7 @@ type Estimate struct {
 	// no collision, Pr(no collision) = exp(−P/n), so n ≥ P holds with
 	// confidence 1−1/e ≈ 63% and N reports that bound instead of +Inf.
 	AtLeast bool
-	// OK is false while the evidence is below MinPairs.
+	// OK is false while the evidence is below minPairs.
 	OK bool
 }
 
@@ -108,7 +92,6 @@ type estSample struct {
 
 // Estimator maintains one node's decay-weighted birthday-paradox account.
 type Estimator struct {
-	cfg  *EstimationConfig
 	ring []estSample
 	next int
 	// wPairs and wColl are the decay-weighted cross-group pair and
@@ -117,15 +100,15 @@ type Estimator struct {
 	last          float64
 }
 
-// NewEstimator builds an estimator against cfg (shared, already filled).
-func NewEstimator(cfg *EstimationConfig) *Estimator {
-	return &Estimator{cfg: cfg, ring: make([]estSample, 0, cfg.MaxSamples)}
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
+	return &Estimator{ring: make([]estSample, 0, maxSamples)}
 }
 
 // decayTo ages the accumulators to time now.
 func (e *Estimator) decayTo(now float64) {
 	if dt := now - e.last; dt > 0 {
-		f := math.Exp(-math.Ln2 * dt / e.cfg.HalfLifeSecs)
+		f := math.Exp(-math.Ln2 * dt / halfLifeSecs)
 		e.wPairs *= f
 		e.wColl *= f
 	}
@@ -147,11 +130,11 @@ func (e *Estimator) Observe(now float64, group int64, ids []int) {
 				e.wColl++
 			}
 		}
-		if len(e.ring) < e.cfg.MaxSamples {
+		if len(e.ring) < maxSamples {
 			e.ring = append(e.ring, estSample{id: id, group: group})
 		} else {
 			e.ring[e.next] = estSample{id: id, group: group}
-			e.next = (e.next + 1) % e.cfg.MaxSamples
+			e.next = (e.next + 1) % maxSamples
 		}
 	}
 }
@@ -166,13 +149,13 @@ func (e *Estimator) Evidence(now float64) (pairs, collisions float64) {
 // Estimate derives the current reading at time now.
 func (e *Estimator) Estimate(now float64) Estimate {
 	e.decayTo(now)
-	return estimateFrom(e.cfg, e.wPairs, e.wColl)
+	return estimateFrom(e.wPairs, e.wColl)
 }
 
 // estimateFrom turns pooled (pairs, collisions) evidence into an Estimate.
-func estimateFrom(cfg *EstimationConfig, pairs, coll float64) Estimate {
+func estimateFrom(pairs, coll float64) Estimate {
 	est := Estimate{Pairs: pairs, Collisions: coll}
-	if pairs < cfg.MinPairs {
+	if pairs < minPairs {
 		return est
 	}
 	est.OK = true
@@ -187,12 +170,12 @@ func estimateFrom(cfg *EstimationConfig, pairs, coll float64) Estimate {
 		return est
 	}
 	est.N = pairs / coll
-	// Collisions are approximately Poisson(pairs/n): ±Z·√coll bounds the
+	// Collisions are approximately Poisson(pairs/n): ±bandZ·√coll bounds the
 	// count, inverted into bounds on n. When the lower count bound hits
 	// zero the evidence cannot bound n from above; floor the denominator
 	// at half a collision, mirroring the at-least cutoff.
-	denomLo := coll + cfg.Z*math.Sqrt(coll)
-	denomHi := coll - cfg.Z*math.Sqrt(coll)
+	denomLo := coll + bandZ*math.Sqrt(coll)
+	denomHi := coll - bandZ*math.Sqrt(coll)
 	if denomHi < 0.5 {
 		denomHi = 0.5
 	}
@@ -229,7 +212,7 @@ func (s *Service) ObserveSample(id, sample int) {
 // estimatorFor lazily creates node id's estimator.
 func (s *Service) estimatorFor(id int) *Estimator {
 	if s.est[id] == nil {
-		s.est[id] = NewEstimator(&s.cfg.Estimation)
+		s.est[id] = NewEstimator()
 	}
 	return s.est[id]
 }
@@ -262,7 +245,7 @@ func (s *Service) AggregateEstimate() Estimate {
 		pairs += p
 		coll += c
 	}
-	return estimateFrom(&s.cfg.Estimation, pairs, coll)
+	return estimateFrom(pairs, coll)
 }
 
 // EstimationEnabled reports whether the continuous estimator is active.
@@ -287,7 +270,8 @@ func (s *Service) probe() {
 	}
 	g := s.snapshotGraph()
 	for i := 0; i < s.cfg.Estimation.ProbeWalks; i++ {
-		end := graph.Sample(g, s.probeRng, start, s.cfg.Estimation.ProbeWalkLength)
+		// n/2 steps: the paper's mixing-time estimate for G²(n,r).
+		end := graph.Sample(g, s.probeRng, start, s.net.N()/2)
 		s.ObserveSample(start, end)
 	}
 }

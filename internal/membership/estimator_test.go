@@ -8,13 +8,6 @@ import (
 	"probquorum/internal/graph"
 )
 
-// testEstCfg returns a filled estimation config for direct Estimator tests.
-func testEstCfg() *EstimationConfig {
-	cfg := &EstimationConfig{Enable: true}
-	cfg.fillDefaults(50)
-	return cfg
-}
-
 // feedUniform feeds `groups` groups of `k` uniform samples over [0,n) at
 // time t, one group per simulated draw.
 func feedUniform(e *Estimator, rng *rand.Rand, t float64, groups, k, n int) {
@@ -32,8 +25,7 @@ func feedUniform(e *Estimator, rng *rand.Rand, t float64, groups, k, n int) {
 // band brackets it.
 func TestEstimatorRecoversN(t *testing.T) {
 	const n = 200
-	cfg := testEstCfg()
-	e := NewEstimator(cfg)
+	e := NewEstimator()
 	rng := rand.New(rand.NewSource(7))
 	feedUniform(e, rng, 0, 12, 10, n)
 	est := e.Estimate(0)
@@ -57,8 +49,7 @@ func TestEstimatorRecoversN(t *testing.T) {
 // TestEstimatorZeroCollision: distinct ids across groups yield the bounded
 // "at least" estimate (pairs), never +Inf or garbage.
 func TestEstimatorZeroCollision(t *testing.T) {
-	cfg := testEstCfg()
-	e := NewEstimator(cfg)
+	e := NewEstimator()
 	// Three groups of three globally distinct ids: 27 cross-group pairs,
 	// zero collisions.
 	e.Observe(0, 1, []int{1, 2, 3})
@@ -82,8 +73,7 @@ func TestEstimatorZeroCollision(t *testing.T) {
 // TestEstimatorSingleCollision: exactly one collision inverts to
 // pairs/1 — finite, and flagged as a (wide-band) point estimate.
 func TestEstimatorSingleCollision(t *testing.T) {
-	cfg := testEstCfg()
-	e := NewEstimator(cfg)
+	e := NewEstimator()
 	e.Observe(0, 1, []int{1, 2, 3})
 	e.Observe(0, 2, []int{4, 5, 6})
 	e.Observe(0, 3, []int{7, 8, 1}) // one id recurs across groups
@@ -102,8 +92,7 @@ func TestEstimatorSingleCollision(t *testing.T) {
 // TestEstimatorWithinGroupPairsExcluded: samples of one group are drawn
 // without replacement (one Pick), so they must produce no evidence at all.
 func TestEstimatorWithinGroupPairsExcluded(t *testing.T) {
-	cfg := testEstCfg()
-	e := NewEstimator(cfg)
+	e := NewEstimator()
 	e.Observe(0, 1, []int{1, 2, 3, 4, 5, 6, 7, 8})
 	if p, c := e.Evidence(0); p > 0 || c > 0 {
 		t.Fatalf("within-group samples produced evidence: pairs=%.0f coll=%.0f", p, c)
@@ -111,19 +100,18 @@ func TestEstimatorWithinGroupPairsExcluded(t *testing.T) {
 }
 
 // TestEstimatorDecay: evidence halves per half-life, so a long-idle
-// estimator drops below MinPairs and reports not-OK — stale estimates
+// estimator drops below minPairs and reports not-OK — stale estimates
 // never masquerade as fresh ones.
 func TestEstimatorDecay(t *testing.T) {
-	cfg := testEstCfg()
-	e := NewEstimator(cfg)
+	e := NewEstimator()
 	rng := rand.New(rand.NewSource(3))
 	feedUniform(e, rng, 0, 6, 6, 100)
 	p0, _ := e.Evidence(0)
-	p1, _ := e.Evidence(cfg.HalfLifeSecs)
+	p1, _ := e.Evidence(halfLifeSecs)
 	if p1 < 0.45*p0 || p1 > 0.55*p0 {
 		t.Fatalf("pairs after one half-life: %.1f of %.1f, want ≈ half", p1, p0)
 	}
-	if est := e.Estimate(20 * cfg.HalfLifeSecs); est.OK {
+	if est := e.Estimate(20 * halfLifeSecs); est.OK {
 		t.Fatalf("estimate still OK after 20 half-lives: %+v", est)
 	}
 }

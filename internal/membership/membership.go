@@ -120,7 +120,7 @@ func New(net *netstack.Network, cfg Config) *Service {
 		// Estimation state is created only when enabled, and its stream
 		// only after the service's own, so disabled runs keep the exact
 		// stream-derivation order (and results) of estimator-free builds.
-		s.cfg.Estimation.fillDefaults(net.N() / 2)
+		s.cfg.Estimation.fillDefaults()
 		s.est = make([]*Estimator, net.N())
 		s.gens = make([]int64, net.N())
 		if s.cfg.Estimation.ProbeSecs > 0 {

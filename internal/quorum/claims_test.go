@@ -12,13 +12,34 @@ import (
 	"probquorum/internal/sim"
 )
 
-// TestRandomRandomMissWithinLemma52 holds the routed RANDOM×RANDOM path to
-// the paper's Lemma 5.2: with quorums sized by Corollary 5.3 for ε = 0.01 at
-// n = 600, the measured non-intersection rate stays within the bound
-// exp(−|Qa||Qℓ|/n) plus three binomial standard deviations of the bound at
-// the sample size, and a lookup whose quorum did not intersect never hits.
-// Ideal MAC, oracle router, static nodes, three fixed seeds.
+// TestRandomRandomMissWithinLemma52 holds a RANDOM advertise quorum to the
+// paper's Lemma 5.2 under each lookup strategy the lemma covers — it is
+// mix-and-match: any lookup that accesses |Qℓ| nodes drawn uniformly
+// intersects a RANDOM |Qa| with probability ≥ 1 − exp(−|Qa||Qℓ|/n). With
+// quorums sized by Corollary 5.3 for ε = 0.01 at n = 600, the measured
+// non-intersection rate stays within the bound plus three binomial standard
+// deviations of the bound at the sample size, and a lookup whose quorum did
+// not intersect never hits. Ideal MAC, oracle router, static nodes, three
+// fixed seeds. Recorded: RANDOM 17 of 2 100 miss, UNIQUE-PATH (a walk's
+// uniqueness standing in for uniform draws, §4.2) 15 of 2 100, against
+// 0.0093 + 3σ 0.0063.
+//
+// RANDOM-OPT is not a case: its accessed set is the nodes on the routes to
+// its ≈ ln n targets, not |Qℓ| uniform draws, and it reads 38 of 2 100
+// (0.0181) here — outside the bound, which does not cover it.
 func TestRandomRandomMissWithinLemma52(t *testing.T) {
+	for _, lk := range []Config{
+		{LookupStrategy: Random},
+		{LookupStrategy: UniquePath, EarlyHalt: true, Salvation: true, ReplyPathReduction: true},
+	} {
+		t.Run(lk.LookupStrategy.String(), func(t *testing.T) { missWithinLemma52(t, lk) })
+	}
+}
+
+// missWithinLemma52 runs one lookup configuration of the test above; lk gives
+// the lookup strategy and techniques, the sizes and RANDOM advertise are set
+// here.
+func missWithinLemma52(t *testing.T, lk Config) {
 	const (
 		n, epsilon       = 600, 0.01
 		keys, perSeedOps = 12, 700
@@ -29,10 +50,8 @@ func TestRandomRandomMissWithinLemma52(t *testing.T) {
 		e := sim.NewEngine(seed)
 		net := netstack.New(e, netstack.Config{N: n, AvgDegree: 12, Stack: netstack.StackIdeal})
 		members := membership.New(net, membership.Config{ViewSize: 2 * qa})
-		sys := New(net, aodv.NewOracle(net), members, Config{
-			AdvertiseStrategy: Random, LookupStrategy: Random,
-			AdvertiseSize: qa, LookupSize: ql,
-		})
+		lk.AdvertiseStrategy, lk.AdvertiseSize, lk.LookupSize = Random, qa, ql
+		sys := New(net, aodv.NewOracle(net), members, lk)
 		rng := e.NewStream()
 		key := func(k int) string { return fmt.Sprintf("key%d", k%keys) }
 		for k := 0; k < keys; k++ {

@@ -249,6 +249,29 @@ type Counters struct {
 	ReadvertiseRetunes int
 }
 
+// Add sums o into c, counter by counter: how runs merge over seeds. A counter
+// added to Counters is added here (the merge test fails on one left out).
+func (c *Counters) Add(o Counters) {
+	c.Salvations += o.Salvations
+	c.WalkDrops += o.WalkDrops
+	c.WalkExpirations += o.WalkExpirations
+	c.ReplyDrops += o.ReplyDrops
+	c.LocalRepairs += o.LocalRepairs
+	c.FullRouteRepairs += o.FullRouteRepairs
+	c.PathReductions += o.PathReductions
+	c.Adaptations += o.Adaptations
+	c.CacheHits += o.CacheHits
+	c.OwnerHits += o.OwnerHits
+	c.AdvertiseTimeouts += o.AdvertiseTimeouts
+	c.RingEscalations += o.RingEscalations
+	c.OverhearReplies += o.OverhearReplies
+	c.LookupRetries += o.LookupRetries
+	c.Readvertises += o.Readvertises
+	c.DeadOriginOps += o.DeadOriginOps
+	c.Resizes += o.Resizes
+	c.ReadvertiseRetunes += o.ReadvertiseRetunes
+}
+
 // System runs a probabilistic biquorum system over a network. Construct one
 // per simulation run with New.
 type System struct {

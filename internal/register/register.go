@@ -87,20 +87,14 @@ type Config struct {
 	// quorum (the read-repair of Section 6.1; improves recency under
 	// churn at the cost of an advertise per read).
 	WriteBack bool
-	// Window is how long an operation's read phase collects replies from
-	// the lookup quorum before picking the highest version (default 3 s).
-	// Versioned objects read their full quorum — single-reply lookups
-	// would return an arbitrary previously-written value (Section 2.5's
-	// relaxed semantics) instead of the most recent one.
-	Window float64
 }
 
-func (c *Config) window() float64 {
-	if c.Window <= 0 {
-		return 3
-	}
-	return c.Window
-}
+// windowSecs is how long an operation's read phase collects replies from
+// the lookup quorum before picking the highest version. Versioned objects
+// read their full quorum — single-reply lookups would return an arbitrary
+// previously-written value (Section 2.5's relaxed semantics) instead of the
+// most recent one.
+const windowSecs = 3
 
 // Register is one named shared object over a quorum system. All nodes of
 // the system can read and write it.
@@ -145,7 +139,7 @@ func newest(values []string) (Versioned, bool) {
 // Read queries a full lookup quorum from node `at`, collects the replies,
 // and returns the highest-versioned value found.
 func (r *Register) Read(at int, done func(ReadResult)) {
-	r.sys.LookupCollect(at, r.key, r.cfg.window(), func(res quorum.CollectResult) {
+	r.sys.LookupCollect(at, r.key, windowSecs, func(res quorum.CollectResult) {
 		best, ok := newest(res.Values)
 		if !ok {
 			if done != nil {
@@ -167,7 +161,7 @@ func (r *Register) Read(at int, done func(ReadResult)) {
 // done (may be nil) reports the stamp written and how many replicas stored
 // it.
 func (r *Register) Write(at int, data string, done func(v Versioned, placed int)) {
-	r.sys.LookupCollect(at, r.key, r.cfg.window(), func(res quorum.CollectResult) {
+	r.sys.LookupCollect(at, r.key, windowSecs, func(res quorum.CollectResult) {
 		cur, _ := newest(res.Values)
 		next := Versioned{Version: cur.Version + 1, Writer: at, Data: data}
 		r.sys.Advertise(at, r.key, Encode(next), func(ar quorum.AdvertiseResult) {

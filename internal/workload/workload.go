@@ -75,8 +75,15 @@ const (
 	// Uniform draws every key with equal probability.
 	Uniform KeyDist = iota
 	// Zipf draws keys with the hotspot skew real workloads show: key
-	// rank k is drawn with probability ∝ 1/(ZipfV+k)^ZipfS.
+	// rank k is drawn with probability ∝ 1/(zipfV+k)^zipfS.
 	Zipf
+)
+
+// zipfS and zipfV shape the Zipf draw (S must exceed 1 per
+// math/rand.NewZipf).
+const (
+	zipfS = 1.2
+	zipfV = 1
 )
 
 // String implements fmt.Stringer.
@@ -109,9 +116,6 @@ type Config struct {
 	Keys int
 	// KeyDist is the popularity distribution (default Uniform).
 	KeyDist KeyDist
-	// ZipfS and ZipfV shape the Zipf draw (defaults 1.2 and 1; S must
-	// exceed 1 per math/rand.NewZipf).
-	ZipfS, ZipfV float64
 	// WriteFraction is the probability an op is a write/advertise
 	// (default 0.1 — a read-heavy location service).
 	WriteFraction float64
@@ -137,12 +141,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Keys == 0 {
 		c.Keys = 1024
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if c.ZipfV == 0 {
-		c.ZipfV = 1
 	}
 	if c.WriteFraction == 0 {
 		c.WriteFraction = 0.1
@@ -236,7 +234,7 @@ func New(engine *sim.Engine, cfg Config, nodes []int, issue IssueFunc) *Generato
 		g.keys[i] = fmt.Sprintf("key-%d", i)
 	}
 	if cfg.KeyDist == Zipf {
-		g.zipf = rand.NewZipf(g.rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Keys-1))
+		g.zipf = rand.NewZipf(g.rng, zipfS, zipfV, uint64(cfg.Keys-1))
 	}
 	for i, id := range nodes {
 		g.nodes[i] = nodeState{id: id, on: true}

@@ -107,7 +107,10 @@ const (
 
 // Experiment harness re-exports; see internal/experiment.
 type (
-	// Scenario describes one simulation run of the paper's workload.
+	// Scenario describes one simulation run of the paper's workload. Its
+	// stack options (N, Seed, Quorum, OracleRouting, Link.Stack, …) are
+	// promoted from an embedded spec, which a keyed literal cannot name:
+	// set them by assignment (sc.N = 60; sc.Link.Stack = StackIdeal).
 	Scenario = experiment.Scenario
 	// Result is a scenario's measurements.
 	Result = experiment.Result

@@ -172,11 +172,9 @@ func TestSizingReexports(t *testing.T) {
 }
 
 func TestRunScenarioFacade(t *testing.T) {
-	sc := Scenario{
-		N: 60, Stack: StackIdeal, Seed: 1,
-		Advertisements: 5, Lookups: 20, LookupNodes: 4,
-		Quorum: DefaultQuorumConfig(60),
-	}
+	sc := Scenario{Advertisements: 5, Lookups: 20, LookupNodes: 4}
+	sc.N, sc.Seed, sc.Link.Stack = 60, 1, StackIdeal
+	sc.Quorum = DefaultQuorumConfig(60)
 	r := RunScenario(sc)
 	if r.HitRatio <= 0 {
 		t.Fatalf("facade scenario hit ratio %v", r.HitRatio)
@@ -312,11 +310,9 @@ func TestClusterCheckReportMidRunIsRepeatable(t *testing.T) {
 // compatibility promise). If an intentional protocol change shifts these
 // numbers, update them consciously.
 func TestGoldenDeterminism(t *testing.T) {
-	sc := Scenario{
-		N: 80, Stack: StackIdeal, Seed: 424242,
-		Advertisements: 8, Lookups: 40, LookupNodes: 4,
-		Quorum: DefaultQuorumConfig(80),
-	}
+	sc := Scenario{Advertisements: 8, Lookups: 40, LookupNodes: 4}
+	sc.N, sc.Seed, sc.Link.Stack = 80, 424242, StackIdeal
+	sc.Quorum = DefaultQuorumConfig(80)
 	a := RunScenario(sc)
 	b := RunScenario(sc)
 	if a.HitRatio != b.HitRatio || a.LookupAppMsgs != b.LookupAppMsgs ||
