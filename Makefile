@@ -33,12 +33,13 @@ check: build lint chaos shards quick-check load-smoke adapt-smoke
 	$(GO) test -race -short ./...
 
 # lint runs pqlint, the determinism- and invariant-enforcing static
-# analysis suite (internal/lint): no global math/rand, no wall clock in
-# simulation code, no order-sensitive map iteration, no exact float
-# comparison, no wall-clock-derived seeds — plus the whole-program,
-# call-graph-aware analyzers: parsafe (parallel-phase purity) and noalloc
-# (annotated hot paths must not allocate along the call chain).
-# Suppressions are reasoned //pqlint:allow directives; see DESIGN.md §8.
+# analysis suite (internal/lint): no global math/rand, no wall clock or pid
+# in simulation code, no order-sensitive map iteration — plus the
+# whole-program, call-graph-aware analyzers: parsafe (parallel-phase purity)
+# and noalloc (annotated hot paths must not allocate along the call chain,
+# up to the calls that declare a hand-off). Suppressions are reasoned
+# //pqlint:allow directives, and one that suppresses nothing is a finding;
+# see DESIGN.md §8.
 # On a clean tree pqlint emits its wall-time benchmark line, which folds
 # into BENCH.json; on findings there is no bench line, benchjson errors,
 # and the pipeline (hence the target) fails with the findings echoed.

@@ -34,7 +34,7 @@ func arrive(n *netstack.Node, pkt *netstack.Packet, from int, taps []TransitTap,
 
 // delivered returns inner as the node receiving envelope pkt sees it.
 func delivered(inner, pkt *netstack.Packet) *netstack.Packet {
-	cp := inner.Clone() //pqlint:allow noalloc(per delivery, not per hop: the destination's or a tap's own copy of the shared inner packet)
+	cp := inner.Clone()
 	cp.Hops = pkt.Hops + 1
 	return cp
 }

@@ -256,14 +256,14 @@ func (c *routeCache) claim(dst int, now float64, ver uint64) *routeTree {
 // the frontier; lens says whether what follows is restricted to one origin's
 // geodesics.
 func (c *routeCache) start(t *routeTree, lens bool) {
-	t.lens = lens //pqlint:parshared(per-item tree storage)
+	t.lens = lens //pqlint:allow parsafe(per-item tree storage: t is this item's claimed tree, touched by no other worker)
 	dist := t.dist
-	dist[0] = noRoute //pqlint:parshared(per-item tree storage: t is this item's claimed tree, touched by no other worker)
+	dist[0] = noRoute
 	for i := 1; i < len(dist); i *= 2 {
 		copy(dist[i:], dist[:i]) // fill by doubling: memmove speed, not a store per node
 	}
-	dist[t.dst] = 0 //pqlint:parshared(per-item tree storage)
-	//pqlint:parshared(per-item tree storage)
+	dist[t.dst] = 0
+	//pqlint:allow parsafe(per-item tree storage)
 	t.frontier = append(t.frontier[:0], int32(t.dst)) //pqlint:allow noalloc(one element into the tree's own frontier: allocates for a new tree only)
 }
 
@@ -308,13 +308,13 @@ func (c *routeCache) extend(t *routeTree, src, ttl, shard int, lens []uint16) {
 			if d == noRoute {
 				panic("aodv: route tree deeper than 65534 hops")
 			}
-			dist[w] = d //pqlint:parshared(per-item tree storage)
+			dist[w] = d
 			queue = append(queue, int32(w))
 		}
 	}
-	//pqlint:parshared(per-item tree storage)
+	//pqlint:allow parsafe(per-item tree storage)
 	t.frontier = append(t.frontier[:0], queue[head:]...) //pqlint:allow noalloc(grows to the widest frontier the tree has paused on, then is reused)
-	c.queues[shard] = queue                              //pqlint:parshared(per-shard BFS scratch; one goroutine owns a shard index per phase)
+	c.queues[shard] = queue                              //pqlint:allow parsafe(per-shard BFS scratch; one goroutine owns a shard index per phase)
 }
 
 // install publishes a new tree, evicting the oldest ones past the cap. Runs

@@ -149,10 +149,10 @@ func (s *Suite) violate(invariant, format string, args ...any) {
 // observeDelivery checks every frame the netstack hands to a node.
 func (s *Suite) observeDelivery(from, to int, pkt *netstack.Packet) {
 	if !s.net.Alive(to) {
-		s.violate("delivery-to-dead", "frame %d→%d proto %d delivered to dead node", from, to, pkt.Proto)
+		s.violate("delivery-to-dead", "frame %d→%d proto %d delivered to dead node", from, to, pkt.Proto) //pqlint:allow noalloc(cold path: a breach formats its report; the suite records at most maxRecorded of them)
 	}
 	if s.partitioned != nil && s.partitioned(from, to) {
-		s.violate("cross-partition-delivery", "frame %d→%d proto %d crossed an active partition", from, to, pkt.Proto)
+		s.violate("cross-partition-delivery", "frame %d→%d proto %d crossed an active partition", from, to, pkt.Proto) //pqlint:allow noalloc(cold path: a breach formats its report; the suite records at most maxRecorded of them)
 	}
 }
 

@@ -440,7 +440,6 @@ func TauSweep(p Profile, seed int64) []Table {
 				if total < bestCost {
 					bestCost, bestRatio = total, ratio
 				}
-				//pqlint:allow floatequal(ratio is copied verbatim from the sweep's literal table; 1 is exactly representable)
 				if ratio == 1 {
 					// Per-node access costs measured at the symmetric point,
 					// feeding Lemma 5.6's prediction.

@@ -66,7 +66,7 @@ func (g *Grid) Update(id int, p Point) {
 	} else if old >= 0 {
 		g.removeFromCell(id, old)
 	}
-	g.cells[ci] = append(g.cells[ci], int32(id))
+	g.cells[ci] = append(g.cells[ci], int32(id)) //pqlint:allow noalloc(a cell's list grows to its occupancy high-water mark and is reused from there; TestTransmitAllocsBounded pins the steady state at zero)
 	g.where[id] = ci
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -39,12 +40,13 @@ type FuncNode struct {
 	Obj  *types.Func // nil for literals
 	// Name is the display name used in diagnostics (module-relative).
 	Name string
-	// Edges are the node's possible callees in source order, deduplicated.
+	// Edges are the node's possible callees, one per call site and callee,
+	// in source order.
 	Edges []Edge
 
-	// Function-scope annotation contracts (see annotations.go).
-	NoAlloc   bool
-	ParShared string // reason; "" when not a declared shared boundary
+	// NoAlloc marks a pqlint:noalloc-annotated declaration (see
+	// directive.go), a root of the noalloc walk.
+	NoAlloc bool
 }
 
 // Pos returns the node's declaration position.
@@ -107,8 +109,8 @@ type CallGraph struct {
 }
 
 // buildCallGraph constructs the graph over pkgs' typed non-test files,
-// reading function-scope annotations from decls (see annotationTable.attach).
-func buildCallGraph(pkgs []*Package, decls map[*ast.FuncDecl]declAnnotations) *CallGraph {
+// claiming each file's noalloc annotations for the declarations they sit on.
+func buildCallGraph(pkgs []*Package, directives map[string]*directiveSet) *CallGraph {
 	g := &CallGraph{
 		byObj:         make(map[*types.Func]*FuncNode),
 		byLit:         make(map[*ast.FuncLit]*FuncNode),
@@ -126,7 +128,7 @@ func buildCallGraph(pkgs []*Package, decls map[*ast.FuncDecl]declAnnotations) *C
 			if file.Test {
 				continue
 			}
-			g.collectNodes(pkg, file, decls)
+			g.collectNodes(pkg, file, directives[file.Name])
 		}
 	}
 	for _, pkg := range pkgs {
@@ -147,14 +149,14 @@ func buildCallGraph(pkgs []*Package, decls map[*ast.FuncDecl]declAnnotations) *C
 }
 
 // collectNodes registers every function declaration and literal in file.
-func (g *CallGraph) collectNodes(pkg *Package, file *SourceFile, decls map[*ast.FuncDecl]declAnnotations) {
+func (g *CallGraph) collectNodes(pkg *Package, file *SourceFile, ds *directiveSet) {
 	ast.Inspect(file.AST, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body == nil {
 				return true
 			}
-			node := &FuncNode{Pkg: pkg, File: file, Decl: fn, Name: declName(pkg, fn)}
+			node := &FuncNode{Pkg: pkg, File: file, Decl: fn, Name: declName(pkg, fn), NoAlloc: ds.noAllocDecl(pkg.Fset, fn)}
 			if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
 				node.Obj = obj
 				g.byObj[obj] = node
@@ -162,15 +164,12 @@ func (g *CallGraph) collectNodes(pkg *Package, file *SourceFile, decls map[*ast.
 					g.methodsByName[fn.Name.Name] = append(g.methodsByName[fn.Name.Name], node)
 				}
 			}
-			da := decls[fn]
-			node.NoAlloc = da.noAlloc
-			node.ParShared = da.parShared
 			g.Nodes = append(g.Nodes, node)
 		case *ast.FuncLit:
 			pos := pkg.Fset.Position(fn.Pos())
 			node := &FuncNode{
 				Pkg: pkg, File: file, Lit: fn,
-				Name: pkgDisplayName(pkg) + ".func@" + filepath.Base(pos.Filename) + ":" + itoa(pos.Line),
+				Name: pkgDisplayName(pkg) + ".func@" + filepath.Base(pos.Filename) + ":" + strconv.Itoa(pos.Line),
 			}
 			g.byLit[fn] = node
 			g.Nodes = append(g.Nodes, node)
@@ -277,14 +276,6 @@ func (g *CallGraph) collectEdges(n *FuncNode) {
 	if body == nil || n.Pkg.Info == nil {
 		return
 	}
-	have := make(map[*FuncNode]bool)
-	add := func(site token.Pos, callee *FuncNode) {
-		if callee == nil || have[callee] {
-			return
-		}
-		have[callee] = true
-		n.Edges = append(n.Edges, Edge{Callee: callee, Site: site})
-	}
 	ast.Inspect(body, func(x ast.Node) bool {
 		if lit, ok := x.(*ast.FuncLit); ok && lit != n.Lit {
 			return false // nested literal: its own node covers its body
@@ -294,7 +285,7 @@ func (g *CallGraph) collectEdges(n *FuncNode) {
 			return true
 		}
 		for _, callee := range g.callees(n.Pkg, call) {
-			add(call.Pos(), callee)
+			n.Edges = append(n.Edges, Edge{Callee: callee, Site: call.Pos()})
 		}
 		return true
 	})
@@ -431,7 +422,7 @@ func sigMatches(a, b *types.Signature) bool {
 // walk runs a breadth-first traversal from roots, calling visit once per
 // reachable node with the call chain (node names from the root, inclusive)
 // that first reached it. cut prunes a call edge, and with it whatever only
-// that edge reaches.
+// cut edges reach; it is asked about every edge out of a visited node.
 func (g *CallGraph) walk(roots []*FuncNode, cut func(Edge) bool, visit func(n *FuncNode, chain []string)) {
 	type item struct {
 		node  *FuncNode
@@ -451,7 +442,7 @@ func (g *CallGraph) walk(roots []*FuncNode, cut func(Edge) bool, visit func(n *F
 		queue = queue[1:]
 		visit(it.node, it.chain)
 		for _, e := range it.node.Edges {
-			if visited[e.Callee] || cut(e) {
+			if cut(e) || visited[e.Callee] {
 				continue
 			}
 			visited[e.Callee] = true
@@ -520,19 +511,4 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// itoa is strconv.Itoa for small positive numbers without the import.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

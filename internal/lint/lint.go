@@ -12,25 +12,26 @@
 // as `go run ./cmd/pqlint ./...` or through TestPqlintClean. Analyzers:
 //
 //   - noglobalrand: package-level math/rand draws are forbidden
-//   - nowallclock:  time.Now/Sleep/After/Tick &c. are forbidden
+//   - nowallclock:  time.Now/Sleep/After/Tick &c. and os.Getpid are forbidden
 //   - detrange:     order-sensitive bodies under map iteration
-//   - floatequal:   ==/!= between floating-point operands
-//   - seedplumb:    wall-clock-derived seeds in exported constructors
 //   - parsafe:      whole-program — code reachable from a ShardedEval
 //     callback must not write shared state, schedule, send, or draw RNG
 //   - noalloc:      whole-program — pqlint:noalloc-annotated hot paths
-//     must not allocate anywhere along the call chain
+//     must not allocate along the call chain, up to the calls that
+//     declare a hand-off
 //
-// The last two walk a class-hierarchy-style call graph (see callgraph.go)
-// and honor the annotation contracts in annotations.go. Benign violations
-// are silenced in place with a reasoned directive:
+// The last two walk a class-hierarchy-style call graph over the whole
+// module (see callgraph.go; load.go says why a function has one identity in
+// every package that calls it). Benign violations are silenced in place
+// with a reasoned directive:
 //
 //	//pqlint:allow analyzer(reason)
 //
 // placed on the offending line, the line above it, or — before the package
 // clause — covering the whole file. The reason is mandatory; a malformed or
-// unknown directive is itself a diagnostic (analyzer "pqlint") and cannot
-// be suppressed.
+// unknown directive, and an allow that silences nothing, is itself a
+// diagnostic (analyzer "pqlint") and cannot be suppressed. directive.go
+// holds the grammar.
 package lint
 
 import (
@@ -83,8 +84,6 @@ func Analyzers() []*Analyzer {
 		NoGlobalRand,
 		NoWallClock,
 		DetRange,
-		FloatEqual,
-		SeedPlumb,
 		ParSafe,
 		NoAlloc,
 	}
@@ -110,9 +109,6 @@ type Pass struct {
 	analyzer string
 	findings *[]Finding
 }
-
-// Fset returns the file set positions resolve against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
@@ -189,12 +185,9 @@ func (p *Pass) importedPkgPath(id *ast.Ident) string {
 
 // ProgramPass hands the whole module to a whole-program analyzer.
 type ProgramPass struct {
-	// Pkgs is every loaded package.
-	Pkgs []*Package
 	// Graph is the module call graph (see callgraph.go).
 	Graph *CallGraph
 
-	annots     *annotationTable
 	directives map[string]*directiveSet // by filename
 	analyzer   string
 	findings   *[]Finding
@@ -218,9 +211,16 @@ func (p *ProgramPass) view(n *FuncNode) *Pass {
 	return &Pass{Pkg: n.Pkg, File: n.File, analyzer: p.analyzer, findings: p.findings}
 }
 
-// parSharedAt exposes line-scope parshared annotations to analyzers.
-func (p *ProgramPass) parSharedAt(filename string, line int) string {
-	return p.annots.parSharedAt(filename, line)
+// walk visits everything reachable from roots (see CallGraph.walk), except
+// through a call on whose line an allow directive for this analyzer sits:
+// what a declared cold path, or caller-supplied code a checked path hands
+// off to, goes on to do is not the checked path's.
+func (p *ProgramPass) walk(roots []*FuncNode, visit func(n *FuncNode, chain []string)) {
+	p.Graph.walk(roots, func(e Edge) bool {
+		pos := p.Fset().Position(e.Site)
+		_, allowed := p.directives[pos.Filename].covers(p.analyzer, pos.Line)
+		return allowed
+	}, visit)
 }
 
 // Run executes the given analyzers over pkgs, applies suppression
@@ -230,74 +230,62 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	valid := AnalyzerNames()
 	var out []Finding
 
-	// Pass 1: parse every file's directives and annotations up front —
-	// whole-program findings land in arbitrary files, so suppression must
-	// be resolvable per filename after all analyzers have run.
+	// Pass 1: parse every file's directives up front — whole-program
+	// findings land in arbitrary files, so suppression must be resolvable
+	// per filename after all analyzers have run.
 	directives := make(map[string]*directiveSet)
-	annots := newAnnotationTable()
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
-			ds, derrs := parseDirectives(pkg.Fset, file.AST, valid)
-			out = append(out, derrs...)
+			ds, errs := parseDirectives(pkg.Fset, file.AST, valid)
+			out = append(out, errs...)
 			directives[file.Name] = ds
-			out = append(out, annots.collectFile(pkg.Fset, file)...)
 		}
 	}
-	funcAnnots, aerrs := annots.attach(pkgs)
-	out = append(out, aerrs...)
 
-	// Pass 2: per-file analyzers.
+	// Pass 2: per-file analyzers. examples/ are documentation-grade demo
+	// binaries outside the simulation determinism boundary and are skipped
+	// (the call graph leaves them out as well).
 	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, az := range analyzers {
-				if az.Run == nil {
+	var program []*Analyzer
+	ran := make(map[string]bool)
+	for _, az := range analyzers {
+		ran[az.Name] = true
+		if az.RunProgram != nil {
+			program = append(program, az)
+			continue
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				if pkg.Example || (file.Test && !az.TestFiles) {
 					continue
 				}
-				if file.Test && !az.TestFiles {
-					continue
-				}
-				if pkg.Example && az.Name != FloatEqual.Name {
-					// examples/ are documentation-grade demo binaries
-					// outside the simulation determinism boundary.
-					continue
-				}
-				pass := &Pass{Pkg: pkg, File: file, analyzer: az.Name, findings: &findings}
-				az.Run(pass)
+				az.Run(&Pass{Pkg: pkg, File: file, analyzer: az.Name, findings: &findings})
 			}
 		}
 	}
 
 	// Pass 3: whole-program analyzers over the shared call graph.
-	var program []*Analyzer
-	for _, az := range analyzers {
-		if az.RunProgram != nil {
-			program = append(program, az)
-		}
-	}
 	if len(program) > 0 {
-		graph := buildCallGraph(pkgs, funcAnnots)
+		graph := buildCallGraph(pkgs, directives)
 		for _, az := range program {
-			pass := &ProgramPass{
-				Pkgs: pkgs, Graph: graph,
-				annots: annots, directives: directives,
+			az.RunProgram(&ProgramPass{
+				Graph: graph, directives: directives,
 				analyzer: az.Name, findings: &findings,
-			}
-			az.RunProgram(pass)
+			})
 		}
 	}
 
 	for i := range findings {
-		ds := directives[findings[i].Pos.Filename]
-		if ds == nil {
-			continue
-		}
-		if reason, ok := ds.covers(findings[i].Analyzer, findings[i].Pos.Line); ok {
-			findings[i].Suppressed = true
-			findings[i].Reason = reason
-		}
+		f := &findings[i]
+		f.Reason, f.Suppressed = directives[f.Pos.Filename].covers(f.Analyzer, f.Pos.Line)
 	}
 	out = append(out, findings...)
+	// Every directive of an analyzer that ran has had its chance by now.
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			out = append(out, directives[file.Name].unused(pkg.Fset, ran)...)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

@@ -14,7 +14,7 @@ var loader = lint.NewLoader()
 
 func loadFixture(t *testing.T, name string) *lint.Package {
 	t.Helper()
-	pkg, err := loader.LoadDir(filepath.Join("testdata", name))
+	pkg, err := loader.LoadDir(filepath.Join("testdata", filepath.FromSlash(name)))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -27,21 +27,43 @@ func loadFixture(t *testing.T, name string) *lint.Package {
 // TestAnalyzerFixtures drives each analyzer over its fixture package:
 // positive.go must yield unsuppressed findings, clean.go none, and
 // suppressed.go only suppressed findings carrying the directive's reason.
+// The crosspkg rows run the two whole-program analyzers over a two-package
+// fixture whose roots sit in package a and whose violations sit in package
+// b: each chain must be printed, which takes a call graph that resolves a
+// static call, an interface call and a parallel-phase callee across the
+// package boundary.
 func TestAnalyzerFixtures(t *testing.T) {
-	wantPositives := map[string]int{
-		"noglobalrand": 2, // rand.Float64, rand.Intn
-		"nowallclock":  2, // time.Now, time.Sleep
-		"detrange":     3, // RNG draw, scheduling, escaping append
-		"floatequal":   2, // a == b, x != 0.5
-		"seedplumb":    2, // wall-clock seed, pid seed (one per constructor)
-		"parsafe":      4, // captured write, schedule, RNG draw, callee write
-		"noalloc":      6, // escaping append, &lit, boxing, closure, method value, make
+	crosspkg := []string{"crosspkg/a", "crosspkg/b"}
+	rows := []struct {
+		name      string // the analyzer's own name and fixture when empty
+		az        *lint.Analyzer
+		dirs      []string
+		positives int      // unsuppressed findings wanted in positive.go, at least
+		chains    []string // each must appear in some positive.go finding
+	}{
+		{az: lint.NoGlobalRand, positives: 2}, // rand.Float64, rand.Intn
+		{az: lint.NoWallClock, positives: 3},  // time.Now, time.Sleep, os.Getpid
+		{az: lint.DetRange, positives: 3},     // RNG draw, scheduling, escaping append
+		{az: lint.ParSafe, positives: 4},      // captured write, schedule, RNG draw, callee write
+		{az: lint.NoAlloc, positives: 6},      // escaping append, &lit, boxing, closure, method value, make
+		{name: "crosspkg-noalloc", az: lint.NoAlloc, dirs: crosspkg, positives: 2,
+			chains: []string{"a.hotStatic -> b.Scratch]", "a.hotIface -> b.(*Table).Put]"}},
+		{name: "crosspkg-parsafe", az: lint.ParSafe, dirs: crosspkg, positives: 1,
+			chains: []string{" -> b.(*Table).Bump]"}},
 	}
-	for _, az := range lint.Analyzers() {
-		az := az
-		t.Run(az.Name, func(t *testing.T) {
-			pkg := loadFixture(t, az.Name)
-			findings := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{az})
+	covered := make(map[string]bool)
+	for _, row := range rows {
+		az := row.az
+		covered[az.Name] = true
+		if row.name == "" {
+			row.name, row.dirs = az.Name, []string{az.Name}
+		}
+		t.Run(row.name, func(t *testing.T) {
+			var pkgs []*lint.Package
+			for _, dir := range row.dirs {
+				pkgs = append(pkgs, loadFixture(t, dir))
+			}
+			findings := lint.Run(pkgs, []*lint.Analyzer{az})
 			perFile := make(map[string][]lint.Finding)
 			for _, f := range findings {
 				if f.Analyzer != az.Name {
@@ -52,13 +74,22 @@ func TestAnalyzerFixtures(t *testing.T) {
 			}
 
 			positives := perFile["positive.go"]
-			if got := len(lintUnsuppressed(positives)); got < wantPositives[az.Name] {
+			if got := len(lintUnsuppressed(positives)); got < row.positives {
 				t.Errorf("positive.go: got %d unsuppressed findings, want >= %d: %v",
-					got, wantPositives[az.Name], positives)
+					got, row.positives, positives)
 			}
 			for _, f := range positives {
 				if f.Suppressed {
 					t.Errorf("positive.go finding unexpectedly suppressed: %s", f)
+				}
+			}
+			for _, chain := range row.chains {
+				found := false
+				for _, f := range positives {
+					found = found || strings.Contains(f.Message, chain)
+				}
+				if !found {
+					t.Errorf("positive.go: no finding reached over the chain %q: %v", chain, positives)
 				}
 			}
 
@@ -89,13 +120,18 @@ func TestAnalyzerFixtures(t *testing.T) {
 			}
 		})
 	}
+	for _, az := range lint.Analyzers() {
+		if !covered[az.Name] {
+			t.Errorf("analyzer %s has no fixture row", az.Name)
+		}
+	}
 }
 
 func lintUnsuppressed(fs []lint.Finding) []lint.Finding { return lint.Unsuppressed(fs) }
 
 // TestDirectiveErrors checks that malformed, reason-less, and
-// unknown-analyzer directives are themselves diagnostics and cannot be
-// suppressed.
+// unknown-analyzer directives, and an allow that covers nothing, are
+// themselves diagnostics and cannot be suppressed.
 func TestDirectiveErrors(t *testing.T) {
 	pkg := loadFixture(t, "directive")
 	findings := lint.Run([]*lint.Package{pkg}, lint.Analyzers())
@@ -105,10 +141,10 @@ func TestDirectiveErrors(t *testing.T) {
 			pqlint = append(pqlint, f)
 		}
 	}
-	if len(pqlint) != 3 {
-		t.Fatalf("want 3 directive diagnostics, got %d: %v", len(pqlint), pqlint)
+	if len(pqlint) != 4 {
+		t.Fatalf("want 4 directive diagnostics, got %d: %v", len(pqlint), pqlint)
 	}
-	wants := []string{"malformed directive", "needs a non-empty reason", "unknown analyzer"}
+	wants := []string{"malformed directive", "needs a non-empty reason", "unknown analyzer", "allow detrange covers no finding"}
 	for _, want := range wants {
 		found := false
 		for _, f := range pqlint {
@@ -130,7 +166,8 @@ func TestDirectiveErrors(t *testing.T) {
 // TestSuppressionEdgeCases drives the edge fixture: a file-wide directive
 // plus line-scope directives, one comment silencing two analyzers on one
 // line, and an allow directive inside a pqlint:noalloc-annotated
-// declaration. Every finding must come out suppressed with a reason.
+// declaration. Every finding must come out suppressed with a reason, and
+// every directive must have been used (an unused one is a finding).
 func TestSuppressionEdgeCases(t *testing.T) {
 	pkg := loadFixture(t, "edges")
 	findings := lint.Run([]*lint.Package{pkg}, lint.Analyzers())
@@ -147,26 +184,24 @@ func TestSuppressionEdgeCases(t *testing.T) {
 			t.Errorf("suppressed without reason: %s", f)
 		}
 	}
-	for _, az := range []string{"nowallclock", "detrange", "floatequal", "noalloc"} {
+	for _, az := range []string{"nowallclock", "detrange", "noglobalrand", "noalloc"} {
 		if byAnalyzer[az] == 0 {
 			t.Errorf("edge fixture never triggered %s (got %v)", az, byAnalyzer)
 		}
 	}
-	// detrange and floatequal fire on the same line and are silenced by a
+	// detrange and noglobalrand fire on the same line and are silenced by a
 	// single two-directive comment; both must carry their own reason.
-	var detReason, feqReason string
+	var detReason, randReason string
 	for _, f := range findings {
-		switch f.Analyzer {
-		case "detrange":
+		switch {
+		case f.Analyzer == "detrange":
 			detReason = f.Reason
-		case "floatequal":
-			if strings.Contains(f.Reason, "sentinel") {
-				feqReason = f.Reason
-			}
+		case f.Analyzer == "noglobalrand" && strings.Contains(f.Reason, "picks the map"):
+			randReason = f.Reason
 		}
 	}
-	if detReason == feqReason {
-		t.Errorf("multi-directive comment did not keep per-analyzer reasons: %q vs %q", detReason, feqReason)
+	if detReason == "" || randReason == "" || detReason == randReason {
+		t.Errorf("multi-directive comment did not keep per-analyzer reasons: %q vs %q", detReason, randReason)
 	}
 }
 
@@ -183,13 +218,12 @@ func TestAnnotationErrors(t *testing.T) {
 			t.Errorf("unexpected non-pqlint finding: %s", f)
 		}
 	}
-	if len(pq) != 4 {
-		t.Fatalf("want 4 annotation diagnostics, got %d: %v", len(pq), pq)
+	if len(pq) != 3 {
+		t.Fatalf("want 3 annotation diagnostics, got %d: %v", len(pq), pq)
 	}
 	wants := []string{
-		"needs a (reason) payload",
 		"takes no payload",
-		"unknown pqlint annotation \"frobnicate\" (want allow, parshared, or noalloc)",
+		"unknown pqlint directive \"frobnicate\" (want allow or noalloc)",
 		"not attached to a function declaration",
 	}
 	for _, want := range wants {

@@ -9,10 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // SourceFile is one parsed file of a package.
@@ -45,49 +42,71 @@ type Package struct {
 	// Example marks packages under examples/, which sit outside the
 	// simulation determinism boundary.
 	Example bool
+
+	// types is the checked package, handed to importers of ImportPath.
+	types *types.Package
 }
 
-// Loader parses and type-checks packages with a shared file set and source
-// importer, so stdlib and intra-module dependencies are resolved once
-// across every package of a run — the importer's cache is the whole reason
-// cold-start cost is paid once, not per package.
+// Loader parses and type-checks the module's packages over one file set.
+// An import of a module-local path is answered by loading that directory
+// itself, memoised: every package is parsed and type-checked exactly once,
+// dependencies first by recursion, and the *types.Package an importer sees
+// is the one the analyzers see. A types.Func therefore has one identity
+// across the module, which is what lets the call graph resolve static and
+// interface calls across packages. Everything outside the module goes to
+// the standard library's source importer.
 type Loader struct {
 	fset *token.FileSet
-	imp  types.ImporterFrom
+	std  types.Importer
+	// root and modPath locate the module; set by the first load.
+	root, modPath string
+	// pkgs memoises loads by directory. A nil entry is a directory without
+	// Go files, or one whose check is still running (an import cycle).
+	pkgs map[string]*Package
 }
 
-// NewLoader returns a loader. The source importer resolves imports —
-// including intra-module ones — by type-checking from source, so the
-// loader needs no pre-built export data; the process's working directory
-// must be inside the module for module-local import paths to resolve.
+// NewLoader returns a loader. Nothing needs pre-built export data: the
+// module is checked from source by the loader, the standard library by the
+// source importer.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	imp, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		panic("lint: source importer does not implement ImporterFrom")
+	return &Loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: make(map[string]*Package)}
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importPkg resolves one import of a package under check.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
+	rel, local := strings.CutPrefix(path, l.modPath)
+	if !local || (rel != "" && rel[0] != '/') {
+		return l.std.Import(path)
 	}
-	return &Loader{fset: fset, imp: &syncImporter{imp: imp}}
+	pkg, err := l.load(filepath.Join(l.root, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil || pkg.types == nil {
+		return nil, fmt.Errorf("lint: no Go package at %s (or an import cycle through it)", path)
+	}
+	return pkg.types, nil
 }
 
-// syncImporter serializes a source importer so packages can be
-// type-checked concurrently: token.FileSet is safe for concurrent use but
-// the source importer's package cache is not. Imports of a dependency
-// resolve it once under the lock; the importer's own nested imports go
-// through its internal resolver, not back through this wrapper, so the
-// lock is never taken reentrantly.
-type syncImporter struct {
-	mu  sync.Mutex
-	imp types.ImporterFrom
-}
-
-func (s *syncImporter) Import(path string) (*types.Package, error) {
-	return s.ImportFrom(path, "", 0)
-}
-
-func (s *syncImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.imp.ImportFrom(path, dir, mode)
+// inModule records the module dir lies in; every load of one loader must
+// stay inside it.
+func (l *Loader) inModule(dir string) error {
+	root, err := FindModuleRoot(dir)
+	if err != nil || root == l.root {
+		return err
+	}
+	if l.root != "" {
+		return fmt.Errorf("lint: %s is outside the module at %s", dir, l.root)
+	}
+	l.root = root
+	l.modPath, err = modulePath(root)
+	return err
 }
 
 // FindModuleRoot walks up from dir to the directory containing go.mod.
@@ -124,113 +143,79 @@ func modulePath(root string) (string, error) {
 }
 
 // LoadModule loads every package under the module rooted at root,
-// skipping testdata, hidden, and VCS directories.
+// skipping testdata, hidden, and VCS directories, in directory order.
 func (l *Loader) LoadModule(root string) ([]*Package, error) {
-	modPath, err := modulePath(root)
-	if err != nil {
+	if err := l.inModule(root); err != nil {
 		return nil, err
 	}
-	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+	var pkgs []*Package
+	err := filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
 		name := d.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if path != l.root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
-		dirs = append(dirs, path)
-		return nil
+		pkg, err := l.load(path)
+		if pkg != nil {
+			pkgs = append(pkgs, pkg)
+		}
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(dirs)
-	// Packages type-check concurrently: each slot of the sorted dir list is
-	// filled independently, so the returned order — and every diagnostic's
-	// position — is identical to the serial loader's. The shared file set
-	// is concurrency-safe; the shared importer is serialized by
-	// syncImporter, so a dependency is still source-checked only once.
-	type loaded struct {
-		pkg *Package
-		err error
-	}
-	results := make([]loaded, len(dirs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, dir := range dirs {
-		wg.Add(1)
-		go func(i int, dir string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rel, err := filepath.Rel(root, dir)
-			if err != nil {
-				results[i] = loaded{nil, err}
-				return
-			}
-			importPath := modPath
-			if rel != "." {
-				importPath = modPath + "/" + filepath.ToSlash(rel)
-			}
-			pkg, err := l.loadDir(dir, importPath)
-			if pkg != nil {
-				pkg.Example = rel == "examples" || strings.HasPrefix(rel, "examples"+string(filepath.Separator))
-			}
-			results[i] = loaded{pkg, err}
-		}(i, dir)
-	}
-	wg.Wait()
-	var pkgs []*Package
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.pkg == nil {
-			continue // no Go files
-		}
-		pkgs = append(pkgs, r.pkg)
-	}
-	return pkgs, nil
+	return pkgs, err
 }
 
 // LoadDir loads the single package in dir (used for analyzer fixtures).
 func (l *Loader) LoadDir(dir string) (*Package, error) {
-	pkg, err := l.loadDir(dir, "fixture/"+filepath.Base(dir))
+	if err := l.inModule(dir); err != nil {
+		return nil, err
+	}
+	pkg, err := l.load(dir)
+	if err == nil && pkg == nil {
+		err = fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	return pkg, err
+}
+
+// load parses dir's Go files into one package and type-checks the non-test
+// files, once per directory. It returns (nil, nil) when dir holds no Go
+// files.
+func (l *Loader) load(dir string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	if pkg, ok := l.pkgs[dir]; ok {
+		return pkg, nil
 	}
-	return pkg, nil
-}
-
-// loadDir parses dir's Go files into one package and type-checks the
-// non-test files. It returns (nil, nil) when dir holds no Go files.
-func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
+	l.pkgs[dir] = nil
+	rel, err := filepath.Rel(l.root, dir)
+	if err != nil {
+		return nil, err
+	}
+	rel = filepath.ToSlash(rel)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{ImportPath: importPath, Dir: dir, Fset: l.fset}
-	var typed []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		names = append(names, e.Name())
+	importPath := l.modPath
+	if rel != "." {
+		importPath += "/" + rel
 	}
-	sort.Strings(names)
-	// Non-test files first (they form the type-checked unit), then tests.
-	for _, pass := range []bool{false, true} {
-		for _, name := range names {
-			isTest := strings.HasSuffix(name, "_test.go")
-			if isTest != pass {
+	pkg := &Package{
+		ImportPath: importPath,
+		Dir:        dir,
+		Fset:       l.fset,
+		Example:    rel == "examples" || strings.HasPrefix(rel, "examples/"),
+	}
+	var typed []*ast.File
+	// Non-test files first (they form the type-checked unit), then tests;
+	// ReadDir returns the names sorted.
+	for _, tests := range []bool{false, true} {
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 				continue
 			}
 			path := filepath.Join(dir, name)
@@ -238,8 +223,8 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			pkg.Files = append(pkg.Files, &SourceFile{Name: path, AST: f, Test: isTest})
-			if !isTest {
+			pkg.Files = append(pkg.Files, &SourceFile{Name: path, AST: f, Test: tests})
+			if !tests {
 				typed = append(typed, f)
 			}
 		}
@@ -248,21 +233,21 @@ func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 		return nil, nil
 	}
 	if len(typed) > 0 {
-		info := &types.Info{
+		pkg.Info = &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{
-			Importer: l.imp,
+			Importer: importerFunc(l.importPkg),
 			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 		}
 		// Check fills info as far as it gets even on error; partial
 		// information degrades analyzers gracefully rather than failing
 		// the lint run.
-		_, _ = conf.Check(importPath, l.fset, typed, info)
-		pkg.Info = info
+		pkg.types, _ = conf.Check(pkg.ImportPath, l.fset, typed, pkg.Info)
 	}
+	l.pkgs[dir] = pkg
 	return pkg, nil
 }

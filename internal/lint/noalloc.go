@@ -43,12 +43,7 @@ func runNoAlloc(p *ProgramPass) {
 			roots = append(roots, n)
 		}
 	}
-	cut := func(e Edge) bool {
-		pos := p.Fset().Position(e.Site) // in a loaded file: Run parsed its directives
-		_, allowed := p.directives[pos.Filename].covers(p.analyzer, pos.Line)
-		return allowed
-	}
-	p.Graph.walk(roots, cut, func(n *FuncNode, chain []string) {
+	p.walk(roots, func(n *FuncNode, chain []string) {
 		checkNoAllocNode(p, n, chain)
 	})
 }

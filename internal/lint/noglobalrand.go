@@ -7,8 +7,8 @@ import (
 // globalRandFuncs are the math/rand (and math/rand/v2) package-level
 // functions that draw from the process-global source. rand.New,
 // rand.NewSource &c. are allowed: constructing an explicitly seeded source
-// is exactly how engine randomness is plumbed (seedplumb checks that the
-// seed itself is deterministic).
+// is exactly how engine randomness is plumbed (nowallclock rejects the
+// nondeterministic seeds: time.Now, os.Getpid).
 var globalRandFuncs = map[string]bool{
 	// math/rand
 	"Int": true, "Intn": true, "Int31": true, "Int31n": true,

@@ -4,24 +4,28 @@ import (
 	"go/ast"
 )
 
-// wallClockFuncs are the time package functions that observe or wait on
-// the wall clock. Pure constructors and conversions (time.Duration,
-// time.Unix, time.Date) are allowed: they are deterministic.
+// wallClockFuncs are the functions whose result differs from run to run:
+// the time package's that observe or wait on the wall clock, and the
+// process id (the other classic seed of a detached RNG). Pure constructors
+// and conversions (time.Duration, time.Unix, time.Date) are allowed: they
+// are deterministic.
 var wallClockFuncs = map[string]bool{
-	"Now": true, "Sleep": true, "After": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true, "AfterFunc": true,
-	"Since": true, "Until": true,
+	"time.Now": true, "time.Sleep": true, "time.After": true, "time.Tick": true,
+	"time.NewTimer": true, "time.NewTicker": true, "time.AfterFunc": true,
+	"time.Since": true, "time.Until": true,
+	"os.Getpid": true,
 }
 
 // NoWallClock forbids wall-clock reads in simulation code. Simulated time
 // is Engine.Now; real time differs per host and per run, so any wall-clock
-// dependence breaks replay. Wall-clock timing is legal only in experiment
+// dependence — a timestamp in a table, a seed from time.Now().UnixNano() —
+// breaks replay. Wall-clock timing is legal only in experiment
 // reporting (per-figure wall clock in cmd/pqexp), allow-listed per file
 // with a file-wide //pqlint:allow nowallclock(reason) directive before the
 // package clause.
 var NoWallClock = &Analyzer{
 	Name:      "nowallclock",
-	Doc:       "forbid time.Now/Sleep/After/Tick in simulation code; simulated time is Engine.Now",
+	Doc:       "forbid time.Now/Sleep/After/Tick and os.Getpid in simulation code; simulated time is Engine.Now, seeds come from the engine",
 	TestFiles: true,
 	Run:       runNoWallClock,
 }
@@ -33,10 +37,10 @@ func runNoWallClock(p *Pass) {
 			return true
 		}
 		path, fn, ok := p.PkgFuncCall(call)
-		if !ok || path != "time" || !wallClockFuncs[fn] {
+		if !ok || !wallClockFuncs[path+"."+fn] {
 			return true
 		}
-		p.Reportf(call.Pos(), "time.%s reads the wall clock; simulation code must use the engine's clock (Engine.Now / Schedule)", fn)
+		p.Reportf(call.Pos(), "%s.%s differs from run to run; simulation code must use the engine's clock and seed (Engine.Now / Schedule / NewStream)", path, fn)
 		return true
 	})
 }

@@ -22,20 +22,17 @@ import (
 //   - spawn goroutines or touch channels.
 //
 // The sanctioned shared writes of a parallel phase — the per-item result
-// slot and scratch indexed by the callback's shard argument — are declared
-// in place with a line-scope annotation:
+// slot, scratch indexed by the callback's shard argument, and the engine's
+// per-chunk staging buffer inside Stage — are declared in place like any
+// other reasoned exception:
 //
-//	m.out[i] = v //pqlint:parshared(per-item result slot, disjoint per i)
-//
-// and a function that is itself a deliberate shared-state boundary carries
-// a function-scope pqlint:parshared(reason), which stops the walk there.
+//	m.out[i] = v //pqlint:allow parsafe(per-item result slot, disjoint per i)
 //
 // Roots are found by call-site shape — a method call named ShardedEval
 // taking (int-like, func(int, int)) — so the analyzer needs no dependency on
 // internal/sim and works on fixtures. Stage is the sanctioned effect
-// boundary of the phase: the real engine's Stage carries a function-scope
-// parshared annotation, and the ops it defers run serially at the commit
-// barrier, outside the walk.
+// boundary of the phase: it only stores the op, which runs serially at the
+// commit barrier, so the walk ends there by itself.
 var ParSafe = &Analyzer{
 	Name:       "parsafe",
 	Doc:        "code reachable from a ShardedEval callback must not write shared state, schedule, send, or draw RNG",
@@ -66,7 +63,7 @@ func runParSafe(p *ProgramPass) {
 			return true
 		})
 	}
-	g.walk(roots, func(e Edge) bool { return e.Callee.ParShared != "" }, func(n *FuncNode, chain []string) {
+	p.walk(roots, func(n *FuncNode, chain []string) {
 		checkParSafeNode(p, n, chain)
 	})
 }
@@ -170,16 +167,12 @@ func checkParSafeNode(p *ProgramPass, n *FuncNode, chain []string) {
 // checkParallelWrite classifies one assignment target. Writes to locals
 // are always fine; writes whose base escapes the callback — captured or
 // package-level variables, or stores through pointer-typed
-// parameters/receivers — are shared-state hazards unless a parshared line
-// annotation declares the write as a per-item or per-shard slot.
+// parameters/receivers — are shared-state hazards; a per-item or per-shard
+// slot is declared with an allow directive on the write's line.
 func (p *ProgramPass) checkParallelWrite(pv *Pass, n *FuncNode, lhs ast.Expr, via string) {
 	base, through := writeBase(pv, lhs)
 	if base == nil {
 		if isBlank(lhs) {
-			return
-		}
-		pos := p.Graph.Fset.Position(lhs.Pos())
-		if p.parSharedAt(pos.Filename, pos.Line) != "" {
 			return
 		}
 		p.Reportf(lhs.Pos(), "writes through an unresolved expression %s inside the parallel phase%s", types.ExprString(lhs), via)
@@ -204,15 +197,11 @@ func (p *ProgramPass) checkParallelWrite(pv *Pass, n *FuncNode, lhs ast.Expr, vi
 			return
 		}
 	}
-	pos := p.Graph.Fset.Position(lhs.Pos())
-	if p.parSharedAt(pos.Filename, pos.Line) != "" {
-		return
-	}
 	what := "captured or package-level state"
 	if v.Pos() >= n.Pos() && v.Pos() < body.Pos() {
 		what = "caller-visible state through parameter " + quote(base.Name)
 	}
-	p.Reportf(lhs.Pos(), "writes %s (%s) inside the parallel phase%s; annotate the result slot with pqlint:parshared(reason) or move the write to a serial phase", what, types.ExprString(lhs), via)
+	p.Reportf(lhs.Pos(), "writes %s (%s) inside the parallel phase%s; declare a per-item or per-shard slot with //pqlint:allow parsafe(reason), or move the write to a serial phase", what, types.ExprString(lhs), via)
 }
 
 // writeBase unwraps an assignment target to its base identifier, reporting

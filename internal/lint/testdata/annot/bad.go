@@ -4,9 +4,6 @@ package fixture
 // deliberate mistake and must surface as an unsuppressible "pqlint"
 // diagnostic.
 
-//pqlint:parshared
-func badBarePayload() {}
-
 //pqlint:noalloc(payload)
 func badNoAllocWithPayload() {}
 

@@ -8,7 +8,7 @@ func drawSeeded(rng *rand.Rand, n int) int {
 }
 
 // newStream derives a source from a seed; constructing sources is legal
-// (seedplumb separately checks the seed itself is deterministic).
+// (nowallclock rejects the seeds that differ per run: time.Now, os.Getpid).
 func newStream(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }

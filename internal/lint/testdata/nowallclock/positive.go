@@ -1,6 +1,10 @@
 package fixture
 
-import "time"
+import (
+	"math/rand"
+	"os"
+	"time"
+)
 
 // stamp reads the wall clock: the violation under test.
 func stamp() int64 {
@@ -10,4 +14,10 @@ func stamp() int64 {
 // wait blocks on real time.
 func wait() {
 	time.Sleep(10 * time.Millisecond)
+}
+
+// newSource seeds from the process id: a subsystem detached from the
+// engine's seed plumbing stops replaying though every call site looks clean.
+func newSource() *rand.Rand {
+	return rand.New(rand.NewSource(int64(os.Getpid())))
 }

@@ -1,19 +1,17 @@
 package fixture
 
 type cleanMachine struct {
-	eng     *Engine
-	in      []float64
-	out     []float64
-	scratch [][]int
+	eng *Engine
+	in  []float64
 }
 
-// run keeps a sharded phase legal: a declared per-shard scratch write, a
-// declared per-item result slot, a pure helper on the path, and an effect
-// deferred through Stage (the annotated boundary the walk stops at).
+// run keeps a sharded phase legal without declaring anything: a pure helper
+// on the path, a write to a local, and an effect deferred through Stage
+// (which only stores the op: the walk ends there).
 func (m *cleanMachine) run() {
-	m.eng.ShardedEval(len(m.in), func(shard, i int) {
-		m.scratch[shard] = append(m.scratch[shard], i) //pqlint:parshared(per-shard scratch: one goroutine owns a shard index per phase)
-		m.out[i] = scale(m.in[i])                      //pqlint:parshared(per-item result slot; index i is private to one item)
+	m.eng.ShardedEval(len(m.in), func(_, i int) {
+		y := scale(m.in[i])
+		y++
 		m.eng.Stage(i, noop)
 	})
 }

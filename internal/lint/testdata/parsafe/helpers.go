@@ -14,10 +14,8 @@ func (e *Engine) ShardedEval(n int, fn func(shard, i int)) {
 }
 
 // Stage mimics the sharded phase's deferred-effect boundary: like the real
-// engine's Stage, the function-scope annotation stops the parsafe walk here
-// — the deferred ops run serially at the commit barrier.
-//
-//pqlint:parshared(fixture commit buffer: ops run serially after the barrier)
+// engine's Stage it stores op and calls nothing, so the parsafe walk ends
+// here — the deferred ops run serially at the commit barrier.
 func (e *Engine) Stage(item int, op func()) {}
 
 // Schedule mimics the engine's event scheduling entry point.

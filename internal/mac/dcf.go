@@ -102,7 +102,7 @@ func (d *DCF) Send(f *phy.Frame) {
 	} else {
 		f.Rate = d.cfg.UnicastRate
 	}
-	d.queue = append(d.queue, f)
+	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: the queue holds at most QueueLimit frames and is re-housed only when it has slid to the end of its backing array)
 	if d.state == dcfIdle {
 		d.startAccess(true)
 	}
@@ -265,7 +265,7 @@ func (d *DCF) FrameReceived(f *phy.Frame) {
 // DCF access procedure and are sent regardless of carrier state, matching
 // the standard's SIFS rule.
 func (d *DCF) sendAck(data *phy.Frame) {
-	ack := &phy.Frame{
+	ack := &phy.Frame{ //pqlint:allow noalloc(one ACK frame per received unicast, not pooled: the medium reads it until the ACK's transmission ends, after this upcall; it shows in BenchmarkDCFUnicastHop's allocs/op)
 		Src:   d.id,
 		Dst:   data.Src,
 		Kind:  phy.FrameAck,
@@ -273,7 +273,7 @@ func (d *DCF) sendAck(data *phy.Frame) {
 		Bytes: d.cfg.AckBytes,
 		Rate:  d.cfg.AckRate,
 	}
-	d.engine.Schedule(d.cfg.SIFS, func() {
+	d.engine.Schedule(d.cfg.SIFS, func() { //pqlint:allow noalloc(the SIFS event of that ACK, the frame's one companion object)
 		d.TxAck++
 		d.channel.Transmit(ack)
 	})

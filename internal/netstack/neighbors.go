@@ -268,7 +268,7 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 	expires := math.Inf(1)
 	for nb, seen := range h.lastSeen[id] {
 		if now-seen <= h.timeout && h.net.alive[nb] {
-			h.scratch = append(h.scratch, nb)
+			h.scratch = append(h.scratch, nb) //pqlint:allow noalloc(shared scratch: grows to the largest neighbor list once, then is reused)
 			if e := seen + h.timeout; e < expires {
 				expires = e
 			}
@@ -280,7 +280,7 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 	if !intsEqual(h.scratch, h.lists[id]) {
 		h.version++
 	}
-	h.lists[id] = append(h.lists[id][:0], h.scratch...)
+	h.lists[id] = append(h.lists[id][:0], h.scratch...) //pqlint:allow noalloc(the node's cached list is rewritten in place and grows to its neighbor high-water mark; a rebuild runs once per beacon expiry, not per hop — TestOracleNextHopHitAllocFree pins the hit path)
 	h.expires[id] = expires
 	h.epochs[id] = h.net.aliveEpoch
 	h.fresh[id] = true

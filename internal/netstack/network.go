@@ -381,7 +381,7 @@ func (net *Network) deliverRx(n *Node, from int, pkt *Packet, overhear bool) {
 		// sender's envelope pkt points into: it takes its own copy.
 		held := pkt.Clone()
 		net.pendingDelayed++
-		net.engine.Schedule(act.Delay, func() {
+		net.engine.Schedule(act.Delay, func() { //pqlint:allow noalloc(fault-delay path only: the delivery that outlives its upcall takes an event closure with its packet copy)
 			net.pendingDelayed--
 			net.finishDelayed(n, from, held, overhear, lo, seq)
 		})
@@ -417,7 +417,7 @@ func (net *Network) dispatchRx(n *Node, from int, pkt *Packet, overhear bool) {
 		return
 	}
 	if h := n.protos[pkt.Proto]; h != nil {
-		h.HandlePacket(n, pkt, from)
+		h.HandlePacket(n, pkt, from) //pqlint:allow noalloc(the hop ends here and the protocol's handler takes over: the forwarding handlers are roots of their own — Oracle.handleData, arrive, pickWalkNext — and TestForwardedHopAllocFree, TestWalkHopAllocsBounded pin what a relayed hop costs)
 	}
 }
 
@@ -426,7 +426,7 @@ func (net *Network) orderState(from, to int) *linkOrder {
 	k := linkKey{from: from, to: to}
 	lo := net.linkOrder[k]
 	if lo == nil {
-		lo = &linkOrder{lastDelivered: -1}
+		lo = &linkOrder{lastDelivered: -1} //pqlint:allow noalloc(fault path only: one tracker per directed link that ever carried a frame under a link fault, kept in the map and reused)
 		net.linkOrder[k] = lo
 	}
 	return lo

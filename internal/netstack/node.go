@@ -138,7 +138,7 @@ func (n *Node) MACSendDone(f *phy.Frame, ok bool) {
 		n.net.stats.Observe(LatHop, n.net.engine.Now()-env.sent)
 	}
 	if env.done != nil {
-		env.done(ok)
+		env.done(ok) //pqlint:allow noalloc(the hop ends here and the sender's completion handler takes over: the hop is pinned by TestSendOneHopAllocFree, what handlers do per hop by TestWalkHopAllocsBounded, TestReplyHopAllocsBounded and TestForwardedHopAllocFree)
 	}
 	n.net.freeEnv(env)
 }

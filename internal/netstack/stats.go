@@ -213,8 +213,8 @@ func (h *Hist) sub(o *Hist) {
 
 // bounds returns the lower bound of the first and the upper bound of the
 // last populated bucket — the tightest extrema the bucket resolution can
-// recover from a diffed histogram (nonEmpty=false when no samples).
-func (h *Hist) bounds() (lo, hi float64, nonEmpty bool) {
+// recover from a diffed histogram (0, 0 when it holds no samples).
+func (h *Hist) bounds() (lo, hi float64) {
 	first, last := -1, -1
 	for i := range h.buckets {
 		if h.buckets[i] > 0 {
@@ -225,9 +225,9 @@ func (h *Hist) bounds() (lo, hi float64, nonEmpty bool) {
 		}
 	}
 	if first < 0 {
-		return 0, 0, false
+		return 0, 0
 	}
-	return histLower(first), histUpper(last), true
+	return histLower(first), histUpper(last)
 }
 
 // Accumulator aggregates a stream of observations without allocating:
@@ -319,12 +319,8 @@ func (s *Stats) Latency(l Latency) Accumulator { return s.latencies[l] }
 // diffing one allocates nothing, so phase boundaries inside a run stay off
 // the allocator.
 type Snapshot struct {
-	counters [numCounters]int64
-	latCount [numLatencies]int64
-	latSum   [numLatencies]float64
-	latMin   [numLatencies]float64
-	latMax   [numLatencies]float64
-	latHist  [numLatencies]Hist
+	counters  [numCounters]int64
+	latencies [numLatencies]Accumulator
 }
 
 // Get returns the snapshot's (or diff's) counter value.
@@ -332,45 +328,31 @@ func (sn Snapshot) Get(c Counter) int64 { return sn.counters[c] }
 
 // LatencyCount returns the number of samples in the snapshot (or, for a
 // diff, observed during the diffed interval).
-func (sn Snapshot) LatencyCount(l Latency) int64 { return sn.latCount[l] }
+func (sn Snapshot) LatencyCount(l Latency) int64 { return sn.latencies[l].Count }
 
 // LatencyMean returns the mean of the accumulator's samples over the
 // snapshot (or, for a diff, over the diffed interval).
-func (sn Snapshot) LatencyMean(l Latency) float64 {
-	if sn.latCount[l] == 0 {
-		return 0
-	}
-	return sn.latSum[l] / float64(sn.latCount[l])
-}
+func (sn Snapshot) LatencyMean(l Latency) float64 { return sn.latencies[l].Mean() }
 
 // LatencyMin returns the smallest sample in the snapshot. For a diff whose
 // base already held samples, it is the diffed histogram's bucket floor —
 // exact to the bucket resolution (see DiffSince).
-func (sn Snapshot) LatencyMin(l Latency) float64 { return sn.latMin[l] }
+func (sn Snapshot) LatencyMin(l Latency) float64 { return sn.latencies[l].Min }
 
 // LatencyMax is the LatencyMin counterpart for the largest sample.
-func (sn Snapshot) LatencyMax(l Latency) float64 { return sn.latMax[l] }
+func (sn Snapshot) LatencyMax(l Latency) float64 { return sn.latencies[l].Max }
 
 // LatencyQuantile returns the q-quantile (e.g. 0.5 or 0.99) of the
 // samples in the snapshot or diffed interval, exact to the histogram's
 // ~12.5% bucket resolution. Zero when the interval holds no samples.
 func (sn *Snapshot) LatencyQuantile(l Latency, q float64) float64 {
-	return sn.latHist[l].quantile(q, sn.latCount[l], sn.latMin[l], sn.latMax[l])
+	return sn.latencies[l].Quantile(q)
 }
 
 // Snapshot copies the current values, e.g. to diff around an experiment
 // phase.
 func (s *Stats) Snapshot() Snapshot {
-	var sn Snapshot
-	sn.counters = s.counters
-	for i := range s.latencies {
-		sn.latCount[i] = s.latencies[i].Count
-		sn.latSum[i] = s.latencies[i].Sum
-		sn.latMin[i] = s.latencies[i].Min
-		sn.latMax[i] = s.latencies[i].Max
-		sn.latHist[i] = s.latencies[i].Hist
-	}
-	return sn
+	return Snapshot{counters: s.counters, latencies: s.latencies}
 }
 
 // DiffSince returns the deltas accumulated since an earlier snapshot.
@@ -385,16 +367,13 @@ func (s *Stats) DiffSince(snap Snapshot) Snapshot {
 	for i := range d.counters {
 		d.counters[i] -= snap.counters[i]
 	}
-	for i := range d.latCount {
-		d.latCount[i] -= snap.latCount[i]
-		d.latSum[i] -= snap.latSum[i]
-		d.latHist[i].sub(&snap.latHist[i])
-		if snap.latCount[i] > 0 {
-			lo, hi, ok := d.latHist[i].bounds()
-			if !ok {
-				lo, hi = 0, 0
-			}
-			d.latMin[i], d.latMax[i] = lo, hi
+	for i := range d.latencies {
+		lat, base := &d.latencies[i], &snap.latencies[i]
+		lat.Count -= base.Count
+		lat.Sum -= base.Sum
+		lat.Hist.sub(&base.Hist)
+		if base.Count > 0 {
+			lat.Min, lat.Max = lat.Hist.bounds()
 		}
 	}
 	return d

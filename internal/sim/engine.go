@@ -87,7 +87,6 @@ type eventHeap []*Event
 
 // before is the order: earlier time first, FIFO among equal times.
 func (a *Event) before(b *Event) bool {
-	//pqlint:allow floatequal(exact tie detection is the point: equal times fall through to FIFO seq ordering)
 	if a.time != b.time {
 		return a.time < b.time
 	}

@@ -132,14 +132,12 @@ func (e *Engine) ShardedEval(n int, fn func(shard, i int)) {
 // goroutine, where they may schedule, send, and draw RNG freely.
 //
 // Calling Stage outside a sharded phase is a programming error.
-//
-//pqlint:parshared(per-chunk staging buffer: each shard goroutine appends only ops for its own items, and the buffers are drained serially at the barrier)
 func (e *Engine) Stage(item int, op func()) {
 	if !e.inShardPhase {
 		panic("sim: Stage called outside ShardedEval")
 	}
 	s := item / e.stageChunk
-	e.stageBufs[s] = append(e.stageBufs[s], op)
+	e.stageBufs[s] = append(e.stageBufs[s], op) //pqlint:allow parsafe(per-chunk staging buffer: each shard goroutine appends only ops for its own items, and the buffers are drained serially at the barrier)
 }
 
 // commitStaged runs the staged ops. Chunks are contiguous and each is
