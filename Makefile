@@ -9,18 +9,20 @@
 #               (bit-identity at shard widths 1/2/4/8 against a serial run);
 #   5. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
-#   6. load-smoke, adapt-smoke — two of the four tiers (an invariant
+#   6. spot-check — the same for the SINR/disk/AODV pqsim runs recorded in
+#               results_sinr_spot.txt, which quick-check's ideal stack misses;
+#   7. load-smoke, adapt-smoke — two of the four tiers (an invariant
 #               violation is fatal in all of them), their tables diffed
 #               against the recorded results_tiers.txt;
-#   7. vet    — the standard toolchain's analyzers;
-#   8. race   — the short test set under the race detector, which enforces
+#   8. vet    — the standard toolchain's analyzers;
+#   9. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
 
 GO ?= go
 
-.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check tiers chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -28,7 +30,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint chaos shards quick-check load-smoke adapt-smoke
+check: build lint chaos shards quick-check spot-check load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -198,3 +200,27 @@ quick:
 quick-check:
 	@$(GO) run ./cmd/pqexp all | diff -I '^# .* wall clock' results_quick.txt - || \
 		{ echo "quick-check: pqexp all differs from results_quick.txt (<: recorded, >: this tree)"; exit 1; }
+
+# spot records results_sinr_spot.txt, the gate for what quick-check's ideal
+# stack never runs: the SINR and disk radios, DCF, AODV, mobility, local
+# repair with overhearing and RANDOM-OPT, one `pqsim -seeds 2` run per line
+# of SPOT_RUNS, each under a header naming its command (about 9 s on two
+# cores). spot-check diffs a fresh run against the file; a change that means
+# to move a spot re-records it with `make spot` and says which and why.
+SPOT_RUNS = '-stack sinr -n 100' '-stack sinr -n 100 -speed 2' '-stack sinr -n 200' \
+	'-stack disk -n 100' '-stack sinr -n 100 -oracle' \
+	'-stack sinr -n 100 -speed 5 -repair -overhear' \
+	'-stack disk -n 100 -adv random-opt -lookup random-opt'
+
+spot-runs:
+	@$(GO) build -o pqsim.spot ./cmd/pqsim
+	@for a in $(SPOT_RUNS); do \
+		echo "== pqsim -seeds 2 $$a =="; ./pqsim.spot -seeds 2 $$a || { rm -f pqsim.spot; exit 1; }; \
+	done; rm -f pqsim.spot
+
+spot:
+	@$(MAKE) -s spot-runs > spot.out && mv spot.out results_sinr_spot.txt || { rm -f spot.out; exit 1; }
+
+spot-check:
+	@$(MAKE) -s spot-runs | diff results_sinr_spot.txt - || \
+		{ echo "spot-check: pqsim differs from results_sinr_spot.txt (<: recorded, >: this tree)"; exit 1; }

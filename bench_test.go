@@ -300,7 +300,7 @@ func BenchmarkDiskBroadcast(b *testing.B) {
 	side := geom.AreaSide(200, 200, 10)
 	pts := geom.UniformPoints(rng, 200, side)
 	m := phy.NewDiskMedium(e, phy.DiskConfig{
-		N: 200, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+		N: 200, Side: side, Pos: func(id int) geom.Point { return pts[id] }, Range: netstack.Range,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -168,6 +168,14 @@ func run(args []string) error {
 	if fs.NArg() == 0 {
 		return fmt.Errorf("no figure given; try: pqexp fig10  (or: pqexp all); figures: %s", figureNames())
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"seeds", *seeds}, {"bign", *bigN}, {"shards", *shards}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.v)
+		}
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

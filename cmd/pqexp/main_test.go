@@ -64,3 +64,20 @@ func TestRunRejectsUnknownNamesAndRetiredFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsNegativeSizes: a negative count is an error naming its flag,
+// before anything runs — not a panic deep in the tier (-n in netstack, -seeds
+// slicing adapt's runs) or a silently ignored override (-bign, -shards).
+func TestRunRejectsNegativeSizes(t *testing.T) {
+	for _, args := range [][]string{
+		{"-short", "-n", "-100", "mega"},
+		{"-short", "-seeds", "-1", "adapt"},
+		{"-bign", "-1", "fig3"},
+		{"-shards", "-1", "fig3"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), args[len(args)-3]+" must not be negative") {
+			t.Errorf("pqexp %v: err = %v, want a negative %s rejected", args, err, args[len(args)-3])
+		}
+	}
+}

@@ -63,6 +63,23 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"n", *n, 1}, {"seeds", *seeds, 1}, {"adv-size", *advSize, 0}, {"lookup-size", *lkSize, 0},
+		{"ttl", *ttl, 0}, {"ads", *ads, 0}, {"lookups", *lookups, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.v)
+		}
+	}
+	if !(*churn >= 0 && *churn <= 1) {
+		return fmt.Errorf("-churn must be in [0, 1], got %v", *churn)
+	}
+	if !(*density > 0) {
+		return fmt.Errorf("-density must be positive, got %v", *density)
+	}
 
 	adv, err := parseStrategy(*advStr)
 	if err != nil {

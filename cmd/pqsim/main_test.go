@@ -1,0 +1,32 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRunRejectsOutOfRangeFlags: every out-of-range flag is an error naming
+// it, before anything runs. -churn -0.5 used to build a smaller network than
+// -n asked for (the negative join fraction shrank the stack, the area stayed
+// sized for -n), and -n 0 died in netstack.
+func TestRunRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-n", "60", "-churn", "-0.5"}, "-churn"},
+		{[]string{"-churn", "1.5"}, "-churn"},
+		{[]string{"-n", "0"}, "-n"},
+		{[]string{"-seeds", "-1"}, "-seeds"},
+		{[]string{"-adv-size", "-1"}, "-adv-size"},
+		{[]string{"-lookup-size", "-1"}, "-lookup-size"},
+		{[]string{"-ttl", "-1"}, "-ttl"},
+		{[]string{"-ads", "-1"}, "-ads"},
+		{[]string{"-lookups", "-1"}, "-lookups"},
+		{[]string{"-density", "-10"}, "-density"},
+	} {
+		if err := run(tc.args); err == nil || !strings.HasPrefix(err.Error(), tc.flag+" must") {
+			t.Errorf("pqsim %v: err = %v, want %s rejected", tc.args, err, tc.flag)
+		}
+	}
+}

@@ -19,45 +19,35 @@ import (
 	"probquorum/internal/sim"
 )
 
-// Config holds AODV constants. Zero values are replaced by defaults close
-// to RFC 3561's, with a longer active-route timeout suiting the paper's
-// route-reuse observation.
+// Config holds the one AODV setting a stack varies. The zero value is
+// replaced by DefaultConfig.
 type Config struct {
-	// ActiveRouteTimeout is the route lifetime, refreshed on use.
-	ActiveRouteTimeout float64
 	// NodeTraversalTime estimates one-hop traversal latency; ring-search
-	// timeouts derive from it.
+	// timeouts derive from it (stack.Build raises it with the ideal
+	// stack's hop delay).
 	NodeTraversalTime float64
-	// NetDiameter bounds the network diameter in hops (full-TTL floods).
-	NetDiameter int
-	// TTLStart, TTLIncrement, TTLThreshold parameterize the expanding
-	// ring search.
-	TTLStart, TTLIncrement, TTLThreshold int
-	// RreqRetries is the number of network-wide retries after the ring
-	// search escalates to NetDiameter.
-	RreqRetries int
-	// JitterSecs is the maximum random delay before (re)broadcasting
-	// control packets, preventing synchronized collisions (paper: 10 ms).
-	JitterSecs float64
-	// RetryDataOnLinkBreak makes the origin buffer a data packet whose
-	// first hop broke and re-discover once before giving up.
-	RetryDataOnLinkBreak bool
 }
 
-// DefaultConfig returns the defaults described on Config.
-func DefaultConfig() Config {
-	return Config{
-		ActiveRouteTimeout:   10,
-		NodeTraversalTime:    0.04,
-		NetDiameter:          35,
-		TTLStart:             1,
-		TTLIncrement:         2,
-		TTLThreshold:         7,
-		RreqRetries:          2,
-		JitterSecs:           0.010,
-		RetryDataOnLinkBreak: true,
-	}
-}
+// DefaultConfig returns RFC 3561's NODE_TRAVERSAL_TIME of 40 ms.
+func DefaultConfig() Config { return Config{NodeTraversalTime: 0.04} }
+
+// AODV constants: RFC 3561's defaults, with a longer active-route timeout
+// suiting the paper's route-reuse observation.
+const (
+	// activeRouteTimeout is the route lifetime in seconds, refreshed on use.
+	activeRouteTimeout = 10
+	// netDiameter bounds the network diameter in hops (full-TTL floods).
+	netDiameter = 35
+	// ttlStart, ttlIncrement and ttlThreshold parameterize the expanding
+	// ring search.
+	ttlStart, ttlIncrement, ttlThreshold = 1, 2, 7
+	// rreqRetries is the number of network-wide retries after the ring
+	// search escalates to netDiameter.
+	rreqRetries = 2
+	// jitterSecs is the maximum random delay before (re)broadcasting a
+	// control packet, preventing synchronized collisions (paper: 10 ms).
+	jitterSecs = 0.010
+)
 
 // Control message sizes in bytes (RFC 3561 formats).
 const (
@@ -109,10 +99,10 @@ type rreqKey struct {
 }
 
 // pathDiscoveryTime is RFC 3561's PATH_DISCOVERY_TIME, 2·NET_TRAVERSAL_TIME =
-// 4·NodeTraversalTime·NetDiameter: how long a node must remember a RREQ to
+// 4·NodeTraversalTime·netDiameter: how long a node must remember a RREQ to
 // recognise a late copy of it (§6.3, §6.5).
 func (c Config) pathDiscoveryTime() float64 {
-	return 4 * c.NodeTraversalTime * float64(c.NetDiameter)
+	return 4 * c.NodeTraversalTime * netDiameter
 }
 
 // seenAt is one duplicate-RREQ cache entry in the order it was made.
@@ -300,7 +290,7 @@ func (r *Routing) validRoute(st *nodeState, dst int) *route {
 // otherwise), per RFC 3561's refresh-on-use.
 func (r *Routing) touchRoute(st *nodeState, dst int) {
 	if rt := st.routes[dst]; rt != nil && rt.valid {
-		exp := r.engine.Now() + r.cfg.ActiveRouteTimeout
+		exp := r.engine.Now() + activeRouteTimeout
 		if exp > rt.expiry {
 			rt.expiry = exp
 		}
@@ -331,10 +321,10 @@ func (r *Routing) updateRoute(st *nodeState, dst, nextHop, hops int, seq uint32,
 		rt.validSeq = true
 	}
 	rt.valid = true
-	rt.expiry = now + r.cfg.ActiveRouteTimeout
+	rt.expiry = now + activeRouteTimeout
 }
 
 // jitter returns a small random broadcast delay.
 func (r *Routing) jitter() float64 {
-	return r.engine.Rand().Float64() * r.cfg.JitterSecs
+	return r.engine.Rand().Float64() * jitterSecs
 }

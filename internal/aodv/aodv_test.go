@@ -493,8 +493,8 @@ func TestRouteExpiry(t *testing.T) {
 	if !r.HasRoute(0, 3) {
 		t.Fatal("no route after delivery")
 	}
-	// Idle past ActiveRouteTimeout: the route must expire.
-	e.Run(e.Now() + DefaultConfig().ActiveRouteTimeout + 5)
+	// Idle past activeRouteTimeout: the route must expire.
+	e.Run(e.Now() + activeRouteTimeout + 5)
 	if r.HasRoute(0, 3) {
 		t.Fatal("route did not expire")
 	}
@@ -509,7 +509,7 @@ func TestRouteExpiry(t *testing.T) {
 func TestRouteRefreshOnUse(t *testing.T) {
 	e := sim.NewEngine(1)
 	_, r, sinks := lineWorld(e, 4, 150)
-	timeout := DefaultConfig().ActiveRouteTimeout
+	timeout := float64(activeRouteTimeout)
 	e.Schedule(0, func() { r.Send(0, 3, innerPkt(0, 3), nil) })
 	e.Run(10)
 	// Keep using the route at 60% of the timeout: it must never expire.
@@ -551,31 +551,34 @@ func TestRERRPropagatesUpstream(t *testing.T) {
 	}
 }
 
+// TestNoRetryDataOnLinkBreak: Send re-discovers once when the first hop of
+// its route breaks, but a scoped send (the paper's TTL-3 local repair) is a
+// single attempt: with the route established and the destination dead, it
+// fails without a re-discovery.
 func TestNoRetryDataOnLinkBreak(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}}
 	net := netstack.New(e, netstack.Config{
 		N: 2, Side: 400, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal,
 	})
-	cfg := DefaultConfig()
-	cfg.RetryDataOnLinkBreak = false
-	r := New(net, cfg)
-	// Establish a route, then kill the destination: the send must fail
-	// without a re-discovery attempt.
+	r := New(net, Config{})
 	s := &sink{}
 	net.Node(1).Register(testProto, s)
-	e.Schedule(0, func() { r.Send(0, 1, innerPkt(0, 1), nil) })
+	e.Schedule(0, func() { r.SendScoped(0, 1, innerPkt(0, 1), 3, nil) })
 	e.Run(5)
+	if len(s.pkts) != 1 || !r.HasRoute(0, 1) {
+		t.Fatal("setup: scoped send did not deliver and leave a route")
+	}
 	net.Fail(1)
 	var okResult *bool
 	discBefore := r.Discoveries
-	e.Schedule(0, func() { r.Send(0, 1, innerPkt(0, 1), func(ok bool) { okResult = &ok }) })
+	e.Schedule(0, func() { r.SendScoped(0, 1, innerPkt(0, 1), 3, func(ok bool) { okResult = &ok }) })
 	e.Run(e.Now() + 30)
 	if okResult == nil || *okResult {
-		t.Fatal("send to dead neighbor should fail")
+		t.Fatal("scoped send to a dead neighbor should fail")
 	}
 	if r.Discoveries != discBefore {
-		t.Fatal("re-discovery attempted despite RetryDataOnLinkBreak=false")
+		t.Fatalf("scoped send re-discovered after the link broke (%d discoveries)", r.Discoveries-discBefore)
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *Routing) enqueueDiscovery(st *nodeState, op *outPacket) {
 		d.pending = append(d.pending, op)
 		return
 	}
-	ttl := r.cfg.TTLStart
+	ttl := ttlStart
 	if op.maxTTL > 0 {
 		ttl = op.maxTTL
 	}
@@ -98,16 +98,16 @@ func (r *Routing) discoveryTimeout(st *nodeState, dst int) {
 		return
 	}
 	switch {
-	case d.ttl < r.cfg.TTLThreshold:
-		d.ttl += r.cfg.TTLIncrement
-		if d.ttl > r.cfg.TTLThreshold {
-			d.ttl = r.cfg.TTLThreshold
+	case d.ttl < ttlThreshold:
+		d.ttl += ttlIncrement
+		if d.ttl > ttlThreshold {
+			d.ttl = ttlThreshold
 		}
-	case d.ttl < r.cfg.NetDiameter:
-		d.ttl = r.cfg.NetDiameter
+	case d.ttl < netDiameter:
+		d.ttl = netDiameter
 	default:
 		d.fullRetries++
-		if d.fullRetries > r.cfg.RreqRetries {
+		if d.fullRetries > rreqRetries {
 			r.finishDiscovery(st, dst, false)
 			return
 		}

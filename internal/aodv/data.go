@@ -46,7 +46,7 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 	node := r.net.Node(st.id)
 	pkt := netstack.Packet{
 		Proto: netstack.ProtoRouted, Src: st.id, Dst: op.dst,
-		TTL:   r.cfg.NetDiameter,
+		TTL:   netDiameter,
 		Bytes: op.inner.Bytes + dataEnvelopeBytes,
 		Hops:  op.inner.Hops, Payload: op.inner,
 	}
@@ -60,7 +60,7 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 		}
 		r.linkBroken(st, next)
 		// Origin-side salvage: one re-discovery attempt, then give up.
-		if r.cfg.RetryDataOnLinkBreak && !op.retried && op.maxTTL == 0 {
+		if !op.retried && op.maxTTL == 0 {
 			op.retried = true
 			if rt2 := r.validRoute(st, op.dst); rt2 != nil && rt2.nextHop != next {
 				r.transmitData(st, op, rt2)

@@ -327,11 +327,11 @@ func TestPrefetchOnHeartbeatListsIsNotRestricted(t *testing.T) {
 	e := sim.NewEngine(1)
 	net := netstack.New(e, netstack.Config{
 		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
-		Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat, HeartbeatSecs: 1,
+		Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat,
 	})
 	o := NewOracle(net)
 	o.EnableRouteCache(RouteCacheConfig{TTLSecs: 1})
-	e.Run(5)
+	e.Run(25) // every node has beaconed, none has expired
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i

@@ -43,8 +43,8 @@ const (
 	// loadKeys is the key-space size; every key is advertised once before
 	// the load phase so reads can hit from the first arrival.
 	loadKeys = 64
-	// loadMaxInFlight is the per-node window (the queue limit is the
-	// workload package's 2× default).
+	// loadMaxInFlight is the per-node window (the workload generator queues
+	// twice that).
 	loadMaxInFlight = 8
 )
 
@@ -219,10 +219,9 @@ func runLoadMix(tc TierConfig, m loadMix) LoadMixResult {
 		DurationSecs: durationSecs,
 	}
 	if m.arrival == workload.MMPP {
-		// Burst at 4× with 1:3 on/off sojourns: same mean rate as the
-		// Poisson mixes, strongly modulated.
+		// Burst at 4× with the generator's 1:3 on/off sojourns: same mean
+		// rate as the Poisson mixes, strongly modulated.
 		wcfg.RatePerNode = 4 * loadRatePerNode
-		wcfg.MeanOnSecs, wcfg.MeanOffSecs = 5, 15
 	}
 	gen := workload.New(engine, wcfg, nodes, issue)
 	gen.Start()

@@ -165,9 +165,6 @@ func (inj *Injector) Partitioned(a, b int) bool {
 	return inj.group != nil && inj.group[a] != inj.group[b]
 }
 
-// PartitionActive reports whether a partition is currently in force.
-func (inj *Injector) PartitionActive() bool { return inj.group != nil }
-
 // PartitionSets splits the network into the given member sets; nodes listed
 // nowhere form one extra implicit group, and ids that name no node are
 // skipped. A previous partition is replaced.

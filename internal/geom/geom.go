@@ -13,18 +13,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Add returns p translated by v.
-func (p Point) Add(v Point) Point { return Point{p.X + v.X, p.Y + v.Y} }
-
-// Sub returns the vector from q to p.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between two points in the plane.
 func Dist(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
 
@@ -99,15 +87,4 @@ func UniformPoints(rng *rand.Rand, n int, side float64) []Point {
 		pts[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 	}
 	return pts
-}
-
-// Clamp returns v limited to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

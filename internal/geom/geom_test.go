@@ -17,23 +17,6 @@ func TestDist(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	p := Point{1, 2}
-	q := Point{3, 5}
-	if got := p.Add(q); got != (Point{4, 7}) {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := q.Sub(p); got != (Point{2, 3}) {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Fatalf("Scale = %v", got)
-	}
-	if got := (Point{3, 4}).Norm(); got != 5 {
-		t.Fatalf("Norm = %v", got)
-	}
-}
-
 func TestTorusMetric(t *testing.T) {
 	m := Torus{Side: 10}
 	// Points near opposite edges are close on the torus.
@@ -105,12 +88,6 @@ func TestUniformPoints(t *testing.T) {
 	cy /= 1000
 	if math.Abs(cx-25) > 2 || math.Abs(cy-25) > 2 {
 		t.Fatalf("centroid (%v,%v) far from (25,25)", cx, cy)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
-		t.Fatal("Clamp broken")
 	}
 }
 

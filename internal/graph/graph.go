@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 
 	"probquorum/internal/geom"
@@ -137,13 +136,6 @@ func fromPointsAllPairs(pts []geom.Point, r float64, metric geom.Metric) *Graph 
 		}
 	}
 	return g
-}
-
-// ConnectivityRadius returns the paper's minimal transmission radius
-// guaranteeing asymptotic connectivity of G²(n,r) on the unit square:
-// r = sqrt(C·ln n / (π·n)) for C > 1 (Gupta–Kumar).
-func ConnectivityRadius(n int, c float64) float64 {
-	return math.Sqrt(c * math.Log(float64(n)) / (math.Pi * float64(n)))
 }
 
 // Connected reports whether the graph is a single connected component.

@@ -29,7 +29,6 @@ type Walker struct {
 	maxDeg  int
 	visited map[int]bool
 	steps   int
-	path    []int
 }
 
 // NewWalker starts a walk of the given kind at node start.
@@ -37,7 +36,6 @@ func NewWalker(g *Graph, rng *rand.Rand, kind WalkKind, start int) *Walker {
 	w := &Walker{
 		g: g, rng: rng, kind: kind, cur: start,
 		visited: map[int]bool{start: true},
-		path:    []int{start},
 	}
 	if kind == MaxDegreeWalk {
 		w.maxDeg = g.MaxDegree()
@@ -57,10 +55,6 @@ func (w *Walker) Unique() int { return len(w.visited) }
 
 // Visited reports whether the walk has touched v.
 func (w *Walker) Visited(v int) bool { return w.visited[v] }
-
-// Path returns the sequence of positions (self-loops of the max-degree walk
-// included). The slice is owned by the walker.
-func (w *Walker) Path() []int { return w.path }
 
 // Step advances one step and returns the new position. On an isolated node
 // the walk stays put.
@@ -91,7 +85,6 @@ func (w *Walker) Step() int {
 	w.cur = next
 	w.steps++
 	w.visited[next] = true
-	w.path = append(w.path, next)
 	return next
 }
 

@@ -22,7 +22,6 @@ const (
 // DCF is a CSMA/CA MAC instance for one node.
 type DCF struct {
 	engine  *sim.Engine
-	cfg     Config
 	id      int
 	channel phy.Channel
 	handler Handler
@@ -53,15 +52,14 @@ type DCF struct {
 }
 
 // NewDCF attaches a DCF MAC for node id to its channel on medium m.
-func NewDCF(engine *sim.Engine, cfg Config, id int, m phy.Medium, rng *rand.Rand) *DCF {
+func NewDCF(engine *sim.Engine, id int, m phy.Medium, rng *rand.Rand) *DCF {
 	d := &DCF{
 		engine:  engine,
-		cfg:     cfg,
 		id:      id,
 		channel: m.Channel(id),
 		rng:     rng,
 		state:   dcfIdle,
-		cw:      cfg.CWMin,
+		cw:      cwMin,
 		lastSeq: make(map[int]uint32),
 	}
 	d.timer = sim.NewTimer(engine, d.timerFired)
@@ -85,7 +83,7 @@ func (d *DCF) QueueLen() int { return len(d.queue) }
 
 // Send implements MAC.
 func (d *DCF) Send(f *phy.Frame) {
-	if len(d.queue) >= d.cfg.QueueLimit {
+	if len(d.queue) >= queueLimit {
 		d.Drops++
 		if d.handler != nil {
 			d.handler.MACSendDone(f, false)
@@ -96,13 +94,13 @@ func (d *DCF) Send(f *phy.Frame) {
 	f.Kind = phy.FrameData
 	d.seq++
 	f.Seq = d.seq
-	f.Bytes += d.cfg.HeaderBytes
+	f.Bytes += headerBytes
 	if f.Dst == phy.Broadcast {
-		f.Rate = d.cfg.BroadcastRate
+		f.Rate = broadcastRate
 	} else {
-		f.Rate = d.cfg.UnicastRate
+		f.Rate = unicastRate
 	}
-	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: the queue holds at most QueueLimit frames and is re-housed only when it has slid to the end of its backing array)
+	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: the queue holds at most queueLimit frames and is re-housed only when it has slid to the end of its backing array)
 	if d.state == dcfIdle {
 		d.startAccess(true)
 	}
@@ -112,7 +110,7 @@ func (d *DCF) Send(f *phy.Frame) {
 // frame. fresh indicates a new frame (reset contention window).
 func (d *DCF) startAccess(fresh bool) {
 	if fresh {
-		d.cw = d.cfg.CWMin
+		d.cw = cwMin
 		d.attempts = 0
 		d.slotsLeft = drawBackoff(d.rng, d.cw)
 	}
@@ -122,7 +120,7 @@ func (d *DCF) startAccess(fresh bool) {
 	}
 	d.state = dcfDIFS
 	d.countStart = d.engine.Now()
-	d.timer.Reset(d.cfg.DIFS)
+	d.timer.Reset(difs)
 }
 
 // timerFired handles DIFS completion and backoff completion.
@@ -135,7 +133,7 @@ func (d *DCF) timerFired() {
 		}
 		d.state = dcfBackoff
 		d.countStart = d.engine.Now()
-		d.timer.Reset(float64(d.slotsLeft) * d.cfg.SlotTime)
+		d.timer.Reset(float64(d.slotsLeft) * slotTime)
 	case dcfBackoff:
 		d.slotsLeft = 0
 		d.transmitHead()
@@ -152,7 +150,7 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 			d.state = dcfDefer
 		case dcfBackoff:
 			// Freeze the backoff counter at slot granularity.
-			elapsed := int((d.engine.Now() - d.countStart) / d.cfg.SlotTime)
+			elapsed := int((d.engine.Now() - d.countStart) / slotTime)
 			if elapsed > d.slotsLeft {
 				elapsed = d.slotsLeft
 			}
@@ -165,7 +163,7 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 	if d.state == dcfDefer {
 		d.state = dcfDIFS
 		d.countStart = d.engine.Now()
-		d.timer.Reset(d.cfg.DIFS)
+		d.timer.Reset(difs)
 	}
 }
 
@@ -193,8 +191,8 @@ func (d *DCF) txDone(f *phy.Frame) {
 	}
 	// Unicast: wait for the ACK.
 	d.state = dcfWaitAck
-	ackAir := (&phy.Frame{Bytes: d.cfg.AckBytes, Rate: d.cfg.AckRate}).AirTime(192e-6)
-	d.ackTimer.Reset(d.cfg.SIFS + ackAir + 2*d.cfg.SlotTime)
+	ackAir := (&phy.Frame{Bytes: ackBytes, Rate: ackRate}).AirTime()
+	d.ackTimer.Reset(sifs + ackAir + 2*slotTime)
 }
 
 func (d *DCF) ackTimeout() {
@@ -202,14 +200,14 @@ func (d *DCF) ackTimeout() {
 		return
 	}
 	f := d.queue[0]
-	if d.attempts >= d.cfg.RetryLimit {
+	if d.attempts >= retryLimit {
 		d.finishHead(f, false)
 		return
 	}
 	// Exponential backoff and retry.
 	d.cw = d.cw*2 + 1
-	if d.cw > d.cfg.CWMax {
-		d.cw = d.cfg.CWMax
+	if d.cw > cwMax {
+		d.cw = cwMax
 	}
 	d.slotsLeft = drawBackoff(d.rng, d.cw)
 	d.startAccess(false)
@@ -270,10 +268,10 @@ func (d *DCF) sendAck(data *phy.Frame) {
 		Dst:   data.Src,
 		Kind:  phy.FrameAck,
 		Seq:   data.Seq,
-		Bytes: d.cfg.AckBytes,
-		Rate:  d.cfg.AckRate,
+		Bytes: ackBytes,
+		Rate:  ackRate,
 	}
-	d.engine.Schedule(d.cfg.SIFS, func() { //pqlint:allow noalloc(the SIFS event of that ACK, the frame's one companion object)
+	d.engine.Schedule(sifs, func() { //pqlint:allow noalloc(the SIFS event of that ACK, the frame's one companion object)
 		d.TxAck++
 		d.channel.Transmit(ack)
 	})

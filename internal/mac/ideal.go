@@ -22,7 +22,6 @@ import (
 // fidelity.
 type IdealNet struct {
 	engine  *sim.Engine
-	cfg     Config
 	pos     phy.PositionFunc
 	r       float64
 	rng     *rand.Rand
@@ -40,7 +39,7 @@ type IdealNet struct {
 
 	// LossProb is an optional per-frame independent loss probability for
 	// unicast data frames (after which MAC retries are modelled: a frame
-	// is lost only if all RetryLimit attempts fail) and a single-shot
+	// is lost only if all retryLimit attempts fail) and a single-shot
 	// loss for broadcast receptions.
 	LossProb float64
 	// HopDelay adds a fixed per-frame latency (seconds) on top of the
@@ -52,10 +51,9 @@ type IdealNet struct {
 }
 
 // NewIdealNet creates the shared layer for n nodes with transmission range r.
-func NewIdealNet(engine *sim.Engine, cfg Config, n int, r float64, pos phy.PositionFunc, rng *rand.Rand) *IdealNet {
+func NewIdealNet(engine *sim.Engine, n int, r float64, pos phy.PositionFunc, rng *rand.Rand) *IdealNet {
 	in := &IdealNet{
 		engine:  engine,
-		cfg:     cfg,
 		pos:     pos,
 		r:       r,
 		rng:     rng,
@@ -77,9 +75,6 @@ func (in *IdealNet) SetEnabled(id int, on bool) { in.enabled[id] = on }
 
 // Enabled reports node participation.
 func (in *IdealNet) Enabled(id int) bool { return in.enabled[id] }
-
-// Range returns the transmission range.
-func (in *IdealNet) Range() float64 { return in.r }
 
 // IdealMAC is one node's attachment to an IdealNet.
 type IdealMAC struct {
@@ -126,13 +121,13 @@ func (m *IdealMAC) Send(f *phy.Frame) {
 	f.Kind = phy.FrameData
 	m.seq++
 	f.Seq = m.seq
-	f.Bytes += in.cfg.HeaderBytes
+	f.Bytes += headerBytes
 	if f.Dst == phy.Broadcast {
-		f.Rate = in.cfg.BroadcastRate
+		f.Rate = broadcastRate
 	} else {
-		f.Rate = in.cfg.UnicastRate
+		f.Rate = unicastRate
 	}
-	air := f.AirTime(192e-6) + in.cfg.DIFS + in.HopDelay
+	air := f.AirTime() + difs + in.HopDelay
 	m.pending++
 	in.engine.Schedule(air, in.newFlight(m, f).fn)
 }
@@ -196,7 +191,7 @@ func (m *IdealMAC) deliver(f *phy.Frame) {
 		return
 	}
 	dst := f.Dst
-	ok := in.enabled[dst] && geom.Dist(src, in.pos(dst)) <= in.r && !in.lost(in.cfg.RetryLimit)
+	ok := in.enabled[dst] && geom.Dist(src, in.pos(dst)) <= in.r && !in.lost(retryLimit)
 	if ok {
 		if h := in.macs[dst].handler; h != nil {
 			h.MACReceive(f)

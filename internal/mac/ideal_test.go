@@ -89,7 +89,7 @@ func TestIdealOverhearMatchesFullScan(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Point{X: rng.Float64() * 600, Y: rng.Float64() * 600}
 	}
-	in := NewIdealNet(e, DefaultConfig(), n, 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, n, 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
 	var log []int
 	recs := make([]*orderRecorder, n)
 	for i := range recs {
@@ -152,7 +152,7 @@ func (nopHandler) MACSendDone(*phy.Frame, bool) {}
 func TestIdealUnicastHopAllocFree(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}}
-	in := NewIdealNet(e, DefaultConfig(), len(pts), 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, len(pts), 200, func(id int) geom.Point { return pts[id] }, rand.New(rand.NewSource(3)))
 	for id := range pts {
 		in.MAC(id).SetHandler(nopHandler{})
 	}

@@ -43,49 +43,23 @@ type MAC interface {
 	QueueLen() int
 }
 
-// Config holds 802.11 DSSS MAC timing and size constants (paper Fig. 2).
-type Config struct {
-	// SlotTime is the backoff slot duration (20 µs).
-	SlotTime float64
-	// SIFS is the short interframe space (10 µs).
-	SIFS float64
-	// DIFS is the distributed interframe space (50 µs).
-	DIFS float64
-	// CWMin and CWMax bound the contention window in slots (31, 1023).
-	CWMin, CWMax int
-	// RetryLimit is the maximum number of transmission attempts for a
-	// unicast frame (paper: 7).
-	RetryLimit int
-	// UnicastRate and BroadcastRate are modulation rates in bits/s
-	// (11 Mb/s and 2 Mb/s).
-	UnicastRate, BroadcastRate float64
-	// AckRate is the control-frame rate (2 Mb/s).
-	AckRate float64
-	// HeaderBytes is the MAC header+FCS size added to every data frame.
-	HeaderBytes int
-	// AckBytes is the ACK frame size.
-	AckBytes int
-	// QueueLimit caps the interface queue (ns-2 IFQ default: 50).
-	QueueLimit int
-}
-
-// DefaultConfig returns the paper's MAC constants.
-func DefaultConfig() Config {
-	return Config{
-		SlotTime:      20e-6,
-		SIFS:          10e-6,
-		DIFS:          50e-6,
-		CWMin:         31,
-		CWMax:         1023,
-		RetryLimit:    7,
-		UnicastRate:   11e6,
-		BroadcastRate: 2e6,
-		AckRate:       2e6,
-		HeaderBytes:   28,
-		AckBytes:      14,
-		QueueLimit:    50,
-	}
-}
+// The 802.11 DSSS MAC's timing and size constants (paper Fig. 2), shared by
+// DCF and the ideal MAC.
+const (
+	slotTime = 20e-6 // backoff slot duration, seconds
+	sifs     = 10e-6 // short interframe space
+	difs     = 50e-6 // distributed interframe space
+	// cwMin and cwMax bound the contention window, in slots.
+	cwMin, cwMax = 31, 1023
+	// retryLimit is the number of transmission attempts of a unicast frame
+	// (paper: 7).
+	retryLimit = 7
+	// Modulation rates in bits/s: unicast data, broadcast data, ACKs.
+	unicastRate, broadcastRate, ackRate = 11e6, 2e6, 2e6
+	headerBytes                         = 28 // MAC header + FCS, added to every data frame
+	ackBytes                            = 14
+	queueLimit                          = 50 // interface queue (ns-2 IFQ default)
+)
 
 // drawBackoff picks a uniform backoff in [0, cw] slots.
 func drawBackoff(rng *rand.Rand, cw int) int { return rng.Intn(cw + 1) }

@@ -32,7 +32,7 @@ func dcfWorld(e *sim.Engine, pts []geom.Point) (*phy.SINRMedium, []*DCF, []*reco
 	macs := make([]*DCF, len(pts))
 	recs := make([]*recorder, len(pts))
 	for i := range pts {
-		macs[i] = NewDCF(e, DefaultConfig(), i, m, rand.New(rand.NewSource(rng.Int63())))
+		macs[i] = NewDCF(e, i, m, rand.New(rand.NewSource(rng.Int63())))
 		recs[i] = &recorder{}
 		macs[i].SetHandler(recs[i])
 	}
@@ -63,8 +63,8 @@ func TestDCFUnicastFailureNotification(t *testing.T) {
 	if len(recs[0].done) != 1 || recs[0].done[0] {
 		t.Fatalf("MACSendDone = %v, want [false] after retries", recs[0].done)
 	}
-	if macs[0].TxData != uint64(DefaultConfig().RetryLimit) {
-		t.Fatalf("attempts = %d, want %d", macs[0].TxData, DefaultConfig().RetryLimit)
+	if macs[0].TxData != retryLimit {
+		t.Fatalf("attempts = %d, want %d", macs[0].TxData, retryLimit)
 	}
 	if len(recs[1].received) != 0 {
 		t.Fatal("out-of-range node received the frame")
@@ -112,9 +112,8 @@ func TestDCFQueueSerializesFrames(t *testing.T) {
 func TestDCFQueueLimit(t *testing.T) {
 	e := sim.NewEngine(1)
 	_, macs, recs := dcfWorld(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}})
-	cfgLimit := DefaultConfig().QueueLimit
 	e.Schedule(0, func() {
-		for i := 0; i < cfgLimit+10; i++ {
+		for i := 0; i < queueLimit+10; i++ {
 			macs[0].Send(&phy.Frame{Dst: 1, Bytes: 512})
 		}
 	})
@@ -198,7 +197,7 @@ func TestDCFDuplicateSuppression(t *testing.T) {
 
 func idealWorld(e *sim.Engine, pts []geom.Point) (*IdealNet, []*recorder) {
 	pos := func(id int) geom.Point { return pts[id] }
-	in := NewIdealNet(e, DefaultConfig(), len(pts), 200, pos, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, len(pts), 200, pos, rand.New(rand.NewSource(3)))
 	recs := make([]*recorder, len(pts))
 	for i := range pts {
 		recs[i] = &recorder{}
@@ -245,7 +244,7 @@ func TestIdealLossModel(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
 	pos := func(id int) geom.Point { return pts[id] }
-	in := NewIdealNet(e, DefaultConfig(), 2, 200, pos, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, 2, 200, pos, rand.New(rand.NewSource(3)))
 	in.LossProb = 1.0 // every attempt fails
 	rec := &recorder{}
 	in.MAC(0).SetHandler(rec)

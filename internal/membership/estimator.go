@@ -217,15 +217,6 @@ func (s *Service) estimatorFor(id int) *Estimator {
 	return s.est[id]
 }
 
-// NodeEstimate returns node id's local reading, or a zero not-OK estimate
-// when estimation is disabled or the node has observed nothing.
-func (s *Service) NodeEstimate(id int) Estimate {
-	if s.est == nil || s.est[id] == nil {
-		return Estimate{}
-	}
-	return s.est[id].Estimate(s.net.Engine().Now())
-}
-
 // AggregateEstimate pools every node's evidence into one network-wide
 // reading — the estimate the adaptation controller consumes. Pooling sums
 // the decay-weighted (pairs, collisions) accumulators, which is exact: the
@@ -247,9 +238,6 @@ func (s *Service) AggregateEstimate() Estimate {
 	}
 	return estimateFrom(pairs, coll)
 }
-
-// EstimationEnabled reports whether the continuous estimator is active.
-func (s *Service) EstimationEnabled() bool { return s.est != nil }
 
 // probe runs one periodic probe: the next live node (round-robin) draws
 // ProbeWalks maximum-degree walk endpoints on a snapshot graph and feeds

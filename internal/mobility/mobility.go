@@ -48,10 +48,6 @@ func (s *Static) Position(id int, _ float64) geom.Point { return s.pts[id] }
 // MaxSpeed implements Model.
 func (s *Static) MaxSpeed() float64 { return 0 }
 
-// SetPosition moves a node (used by churn experiments when a joining node is
-// placed).
-func (s *Static) SetPosition(id int, p geom.Point) { s.pts[id] = p }
-
 // WaypointConfig parameterizes the random waypoint model.
 type WaypointConfig struct {
 	// MinSpeed and MaxSpeed bound the uniformly chosen leg speed, m/s.

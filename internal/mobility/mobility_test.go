@@ -18,10 +18,6 @@ func TestStatic(t *testing.T) {
 	if m.MaxSpeed() != 0 {
 		t.Fatal("static MaxSpeed should be 0")
 	}
-	m.SetPosition(1, geom.Point{X: 7, Y: 7})
-	if got := m.Position(1, 0); got != (geom.Point{X: 7, Y: 7}) {
-		t.Fatalf("SetPosition ignored: %v", got)
-	}
 }
 
 func defaultWaypoint(seed int64, n int) *Waypoint {

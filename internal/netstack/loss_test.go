@@ -3,14 +3,18 @@ package netstack
 import (
 	"testing"
 
+	"probquorum/internal/geom"
+	"probquorum/internal/mobility"
 	"probquorum/internal/sim"
 )
 
 func TestRxLossBlocksDelivery(t *testing.T) {
 	for _, stack := range []StackKind{StackSINR, StackDisk, StackIdeal} {
 		e := sim.NewEngine(1)
-		net := lineNetwork(e, 3, 150, stack)
-		net.SetLossFunc(func(from, to int, pkt *Packet) bool { return true })
+		net := New(e, Config{
+			N: 3, Side: 450, Mobility: mobility.NewStatic([]geom.Point{{X: 0}, {X: 150}, {X: 300}}),
+			Stack: stack, Neighbors: NeighborsOracle, RxLossProb: 1,
+		})
 		s := &sink{}
 		net.Node(1).Register(testProto, s)
 		e.Schedule(0, func() {
@@ -54,11 +58,11 @@ func TestRxLossProbConfig(t *testing.T) {
 	}
 }
 
-func TestSetLossFuncSelective(t *testing.T) {
+func TestLinkFaultDropSelective(t *testing.T) {
 	e := sim.NewEngine(3)
 	net := lineNetwork(e, 3, 150, StackIdeal)
 	// Drop only frames addressed to node 2.
-	net.SetLossFunc(func(from, to int, pkt *Packet) bool { return to == 2 })
+	net.SetLinkFaultFunc(func(from, to int, pkt *Packet) FaultAction { return FaultAction{Drop: to == 2} })
 	s1, s2 := &sink{}, &sink{}
 	net.Node(1).Register(testProto, s1)
 	net.Node(2).Register(testProto, s2)
@@ -73,8 +77,11 @@ func TestSetLossFuncSelective(t *testing.T) {
 	if len(s2.pkts) != 0 {
 		t.Fatalf("node 2 got %d packets through the selective filter", len(s2.pkts))
 	}
+	if got := net.Stats().Get(CtrFaultDrops); got != 1 {
+		t.Fatalf("%d fault drops counted, want 1", got)
+	}
 	// Disabling restores delivery.
-	net.SetLossFunc(nil)
+	net.SetLinkFaultFunc(nil)
 	e.Schedule(0, func() {
 		net.Node(1).SendOneHop(2, &Packet{Proto: testProto, Src: 1, Dst: 2, Bytes: 64}, nil)
 	})

@@ -162,13 +162,19 @@ func (o *oracleNeighbors) Prepare() {
 // Frozen implements NeighborProvider.
 func (o *oracleNeighbors) Frozen(id int) []int { return o.lists[id] }
 
-// beaconBytes is the size of a heartbeat beacon payload.
-const beaconBytes = 20
+// Heartbeat neighbor discovery: the beacon payload size, the beacon period
+// (paper: 10 s) and how long an entry outlives its last beacon (just over two
+// periods).
+const (
+	beaconBytes      = 20
+	heartbeatSecs    = 10.0
+	heartbeatTimeout = 2.2 * heartbeatSecs
+)
 
 // heartbeatService implements the paper's neighbor discovery: every node
-// broadcasts a beacon each cycle (10 s by default), with a random phase to
-// desynchronize; a neighbor entry expires when no beacon has been heard for
-// just over two cycles. Stale entries are exactly the mobility artifact the
+// broadcasts a beacon each heartbeatSecs, with a random phase to
+// desynchronize; a neighbor entry expires heartbeatTimeout after its last
+// beacon. Stale entries are exactly the mobility artifact the
 // paper's salvation/repair techniques must cope with.
 //
 // Neighbor lists are cached per node and rebuilt only when the answer can
@@ -183,8 +189,6 @@ const beaconBytes = 20
 // "rebuild and sort every visited node's map" to a slice read.
 type heartbeatService struct {
 	net      *Network
-	interval float64
-	timeout  float64
 	lastSeen []map[int]float64 // id -> neighbor -> last beacon time
 	// beacons holds one immutable beacon packet per node, built once and
 	// rebroadcast every cycle: all fields are constant per sender and the
@@ -199,11 +203,9 @@ type heartbeatService struct {
 	version uint64    // advances when a rebuild changes some list's content
 }
 
-func newHeartbeatService(net *Network, interval float64) *heartbeatService {
+func newHeartbeatService(net *Network) *heartbeatService {
 	h := &heartbeatService{
 		net:      net,
-		interval: interval,
-		timeout:  2.2 * interval,
 		lastSeen: make([]map[int]float64, net.N()),
 		beacons:  make([]*Packet, net.N()),
 		lists:    make([][]int, net.N()),
@@ -222,8 +224,8 @@ func newHeartbeatService(net *Network, interval float64) *heartbeatService {
 		}
 		node := net.Node(id)
 		node.Register(ProtoBeacon, h)
-		phase := rng.Float64() * interval
-		sim.NewTicker(net.engine, phase, interval, func() { h.beacon(node) })
+		phase := rng.Float64() * heartbeatSecs
+		sim.NewTicker(net.engine, phase, heartbeatSecs, func() { h.beacon(node) })
 	}
 	return h
 }
@@ -245,7 +247,7 @@ func (h *heartbeatService) HandlePacket(n *Node, pkt *Packet, from int) {
 	now := h.net.engine.Now()
 	old, had := h.lastSeen[id][from]
 	h.lastSeen[id][from] = now
-	if !had || now-old > h.timeout {
+	if !had || now-old > heartbeatTimeout {
 		h.fresh[id] = false
 	}
 }
@@ -267,12 +269,12 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 	h.scratch = h.scratch[:0]
 	expires := math.Inf(1)
 	for nb, seen := range h.lastSeen[id] {
-		if now-seen <= h.timeout && h.net.alive[nb] {
+		if now-seen <= heartbeatTimeout && h.net.alive[nb] {
 			h.scratch = append(h.scratch, nb) //pqlint:allow noalloc(shared scratch: grows to the largest neighbor list once, then is reused)
-			if e := seen + h.timeout; e < expires {
+			if e := seen + heartbeatTimeout; e < expires {
 				expires = e
 			}
-		} else if now-seen > h.timeout {
+		} else if now-seen > heartbeatTimeout {
 			delete(h.lastSeen[id], nb)
 		}
 	}

@@ -269,7 +269,7 @@ func TestHeartbeatNeighbors(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}}
 	net := New(e, Config{
 		N: 3, Side: 500, Mobility: mobility.NewStatic(pts),
-		Stack: StackIdeal, Neighbors: NeighborsHeartbeat, HeartbeatSecs: 10,
+		Stack: StackIdeal, Neighbors: NeighborsHeartbeat,
 	})
 	e.Run(25) // a couple of beacon cycles
 	nbs := net.Neighbors(1)
@@ -296,7 +296,7 @@ func TestHeartbeatTracksMobility(t *testing.T) {
 	}, nil)
 	net := New(e, Config{
 		N: 20, Side: 600, Mobility: mob,
-		Stack: StackIdeal, Neighbors: NeighborsHeartbeat, HeartbeatSecs: 10,
+		Stack: StackIdeal, Neighbors: NeighborsHeartbeat,
 	})
 	e.Run(100)
 	// Heartbeat view should roughly agree with geometry: every claimed

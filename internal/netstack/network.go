@@ -80,19 +80,11 @@ type Config struct {
 	Mobility mobility.Model
 	// Stack selects the PHY/MAC fidelity (default StackSINR).
 	Stack StackKind
-	// Range is the nominal transmission range used by the disk and ideal
-	// stacks and by oracle neighbor discovery (default 200 m; the SINR
-	// stack derives its own ≈213 m from the radio parameters).
-	Range float64
-	// MAC holds 802.11 constants (zero value → mac.DefaultConfig()).
-	MAC mac.Config
 	// PHY holds radio parameters (zero value → phy.DefaultParams()).
 	PHY phy.Params
 	// Neighbors selects neighbor discovery (default NeighborsHeartbeat
 	// for SINR/Disk stacks, NeighborsOracle for the ideal stack).
 	Neighbors NeighborMode
-	// HeartbeatSecs is the beacon period (paper: 10 s).
-	HeartbeatSecs float64
 	// LossProb is the per-attempt loss probability for the ideal stack.
 	LossProb float64
 	// RxLossProb drops each successfully received frame at the receiver
@@ -112,21 +104,21 @@ type Config struct {
 	CellNoise bool
 }
 
+// Range is the nominal transmission range in meters (paper: 200 m): the
+// disk medium's and the ideal MAC's, oracle neighbor discovery's, and the one
+// the deployment area is sized for. The SINR stack derives its own ≈213 m
+// from the radio parameters (Network.Range).
+const Range = 200
+
 func (c *Config) fillDefaults() {
 	if c.AvgDegree == 0 {
 		c.AvgDegree = 10
 	}
-	if c.Range == 0 {
-		c.Range = 200
-	}
 	if c.Side == 0 {
-		c.Side = geom.AreaSide(c.N, c.Range, c.AvgDegree)
+		c.Side = geom.AreaSide(c.N, Range, c.AvgDegree)
 	}
 	if c.Stack == 0 {
 		c.Stack = StackSINR
-	}
-	if c.MAC == (mac.Config{}) {
-		c.MAC = mac.DefaultConfig()
 	}
 	if c.PHY == (phy.Params{}) {
 		c.PHY = phy.DefaultParams()
@@ -137,9 +129,6 @@ func (c *Config) fillDefaults() {
 		} else {
 			c.Neighbors = NeighborsHeartbeat
 		}
-	}
-	if c.HeartbeatSecs == 0 {
-		c.HeartbeatSecs = 10
 	}
 }
 
@@ -162,14 +151,15 @@ type Network struct {
 	ideal     *mac.IdealNet // nil for SINR/disk stacks
 	neighbors NeighborProvider
 
-	// lossFunc, when non-nil, is consulted for every frame arriving at a
-	// receiver (unicast and broadcast alike); returning true drops it.
-	lossFunc func(from, to int, pkt *Packet) bool
+	// lossRng, non-nil when Config.RxLossProb > 0, draws the RxLossProb
+	// drop of every frame arriving at a receiver (unicast and broadcast
+	// alike).
+	lossRng *rand.Rand
 	// partitionFunc, when non-nil, reports whether two nodes are in
 	// different network partitions; cross-partition frames are dropped.
 	partitionFunc PartitionFunc
 	// faultFunc, when non-nil, picks a fault action for every arriving
-	// frame (generalizing lossFunc to duplication, delay, blackholing).
+	// frame (drop, duplication, delay).
 	faultFunc LinkFaultFunc
 	// deliveryObserver, when non-nil, sees every frame actually handed to
 	// a node — the invariant checkers' vantage point.
@@ -255,19 +245,19 @@ func New(engine *sim.Engine, cfg Config) *Network {
 		})
 		net.medium = m
 		for i := 0; i < cfg.N; i++ {
-			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, cfg.MAC, i, m, engine.NewStream()))
+			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m, engine.NewStream()))
 		}
 	case StackDisk:
 		m := phy.NewDiskMedium(engine, phy.DiskConfig{
 			N: cfg.N, Side: cfg.Side, Pos: pos,
-			MaxSpeed: net.mob.MaxSpeed(), Range: cfg.Range,
+			MaxSpeed: net.mob.MaxSpeed(), Range: Range,
 		})
 		net.medium = m
 		for i := 0; i < cfg.N; i++ {
-			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, cfg.MAC, i, m, engine.NewStream()))
+			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m, engine.NewStream()))
 		}
 	case StackIdeal:
-		in := mac.NewIdealNet(engine, cfg.MAC, cfg.N, cfg.Range, pos, engine.NewStream())
+		in := mac.NewIdealNet(engine, cfg.N, Range, pos, engine.NewStream())
 		in.LossProb = cfg.LossProb
 		in.HopDelay = cfg.IdealHopDelay
 		net.ideal = in
@@ -282,25 +272,14 @@ func New(engine *sim.Engine, cfg Config) *Network {
 	case NeighborsOracle:
 		net.neighbors = newOracleNeighbors(net)
 	case NeighborsHeartbeat:
-		net.neighbors = newHeartbeatService(net, cfg.HeartbeatSecs)
+		net.neighbors = newHeartbeatService(net)
 	}
 	if cfg.RxLossProb > 0 {
 		// The stream is derived only when loss is enabled so that loss-free
 		// configurations draw the exact same random sequence as before.
-		lrng := engine.NewStream()
-		p := cfg.RxLossProb
-		net.lossFunc = func(int, int, *Packet) bool { return lrng.Float64() < p }
+		net.lossRng = engine.NewStream()
 	}
 	return net
-}
-
-// SetLossFunc installs a custom receiver-side drop predicate, replacing any
-// RxLossProb-derived one: every frame arriving at a live receiver (delivery
-// or overhear) is dropped when f returns true. Pass nil to disable loss.
-// Dropped frames are counted under CtrLossDrops. A custom predicate needing
-// randomness should draw from a stream of the network's engine.
-func (net *Network) SetLossFunc(f func(from, to int, pkt *Packet) bool) {
-	net.lossFunc = f
 }
 
 // SetPartitionFunc installs a partition predicate: every frame whose sender
@@ -314,9 +293,9 @@ func (net *Network) SetPartitionFunc(f PartitionFunc) {
 	net.partitionFunc = f
 }
 
-// SetLinkFaultFunc installs a per-link fault function generalizing
-// SetLossFunc: every frame arriving at a live receiver (delivery or
-// overhear) can be dropped, duplicated, or delayed. Pass nil to disable.
+// SetLinkFaultFunc installs a per-link fault function: every frame arriving
+// at a live receiver (delivery or overhear) can be dropped, duplicated, or
+// delayed. Pass nil to disable.
 // Installing a fault function also arms per-link reorder tracking
 // (CtrReorders).
 func (net *Network) SetLinkFaultFunc(f LinkFaultFunc) {
@@ -349,7 +328,7 @@ func (net *Network) deliverRx(n *Node, from int, pkt *Packet, overhear bool) {
 		net.stats.Inc(CtrPartitionDrops, 1)
 		return
 	}
-	if net.lossFunc != nil && net.lossFunc(from, n.id, pkt) {
+	if net.lossRng != nil && net.lossRng.Float64() < net.cfg.RxLossProb {
 		net.stats.Inc(CtrLossDrops, 1)
 		return
 	}
@@ -477,7 +456,7 @@ func (net *Network) Range() float64 {
 	if m, ok := net.medium.(*phy.SINRMedium); ok {
 		return m.Params().ReceptionRange()
 	}
-	return net.cfg.Range
+	return Range
 }
 
 // Alive reports whether node id is up.

@@ -59,9 +59,6 @@ func newNode(net *Network, id int, m mac.MAC) *Node {
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
-// Net returns the network the node belongs to.
-func (n *Node) Net() *Network { return n.net }
-
 // Alive reports whether the node is currently up.
 func (n *Node) Alive() bool { return n.net.Alive(n.id) }
 

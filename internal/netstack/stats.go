@@ -23,7 +23,7 @@ const (
 	// reported separately).
 	CtrBeaconMsgs
 	// CtrLossDrops counts frames discarded at a receiver by the injected
-	// per-hop loss process (Config.RxLossProb / Network.SetLossFunc).
+	// per-hop loss process (Config.RxLossProb).
 	CtrLossDrops
 	// CtrRxArrivals counts frames arriving at a live receiver's network
 	// layer (deliveries and overhears alike; a duplicated frame's extra

@@ -35,16 +35,13 @@ type DiskConfig struct {
 	Pos PositionFunc
 	// MaxSpeed is the mobility speed bound.
 	MaxSpeed float64
-	// Range is the transmission range r (paper default 200 m). Zero
-	// means 200.
+	// Range is the transmission range r (the network layer's is the
+	// paper's 200 m).
 	Range float64
 }
 
 // NewDiskMedium builds the medium. All nodes start enabled.
 func NewDiskMedium(engine *sim.Engine, cfg DiskConfig) *DiskMedium {
-	if cfg.Range == 0 {
-		cfg.Range = 200
-	}
 	m := &DiskMedium{r: cfg.Range, intfRange: (1 + diskDelta) * cfg.Range}
 	w := newWorld(engine, cfg.N, cfg.Side, m.intfRange, cfg.Pos, cfg.MaxSpeed)
 	m.init(engine, m, w, m.intfRange, 1)
@@ -52,9 +49,6 @@ func NewDiskMedium(engine *sim.Engine, cfg DiskConfig) *DiskMedium {
 }
 
 var _ Medium = (*DiskMedium)(nil)
-
-// Range returns the transmission range r.
-func (m *DiskMedium) Range() float64 { return m.r }
 
 func (m *DiskMedium) signal(d float64) (signal, bool) {
 	return signal{powerMw: 1, inRange: d <= m.r}, d <= m.intfRange

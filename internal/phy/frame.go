@@ -33,10 +33,15 @@ type Frame struct {
 	Payload any
 }
 
-// AirTime returns the time the frame occupies the channel, given the PLCP
-// preamble duration in seconds.
-func (f *Frame) AirTime(plcpPreamble float64) float64 {
-	return plcpPreamble + float64(f.Bytes*8)/f.Rate
+// plcpPreambleSecs is the PHY preamble + PLCP header duration added to every
+// frame: the 802.11 DSSS long preamble, 144 µs + 48 µs at 1 Mb/s
+// (IEEE 802.11-2007 §15.2.2), which is what the paper's SWANS/ns-2 radios use.
+const plcpPreambleSecs = 192e-6
+
+// AirTime returns the time the frame occupies the channel: the PLCP preamble
+// plus its bytes at its rate.
+func (f *Frame) AirTime() float64 {
+	return plcpPreambleSecs + float64(f.Bytes*8)/f.Rate
 }
 
 // Handler receives indications from a node's channel attachment.

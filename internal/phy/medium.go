@@ -5,11 +5,6 @@ import (
 	"probquorum/internal/sim"
 )
 
-// plcpPreambleSecs is the PHY preamble + PLCP header duration added to every
-// frame: the 802.11 DSSS long preamble, 144 µs + 48 µs at 1 Mb/s
-// (IEEE 802.11-2007 §15.2.2), which is what the paper's SWANS/ns-2 radios use.
-const plcpPreambleSecs = 192e-6
-
 // reception is what is left of a reception model once the shared medium has
 // done everything else (Section 2.3 of the paper gives two: physical/SINR and
 // protocol/disk). The medium calls it at fixed points of a signal's life; a
@@ -194,7 +189,7 @@ var _ Channel = (*radio)(nil)
 
 func (r *radio) SetHandler(h Handler) { r.handler = h }
 
-func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime(plcpPreambleSecs) }
+func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 
 // Busy implements Channel: carrier is busy while transmitting or while the
 // cumulative power of the impinging signals, plus injected noise, is at or

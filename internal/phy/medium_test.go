@@ -37,7 +37,7 @@ func newTestSINR(e *sim.Engine, pts []geom.Point) (*SINRMedium, []*collector) {
 }
 
 func newTestDisk(e *sim.Engine, pts []geom.Point) (*DiskMedium, []*collector) {
-	m := NewDiskMedium(e, DiskConfig{N: len(pts), Side: 5000, Pos: staticPos(pts)})
+	m := NewDiskMedium(e, DiskConfig{N: len(pts), Side: 5000, Pos: staticPos(pts), Range: 200})
 	return m, attach(&m.medium)
 }
 
@@ -262,7 +262,7 @@ func TestTransmitAllocsBounded(t *testing.T) {
 			return NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos, CellNoise: true})
 		}},
 		{"disk", func(e *sim.Engine, n int, side float64, pos PositionFunc) Medium {
-			return NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos})
+			return NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos, Range: 200})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -603,7 +603,7 @@ func TestRunningSumMatchesResum(t *testing.T) {
 			return &m.medium, m.SetExtraNoise
 		}},
 		{"disk", func(e *sim.Engine, pos PositionFunc) (*medium, func(int, float64)) {
-			m := NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos})
+			m := NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos, Range: 200})
 			return &m.medium, nil
 		}},
 	} {

@@ -19,9 +19,6 @@ import "math"
 // DBmToMilliwatt converts a power level in dBm to linear milliwatts.
 func DBmToMilliwatt(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
-// MilliwattToDBm converts linear milliwatts to dBm.
-func MilliwattToDBm(mw float64) float64 { return 10 * math.Log10(mw) }
-
 // Params holds radio and propagation parameters. All powers are in dBm; the
 // medium converts to linear milliwatts internally.
 type Params struct {

@@ -97,12 +97,12 @@ func TestLookupRetryRecovers(t *testing.T) {
 
 	var res *LookupResult
 	w.e.Schedule(0, func() {
-		w.net.SetLossFunc(func(int, int, *netstack.Packet) bool { return true })
+		w.net.SetLinkFaultFunc(func(int, int, *netstack.Packet) netstack.FaultAction { return netstack.FaultAction{Drop: true} })
 		w.sys.Lookup(30, "k", func(r LookupResult) { res = &r })
 	})
 	// Heal the network mid-backoff: attempt 1 times out at t+5, the retry
 	// dispatches at t+6.
-	w.e.Schedule(5.5, func() { w.net.SetLossFunc(nil) })
+	w.e.Schedule(5.5, func() { w.net.SetLinkFaultFunc(nil) })
 	w.e.Run(w.e.Now() + 40)
 
 	if res == nil {
@@ -125,7 +125,7 @@ func TestLookupRetriesExhausted(t *testing.T) {
 		LookupTimeout: 4, LookupRetries: 2, RetryBackoffSecs: 0.5,
 	})
 	w.advertise(0, "k", "v")
-	w.net.SetLossFunc(func(int, int, *netstack.Packet) bool { return true })
+	w.net.SetLinkFaultFunc(func(int, int, *netstack.Packet) netstack.FaultAction { return netstack.FaultAction{Drop: true} })
 	calls := 0
 	var last LookupResult
 	w.e.Schedule(0, func() {

@@ -83,8 +83,8 @@ func TestAdvertiseDeadlineDrainsVanishedAccess(t *testing.T) {
 			// Drop every quorum frame at its receiver: the MAC ACKs, the
 			// network layer discards, and every walk vanishes on its first
 			// hop with no terminal event.
-			w.net.SetLossFunc(func(_, _ int, pkt *netstack.Packet) bool {
-				return pkt.Proto == netstack.ProtoQuorum
+			w.net.SetLinkFaultFunc(func(_, _ int, pkt *netstack.Packet) netstack.FaultAction {
+				return netstack.FaultAction{Drop: pkt.Proto == netstack.ProtoQuorum}
 			})
 
 			const ops = 5
@@ -134,8 +134,8 @@ func TestOpMapsDrainUnderReceiverLoss(t *testing.T) {
 			// 50% receiver-side loss from a seeded stream: some frames get
 			// through (exercising partial progress), many vanish.
 			lrng := w.e.NewStream()
-			w.net.SetLossFunc(func(_, _ int, pkt *netstack.Packet) bool {
-				return pkt.Proto == netstack.ProtoQuorum && lrng.Float64() < 0.5
+			w.net.SetLinkFaultFunc(func(_, _ int, pkt *netstack.Packet) netstack.FaultAction {
+				return netstack.FaultAction{Drop: pkt.Proto == netstack.ProtoQuorum && lrng.Float64() < 0.5}
 			})
 
 			const ops = 8

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"probquorum/internal/check"
-	"probquorum/internal/faults"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
 	"probquorum/internal/sim"
@@ -36,9 +35,8 @@ func TestWalksUnderDuplicateFault(t *testing.T) {
 		LookupTimeout: 10, AdvertiseTimeoutSecs: 20,
 	})
 	suite := check.NewSuite(net, sys)
-	inj := faults.New(net)
 	// 6 % of frames doubled: a 30-hop walk forks about twice.
-	inj.Schedule([]faults.Episode{{Kind: faults.Duplicate, Start: 0, Duration: 1e6, Prob: 0.06}})
+	dup := e.NewStream()
 
 	type arrival struct {
 		live, was []int
@@ -52,12 +50,13 @@ func TestWalksUnderDuplicateFault(t *testing.T) {
 	var arrivals []arrival
 	writers := map[slot]any{} // who may write the element after this list
 	seen := map[any]bool{}
-	// The loss hook sees every arriving frame once, before the fault
-	// function doubles it, and leaves the delivery observer to the suite.
-	net.SetLossFunc(func(from, _ int, pkt *netstack.Packet) bool {
+	// The fault function sees every arriving frame once, before it doubles
+	// it, and leaves the delivery observer to the suite.
+	net.SetLinkFaultFunc(func(from, _ int, pkt *netstack.Packet) netstack.FaultAction {
+		act := netstack.FaultAction{Duplicate: dup.Float64() < 0.06}
 		msg, path, walk, ok := quorum.PathPayload(pkt)
 		if !ok || seen[msg] {
-			return false
+			return act
 		}
 		seen[msg] = true
 		arrivals = append(arrivals, arrival{live: path, was: append([]int(nil), path...), walk: walk, from: from})
@@ -68,7 +67,7 @@ func TestWalksUnderDuplicateFault(t *testing.T) {
 			}
 			writers[k] = msg
 		}
-		return false
+		return act
 	})
 
 	hits, collected := 0, 0

@@ -58,9 +58,6 @@ type Event struct {
 	eng       *Engine
 }
 
-// Time returns the simulation time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event through a handle that was dropped on time is a
 // no-op; holding the handle past the fire and cancelling then is a misuse

@@ -74,7 +74,7 @@ func Build(sp Spec) *Stack {
 		cfg.AvgDegree = 10
 	}
 	cfg.N = total
-	cfg.Side = geom.AreaSide(sp.N, 200, cfg.AvgDegree)
+	cfg.Side = geom.AreaSide(sp.N, netstack.Range, cfg.AvgDegree)
 	if sp.SpeedMax > 0 {
 		cfg.Mobility = mobility.NewWaypoint(engine.NewStream(), total, mobility.WaypointConfig{
 			MinSpeed: sp.SpeedMin, MaxSpeed: sp.SpeedMax, Pause: pauseSecs, Side: cfg.Side,

@@ -10,9 +10,9 @@
 //   - Poisson: exponential inter-arrivals at RatePerNode;
 //   - MMPP: a 2-state Markov-modulated Poisson process (on/off burst
 //     model) — exponential sojourns between an on state at RatePerNode
-//     and an off state at OffRate, simulated by competing exponentials
-//     (the next event is whichever of "arrival" and "state flip" draws
-//     the earlier time), so bursts and lulls need no extra timers.
+//     and a silent off state, simulated by competing exponentials (the
+//     next event is whichever of "arrival" and "state flip" draws the
+//     earlier time), so bursts and lulls need no extra timers.
 //
 // Keys are drawn uniformly or from a Zipf hotspot distribution
 // (math/rand's NewZipf over a precomputed key table, so draws are
@@ -35,6 +35,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"probquorum/internal/sim"
@@ -49,10 +50,16 @@ const (
 	// RatePerNode per node.
 	Poisson Arrival = iota
 	// MMPP modulates a Poisson process with a 2-state on/off Markov
-	// chain: RatePerNode while on, OffRate while off, exponential
-	// sojourns of mean MeanOnSecs/MeanOffSecs — the standard bursty
-	// traffic model.
+	// chain: RatePerNode while on, silent while off, exponential sojourns
+	// of mean mmppOnSecs/mmppOffSecs — the standard bursty traffic model.
 	MMPP
+)
+
+// mmppOnSecs and mmppOffSecs are the MMPP mean sojourn times: short intense
+// bursts, longer lulls.
+const (
+	mmppOnSecs  = 5.0
+	mmppOffSecs = 15.0
 )
 
 // String implements fmt.Stringer.
@@ -106,11 +113,6 @@ type Config struct {
 	// RatePerNode is each node's arrival rate in ops/sec (Poisson), or
 	// its on-state rate (MMPP). Default 1.
 	RatePerNode float64
-	// OffRate is the MMPP off-state rate (default 0: silent lulls).
-	OffRate float64
-	// MeanOnSecs and MeanOffSecs are the MMPP mean sojourn times
-	// (defaults 5 and 15: short intense bursts, longer lulls).
-	MeanOnSecs, MeanOffSecs float64
 	// Keys is the key-space size (default 1024). Key strings are built
 	// once at construction so the issue path never allocates.
 	Keys int
@@ -119,11 +121,10 @@ type Config struct {
 	// WriteFraction is the probability an op is a write/advertise
 	// (default 0.1 — a read-heavy location service).
 	WriteFraction float64
-	// MaxInFlight is the per-node in-flight window (default 8).
+	// MaxInFlight is the per-node in-flight window (default 8). Arrivals
+	// that find it full wait in a FIFO of twice its size; beyond that they
+	// are shed.
 	MaxInFlight int
-	// QueueLimit bounds the per-node FIFO of arrivals waiting for a
-	// window slot (default 2×MaxInFlight). Arrivals beyond it are shed.
-	QueueLimit int
 	// DurationSecs is the issue phase length from Start (required > 0);
 	// arrivals stop after it, queued ops still drain.
 	DurationSecs float64
@@ -132,12 +133,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.RatePerNode == 0 {
 		c.RatePerNode = 1
-	}
-	if c.MeanOnSecs == 0 {
-		c.MeanOnSecs = 5
-	}
-	if c.MeanOffSecs == 0 {
-		c.MeanOffSecs = 15
 	}
 	if c.Keys == 0 {
 		c.Keys = 1024
@@ -148,8 +143,30 @@ func (c *Config) fillDefaults() {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 8
 	}
-	if c.QueueLimit == 0 {
-		c.QueueLimit = 2 * c.MaxInFlight
+}
+
+// validate panics, naming the field, on a config New cannot run: one whose
+// generator would never let the clock advance or never stop issuing, or
+// whose sizes are negative.
+func (c *Config) validate() {
+	bad := func(field, want string, got any) {
+		panic(fmt.Sprintf("workload: Config.%s must be %s, got %v", field, want, got))
+	}
+	switch {
+	case c.Arrival != Poisson && c.Arrival != MMPP:
+		bad("Arrival", "Poisson or MMPP", c.Arrival)
+	case !(c.RatePerNode > 0) || math.IsInf(c.RatePerNode, 1):
+		bad("RatePerNode", "positive and finite", c.RatePerNode)
+	case c.Keys < 1:
+		bad("Keys", "positive", c.Keys)
+	case c.KeyDist != Uniform && c.KeyDist != Zipf:
+		bad("KeyDist", "Uniform or Zipf", c.KeyDist)
+	case !(c.WriteFraction >= 0 && c.WriteFraction <= 1):
+		bad("WriteFraction", "in [0, 1]", c.WriteFraction)
+	case c.MaxInFlight < 1:
+		bad("MaxInFlight", "positive", c.MaxInFlight)
+	case !(c.DurationSecs > 0) || math.IsInf(c.DurationSecs, 1):
+		bad("DurationSecs", "positive and finite", c.DurationSecs)
 	}
 }
 
@@ -190,7 +207,7 @@ type nodeState struct {
 	id       int
 	inFlight int
 	on       bool // MMPP modulation state
-	queue    []Op // bounded by QueueLimit
+	queue    []Op // bounded by 2×MaxInFlight
 }
 
 // Generator drives an open-loop workload against a set of nodes. Construct
@@ -215,9 +232,7 @@ type Generator struct {
 // sequence is a pure function of the engine seed.
 func New(engine *sim.Engine, cfg Config, nodes []int, issue IssueFunc) *Generator {
 	cfg.fillDefaults()
-	if cfg.DurationSecs <= 0 {
-		panic("workload: Config.DurationSecs must be positive")
-	}
+	cfg.validate()
 	if len(nodes) == 0 {
 		panic("workload: no nodes")
 	}
@@ -254,9 +269,8 @@ func (g *Generator) Start() {
 	for i := range g.nodes {
 		if g.cfg.Arrival == MMPP {
 			// Stationary initial state: on with probability
-			// MeanOn/(MeanOn+MeanOff).
-			pOn := g.cfg.MeanOnSecs / (g.cfg.MeanOnSecs + g.cfg.MeanOffSecs)
-			g.nodes[i].on = g.rng.Float64() < pOn
+			// on/(on+off).
+			g.nodes[i].on = g.rng.Float64() < mmppOnSecs/(mmppOnSecs+mmppOffSecs)
 		}
 		g.scheduleNext(i)
 	}
@@ -264,10 +278,6 @@ func (g *Generator) Start() {
 
 // Stats returns the accounting so far.
 func (g *Generator) Stats() Stats { return g.stats }
-
-// PerNodeIssued returns the per-node issued-op counts (indexed like the
-// nodes slice given to New) for the load-skew metric.
-func (g *Generator) PerNodeIssued() []int64 { return g.perNodeIssued }
 
 // LoadSkew summarizes issue-load imbalance as max/mean over nodes (1.0 is
 // perfectly balanced). With Zipf keys the *issue* load stays balanced —
@@ -291,30 +301,20 @@ func (g *Generator) LoadSkew() float64 {
 // scheduleNext arms node i's next arrival (or MMPP state flip) — the one
 // pending event per node.
 func (g *Generator) scheduleNext(i int) {
-	rate := g.cfg.RatePerNode
-	if g.cfg.Arrival == MMPP && !g.nodes[i].on {
-		rate = g.cfg.OffRate
-	}
-	var dtArrival float64
-	if rate > 0 {
-		dtArrival = g.rng.ExpFloat64() / rate
-	}
 	if g.cfg.Arrival != MMPP {
-		if rate <= 0 {
-			return // silent node: no arrivals ever
-		}
-		g.armArrival(i, dtArrival, false)
+		g.armArrival(i, g.rng.ExpFloat64()/g.cfg.RatePerNode, false)
 		return
 	}
-	// MMPP: competing exponentials — whichever of arrival and sojourn end
-	// fires first wins; the loser is redrawn next round (memorylessness
-	// makes the discard exact, not an approximation).
-	mean := g.cfg.MeanOnSecs
+	// MMPP: an off node is silent until its lull ends. An on node runs
+	// competing exponentials — whichever of arrival and burst end fires
+	// first wins; the loser is redrawn next round (memorylessness makes the
+	// discard exact, not an approximation).
 	if !g.nodes[i].on {
-		mean = g.cfg.MeanOffSecs
+		g.armArrival(i, g.rng.ExpFloat64()*mmppOffSecs, true)
+		return
 	}
-	dtFlip := g.rng.ExpFloat64() * mean
-	if rate <= 0 || dtFlip < dtArrival {
+	dtArrival := g.rng.ExpFloat64() / g.cfg.RatePerNode
+	if dtFlip := g.rng.ExpFloat64() * mmppOnSecs; dtFlip < dtArrival {
 		g.armArrival(i, dtFlip, true)
 		return
 	}
@@ -344,7 +344,7 @@ func (g *Generator) arrive(i int) {
 	switch {
 	case n.inFlight < g.cfg.MaxInFlight:
 		g.launch(i, op)
-	case len(n.queue) < g.cfg.QueueLimit:
+	case len(n.queue) < 2*g.cfg.MaxInFlight:
 		g.stats.Queued++
 		n.queue = append(n.queue, op)
 		if len(n.queue) > g.stats.PeakQueue {

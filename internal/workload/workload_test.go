@@ -46,7 +46,7 @@ func TestDeterministicDraws(t *testing.T) {
 	cases := []Config{
 		{Arrival: Poisson, KeyDist: Uniform, RatePerNode: 4, DurationSecs: 30, Keys: 64},
 		{Arrival: Poisson, KeyDist: Zipf, RatePerNode: 4, DurationSecs: 30, Keys: 64},
-		{Arrival: MMPP, KeyDist: Zipf, RatePerNode: 8, OffRate: 0.2, DurationSecs: 30, Keys: 64},
+		{Arrival: MMPP, KeyDist: Zipf, RatePerNode: 8, DurationSecs: 30, Keys: 64},
 	}
 	for _, cfg := range cases {
 		t.Run(fmt.Sprintf("%v-%v", cfg.Arrival, cfg.KeyDist), func(t *testing.T) {
@@ -122,12 +122,13 @@ func TestZipfHotspotSkew(t *testing.T) {
 
 // TestWindowQueueShed checks the bounded in-flight window: with completions
 // far slower than arrivals, the window caps at MaxInFlight, the queue caps
-// at QueueLimit, the rest is shed, and the books balance.
+// at twice that, the rest is shed, and the books balance.
 func TestWindowQueueShed(t *testing.T) {
 	cfg := Config{
 		Arrival: Poisson, RatePerNode: 50, DurationSecs: 10,
-		MaxInFlight: 4, QueueLimit: 6, Keys: 16,
+		MaxInFlight: 4, Keys: 16,
 	}
+	queue := 2 * cfg.MaxInFlight
 	e := sim.NewEngine(11)
 	issued := 0
 	g := New(e, cfg, nodeIDs(3), func(op Op, done func(bool)) {
@@ -140,8 +141,8 @@ func TestWindowQueueShed(t *testing.T) {
 	if st.PeakInFlight != cfg.MaxInFlight {
 		t.Fatalf("peak in-flight = %d, want %d", st.PeakInFlight, cfg.MaxInFlight)
 	}
-	if st.PeakQueue != cfg.QueueLimit {
-		t.Fatalf("peak queue = %d, want %d", st.PeakQueue, cfg.QueueLimit)
+	if st.PeakQueue != queue {
+		t.Fatalf("peak queue = %d, want %d", st.PeakQueue, queue)
 	}
 	if st.Shed == 0 {
 		t.Fatalf("no arrivals shed at 50 ops/s per node against a dead backend")
@@ -151,8 +152,8 @@ func TestWindowQueueShed(t *testing.T) {
 	if st.Issued != wantIssued || int64(issued) != wantIssued {
 		t.Fatalf("issued = %d (callback saw %d), want %d", st.Issued, issued, wantIssued)
 	}
-	if st.Queued != int64(3*cfg.QueueLimit) {
-		t.Fatalf("queued = %d, want %d", st.Queued, 3*cfg.QueueLimit)
+	if st.Queued != int64(3*queue) {
+		t.Fatalf("queued = %d, want %d", st.Queued, 3*queue)
 	}
 	if st.Completed != 0 || st.Hits != 0 {
 		t.Fatalf("phantom completions: %+v", st)
@@ -166,8 +167,8 @@ func TestWindowQueueShed(t *testing.T) {
 	// Two promotion waves of 1000 s completions each, plus slack.
 	e.Run(e.Now() + 3500)
 	st = g.Stats()
-	if st.Issued != wantIssued+int64(3*cfg.QueueLimit) {
-		t.Fatalf("after drain issued = %d, want %d", st.Issued, wantIssued+int64(3*cfg.QueueLimit))
+	if st.Issued != wantIssued+int64(3*queue) {
+		t.Fatalf("after drain issued = %d, want %d", st.Issued, wantIssued+int64(3*queue))
 	}
 	if st.Completed != st.Issued {
 		t.Fatalf("completed %d != issued %d after full drain", st.Completed, st.Issued)
@@ -198,10 +199,7 @@ func TestMMPPBurstiness(t *testing.T) {
 	}
 	poisson := dispersion(Config{Arrival: Poisson, RatePerNode: 2, DurationSecs: 200, Keys: 16})
 	// On 1/4 of the time at 8/s: same 2/s mean, strongly modulated.
-	mmpp := dispersion(Config{
-		Arrival: MMPP, RatePerNode: 8, OffRate: 0,
-		MeanOnSecs: 5, MeanOffSecs: 15, DurationSecs: 200, Keys: 16,
-	})
+	mmpp := dispersion(Config{Arrival: MMPP, RatePerNode: 8, DurationSecs: 200, Keys: 16})
 	if poisson > 3 {
 		t.Fatalf("Poisson index of dispersion = %.2f, want ≈1", poisson)
 	}
@@ -220,9 +218,8 @@ func TestLoadSkewAccounting(t *testing.T) {
 	})
 	g.Start()
 	e.Run(cfg.DurationSecs + 5)
-	per := g.PerNodeIssued()
 	var total int64
-	for _, c := range per {
+	for _, c := range g.perNodeIssued {
 		total += c
 	}
 	if total != g.Stats().Issued {
