@@ -33,9 +33,11 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -193,8 +195,12 @@ func run(in io.Reader, echo io.Writer, outPath string, merge bool) error {
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseBenchLine(line); ok {
+			switch r, err := parseBenchLine(line); err {
+			case nil:
 				rep.Benchmarks = append(rep.Benchmarks, r)
+			case errNotResult:
+			default:
+				return fmt.Errorf("%q: %w", line, err)
 			}
 		}
 	}
@@ -259,15 +265,21 @@ func mergeExisting(rep *report, outPath string) error {
 	return nil
 }
 
+// errNotResult marks a Benchmark-prefixed line that is not a result line: a
+// progress line, a malformed one, or one without an ns/op pair. run skips it.
+var errNotResult = errors.New("not a benchmark result line")
+
 // parseBenchLine parses one result line of the form
 //
 //	BenchmarkName-8   123   456.7 ns/op   89 B/op   1 allocs/op   0.91 hit-ratio
 //
-// The fields after the iteration count come in (value, unit) pairs.
-func parseBenchLine(line string) (benchResult, bool) {
+// The fields after the iteration count come in (value, unit) pairs. A result
+// line carrying a NaN or infinite value is an error, not a skipped line: JSON
+// cannot hold the value, and the run that printed it has a bug to report.
+func parseBenchLine(line string) (benchResult, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return benchResult{}, false
+		return benchResult{}, errNotResult
 	}
 	r := benchResult{Name: fields[0]}
 	if i := strings.LastIndex(r.Name, "-"); i > 0 {
@@ -277,16 +289,20 @@ func parseBenchLine(line string) (benchResult, bool) {
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return benchResult{}, false
+		return benchResult{}, errNotResult
 	}
 	r.Iterations = iters
 	sawNs := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return benchResult{}, false
+			return benchResult{}, errNotResult
 		}
-		switch unit := fields[i+1]; unit {
+		unit := fields[i+1]
+		if math.IsNaN(val) || math.IsInf(val, 0) {
+			return benchResult{}, fmt.Errorf("non-finite %s %s", fields[i], unit)
+		}
+		switch unit {
 		case "ns/op":
 			r.NsPerOp = val
 			sawNs = true
@@ -303,5 +319,8 @@ func parseBenchLine(line string) (benchResult, bool) {
 			r.Metrics[unit] = val
 		}
 	}
-	return r, sawNs
+	if !sawNs {
+		return benchResult{}, errNotResult
+	}
+	return r, nil
 }

@@ -1,20 +1,23 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"probquorum/internal/experiment"
+	"probquorum/internal/lint"
 	"probquorum/internal/workload"
 )
 
 func TestParseBenchLine(t *testing.T) {
-	r, ok := parseBenchLine("BenchmarkSINRBroadcast-8   \t 88583\t     13108 ns/op\t      76 B/op\t       1 allocs/op")
-	if !ok {
-		t.Fatal("line not parsed")
+	r, err := parseBenchLine("BenchmarkSINRBroadcast-8   \t 88583\t     13108 ns/op\t      76 B/op\t       1 allocs/op")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if r.Name != "BenchmarkSINRBroadcast" || r.Procs != 8 {
 		t.Fatalf("name/procs = %q/%d", r.Name, r.Procs)
@@ -28,9 +31,9 @@ func TestParseBenchLine(t *testing.T) {
 }
 
 func TestParseBenchLineCustomMetrics(t *testing.T) {
-	r, ok := parseBenchLine("BenchmarkDefaultMixHitRatio-4   3   52000000 ns/op   0.91 hit-ratio   120 B/op   2 allocs/op")
-	if !ok {
-		t.Fatal("line not parsed")
+	r, err := parseBenchLine("BenchmarkDefaultMixHitRatio-4   3   52000000 ns/op   0.91 hit-ratio   120 B/op   2 allocs/op")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if r.Metrics["hit-ratio"] != 0.91 {
 		t.Fatalf("metrics = %v", r.Metrics)
@@ -43,10 +46,54 @@ func TestParseBenchLineRejectsNonResults(t *testing.T) {
 		"Benchmark bad iteration count ns/op", // malformed
 		"BenchmarkNoUnits-8   100   12345",    // no ns/op pair
 	} {
-		if _, ok := parseBenchLine(line); ok {
-			t.Errorf("line %q should not parse", line)
+		if _, err := parseBenchLine(line); err != errNotResult {
+			t.Errorf("line %q: err = %v, want it skipped as not a result", line, err)
 		}
 	}
+}
+
+// TestRunNamesNonFiniteLine: a NaN or infinite value cannot be written as
+// JSON, so run stops at the line that carries it and names it, instead of
+// failing the whole write with an anonymous marshal error.
+func TestRunNamesNonFiniteLine(t *testing.T) {
+	for _, bad := range []string{
+		"BenchmarkA-2 10 5 ns/op NaN hit-ratio",
+		"BenchmarkB 1 +Inf ns/op",
+		"BenchmarkC-4 3 7 ns/op -Inf B/op",
+	} {
+		out := filepath.Join(t.TempDir(), "BENCH.json")
+		in := strings.NewReader("BenchmarkFine-2 10 5 ns/op\n" + bad + "\nPASS\n")
+		err := run(in, &strings.Builder{}, out, false)
+		if err == nil || !strings.Contains(err.Error(), bad) {
+			t.Errorf("run on %q: err = %v, want one naming the line", bad, err)
+		}
+		if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+			t.Errorf("run on %q wrote %s despite the error", bad, out)
+		}
+	}
+}
+
+// FuzzParseBenchLine: parsing never panics, and every line it accepts as a
+// result becomes a record encoding/json can write.
+func FuzzParseBenchLine(f *testing.F) {
+	for _, seed := range []string{
+		"BenchmarkA-2 10 5 ns/op NaN hit-ratio",
+		"BenchmarkB-8 1 +Inf ns/op",
+		"Benchmark- 1 5 ns/op",
+		"BenchmarkSINRBroadcast-8 \t 88583\t 13108 ns/op\t 76 B/op\t 1 allocs/op",
+		"BenchmarkMegaScenario/n=10000/shards=2-2 1 9e9 ns/op 2e8 peak-heap-B",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		r, err := parseBenchLine(line)
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(r); err != nil {
+			t.Fatalf("accepted %q but cannot write it: %v", line, err)
+		}
+	})
 }
 
 func TestRunWritesJSONAndEchoes(t *testing.T) {
@@ -224,9 +271,9 @@ func TestCompareSkipsNsAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestPqexpBenchLinesCarryProcs round-trips the figures' own bench lines:
-// the name parses back without the suffix and procs is this process's
-// GOMAXPROCS (absent at 1, as go test prints it).
+// TestPqexpBenchLinesCarryProcs round-trips the figures' own bench lines and
+// pqlint's: the name parses back without the suffix and procs is this
+// process's GOMAXPROCS (absent at 1, as go test prints it).
 func TestPqexpBenchLinesCarryProcs(t *testing.T) {
 	want := runtime.GOMAXPROCS(0)
 	if want == 1 {
@@ -236,10 +283,11 @@ func TestPqexpBenchLinesCarryProcs(t *testing.T) {
 		{experiment.MegaResult{N: 10000, Shards: 2}.BenchLine(), "BenchmarkMegaScenario/n=10000/shards=2"},
 		{experiment.LoadMixResult{Mix: "ab"}.BenchLine(), "BenchmarkLoad/mix=ab/arrival=" + workload.Poisson.String()},
 		{experiment.AdaptDriftResult{Drift: "join3x"}.BenchLine(), "BenchmarkAdapt/drift=join3x"},
+		{lint.BenchLine(2*time.Second, 40, 12), "BenchmarkPqlint"},
 	} {
-		r, ok := parseBenchLine(c.line)
-		if !ok {
-			t.Fatalf("bench line does not parse: %s", c.line)
+		r, err := parseBenchLine(c.line)
+		if err != nil {
+			t.Fatalf("bench line does not parse: %s: %v", c.line, err)
 		}
 		if r.Name != c.name || r.Procs != want {
 			t.Errorf("%s\nparsed as name=%q procs=%d, want name=%q procs=%d", c.line, r.Name, r.Procs, c.name, want)

@@ -79,9 +79,7 @@ func run(args []string) error {
 		os.Exit(1)
 	}
 	if *bench {
-		// One "iteration"; the custom metrics ride along into BENCH.json.
-		fmt.Printf("BenchmarkPqlint \t       1\t%12d ns/op\t%10d pkgs\t%10d findings-suppressed\n",
-			elapsed.Nanoseconds(), len(pkgs), len(findings))
+		fmt.Println(lint.BenchLine(elapsed, len(pkgs), len(findings)))
 	}
 	return nil
 }

@@ -39,8 +39,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -311,4 +313,18 @@ func Unsuppressed(findings []Finding) []Finding {
 		}
 	}
 	return out
+}
+
+// BenchLine is the go-test-style result line `pqlint -bench` prints on a
+// clean tree: one iteration whose ns/op is the lint wall time, with the
+// package and suppressed-finding counts as custom metrics. Like go test it
+// appends "-<GOMAXPROCS>" to the name (nothing at 1), so the BENCH.json entry
+// records the host width it was measured at.
+func BenchLine(wall time.Duration, pkgs, suppressed int) string {
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n != 1 {
+		procs = fmt.Sprintf("-%d", n)
+	}
+	return fmt.Sprintf("BenchmarkPqlint%s \t       1\t%12d ns/op\t%10d pkgs\t%10d findings-suppressed",
+		procs, wall.Nanoseconds(), pkgs, suppressed)
 }

@@ -1,6 +1,10 @@
 package quorum
 
-import "probquorum/internal/netstack"
+import (
+	"fmt"
+
+	"probquorum/internal/netstack"
+)
 
 // PathPayload exposes, to the external tests, the node list a quorum packet
 // carries: a walk's visited list or a reply's reverse path (the live slice,
@@ -16,4 +20,23 @@ func PathPayload(pkt *netstack.Packet) (msg any, path []int, walk, ok bool) {
 		}
 	}
 	return nil, nil, false, false
+}
+
+// HopContent renders what a walk or reply hop message carries now — op,
+// key, node list and, for a walk, the unique count, for a reply the value
+// and position — with the message's identity and whether it is a walk. ok is
+// false for every other payload.
+func HopContent(pkt *netstack.Packet) (msg any, content string, walk, ok bool) {
+	switch m := pkt.Payload.(type) {
+	case *walkMsg:
+		if m.walkHeader == nil {
+			return m, "walk message on the free list", true, true
+		}
+		return m, fmt.Sprintf("walk %v %q visited=%v unique=%d", m.Op, m.Key, m.Visited, m.Unique), true, true
+	case *replyMsg:
+		if m.Path != nil {
+			return m, fmt.Sprintf("reply %v %q=%q path=%v idx=%d", m.Op, m.Key, m.Value, m.Path, m.Idx), false, true
+		}
+	}
+	return nil, "", false, false
 }

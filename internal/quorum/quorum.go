@@ -308,11 +308,13 @@ type System struct {
 
 	// stamp is the n-sized scratch set behind mark (id is a member iff
 	// stamp[id] == stampGen); poolFree recycles the walks' salvation
-	// candidate pools. Together they keep a walk or reply hop free of
-	// per-hop maps and copies.
-	stamp    []uint32
-	stampGen uint32
-	poolFree [][]int
+	// candidate pools, walkFree and replyFree the hop messages themselves.
+	// Together they keep a walk or reply hop free of allocations.
+	stamp     []uint32
+	stampGen  uint32
+	poolFree  [][]int
+	walkFree  []*walkMsg
+	replyFree []*replyHop
 
 	// served counts lookup answers produced per node (owner and bystander
 	// alike) — the server-side load behind the load figure's skew metric.

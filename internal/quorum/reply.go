@@ -4,7 +4,9 @@ import "probquorum/internal/netstack"
 
 // replyMsg carries a lookup hit back to the originator. Walk and flooding
 // replies travel the recorded reverse path (Path / per-node previous hops);
-// routed replies (Random, RandomOpt) arrive directly via AODV.
+// routed replies (Random, RandomOpt) arrive directly via AODV. A walk
+// reply's hop carries the msg of a pooled replyHop, which a receiver may read
+// during its upcall only.
 type replyMsg struct {
 	Op         opID
 	Key, Value string
@@ -52,12 +54,26 @@ func (s *System) handleReply(n *netstack.Node, r *replyMsg) {
 	}
 }
 
+// replyHop is one pooled hop of a walk reply: the message the receiver reads
+// and the sender's state for the completion, which is bound once per object
+// (newReplyHop). Routed and flooding replies are plain replyMsgs and carry
+// none of it. Like a walkMsg, a hop belongs to its send: it goes back to the
+// free list when the send settles ok (DESIGN.md §9).
+type replyHop struct {
+	msg  replyMsg
+	from *netstack.Node
+	done func(ok bool)
+}
+
 // forwardReply moves a walk reply one step toward the origin along the
 // recorded path, applying reply-path reduction and, on failure, local
-// repair. idx is the holder n's position in r.Path.
+// repair. idx is the holder n's position in r.Path. r is read, not kept: it
+// may be the arriving hop's message or a template on the caller's stack.
+//
+//pqlint:noalloc
 func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 	if idx <= 0 || n.ID() == r.Path[0] {
-		s.completeLookup(r.Op, r.Value)
+		s.completeLookup(r.Op, r.Value) //pqlint:allow noalloc(the reply has arrived: the lookup settles once per op and runs the caller's completion)
 		return
 	}
 	j := idx - 1
@@ -73,13 +89,52 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 			}
 		}
 	}
-	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: j}
-	pkt := s.packet(n.ID(), r.Path[j], next)
-	n.SendOneHop(r.Path[j], &pkt, func(ok bool) {
-		if !ok {
-			s.replyHopBroken(n, next, j)
-		}
-	})
+	h := s.newReplyHop()
+	h.msg = replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: j}
+	h.from = n
+	pkt := s.packet(n.ID(), r.Path[j], &h.msg)
+	n.SendOneHop(r.Path[j], &pkt, h.done)
+}
+
+// replySent is a reply hop's completion (h.done). A delivered hop goes back
+// to the free list; a failed one hands its message to repair, whose routed
+// retries keep it, so it is never reused.
+func (s *System) replySent(h *replyHop, ok bool) {
+	if !ok {
+		s.replyHopBroken(h.from, &h.msg, h.msg.Idx)
+		return
+	}
+	s.freeReplyHop(h)
+}
+
+// newReplyHop takes a reply hop from the free list, or makes one with its
+// completion bound when the list is dry.
+//
+//pqlint:noalloc
+func (s *System) newReplyHop() *replyHop {
+	if n := len(s.replyFree); n > 0 {
+		h := s.replyFree[n-1]
+		s.replyFree[n-1] = nil
+		s.replyFree = s.replyFree[:n-1]
+		return h
+	}
+	//pqlint:allow noalloc(pool-dry cold path: one hop per increase of the in-flight reply high-water mark)
+	h := &replyHop{}
+	//pqlint:allow noalloc(bound once per pooled hop and kept across its reuses)
+	h.done = func(ok bool) { s.replySent(h, ok) }
+	return h
+}
+
+// freeReplyHop hands a settled hop back to the free list, unless a
+// fault-delayed copy of it may still be in flight (see freeWalkMsg).
+//
+//pqlint:noalloc
+func (s *System) freeReplyHop(h *replyHop) {
+	if s.net.PendingFaultDeliveries() > 0 {
+		return
+	}
+	*h = replyHop{done: h.done}
+	s.replyFree = append(s.replyFree, h) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
 }
 
 // replyHopBroken reacts to a MAC failure delivering a reply to Path[j]:

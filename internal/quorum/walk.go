@@ -21,8 +21,11 @@ type walkHeader struct {
 // describes (Section 4.2).
 //
 // The part the receiver reads and the sender's forwarding state are a single
-// object, so a hop allocates that object and the completion closure bound to
-// it; the packet it travels in is built on the sender's stack.
+// object, drawn from the System's free list (newWalkMsg) with its completion
+// func bound once; the packet it travels in is built on the sender's stack. A
+// walkMsg belongs to its send: a receiver may read it during its upcall only,
+// and it goes back to the free list once the send has settled ok or the walk
+// has ended (DESIGN.md §9).
 type walkMsg struct {
 	*walkHeader
 	// Visited is the path so far, origin first. Its backing array is
@@ -42,7 +45,8 @@ type walkMsg struct {
 	// Forwarding state of the node that sends this message, src; receivers
 	// never read it. pool holds the salvation candidates — the sender's
 	// neighbors at the first attempt, minus those already tried — and done
-	// is the completion callback, bound at the first attempt.
+	// is the completion callback, bound when the message is first made and
+	// kept across reuses.
 	src  int
 	pool []int
 	done func(ok bool)
@@ -52,10 +56,19 @@ type walkMsg struct {
 // halting lookups end within it, longer walks grow it geometrically.
 const walkPathCap = 8
 
+// walkStart is what launching a walk allocates: the header all of its
+// messages share and the first walkPathCap slots of its visited list.
+type walkStart struct {
+	walkHeader
+	visited [walkPathCap]int
+}
+
 // startWalk launches a random-walk quorum access at origin. The origin
 // itself is the first covered node.
 func (s *System) startWalk(origin int, h walkHeader) {
-	m := &walkMsg{walkHeader: &h, Visited: append(make([]int, 0, walkPathCap), origin), Unique: 1}
+	w := &walkStart{walkHeader: h}
+	m := s.newWalkMsg()
+	m.walkHeader, m.Visited, m.Unique = &w.walkHeader, append(w.visited[:0], origin), 1
 	if h.Advertise {
 		s.storeAt(origin, h.Key, h.Value, true, h.Op)
 	}
@@ -87,7 +100,7 @@ func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 			break
 		}
 	}
-	next := &walkMsg{walkHeader: m.walkHeader, Visited: extendVisited(m, u), Unique: unique}
+	visited := extendVisited(m, u)
 
 	if m.Advertise {
 		s.storeAt(u, m.Key, m.Value, true, m.Op)
@@ -96,13 +109,15 @@ func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 		s.markIntersected(m.Op)
 		s.recordServe(u, m.Key)
 		if lk := s.lookups[s.resolve(m.Op)]; lk != nil && !lk.finished {
-			s.sendWalkReply(n, next, value)
+			s.sendWalkReply(n, m.walkHeader, visited, value)
 		}
 		if s.cfg.EarlyHalt && !m.NoHalt {
 			return // stop the walk at the first hit (Section 7.1)
 		}
 	}
 
+	next := s.newWalkMsg()
+	next.walkHeader, next.Visited, next.Unique = m.walkHeader, visited, unique
 	if next.Unique >= next.Target {
 		s.walkEnded(next)
 		return
@@ -132,40 +147,78 @@ func (s *System) forwardWalk(n *netstack.Node, m *walkMsg) {
 
 // tryForwardWalk attempts one forwarding step from m's candidate pool: the
 // first attempt of a hop, or a salvation after the previous one failed.
+//
+//pqlint:noalloc
 func (s *System) tryForwardWalk(m *walkMsg) {
 	if len(m.pool) == 0 {
 		s.counters.WalkDrops++
-		s.releasePool(m)
-		s.walkEnded(m)
+		s.walkEnded(m) //pqlint:allow noalloc(a dropped walk settles its advertise: once per walk, not per hop, and the settlement runs the caller's completion)
 		return
 	}
 	idx := s.pickWalkNext(m, m.pool)
 	next := m.pool[idx]
 	m.pool[idx] = m.pool[len(m.pool)-1]
 	m.pool = m.pool[:len(m.pool)-1]
-
-	if m.done == nil {
-		m.done = func(ok bool) {
-			switch {
-			case ok:
-				s.releasePool(m)
-			case !s.cfg.Salvation:
-				s.counters.WalkDrops++
-				s.releasePool(m)
-				s.walkEnded(m)
-			default:
-				s.counters.Salvations++
-				s.tryForwardWalk(m)
-			}
-		}
-	}
 	pkt := s.packet(m.src, next, m)
 	s.net.Node(m.src).SendOneHop(next, &pkt, m.done)
 }
 
+// walkSent is a walk hop's completion (m.done): a delivered message goes back
+// to the free list, a failed one is salvaged through another candidate or
+// ends the walk.
+func (s *System) walkSent(m *walkMsg, ok bool) {
+	switch {
+	case ok:
+		s.freeWalkMsg(m)
+	case !s.cfg.Salvation:
+		s.counters.WalkDrops++
+		s.walkEnded(m)
+	default:
+		s.counters.Salvations++
+		s.tryForwardWalk(m)
+	}
+}
+
+// newWalkMsg takes a walk message from the free list, or makes one with its
+// completion bound when the list is dry.
+//
+//pqlint:noalloc
+func (s *System) newWalkMsg() *walkMsg {
+	if n := len(s.walkFree); n > 0 {
+		m := s.walkFree[n-1]
+		s.walkFree[n-1] = nil
+		s.walkFree = s.walkFree[:n-1]
+		return m
+	}
+	//pqlint:allow noalloc(pool-dry cold path: one message per increase of the in-flight walk high-water mark)
+	m := &walkMsg{}
+	//pqlint:allow noalloc(bound once per pooled message and kept across its reuses)
+	m.done = func(ok bool) { s.walkSent(m, ok) }
+	return m
+}
+
+// freeWalkMsg ends m's life: its candidate pool and, unless a fault-delayed
+// frame is still in flight, m itself go back to their free lists. A delayed
+// copy is the one delivery that can outlive its hop's send-done — every
+// other receiver runs before it — and it may point at m; while one is
+// pending, m is left to the collector instead.
+//
+//pqlint:noalloc
+func (s *System) freeWalkMsg(m *walkMsg) {
+	if m.pool != nil {
+		s.poolFree = append(s.poolFree, m.pool[:0]) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+		m.pool = nil
+	}
+	if s.net.PendingFaultDeliveries() > 0 {
+		return
+	}
+	*m = walkMsg{done: m.done}
+	s.walkFree = append(s.walkFree, m) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+}
+
 // takePool snapshots a neighbor list (owned by its provider, valid until the
-// next query) into a recycled candidate pool; releasePool hands the pool
-// back once the hop is settled.
+// next query) into a recycled candidate pool; freeWalkMsg hands the pool
+// back once the walk's message is done with.
 func (s *System) takePool(neighbors []int) []int {
 	var pool []int
 	if n := len(s.poolFree); n > 0 {
@@ -173,13 +226,6 @@ func (s *System) takePool(neighbors []int) []int {
 		s.poolFree = s.poolFree[:n-1]
 	}
 	return append(pool[:0], neighbors...)
-}
-
-func (s *System) releasePool(m *walkMsg) {
-	if m.pool != nil {
-		s.poolFree = append(s.poolFree, m.pool[:0])
-		m.pool = nil
-	}
 }
 
 // mark stamps ids into the System's n-sized scratch set and returns the
@@ -233,17 +279,20 @@ func (s *System) pickWalkNext(m *walkMsg, pool []int) int {
 }
 
 // walkEnded finalizes bookkeeping when a walk stops (target covered or
-// dropped): advertise walks complete their operation; lookup walks that end
-// without a hit leave the origin to time out into a miss.
+// dropped) and hands its last message back: advertise walks complete their
+// operation; lookup walks that end without a hit leave the origin to time out
+// into a miss.
 func (s *System) walkEnded(m *walkMsg) {
 	if m.Advertise {
 		s.advertiseSettled(m.Op)
 	}
+	s.freeWalkMsg(m)
 }
 
 // sendWalkReply starts a reply from the hit node back along the walk's
-// recorded reverse path.
-func (s *System) sendWalkReply(n *netstack.Node, m *walkMsg, value string) {
-	r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: m.Visited}
-	s.forwardReply(n, r, len(m.Visited)-1)
+// recorded reverse path, visited (which ends in the hit node). The reply's
+// first hop is built from a template on this frame's stack.
+func (s *System) sendWalkReply(n *netstack.Node, h *walkHeader, visited []int, value string) {
+	r := replyMsg{Op: h.Op, Key: h.Key, Value: value, Path: visited}
+	s.forwardReply(n, &r, len(visited)-1)
 }

@@ -19,13 +19,23 @@ func walkLine(seed int64, cfg Config) *world {
 	return lineWorld(seed, pts, cfg)
 }
 
+// seenWalk is what the delivery observer recorded of one walk message at
+// the moment it was on the air: its Visited slice header (the backing array
+// outlives the message), a copy of the list, and the unique count. The
+// message itself belongs to its send and is reused once that settles, so a
+// test keeps these, never the *walkMsg.
+type seenWalk struct {
+	visited, was []int
+	unique       int
+}
+
 // sentWalks collects, in delivery order, the walk messages node src puts on
 // the air.
-func sentWalks(w *world, src int) *[]*walkMsg {
-	var sent []*walkMsg
+func sentWalks(w *world, src int) *[]seenWalk {
+	var sent []seenWalk
 	w.net.SetDeliveryObserver(func(_, _ int, pkt *netstack.Packet) {
 		if m, ok := pkt.Payload.(*walkMsg); ok && pkt.Src == src {
-			sent = append(sent, m)
+			sent = append(sent, seenWalk{m.Visited, append([]int(nil), m.Visited...), m.Unique})
 		}
 	})
 	return &sent
@@ -55,18 +65,23 @@ func TestWalkSecondDeliveryForks(t *testing.T) {
 		t.Fatalf("node 2 forwarded %d walk messages, want 2", len(*sent))
 	}
 	a, b := (*sent)[0], (*sent)[1]
-	for i, c := range []*walkMsg{a, b} {
-		if len(c.Visited) != 3 || c.Visited[0] != 0 || c.Visited[1] != 1 || c.Visited[2] != 2 {
-			t.Fatalf("continuation %d visited %v, want [0 1 2]", i, c.Visited)
+	for i, c := range []seenWalk{a, b} {
+		if len(c.was) != 3 || c.was[0] != 0 || c.was[1] != 1 || c.was[2] != 2 {
+			t.Fatalf("continuation %d visited %v, want [0 1 2]", i, c.was)
 		}
-		if c.Unique != 3 {
-			t.Fatalf("continuation %d unique = %d, want 3", i, c.Unique)
+		for k := range c.was {
+			if c.visited[k] != c.was[k] {
+				t.Fatalf("continuation %d list rewritten after it was sent: %v, was %v", i, c.visited, c.was)
+			}
+		}
+		if c.unique != 3 {
+			t.Fatalf("continuation %d unique = %d, want 3", i, c.unique)
 		}
 	}
-	if &a.Visited[0] != &visited[0] {
+	if &a.visited[0] != &visited[0] {
 		t.Error("first delivery copied the visited list instead of extending it in place")
 	}
-	if &b.Visited[0] == &a.Visited[0] {
+	if &b.visited[0] == &a.visited[0] {
 		t.Fatal("second delivery shares the first one's backing array: the two walks would overwrite each other's next slot")
 	}
 	if len(m.Visited) != 2 || m.Visited[0] != 0 || m.Visited[1] != 1 {
@@ -74,27 +89,28 @@ func TestWalkSecondDeliveryForks(t *testing.T) {
 	}
 	// Both walks went on to node 3 (the only unvisited neighbor) and
 	// extended their own lists; neither may show through in the other.
-	if a.Visited[:4][3] != 3 || b.Visited[:cap(b.Visited)][3] != 3 {
-		t.Fatalf("continuations did not both reach node 3: %v / %v", a.Visited[:4], b.Visited[:cap(b.Visited)][:4])
+	if a.visited[:4][3] != 3 || b.visited[:cap(b.visited)][3] != 3 {
+		t.Fatalf("continuations did not both reach node 3: %v / %v", a.visited[:4], b.visited[:cap(b.visited)][:4])
 	}
 }
 
 // TestReplyPathSurvivesWalkMovingOn pins the alias in sendWalkReply: a
 // collect-mode (NoHalt) walk replies from every holder and keeps walking,
-// appending to the very array the replies' Path points into.
+// appending to the very array the replies' Path points into. Each reply's
+// Path is recorded on the air — its slice header and a copy — and read back
+// after the run.
 func TestReplyPathSurvivesWalkMovingOn(t *testing.T) {
 	w := walkLine(2, Config{AdvertiseSize: 5, LookupSize: 5, LookupTimeout: 5, EarlyHalt: true, ReplyPathReduction: true})
 	for id := 1; id < 5; id++ {
 		w.sys.Store(id).Put("k", "v", true)
 	}
 	type seen struct {
-		r    *replyMsg
-		path []int
+		path, was []int
 	}
 	var replies []seen
 	w.net.SetDeliveryObserver(func(_, _ int, pkt *netstack.Packet) {
 		if r, ok := pkt.Payload.(*replyMsg); ok {
-			replies = append(replies, seen{r, append([]int(nil), r.Path...)})
+			replies = append(replies, seen{r.Path, append([]int(nil), r.Path...)})
 		}
 	})
 	var res CollectResult
@@ -108,12 +124,12 @@ func TestReplyPathSurvivesWalkMovingOn(t *testing.T) {
 		t.Fatal("no reply observed on the air")
 	}
 	for _, s := range replies {
-		if len(s.r.Path) != len(s.path) {
-			t.Fatalf("reply path changed length: %v, was %v", s.r.Path, s.path)
+		if len(s.path) != len(s.was) {
+			t.Fatalf("reply path changed length: %v, was %v", s.path, s.was)
 		}
-		for i := range s.path {
-			if s.r.Path[i] != s.path[i] || s.path[i] != i {
-				t.Fatalf("reply path rewritten after the walk moved on: %v, was %v", s.r.Path, s.path)
+		for i := range s.was {
+			if s.path[i] != s.was[i] || s.was[i] != i {
+				t.Fatalf("reply path rewritten after the walk moved on: %v, was %v", s.path, s.was)
 			}
 		}
 	}
@@ -133,9 +149,11 @@ func walkHopWorld() *world {
 }
 
 // TestWalkHopAllocsBounded pins one walk hop — handleWalk → SendOneHop →
-// ideal deliver → MACSendDone — at the message and its completion closure,
-// plus the visited list's amortized growth: no map, no per-step copy of the
-// list, no per-hop packet, frame, event, flight or candidate pool.
+// ideal deliver → MACSendDone — at zero objects: the message and its
+// completion come from the System's free list, and there is no map, no
+// per-step copy of the list, no per-hop packet, frame, event, flight or
+// candidate pool. What a walk allocates is its start and the visited list's
+// amortized growth.
 func TestWalkHopAllocsBounded(t *testing.T) {
 	w := walkHopWorld()
 	walk := func() {
@@ -144,7 +162,7 @@ func TestWalkHopAllocsBounded(t *testing.T) {
 	}
 	w.net.PrepareNeighbors() // a static network computes each list once
 	for i := 0; i < 8; i++ {
-		walk() // warm the event, flight, envelope and candidate pools
+		walk() // warm the event, flight, envelope, message and candidate pools
 	}
 	sent := w.net.Stats().Get(netstack.CtrAppMsgs)
 	perWalk := testing.AllocsPerRun(50, walk)
@@ -152,15 +170,15 @@ func TestWalkHopAllocsBounded(t *testing.T) {
 	// corners itself revisits, so a walk takes a few hops more than it
 	// covers nodes.
 	hops := float64(w.net.Stats().Get(netstack.CtrAppMsgs)-sent) / 51
-	// Per walk: header, first message, its visited list and that list's
-	// growths 8→16→32→64 (6); per hop: message + closure.
-	if perHop := (perWalk - 6) / hops; hops < 32 || perHop > 2.05 {
-		t.Fatalf("a walk hop allocates %.2f objects in steady state (%.0f per %.1f-hop walk), want 2", perHop, perWalk, hops)
+	// Per walk: the walkStart (header and the first 8 visited slots) and the
+	// list's growths 8→16→32→64 (4); per hop: nothing.
+	if perHop := (perWalk - 4) / hops; hops < 32 || perHop > 0.05 {
+		t.Fatalf("a walk hop allocates %.2f objects in steady state (%.0f per %.1f-hop walk), want 0", perHop, perWalk, hops)
 	}
 }
 
-// TestReplyHopAllocsBounded pins one reply hop at the message and its
-// completion closure.
+// TestReplyHopAllocsBounded pins one reply hop at zero objects: the hop and
+// its completion come from the System's free list.
 func TestReplyHopAllocsBounded(t *testing.T) {
 	pts := make([]geom.Point, 40)
 	for i := range pts {
@@ -183,8 +201,8 @@ func TestReplyHopAllocsBounded(t *testing.T) {
 		reply()
 	}
 	hops := float64(len(pts) - 1)
-	if perHop := testing.AllocsPerRun(50, reply) / hops; perHop > 2.05 {
-		t.Fatalf("a reply hop allocates %.2f objects in steady state, want 2", perHop)
+	if perHop := testing.AllocsPerRun(50, reply) / hops; perHop > 0.05 {
+		t.Fatalf("a reply hop allocates %.2f objects in steady state, want 0", perHop)
 	}
 }
 
