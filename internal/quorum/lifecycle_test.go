@@ -161,3 +161,104 @@ func TestOpMapsDrainUnderReceiverLoss(t *testing.T) {
 		})
 	}
 }
+
+// TestOpStateGraceQueue pins the op-state grace queue. However many
+// operations settle, the engine holds one event for all their grace. Each
+// operation's flood state and child aliases outlive its settle by exactly
+// opStateGraceSecs, two operations settled in one event included. A finished
+// ring op still answers FloodCoverage inside its grace.
+func TestOpStateGraceQueue(t *testing.T) {
+	for _, ops := range []int{1, 400} {
+		t.Run(fmt.Sprint(ops), func(t *testing.T) {
+			w := newWorld(5, 60, Config{
+				AdvertiseStrategy: Flooding, LookupStrategy: ExpandingRing,
+				LookupTimeout: 10,
+			})
+			w.e.Run(5)
+			base := w.e.Pending()
+
+			// Nobody holds the key: every ring lookup escalates to the
+			// widest ring and times out, except the first two, which are
+			// settled by hand in one event before that.
+			refs := make([]OpRef, ops)
+			settled := make([]float64, ops)
+			w.e.Schedule(0, func() {
+				for i := range refs {
+					i := i
+					refs[i] = w.sys.Lookup(1+i%59, "absent", func(LookupResult) { settled[i] = w.e.Now() })
+				}
+			})
+			w.e.Schedule(3, func() {
+				for i := 0; i < min(2, ops); i++ {
+					w.sys.completeLookup(refs[i].id, "v")
+				}
+			})
+			w.e.Run(w.e.Now() + 40)
+
+			s := w.sys
+			if lk, _ := s.PendingOps(); lk != 0 {
+				t.Fatalf("%d lookups still pending", lk)
+			}
+			if q := len(s.grace) - s.graceHead; q != ops {
+				t.Fatalf("grace queue holds %d ops, want %d", q, ops)
+			}
+			if got := w.e.Pending() - base; got != 1 {
+				t.Fatalf("%d ops in their grace hold %d engine events, want 1", ops, got)
+			}
+			if cov := s.FloodCoverage(refs[ops-1]); cov < 2 {
+				t.Fatalf("FloodCoverage = %d for a finished ring lookup in its grace, want its rings", cov)
+			}
+
+			children := make([][]opID, ops)
+			for i, ref := range refs {
+				children[i] = append([]opID(nil), s.opChildren[ref.id]...)
+				if len(children[i]) == 0 {
+					t.Fatalf("op %d ran no ring round", i)
+				}
+			}
+			// held and gone report whether op i's reverse index, child
+			// aliases and per-round flood state are all present or all
+			// released.
+			state := func(i int) (held, gone bool) {
+				op := refs[i].id
+				held, gone = len(s.opChildren[op]) == len(children[i]), s.opChildren[op] == nil
+				for _, c := range children[i] {
+					_, alias := s.opAlias[c]
+					prev := s.floodPrev[c] != nil
+					held, gone = held && alias && prev, gone && !alias && !prev
+				}
+				return held, gone
+			}
+			// At each settle time t: an instant before t+grace every op that
+			// settled at or after t is held, and at t+grace every op that
+			// settled by t is gone.
+			times := []float64{settled[0]}
+			if ops > 1 {
+				if settled[1] != settled[0] || settled[ops-1] <= settled[0] {
+					t.Fatalf("hand-settled ops at %v and %v, timed-out op at %v", settled[0], settled[1], settled[ops-1])
+				}
+				times = append(times, settled[ops-1])
+			}
+			for _, at := range times {
+				w.e.Run(at + opStateGraceSecs - 1e-9)
+				for i := range refs {
+					if held, _ := state(i); settled[i] >= at && !held {
+						t.Fatalf("op %d (settled %v) lost its state before %v", i, settled[i], at+opStateGraceSecs)
+					}
+				}
+				w.e.Run(at + opStateGraceSecs)
+				for i := range refs {
+					if _, gone := state(i); settled[i] <= at && !gone {
+						t.Fatalf("op %d (settled %v) still holds state at %v", i, settled[i], at+opStateGraceSecs)
+					}
+				}
+			}
+			if cov := s.FloodCoverage(refs[ops-1]); cov != 0 {
+				t.Fatalf("FloodCoverage = %d after the grace, want 0", cov)
+			}
+			if got := w.e.Pending(); got != base {
+				t.Fatalf("%d engine events after every grace ended, want the %d from before", got, base)
+			}
+		})
+	}
+}

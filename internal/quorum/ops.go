@@ -409,17 +409,48 @@ func (s *System) FloodCoverage(ref OpRef) int {
 // stay memory-stable.
 const opStateGraceSecs = 60
 
-// releaseOpState schedules the garbage collection of an operation's flood
-// bookkeeping and child-op aliases.
+// graceEntry is a settled operation whose state is kept until at.
+type graceEntry struct {
+	at float64
+	op opID
+}
+
+// releaseOpState queues the garbage collection of an operation's flood
+// bookkeeping and child-op aliases for opStateGraceSecs from now. The grace
+// is a constant and the clock never goes back, so the queue is in expiry
+// order and one engine event, for its head, serves all of it.
+//
+//pqlint:noalloc
 func (s *System) releaseOpState(op opID) {
-	s.engine.Schedule(opStateGraceSecs, func() {
-		delete(s.floodPrev, op)
-		delete(s.floodCoverage, op)
-		for _, c := range s.opChildren[op] {
-			delete(s.opAlias, c)
-			delete(s.floodPrev, c)
-			delete(s.floodCoverage, c)
-		}
-		delete(s.opChildren, op)
-	})
+	s.grace = append(s.grace, graceEntry{at: s.engine.Now() + opStateGraceSecs, op: op}) //pqlint:allow noalloc(grace-queue growth is amortized to the settled-op high-water mark)
+	if len(s.grace)-s.graceHead == 1 {
+		s.engine.At(s.grace[s.graceHead].at, s.graceFn)
+	}
+}
+
+// expireOpState drops the state of the operation at the head of the grace
+// queue, at the instant its own grace ends, and arms the next head at that
+// entry's own time: one event per operation, as if each had its own.
+//
+//pqlint:noalloc
+func (s *System) expireOpState() {
+	op := s.grace[s.graceHead].op
+	s.graceHead++
+	delete(s.floodPrev, op)
+	delete(s.floodCoverage, op)
+	for _, c := range s.opChildren[op] {
+		delete(s.opAlias, c)
+		delete(s.floodPrev, c)
+		delete(s.floodCoverage, c)
+	}
+	delete(s.opChildren, op)
+	if 2*s.graceHead >= len(s.grace) {
+		// The expired prefix is at least as long as what is left: slide the
+		// rest down, which costs at most one copy per expiry.
+		n := copy(s.grace, s.grace[s.graceHead:])
+		s.grace, s.graceHead = s.grace[:n], 0
+	}
+	if s.graceHead < len(s.grace) {
+		s.engine.At(s.grace[s.graceHead].at, s.graceFn)
+	}
 }

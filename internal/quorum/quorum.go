@@ -306,6 +306,13 @@ type System struct {
 	floodPrev     map[opID]map[int]int
 	floodCoverage map[opID]int
 
+	// grace[graceHead:] holds the settled operations whose flood state and
+	// child aliases are still kept, oldest first (see releaseOpState). Only
+	// the head is an engine event; graceFn is expireOpState bound once.
+	grace     []graceEntry
+	graceHead int
+	graceFn   func()
+
 	// stamp is the n-sized scratch set behind mark (id is a member iff
 	// stamp[id] == stampGen); poolFree recycles the walks' salvation
 	// candidate pools, walkFree and replyFree the hop messages themselves.
@@ -398,6 +405,7 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 		served:        make([]int64, net.N()),
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)
+	s.graceFn = s.expireOpState
 	needsMembers := cfg.AdvertiseStrategy.DrawsFromView() || cfg.LookupStrategy.DrawsFromView()
 	if (needsMembers || cfg.ReplyLocalRepair) && routing == nil {
 		panic("quorum: configuration requires routing but none was provided")

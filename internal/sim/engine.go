@@ -32,13 +32,18 @@
 // # Event recycling
 //
 // Events are recycled through an engine-owned free list, so steady-state
-// scheduling is allocation-free (DESIGN.md §9). The handle returned by
-// At/Schedule is valid only until the event fires or is cancelled; after
-// that the engine may reuse the Event for an unrelated later scheduling, so
-// callers must drop the handle — retaining it and calling Cancel later
+// scheduling is allocation-free (DESIGN.md §9). The queue holds only events
+// that will fire: Cancel takes its event out of the heap at once and hands
+// it straight back to the free list. The handle returned by At/Schedule is
+// therefore valid only until the event fires or is cancelled; after that
+// the engine may reuse the Event for an unrelated later scheduling, so
+// callers must drop the handle — a second Cancel through a retained handle
 // would cancel whichever event currently occupies the object. Timer and
 // Ticker encapsulate this discipline; prefer them for cancellable or
 // repeating deadlines.
+//
+// Times are absolute seconds. A NaN time panics, since it would poison the
+// clock; +Inf is legal and means "never".
 package sim
 
 import (
@@ -50,31 +55,27 @@ import (
 // has fired or been cancelled the handle is dead and must be dropped (see
 // the package comment on event recycling).
 type Event struct {
-	time      float64
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 when not queued
-	cancelled bool
-	eng       *Engine
+	time  float64
+	seq   uint64
+	fn    func()
+	index int // heap index, -1 when not queued
+	eng   *Engine
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event through a handle that was dropped on time is a
-// no-op; holding the handle past the fire and cancelling then is a misuse
-// (the object may already back a different scheduling).
+// Cancel prevents the event from firing: it leaves the queue in O(log n) and
+// goes back to the free list. Cancelling an event that is running or has
+// fired, through a handle not yet reused, is a no-op; cancelling through a
+// handle kept past its fire or an earlier Cancel is a misuse (the object may
+// already back a different scheduling).
+//
+//pqlint:noalloc
 func (e *Event) Cancel() {
-	if e.cancelled {
+	if e.index < 0 {
 		return
 	}
-	e.cancelled = true
-	if e.index >= 0 && e.eng != nil {
-		e.eng.live--
-		e.eng.maybeCompact()
-	}
+	e.eng.queue.remove(e.index)
+	e.eng.release(e)
 }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // eventHeap is a binary min-heap on the strict total order (time, seq),
 // with sifts typed to *Event: the run loop pops one event per simulated
@@ -141,17 +142,26 @@ func (h *eventHeap) push(e *Event) {
 //
 //pqlint:noalloc
 func (h *eventHeap) pop() *Event {
+	e := (*h)[0]
+	h.remove(0)
+	return e
+}
+
+// remove takes element i out of the heap: the last element fills its slot
+// and is sifted to where the order puts it.
+//
+//pqlint:noalloc
+func (h *eventHeap) remove(i int) {
 	old := *h
 	n := len(old) - 1
-	e, last := old[0], old[n]
+	e := old[i]
+	if i < n {
+		old[i], old[n].index = old[n], i
+		old[:n].fix(i)
+	}
 	old[n] = nil
 	*h = old[:n]
-	if n > 0 {
-		old[0] = last
-		old[:n].down(0)
-	}
 	e.index = -1
-	return e
 }
 
 // fix restores the order after element i's key changed.
@@ -161,18 +171,6 @@ func (h eventHeap) fix(i int) {
 	}
 }
 
-// init establishes the heap order over arbitrary contents.
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// compactMinQueue is the queue length below which cancelled events are never
-// compacted away eagerly — at small sizes the lazy skip in Run is cheaper
-// than a heap rebuild.
-const compactMinQueue = 64
-
 // Engine is a discrete-event scheduler with an attached random source.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
@@ -181,14 +179,12 @@ type Engine struct {
 	queue   eventHeap
 	rng     *rand.Rand
 	stopped bool
-	// processed counts events executed so far (cancelled events excluded).
+	// processed counts events executed so far.
 	processed uint64
-	// free is the recycled-Event pool; At pops from it and the run loop
-	// pushes fired or cancelled events back, so steady-state scheduling
-	// does not allocate.
+	// free is the recycled-Event pool; At pops from it, and the run loop
+	// and Cancel push fired or cancelled events back, so steady-state
+	// scheduling does not allocate.
 	free []*Event
-	// live counts queued events that are not cancelled.
-	live int
 	// shards is the ShardedEval fan-out width and shardPool its lazily
 	// started goroutines; stageBufs holds the ops staged per chunk of the
 	// current phase and stageChunk that phase's chunk length (see shard.go).
@@ -223,9 +219,7 @@ func (e *Engine) NewStream() *rand.Rand {
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // alloc takes an Event from the free list, or allocates when the pool is
-// dry. Stale flags are cleared here rather than at release so that a
-// just-fired or just-cancelled handle still answers Cancelled() correctly
-// until the object is actually reused.
+// dry.
 //
 //pqlint:noalloc
 func (e *Engine) alloc() *Event {
@@ -233,7 +227,6 @@ func (e *Engine) alloc() *Event {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.cancelled = false
 		return ev
 	}
 	return &Event{eng: e, index: -1} //pqlint:allow noalloc(pool-dry cold path: one event per live-event high-water increase)
@@ -269,65 +262,39 @@ func (e *Engine) At(t float64, fn func()) *Event {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
-	if t < e.now {
-		t = e.now
-	}
+	t = e.clamp(t)
 	ev := e.alloc()
 	ev.time, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.queue.push(ev)
-	e.live++
 	return ev
 }
 
-// rearm moves a still-queued, non-cancelled event to absolute time t in
-// place — no allocation and no cancelled ghost left in the queue — giving
-// it a fresh FIFO sequence number exactly as if it had been cancelled and
-// rescheduled. It reports whether the event could be rearmed; a fired or
-// cancelled event cannot be.
+// rearm moves a still-queued event to absolute time t in place — no
+// allocation — giving it a fresh FIFO sequence number exactly as if it had
+// been cancelled and rescheduled. It reports whether the event could be
+// rearmed; a fired or cancelled event cannot be.
 func (e *Engine) rearm(ev *Event, t float64) bool {
-	if ev.index < 0 || ev.cancelled {
+	if ev.index < 0 {
 		return false
 	}
-	if t < e.now {
-		t = e.now
-	}
-	ev.time = t
-	ev.seq = e.seq
+	ev.time, ev.seq = e.clamp(t), e.seq
 	e.seq++
 	e.queue.fix(ev.index)
 	return true
 }
 
-// maybeCompact rebuilds the queue without its cancelled events once they
-// outnumber the live ones. Timer-heavy workloads (MAC ACK timeouts, lookup
-// deadlines) cancel far more events than they let fire; without compaction
-// those ghosts dominate the heap and every push/pop pays for them. The
-// rebuild preserves each live event's (time, seq) key, and the heap order
-// is a total order on that key, so execution order — and therefore
-// determinism — is unaffected.
-func (e *Engine) maybeCompact() {
-	if len(e.queue) < compactMinQueue || 2*e.live >= len(e.queue) {
-		return
+// clamp maps a requested event time onto the clock: the past becomes now,
+// and NaN, which would compare false against every time and leave Now()
+// NaN once it fired, panics.
+func (e *Engine) clamp(t float64) float64 {
+	if t != t {
+		panic("sim: event time is NaN")
 	}
-	n := len(e.queue)
-	kept := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.cancelled {
-			ev.index = -1
-			e.release(ev)
-			continue
-		}
-		kept = append(kept, ev)
+	if t < e.now {
+		return e.now
 	}
-	for i := len(kept); i < n; i++ {
-		e.queue[i] = nil
-	}
-	e.queue = kept
-	for i, ev := range e.queue {
-		ev.index = i
-	}
-	e.queue.init()
+	return t
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -339,21 +306,8 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(until float64) uint64 {
 	start := e.processed
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.time > until {
-			break
-		}
-		e.queue.pop()
-		if next.cancelled {
-			e.release(next)
-			continue
-		}
-		e.live--
-		e.now = next.time
-		next.fn()
-		e.processed++
-		e.release(next)
+	for len(e.queue) > 0 && !e.stopped && e.queue[0].time <= until {
+		e.step()
 	}
 	if e.now < until && !e.stopped {
 		e.now = until
@@ -365,29 +319,28 @@ func (e *Engine) Run(until float64) uint64 {
 // and analytic drivers; simulations with periodic timers never drain.
 func (e *Engine) RunAll(maxEvents uint64) error {
 	e.stopped = false
-	var n uint64
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue.pop()
-		if next.cancelled {
-			e.release(next)
-			continue
-		}
-		e.live--
-		e.now = next.time
-		next.fn()
-		e.processed++
-		e.release(next)
-		if n++; n >= maxEvents {
+	for n := uint64(1); len(e.queue) > 0 && !e.stopped; n++ {
+		e.step()
+		if n >= maxEvents {
 			return fmt.Errorf("sim: RunAll exceeded %d events", maxEvents)
 		}
 	}
 	return nil
 }
 
-// Pending returns the number of live (non-cancelled) queued events.
-func (e *Engine) Pending() int { return e.live }
+// step pops the earliest event, runs it and recycles it.
+func (e *Engine) step() {
+	ev := e.queue.pop()
+	e.now = ev.time
+	ev.fn()
+	e.processed++
+	e.release(ev)
+}
 
-// QueueLen returns the raw queue length including lazily cancelled events
-// that have not yet been skipped or compacted away. QueueLen − Pending is
-// the ghost population; tests use it to observe compaction.
+// Pending returns the number of queued events; every one of them will fire
+// unless it is cancelled first.
+func (e *Engine) Pending() int { return len(e.queue) }
+
+// QueueLen returns the queue length. It equals Pending, since a cancelled
+// event leaves the queue at once; the benchmark samples it as the heap depth.
 func (e *Engine) QueueLen() int { return len(e.queue) }

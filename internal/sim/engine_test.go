@@ -43,12 +43,47 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
 	ev.Cancel()
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the only event was cancelled, want 0", e.Pending())
+	}
 	e.Run(2)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() should be true")
+}
+
+// TestNaNTimeRejected pins that a NaN time cannot reach the clock, through
+// any of the three ways to ask for one: once such an event fired, Now()
+// would read NaN for the rest of the run. +Inf stays legal ("never").
+func TestNaNTimeRejected(t *testing.T) {
+	nan := math.NaN()
+	e := NewEngine(1)
+	fn := func() {}
+	tm := NewTimer(e, fn)
+	armed := NewTimer(e, fn)
+	armed.Reset(1)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"At", func() { e.At(nan, fn) }},
+		{"Schedule", func() { e.Schedule(nan, fn) }},
+		{"Timer.Reset", func() { tm.Reset(nan) }},
+		{"Timer.Reset (armed)", func() { armed.Reset(nan) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a NaN time", c.name)
+				}
+			}()
+			c.call()
+		}()
+	}
+	e.At(math.Inf(1), fn)
+	e.Run(5)
+	if e.Now() != 5 || e.Pending() != 1 {
+		t.Fatalf("after Run(5): Now()=%v Pending()=%d, want 5 and the +Inf event still queued", e.Now(), e.Pending())
 	}
 }
 
@@ -210,6 +245,22 @@ func TestTickerStopFromCallback(t *testing.T) {
 	}
 }
 
+// TestTickerStopTwice pins that Stop drops the ticker's handle: the cancelled
+// event goes straight back to the engine's pool, the next scheduling draws
+// that object, and a second Stop must not cancel it.
+func TestTickerStopTwice(t *testing.T) {
+	e := NewEngine(1)
+	tk := NewTicker(e, 1, 1, func() {})
+	tk.Stop()
+	fired := false
+	e.Schedule(1, func() { fired = true })
+	tk.Stop()
+	e.Run(2)
+	if !fired {
+		t.Fatal("a second Ticker.Stop cancelled an unrelated event")
+	}
+}
+
 func TestTimerResetAndCancel(t *testing.T) {
 	e := NewEngine(1)
 	var fired []float64
@@ -247,40 +298,22 @@ func TestPendingCountsLiveOnly(t *testing.T) {
 	e := NewEngine(1)
 	fn := func() {}
 	a := e.Schedule(1, fn)
-	e.Schedule(2, fn)
-	a.Cancel()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d after cancelling 1 of 2, want 1", got)
-	}
-	if got := e.QueueLen(); got != 2 {
-		t.Fatalf("QueueLen() = %d (cancelled event should still be queued lazily), want 2", got)
+	b := e.Schedule(2, fn)
+	e.Schedule(3, fn)
+	for i, ev := range []*Event{a, b} {
+		ev.Cancel()
+		if got, want := e.Pending(), 2-i; got != want {
+			t.Fatalf("Pending() = %d after %d cancels of 3, want %d", got, i+1, want)
+		}
+		if e.QueueLen() != e.Pending() {
+			t.Fatalf("QueueLen() = %d, Pending() = %d: a cancelled event stayed queued", e.QueueLen(), e.Pending())
+		}
 	}
 	if n := e.Run(10); n != 1 {
 		t.Fatalf("Run executed %d events, want 1", n)
 	}
 	if e.Pending() != 0 || e.QueueLen() != 0 {
 		t.Fatalf("queue not drained: Pending=%d QueueLen=%d", e.Pending(), e.QueueLen())
-	}
-}
-
-func TestEngineCompaction(t *testing.T) {
-	e := NewEngine(1)
-	fn := func() {}
-	evs := make([]*Event, 200)
-	for i := range evs {
-		evs[i] = e.At(1000, fn)
-	}
-	for i := 0; i < 150; i++ {
-		evs[i].Cancel()
-	}
-	if got := e.Pending(); got != 50 {
-		t.Fatalf("Pending() = %d, want 50", got)
-	}
-	if ql := e.QueueLen(); ql >= 200 {
-		t.Fatalf("QueueLen() = %d: cancelled-dominated queue was not compacted", ql)
-	}
-	if n := e.Run(1000); n != 50 {
-		t.Fatalf("Run executed %d events after compaction, want 50", n)
 	}
 }
 
@@ -315,7 +348,7 @@ func TestTimerRearmAllocFree(t *testing.T) {
 		t.Fatalf("armed Reset allocates %.1f objects/op, want 0", avg)
 	}
 	if ql := e.QueueLen(); ql != 1 {
-		t.Fatalf("QueueLen() = %d after repeated rearm, want 1 (no cancelled ghosts)", ql)
+		t.Fatalf("QueueLen() = %d after repeated rearm, want 1 (rearmed in place)", ql)
 	}
 	e.Run(e.Now() + 6)
 	if fired != 1 {
@@ -348,8 +381,7 @@ func TestTimerFireResetAllocFree(t *testing.T) {
 	}
 	avg = testing.AllocsPerRun(200, func() {
 		tm.Reset(1)
-		tm.Cancel()
-		e.Run(e.Now() + 2) // drains the cancelled event back into the pool
+		tm.Cancel() // the event is back in the pool with no Run
 	})
 	if avg != 0 {
 		t.Fatalf("Reset after a Cancel allocates %.1f objects/op, want 0", avg)
@@ -370,11 +402,13 @@ func TestRunAllLimit(t *testing.T) {
 }
 
 // TestHeapPopsInKeyOrder drives the typed heap through a random interleaving
-// of At, Cancel, Timer.Reset (rearm in place) and bursts of cancellations
-// that trigger compaction, running the engine in between, and checks that
-// exactly the events never cancelled fire, in exactly the order of a sorted
-// reference over their final (time, seq) keys. Times are small integers so
-// that ties — and hence the FIFO half of the order — are common.
+// of At, Cancel, Timer.Reset (rearm in place) and cancels aimed at the root,
+// a middle slot and the last slot of the heap, running the engine in
+// between. It checks that the queue holds exactly the events still due at
+// every step, and that exactly the events never cancelled fire, in exactly
+// the order of a sorted reference over their final (time, seq) keys. Times
+// are small integers so that ties — and hence the FIFO half of the order —
+// are common.
 func TestHeapPopsInKeyOrder(t *testing.T) {
 	type key struct {
 		time float64
@@ -426,28 +460,50 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 				}
 			}
 		}
-		compactions := 0
+		// cancelSlot cancels the event in heap slot i through whichever
+		// handle owns it, so that removal from the root, the middle and the
+		// last slot are each exercised.
+		cancelSlot := func(i int) {
+			if i < 0 || i >= e.QueueLen() {
+				return
+			}
+			ev := e.queue[i]
+			for k, tm := range timers {
+				if tm.event == ev {
+					tm.Cancel()
+					delete(want, timerID[k])
+					return
+				}
+			}
+			for id, h := range handles {
+				if h == ev {
+					ev.Cancel()
+					delete(handles, id)
+					delete(want, id)
+					return
+				}
+			}
+			t.Fatalf("seed %d: heap slot %d holds an event no handle owns", seed, i)
+		}
 		for step := 0; step < 4000; step++ {
 			switch r := rng.Intn(100); {
 			case r < 55:
 				at(float64(rng.Intn(40)))
 			case r < 65:
 				cancelAny()
-			case r < 90:
+			case r < 88:
 				reset(rng.Intn(len(timers)), float64(rng.Intn(40)))
-			case r < 92:
-				// Cancel most of the queue: compaction (the only thing
-				// that shrinks the queue outside Run) must rebuild the
-				// heap without disturbing the order of what is left.
-				before := e.QueueLen()
-				for i, n := 0, 3*len(handles)/4; i < n; i++ {
-					cancelAny()
-				}
-				if e.QueueLen() < before {
-					compactions++
-				}
+			case r < 94:
+				cancelSlot(0)
+				cancelSlot(e.QueueLen() / 2)
+				cancelSlot(e.QueueLen() - 1)
 			default:
 				e.Run(e.Now() + float64(rng.Intn(3)))
+			}
+			// The queue holds exactly the events still due to fire.
+			if live := len(want) - len(fired); e.QueueLen() != live || e.Pending() != live {
+				t.Fatalf("seed %d step %d: QueueLen=%d Pending=%d, want both %d",
+					seed, step, e.QueueLen(), e.Pending(), live)
 			}
 		}
 		e.Run(math.Inf(1))
@@ -470,9 +526,6 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 				t.Fatalf("seed %d: pop %d was event %d, sorted reference has %d (time %v seq %d)",
 					seed, i, fired[i], ref[i].id, ref[i].time, ref[i].seq)
 			}
-		}
-		if compactions == 0 {
-			t.Fatalf("seed %d: no compaction happened, the test lost its coverage", seed)
 		}
 		if e.Pending() != 0 || e.QueueLen() != 0 {
 			t.Fatalf("seed %d: queue not drained: Pending=%d QueueLen=%d", seed, e.Pending(), e.QueueLen())

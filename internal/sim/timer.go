@@ -23,9 +23,6 @@ func NewTicker(e *Engine, phase, interval float64, fn func()) *Ticker {
 }
 
 func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
 	t.fn()
 	if !t.stopped { // fn may have stopped us
 		t.event = t.engine.Schedule(t.interval, t.tick)
@@ -42,11 +39,14 @@ func (t *Ticker) SetInterval(interval float64) {
 	t.interval = interval
 }
 
-// Stop cancels future ticks.
+// Stop cancels future ticks. The handle is dropped with the cancel: the
+// event is back in the engine's pool, and a later Stop must not cancel
+// whatever scheduling reuses it.
 func (t *Ticker) Stop() {
 	t.stopped = true
 	if t.event != nil {
 		t.event.Cancel()
+		t.event = nil
 	}
 }
 
@@ -70,8 +70,8 @@ func NewTimer(e *Engine, fn func()) *Timer {
 
 // Reset (re)arms the timer to fire after delay seconds, superseding any
 // earlier deadline. While the timer is armed the pending event is rearmed
-// in place — no cancelled ghost left in the engine queue; a fired or
-// cancelled timer schedules a pooled event. Neither allocates, which is what
+// in place, one sift instead of a removal and a push; a fired or cancelled
+// timer schedules a pooled event. Neither allocates, which is what
 // keeps retry-heavy MACs (ACK timeouts rearm on every frame, back-off arms
 // after every DIFS) allocation-free in steady state.
 //
@@ -101,4 +101,4 @@ func (t *Timer) Cancel() {
 }
 
 // Armed reports whether the timer has a pending deadline.
-func (t *Timer) Armed() bool { return t.event != nil && !t.event.Cancelled() }
+func (t *Timer) Armed() bool { return t.event != nil }
