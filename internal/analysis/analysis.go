@@ -1,36 +1,14 @@
-// Package analysis implements the paper's closed-form results: the
-// mix-and-match intersection bound and quorum sizing (Section 5), the churn
-// degradation curves (Section 6.1), failure-resilience metrics (Section 3),
-// the connectivity condition (Section 6.1), the partial-cover and crossing
-// time bounds (Sections 4.2 and 5.3), and the asymptotic strategy
-// comparison tables (Figs. 3 and 6).
-//
-// Everything here is pure math over the paper's formulas; the experiment
-// harness compares these predictions against simulation measurements.
+// Package analysis holds the paper's closed forms that a figure, the
+// adaptive controller or the location service reads: the §6.1 churn
+// degradation curves (Figs. 7 and 14(f), the decay figure), the refresh
+// tolerance and readvertise period inverted from them (locservice, the
+// controller), Theorem 5.5's crossing time at the connectivity threshold
+// (the crossing-time figure), and the comparison tables of Figs. 3 and 6.
+// The Section 5 bounds (Lemma 5.2, Cor. 5.3, Lemma 5.6) live with the
+// quorum sizing in package quorum.
 package analysis
 
-import (
-	"fmt"
-	"math"
-)
-
-// MissBound is Lemma 5.2's mix-and-match bound: the probability that an
-// advertise quorum of size qa and a lookup quorum of size ql fail to
-// intersect in an n-node network, when at least one side is uniform random:
-// exp(−qa·ql/n).
-func MissBound(n int, qa, ql float64) float64 {
-	return math.Exp(-qa * ql / float64(n))
-}
-
-// MalkhiMissBound is Lemma 5.1 (Malkhi et al.): two uniform quorums of size
-// k√n each miss with probability < exp(−k²).
-func MalkhiMissBound(k float64) float64 { return math.Exp(-k * k) }
-
-// RequiredProduct is Corollary 5.3: |Qa|·|Qℓ| ≥ n·ln(1/ε) guarantees
-// intersection probability ≥ 1−ε.
-func RequiredProduct(n int, epsilon float64) float64 {
-	return float64(n) * math.Log(1/epsilon)
-}
+import "math"
 
 // Degradation curves (Section 6.1). All take the initial non-intersection
 // probability ε and the churn fraction f, and return the degraded
@@ -53,12 +31,6 @@ func DegradationFailuresAdjusted(epsilon, f float64) float64 {
 // Pr(miss) ≤ ε^(1/(1+f)).
 func DegradationJoinsFixed(epsilon, f float64) float64 {
 	return 1 - math.Pow(epsilon, 1/(1+f))
-}
-
-// DegradationJoinsAdjusted: joins only, lookup quorum size adjusted:
-// Pr(miss) ≤ ε^(1/√(1+f)).
-func DegradationJoinsAdjusted(epsilon, f float64) float64 {
-	return 1 - math.Pow(epsilon, 1/math.Sqrt(1+f))
 }
 
 // DegradationChurn: equal joins and failures (n constant): Pr(miss) ≤
@@ -96,136 +68,12 @@ func ReadvertiseInterval(epsilon, minProb, n, failRate float64) float64 {
 	return RefreshIntervalFor(epsilon, minProb) * n / failRate
 }
 
-// FaultTolerance is the size of the smallest node set whose crash disables
-// every quorum: for probabilistic quorums of size k√n it is n − k√n + 1 =
-// Ω(n) (Section 3).
-func FaultTolerance(n int, quorumSize int) int {
-	ft := n - quorumSize + 1
-	if ft < 0 {
-		return 0
-	}
-	return ft
-}
-
-// FailureProbabilityExponent returns the exponent c in the quorum-system
-// failure probability e^(−c·n) when nodes crash independently with
-// probability p, valid for p ≤ 1 − k/√n (Section 3, after Malkhi et al.).
-// It returns 0 when the precondition fails.
-func FailureProbabilityExponent(n int, k, p float64) float64 {
-	if p > 1-k/math.Sqrt(float64(n)) {
-		return 0
-	}
-	// A Chernoff-style exponent: the expected survivors (1−p)n must fall
-	// below k√n for the system to fail.
-	surviving := (1 - p) * float64(n)
-	needed := k * math.Sqrt(float64(n))
-	if surviving <= needed {
-		return 0
-	}
-	delta := 1 - needed/surviving
-	return delta * delta * surviving / (2 * float64(n))
-}
-
-// ConnectivityDegree is the average degree C·ln n required for asymptotic
-// connectivity (Gupta–Kumar via Section 6.1): d_avg = πr²n = C·ln n.
-func ConnectivityDegree(n int, c float64) float64 {
-	return c * math.Log(float64(n))
-}
-
-// MaxSurvivableFailures returns how many of n nodes (initial average degree
-// davg) may fail before the remaining network loses the minimal degree
-// needed for connectivity (Section 6.1's example: n=1000, d_avg=14
-// withstands ~half failing). The returned value is the largest i such that
-// the survivor graph G²(n−i, r) still satisfies πr²(n−i) ≥ ln(n−i).
-func MaxSurvivableFailures(n int, davg float64) int {
-	// πr²n = davg ⇒ πr² = davg/n; survivors m keep degree davg·m/n.
-	for i := 0; i < n-1; i++ {
-		m := float64(n - i)
-		if davg*m/float64(n) < math.Log(m) {
-			return i - 1
-		}
-	}
-	return n - 1
-}
-
-// PCTBound is Theorem 4.1: the expected steps for a simple random walk on
-// G²(n,r) to visit t = o(n) distinct nodes is at most 2αt. The paper
-// measures α empirically: steps-per-unique ≈ 0.85 (α such that 2α ≈ 1.7) at
-// d_avg = 10.
-func PCTBound(t int, alpha float64) float64 { return 2 * alpha * float64(t) }
-
-// EmpiricalPCTFactor returns the paper's measured PCT(√n)/√n step factor
-// for a given average degree (Fig. 4): ≈2.5 at the connectivity-threshold
-// density 7, improving toward ≈1.3 in dense networks.
-func EmpiricalPCTFactor(davg float64) float64 {
-	switch {
-	case davg < 8:
-		return 2.5
-	case davg < 12:
-		return 1.7
-	case davg < 18:
-		return 1.5
-	default:
-		return 1.3
-	}
-}
-
-// CrossingTimeLowerBound is Theorem 5.5: two simple random walks on G²(n,r)
-// need Ω(r⁻²) expected steps to cross. At the connectivity threshold
-// r = Θ(√(log n / n)) this is Ω(n/log n).
-func CrossingTimeLowerBound(r float64) float64 { return 1 / (r * r) }
-
-// CrossingTimeAtThreshold evaluates the bound at the minimal connectivity
-// radius: n/log n up to constants.
+// CrossingTimeAtThreshold is Theorem 5.5's lower bound on the expected
+// steps before two simple random walks on G²(n,r) cross, Ω(r⁻²), evaluated
+// at the minimal connectivity radius r = Θ(√(log n / n)): n/log n up to
+// constants.
 func CrossingTimeAtThreshold(n int) float64 {
 	return float64(n) / math.Log(float64(n))
-}
-
-// RandomAccessCost is the asymptotic per-quorum message cost of the RANDOM
-// strategy on an RGG: Θ(|Q|·√(n/ln n)) (routing each member across the
-// diameter, Section 4.1).
-func RandomAccessCost(n, q int) float64 {
-	return float64(q) * math.Sqrt(float64(n)/math.Log(float64(n)))
-}
-
-// RandomSamplingAccessCost is the direct-sampling RANDOM variant:
-// Θ(|Q|·T_mix) with T_mix ≈ n/2 for the max-degree walk on an RGG
-// (Section 4.1).
-func RandomSamplingAccessCost(n, q int) float64 {
-	return float64(q) * float64(n) / 2
-}
-
-// PathAccessCost is the PATH/UNIQUE-PATH cost: Θ(|Q|) for |Q| = o(n)
-// (Theorem 4.1), with the empirical constant for the given density.
-func PathAccessCost(q int, davg float64) float64 {
-	return float64(q) * EmpiricalPCTFactor(davg)
-}
-
-// FloodingCoverageModel estimates the number of nodes covered by a flood of
-// the given TTL in a network with average degree davg, assuming uniform
-// density: the covered area grows as the square of the hop radius, so
-// N(ttl) ≈ 1 + davg·ttl²·γ with geometry factor γ ≈ 0.41 reflecting that
-// the effective per-hop progress of a flood is a fraction of the radio
-// range (matches the paper's Fig. 5 shapes).
-func FloodingCoverageModel(davg float64, ttl int) float64 {
-	if ttl <= 0 {
-		return 1
-	}
-	const gamma = 0.41
-	return 1 + davg*float64(ttl*ttl)*gamma
-}
-
-// CoverageGranularity is CG(i) = N_i / N_{i−1} (Section 4.4): the
-// multiplicative jump in flood coverage when the TTL grows by one.
-func CoverageGranularity(coverage []float64) []float64 {
-	if len(coverage) < 2 {
-		return nil
-	}
-	cg := make([]float64, len(coverage)-1)
-	for i := 1; i < len(coverage); i++ {
-		cg[i-1] = coverage[i] / coverage[i-1]
-	}
-	return cg
 }
 
 // StrategyTraits summarizes Fig. 3's qualitative rows for one strategy.
@@ -291,32 +139,4 @@ func MixTable() []MixCost {
 		{"FLOODING", "FLOODING", "combined linear in n", "linear", false},
 		{"UNIQUE-PATH", "UNIQUE-PATH", "≈ n/2 combined (simulation)", "≈ n/4.7", false},
 	}
-}
-
-// FormatTable renders rows of columns with aligned widths; a tiny helper
-// for the CLI tools.
-func FormatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) string {
-		s := ""
-		for i, c := range cells {
-			s += fmt.Sprintf("%-*s  ", widths[i], c)
-		}
-		return s + "\n"
-	}
-	out := line(header)
-	for _, row := range rows {
-		out += line(row)
-	}
-	return out
 }

@@ -115,9 +115,6 @@ func (p *Process) OnJoin(fn func(id int)) { p.onJoin = append(p.onJoin, fn) }
 // Stats returns the action counts so far.
 func (p *Process) Stats() Stats { return p.stats }
 
-// Running reports whether the process is active.
-func (p *Process) Running() bool { return p.running }
-
 // Start launches the Poisson streams and the deterministic schedule.
 // Starting an already-running process is a no-op.
 func (p *Process) Start() {

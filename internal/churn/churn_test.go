@@ -107,8 +107,8 @@ func TestStopHaltsPendingEvents(t *testing.T) {
 	if got := p.Stats().Fails; got != mid {
 		t.Fatalf("failures continued after Stop: %d -> %d", mid, got)
 	}
-	if p.Running() {
-		t.Fatal("Running() after Stop")
+	if p.running {
+		t.Fatal("still running after Stop")
 	}
 }
 

@@ -120,6 +120,11 @@ func TestTableString(t *testing.T) {
 	if !strings.Contains(s, "## T") || !strings.Contains(s, "1") {
 		t.Fatalf("Table.String() = %q", s)
 	}
+	// Columns pad to their widest cell, header or row.
+	tb = Table{Title: "T", Header: []string{"a", "bb"}, Rows: [][]string{{"xxx", "y"}}}
+	if got, want := tb.String(), "## T\na    bb  \nxxx  y   \n"; got != want {
+		t.Fatalf("Table.String() = %q, want %q", got, want)
+	}
 }
 
 func TestProfiles(t *testing.T) {

@@ -20,9 +20,32 @@ type Table struct {
 	Rows   [][]string
 }
 
-// String renders the table.
+// String renders the table: a "## " title line, then the header and rows
+// in columns padded to their widest cell.
 func (t Table) String() string {
-	return "## " + t.Title + "\n" + analysis.FormatTable(t.Header, t.Rows)
+	widths := make([]int, len(t.Header))
+	for i, h := range t.Header {
+		widths[i] = len(h)
+	}
+	for _, row := range t.Rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	line := func(cells []string) string {
+		s := ""
+		for i, c := range cells {
+			s += fmt.Sprintf("%-*s  ", widths[i], c)
+		}
+		return s + "\n"
+	}
+	out := "## " + t.Title + "\n" + line(t.Header)
+	for _, row := range t.Rows {
+		out += line(row)
+	}
+	return out
 }
 
 // Profile scales an experiment between a quick sanity sweep and the paper's

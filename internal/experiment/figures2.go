@@ -100,7 +100,7 @@ func Fig8(p Profile, seed int64) []Table {
 			qa := sc.Quorum.AdvertiseSize
 			sw.add(sc, p.Seeds, func(r Result) {
 				hit.addRow(istr(n), fmt.Sprintf("%.2f√n=%d", f, ql),
-					f2(r.HitRatio), f2(1-analysis.MissBound(n, float64(qa), float64(ql))))
+					f2(r.HitRatio), f2(1-quorum.NonIntersectProb(n, qa, ql)))
 			})
 		}
 	}

@@ -1,6 +1,6 @@
 // Package graph provides the random-geometric-graph (RGG) toolkit behind
 // the paper's random-walk theory: G²(n,r) construction on the unit torus or
-// square, connectivity and diameter utilities, and the three walk flavours
+// square, connectivity and BFS-distance utilities, and the three walk flavours
 // the paper studies — simple random walks (PATH), self-avoiding walks
 // (UNIQUE-PATH), and maximum-degree walks (uniform sampling for RANDOM).
 //
@@ -183,21 +183,4 @@ func (g *Graph) BFSDist(src int) []int {
 		}
 	}
 	return dist
-}
-
-// Diameter returns the longest shortest path (hop count) in the graph,
-// or -1 if disconnected. O(n·m); fine for simulation-scale graphs.
-func (g *Graph) Diameter() int {
-	diam := 0
-	for v := 0; v < g.N(); v++ {
-		for _, d := range g.BFSDist(v) {
-			if d < 0 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
 }

@@ -26,8 +26,8 @@ func TestBasicGraphOps(t *testing.T) {
 	}
 }
 
-func TestConnectivityAndDiameter(t *testing.T) {
-	// Path graph 0-1-2-3: diameter 3.
+func TestConnectivity(t *testing.T) {
+	// Path graph 0-1-2-3.
 	g := New(4)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
@@ -35,16 +35,10 @@ func TestConnectivityAndDiameter(t *testing.T) {
 	if !g.Connected() {
 		t.Fatal("path graph should be connected")
 	}
-	if d := g.Diameter(); d != 3 {
-		t.Fatalf("diameter = %d, want 3", d)
-	}
 	g2 := New(3)
 	g2.AddEdge(0, 1)
 	if g2.Connected() {
 		t.Fatal("disconnected graph reported connected")
-	}
-	if d := g2.Diameter(); d != -1 {
-		t.Fatalf("diameter of disconnected graph = %d, want -1", d)
 	}
 	if cs := g2.ComponentSize(2); cs != 1 {
 		t.Fatalf("ComponentSize(2) = %d", cs)

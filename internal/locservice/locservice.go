@@ -125,15 +125,6 @@ func (s *Service) Publish(id int) {
 	})
 }
 
-// Unpublish stops refreshing node id's mapping (existing quorum copies age
-// out by churn; probabilistic quorums have no explicit delete, Section 10).
-func (s *Service) Unpublish(id int) {
-	if t, ok := s.tickers[id]; ok {
-		t.Stop()
-		delete(s.tickers, id)
-	}
-}
-
 // Stop halts every publisher's refresh ticker — service teardown at the
 // end of a scenario. The ticker map's iteration order is randomized, so
 // the teardown walks a sorted key snapshot; each Stop cancels an engine

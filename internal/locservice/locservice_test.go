@@ -109,25 +109,6 @@ func TestAutomaticRefreshSurvivesChurn(t *testing.T) {
 	}
 }
 
-func TestUnpublishStopsRefresh(t *testing.T) {
-	e, _, s := testWorld(4, 80, Config{
-		Epsilon: 0.1, MinIntersection: 0.85, ChurnPerSecond: 0.01,
-		MinRefreshSecs: 5,
-	})
-	s.Publish(3)
-	e.Run(e.Now() + 30)
-	count := s.Refreshes
-	if count == 0 {
-		t.Fatal("no refreshes before unpublish")
-	}
-	s.Unpublish(3)
-	s.Unpublish(3) // idempotent
-	e.Run(e.Now() + 60)
-	if s.Refreshes != count {
-		t.Fatalf("refreshes continued after Unpublish: %d → %d", count, s.Refreshes)
-	}
-}
-
 func TestPublishIdempotent(t *testing.T) {
 	e, _, s := testWorld(5, 80, Config{
 		Epsilon: 0.1, MinIntersection: 0.85, ChurnPerSecond: 0.01,

@@ -159,9 +159,8 @@ func estimateFrom(pairs, coll float64) Estimate {
 		return est
 	}
 	est.OK = true
-	// Below half a weighted collision the inversion would be unbounded
-	// (the EstimateN degenerate case): report the zero-collision "at
-	// least" bound instead.
+	// Below half a weighted collision the inversion would be unbounded:
+	// report the zero-collision "at least" bound instead.
 	if coll < 0.5 {
 		est.AtLeast = true
 		est.N = pairs

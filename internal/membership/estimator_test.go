@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"probquorum/internal/graph"
 )
 
 // feedUniform feeds `groups` groups of `k` uniform samples over [0,n) at
@@ -113,48 +111,5 @@ func TestEstimatorDecay(t *testing.T) {
 	}
 	if est := e.Estimate(20 * halfLifeSecs); est.OK {
 		t.Fatalf("estimate still OK after 20 half-lives: %+v", est)
-	}
-}
-
-// TestEstimateNZeroCollision is the satellite regression: two walks that
-// end on distinct nodes used to return +Inf; now they return the bounded
-// at-least estimate (the pair count) with collisions == 0.
-func TestEstimateNZeroCollision(t *testing.T) {
-	// Length-1 max-degree walks from a 100-leaf star's hub land on
-	// uniform leaves, so two walks end distinct with probability 0.99;
-	// scan a few seeds for the zero-collision draw and assert its
-	// contract: finite, equal to the pair count C(2,2) = 1.
-	g := graph.New(101)
-	for leaf := 1; leaf <= 100; leaf++ {
-		g.AddEdge(0, leaf)
-	}
-	for seed := int64(1); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		est, collisions := EstimateN(g, rng, 0, 2, 1)
-		if collisions > 0 {
-			continue
-		}
-		if math.IsInf(est, 0) {
-			t.Fatalf("zero-collision EstimateN returned +Inf")
-		}
-		if math.Abs(est-1) > 1e-9 {
-			t.Fatalf("zero-collision EstimateN = %v, want the pair count 1", est)
-		}
-		return
-	}
-	t.Fatalf("no zero-collision draw in 20 seeds on a 100-leaf star")
-}
-
-// TestEstimateNOneCollision: a single node's graph forces every walk back
-// to the start, so 2 walks give exactly 1 collision and n̂ = pairs/1 = 1.
-func TestEstimateNOneCollision(t *testing.T) {
-	g := graph.New(1)
-	rng := rand.New(rand.NewSource(1))
-	est, collisions := EstimateN(g, rng, 0, 2, 5)
-	if collisions != 1 {
-		t.Fatalf("collisions = %d, want 1", collisions)
-	}
-	if math.Abs(est-1) > 1e-9 {
-		t.Fatalf("n̂ = %v, want 1", est)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 
-	"probquorum/internal/graph"
 	"probquorum/internal/netstack"
 	"probquorum/internal/sim"
 )
@@ -303,33 +302,4 @@ func sampleDistinct(rng *rand.Rand, pool []int, exclude, k int) []int {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	}
 	return candidates[:k]
-}
-
-// EstimateN estimates the network size from random-walk endpoint collisions
-// via the birthday paradox (Section 6.3): k walk endpoints yield on average
-// C(k,2)/n colliding pairs. It returns the estimate and the number of
-// collisions observed.
-//
-// With zero collisions the inversion is undefined (the naive formula
-// returns +Inf): the evidence only bounds n from below. Pr(no collision) =
-// exp(−P/n) over P pairs, so n ≥ P holds with confidence 1−1/e ≈ 63%, and
-// that bounded "at least" estimate is returned instead — callers can tell
-// the case apart by collisions == 0 and must report it as a lower bound,
-// not a point estimate.
-func EstimateN(g *graph.Graph, rng *rand.Rand, start, walks, length int) (float64, int) {
-	ends := make([]int, walks)
-	for i := range ends {
-		ends[i] = graph.Sample(g, rng, start, length)
-	}
-	collisions := 0
-	seen := make(map[int]int)
-	for _, e := range ends {
-		collisions += seen[e]
-		seen[e]++
-	}
-	pairs := float64(walks*(walks-1)) / 2
-	if collisions == 0 {
-		return pairs, 0
-	}
-	return pairs / float64(collisions), collisions
 }

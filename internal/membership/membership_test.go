@@ -1,12 +1,9 @@
 package membership
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"probquorum/internal/geom"
-	"probquorum/internal/graph"
 	"probquorum/internal/netstack"
 	"probquorum/internal/sim"
 )
@@ -134,25 +131,5 @@ func TestViewsAgeUnderChurnThenRecover(t *testing.T) {
 	// Dead nodes' views are cleared.
 	if len(s.View(5)) != 0 {
 		t.Fatal("dead node retains a view")
-	}
-}
-
-func TestEstimateN(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 200
-	side := geom.AreaSide(n, 200, 12)
-	g, _ := graph.NewRGG(rng, n, 200, side, geom.Torus{Side: side})
-	if !g.Connected() {
-		t.Skip("rare disconnected instance")
-	}
-	est, collisions := EstimateN(g, rng, 0, 120, n)
-	if collisions == 0 {
-		t.Fatal("no collisions with k ≫ √n walks")
-	}
-	if est < float64(n)/3 || est > float64(n)*3 {
-		t.Fatalf("EstimateN = %.0f, want within 3x of %d", est, n)
-	}
-	if math.IsInf(est, 1) {
-		t.Fatal("estimate infinite despite collisions")
 	}
 }

@@ -334,14 +334,6 @@ func (sn Snapshot) LatencyCount(l Latency) int64 { return sn.latencies[l].Count 
 // snapshot (or, for a diff, over the diffed interval).
 func (sn Snapshot) LatencyMean(l Latency) float64 { return sn.latencies[l].Mean() }
 
-// LatencyMin returns the smallest sample in the snapshot. For a diff whose
-// base already held samples, it is the diffed histogram's bucket floor —
-// exact to the bucket resolution (see DiffSince).
-func (sn Snapshot) LatencyMin(l Latency) float64 { return sn.latencies[l].Min }
-
-// LatencyMax is the LatencyMin counterpart for the largest sample.
-func (sn Snapshot) LatencyMax(l Latency) float64 { return sn.latencies[l].Max }
-
 // LatencyQuantile returns the q-quantile (e.g. 0.5 or 0.99) of the
 // samples in the snapshot or diffed interval, exact to the histogram's
 // ~12.5% bucket resolution. Zero when the interval holds no samples.

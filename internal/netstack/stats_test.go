@@ -78,10 +78,10 @@ func TestSnapshotCarriesExtremaAndHist(t *testing.T) {
 		s.Observe(LatHop, v)
 	}
 	snap := s.Snapshot()
-	if got := snap.LatencyMin(LatHop); got != 0.001 {
+	if got := snap.latencies[LatHop].Min; got != 0.001 {
 		t.Fatalf("snapshot min = %g, want 0.001", got)
 	}
-	if got := snap.LatencyMax(LatHop); got != 0.004 {
+	if got := snap.latencies[LatHop].Max; got != 0.004 {
 		t.Fatalf("snapshot max = %g, want 0.004", got)
 	}
 
@@ -100,10 +100,10 @@ func TestSnapshotCarriesExtremaAndHist(t *testing.T) {
 	}
 	// Interval extrema come from the diffed histogram: within one bucket
 	// of the true phase extrema, and nowhere near phase 1's values.
-	if lo := d.LatencyMin(LatHop); lo > 0.5 || lo < 0.5/1.125*0.999 {
+	if lo := d.latencies[LatHop].Min; lo > 0.5 || lo < 0.5/1.125*0.999 {
 		t.Fatalf("diff min = %g, want ≈0.5", lo)
 	}
-	if hi := d.LatencyMax(LatHop); hi < 4.0 || hi > 4.0*1.125*1.001 {
+	if hi := d.latencies[LatHop].Max; hi < 4.0 || hi > 4.0*1.125*1.001 {
 		t.Fatalf("diff max = %g, want ≈4.0", hi)
 	}
 	// Phase percentiles reflect only phase 2: p50 over {0.5,1,2,4} is the
@@ -119,9 +119,9 @@ func TestSnapshotCarriesExtremaAndHist(t *testing.T) {
 
 	// A diff from an empty base keeps the exact running extrema.
 	full := s.DiffSince(Snapshot{})
-	if full.LatencyMin(LatHop) != 0.001 || full.LatencyMax(LatHop) != 4.0 {
+	if full.latencies[LatHop].Min != 0.001 || full.latencies[LatHop].Max != 4.0 {
 		t.Fatalf("empty-base diff extrema = %g/%g, want exact 0.001/4.0",
-			full.LatencyMin(LatHop), full.LatencyMax(LatHop))
+			full.latencies[LatHop].Min, full.latencies[LatHop].Max)
 	}
 }
 

@@ -94,9 +94,6 @@ func (m *SINRMedium) SetExtraNoise(id int, mw float64) {
 	r.updateCarrier()
 }
 
-// ExtraNoise returns the jamming noise currently injected at receiver id.
-func (m *SINRMedium) ExtraNoise(id int) float64 { return m.radios[id].noiseMw }
-
 func (m *SINRMedium) signal(d float64) (signal, bool) {
 	p := m.d.ReceivedPowerMw(d)
 	return signal{powerMw: p}, p >= m.d.CutoffMw

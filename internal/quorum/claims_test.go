@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"probquorum/internal/analysis"
 	"probquorum/internal/aodv"
 	"probquorum/internal/membership"
 	"probquorum/internal/netstack"
@@ -90,7 +89,7 @@ func missWithinLemma52(t *testing.T, lk Config) {
 		}
 		lookups += settled
 	}
-	bound := analysis.MissBound(n, float64(qa), float64(ql))
+	bound := NonIntersectProb(n, qa, ql)
 	margin := 3 * math.Sqrt(bound*(1-bound)/float64(lookups))
 	rate := float64(missed) / float64(lookups)
 	t.Logf("|Qa|=%d |Qℓ|=%d: %d of %d lookups did not intersect (%.4f); Lemma 5.2 bound %.4f + 3σ %.4f", qa, ql, missed, lookups, rate, bound, margin)

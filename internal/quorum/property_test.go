@@ -30,10 +30,9 @@ func TestSizingProperty(t *testing.T) {
 }
 
 // Property: the store never loses owner status, never invents entries, and
-// Len/OwnedLen stay consistent under arbitrary operation sequences.
+// Len stays consistent under arbitrary Put sequences.
 func TestStoreProperty(t *testing.T) {
 	type op struct {
-		Kind  uint8
 		Key   uint8
 		Value uint8
 		Owner bool
@@ -44,42 +43,19 @@ func TestStoreProperty(t *testing.T) {
 		present := map[string]bool{}
 		for _, o := range ops {
 			key := string(rune('a' + o.Key%8))
-			val := string(rune('0' + o.Value%10))
-			switch o.Kind % 4 {
-			case 0, 1: // Put
-				st.Put(key, val, o.Owner)
-				present[key] = true
-				if o.Owner {
-					owners[key] = true
-				}
-			case 2: // Delete
-				st.Delete(key)
-				delete(present, key)
-				delete(owners, key)
-			case 3: // EvictBystanders
-				st.EvictBystanders()
-				for k := range present {
-					if !owners[k] {
-						delete(present, k)
-					}
-				}
+			st.Put(key, string(rune('0'+o.Value%10)), o.Owner)
+			present[key] = true
+			if o.Owner {
+				owners[key] = true
 			}
 			// Invariants.
 			if st.Len() != len(present) {
 				return false
 			}
-			if st.OwnedLen() != len(owners) {
-				return false
-			}
-			for k := range owners {
-				if !st.Owner(k) {
-					return false
-				}
-				if _, ok := st.GetOwned(k); !ok {
-					return false
-				}
-			}
 			for k := range present {
+				if st.Owner(k) != owners[k] {
+					return false
+				}
 				if _, ok := st.Get(k); !ok {
 					return false
 				}

@@ -5,10 +5,15 @@ import "math"
 // SizeForEpsilon returns quorum sizes satisfying Corollary 5.3: two quorums
 // of sizes |Qa| and |Qℓ| with |Qa|·|Qℓ| ≥ n·ln(1/ε) intersect with
 // probability at least 1−ε when at least one is chosen uniformly at random.
-// Given a ratio ρ = |Qℓ|/|Qa| it returns the minimal integer sizes.
+// Given a ratio ρ = |Qℓ|/|Qa| it returns the minimal integer sizes; a ratio
+// ≤ 0 means 1. A NaN epsilon or a non-finite ratio panics: either would
+// otherwise size both quorums at 1 and silently lose intersection.
 func SizeForEpsilon(n int, epsilon, ratio float64) (advertise, lookup int) {
-	if epsilon <= 0 || epsilon >= 1 {
+	if !(epsilon > 0 && epsilon < 1) {
 		panic("quorum: epsilon must be in (0,1)")
+	}
+	if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
+		panic("quorum: size ratio must be finite")
 	}
 	if ratio <= 0 {
 		ratio = 1
@@ -42,7 +47,7 @@ func AdvertiseSizeDefault(n int) int {
 // default |Qa| = 2√n advertise quorum, attains the target intersection
 // probability. For target 0.9 this is the paper's ≈1.15√n (Section 8.2).
 func LookupSizeFor(n int, intersectProb float64) int {
-	if intersectProb <= 0 || intersectProb >= 1 {
+	if !(intersectProb > 0 && intersectProb < 1) {
 		panic("quorum: intersection probability must be in (0,1)")
 	}
 	qa := float64(AdvertiseSizeDefault(n))
@@ -58,8 +63,10 @@ func LookupSizeFor(n int, intersectProb float64) int {
 // |Qℓ|/|Qa| given the lookup:advertise frequency ratio tau and the per-node
 // access costs of each side.
 func OptimalSizeRatio(tau, costAdvertise, costLookup float64) float64 {
-	if tau <= 0 || costAdvertise <= 0 || costLookup <= 0 {
-		panic("quorum: OptimalSizeRatio arguments must be positive")
+	for _, v := range [...]float64{tau, costAdvertise, costLookup} {
+		if !(v > 0 && v < math.Inf(1)) {
+			panic("quorum: OptimalSizeRatio arguments must be positive and finite")
+		}
 	}
 	return costAdvertise / (tau * costLookup)
 }

@@ -52,6 +52,10 @@ func TestLookupSizeForMatchesPaper(t *testing.T) {
 }
 
 func TestNonIntersectProbMonotone(t *testing.T) {
+	// Fig. 16's setting: n=800, |Qa|=56, |Qℓ|=33 → ≈0.9 intersection.
+	if p := 1 - NonIntersectProb(800, 56, 33); p < 0.89 || p > 0.95 {
+		t.Fatalf("intersection bound = %v, want ≈0.9", p)
+	}
 	prev := 1.0
 	for q := 1; q <= 60; q += 5 {
 		p := NonIntersectProb(800, q, 33)
@@ -95,10 +99,30 @@ func TestTotalCost(t *testing.T) {
 }
 
 func TestSizingPanics(t *testing.T) {
-	mustPanic(t, func() { SizeForEpsilon(100, 0, 1) })
-	mustPanic(t, func() { SizeForEpsilon(100, 1, 1) })
-	mustPanic(t, func() { LookupSizeFor(100, 0) })
-	mustPanic(t, func() { OptimalSizeRatio(0, 1, 1) })
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"SizeForEpsilon eps=0", func() { SizeForEpsilon(100, 0, 1) }},
+		{"SizeForEpsilon eps=1", func() { SizeForEpsilon(100, 1, 1) }},
+		{"SizeForEpsilon eps=NaN", func() { SizeForEpsilon(800, nan, 1) }},
+		{"SizeForEpsilon ratio=NaN", func() { SizeForEpsilon(800, 0.05, nan) }},
+		{"SizeForEpsilon ratio=+Inf", func() { SizeForEpsilon(800, 0.05, inf) }},
+		{"SizeForEpsilon ratio=-Inf", func() { SizeForEpsilon(800, 0.05, -inf) }},
+		{"LookupSizeFor p=0", func() { LookupSizeFor(100, 0) }},
+		{"LookupSizeFor p=NaN", func() { LookupSizeFor(800, nan) }},
+		{"OptimalSizeRatio tau=0", func() { OptimalSizeRatio(0, 1, 1) }},
+		{"OptimalSizeRatio tau=NaN", func() { OptimalSizeRatio(nan, 1, 1) }},
+		{"OptimalSizeRatio tau=+Inf", func() { OptimalSizeRatio(inf, 1, 1) }},
+		{"OptimalSizeRatio costA=NaN", func() { OptimalSizeRatio(1, nan, 1) }},
+		{"OptimalSizeRatio costA=+Inf", func() { OptimalSizeRatio(1, inf, 1) }},
+		{"OptimalSizeRatio costL=NaN", func() { OptimalSizeRatio(1, 1, nan) }},
+		{"OptimalSizeRatio costL=+Inf", func() { OptimalSizeRatio(1, 1, inf) }},
+		{"OptimalSizes tau=NaN", func() { OptimalSizes(800, 0.05, nan, 1, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) { mustPanic(t, c.f) })
+	}
 }
 
 func mustPanic(t *testing.T, f func()) {

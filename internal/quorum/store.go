@@ -3,8 +3,9 @@ package quorum
 // Store is a node's local slice of the distributed dictionary: the
 // advertisements it holds as an owner (a member of some advertise quorum)
 // and the mappings it has merely overheard or relayed (bystander cache,
-// Section 7.1). Bystander entries may be evicted under memory pressure;
-// owner entries are the quorum's durable state.
+// Section 7.1). The owner bit only splits the answers served from the store
+// into owner hits and cache hits; nothing evicts bystanders (§7.1's
+// memory-pressure eviction is not modelled).
 type Store struct {
 	entries map[string]storeEntry
 }
@@ -35,46 +36,8 @@ func (st *Store) Get(key string) (value string, ok bool) {
 	return e.value, ok
 }
 
-// GetOwned returns the value only if this node owns the key.
-func (st *Store) GetOwned(key string) (value string, ok bool) {
-	e, ok := st.entries[key]
-	if !ok || !e.owner {
-		return "", false
-	}
-	return e.value, true
-}
-
 // Owner reports whether this node is an owner for key.
 func (st *Store) Owner(key string) bool { return st.entries[key].owner }
 
-// Delete removes a key entirely.
-func (st *Store) Delete(key string) { delete(st.entries, key) }
-
-// EvictBystanders drops every cached (non-owner) entry, modelling a node
-// running low on memory (Section 7.1). Map iteration order is fine here
-// (pqlint detrange audit): deleting from the map being iterated leaves the
-// same surviving set whatever the order, and nothing else observes the
-// walk.
-func (st *Store) EvictBystanders() {
-	for k, e := range st.entries {
-		if !e.owner {
-			delete(st.entries, k)
-		}
-	}
-}
-
 // Len returns the number of stored mappings.
 func (st *Store) Len() int { return len(st.entries) }
-
-// OwnedLen returns the number of mappings held as owner. A commutative
-// fold over the map: order-insensitive by construction (pqlint detrange
-// audit).
-func (st *Store) OwnedLen() int {
-	n := 0
-	for _, e := range st.entries {
-		if e.owner {
-			n++
-		}
-	}
-	return n
-}

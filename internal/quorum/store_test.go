@@ -11,14 +11,11 @@ func TestStoreBasics(t *testing.T) {
 	if v, ok := st.Get("k"); !ok || v != "v1" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if v, ok := st.GetOwned("k"); !ok || v != "v1" {
-		t.Fatalf("GetOwned = %q, %v", v, ok)
-	}
 	if !st.Owner("k") {
 		t.Fatal("Owner false for owned key")
 	}
-	if st.Len() != 1 || st.OwnedLen() != 1 {
-		t.Fatal("lengths wrong")
+	if st.Len() != 1 {
+		t.Fatal("length wrong")
 	}
 }
 
@@ -37,37 +34,10 @@ func TestStoreOwnerSticky(t *testing.T) {
 func TestStoreBystander(t *testing.T) {
 	st := NewStore()
 	st.Put("cached", "v", false)
-	if _, ok := st.GetOwned("cached"); ok {
-		t.Fatal("GetOwned returned a bystander entry")
+	if st.Owner("cached") {
+		t.Fatal("Owner true for a bystander entry")
 	}
 	if v, ok := st.Get("cached"); !ok || v != "v" {
 		t.Fatal("Get should return bystander entries")
 	}
-	if st.OwnedLen() != 0 {
-		t.Fatal("OwnedLen counts bystanders")
-	}
-}
-
-func TestStoreEvictBystanders(t *testing.T) {
-	st := NewStore()
-	st.Put("own", "a", true)
-	st.Put("cache1", "b", false)
-	st.Put("cache2", "c", false)
-	st.EvictBystanders()
-	if st.Len() != 1 {
-		t.Fatalf("after eviction Len = %d, want 1", st.Len())
-	}
-	if _, ok := st.Get("own"); !ok {
-		t.Fatal("owned entry evicted")
-	}
-}
-
-func TestStoreDelete(t *testing.T) {
-	st := NewStore()
-	st.Put("k", "v", true)
-	st.Delete("k")
-	if _, ok := st.Get("k"); ok {
-		t.Fatal("deleted entry still present")
-	}
-	st.Delete("absent") // no-op
 }
