@@ -312,8 +312,8 @@ func BenchmarkDiskBroadcast(b *testing.B) {
 }
 
 // sinrField10k is the static 10k-node cell-noise SINR field the per-broadcast
-// and per-query micro-benchmarks share.
-func sinrField10k() (*sim.Engine, *phy.SINRMedium) {
+// and per-query micro-benchmarks share, with its node positions.
+func sinrField10k() (*sim.Engine, *phy.SINRMedium, []geom.Point) {
 	e := sim.NewEngine(1)
 	rng := e.NewStream()
 	const n = 10000
@@ -322,7 +322,7 @@ func sinrField10k() (*sim.Engine, *phy.SINRMedium) {
 	return e, phy.NewSINRMedium(e, phy.SINRConfig{
 		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
 		CellNoise: true,
-	})
+	}), pts
 }
 
 // BenchmarkSINRBroadcast10k measures one broadcast through the cell-noise
@@ -332,7 +332,7 @@ func sinrField10k() (*sim.Engine, *phy.SINRMedium) {
 // pays (DESIGN.md §12).
 func BenchmarkSINRBroadcast10k(b *testing.B) {
 	const n = 10000
-	e, m := sinrField10k()
+	e, m, _ := sinrField10k()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -346,26 +346,51 @@ func BenchmarkSINRBroadcast10k(b *testing.B) {
 // lock, corruption and delivery check of a cell-noise run asks — with
 // nothing on the air (the common case at delivery: the frame's own sender
 // has just left the index), with the handful of concurrent frames a 10k run
-// carries network-wide, and with a load no DCF network reaches, where the
-// occupied-row walk must still not lose to scanning the whole cell box.
+// carries network-wide, asked at every node (sparse=8) or at the receivers
+// within carrier-sense range of one more sender on the air (lock: the
+// question each of them asks as the frame arrives), and with a load no DCF
+// network reaches, where the occupied-row walk must still not lose to
+// scanning the whole cell box.
 func BenchmarkFarNoise(b *testing.B) {
+	const n = 10000
+	spread := func(k int) []int {
+		ids := make([]int, k)
+		for i := range ids {
+			ids[i] = i * (n / k)
+		}
+		return ids
+	}
 	for _, c := range []struct {
 		name  string
-		onAir int
-	}{{"idle", 0}, {"sparse=8", 8}, {"dense=500", 500}} {
+		onAir []int
+		lock  bool
+	}{{"idle", nil, false}, {"sparse=8", spread(8), false}, {"lock", spread(8), true}, {"dense=500", spread(500), false}} {
 		b.Run(c.name, func(b *testing.B) {
-			const n = 10000
-			_, m := sinrField10k()
+			_, m, pts := sinrField10k()
+			onAir, rx := c.onAir, make([]int, 0, n)
+			if c.lock {
+				sender := n / 16 // not one of the eight
+				onAir = append(onAir, sender)
+				cs := m.Params().Derived().CarrierSenseRange
+				for id, p := range pts {
+					if id != sender && geom.Dist(p, pts[sender]) <= cs {
+						rx = append(rx, id)
+					}
+				}
+			} else {
+				for id := range n {
+					rx = append(rx, id)
+				}
+			}
 			// Frames stay on the air: the engine never runs.
-			for k := 0; k < c.onAir; k++ {
-				id := k * (n / c.onAir)
+			for _, id := range onAir {
 				m.Channel(id).Transmit(&phy.Frame{Src: id, Dst: phy.Broadcast, Bytes: 1500, Rate: 1e6})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			heard := 0
 			for i := 0; i < b.N; i++ {
-				if m.FarNoiseMw(i%n) > 0 {
+				if m.FarNoiseMw(rx[i%len(rx)]) > 0 {
 					heard++
 				}
 			}

@@ -1,6 +1,10 @@
 package phy
 
-import "probquorum/internal/geom"
+import (
+	"math"
+
+	"probquorum/internal/geom"
+)
 
 // noiseField is the cell-level interference aggregate behind SINRConfig
 // CellNoise: an opt-in scale-out mode that replaces per-arrival interference
@@ -44,16 +48,29 @@ import "probquorum/internal/geom"
 // the box restricted to the cells that contribute, so the sum adds the same
 // terms in the same order — and costs O(rows + occupied) however large the
 // box is and however few transmitters there are.
+//
+// Most queries sum to nothing, and farOcc answers those with one read. It
+// counts, per cell, the indexed transmitters whose cells could pass both
+// distance tests for some receiver inside it; the count moves at the same
+// 0→1 and 1→0 transitions as the rows, over the fixed offset table reach. A
+// receiver whose cell counts zero has no occupied cell that could add a term,
+// so the walk would return its untouched 0 — which is what the read returns.
 type noiseField struct {
 	d Derived
 	// txCount is the number of in-flight transmissions per node; the node
 	// is indexed, in cell cellOf[id], while the count is positive.
 	txCount []int32
 	cellOf  []int32
-	// rows[cy] lists row cy's occupied cells, ascending cx; indexed is the
-	// number of nodes they hold between them.
-	rows    [][]noiseCell
-	indexed int
+	// rows[cy] lists row cy's occupied cells, ascending cx.
+	rows [][]noiseCell
+	// farOcc[occIndex(cx, cy)] is the number of indexed transmitters
+	// sitting in the cells the reach table puts around cell (cx, cy). The
+	// raster has a border of pad cells on every side, which takes the bumps
+	// that fall outside the area, so bumpReach tests no bounds; reach holds
+	// the table as index offsets into it.
+	farOcc      []int32
+	reach       []int
+	pad, stride int
 	// innerRadius separates the exact near field (real arrivals) from the
 	// aggregated far field; intfRange bounds the far field's support.
 	innerRadius float64
@@ -77,7 +94,7 @@ func newNoiseField(n int, side float64, d Derived, maxSpeed float64) *noiseField
 	if size := d.InterferenceRange / noiseCellsPerIntfRange; size > 0 && size <= side {
 		cols = int(side / size)
 	}
-	return &noiseField{
+	f := &noiseField{
 		d:       d,
 		txCount: make([]int32, n),
 		cellOf:  make([]int32, n),
@@ -90,6 +107,45 @@ func newNoiseField(n int, side float64, d Derived, maxSpeed float64) *noiseField
 		cell:        side / float64(cols),
 		cols:        cols,
 	}
+	// No offset in the table is more than pad cells long: beyond that even
+	// the smallest nearest-point distance exceeds intfRange.
+	f.pad = min(int((f.intfRange+reachGuard)/f.cell)+1, cols-1)
+	f.stride = cols + 2*f.pad
+	f.farOcc = make([]int32, f.stride*f.stride)
+	f.reach = reachTable(f.cell, f.innerRadius, f.intfRange, f.pad, f.stride)
+	return f
+}
+
+// reachGuard widens reachTable's two tests by a micrometre, so a receiver
+// that rounding places a hair outside its cell still finds every cell it can
+// hear in the table.
+const reachGuard = 1e-6
+
+// reachTable lists the offsets (dx, dy), at most span cells long, at which a
+// transmitter cell can pass farMwAt's two distance tests for some receiver
+// inside the cell at the origin, as dy·stride+dx. Per axis, the receiver's
+// distance to the nearest point of a cell k steps away lies between
+// (|k|−1)⁺·cell and |k|·cell, so the offset is in iff the largest
+// nearest-point distance exceeds inner and the smallest does not exceed
+// intf. The table is symmetric under negation.
+func reachTable(cell, inner, intf float64, span, stride int) []int {
+	var reach []int
+	for dy := -span; dy <= span; dy++ {
+		for dx := -span; dx <= span; dx++ {
+			ax, ay := float64(max(dx, -dx)), float64(max(dy, -dy))
+			largest := math.Hypot(ax*cell, ay*cell)
+			smallest := math.Hypot(max(ax-1, 0)*cell, max(ay-1, 0)*cell)
+			if largest > inner-reachGuard && smallest <= intf+reachGuard {
+				reach = append(reach, dy*stride+dx)
+			}
+		}
+	}
+	return reach
+}
+
+// occIndex is cell (cx, cy)'s place in the farOcc raster.
+func (f *noiseField) occIndex(cx, cy int) int {
+	return (cy+f.pad)*f.stride + cx + f.pad
 }
 
 // cellCoord maps a coordinate to its cell column or row, clamped to the area.
@@ -122,7 +178,7 @@ func (f *noiseField) txStart(id int, p geom.Point) {
 	}
 	cx, cy := int32(f.cellCoord(p.X)), f.cellCoord(p.Y)
 	f.cellOf[id] = int32(cy*f.cols) + cx
-	f.indexed++
+	f.bumpReach(f.occIndex(int(cx), cy), 1)
 	row := f.rows[cy]
 	i := find(row, cx)
 	if i < len(row) && row[i].cx == cx {
@@ -142,7 +198,7 @@ func (f *noiseField) txEnd(id int) {
 		return
 	}
 	cy, cx := int(f.cellOf[id])/f.cols, f.cellOf[id]%int32(f.cols)
-	f.indexed--
+	f.bumpReach(f.occIndex(int(cx), cy), -1)
 	row := f.rows[cy]
 	i := find(row, cx)
 	if row[i].count--; row[i].count == 0 {
@@ -150,14 +206,26 @@ func (f *noiseField) txEnd(id int) {
 	}
 }
 
+// bumpReach adds by to farOcc in every cell the reach table puts around the
+// cell at raster index at — one transmitter there entering (+1) or leaving
+// (−1) the index.
+//
+//pqlint:noalloc
+func (f *noiseField) bumpReach(at int, by int32) {
+	for _, o := range f.reach {
+		f.farOcc[at+o] += by
+	}
+}
+
 // farMwAt returns the aggregated far-field interference power (milliwatts)
-// at position p: for every occupied cell fully outside the near field and
-// inside the interference range, count times the power a transmitter at the
-// cell center would deliver. Nothing on the air, nothing to add.
+// at position p, which lies in the area: for every occupied cell fully
+// outside the near field and inside the interference range, count times the
+// power a transmitter at the cell center would deliver. A cell that no
+// indexed transmitter can reach has nothing to add.
 //
 //pqlint:noalloc
 func (f *noiseField) farMwAt(p geom.Point) float64 {
-	if f.indexed == 0 {
+	if f.farOcc[f.occIndex(f.cellCoord(p.X), f.cellCoord(p.Y))] == 0 {
 		return 0
 	}
 	// Every cell intersecting the square of half-width intfRange around p.

@@ -9,20 +9,24 @@ import (
 	"probquorum/internal/sim"
 )
 
-// oracleFarMw recomputes the far-field aggregate from first principles: a
-// census of every cell taken from txCount and the per-node cell record — not
-// from the row index under test — then a row-major scan of all cells applying
-// the documented rule: occupied cells fully outside innerRadius and not
-// beyond intfRange contribute count·ReceivedPowerMw(center distance). The
-// scan order is the order farMwAt promises, so the two sums are equal to the
-// last bit.
-func oracleFarMw(f *noiseField, p geom.Point) float64 {
-	census := make([]int, f.cols*f.cols)
-	for id, c := range f.txCount {
-		if c > 0 {
-			census[f.cellOf[id]]++
+// census counts the indexed transmitters per cell from txCount and the
+// per-node cell record — not from the row index or farOcc under test.
+func census(f *noiseField) []int {
+	c := make([]int, f.cols*f.cols)
+	for id, n := range f.txCount {
+		if n > 0 {
+			c[f.cellOf[id]]++
 		}
 	}
+	return c
+}
+
+// oracleFarMw recomputes the far-field aggregate from first principles: the
+// census, then a row-major scan of all cells applying the documented rule:
+// occupied cells fully outside innerRadius and not beyond intfRange
+// contribute count·ReceivedPowerMw(center distance). The scan order is the
+// order farMwAt promises, so the two sums are equal to the last bit.
+func oracleFarMw(f *noiseField, census []int, p geom.Point) float64 {
 	cs := f.cell
 	sum := 0.0
 	for cy := 0; cy < f.cols; cy++ {
@@ -45,18 +49,47 @@ func oracleFarMw(f *noiseField, p geom.Point) float64 {
 	return sum
 }
 
-// checkNoiseIndex holds the row index to the count-based membership
-// invariant: rows are strictly ascending in cx with positive counts, and they
-// hold exactly the nodes whose outstanding count is positive.
+// oracleFarOcc recounts farOcc from the census by the documented rule, cell
+// pair by cell pair rather than through the reach table: a transmitter counts
+// at receiver cell r when some point of r has its cell's nearest point
+// farther than innerRadius and not beyond intfRange.
+func oracleFarOcc(f *noiseField) []int {
+	census := census(f)
+	occ := make([]int, len(census))
+	for t, count := range census {
+		for r := range occ {
+			ax := math.Abs(float64(t%f.cols - r%f.cols))
+			ay := math.Abs(float64(t/f.cols - r/f.cols))
+			largest := math.Hypot(ax*f.cell, ay*f.cell)
+			smallest := math.Hypot(math.Max(ax-1, 0)*f.cell, math.Max(ay-1, 0)*f.cell)
+			if largest > f.innerRadius-reachGuard && smallest <= f.intfRange+reachGuard {
+				occ[r] += count
+			}
+		}
+	}
+	return occ
+}
+
+// onAir is the number of nodes with an outstanding transmission.
+func onAir(f *noiseField) int {
+	n := 0
+	for _, c := range f.txCount {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// checkNoiseIndex holds the index to the count-based membership invariant:
+// rows are strictly ascending in cx with positive counts and hold exactly the
+// nodes whose outstanding count is positive, and farOcc equals its recount
+// from the census.
 func checkNoiseIndex(t *testing.T, step int, f *noiseField) {
 	t.Helper()
-	transmitting := 0
 	for _, c := range f.txCount {
 		if c < 0 {
 			t.Fatal("negative outstanding-transmission count")
-		}
-		if c > 0 {
-			transmitting++
 		}
 	}
 	held := 0
@@ -68,17 +101,50 @@ func checkNoiseIndex(t *testing.T, step int, f *noiseField) {
 			held += int(oc.count)
 		}
 	}
-	if held != transmitting || f.indexed != transmitting {
-		t.Fatalf("step %d: rows hold %d ids, indexed says %d, %d nodes transmitting", step, held, f.indexed, transmitting)
+	if transmitting := onAir(f); held != transmitting {
+		t.Fatalf("step %d: rows hold %d ids, %d nodes transmitting", step, held, transmitting)
+	}
+	for c, want := range oracleFarOcc(f) {
+		if got := f.farOcc[f.occIndex(c%f.cols, c/f.cols)]; int(got) != want {
+			t.Fatalf("step %d: farOcc of cell %d = %d, recount from the census %d", step, c, got, want)
+		}
 	}
 }
 
+// oracleQueries returns the receiver positions one check step asks about:
+// uniform points; in every cell its four corners (the far ones a millimetre
+// inside, so the point still maps to the cell), its edge midpoints and its
+// center — where a receiver is farthest from, or nearest to, the cells
+// around it; and one point on each side of the area's boundary.
+func oracleQueries(rng *rand.Rand, f *noiseField, side float64) []geom.Point {
+	var qs []geom.Point
+	for k := 0; k < 8; k++ {
+		qs = append(qs, geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side})
+	}
+	var at []float64
+	for c := 0; c < f.cols; c++ {
+		x0 := float64(c) * f.cell
+		at = append(at, x0, x0+f.cell/2, x0+f.cell-1e-3)
+	}
+	for _, x := range at {
+		for _, y := range at {
+			qs = append(qs, geom.Point{X: x, Y: y})
+		}
+	}
+	r := rng.Float64() * side
+	return append(qs, geom.Point{X: 0, Y: r}, geom.Point{X: side, Y: r}, geom.Point{X: r, Y: 0}, geom.Point{X: r, Y: side})
+}
+
 // TestNoiseFieldOracle property-tests farMwAt against the full-scan oracle
-// under random start/end churn — sparse (a few dozen on the air over a 3 km
-// field) and dense (≥ 500 concurrent transmitters, several per cell, starts
-// and ends interleaved) — and checks the count-based membership invariant (a
-// node is indexed iff its outstanding count is positive). The comparison is
-// exact: a reordered or regrouped sum must fail.
+// under random start/end churn — a trickle (at most four on the air over a
+// 3 km field, so most cells can hear nobody), sparse (a few dozen), dense
+// (≥ 500 concurrent transmitters, several per cell, starts and ends
+// interleaved), two 320 m columns (wider than the 307 m inner radius that
+// maxSpeed 2 gives, so a receiver at the far edge of its cell hears the cell
+// beside it) and a single cell (nothing is ever far) — and checks the
+// count-based membership invariant (a node is indexed iff its outstanding
+// count is positive) and the farOcc count. The comparison is exact: a
+// reordered or regrouped sum, or a reach table missing an offset, must fail.
 func TestNoiseFieldOracle(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -87,8 +153,11 @@ func TestNoiseFieldOracle(t *testing.T) {
 		startProb float64
 		minOnAir  int
 	}{
+		{"trickle", 4, 3000, 0.3, 0},
 		{"sparse", 120, 3000, 0.4, 0},
 		{"dense", 1500, 2500, 0.7, 500},
+		{"two-columns", 3, 640, 0.3, 0},
+		{"one-cell", 8, 400, 0.3, 0},
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(11))
@@ -104,14 +173,14 @@ func TestNoiseFieldOracle(t *testing.T) {
 			} else {
 				f.txEnd(id)
 			}
-			peak = max(peak, f.indexed)
+			peak = max(peak, onAir(f))
 			if step%97 != 0 {
 				continue
 			}
 			checkNoiseIndex(t, step, f)
-			for k := 0; k < 8; k++ {
-				q := geom.Point{X: rng.Float64() * tc.side, Y: rng.Float64() * tc.side}
-				if got, want := f.farMwAt(q), oracleFarMw(f, q); got != want {
+			census := census(f)
+			for _, q := range oracleQueries(rng, f, tc.side) {
+				if got, want := f.farMwAt(q), oracleFarMw(f, census, q); got != want {
 					t.Fatalf("%s step %d: farMwAt(%v) = %g, oracle %g", tc.name, step, q, got, want)
 				}
 			}
@@ -128,6 +197,11 @@ func TestNoiseFieldOracle(t *testing.T) {
 		for cy, row := range f.rows {
 			if len(row) != 0 {
 				t.Fatalf("%s: row %d holds %v after all frames ended", tc.name, cy, row)
+			}
+		}
+		for i, occ := range f.farOcc { // the border too, which no recount sees
+			if occ != 0 {
+				t.Fatalf("%s: farOcc[%d] = %d after all frames ended", tc.name, i, occ)
 			}
 		}
 	}
@@ -191,8 +265,8 @@ func TestCellNoiseFarFieldEntersSINR(t *testing.T) {
 		t.Fatal("Corrupted counter did not record the far-field loss")
 	}
 	// All transmissions have ended: the noise index must have drained.
-	if got := m.noise.indexed; got != 0 {
-		t.Fatalf("noise index holds %d ids after all frames ended, want 0", got)
+	if got := onAir(m.noise); got != 0 {
+		t.Fatalf("%d nodes still transmitting after all frames ended, want 0", got)
 	}
 	checkNoiseIndex(t, -1, m.noise)
 }
