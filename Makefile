@@ -19,10 +19,13 @@
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
+#
+# No step of check writes a tracked file: on a clean checkout it leaves
+# `git status` empty. BENCH.json has one writer, `make bench`.
 
 GO ?= go
 
-.PHONY: build test check lint loc bench bench-sweep bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos shards mega-smoke mega-bench load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -41,12 +44,9 @@ check: build lint chaos shards quick-check spot-check load-smoke adapt-smoke
 # and noalloc (annotated hot paths must not allocate along the call chain,
 # up to the calls that declare a hand-off). Suppressions are reasoned
 # //pqlint:allow directives, and one that suppresses nothing is a finding;
-# see DESIGN.md §8.
-# On a clean tree pqlint emits its wall-time benchmark line, which folds
-# into BENCH.json; on findings there is no bench line, benchjson errors,
-# and the pipeline (hence the target) fails with the findings echoed.
+# see DESIGN.md §8. Any finding fails the target.
 lint:
-	$(GO) run ./cmd/pqlint -bench ./... | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqlint ./...
 
 # loc prints the size every design PR quotes: non-test Go lines outside
 # testdata, per package directory and in total. bench/ (the repository's
@@ -74,18 +74,19 @@ chaos:
 shards:
 	$(GO) test -run 'TestShards' -count=1 ./internal/experiment
 
-# bench runs the full benchmark suite (figure pipelines, substrate
-# micro-benchmarks, ablations) with allocation reporting and converts the
-# output into the committed benchmark trajectory BENCH.json (ns/op, B/op,
-# allocs/op, custom metrics per benchmark). Compare against the committed
-# file to spot perf or allocation regressions. Takes a few minutes: the
-# default benchtime is what lets the pooled hot paths reach their
-# steady-state (zero-alloc) numbers — CI's smoke step runs the same suite
-# at -benchtime=1x as a cheap does-it-run gate.
+# bench is the one writer of BENCH.json. It runs the root package's
+# benchmarks (the substrate micro-benchmarks and the sweep executor) with
+# allocation reporting, then the full-horizon 10k mega run serial and at
+# -shards 2 (DESIGN.md §15's "what the knob is worth"), and pipes all of it
+# through benchjson, which replaces the file: every entry comes from one run
+# on one host, and each name ends in -<GOMAXPROCS> (nothing at 1). A failure
+# anywhere reaches benchjson as a FAIL line and nothing is written. Takes a
+# few minutes: the default benchtime is what lets the pooled hot paths reach
+# their steady-state (zero-alloc) numbers — CI runs the same benchmarks at
+# -benchtime=1x as a does-it-run gate that writes nothing.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . > bench.out || (cat bench.out; rm -f bench.out; exit 1)
-	$(GO) run ./cmd/benchjson -out BENCH.json < bench.out
-	rm -f bench.out
+	{ $(GO) test -bench=. -benchmem -run='^$$' . && $(GO) run ./cmd/pqexp mega && $(GO) run ./cmd/pqexp -shards 2 mega || echo FAIL; } | \
+		$(GO) run ./cmd/benchjson -out BENCH.json
 
 # bench-digest gates "host-side only" claims mechanically. The repository's
 # benchmark (bench/, BENCHMARK.json) folds every simulated quantity of a
@@ -109,57 +110,39 @@ bench-digest:
 	@$(MAKE) -s bench-digests | diff BENCH_DIGESTS.txt - || \
 		{ echo "bench-digest: sim.digest differs from BENCH_DIGESTS.txt (<: committed, >: this tree): the change is not host-side only"; exit 1; }
 
-# tier-run runs `pqexp $(2) $(1)` into $(1).out — a tier exits nonzero on an
-# invariant violation or a leaked op (or a crash), which fails the target with
-# the output shown — and then folds its go-bench lines into BENCH.json. All
-# four smoke targets go through it; the caller removes $(1).out.
-define tier-run
-	$(GO) run ./cmd/pqexp $(2) $(1) > $(1).out || { cat $(1).out; rm -f $(1).out; exit 1; }
-	$(GO) run ./cmd/benchjson -merge -out BENCH.json < $(1).out
-endef
-
 # mega-smoke runs the 10k-node scale scenario (DESIGN.md §12) on a
 # shortened horizon: SINR/DCF with cell-noise interference, churn and a
-# fault schedule live, invariant checkers armed and fatal. No -race — the
-# point is that 10k nodes complete in CI time — and the go-bench metrics line
-# (wall clock, allocations, peak heap) is folded into BENCH.json so the
-# scale trajectory rides along with the micro-benchmarks.
+# fault schedule live, invariant checkers armed and fatal (a violation or a
+# leaked op makes pqexp exit nonzero). No -race — the point is that 10k nodes
+# complete in CI time. Its table carries wall clock, so the exit status is
+# the whole gate.
 mega-smoke:
-	$(call tier-run,mega,-short)
-	@rm -f mega.out
-
-# mega-bench records the full-horizon 10k run serial and at -shards 2 — the
-# A/B behind DESIGN.md §15's "what the knob is worth". Each line's name ends
-# in -<GOMAXPROCS>, so the entries say which host width they came from.
-mega-bench:
-	$(GO) run ./cmd/pqexp mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
-	$(GO) run ./cmd/pqexp -shards 2 mega | $(GO) run ./cmd/benchjson -merge -out BENCH.json
+	$(GO) run ./cmd/pqexp -short mega
 
 # giga-smoke runs the giga tier (DESIGN.md §15: oracle neighbors, lazy
 # membership, route cache, sharded prefetch) at a CI-sized 25k nodes on the
 # shortened horizon, churn/faults/invariants armed and fatal, 4 shards wide.
-# The full 100k run is `pqexp giga`; this is the does-it-scale gate, and its
-# wall-clock/alloc/peak-heap line folds into BENCH.json like mega-smoke's.
+# The full 100k run is `pqexp giga`; this is the does-it-scale gate.
 giga-smoke:
-	$(call tier-run,giga,-short -n 25000 -shards 4)
-	@rm -f giga.out
+	$(GO) run ./cmd/pqexp -short -n 25000 -shards 4 giga
 
 # tiers records what `pqexp -short load` and `pqexp -short adapt` print apart
-# from their go-bench lines: the tier tables, free of wall-clock fields by
-# construction. results_quick.txt covers `pqexp all` only; this file is the
+# from their `# … wall clock` lines: the tier tables, free of wall-clock fields
+# by construction. results_quick.txt covers `pqexp all` only; this file is the
 # same gate for the two tiers whose smoke runs are part of check. A refactor
 # must pass it untouched; a change that means to move a tier table re-records
 # the file with `make tiers` in the same commit and says which rows and why.
 tiers:
-	@for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^Benchmark' > results_tiers.txt
+	@for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^# .* wall clock' > results_tiers.txt
 
-# tier-smoke runs tier $(1) on its smoke horizon (tier-run: a violation fails
-# the target) and diffs everything but its go-bench lines against the tier's
-# own tables in results_tiers.txt: from its first "## $(1)" title up to the
-# next tier's.
+# tier-smoke runs tier $(1) on its smoke horizon into $(1).out — a violation,
+# a leaked op or a crash exits nonzero, which fails the target with the output
+# shown — and diffs everything but its wall-clock line against the tier's own
+# tables in results_tiers.txt: from its first "## $(1)" title up to the next
+# tier's.
 define tier-smoke
-	$(call tier-run,$(1),-short)
-	@awk '/^## /{on = ($$2 == "$(1)")} on' results_tiers.txt | diff -I '^Benchmark' - $(1).out || \
+	$(GO) run ./cmd/pqexp -short $(1) > $(1).out || { cat $(1).out; rm -f $(1).out; exit 1; }
+	@awk '/^## /{on = ($$2 == "$(1)")} on' results_tiers.txt | diff -I '^# .* wall clock' - $(1).out || \
 		{ echo "$(1)-smoke: pqexp -short $(1) differs from results_tiers.txt (<: recorded, >: this tree)"; rm -f $(1).out; exit 1; }
 	@rm -f $(1).out
 endef
@@ -167,8 +150,7 @@ endef
 # load-smoke runs the open-loop workload figure (DESIGN.md §13) on a
 # shortened horizon: Poisson and MMPP arrivals against every strategy mix
 # with the invariant checkers armed (any violation — including a pending-op
-# leak — makes the run nonzero and fails check). The per-mix throughput and
-# latency-percentile lines fold into BENCH.json alongside the other suites.
+# leak — makes the run nonzero and fails check).
 load-smoke:
 	$(call tier-smoke,load)
 
@@ -176,15 +158,9 @@ load-smoke:
 # shortened horizon: static vs closed-loop quorum sizing under mass-join,
 # mass-failure, and ramp drifts, with the invariant checkers (incl. the
 # controller's resize-bounds watch and the pending-op drain) armed and
-# fatal. The per-drift settled-intersection and message-cost lines fold
-# into BENCH.json alongside the other suites.
+# fatal.
 adapt-smoke:
 	$(call tier-smoke,adapt)
-
-# bench-sweep records only the parallel sweep executor's scaling (flat on a
-# 1-core host; ~2× at parallel=2 on two cores).
-bench-sweep:
-	$(GO) test -bench=BenchmarkParallelSweep -benchtime=1x -run='^$$' . | $(GO) run ./cmd/benchjson -merge -out BENCH.json
 
 # quick regenerates the recorded quick-profile results (with per-figure
 # wall clock and effective parallelism).

@@ -1,24 +1,28 @@
-// Benchmarks regenerating (scaled-down) versions of every table and figure
-// in the paper's evaluation, plus micro-benchmarks of the substrates.
-//
-// Each figure benchmark runs the corresponding experiment on a small
-// profile and reports the headline quantity via b.ReportMetric, so
-// `go test -bench=.` both exercises the full pipeline and surfaces the
-// reproduced numbers. Paper-scale runs are `cmd/pqexp -full <fig>`.
+// Benchmarks of the substrates the simulator's hot paths run on, each read by
+// a sentence of DESIGN.md, EXPERIMENTS.md or README.md. The paper's figures
+// are pinned and timed by results_quick.txt (`make quick-check`), and every
+// end-to-end performance claim is a workload of bench/ (`go run ./bench`).
+// `make bench` records these benchmarks and the full `pqexp mega` pair in
+// BENCH.json, its only writer; TestBenchJSONHasOneWriter holds the file to
+// that.
 package probquorum
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"math"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"probquorum/internal/aodv"
 	"probquorum/internal/experiment"
 	"probquorum/internal/geom"
-	"probquorum/internal/graph"
 	"probquorum/internal/membership"
 	"probquorum/internal/mobility"
 	"probquorum/internal/netstack"
@@ -27,18 +31,6 @@ import (
 	"probquorum/internal/sim"
 )
 
-// benchProfile is small enough for tight bench iterations while preserving
-// every figure's qualitative shape.
-func benchProfile() experiment.Profile {
-	return experiment.Profile{
-		Sizes:     []int{50, 100},
-		Densities: []float64{7, 10},
-		Seeds:     1, Stack: netstack.StackIdeal,
-		Advertisements: 10, Lookups: 50, LookupNodes: 5,
-		BigN: 100, WalkTrials: 40,
-	}
-}
-
 // benchScenario is the paper's two-phase workload on n nodes of the given
 // stack, at the default quorum sizes.
 func benchScenario(kind netstack.StackKind, n int, seed int64, ads, lookups, lookupNodes int) experiment.Scenario {
@@ -46,176 +38,6 @@ func benchScenario(kind netstack.StackKind, n int, seed int64, ads, lookups, loo
 	sc.N, sc.Seed, sc.Link.Stack = n, seed, kind
 	sc.Quorum = quorum.DefaultConfig(n)
 	return sc
-}
-
-func reportTables(b *testing.B, tables []experiment.Table) {
-	b.Helper()
-	if len(tables) == 0 || len(tables[0].Rows) == 0 {
-		b.Fatal("figure produced no data")
-	}
-}
-
-func BenchmarkFig03StrategyTable(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := experiment.Fig3()
-		if len(t.Rows) != 4 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-func BenchmarkFig04PartialCoverTime(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables := experiment.Fig4(p, int64(i)+1)
-		reportTables(b, tables)
-	}
-}
-
-func BenchmarkFig05FloodingCoverage(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tables := experiment.Fig5(p, int64(i)+1)
-		reportTables(b, tables)
-	}
-}
-
-func BenchmarkFig06MixTable(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := experiment.Fig6()
-		if len(t.Rows) < 6 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-func BenchmarkFig07Degradation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig7())
-	}
-}
-
-func BenchmarkFig08RandomAdvertise(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig8(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig09RandomOpt(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig9(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig10UniquePathLookup(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	var hit float64
-	for i := 0; i < b.N; i++ {
-		tables := experiment.Fig10(p, int64(i)+1)
-		reportTables(b, tables)
-	}
-	// Single representative point for the metric: |Qℓ| = 1.15√n.
-	sc := benchScenario(p.Stack, p.BigN, 1, p.Advertisements, p.Lookups, p.LookupNodes)
-	sc.SpeedMin, sc.SpeedMax = 0.5, 2
-	hit = experiment.Run(sc).HitRatio
-	b.ReportMetric(hit, "hit-ratio")
-}
-
-func BenchmarkFig11FloodingLookup(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig11(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig12PathPath(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig12(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig13MobilityNoRepair(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig13(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig14MobilityRepair(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig14(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig15StrategyComparison(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig15(p, int64(i)+1))
-	}
-}
-
-func BenchmarkFig16Summary(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		reportTables(b, experiment.Fig16(p, int64(i)+1))
-	}
-}
-
-// --- Substrate micro-benchmarks -------------------------------------------
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	e := sim.NewEngine(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(1, func() {})
-		e.Run(e.Now() + 1)
-	}
-}
-
-func BenchmarkRGGConstruction(b *testing.B) {
-	e := sim.NewEngine(1)
-	rng := e.NewStream()
-	side := geom.AreaSide(800, 200, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, _ := graph.NewRGG(rng, 800, 200, side, geom.Torus{Side: side})
-		if g.N() != 800 {
-			b.Fatal("bad graph")
-		}
-	}
-}
-
-func BenchmarkRandomWalkStep(b *testing.B) {
-	e := sim.NewEngine(1)
-	rng := e.NewStream()
-	side := geom.AreaSide(400, 200, 10)
-	g, _ := graph.NewRGG(rng, 400, 200, side, geom.Torus{Side: side})
-	w := graph.NewWalker(g, rng, graph.SimpleWalk, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Step()
-	}
 }
 
 func BenchmarkSINRBroadcast(b *testing.B) {
@@ -292,23 +114,6 @@ func BenchmarkSINRBroadcastStorm(b *testing.B) {
 		storm()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
-}
-
-func BenchmarkDiskBroadcast(b *testing.B) {
-	e := sim.NewEngine(1)
-	rng := e.NewStream()
-	side := geom.AreaSide(200, 200, 10)
-	pts := geom.UniformPoints(rng, 200, side)
-	m := phy.NewDiskMedium(e, phy.DiskConfig{
-		N: 200, Side: side, Pos: func(id int) geom.Point { return pts[id] }, Range: netstack.Range,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := &phy.Frame{Src: i % 200, Dst: phy.Broadcast, Bytes: 512, Rate: 2e6}
-		m.Channel(i % 200).Transmit(f)
-		e.Run(e.Now() + 0.01)
-	}
 }
 
 // sinrField10k is the static 10k-node cell-noise SINR field the per-broadcast
@@ -412,19 +217,6 @@ func BenchmarkMegaTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Run(e.Now() + 0.5)
-	}
-}
-
-// BenchmarkTimerRearm measures the armed-timer Reset fast path (in-place
-// heap fix, no allocation) that heartbeat and protocol timeouts sit on.
-func BenchmarkTimerRearm(b *testing.B) {
-	e := sim.NewEngine(1)
-	t := sim.NewTimer(e, func() {})
-	t.Reset(100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Reset(100)
 	}
 }
 
@@ -684,83 +476,15 @@ func BenchmarkRouteTreeBuild(b *testing.B) {
 	})
 }
 
-func BenchmarkClusterLookup(b *testing.B) {
-	c := NewCluster(ClusterConfig{Nodes: 100, Seed: 1})
-	c.AdvertiseWait(0, "k", "v")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.LookupWait(i%100, "k")
-	}
-}
-
-// BenchmarkSizingSweep exercises the sizing math across the paper's range.
-func BenchmarkSizingSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for n := 50; n <= 800; n *= 2 {
-			for _, eps := range []float64{0.05, 0.1, 0.2} {
-				qa, ql := quorum.SizeForEpsilon(n, eps, 1)
-				if quorum.NonIntersectProb(n, qa, ql) > eps {
-					b.Fatal("sizing bound violated")
-				}
-			}
-		}
-	}
-}
-
-// sanity check referenced by EXPERIMENTS.md: keep the hit-ratio target
-// stable for the default configuration.
-func BenchmarkDefaultMixHitRatio(b *testing.B) {
-	p := benchProfile()
-	b.ReportAllocs()
-	var sum float64
-	for i := 0; i < b.N; i++ {
-		sc := benchScenario(p.Stack, p.BigN, int64(i)+1, p.Advertisements, p.Lookups, p.LookupNodes)
-		sum += experiment.Run(sc).HitRatio
-	}
-	avg := sum / float64(b.N)
-	b.ReportMetric(avg, "hit-ratio")
-	if b.N >= 3 && math.Abs(avg-0.9) > 0.15 {
-		b.Log(fmt.Sprintf("hit ratio %.2f drifted from the 0.9 design point", avg))
-	}
-}
-
-// BenchmarkRoutingCostDecomposition contrasts RANDOM advertise on AODV vs
-// the oracle router: the delta is the paper's "cost of establishing the
-// routes" (Section 4.1 / Fig. 8's routing overhead).
-func BenchmarkRoutingCostAODV(b *testing.B) {
-	benchRoutingCost(b, false)
-}
-
-func BenchmarkRoutingCostOracle(b *testing.B) {
-	benchRoutingCost(b, true)
-}
-
-func benchRoutingCost(b *testing.B, oracle bool) {
-	b.ReportAllocs()
-	var last experiment.Result
-	for i := 0; i < b.N; i++ {
-		sc := benchScenario(netstack.StackIdeal, 100, int64(i)+1, 15, 30, 5)
-		sc.OracleRouting = oracle
-		sc.Quorum.AdvertiseStrategy, sc.Quorum.LookupStrategy = quorum.Random, quorum.Random
-		last = experiment.Run(sc)
-	}
-	b.ReportMetric(last.AdvertiseAppMsgs, "adv-msgs/op")
-	b.ReportMetric(last.AdvertiseRoutingMsgs, "adv-routing/op")
-	b.ReportMetric(last.HitRatio, "hit-ratio")
-}
-
 // BenchmarkParallelSweep measures the worker-pool sweep executor against
 // the serial baseline on a fixed 16-run ensemble. Compare the parallel=N
 // sub-benchmarks' ns/op to parallel=1: on an N-core machine the runs are
 // independent full-stack simulations, so the speedup should be near
 // linear until the pool exceeds the core count.
 func BenchmarkParallelSweep(b *testing.B) {
-	p := benchProfile()
 	var scs []experiment.Scenario
 	for _, n := range []int{50, 80, 100, 120} {
-		scs = append(scs, benchScenario(p.Stack, n, 1, p.Advertisements, p.Lookups, p.LookupNodes))
+		scs = append(scs, benchScenario(netstack.StackIdeal, n, 1, 10, 50, 5))
 	}
 	sw := experiment.NewSweep(scs, 4) // 4 points × 4 seeds = 16 runs
 	pools := []int{1, 2, 4}
@@ -777,5 +501,42 @@ func BenchmarkParallelSweep(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestBenchJSONHasOneWriter: BENCH.json holds what `make bench` writes and
+// nothing else. Every entry's base name (the part before the first '/') is a
+// benchmark of this file or the MegaScenario pair `pqexp mega` prints there;
+// an entry any other run added, or one of a deleted benchmark, fails.
+func TestBenchJSONHasOneWriter(t *testing.T) {
+	data, err := os.ReadFile("BENCH.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Benchmarks []struct {
+			Name string `json:"name"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("BENCH.json: %v", err)
+	}
+	if len(rep.Benchmarks) == 0 {
+		t.Fatal("BENCH.json holds no benchmarks")
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "bench_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{"BenchmarkMegaScenario": true}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Benchmark") {
+			written[fd.Name.Name] = true
+		}
+	}
+	for _, b := range rep.Benchmarks {
+		if base, _, _ := strings.Cut(b.Name, "/"); !written[base] {
+			t.Errorf("BENCH.json entry %q: %s is neither a benchmark in bench_test.go nor MegaScenario", b.Name, base)
+		}
 	}
 }

@@ -13,15 +13,15 @@
 // "all"; run with no argument to list every name.
 //
 // Four tiers are deliberately not part of "all". They share one contract
-// (experiment.TierConfig in; tables, go-bench lines and an error out): each
-// prints its go-bench metric lines after its tables for cmd/benchjson (the
-// `make *-smoke` targets), runs with the invariant checkers armed — a
-// violation or a leaked op is an error and a nonzero exit — and shrinks to CI
-// size with -short:
+// (experiment.TierConfig in; tables, the lines that follow them and an error
+// out): each runs with the invariant checkers armed — a violation or a leaked
+// op is an error and a nonzero exit — and shrinks to CI size with -short (the
+// `make *-smoke` targets):
 //
 //   - mega: the 10k-node scale exercise (DESIGN.md §12) — SINR/DCF with the
 //     cell-noise interference model, continuous churn and a fault schedule
-//     live. -n overrides the node count, -shards the sharded-phase width.
+//     live. -n overrides the node count, -shards the sharded-phase width. Its
+//     go-bench line is what `make bench` records in BENCH.json.
 //   - giga: the 100k-node tier (DESIGN.md §15) — mega with oracle neighbor
 //     discovery; bit-identical results at any -shards.
 //   - load: open-loop Poisson/MMPP arrivals against every strategy mix —
@@ -36,9 +36,8 @@
 //
 // Simulation-backed figures fan their independent (point, seed) runs out
 // on a worker pool; -parallel sizes it (default: all cores). Results are
-// bit-for-bit identical at any parallelism. Each figure prints its wall
-// clock and the effective parallelism so recorded results surface perf
-// regressions.
+// bit-for-bit identical at any parallelism. Each figure and tier ends with a
+// `# name: …s wall clock` line, which the recorded-results gates ignore.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU over the whole run,
 // heap after the last figure) for `go tool pprof`; see DESIGN.md §9.
@@ -72,9 +71,9 @@ type options struct {
 	short   bool // -short: tiers run their smoke-test horizon
 }
 
-// runFunc runs a figure: the tables to print and, for the tiers, the
-// go-bench metric lines that follow them.
-type runFunc func(o options) (tables []experiment.Table, bench []string, err error)
+// runFunc runs a figure: the tables to print and, for the tiers, the lines
+// that follow them.
+type runFunc func(o options) (tables []experiment.Table, lines []string, err error)
 
 // figure is one runnable name.
 type figure struct {
@@ -243,21 +242,14 @@ func run(args []string) error {
 			return fmt.Errorf("unknown figure %q; figures: %s", name, figureNames())
 		}
 		start := time.Now()
-		tables, bench, err := f.run(opts)
+		tables, lines, err := f.run(opts)
 		for _, t := range tables {
 			fmt.Println(t)
 		}
-		for _, line := range bench {
+		for _, line := range lines {
 			fmt.Println(line)
 		}
-		if len(bench) > 0 {
-			fmt.Println() // the bench lines carry the tier's wall clock
-		} else {
-			// Wall-clock per figure, on stdout so recorded results files
-			// (e.g. results_quick.txt) surface perf regressions alongside
-			// the data.
-			fmt.Printf("# %s: %.2fs wall clock, parallel=%d\n\n", name, time.Since(start).Seconds(), effective)
-		}
+		fmt.Printf("# %s: %.2fs wall clock, parallel=%d\n\n", name, time.Since(start).Seconds(), effective)
 		if err != nil {
 			return err
 		}

@@ -1,18 +1,13 @@
-//pqlint:allow nowallclock(the -bench wall-time measurement times the host linter itself, not the simulation)
-
 // Command pqlint runs the project's determinism- and invariant-enforcing
 // static analysis suite (internal/lint) over the module.
 //
 // Usage:
 //
-//	pqlint [-show-suppressed] [-bench] [./...]
+//	pqlint [-show-suppressed] [./...]
 //
 // Diagnostics print as file:line:col: analyzer: message, sorted by position
 // (the shape CI's problem matcher reads); a non-zero exit reports
-// unsuppressed findings. -bench appends a `go test -bench`-style line with
-// the lint wall time when (and only when) the tree is clean, so piping
-// through `benchjson -merge` both records lint cost in BENCH.json and fails
-// the pipeline on findings (no bench line → benchjson errors).
+// unsuppressed findings.
 //
 // Benign violations are silenced in place with
 // //pqlint:allow analyzer(reason); see DESIGN.md §8 for each rule, the
@@ -24,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"probquorum/internal/lint"
 )
@@ -39,7 +33,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("pqlint", flag.ContinueOnError)
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed findings with their reasons")
-	bench := fs.Bool("bench", false, "on a clean tree, print a go-test-style benchmark line with the lint wall time")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -49,7 +42,6 @@ func run(args []string) error {
 		}
 	}
 
-	start := time.Now()
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		return err
@@ -59,7 +51,6 @@ func run(args []string) error {
 		return err
 	}
 	findings := lint.Run(pkgs, lint.Analyzers())
-	elapsed := time.Since(start)
 
 	for i := range findings {
 		if rel, err := filepath.Rel(root, findings[i].Pos.Filename); err == nil {
@@ -77,9 +68,6 @@ func run(args []string) error {
 	if bad := len(lint.Unsuppressed(findings)); bad > 0 {
 		fmt.Fprintf(os.Stderr, "pqlint: %d finding(s)\n", bad)
 		os.Exit(1)
-	}
-	if *bench {
-		fmt.Println(lint.BenchLine(elapsed, len(pkgs), len(findings)))
 	}
 	return nil
 }

@@ -1,11 +1,8 @@
-//pqlint:allow nowallclock(adapt records per-drift wall clock for its bench lines only; the data tables and every simulation outcome depend solely on the seed)
-
 package experiment
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"probquorum/internal/check"
 	"probquorum/internal/churn"
@@ -38,7 +35,7 @@ import (
 // resize-bounds watch). The stack is ideal links + oracle routing so the
 // figure measures the quorum layer, not route discovery. All randomness
 // comes from engine streams: the data tables are bit-identical at any
-// -parallel setting; wall clock appears only in bench lines.
+// -parallel setting.
 
 const (
 	// adaptDurationSecs is the measured span per run at full horizon.
@@ -125,8 +122,6 @@ type AdaptVariantResult struct {
 	// Report is the invariant suite's verdict, summed over seeds: its
 	// Violations and leaked ops must be 0.
 	Report check.Report
-	// WallSecs is real elapsed time (bench lines only; not in tables).
-	WallSecs float64
 }
 
 // means lists the cell's per-seed averages.
@@ -154,17 +149,6 @@ func (r AdaptVariantResult) MsgsPerLookup() float64 {
 type AdaptDriftResult struct {
 	Drift            string
 	Static, Adaptive AdaptVariantResult
-}
-
-// BenchLine renders the drift cell in go-bench format for cmd/benchjson:
-// ns/op is the cell's wall clock; the custom metrics carry the settled
-// intersection ratios, per-lookup message costs, and resize count.
-func (r AdaptDriftResult) BenchLine() string {
-	return benchLine("Adapt/drift="+r.Drift, r.Static.WallSecs+r.Adaptive.WallSecs,
-		fmt.Sprintf("%.3f static-intersect %.3f adaptive-intersect %.1f static-msgs-per-lookup %.1f adaptive-msgs-per-lookup %.0f resizes",
-			r.Static.SettledIntersect(), r.Adaptive.SettledIntersect(),
-			r.Static.MsgsPerLookup(), r.Adaptive.MsgsPerLookup(),
-			r.Adaptive.Resizes))
 }
 
 // Table renders the drift's bucket-by-bucket trajectory.
@@ -201,15 +185,13 @@ func (r AdaptDriftResult) Table() Table {
 }
 
 // Adapt is the adapt tier: one trajectory table per drift shape
-// (bit-identical at any Parallel), then each variant's first violation if any
-// and a bench line per drift.
+// (bit-identical at any Parallel), then each variant's first violation if any.
 func Adapt(tc TierConfig) ([]Table, []string, error) {
 	var tables []Table
-	var notes, bench []string
+	var notes []string
 	var reports []check.Report
 	for _, r := range RunAdapt(tc) {
 		tables = append(tables, r.Table())
-		bench = append(bench, r.BenchLine())
 		for _, v := range []AdaptVariantResult{r.Static, r.Adaptive} {
 			reports = append(reports, v.Report)
 			if len(v.Report.Details) > 0 {
@@ -217,7 +199,7 @@ func Adapt(tc TierConfig) ([]Table, []string, error) {
 			}
 		}
 	}
-	return tables, append(notes, bench...), verdict("adapt", reports...)
+	return tables, notes, verdict("adapt", reports...)
 }
 
 // RunAdapt executes the full figure: every (drift, variant, seed) cell on
@@ -247,9 +229,7 @@ func RunAdapt(tc TierConfig) []AdaptDriftResult {
 	runs := make([]AdaptVariantResult, len(cells))
 	// Background context never cancels, so the error is impossible.
 	_ = forEachJob(context.Background(), len(cells), tc.Parallel, func(i int) {
-		start := time.Now()
 		runs[i] = runAdaptCell(tc, cells[i].drift, cells[i].adaptive, cells[i].seed)
-		runs[i].WallSecs = time.Since(start).Seconds()
 	})
 
 	out := make([]AdaptDriftResult, len(drifts))
@@ -264,8 +244,8 @@ func RunAdapt(tc TierConfig) []AdaptDriftResult {
 	return out
 }
 
-// mergeAdapt folds one cell's per-seed runs together: tallies, message counts,
-// reports and wall clock sum; the fields of the two means() lists average.
+// mergeAdapt folds one cell's per-seed runs together: tallies, message counts
+// and reports sum; the fields of the two means() lists average.
 func mergeAdapt(runs []AdaptVariantResult) AdaptVariantResult {
 	agg := AdaptVariantResult{Drift: runs[0].Drift, Variant: runs[0].Variant}
 	for _, one := range runs {
@@ -283,7 +263,6 @@ func mergeAdapt(runs []AdaptVariantResult) AdaptVariantResult {
 		agg.Msgs += one.Msgs
 		addMeans(agg.means(), one.means())
 		agg.Report.Add(one.Report)
-		agg.WallSecs += one.WallSecs
 	}
 	for bi := range agg.Buckets {
 		divMeans(agg.Buckets[bi].means(), len(runs))

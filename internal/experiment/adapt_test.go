@@ -6,9 +6,9 @@ import (
 )
 
 // TestAdaptFigureParallelDeterminism locks in the adapt figure's
-// determinism contract: every per-drift result (wall clock aside) is
-// bit-identical whether the cells run on one worker or eight — the
-// `pqexp adapt` data lines never depend on -parallel.
+// determinism contract: every per-drift result is bit-identical whether the
+// cells run on one worker or eight — the `pqexp adapt` data lines never
+// depend on -parallel.
 func TestAdaptFigureParallelDeterminism(t *testing.T) {
 	ac := TierConfig{Seeds: 1, Seed: 3, Horizon: 0.05}
 
@@ -19,10 +19,6 @@ func TestAdaptFigureParallelDeterminism(t *testing.T) {
 
 	a := RunAdapt(serial)
 	b := RunAdapt(wide)
-	for i := range a {
-		a[i].Static.WallSecs, b[i].Static.WallSecs = 0, 0
-		a[i].Adaptive.WallSecs, b[i].Adaptive.WallSecs = 0, 0
-	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("adapt results differ between parallel=1 and parallel=8:\n%+v\nvs\n%+v", a, b)
 	}

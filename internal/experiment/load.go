@@ -1,12 +1,8 @@
-//pqlint:allow nowallclock(load records per-mix wall clock for its bench lines only; the data table and every simulation outcome depend solely on the seed)
-
 package experiment
 
 import (
 	"context"
 	"fmt"
-	"strings"
-	"time"
 
 	"probquorum/internal/check"
 	"probquorum/internal/netstack"
@@ -77,8 +73,7 @@ func loadMixes() []loadMix {
 	}
 }
 
-// LoadMixResult is one mix's outcomes. Every field except WallSecs is a
-// pure function of (TierConfig, mix).
+// LoadMixResult is one mix's outcomes, a pure function of (TierConfig, mix).
 type LoadMixResult struct {
 	Mix     string
 	Arrival workload.Arrival
@@ -101,51 +96,16 @@ type LoadMixResult struct {
 	OwnerHits, CacheHits int
 	// Report is the armed invariant suite's verdict (incl. op drain).
 	Report check.Report
-	// WallSecs is the mix's real elapsed time (bench lines only; not in
-	// the data table).
-	WallSecs float64
 }
 
-// benchToken makes a mix name usable inside a go-bench benchmark name:
-// lower-case, '×' → 'x', runs of anything non-alphanumeric collapse to '-'.
-func benchToken(name string) string {
-	var b strings.Builder
-	dash := false
-	for _, r := range strings.ToLower(strings.ReplaceAll(name, "×", "x")) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			if dash && b.Len() > 0 {
-				b.WriteByte('-')
-			}
-			dash = false
-			b.WriteRune(r)
-		default:
-			dash = true
-		}
-	}
-	return b.String()
-}
-
-// BenchLine renders the mix in go-bench format for cmd/benchjson: one
-// iteration whose ns/op is the mix's wall clock, plus the throughput,
-// latency, saturation, and skew metrics as custom units.
-func (r LoadMixResult) BenchLine() string {
-	return benchLine(fmt.Sprintf("Load/mix=%s/arrival=%v", benchToken(r.Mix), r.Arrival), r.WallSecs,
-		fmt.Sprintf("%.1f ops/sec %.2f p50-ms %.2f p99-ms %d shed %.3f serve-skew",
-			r.OpsPerSec, r.P50*1e3, r.P99*1e3, r.WL.Shed, r.ServeSkew))
-}
-
-// Load is the load tier: the data table (bit-identical at any Parallel) and
-// one bench line per strategy mix.
+// Load is the load tier: the data table, bit-identical at any Parallel.
 func Load(tc TierConfig) ([]Table, []string, error) {
 	results := RunLoad(tc)
-	var bench []string
 	var reports []check.Report
 	for _, r := range results {
-		bench = append(bench, r.BenchLine())
 		reports = append(reports, r.Report)
 	}
-	return []Table{LoadTable(tc, results)}, bench, verdict("load", reports...)
+	return []Table{LoadTable(tc, results)}, nil, verdict("load", reports...)
 }
 
 // RunLoad executes every mix of the load figure on a pool of tc.Parallel
@@ -157,9 +117,7 @@ func RunLoad(tc TierConfig) []LoadMixResult {
 	out := make([]LoadMixResult, len(mixes))
 	// Background context never cancels, so the error is impossible.
 	_ = forEachJob(context.Background(), len(mixes), tc.Parallel, func(i int) {
-		start := time.Now()
 		out[i] = runLoadMix(tc, mixes[i])
-		out[i].WallSecs = time.Since(start).Seconds()
 	})
 	return out
 }

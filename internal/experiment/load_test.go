@@ -6,9 +6,9 @@ import (
 )
 
 // TestLoadFigureParallelDeterminism locks in the load figure's determinism
-// contract: the data table and every per-mix result (wall clock aside) are
-// bit-identical whether the mixes run on one worker or eight — the
-// `pqexp load` data lines never depend on -parallel.
+// contract: the data table and every per-mix result are bit-identical
+// whether the mixes run on one worker or eight — the `pqexp load` data
+// lines never depend on -parallel.
 func TestLoadFigureParallelDeterminism(t *testing.T) {
 	lc := TierConfig{Seed: 5, Horizon: 0.08}
 
@@ -19,9 +19,6 @@ func TestLoadFigureParallelDeterminism(t *testing.T) {
 
 	a := RunLoad(serial)
 	b := RunLoad(wide)
-	for i := range a {
-		a[i].WallSecs, b[i].WallSecs = 0, 0
-	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("load results differ between parallel=1 and parallel=8:\n%+v\nvs\n%+v", a, b)
 	}

@@ -71,16 +71,22 @@ func (r MegaResult) IntersectRatio() float64 {
 	return ratio(r.Report.Intersections, r.Report.Lookups)
 }
 
-// BenchLine renders the run in go-bench format so cmd/benchjson can fold it
-// into BENCH.json: one iteration whose ns/op, B/op, and allocs/op cover the
-// whole scenario, plus peak-heap and event-count custom metrics.
+// BenchLine renders the run in go-bench format for cmd/benchjson (`make
+// bench` records the mega pair): one iteration whose ns/op, B/op, and
+// allocs/op cover the whole scenario, plus peak-heap and event-count custom
+// metrics. Like go test it appends "-<GOMAXPROCS>" to the name (nothing at
+// 1), so the BENCH.json entry records the host width it was measured at.
 func (r MegaResult) BenchLine() string {
 	name := "Mega"
 	if r.Giga {
 		name = "Giga"
 	}
-	return benchLine(fmt.Sprintf("%sScenario/n=%d/shards=%d", name, r.N, r.Shards), r.WallSecs,
-		fmt.Sprintf("%d B/op %d allocs/op %d peak-heap-B %d events", r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events))
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n != 1 {
+		procs = fmt.Sprintf("-%d", n)
+	}
+	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
+		name, r.N, r.Shards, procs, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
 
 // Table renders the run for pqexp output.

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 
 	"probquorum/internal/check"
 	"probquorum/internal/netstack"
@@ -11,8 +10,9 @@ import (
 
 // The tiers — load, adapt, mega, giga — are the runs outside `pqexp all`.
 // They share one contract: a tier takes a TierConfig and returns its tables,
-// the go-bench lines cmd/benchjson folds into BENCH.json, and an error when
-// the invariant suite it ran under recorded anything.
+// the lines to print after them (mega's and giga's go-bench line, adapt's
+// first violations), and an error when the invariant suite it ran under
+// recorded anything.
 
 // TierConfig is what the command line hands a tier. Zero values take the
 // tier's defaults.
@@ -60,18 +60,6 @@ func verdict(tier string, reports ...check.Report) error {
 		return fmt.Errorf("%s: %d invariant violations, %d leaked ops (see table)", tier, violations, leaked)
 	}
 	return nil
-}
-
-// benchLine renders one go-bench result line for cmd/benchjson: a single
-// iteration whose ns/op is the wall clock, then the caller's "value unit"
-// pairs. Like go test it appends "-<GOMAXPROCS>" to the name (nothing at 1), so
-// a BENCH.json entry records the host width it was measured at.
-func benchLine(name string, wallSecs float64, metrics string) string {
-	procs := ""
-	if n := runtime.GOMAXPROCS(0); n != 1 {
-		procs = fmt.Sprintf("-%d", n)
-	}
-	return fmt.Sprintf("Benchmark%s%s 1 %d ns/op %s", name, procs, int64(wallSecs*1e9), metrics)
 }
 
 // idealOracleScenario is the stack the load and adapt tiers run on: ideal
