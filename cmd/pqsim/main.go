@@ -103,7 +103,7 @@ func run(args []string) error {
 		FailFraction: *churn, JoinFraction: *churn,
 	}
 	if *speed > 0 {
-		sc.SpeedMin, sc.SpeedMax = 0.5, *speed
+		sc.SpeedMax = *speed
 	}
 
 	qc := quorum.DefaultConfig(*n)

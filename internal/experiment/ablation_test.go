@@ -14,7 +14,7 @@ import (
 // seeds 1–8 (400 lookups a variant).
 func ablation(mutate func(*quorum.Config)) Result {
 	sc := testScenario(netstack.StackIdeal, 100, 1, 10, 50, 5)
-	sc.SpeedMin, sc.SpeedMax, sc.Link.LossProb = 0.5, 5, 0.55
+	sc.SpeedMax, sc.Link.LossProb = 5, 0.55
 	sc.Quorum = quorum.DefaultConfig(sc.N)
 	sc.Quorum.LookupTimeout = 10
 	mutate(&sc.Quorum)

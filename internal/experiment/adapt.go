@@ -298,9 +298,7 @@ func runAdaptCell(tc TierConfig, dr adaptDrift, adaptive bool, seed int64) Adapt
 		ReadvertiseSecs: readvertise,
 	}
 	if adaptive {
-		sc.Members.Estimation = membership.EstimationConfig{
-			Enable: true, ProbeSecs: 10, ProbeWalks: 24,
-		}
+		sc.Members.Estimation = membership.EstimationConfig{Enable: true, ProbeWalks: 24}
 	}
 	st := sc.build()
 	engine, net, members, sys, suite := st.Engine, st.Net, st.Members, st.Sys, st.Suite
@@ -309,10 +307,7 @@ func runAdaptCell(tc TierConfig, dr adaptDrift, adaptive bool, seed int64) Adapt
 
 	var ctl *quorum.Controller
 	if adaptive {
-		ctl = quorum.NewController(sys, members, quorum.AdaptConfig{
-			PeriodSecs: 20, Epsilon: epsilon,
-			MinReadvertiseSecs: 10, MaxReadvertiseSecs: 120,
-		})
+		ctl = quorum.NewController(sys, members, quorum.AdaptConfig{MaxReadvertiseSecs: 120})
 		defer ctl.Stop()
 		proc.OnFail(func(int) { ctl.NoteFail() })
 		suite.WatchController(ctl)

@@ -184,7 +184,7 @@ func TestSINRStackScenario(t *testing.T) {
 
 func TestMobileScenario(t *testing.T) {
 	sc := quickScenario(9)
-	sc.SpeedMin, sc.SpeedMax = 0.5, 2
+	sc.SpeedMax = 2
 	r := Run(sc)
 	if r.HitRatio < 0.5 {
 		t.Fatalf("mobile hit ratio %v", r.HitRatio)

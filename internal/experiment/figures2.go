@@ -125,7 +125,7 @@ func Fig9(p Profile, seed int64) []Table {
 			}
 			sc := baseScenario(p, n, seed+11)
 			if mobile {
-				sc.SpeedMin, sc.SpeedMax = 0.5, 2
+				sc.SpeedMax = 2
 			}
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.RandomOpt)
 			sc.Quorum.RandomOptTargets = x
@@ -153,7 +153,7 @@ func Fig10(p Profile, seed int64) []Table {
 				ql = 2
 			}
 			sc := baseScenario(p, n, seed+13)
-			sc.SpeedMin, sc.SpeedMax = 0.5, 2
+			sc.SpeedMax = 2
 			sc.Quorum = mixConfig(n, quorum.Random, quorum.UniquePath)
 			sc.Quorum.LookupSize = ql
 			sw.add(sc, p.Seeds, func(r Result) {
@@ -179,7 +179,7 @@ func Fig11(p Profile, seed int64) []Table {
 			for _, ttl := range []int{1, 2, 3, 4} {
 				sc := baseScenario(p, n, seed+17)
 				if mobile {
-					sc.SpeedMin, sc.SpeedMax = 0.5, 2
+					sc.SpeedMax = 2
 				}
 				sc.Quorum = mixConfig(n, quorum.Random, quorum.Flooding)
 				sc.Quorum.LookupTTL = ttl
@@ -235,7 +235,7 @@ var figSpeeds = []float64{2, 5, 10, 20}
 // under waypoint mobility up to speed, reply-path local repair as given.
 func fastMobility(p Profile, seed int64, speed float64, repair bool) Scenario {
 	sc := baseScenario(p, p.BigN, seed)
-	sc.SpeedMin, sc.SpeedMax = 0.5, speed
+	sc.SpeedMax = speed
 	sc.Link.IdealHopDelay = mobilityHopDelay
 	sc.Quorum = mixConfig(p.BigN, quorum.Random, quorum.UniquePath)
 	sc.Quorum.ReplyLocalRepair = repair
@@ -381,7 +381,7 @@ func Fig16(p Profile, seed int64) []Table {
 			label := "static"
 			if mobile {
 				label = "mobile"
-				sc.SpeedMin, sc.SpeedMax = 0.5, 2
+				sc.SpeedMax = 2
 			}
 			sc.Quorum = mixConfig(n, m.adv, m.lk)
 			if m.sizeTune != nil {

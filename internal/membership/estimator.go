@@ -12,7 +12,7 @@ import (
 // collisions. A static system can stop there; an adaptive one cannot — n
 // drifts, so the estimate must be continuous, recent-biased, and honest
 // about its uncertainty. The Estimator below turns every uniform sample the
-// node sees (piggybacked from live quorum accesses, plus optional probe
+// node sees (piggybacked from live quorum accesses, plus periodic probe
 // walks) into a windowed, exponentially decay-weighted pairs/collisions
 // account, from which it derives n̂ with a confidence band.
 //
@@ -31,17 +31,17 @@ type EstimationConfig struct {
 	// few comparisons per quorum access, and disabled runs must stay
 	// bit-identical to builds without the estimator.
 	Enable bool
-	// ProbeSecs, when positive, launches periodic probe walks: every
-	// period one live node (round-robin) draws ProbeWalks maximum-degree
-	// walk endpoints on a connectivity-graph snapshot and feeds them to
-	// its estimator. Like the view refresh, the walks are charged no
-	// messages (the paper's amortization argument, DESIGN.md §4).
-	ProbeSecs float64
 	// ProbeWalks is the number of walk endpoints per probe (default 12).
 	ProbeWalks int
 }
 
 const (
+	// probeSecs is the period of the estimator's probe walks: every period
+	// one live node (round-robin) draws ProbeWalks maximum-degree walk
+	// endpoints on a connectivity-graph snapshot and feeds them to its
+	// estimator. Like the view refresh, the walks are charged no messages
+	// (the paper's amortization argument, DESIGN.md §4).
+	probeSecs = 10.0
 	// halfLifeSecs is the exponential-decay half-life of the observation
 	// window: an observation contributes half its weight after one
 	// half-life, a quarter after two, and so on.

@@ -122,11 +122,8 @@ func New(net *netstack.Network, cfg Config) *Service {
 		s.cfg.Estimation.fillDefaults()
 		s.est = make([]*Estimator, net.N())
 		s.gens = make([]int64, net.N())
-		if s.cfg.Estimation.ProbeSecs > 0 {
-			s.probeRng = net.Engine().NewStream()
-			sim.NewTicker(net.Engine(), s.cfg.Estimation.ProbeSecs,
-				s.cfg.Estimation.ProbeSecs, s.probe)
-		}
+		s.probeRng = net.Engine().NewStream()
+		sim.NewTicker(net.Engine(), probeSecs, probeSecs, s.probe)
 	}
 	s.RefreshAll()
 	sim.NewTicker(net.Engine(), cfg.RefreshSecs, cfg.RefreshSecs, s.RefreshAll)

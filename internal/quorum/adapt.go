@@ -33,81 +33,16 @@ type EstimateSource interface {
 	AggregateEstimate() membership.Estimate
 }
 
-// AdaptConfig parameterizes the controller. Zero values take defaults.
+// AdaptConfig parameterizes the controller. What no caller varies is a
+// constant beside its use.
 type AdaptConfig struct {
-	// PeriodSecs is the control cadence (default 20).
-	PeriodSecs float64
-	// Epsilon is the target non-intersection probability the sizes must
-	// keep satisfying via Corollary 5.3 (default 0.1).
-	Epsilon float64
-	// CostAdvertise and CostLookup are the Lemma 5.6 per-member access
-	// costs (defaults 1, 1 — symmetric strategies).
-	CostAdvertise, CostLookup float64
-	// HysteresisFrac is the re-advertise dead band: a window retune is
-	// skipped when the desired period is within this relative distance of
-	// the applied one (default 0.2). Resizes are instead gated by the
-	// estimator's confidence band, so jitter cannot oscillate either.
-	HysteresisFrac float64
-	// MaxStepFrac slew-clamps each applied resize to at most this
-	// relative change per period (default 0.5), so a step change in n̂
-	// converges over ⌈log(size ratio)/log(1+MaxStepFrac)⌉ periods instead
-	// of slamming the system.
-	MaxStepFrac float64
-	// MinSize floors both quorum sizes (default 2).
-	MinSize int
-	// RateAlpha is the EWMA weight of each period's observed rates (τ̂,
-	// λ̂) against history (default 0.4).
-	RateAlpha float64
-	// TargetIntersect is the intersection probability the re-advertise
-	// window must preserve under the observed churn (default 1−1.5·Epsilon).
-	// It must sit strictly below the sizing target 1−Epsilon: the §6.1
-	// inversion solves 1−ε^(1−f) = TargetIntersect for the tolerable
-	// churned fraction f*, and at exactly 1−ε the budget is f* = 0 — any
-	// churn would pin the window at MinReadvertiseSecs.
-	TargetIntersect float64
-	// MinReadvertiseSecs and MaxReadvertiseSecs clamp the derived window
-	// (defaults 10 and 600).
-	MinReadvertiseSecs, MaxReadvertiseSecs float64
+	// MaxReadvertiseSecs caps the derived re-advertise window (default 600).
+	MaxReadvertiseSecs float64
 }
 
-func (ac *AdaptConfig) fillDefaults() {
-	if ac.PeriodSecs <= 0 {
-		ac.PeriodSecs = 20
-	}
-	if ac.Epsilon <= 0 || ac.Epsilon >= 1 {
-		ac.Epsilon = 0.1
-	}
-	if ac.CostAdvertise <= 0 {
-		ac.CostAdvertise = 1
-	}
-	if ac.CostLookup <= 0 {
-		ac.CostLookup = 1
-	}
-	if ac.HysteresisFrac <= 0 {
-		ac.HysteresisFrac = 0.2
-	}
-	if ac.MaxStepFrac <= 0 {
-		ac.MaxStepFrac = 0.5
-	}
-	if ac.MinSize < 1 {
-		ac.MinSize = 2
-	}
-	if ac.RateAlpha <= 0 || ac.RateAlpha > 1 {
-		ac.RateAlpha = 0.4
-	}
-	if ac.TargetIntersect <= 0 || ac.TargetIntersect >= 1 {
-		ac.TargetIntersect = 1 - 1.5*ac.Epsilon
-		if ac.TargetIntersect < 0.5 {
-			ac.TargetIntersect = 0.5
-		}
-	}
-	if ac.MinReadvertiseSecs <= 0 {
-		ac.MinReadvertiseSecs = 10
-	}
-	if ac.MaxReadvertiseSecs <= 0 {
-		ac.MaxReadvertiseSecs = 600
-	}
-}
+// adaptEpsilon is the target non-intersection probability the sizes must
+// keep satisfying via Corollary 5.3.
+const adaptEpsilon = 0.1
 
 // AdaptStatus is a snapshot of the controller's state for reporting.
 type AdaptStatus struct {
@@ -152,18 +87,23 @@ type Controller struct {
 	onResize func(advertiseSize, lookupSize int)
 }
 
+// adaptPeriodSecs is the control cadence.
+const adaptPeriodSecs = 20
+
 // NewController attaches a controller to sys, reading estimates from src,
 // and starts its control ticker (first decision after one full period, so
 // the estimator has evidence).
 func NewController(sys *System, src EstimateSource, cfg AdaptConfig) *Controller {
-	cfg.fillDefaults()
+	if cfg.MaxReadvertiseSecs <= 0 {
+		cfg.MaxReadvertiseSecs = 600
+	}
 	c := &Controller{
 		sys: sys, src: src, cfg: cfg,
 		lastTime: sys.engine.Now(),
 	}
 	c.nApplied = c.impliedN(sys.cfg.AdvertiseSize, sys.cfg.LookupSize)
 	c.lastAds, c.lastLookups = sys.IssuedOps()
-	c.ticker = sim.NewTicker(sys.engine, cfg.PeriodSecs, cfg.PeriodSecs, c.step)
+	c.ticker = sim.NewTicker(sys.engine, adaptPeriodSecs, adaptPeriodSecs, c.step)
 	return c
 }
 
@@ -193,7 +133,7 @@ func (c *Controller) Status() AdaptStatus {
 // impliedN is the network size a size pair covers at Epsilon per
 // Corollary 5.3: n = |Qa|·|Qℓ| / ln(1/ε).
 func (c *Controller) impliedN(qa, ql int) float64 {
-	return float64(qa) * float64(ql) / math.Log(1/c.cfg.Epsilon)
+	return float64(qa) * float64(ql) / math.Log(1/adaptEpsilon)
 }
 
 // step runs one control period: refresh the rate observations, read the
@@ -229,6 +169,10 @@ func (c *Controller) step() {
 	c.retuneReadvertise(est.N)
 }
 
+// rateAlpha is the EWMA weight of each period's observed rates (τ̂, λ̂)
+// against history.
+const rateAlpha = 0.4
+
 // observeRates folds one period's op-issue deltas and failure count into
 // the EWMA rate estimates τ̂ and λ̂.
 func (c *Controller) observeRates(dt float64) {
@@ -240,7 +184,7 @@ func (c *Controller) observeRates(dt float64) {
 		if !c.tauInit {
 			c.tau, c.tauInit = inst, true
 		} else {
-			c.tau += c.cfg.RateAlpha * (inst - c.tau)
+			c.tau += rateAlpha * (inst - c.tau)
 		}
 	}
 	if dt > 0 {
@@ -248,11 +192,17 @@ func (c *Controller) observeRates(dt float64) {
 		if !c.lamInit {
 			c.lam, c.lamInit = inst, true
 		} else {
-			c.lam += c.cfg.RateAlpha * (inst - c.lam)
+			c.lam += rateAlpha * (inst - c.lam)
 		}
 	}
 	c.failCount = 0
 }
+
+// maxStepFrac slew-clamps each applied resize to at most this relative
+// change per period, so a step change in n̂ converges over
+// ⌈log(size ratio)/log(1+maxStepFrac)⌉ periods instead of slamming the
+// system.
+const maxStepFrac = 0.5
 
 // resize derives the Lemma 5.6 sizes for n̂, slew-clamps them against the
 // applied sizes, and applies the change if it clears the dead band.
@@ -261,10 +211,10 @@ func (c *Controller) resize(nHat float64) {
 	if !c.tauInit || tau <= 0 {
 		tau = 1 // no demand observed yet: assume symmetric
 	}
-	qa, ql := OptimalSizes(int(math.Round(nHat)), c.cfg.Epsilon, tau,
-		c.cfg.CostAdvertise, c.cfg.CostLookup)
-	qa = clampStep(c.sys.cfg.AdvertiseSize, qa, c.cfg.MaxStepFrac)
-	ql = clampStep(c.sys.cfg.LookupSize, ql, c.cfg.MaxStepFrac)
+	// Symmetric strategies: both per-member access costs are 1.
+	qa, ql := OptimalSizes(int(math.Round(nHat)), adaptEpsilon, tau, 1, 1)
+	qa = clampStep(c.sys.cfg.AdvertiseSize, qa, maxStepFrac)
+	ql = clampStep(c.sys.cfg.LookupSize, ql, maxStepFrac)
 	qa = c.clampSize(qa, nHat)
 	ql = c.clampSize(ql, nHat)
 	// Integer rounding is the resize dead band: the confidence-band gate
@@ -283,6 +233,20 @@ func (c *Controller) resize(nHat float64) {
 	}
 }
 
+// The re-advertise window: the intersection probability it must preserve
+// under the observed churn, its floor, and the dead band around the applied
+// period inside which a retune is skipped. targetIntersect must sit strictly
+// below the sizing target 1−ε: the §6.1 inversion solves
+// 1−ε^(1−f) = targetIntersect for the tolerable churned fraction f*, and at
+// exactly 1−ε the budget is f* = 0 — any churn would pin the window at
+// minReadvertiseSecs. Resizes are instead gated by the estimator's
+// confidence band, so jitter cannot oscillate either.
+const (
+	targetIntersect    = 1 - 1.5*adaptEpsilon
+	minReadvertiseSecs = 10
+	hysteresisFrac     = 0.2
+)
+
 // retuneReadvertise re-derives the re-advertise window from the observed
 // churn rate. Re-advertising that was disabled at construction stays
 // disabled — the controller tunes the refresh loop, it doesn't create one.
@@ -290,14 +254,9 @@ func (c *Controller) retuneReadvertise(nHat float64) {
 	if c.sys.cfg.ReadvertiseSecs <= 0 || !c.lamInit || c.lam <= 0 {
 		return
 	}
-	t := analysis.ReadvertiseInterval(c.cfg.Epsilon, c.cfg.TargetIntersect, nHat, c.lam)
-	if t < c.cfg.MinReadvertiseSecs {
-		t = c.cfg.MinReadvertiseSecs
-	}
-	if t > c.cfg.MaxReadvertiseSecs {
-		t = c.cfg.MaxReadvertiseSecs
-	}
-	if withinFrac(t, c.sys.cfg.ReadvertiseSecs, c.cfg.HysteresisFrac) {
+	t := analysis.ReadvertiseInterval(adaptEpsilon, targetIntersect, nHat, c.lam)
+	t = min(max(t, minReadvertiseSecs), c.cfg.MaxReadvertiseSecs)
+	if withinFrac(t, c.sys.cfg.ReadvertiseSecs, hysteresisFrac) {
 		return
 	}
 	c.sys.SetReadvertiseSecs(t)
@@ -305,13 +264,16 @@ func (c *Controller) retuneReadvertise(nHat float64) {
 	c.retunes++
 }
 
-// clampSize bounds a size to [MinSize, round(nHat)] — a quorum larger than
+// minSize floors both quorum sizes.
+const minSize = 2
+
+// clampSize bounds a size to [minSize, round(nHat)] — a quorum larger than
 // the (estimated) network is waste, smaller than the floor is noise.
 func (c *Controller) clampSize(k int, nHat float64) int {
-	if k < c.cfg.MinSize {
-		k = c.cfg.MinSize
+	if k < minSize {
+		k = minSize
 	}
-	if max := int(math.Round(nHat)); k > max && max >= c.cfg.MinSize {
+	if max := int(math.Round(nHat)); k > max && max >= minSize {
 		k = max
 	}
 	return k

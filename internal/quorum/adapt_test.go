@@ -29,14 +29,14 @@ func bandEstimate(n float64) membership.Estimate {
 }
 
 // adaptWorld builds a controller-equipped world sized for n0 at ε=0.1.
-func adaptWorld(seed int64, src *stubSource, cfg AdaptConfig) (*world, *Controller) {
+func adaptWorld(seed int64, src *stubSource) (*world, *Controller) {
 	qa, ql := OptimalSizes(200, 0.1, 1, 1, 1)
 	w := newWorld(seed, 40, Config{
 		AdvertiseStrategy: Random, LookupStrategy: Random,
 		AdvertiseSize: qa, LookupSize: ql,
 		LookupTimeout: 10,
 	})
-	ctl := NewController(w.sys, src, cfg)
+	ctl := NewController(w.sys, src, AdaptConfig{})
 	return w, ctl
 }
 
@@ -53,10 +53,10 @@ func TestControllerHysteresisNoOscillation(t *testing.T) {
 			seq[i] = bandEstimate(200 * (0.9 + 0.2*rng.Float64()))
 		}
 		src := &stubSource{seq: seq}
-		w, ctl := adaptWorld(seed, src, AdaptConfig{PeriodSecs: 20, Epsilon: 0.1})
+		w, ctl := adaptWorld(seed, src)
 
 		qa0, ql0 := w.sys.Config().AdvertiseSize, w.sys.Config().LookupSize
-		w.e.Run(40 * 20)
+		w.e.Run(40 * adaptPeriodSecs)
 		st := ctl.Status()
 		if st.Resizes != 0 {
 			t.Fatalf("seed %d: %d resizes under in-band jitter, want 0", seed, st.Resizes)
@@ -73,22 +73,19 @@ func TestControllerHysteresisNoOscillation(t *testing.T) {
 
 // TestControllerStepConvergence is the other half of the property: a step
 // change in n̂ (3×) converges within the slew-limited bound
-// k = ⌈log(size ratio)/log(1+MaxStepFrac)⌉ control periods, and the
+// k = ⌈log(size ratio)/log(1+maxStepFrac)⌉ control periods, and the
 // trajectory is deterministic per seed.
 func TestControllerStepConvergence(t *testing.T) {
-	const stepFrac = 0.5
 	run := func(seed int64) ([]AdaptStatus, membership.Estimate) {
 		target := bandEstimate(600)
 		src := &stubSource{seq: []membership.Estimate{target}}
-		w, ctl := adaptWorld(seed, src, AdaptConfig{
-			PeriodSecs: 20, Epsilon: 0.1, MaxStepFrac: stepFrac,
-		})
+		w, ctl := adaptWorld(seed, src)
 		// Per-dimension sizes scale with √n, so a 3× step in n is a √3×
 		// step per size.
-		k := int(math.Ceil(math.Log(math.Sqrt(3))/math.Log(1+stepFrac))) + 2
+		k := int(math.Ceil(math.Log(math.Sqrt(3))/math.Log(1+maxStepFrac))) + 2
 		var trace []AdaptStatus
 		for i := 0; i < k+5; i++ {
-			w.e.Run(float64(i+1) * 20)
+			w.e.Run(float64(i+1) * adaptPeriodSecs)
 			trace = append(trace, ctl.Status())
 		}
 		st := trace[k-1]

@@ -65,9 +65,7 @@ func (s *System) sendAdvertiseTo(ad *pendingAdvertise, key, value string, member
 				return
 			}
 		}
-		if !ad.finished {
-			ad.res.FailedSends++
-		}
+		ad.res.FailedSends++
 		s.advertiseSettled(op)
 	})
 }

@@ -2,14 +2,21 @@ package quorum
 
 import "probquorum/internal/netstack"
 
-// floodMsg carries a FLOODING quorum access. The packet's TTL scopes the
-// flood; each node records the previous hop so replies can travel the
-// reverse path (Section 4.4).
+// floodMsg carries a FLOODING quorum access: round Round of operation Op.
+// The packet's TTL scopes the flood; each node records the previous hop so
+// replies can travel the reverse path (Section 4.4).
 type floodMsg struct {
 	Op         opID
+	Round      int
 	Advertise  bool
 	Key, Value string
 }
+
+// floodRound is one flood of an operation: every node it reached, mapped to
+// the previous hop it came from (the origin maps to itself). Deduplication
+// is per round, so a wider ring is processed by the nodes an earlier one
+// covered.
+type floodRound map[int]int
 
 // floodJitterSecs is the random rebroadcast delay preventing synchronized
 // collisions (paper: 10 ms, after RFC 5148).
@@ -28,27 +35,18 @@ func (s *System) advertiseFlood(origin int, op opID, key, value string) {
 	s.engine.Schedule(1.0+0.2*float64(ttl), func() { s.advertiseSettled(op) })
 }
 
-// lookupFlood searches by TTL-scoped flooding; holders reply along the
-// recorded reverse path.
-func (s *System) lookupFlood(origin int, op opID, key string) {
-	s.startFlood(origin, op, false, key, "", s.cfg.LookupTTL)
-}
-
-// startFlood covers the origin under op, which may be a child operation (an
-// expanding-ring round; storeAt resolves it to its root), and broadcasts the
-// flood after a jitter.
+// startFlood opens a new round of op covering the origin and broadcasts it
+// after a jitter.
 func (s *System) startFlood(origin int, op opID, advertise bool, key, value string, ttl int) {
-	prev := make(map[int]int)
-	prev[origin] = origin // origin is covered and terminates replies
-	s.floodPrev[op] = prev
-	s.floodCoverage[op] = 1
+	round := len(s.floods[op])
+	s.floods[op] = append(s.floods[op], floodRound{origin: origin})
 	if advertise {
 		s.storeAt(origin, key, value, true, op)
 	}
 	if ttl < 1 {
 		return
 	}
-	m := &floodMsg{Op: op, Advertise: advertise, Key: key, Value: value}
+	m := &floodMsg{Op: op, Round: round, Advertise: advertise, Key: key, Value: value}
 	pkt := s.newPacket(origin, netstack.Broadcast, m)
 	pkt.TTL = ttl
 	node := s.net.Node(origin)
@@ -57,18 +55,25 @@ func (s *System) startFlood(origin int, op opID, advertise bool, key, value stri
 	})
 }
 
-// handleFlood processes a flood packet at node n, arriving from `from`.
+// roundOf returns round r of op, or nil once op's grace is over.
+func (s *System) roundOf(op opID, r int) floodRound {
+	if rounds := s.floods[op]; r < len(rounds) {
+		return rounds[r]
+	}
+	return nil
+}
+
+// handleFlood processes a flood packet at node n, arriving from `from`. A
+// frame that outlives its operation's grace finds no round and is dropped.
 func (s *System) handleFlood(n *netstack.Node, pkt *netstack.Packet, m *floodMsg, from int) {
-	prev := s.floodPrev[m.Op]
+	prev := s.roundOf(m.Op, m.Round)
 	if prev == nil {
-		prev = make(map[int]int)
-		s.floodPrev[m.Op] = prev
+		return
 	}
 	if _, seen := prev[n.ID()]; seen {
 		return // duplicate copy
 	}
 	prev[n.ID()] = from
-	s.floodCoverage[m.Op]++
 
 	if m.Advertise {
 		s.storeAt(n.ID(), m.Key, m.Value, true, m.Op)
@@ -76,8 +81,8 @@ func (s *System) handleFlood(n *netstack.Node, pkt *netstack.Packet, m *floodMsg
 		// Even nodes at the flood's TTL boundary reply (Section 8.4).
 		s.markIntersected(m.Op)
 		s.recordServe(n.ID(), m.Key)
-		if lk := s.lookups[s.resolve(m.Op)]; lk != nil && !lk.finished {
-			r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Flood: true}
+		if s.lookups[m.Op] != nil {
+			r := &replyMsg{Op: m.Op, Round: m.Round, Key: m.Key, Value: value, Flood: true}
 			s.forwardFloodReply(n, r)
 		}
 	}

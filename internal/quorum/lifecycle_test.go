@@ -164,9 +164,9 @@ func TestOpMapsDrainUnderReceiverLoss(t *testing.T) {
 
 // TestOpStateGraceQueue pins the op-state grace queue. However many
 // operations settle, the engine holds one event for all their grace. Each
-// operation's flood state and child aliases outlive its settle by exactly
-// opStateGraceSecs, two operations settled in one event included. A finished
-// ring op still answers FloodCoverage inside its grace.
+// operation's flood rounds outlive its settle by exactly opStateGraceSecs,
+// two operations settled in one event included. A finished ring op still
+// answers FloodCoverage inside its grace.
 func TestOpStateGraceQueue(t *testing.T) {
 	for _, ops := range []int{1, 400} {
 		t.Run(fmt.Sprint(ops), func(t *testing.T) {
@@ -209,25 +209,18 @@ func TestOpStateGraceQueue(t *testing.T) {
 				t.Fatalf("FloodCoverage = %d for a finished ring lookup in its grace, want its rings", cov)
 			}
 
-			children := make([][]opID, ops)
+			rounds := make([][]floodRound, ops)
 			for i, ref := range refs {
-				children[i] = append([]opID(nil), s.opChildren[ref.id]...)
-				if len(children[i]) == 0 {
+				rounds[i] = s.floods[ref.id]
+				if len(rounds[i]) == 0 {
 					t.Fatalf("op %d ran no ring round", i)
 				}
 			}
-			// held and gone report whether op i's reverse index, child
-			// aliases and per-round flood state are all present or all
-			// released.
+			// held and gone report whether op i's flood rounds are all
+			// present, each still its own, or all released.
 			state := func(i int) (held, gone bool) {
-				op := refs[i].id
-				held, gone = len(s.opChildren[op]) == len(children[i]), s.opChildren[op] == nil
-				for _, c := range children[i] {
-					_, alias := s.opAlias[c]
-					prev := s.floodPrev[c] != nil
-					held, gone = held && alias && prev, gone && !alias && !prev
-				}
-				return held, gone
+				cur, ok := s.floods[refs[i].id]
+				return ok && len(cur) == len(rounds[i]), !ok
 			}
 			// At each settle time t: an instant before t+grace every op that
 			// settled at or after t is held, and at t+grace every op that
@@ -261,4 +254,83 @@ func TestOpStateGraceQueue(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpRounds pins the one-id op model: expanding-ring rings and retry
+// re-draws are flood rounds of the operation that launched them, not
+// operations of their own, and a flood frame that outlives its operation's
+// grace is dropped without leaving state behind.
+func TestOpRounds(t *testing.T) {
+	t.Run("ring", func(t *testing.T) {
+		w := newWorld(8, 60, Config{
+			AdvertiseStrategy: Flooding, LookupStrategy: ExpandingRing,
+			LookupTimeout: 10,
+		})
+		w.e.Run(5)
+		ref := w.sys.Lookup(3, "absent", nil)
+		w.e.Run(w.e.Now() + 9) // every ring is out, the timeout not yet due
+
+		s := w.sys
+		esc := s.Counters().RingEscalations
+		if esc != maxRingTTL-1 {
+			t.Fatalf("lookup escalated %d times, want %d", esc, maxRingTTL-1)
+		}
+		if got := len(s.floods[ref.id]); got != esc+1 {
+			t.Fatalf("lookup holds %d rounds after %d escalations, want %d", got, esc, esc+1)
+		}
+		if len(s.floods) != 1 || s.opSeq != 1 {
+			t.Fatalf("%d ops hold flood rounds and %d op ids were minted, want 1 and 1", len(s.floods), s.opSeq)
+		}
+	})
+
+	t.Run("retry", func(t *testing.T) {
+		w := newWorld(9, 60, Config{
+			AdvertiseStrategy: Flooding, LookupStrategy: Flooding,
+			LookupTimeout: 5, LookupRetries: 1, RetryBackoffSecs: 1,
+		})
+		w.e.Run(5)
+		ref := w.sys.Lookup(3, "absent", nil)
+		w.e.Run(w.e.Now() + 8) // past the timeout and the backoff: the retry has flooded
+
+		s := w.sys
+		rounds := s.floods[ref.id]
+		if len(rounds) != 2 || s.Counters().LookupRetries != 1 {
+			t.Fatalf("retried lookup holds %d rounds after %d retries, want 2 after 1", len(rounds), s.Counters().LookupRetries)
+		}
+		union := map[int]bool{}
+		for _, r := range rounds {
+			for n := range r {
+				union[n] = true
+			}
+		}
+		if got := s.FloodCoverage(ref); got != len(union) {
+			t.Fatalf("FloodCoverage = %d, want the union of the rounds, %d", got, len(union))
+		}
+	})
+
+	t.Run("late frame", func(t *testing.T) {
+		w := newWorld(10, 60, Config{AdvertiseStrategy: Flooding, LookupStrategy: Flooding})
+		w.e.Run(5)
+		s := w.sys
+		ref := s.Advertise(0, "k", "v", nil)
+		w.e.Run(w.e.Now() + 10 + opStateGraceSecs)
+		if _, ads := s.PendingOps(); ads != 0 || len(s.floods) != 0 {
+			t.Fatalf("%d ads pending and %d ops holding rounds after the grace, want none", ads, len(s.floods))
+		}
+
+		base := w.e.Pending()
+		m := &floodMsg{Op: ref.id, Advertise: true, Key: "late", Value: "v"}
+		pkt := s.newPacket(0, netstack.Broadcast, m)
+		pkt.TTL = 3
+		s.handleFlood(w.net.Node(1), pkt, m, 0)
+		if len(s.floods) != 0 {
+			t.Fatalf("a frame past its op's grace re-created flood state for %d ops", len(s.floods))
+		}
+		if _, ok := s.Store(1).Get("late"); ok {
+			t.Fatal("a frame past its op's grace was stored")
+		}
+		if got := w.e.Pending(); got != base {
+			t.Fatalf("a frame past its op's grace scheduled %d events", got-base)
+		}
+	})
 }

@@ -40,10 +40,15 @@ func (s *System) Advertise(origin int, key, value string, done func(AdvertiseRes
 	s.owned[ownedKey{origin: origin, key: key}] = value
 	ad := &pendingAdvertise{id: op, done: done, issued: s.engine.Now(), storedAt: make(map[int]bool)}
 	s.ads[op] = ad
-	// Deadline against quorum accesses that never reach a terminal event
-	// (e.g. a walk frame dropped at a receiver): force-settle with the
-	// placements achieved so far, so s.ads drains and done always fires.
-	ad.timer = sim.NewTimer(s.engine, func() { s.advertiseDeadline(op) })
+	// Deadline against quorum accesses that never reach a terminal event (a
+	// walk or sampling frame dropped at a receiver leaves no one to call
+	// advertiseSettled): force-settle with the placements achieved so far,
+	// so s.ads drains and done always fires — under open-loop load a leaked
+	// op would be unbounded memory.
+	ad.timer = sim.NewTimer(s.engine, func() {
+		s.counters.AdvertiseTimeouts++
+		s.endAdvertise(ad)
+	})
 	ad.timer.Reset(s.cfg.AdvertiseTimeoutSecs)
 	switch s.cfg.AdvertiseStrategy {
 	case Random, RandomOpt:
@@ -89,7 +94,7 @@ func (s *System) Lookup(origin int, key string, done func(LookupResult)) OpRef {
 		retriesLeft: s.cfg.LookupRetries,
 	}
 	s.lookups[op] = lk
-	lk.timer = sim.NewTimer(s.engine, func() { s.lookupTimeout(op) })
+	lk.timer = sim.NewTimer(s.engine, func() { s.lookupTimeout(lk) })
 	lk.timer.Reset(s.cfg.LookupTimeout)
 
 	// The originator includes itself in the lookup quorum (Section 8.3).
@@ -106,8 +111,7 @@ func (s *System) Lookup(origin int, key string, done func(LookupResult)) OpRef {
 
 // dispatchLookup launches one lookup quorum access for op using the
 // configured strategy. It is shared by Lookup, LookupCollect, and timeout
-// retries (which pass a child op so the access's state is fresh while
-// replies still resolve to the root lookup).
+// retries, whose fresh draw runs under the same op.
 func (s *System) dispatchLookup(origin int, op opID, key string, collect bool) {
 	switch s.cfg.LookupStrategy {
 	case Random:
@@ -120,9 +124,10 @@ func (s *System) dispatchLookup(origin int, op opID, key string, collect bool) {
 			Target: s.cfg.LookupSize, SelfAvoiding: s.cfg.LookupStrategy == UniquePath,
 		})
 	case Flooding:
-		s.lookupFlood(origin, op, key)
+		// Holders reply along the recorded reverse path.
+		s.startFlood(origin, op, false, key, "", s.cfg.LookupTTL)
 	case ExpandingRing:
-		s.lookupExpandingRing(origin, op, key)
+		s.ringRound(origin, op, key, 1)
 	case RandomSampling:
 		s.accessBySampling(origin, op, false, key, "", s.cfg.LookupSize)
 	default:
@@ -160,7 +165,7 @@ func (s *System) LookupCollect(origin int, key string, window float64, done func
 		collect: true, collectDone: done,
 	}
 	s.lookups[op] = lk
-	lk.timer = sim.NewTimer(s.engine, func() { s.finishCollect(op) })
+	lk.timer = sim.NewTimer(s.engine, func() { s.endLookup(lk, false, "") })
 	lk.timer.Reset(window)
 
 	// The originator's own store contributes a value.
@@ -171,20 +176,6 @@ func (s *System) LookupCollect(origin int, key string, window float64, done func
 
 	s.dispatchLookup(origin, op, key, true)
 	return OpRef{id: op, ok: true}
-}
-
-// finishCollect closes a collect-mode lookup at the end of its window.
-func (s *System) finishCollect(op opID) {
-	lk := s.lookups[op]
-	if lk == nil || lk.finished {
-		return
-	}
-	lk.finished = true
-	delete(s.lookups, op)
-	s.releaseOpState(op)
-	if lk.collectDone != nil {
-		lk.collectDone(CollectResult{Values: lk.collected, Intersected: lk.intersected})
-	}
 }
 
 // overhearTap implements the Section 7.2 promiscuous-mode optimization: a
@@ -199,8 +190,7 @@ func (s *System) overhearTap(n *netstack.Node, pkt *netstack.Packet, _ int) {
 	if !found {
 		return
 	}
-	lk := s.lookups[s.resolve(m.Op)]
-	if lk == nil || lk.finished {
+	if s.lookups[m.Op] == nil {
 		return
 	}
 	s.markIntersected(m.Op)
@@ -225,7 +215,7 @@ func (s *System) storeAt(id int, key, value string, owner bool, op opID) {
 	}
 	st.Put(key, value, owner)
 	if owner {
-		if ad := s.ads[s.resolve(op)]; ad != nil && !ad.finished && !ad.storedAt[id] {
+		if ad := s.ads[op]; ad != nil && !ad.storedAt[id] {
 			ad.storedAt[id] = true
 			ad.res.Placed++
 		}
@@ -245,7 +235,7 @@ func (s *System) cacheAt(id int, key, value string) {
 // key — the pure intersection event of Fig. 13(b), independent of whether
 // the reply survives.
 func (s *System) markIntersected(op opID) {
-	if lk := s.lookups[s.resolve(op)]; lk != nil && !lk.finished {
+	if lk := s.lookups[op]; lk != nil {
 		lk.intersected = true
 	}
 }
@@ -254,157 +244,123 @@ func (s *System) markIntersected(op opID) {
 // are ignored; in collect mode every reply is accumulated instead and the
 // window timer finishes the operation.
 func (s *System) completeLookup(op opID, value string) {
-	op = s.resolve(op)
 	lk := s.lookups[op]
-	if lk == nil || lk.finished {
+	if lk == nil {
 		return
+	}
+	if s.cfg.Caching {
+		s.cacheAt(op.Origin, lk.key, value)
 	}
 	if lk.collect {
 		lk.intersected = true
 		lk.collected = append(lk.collected, value)
-		if s.cfg.Caching {
-			s.cacheAt(op.Origin, lk.key, value)
-		}
 		return
 	}
-	lk.finished = true
-	lk.timer.Cancel()
-	delete(s.lookups, op)
-	s.releaseOpState(op)
-	if s.cfg.Caching {
-		s.cacheAt(op.Origin, lk.key, value)
-	}
-	if lk.done != nil {
-		lk.done(LookupResult{
-			Hit:         true,
-			Value:       value,
-			Intersected: true,
-			Latency:     s.engine.Now() - lk.issued,
-		})
-	}
+	s.endLookup(lk, true, value)
 }
 
-// lookupTimeout finishes op as a miss — unless retries remain, in which
+// lookupTimeout finishes lk as a miss — unless retries remain, in which
 // case the lookup backs off exponentially and re-draws a fresh quorum
 // (graceful degradation under churn: a miss against a decayed advertise
 // quorum is independent across draws, so each retry multiplies the miss
 // probability by ε^(1−f) again).
-func (s *System) lookupTimeout(op opID) {
-	lk := s.lookups[op]
-	if lk == nil || lk.finished {
-		return
-	}
-	if !lk.collect && lk.retriesLeft > 0 && s.net.Alive(op.Origin) {
+func (s *System) lookupTimeout(lk *pendingLookup) {
+	if lk.retriesLeft > 0 && s.net.Alive(lk.id.Origin) {
 		lk.retriesLeft--
 		lk.attempt++
 		s.counters.LookupRetries++
 		backoff := s.cfg.RetryBackoffSecs * float64(int(1)<<(lk.attempt-1))
 		lk.timer.Reset(backoff + s.cfg.LookupTimeout)
-		s.engine.Schedule(backoff, func() { s.retryLookup(op) })
+		s.engine.Schedule(backoff, func() { s.retryLookup(lk) })
 		return
 	}
-	lk.finished = true
-	delete(s.lookups, op)
-	s.releaseOpState(op)
-	if lk.done != nil {
-		lk.done(LookupResult{Hit: false, Intersected: lk.intersected})
-	}
+	s.endLookup(lk, false, "")
 }
 
-// retryLookup re-launches a timed-out lookup with a freshly drawn quorum.
-// The re-draw runs as a child op so per-access state (flood dedup, ring
-// escalation) restarts, while hits still resolve to the root lookup.
-func (s *System) retryLookup(op opID) {
-	lk := s.lookups[op]
-	if lk == nil || lk.finished {
-		return
-	}
-	origin := op.Origin
-	if !s.net.Alive(origin) {
-		return // crashed since the timeout; the rearmed timer ends the op
+// retryLookup re-launches a timed-out lookup with a freshly drawn quorum,
+// under the same op: its flood, if any, is a new round of it.
+func (s *System) retryLookup(lk *pendingLookup) {
+	origin := lk.id.Origin
+	if s.lookups[lk.id] == nil || !s.net.Alive(origin) {
+		return // settled, or crashed since the timeout (the rearmed timer ends the op)
 	}
 	// A cached reply may have landed since the first attempt.
 	if value, ok := s.stores[origin].Get(lk.key); ok {
 		lk.intersected = true
 		s.recordServe(origin, lk.key)
-		s.completeLookup(op, value)
+		s.completeLookup(lk.id, value)
 		return
 	}
-	child := s.nextOp(origin)
-	s.addChild(op, child)
-	s.dispatchLookup(origin, child, lk.key, false)
+	s.dispatchLookup(origin, lk.id, lk.key, false)
+}
+
+// endLookup is where every lookup ends: on its hit (hit, value), at its last
+// timeout, or when its collect window closes. It takes lk out of s.lookups —
+// a lookup is finished exactly when it has left the map — cancels its timer
+// (a no-op once the timer has fired), queues the release of its flood
+// rounds and runs the caller's callback.
+func (s *System) endLookup(lk *pendingLookup, hit bool, value string) {
+	delete(s.lookups, lk.id)
+	lk.timer.Cancel()
+	s.releaseOpState(lk.id)
+	switch {
+	case lk.collect:
+		if lk.collectDone != nil {
+			lk.collectDone(CollectResult{Values: lk.collected, Intersected: lk.intersected})
+		}
+	case lk.done == nil:
+	case hit:
+		lk.done(LookupResult{Hit: true, Value: value, Intersected: true, Latency: s.engine.Now() - lk.issued})
+	default:
+		lk.done(LookupResult{Intersected: lk.intersected})
+	}
 }
 
 // advertiseSettled decrements the outstanding-contact count and finishes
 // the advertise op when it reaches zero.
 func (s *System) advertiseSettled(op opID) {
 	ad := s.ads[op]
-	if ad == nil || ad.finished {
+	if ad == nil {
 		return
 	}
 	ad.pending--
-	if ad.pending > 0 {
-		return
-	}
-	ad.finished = true
-	ad.timer.Cancel()
-	delete(s.ads, op)
-	s.releaseOpState(op)
-	if ad.done != nil {
-		ad.done(ad.res)
+	if ad.pending <= 0 {
+		s.endAdvertise(ad)
 	}
 }
 
-// advertiseDeadline fires when an advertise has been pending for the full
-// AdvertiseTimeoutSecs: its quorum access lost a terminal event (a walk or
-// sampling frame dropped at a receiver leaves no one to call
-// advertiseSettled), so settle it now with whatever placements landed.
-// Without this, the op leaks in s.ads forever and its done callback never
-// fires — fatal under open-loop load.
-func (s *System) advertiseDeadline(op opID) {
-	ad := s.ads[op]
-	if ad == nil || ad.finished {
-		return
-	}
-	s.counters.AdvertiseTimeouts++
-	ad.finished = true
-	delete(s.ads, op)
-	s.releaseOpState(op)
+// endAdvertise is where every advertise ends: when its last contact settles,
+// or at its AdvertiseTimeoutSecs deadline. Like endLookup it takes ad out of
+// s.ads, cancels its timer, queues the release of its flood rounds and runs
+// the caller's callback.
+func (s *System) endAdvertise(ad *pendingAdvertise) {
+	delete(s.ads, ad.id)
+	ad.timer.Cancel()
+	s.releaseOpState(ad.id)
 	if ad.done != nil {
 		ad.done(ad.res)
 	}
 }
 
 // FloodCoverage returns how many distinct nodes a Flooding operation
-// reached so far (Fig. 5's coverage metric). ExpandingRing operations run
-// each ring as a child op so flood deduplication restarts per round; their
-// coverage is the union of distinct nodes across all rounds, not any single
-// round's count.
+// reached so far (Fig. 5's coverage metric): its one round's size, or, for an
+// expanding ring or a retried flood lookup, the union of its rounds.
 func (s *System) FloodCoverage(ref OpRef) int {
-	op := s.resolve(ref.id)
-	children := s.opChildren[op]
-	if len(children) == 0 {
-		return s.floodCoverage[op]
+	rounds := s.floods[ref.id]
+	if len(rounds) == 1 {
+		return len(rounds[0])
 	}
-	distinct := make(map[int]struct{}, len(s.floodPrev[op]))
-	for n := range s.floodPrev[op] {
-		distinct[n] = struct{}{}
-	}
-	for _, c := range children {
-		for n := range s.floodPrev[c] {
+	distinct := make(map[int]struct{})
+	for _, r := range rounds {
+		for n := range r {
 			distinct[n] = struct{}{}
 		}
-	}
-	if len(distinct) == 0 {
-		// Children without flood state (e.g. retry re-draws of a non-flood
-		// strategy): fall back to the op's own counter.
-		return s.floodCoverage[op]
 	}
 	return len(distinct)
 }
 
-// opStateGraceSecs is how long per-operation flood state (reverse-path
-// maps, ring aliases) outlives the operation — long enough for straggler
+// opStateGraceSecs is how long an operation's flood rounds (its reverse-path
+// maps) outlive the operation — long enough for straggler
 // packets still in flight to resolve, short enough that long simulations
 // stay memory-stable.
 const opStateGraceSecs = 60
@@ -416,7 +372,7 @@ type graceEntry struct {
 }
 
 // releaseOpState queues the garbage collection of an operation's flood
-// bookkeeping and child-op aliases for opStateGraceSecs from now. The grace
+// rounds for opStateGraceSecs from now. The grace
 // is a constant and the clock never goes back, so the queue is in expiry
 // order and one engine event, for its head, serves all of it.
 //
@@ -428,22 +384,15 @@ func (s *System) releaseOpState(op opID) {
 	}
 }
 
-// expireOpState drops the state of the operation at the head of the grace
-// queue, at the instant its own grace ends, and arms the next head at that
+// expireOpState drops the flood rounds of the operation at the head of the
+// grace queue, at the instant its own grace ends, and arms the next head at that
 // entry's own time: one event per operation, as if each had its own.
 //
 //pqlint:noalloc
 func (s *System) expireOpState() {
 	op := s.grace[s.graceHead].op
 	s.graceHead++
-	delete(s.floodPrev, op)
-	delete(s.floodCoverage, op)
-	for _, c := range s.opChildren[op] {
-		delete(s.opAlias, c)
-		delete(s.floodPrev, c)
-		delete(s.floodCoverage, c)
-	}
-	delete(s.opChildren, op)
+	delete(s.floods, op)
 	if 2*s.graceHead >= len(s.grace) {
 		// The expired prefix is at least as long as what is left: slide the
 		// rest down, which costs at most one copy per expiry.

@@ -287,28 +287,27 @@ type System struct {
 	// missing routes build in one sharded parallel phase.
 	prefetcher aodv.RoutePrefetcher
 
-	stores  []*Store
+	stores []*Store
+
+	// An operation is pending exactly while it is in lookups or ads; every
+	// message of an operation, retries and expanding-ring rounds included,
+	// carries its one id.
 	opSeq   uint32
 	lookups map[opID]*pendingLookup
 	ads     map[opID]*pendingAdvertise
-	// opAlias maps child operations (expanding-ring rounds, retry
-	// re-draws) to the root operation that owns the pending state;
-	// opChildren is the reverse index, released with the root.
-	opAlias    map[opID]opID
-	opChildren map[opID][]opID
 
 	// owned records the latest value each origin has advertised per key,
 	// feeding the periodic re-advertise refresh.
 	owned map[ownedKey]string
 
-	// flood bookkeeping: per-op per-node previous hop (reverse path) and
-	// coverage counts.
-	floodPrev     map[opID]map[int]int
-	floodCoverage map[opID]int
+	// floods holds each operation's flood rounds in launch order: one for
+	// FLOODING, one per ring for EXPANDING-RING, one per attempt for a
+	// retried flood lookup.
+	floods map[opID][]floodRound
 
-	// grace[graceHead:] holds the settled operations whose flood state and
-	// child aliases are still kept, oldest first (see releaseOpState). Only
-	// the head is an engine event; graceFn is expireOpState bound once.
+	// grace[graceHead:] holds the settled operations whose flood rounds are
+	// still kept, oldest first (see releaseOpState). Only the head is an
+	// engine event; graceFn is expireOpState bound once.
 	grace     []graceEntry
 	graceHead int
 	graceFn   func()
@@ -351,7 +350,6 @@ type pendingLookup struct {
 	done        func(LookupResult)
 	timer       *sim.Timer
 	issued      float64
-	finished    bool
 	intersected bool
 	// collect mode (LookupCollect): gather every reply in a window
 	// instead of finishing on the first one.
@@ -365,12 +363,11 @@ type pendingLookup struct {
 }
 
 type pendingAdvertise struct {
-	id       opID
-	res      AdvertiseResult
-	done     func(AdvertiseResult)
-	pending  int // outstanding member contacts (Random) or 1 while walk alive
-	finished bool
-	issued   float64
+	id      opID
+	res     AdvertiseResult
+	done    func(AdvertiseResult)
+	pending int // outstanding member contacts (Random) or 1 while walk alive
+	issued  float64
 	// timer is the AdvertiseTimeoutSecs deadline that force-settles the
 	// op if its quorum access never reaches a terminal event.
 	timer *sim.Timer
@@ -388,21 +385,18 @@ type pendingAdvertise struct {
 func New(net *netstack.Network, routing aodv.Router, members *membership.Service, cfg Config) *System {
 	applyDefaults(&cfg, net.N())
 	s := &System{
-		net:           net,
-		routing:       routing,
-		members:       members,
-		cfg:           cfg,
-		engine:        net.Engine(),
-		stores:        make([]*Store, net.N()),
-		lookups:       make(map[opID]*pendingLookup),
-		ads:           make(map[opID]*pendingAdvertise),
-		opAlias:       make(map[opID]opID),
-		opChildren:    make(map[opID][]opID),
-		owned:         make(map[ownedKey]string),
-		floodPrev:     make(map[opID]map[int]int),
-		floodCoverage: make(map[opID]int),
-		stamp:         make([]uint32, net.N()),
-		served:        make([]int64, net.N()),
+		net:     net,
+		routing: routing,
+		members: members,
+		cfg:     cfg,
+		engine:  net.Engine(),
+		stores:  make([]*Store, net.N()),
+		lookups: make(map[opID]*pendingLookup),
+		ads:     make(map[opID]*pendingAdvertise),
+		owned:   make(map[ownedKey]string),
+		floods:  make(map[opID][]floodRound),
+		stamp:   make([]uint32, net.N()),
+		served:  make([]int64, net.N()),
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)
 	s.graceFn = s.expireOpState
@@ -434,24 +428,6 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 		s.readvTicker = sim.NewTicker(net.Engine(), cfg.ReadvertiseSecs, cfg.ReadvertiseSecs, s.readvertiseAll)
 	}
 	return s
-}
-
-// resolve follows child-operation aliases (expanding-ring rounds, retry
-// re-draws) to the root operation that owns the pending state.
-func (s *System) resolve(op opID) opID {
-	if parent, ok := s.opAlias[op]; ok {
-		return parent
-	}
-	return op
-}
-
-// addChild registers child as a sub-operation of parent. Aliases always
-// point at the root operation (a ring round launched by a retry re-draw
-// aliases to the original lookup), keeping resolution single-step.
-func (s *System) addChild(parent, child opID) {
-	root := s.resolve(parent)
-	s.opAlias[child] = root
-	s.opChildren[root] = append(s.opChildren[root], child)
 }
 
 func applyDefaults(cfg *Config, n int) {

@@ -356,7 +356,7 @@ func primeReply(w *world, origin int) (opID, *replyMsg, *LookupResult) {
 	var res LookupResult
 	got := &res
 	lk := &pendingLookup{id: op, key: "k", issued: w.e.Now(), done: func(r LookupResult) { *got = r }}
-	lk.timer = sim.NewTimer(w.e, func() { w.sys.lookupTimeout(op) })
+	lk.timer = sim.NewTimer(w.e, func() { w.sys.lookupTimeout(lk) })
 	lk.timer.Reset(10)
 	w.sys.lookups[op] = lk
 	r := &replyMsg{Op: op, Key: "k", Value: "v", Path: []int{0, 1, 2, 3, 4}, Idx: 4}

@@ -17,8 +17,10 @@ type replyMsg struct {
 	Path []int
 	Idx  int
 	// Flood marks a reply travelling a flood's per-node previous-hop
-	// chain instead of an explicit path.
+	// chain instead of an explicit path; Round is the flood round of the
+	// op it answers.
 	Flood bool
+	Round int
 }
 
 // handleReply processes a reply arriving at node n (off the air or via
@@ -196,17 +198,12 @@ func (s *System) fullRouteReply(n *netstack.Node, r *replyMsg) {
 // forwardFloodReply moves a flooding reply one hop along the per-node
 // previous-hop chain recorded while the flood spread.
 func (s *System) forwardFloodReply(n *netstack.Node, r *replyMsg) {
-	prevMap := s.floodPrev[r.Op]
-	if prevMap == nil {
-		s.counters.ReplyDrops++
-		return
-	}
-	prev, ok := prevMap[n.ID()]
+	prev, ok := s.roundOf(r.Op, r.Round)[n.ID()]
 	if !ok || prev == n.ID() {
 		s.counters.ReplyDrops++
 		return
 	}
-	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Flood: true}
+	next := &replyMsg{Op: r.Op, Round: r.Round, Key: r.Key, Value: r.Value, Flood: true}
 	pkt := s.packet(n.ID(), prev, next)
 	n.SendOneHop(prev, &pkt, func(ok bool) {
 		if ok {

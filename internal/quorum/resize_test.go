@@ -11,7 +11,8 @@ import (
 // after a resize must re-draw at the new size (dispatch reads the live
 // config), settle exactly once, and leave nothing pending past the horizon.
 // The draw is read off the network: every member of a RANDOM lookup quorum
-// is delivered one routed directMsg carrying its attempt's op id.
+// is delivered one routed directMsg carrying the lookup's op id, and the
+// attempts are told apart by the retry instant.
 func TestResizeMidFlightLookupRetry(t *testing.T) {
 	const oldSize, newSize = 6, 12
 	w := newWorld(7, 60, Config{
@@ -23,22 +24,32 @@ func TestResizeMidFlightLookupRetry(t *testing.T) {
 	})
 	w.e.Run(5) // let membership warm up
 
-	reached := map[opID]int{} // lookup members reached, per attempt
+	var ref OpRef
+	var retryAt float64
+	var reached [2]int // lookup members reached by the first attempt and by the retry
 	w.net.SetDeliveryObserver(func(_, to int, pkt *netstack.Packet) {
 		inner, routed := pkt.Payload.(*netstack.Packet)
 		if !routed || to != pkt.Dst {
 			return
 		}
 		if m, ok := inner.Payload.(*directMsg); ok && !m.Advertise {
-			reached[m.Op]++
+			if m.Op != ref.id {
+				t.Errorf("member reached under op %v, want the lookup's %v", m.Op, ref.id)
+			}
+			if w.e.Now() < retryAt {
+				reached[0]++
+			} else {
+				reached[1]++
+			}
 		}
 	})
 
 	fires := 0
-	var ref OpRef
 	w.e.Schedule(0, func() {
 		// Absent key: the first attempt must run its full timeout, retry,
 		// and finally miss.
+		cfg := w.sys.Config()
+		retryAt = w.e.Now() + cfg.LookupTimeout + cfg.RetryBackoffSecs
 		ref = w.sys.Lookup(1, "absent", func(LookupResult) { fires++ })
 	})
 	w.e.Run(w.e.Now() + 2)
@@ -47,25 +58,19 @@ func TestResizeMidFlightLookupRetry(t *testing.T) {
 	if lk == nil {
 		t.Fatal("lookup not pending after dispatch")
 	}
-	if len(reached) != 1 || reached[ref.id] != oldSize {
-		t.Fatalf("first attempt reached %v members, want old size %d under op %v", reached, oldSize, ref.id)
+	if reached != [2]int{oldSize, 0} {
+		t.Fatalf("first attempt reached %d members (%d after the retry instant), want old size %d", reached[0], reached[1], oldSize)
 	}
 
 	// Resize mid-flight, before the first attempt's timeout.
 	w.sys.Resize(newSize, newSize)
 	w.e.Run(w.e.Now() + 12) // past timeout + backoff: the retry has re-drawn
 
-	if lk.finished {
+	if w.sys.lookups[ref.id] != lk {
 		t.Fatal("lookup finished before the retry could run")
 	}
-	delete(reached, ref.id)
-	if len(reached) != 1 {
-		t.Fatalf("retry ran %d attempts, want 1: %v", len(reached), reached)
-	}
-	for op, got := range reached {
-		if got != newSize {
-			t.Fatalf("retry %v reached %d members, want new size %d", op, got, newSize)
-		}
+	if reached != [2]int{oldSize, newSize} {
+		t.Fatalf("attempts reached %v members, want %v: the retry at the new size", reached, [2]int{oldSize, newSize})
 	}
 
 	w.e.Run(w.e.Now() + 60) // drain the retry's timeout

@@ -13,32 +13,18 @@ const maxRingTTL = 7
 // spread and for a reply to return.
 func ringWait(ttl int) float64 { return 0.4 + 0.25*float64(ttl) }
 
-// lookupExpandingRing starts the first ring of an expanding-ring lookup.
-func (s *System) lookupExpandingRing(origin int, op opID, key string) {
-	s.ringRound(origin, op, key, 1)
-}
-
-// ringRound floods one ring and schedules the escalation check. op may be
-// the root lookup or a retry re-draw; pending state lives at the root.
+// ringRound floods one ring of lookup op and schedules the escalation check.
+// Each ring is a new flood round of op, so flood deduplication restarts:
+// nodes covered by the previous ring process the wider flood.
 func (s *System) ringRound(origin int, op opID, key string, ttl int) {
-	root := s.resolve(op)
-	lk := s.lookups[root]
-	if lk == nil || lk.finished {
-		return
-	}
-	// Each round is a child operation so flood deduplication restarts:
-	// nodes covered by the previous ring must process the wider flood.
-	child := s.nextOp(origin)
-	s.addChild(root, child)
-	s.startFlood(origin, child, false, key, "", ttl)
-
+	s.startFlood(origin, op, false, key, "", ttl)
 	if ttl >= maxRingTTL {
 		return // widest ring out; the op timeout decides the miss
 	}
 	s.engine.Schedule(ringWait(ttl), func() {
-		if cur := s.lookups[root]; cur != nil && !cur.finished {
+		if s.lookups[op] != nil {
 			s.counters.RingEscalations++
-			s.ringRound(origin, root, key, ttl+1)
+			s.ringRound(origin, op, key, ttl+1)
 		}
 	})
 }
@@ -53,13 +39,10 @@ func (s *System) advertiseExpandingRing(origin int, op opID, key, value string) 
 }
 
 func (s *System) advertiseRingRound(origin int, op opID, key, value string, ttl int) {
-	child := s.nextOp(origin)
-	s.addChild(op, child)
-	s.startFlood(origin, child, true, key, value, ttl)
-
+	s.startFlood(origin, op, true, key, value, ttl)
 	s.engine.Schedule(ringWait(ttl), func() {
 		ad := s.ads[op]
-		if ad == nil || ad.finished {
+		if ad == nil {
 			return
 		}
 		if ad.res.Placed >= s.cfg.AdvertiseSize || ttl >= maxRingTTL {

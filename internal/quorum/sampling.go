@@ -110,7 +110,7 @@ func (s *System) sampleArrived(n *netstack.Node, m *sampleMsg) {
 		return // this member does not hold the key
 	}
 	s.markIntersected(m.Op)
-	if lk := s.lookups[s.resolve(m.Op)]; lk != nil && !lk.finished {
+	if s.lookups[m.Op] != nil {
 		r := &replyMsg{Op: m.Op, Key: m.Key, Value: value, Path: m.Visited}
 		s.forwardReply(n, r, len(m.Visited)-1)
 	}

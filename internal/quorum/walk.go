@@ -108,7 +108,7 @@ func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 		// Lookup hit at this node.
 		s.markIntersected(m.Op)
 		s.recordServe(u, m.Key)
-		if lk := s.lookups[s.resolve(m.Op)]; lk != nil && !lk.finished {
+		if s.lookups[m.Op] != nil {
 			s.sendWalkReply(n, m.walkHeader, visited, value)
 		}
 		if s.cfg.EarlyHalt && !m.NoHalt {

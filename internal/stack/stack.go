@@ -31,9 +31,9 @@ type Spec struct {
 	// Build owns N, Side and Mobility: the area is sized for the initial
 	// population at Link.AvgDegree (default 10), not for N+JoinSlots.
 	Link netstack.Config
-	// SpeedMax > 0 moves all slots by random waypoint at SpeedMin–SpeedMax
+	// SpeedMax > 0 moves all slots by random waypoint at speedMin–SpeedMax
 	// m/s with pauseSecs pauses; zero is a static uniform placement.
-	SpeedMin, SpeedMax float64
+	SpeedMax float64
 	// OracleRouting replaces AODV by the zero-overhead oracle router.
 	// RouteCache additionally gives the oracle route trees on a heartbeat
 	// stack (on exact static stacks aodv.NewOracle installs them itself).
@@ -59,8 +59,12 @@ type Stack struct {
 	n int // initial population; ids n..Net.N()-1 are the join slots
 }
 
-// pauseSecs is the waypoint pause (paper: 30).
-const pauseSecs = 30
+// pauseSecs is the waypoint pause (paper: 30) and speedMin the slowest
+// waypoint speed in m/s.
+const (
+	pauseSecs = 30
+	speedMin  = 0.5
+)
 
 // Build assembles sp. Engine streams are drawn in layer order (mobility,
 // netstack, routing, membership); Faults and Churn draw theirs when called.
@@ -77,7 +81,7 @@ func Build(sp Spec) *Stack {
 	cfg.Side = geom.AreaSide(sp.N, netstack.Range, cfg.AvgDegree)
 	if sp.SpeedMax > 0 {
 		cfg.Mobility = mobility.NewWaypoint(engine.NewStream(), total, mobility.WaypointConfig{
-			MinSpeed: sp.SpeedMin, MaxSpeed: sp.SpeedMax, Pause: pauseSecs, Side: cfg.Side,
+			MinSpeed: speedMin, MaxSpeed: sp.SpeedMax, Pause: pauseSecs, Side: cfg.Side,
 		}, nil)
 	}
 	net := netstack.New(engine, cfg)

@@ -177,11 +177,8 @@ type ClusterConfig struct {
 	// birthday paradox) and an adaptation controller re-derives the
 	// quorum sizes — and the re-advertise period, when
 	// Quorum.ReadvertiseSecs is set — as the estimate drifts. Inspect
-	// with SizeEstimate and AdaptStatus; tune with AdaptTuning.
+	// with SizeEstimate and AdaptStatus.
 	Adaptive bool
-	// AdaptTuning overrides the controller's knobs when Adaptive is set;
-	// the zero value uses defaults.
-	AdaptTuning AdaptConfig
 }
 
 // ChurnStats counts churn-process events; see Cluster.ChurnStats.
@@ -189,8 +186,6 @@ type ChurnStats = churn.Stats
 
 // Adaptive-sizing re-exports; see internal/quorum and internal/membership.
 type (
-	// AdaptConfig tunes the closed-loop adaptation controller.
-	AdaptConfig = quorum.AdaptConfig
 	// AdaptStatus snapshots the controller's state.
 	AdaptStatus = quorum.AdaptStatus
 	// SizeEstimate is a continuous network-size estimate with confidence
@@ -228,15 +223,15 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Link: netstack.Config{
 			AvgDegree: cfg.AvgDegree, Stack: cfg.Stack, RxLossProb: cfg.RxLossProb,
 		},
-		SpeedMin: 0.5, SpeedMax: cfg.MaxSpeed,
+		SpeedMax: cfg.MaxSpeed,
 	}
 	if cfg.Adaptive {
-		sp.Members.Estimation = membership.EstimationConfig{Enable: true, ProbeSecs: 10}
+		sp.Members.Estimation = membership.EstimationConfig{Enable: true}
 	}
 	st := stack.Build(sp)
 	c := &Cluster{st: st, injector: st.Faults()}
 	if cfg.Adaptive {
-		c.adapter = quorum.NewController(st.Sys, st.Members, cfg.AdaptTuning)
+		c.adapter = quorum.NewController(st.Sys, st.Members, quorum.AdaptConfig{})
 		st.Suite.WatchController(c.adapter)
 	}
 	c.RunFor(25) // neighbor discovery warm-up

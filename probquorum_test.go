@@ -106,6 +106,34 @@ func TestClusterContinuousChurn(t *testing.T) {
 	}
 }
 
+// TestClusterAdaptive drives the facade's adaptive mode end to end: NewCluster
+// wires the size estimator and the controller, a third of the nodes fail,
+// and operations keep flowing across several control periods.
+func TestClusterAdaptive(t *testing.T) {
+	const n = 120
+	c := NewCluster(ClusterConfig{Nodes: n, Seed: 12, Adaptive: true})
+	for id := 0; id < n; id += 3 {
+		c.Fail(id)
+	}
+	live := func(i int) int { return 3*(i%(n/3)) + 1 + i%2 } // never a multiple of 3
+	// 100 s of traffic: five 20 s control periods.
+	for i := 0; i < 100; i++ {
+		c.Advertise(live(i), fmt.Sprintf("k%d", i%10), "v", nil)
+		c.Lookup(live(7*i+3), fmt.Sprintf("k%d", (i+5)%10), nil)
+		c.RunFor(1)
+	}
+	c.RunFor(60) // drain every operation past its timeout
+	if rep := c.CheckReport(); !rep.OK() {
+		t.Fatalf("adaptive cluster breached invariants: %+v", rep.Details)
+	}
+	if est := c.SizeEstimate(); !est.OK {
+		t.Fatalf("no usable size estimate after %v s of traffic: %+v", c.Now(), est)
+	}
+	if st := c.AdaptStatus(); st.Resizes+st.Skips == 0 {
+		t.Fatalf("controller never decided: %+v", st)
+	}
+}
+
 func TestClusterChurnStatsZeroWhenDisabled(t *testing.T) {
 	c := NewCluster(ClusterConfig{Nodes: 40, Seed: 8})
 	if st := c.ChurnStats(); st != (ChurnStats{}) {
