@@ -5,17 +5,15 @@
 #   1. build  — the whole tree compiles;
 #   2. lint   — pqlint's determinism invariants (fast, fails early);
 #   3. chaos  — the fault-injection acceptance sweep;
-#   4. shards — the determinism gate of the engine's one parallel phase
-#               (bit-identity at shard widths 1/2/4/8 against a serial run);
-#   5. quick-check — `pqexp all` reproduces the data lines of the recorded
+#   4. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
-#   6. spot-check — the same for the SINR/disk/AODV pqsim runs recorded in
+#   5. spot-check — the same for the SINR/disk/AODV pqsim runs recorded in
 #               results_sinr_spot.txt, which quick-check's ideal stack misses;
-#   7. load-smoke, adapt-smoke — two of the four tiers (an invariant
+#   6. load-smoke, adapt-smoke — two of the three tiers (an invariant
 #               violation is fatal in all of them), their tables diffed
 #               against the recorded results_tiers.txt;
-#   8. vet    — the standard toolchain's analyzers;
-#   9. race   — the short test set under the race detector, which enforces
+#   7. vet    — the standard toolchain's analyzers;
+#   8. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
@@ -25,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint loc bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos shards mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -33,16 +31,15 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint chaos shards quick-check spot-check load-smoke adapt-smoke
+check: build lint chaos quick-check spot-check load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
 # lint runs pqlint, the determinism- and invariant-enforcing static
 # analysis suite (internal/lint): no global math/rand, no wall clock or pid
 # in simulation code, no order-sensitive map iteration — plus the
-# whole-program, call-graph-aware analyzers: parsafe (parallel-phase purity)
-# and noalloc (annotated hot paths must not allocate along the call chain,
-# up to the calls that declare a hand-off). Suppressions are reasoned
+# whole-program, call-graph-aware noalloc (annotated hot paths must not
+# allocate along the call chain, up to the calls that declare a hand-off). Suppressions are reasoned
 # //pqlint:allow directives, and one that suppresses nothing is a finding;
 # see DESIGN.md §8. Any finding fails the target.
 lint:
@@ -66,26 +63,17 @@ loc:
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/experiment
 
-# shards runs the sharded-phase determinism gate (DESIGN.md §15): a full
-# experiment over the route cache's parallel prefetch path must render
-# bit-identically with sharding off and at widths 1/2/4/8, plus the mid-run
-# SetShards resize test. CI additionally race-stresses single widths via
-# PQ_SHARDS_STRESS.
-shards:
-	$(GO) test -run 'TestShards' -count=1 ./internal/experiment
-
 # bench is the one writer of BENCH.json. It runs the root package's
 # benchmarks (the substrate micro-benchmarks and the sweep executor) with
-# allocation reporting, then the full-horizon 10k mega run serial and at
-# -shards 2 (DESIGN.md §15's "what the knob is worth"), and pipes all of it
-# through benchjson, which replaces the file: every entry comes from one run
+# allocation reporting, then the full-horizon 10k mega run, and pipes all of
+# it through benchjson, which replaces the file: every entry comes from one run
 # on one host, and each name ends in -<GOMAXPROCS> (nothing at 1). A failure
 # anywhere reaches benchjson as a FAIL line and nothing is written. Takes a
 # few minutes: the default benchtime is what lets the pooled hot paths reach
 # their steady-state (zero-alloc) numbers — CI runs the same benchmarks at
 # -benchtime=1x as a does-it-run gate that writes nothing.
 bench:
-	{ $(GO) test -bench=. -benchmem -run='^$$' . && $(GO) run ./cmd/pqexp mega && $(GO) run ./cmd/pqexp -shards 2 mega || echo FAIL; } | \
+	{ $(GO) test -bench=. -benchmem -run='^$$' . && $(GO) run ./cmd/pqexp mega || echo FAIL; } | \
 		$(GO) run ./cmd/benchjson -out BENCH.json
 
 # bench-digest gates "host-side only" claims mechanically. The repository's
@@ -119,12 +107,12 @@ bench-digest:
 mega-smoke:
 	$(GO) run ./cmd/pqexp -short mega
 
-# giga-smoke runs the giga tier (DESIGN.md §15: oracle neighbors, lazy
-# membership, route cache, sharded prefetch) at a CI-sized 25k nodes on the
-# shortened horizon, churn/faults/invariants armed and fatal, 4 shards wide.
-# The full 100k run is `pqexp giga`; this is the does-it-scale gate.
+# giga-smoke runs the mega tier (DESIGN.md §15: oracle neighbors, lazy
+# membership, route cache) at a CI-sized 25k nodes on the shortened horizon,
+# churn/faults/invariants armed and fatal. The full 100k run is
+# `pqexp -n 100000 mega`; this is the does-it-scale gate.
 giga-smoke:
-	$(GO) run ./cmd/pqexp -short -n 25000 -shards 4 giga
+	$(GO) run ./cmd/pqexp -short -n 25000 mega
 
 # tiers records what `pqexp -short load` and `pqexp -short adapt` print apart
 # from their `# … wall clock` lines: the tier tables, free of wall-clock fields

@@ -78,7 +78,7 @@ func FuzzParseBenchLine(f *testing.F) {
 		"BenchmarkB-8 1 +Inf ns/op",
 		"Benchmark- 1 5 ns/op",
 		"BenchmarkSINRBroadcast-8 \t 88583\t 13108 ns/op\t 76 B/op\t 1 allocs/op",
-		"BenchmarkMegaScenario/n=10000/shards=2-2 1 9e9 ns/op 2e8 peak-heap-B",
+		"BenchmarkMegaScenario/n=10000-2 1 9e9 ns/op 2e8 peak-heap-B",
 	} {
 		f.Add(seed)
 	}
@@ -155,12 +155,12 @@ func TestPqexpBenchLinesCarryProcs(t *testing.T) {
 	if want == 1 {
 		want = 0
 	}
-	line := experiment.MegaResult{N: 10000, Shards: 2}.BenchLine()
+	line := experiment.MegaResult{N: 10000}.BenchLine()
 	r, err := parseBenchLine(line)
 	if err != nil {
 		t.Fatalf("bench line does not parse: %s: %v", line, err)
 	}
-	if name := "BenchmarkMegaScenario/n=10000/shards=2"; r.Name != name || r.Procs != want {
+	if name := "BenchmarkMegaScenario/n=10000"; r.Name != name || r.Procs != want {
 		t.Errorf("%s\nparsed as name=%q procs=%d, want name=%q procs=%d", line, r.Name, r.Procs, name, want)
 	}
 }

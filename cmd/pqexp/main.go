@@ -12,18 +12,17 @@
 // churn) and chaos (fault injection under invariant checkers) make up
 // "all"; run with no argument to list every name.
 //
-// Four tiers are deliberately not part of "all". They share one contract
+// Three tiers are deliberately not part of "all". They share one contract
 // (experiment.TierConfig in; tables, the lines that follow them and an error
 // out): each runs with the invariant checkers armed — a violation or a leaked
 // op is an error and a nonzero exit — and shrinks to CI size with -short (the
 // `make *-smoke` targets):
 //
-//   - mega: the 10k-node scale exercise (DESIGN.md §12) — SINR/DCF with the
-//     cell-noise interference model, continuous churn and a fault schedule
-//     live. -n overrides the node count, -shards the sharded-phase width. Its
-//     go-bench line is what `make bench` records in BENCH.json.
-//   - giga: the 100k-node tier (DESIGN.md §15) — mega with oracle neighbor
-//     discovery; bit-identical results at any -shards.
+//   - mega: the 10k-node scale exercise (DESIGN.md §12, §15) — SINR/DCF with
+//     the cell-noise interference model, geometric neighbor lists, cached
+//     route trees, continuous churn and a fault schedule live. -n overrides
+//     the node count (`-n 100000 mega` is the 100k tier). Its go-bench line
+//     is what `make bench` records in BENCH.json.
 //   - load: open-loop Poisson/MMPP arrivals against every strategy mix —
 //     throughput, p50/p99 op latency, shed/queue saturation, load skew.
 //   - adapt: static vs closed-loop quorum sizing under mass-join,
@@ -123,7 +122,6 @@ var figures = []figure{
 	{"decay", "churn", true, sweep(experiment.FigDecay)},
 	{"chaos", "faults", true, sweep(experiment.FigChaos)},
 	{"mega", "", false, tier(experiment.Mega, 0.15)},
-	{"giga", "", false, tier(experiment.Giga, 0.15)},
 	{"load", "", false, tier(experiment.Load, 0.2)},
 	{"adapt", "", false, tier(experiment.Adapt, 0.2)},
 }
@@ -155,9 +153,8 @@ func run(args []string) error {
 	bigN := fs.Int("bign", 0, "override the large-network size")
 	seed := fs.Int64("seed", 1, "base random seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep worker-pool size (independent runs in flight at once)")
-	shards := fs.Int("shards", 0, "per-engine sharded-phase width for bulk route builds (0 = serial; results identical at any width)")
-	n := fs.Int("n", 0, "node count for the mega/giga scale tiers (0 = the tier's default: 10000/100000)")
-	short := fs.Bool("short", false, "shrink the mega/giga/load/adapt tiers to their smoke-test horizon")
+	n := fs.Int("n", 0, "node count for the mega scale tier (0 = its default: 10000)")
+	short := fs.Bool("short", false, "shrink the mega/load/adapt tiers to their smoke-test horizon")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering every figure run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile taken after all figures to this file")
@@ -170,7 +167,7 @@ func run(args []string) error {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"n", *n}, {"seeds", *seeds}, {"bign", *bigN}, {"shards", *shards}} {
+	}{{"n", *n}, {"seeds", *seeds}, {"bign", *bigN}} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s must not be negative, got %d", f.name, f.v)
 		}
@@ -218,13 +215,12 @@ func run(args []string) error {
 		p.BigN = *bigN
 	}
 	p.Parallel = *parallel
-	p.Shards = *shards
 	effective := p.Parallel
 	if effective < 1 {
 		effective = runtime.GOMAXPROCS(0)
 	}
 	opts := options{profile: p, short: *short, tier: experiment.TierConfig{
-		Seed: *seed, Seeds: *seeds, N: *n, Parallel: p.Parallel, Shards: p.Shards,
+		Seed: *seed, Seeds: *seeds, N: *n, Parallel: p.Parallel,
 	}}
 
 	names := fs.Args()

@@ -17,7 +17,7 @@ func TestFigureTableCoversOldDispatch(t *testing.T) {
 		"fig10": "", "fig11": "", "fig12": "", "fig13": "", "fig14": "", "fig15": "", "fig16": "",
 		"tau": "", "lemma56": "tau", "fig4series": "", "crt": "", "crossing": "crt",
 		"decay": "", "churn": "decay", "chaos": "", "faults": "chaos",
-		"mega": "", "giga": "", "load": "", "adapt": "",
+		"mega": "", "load": "", "adapt": "",
 	}
 	for name, canonical := range aliasOf {
 		if canonical == "" {
@@ -48,8 +48,9 @@ func TestFigureTableCoversOldDispatch(t *testing.T) {
 }
 
 // TestRunRejectsUnknownNamesAndRetiredFlags: a typo is an error that lists
-// the catalogue, and the per-tier flags -short/-n replaced are gone, not
-// silently accepted.
+// the catalogue, and retired flags — the per-tier ones -short/-n replaced,
+// and -shards, whose parallel phase is gone — are errors, not silently
+// accepted.
 func TestRunRejectsUnknownNamesAndRetiredFlags(t *testing.T) {
 	err := run([]string{"fig99"})
 	if err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) || !strings.Contains(err.Error(), "fig10") {
@@ -58,7 +59,7 @@ func TestRunRejectsUnknownNamesAndRetiredFlags(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("no figure given: no error")
 	}
-	for _, flag := range []string{"-megashort", "-loadshort", "-adaptshort", "-megadense", "-megan=10", "-gigan=10"} {
+	for _, flag := range []string{"-megashort", "-loadshort", "-adaptshort", "-megadense", "-megan=10", "-gigan=10", "-shards=2"} {
 		if err := run([]string{flag, "fig3"}); err == nil {
 			t.Errorf("retired flag %s still accepted", flag)
 		}
@@ -67,13 +68,12 @@ func TestRunRejectsUnknownNamesAndRetiredFlags(t *testing.T) {
 
 // TestRunRejectsNegativeSizes: a negative count is an error naming its flag,
 // before anything runs — not a panic deep in the tier (-n in netstack, -seeds
-// slicing adapt's runs) or a silently ignored override (-bign, -shards).
+// slicing adapt's runs) or a silently ignored override (-bign).
 func TestRunRejectsNegativeSizes(t *testing.T) {
 	for _, args := range [][]string{
 		{"-short", "-n", "-100", "mega"},
 		{"-short", "-seeds", "-1", "adapt"},
 		{"-bign", "-1", "fig3"},
-		{"-shards", "-1", "fig3"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), args[len(args)-3]+" must not be negative") {

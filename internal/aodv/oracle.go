@@ -51,9 +51,9 @@ type Oracle struct {
 	queue   []int32
 	depths  []int32
 
-	// cache is the per-destination route-tree cache with sharded parallel
-	// prefetch (routecache.go); nil on stacks NewOracle does not put it on
-	// unless EnableRouteCache ran. The BFS scratch above stays unallocated
+	// cache is the per-destination route-tree cache with bulk prefetch
+	// (routecache.go); nil on stacks NewOracle does not put it on unless
+	// EnableRouteCache ran. The BFS scratch above stays unallocated
 	// while it is set.
 	cache *routeCache
 

@@ -90,7 +90,7 @@ func exhaustTree(o *Oracle, dst int) *routeTree {
 	tr := o.cache.trees[dst]
 	for v := range tr.dist {
 		if tr.dist[v] == noRoute {
-			o.cache.extend(tr, v, 0, 0, nil)
+			o.cache.extend(tr, v, 0, nil)
 		}
 	}
 	return tr
@@ -318,77 +318,38 @@ func TestPrefetchLensIsTheGeodesicSet(t *testing.T) {
 	}
 }
 
-// TestPrefetchOnHeartbeatListsIsNotRestricted: heartbeat lists are not
-// symmetric, the geodesic identity does not hold on them, and a prefetched
-// tree there is the whole ball out to the origin, as before the lens.
-func TestPrefetchOnHeartbeatListsIsNotRestricted(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n, side = 80, 900.0
-	e := sim.NewEngine(1)
-	net := netstack.New(e, netstack.Config{
-		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
-		Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat,
-	})
-	o := NewOracle(net)
-	o.EnableRouteCache(RouteCacheConfig{TTLSecs: 1})
-	e.Run(25) // every node has beaconed, none has expired
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	const origin = 3
-	o.PrefetchRoutes(origin, all)
-	smaller := 0
-	for dst := 0; dst < n; dst++ {
-		tr := o.cache.trees[dst]
-		if tr == nil || tr.lens {
-			t.Fatalf("tree %d missing or restricted on a heartbeat stack", dst)
-		}
-		want := ballTo(net, dst, origin)
-		for v, in := range labelled(tr) {
-			if in != want[v] {
-				t.Fatalf("tree %d: node %d labelled=%v, the ball to the origin has %v", dst, v, in, want[v])
-			}
-		}
-		if o.RouteTreeNodes(dst) < n {
-			smaller++
-		}
-	}
-	if smaller == 0 {
-		t.Fatal("every ball is the whole network: the topology cannot tell a ball from a lens")
-	}
-}
-
 // TestLensLabelsATenthOfTheBall is the point of the lens as a number: at the
 // scale posture (n = 10 000, a fan-out of 48 from one origin) the member trees
-// label less than a tenth of what the same prefetch labels unrestricted.
+// label less than a tenth of what whole trees grown out to the origin would.
 func TestLensLabelsATenthOfTheBall(t *testing.T) {
 	const n, fanout = 10000, 48
 	rng := rand.New(rand.NewSource(17))
 	side := geom.AreaSide(n, 200, 10)
-	pts := geom.UniformPoints(rng, n, side)
+	_, net, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
 	origin, dsts := rng.Intn(n), rng.Perm(n)[:fanout]
-	sum := func(symmetric bool) (nodes int) {
-		_, _, o := oracleWorld(pts, side)
-		o.cache.symmetric = symmetric
-		o.PrefetchRoutes(origin, dsts)
-		for _, m := range dsts {
-			if m != origin {
-				nodes += o.RouteTreeNodes(m)
+	o.PrefetchRoutes(origin, dsts)
+	lens, ball := 0, 0
+	for _, m := range dsts {
+		if m == origin {
+			continue
+		}
+		lens += o.RouteTreeNodes(m)
+		for _, in := range ballTo(net, m, origin) {
+			if in {
+				ball++
 			}
 		}
-		return nodes
 	}
-	lens, ball := sum(true), sum(false)
 	t.Logf("48 member trees at n=%d: %d nodes labelled as lenses, %d as balls", n, lens, ball)
 	if lens == 0 || 10*lens >= ball {
 		t.Fatalf("lenses label %d nodes, balls %d: want under a tenth", lens, ball)
 	}
 }
 
-// TestNewOracleSelectsRouter: the cache goes on by itself exactly where it is
-// exact and pays (geometric neighbors, nothing moves); EnableRouteCache puts
-// it on any other stack, and calling it again reconfigures the one cache.
+// TestNewOracleSelectsRouter: the cache goes on by itself exactly where it
+// pays (geometric neighbors, nothing moves); EnableRouteCache puts it on a
+// mobile stack, calling it again reconfigures the one cache, and on heartbeat
+// lists it panics.
 func TestNewOracleSelectsRouter(t *testing.T) {
 	const n, side = 30, 600.0
 	stacks := []struct {
@@ -409,20 +370,56 @@ func TestNewOracleSelectsRouter(t *testing.T) {
 	}
 	for _, s := range stacks {
 		e := sim.NewEngine(1)
-		o := NewOracle(netstack.New(e, s.cfg(e)))
+		net := netstack.New(e, s.cfg(e))
+		o := NewOracle(net)
 		if got := o.cache != nil; got != s.cached {
 			t.Fatalf("%s: NewOracle installed cache = %v, want %v", s.name, got, s.cached)
 		}
-		o.EnableRouteCache(RouteCacheConfig{TTLSecs: 1})
+		if net.Config().Neighbors == netstack.NeighborsHeartbeat {
+			if !enablePanics(o) {
+				t.Fatalf("%s: EnableRouteCache accepted heartbeat lists", s.name)
+			}
+			continue
+		}
+		o.EnableRouteCache(RouteCacheConfig{})
 		c := o.cache
-		if c == nil || c.maxTrees != 1024 || c.ttl <= 0 {
+		if c == nil || c.maxTrees != 1024 {
 			t.Fatalf("%s: EnableRouteCache left cache %+v", s.name, c)
 		}
 		o.HasRoute(0, 1)
 		o.EnableRouteCache(RouteCacheConfig{MaxTrees: 5})
-		if o.cache != c || c.maxTrees != 5 || c.ttl > 0 || c.trees[1] == nil {
+		if o.cache != c || c.maxTrees != 5 || c.trees[1] == nil {
 			t.Fatalf("%s: second EnableRouteCache did not reconfigure the cache in place", s.name)
 		}
+	}
+}
+
+// enablePanics reports whether EnableRouteCache panics on o's network.
+func enablePanics(o *Oracle) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	o.EnableRouteCache(RouteCacheConfig{})
+	return false
+}
+
+// TestRouteCacheRefusesHeartbeatLists: heartbeat lists change between
+// beacons without advancing the version a tree is checked against, and are
+// not symmetric, so a cache on them would answer from stale or wrong fields;
+// EnableRouteCache refuses them, before and after the first beacons.
+func TestRouteCacheRefusesHeartbeatLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n, side = 40, 700.0
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{
+		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
+		Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsHeartbeat,
+	})
+	o := NewOracle(net)
+	if !enablePanics(o) {
+		t.Fatal("EnableRouteCache accepted heartbeat lists before the first beacon")
+	}
+	e.Run(25)
+	if !enablePanics(o) || o.cache != nil {
+		t.Fatal("EnableRouteCache accepted heartbeat lists once beacons ran")
 	}
 }
 
@@ -534,9 +531,7 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, side, maxTrees = 60, 1000.0, 8
-	e, net, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
-	defer e.StopWorkers()
-	e.SetShards(4)
+	_, net, o := oracleWorld(geom.UniformPoints(rng, n, side), side)
 	o.EnableRouteCache(RouteCacheConfig{MaxTrees: maxTrees})
 	c := o.cache
 	frontierCap := map[*routeTree]int{} // every tree ever seen → its frontier buffer
@@ -617,13 +612,11 @@ func TestOracleRouteCacheScopedDelivery(t *testing.T) {
 	}
 }
 
-// TestPrefetchTreesMatchSerialMiss pins the sharded phase against the serial
-// miss path by what a caller can observe: after PrefetchRoutes — at widths 0,
-// 2 and 8, and with the width grown between two prefetches so the per-shard
-// BFS scratch has to grow with it — every destination has a tree that already
-// covers the origin, every distance it has labelled is the exhausted field's,
-// and nextHop answers every alive src exactly as an oracle that only ever
-// missed serially does.
+// TestPrefetchTreesMatchSerialMiss pins PrefetchRoutes against the miss path
+// by what a caller can observe: after a prefetch every destination has a tree
+// that already covers the origin, every distance it has labelled is the
+// exhausted field's, and nextHop answers every alive src exactly as an oracle
+// that only ever missed does.
 func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n, side, origin = 60, 1000.0, 0
@@ -657,22 +650,7 @@ func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
 			checkLabels(t, name+", after the queries", net, o.cache.trees[dst], false)
 		}
 	}
-	for _, w := range []int{0, 2, 8} {
-		e, net, o := oracleWorld(pts, side)
-		e.SetShards(w)
-		o.PrefetchRoutes(origin, dsts)
-		e.StopWorkers()
-		check(fmt.Sprintf("shards=%d", w), net, o)
-	}
-
-	e, net, o := oracleWorld(pts, side)
-	defer e.StopWorkers()
-	e.SetShards(2)
-	o.PrefetchRoutes(origin, dsts[:n/2])
-	e.SetShards(8)
+	_, net, o := oracleWorld(pts, side)
 	o.PrefetchRoutes(origin, dsts)
-	if got := len(o.cache.queues); got != 8 {
-		t.Fatalf("BFS scratch has %d slots after growing the width to 8", got)
-	}
-	check("shards 2→8", net, o)
+	check("prefetch", net, o)
 }

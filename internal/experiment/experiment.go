@@ -259,7 +259,6 @@ func run(sc Scenario) (Result, check.Report) {
 	sc.fillDefaults()
 	st := sc.build()
 	engine, net, sys, suite := st.Engine, st.Net, st.Sys, st.Suite
-	defer engine.StopWorkers()
 	rng := engine.NewStream()
 
 	engine.Run(sc.WarmupSecs)

@@ -68,10 +68,6 @@ type Profile struct {
 	// Parallel is the worker-pool size used by RunSweep for the
 	// simulation-backed figures; 0 means runtime.GOMAXPROCS(0).
 	Parallel int
-	// Shards is the per-engine sharded-phase width (stack.Spec.Shards):
-	// bit-identical results at any setting, and orthogonal to Parallel,
-	// which runs whole seeds concurrently.
-	Shards int
 }
 
 // Quick returns a laptop-scale profile on the ideal stack.
@@ -112,7 +108,7 @@ func ratio[T int | float64](part, whole T) float64 {
 
 func baseScenario(p Profile, n int, seed int64) Scenario {
 	return Scenario{
-		Spec:           stack.Spec{N: n, Seed: seed, Shards: p.Shards, Link: netstack.Config{Stack: p.Stack}},
+		Spec:           stack.Spec{N: n, Seed: seed, Link: netstack.Config{Stack: p.Stack}},
 		Advertisements: p.Advertisements, Lookups: p.Lookups, LookupNodes: p.LookupNodes,
 	}
 }

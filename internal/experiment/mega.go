@@ -17,15 +17,18 @@ import (
 	"probquorum/internal/stack"
 )
 
-// The mega scenario is the scale exercise behind DESIGN.md §12: a ≥10k-node
-// SINR/DCF network with continuous churn and a randomized fault schedule
-// live, the internal/check invariant suite armed, the cell-aggregated
-// interference model on, and the engine's sharded phase selectable — while
-// recording the process-level costs (wall clock, allocations, peak heap)
-// that the benchmarks track. Routing is the oracle router: AODV route
-// discovery floods the whole network per destination, which at 10k nodes
-// measures flooding rather than the quorum system, so the oracle isolates
-// the PHY/scale cost (Section 4.1's cost-of-using-the-routes framing).
+// The mega scenario is the scale exercise behind DESIGN.md §12 and §15: a
+// ≥10k-node SINR/DCF network with continuous churn and a randomized fault
+// schedule live, the internal/check invariant suite armed and the
+// cell-aggregated interference model on — while recording the process-level
+// costs (wall clock, allocations, peak heap) that the benchmarks track.
+// Routing is the oracle router: AODV route discovery floods the whole network
+// per destination, which at 10k nodes measures flooding rather than the
+// quorum system, so the oracle isolates the PHY/scale cost (Section 4.1's
+// cost-of-using-the-routes framing). Neighbor lists are the geometric
+// provider's: beacons from every node would swamp the PHY with traffic that
+// measures nothing, and on those lists the oracle answers from exact cached
+// route trees by itself.
 
 // The workload of a full-horizon run: 30 advertisements one second apart, then
 // 60 lookups half a second apart from 12 origins, after a 30 s warm-up, with
@@ -41,8 +44,7 @@ const (
 // MegaResult is one mega run's protocol outcomes plus its process-level
 // cost metrics.
 type MegaResult struct {
-	N, Shards  int
-	Giga       bool
+	N          int
 	ChurnFails int
 	ChurnJoins int
 	// Report is the invariant suite's verdict; its Lookups, Hits and
@@ -77,26 +79,18 @@ func (r MegaResult) IntersectRatio() float64 {
 // metrics. Like go test it appends "-<GOMAXPROCS>" to the name (nothing at
 // 1), so the BENCH.json entry records the host width it was measured at.
 func (r MegaResult) BenchLine() string {
-	name := "Mega"
-	if r.Giga {
-		name = "Giga"
-	}
 	procs := ""
 	if n := runtime.GOMAXPROCS(0); n != 1 {
 		procs = fmt.Sprintf("-%d", n)
 	}
-	return fmt.Sprintf("Benchmark%sScenario/n=%d/shards=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
-		name, r.N, r.Shards, procs, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
+	return fmt.Sprintf("BenchmarkMegaScenario/n=%d%s 1 %d ns/op %d B/op %d allocs/op %d peak-heap-B %d events",
+		r.N, procs, int64(r.WallSecs*1e9), r.AllocBytes, r.Mallocs, r.PeakHeapBytes, r.Events)
 }
 
 // Table renders the run for pqexp output.
 func (r MegaResult) Table() Table {
-	tier := "mega"
-	if r.Giga {
-		tier = "giga"
-	}
 	return Table{
-		Title:  fmt.Sprintf("%s — %d-node SINR/DCF scale run (shards=%d)", tier, r.N, r.Shards),
+		Title:  fmt.Sprintf("mega — %d-node SINR/DCF scale run", r.N),
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"lookups", istr(r.Report.Lookups)},
@@ -112,30 +106,18 @@ func (r MegaResult) Table() Table {
 	}
 }
 
-// Mega is the 10k-node scale tier: the run's table and its bench line.
-func Mega(tc TierConfig) ([]Table, []string, error) { return scaleTier("mega", tc, false) }
-
-// Giga is the 100k-node scale tier (see RunMega for what it changes).
-func Giga(tc TierConfig) ([]Table, []string, error) { return scaleTier("giga", tc, true) }
-
-func scaleTier(name string, tc TierConfig, giga bool) ([]Table, []string, error) {
-	res := RunMega(tc, giga)
-	return []Table{res.Table()}, []string{res.BenchLine()}, verdict(name, res.Report)
+// Mega is the scale tier: the run's table and its bench line.
+func Mega(tc TierConfig) ([]Table, []string, error) {
+	res := RunMega(tc)
+	return []Table{res.Table()}, []string{res.BenchLine()}, verdict("mega", res.Report)
 }
 
-// RunMega executes one mega scenario at tc.N nodes (default 10000). giga
-// selects the 100k-tier preset: N defaults to 100000, neighbor discovery
-// switches to the geometric oracle provider (100k beaconing nodes would swamp
-// the PHY with traffic that measures nothing), and results report under the
-// BenchmarkGigaScenario name. The simulation outcome depends on the seed and
-// model knobs, never on Shards (a throughput knob).
-func RunMega(tc TierConfig, giga bool) MegaResult {
+// RunMega executes one mega scenario at tc.N nodes (default 10000; the 100k
+// tier is N = 100000).
+func RunMega(tc TierConfig) MegaResult {
 	n := tc.N
 	if n == 0 {
 		n = 10000
-		if giga {
-			n = 100000
-		}
 	}
 	// The horizon-scaled workload: counts at least 2, warm-up at least 5 s.
 	h := tc.horizon()
@@ -152,13 +134,13 @@ func RunMega(tc TierConfig, giga bool) MegaResult {
 
 	sc := Scenario{
 		Spec: stack.Spec{
-			N: n, Seed: tc.Seed, Shards: tc.Shards,
-			Link: netstack.Config{Stack: netstack.StackSINR, CellNoise: true},
-			// The scale posture: draw-on-demand membership views and cached
-			// route trees with sharded prefetch.
-			OracleRouting: true, RouteCache: true,
-			Members: membership.Config{RefreshSecs: 20, Lazy: true},
-			Quorum:  mixConfig(n, quorum.Random, quorum.Random),
+			N: n, Seed: tc.Seed,
+			Link: netstack.Config{Stack: netstack.StackSINR, CellNoise: true, Neighbors: netstack.NeighborsOracle},
+			// The scale posture: draw-on-demand membership views and the
+			// oracle router's cached route trees.
+			OracleRouting: true,
+			Members:       membership.Config{RefreshSecs: 20, Lazy: true},
+			Quorum:        mixConfig(n, quorum.Random, quorum.Random),
 		},
 		// Continuous churn over the lookup phase (sets the join pool).
 		ChurnFailRate: churnRate, ChurnJoinRate: churnRate,
@@ -167,14 +149,8 @@ func RunMega(tc TierConfig, giga bool) MegaResult {
 		Lookups:           lookups, LookupNodes: megaLookupNodes,
 		WarmupSecs: warmupSecs,
 	}
-	if giga {
-		// Geometric neighbor lists, where the oracle router caches by itself.
-		sc.Link.Neighbors = netstack.NeighborsOracle
-	}
-
 	st := sc.build()
 	engine, net, suite := st.Engine, st.Net, st.Suite
-	defer engine.StopWorkers()
 	startEvents := engine.Processed()
 
 	inj := st.Faults()
@@ -217,7 +193,7 @@ func RunMega(tc TierConfig, giga bool) MegaResult {
 	proc.Start()
 	engine.Schedule(lookupSpan, proc.Stop)
 
-	res := MegaResult{N: n, Shards: tc.Shards, Giga: giga}
+	res := MegaResult{N: n}
 	origins := make([]int, megaLookupNodes)
 	for i := range origins {
 		origins[i] = net.RandomAliveID(rng)

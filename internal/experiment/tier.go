@@ -8,9 +8,9 @@ import (
 	"probquorum/internal/stack"
 )
 
-// The tiers — load, adapt, mega, giga — are the runs outside `pqexp all`.
-// They share one contract: a tier takes a TierConfig and returns its tables,
-// the lines to print after them (mega's and giga's go-bench line, adapt's
+// The tiers — load, adapt, mega — are the runs outside `pqexp all`. They
+// share one contract: a tier takes a TierConfig and returns its tables, the
+// lines to print after them (mega's go-bench line, adapt's
 // first violations), and an error when the invariant suite it ran under
 // recorded anything.
 
@@ -22,17 +22,13 @@ type TierConfig struct {
 	// Seeds is how many seeds the adapt tier averages per (drift, variant)
 	// cell, from Seed upward (default 2). The other tiers run one seed.
 	Seeds int
-	// N is the scale tiers' node count (default 10000 for mega, 100000 for
-	// giga); load and adapt fix their own sizes.
+	// N is the mega tier's node count (default 10000); load and adapt fix
+	// their own sizes.
 	N int
 	// Parallel is the worker-pool width across the load tier's mixes and the
 	// adapt tier's cells (0 = all cores). Tables are bit-identical at any
 	// setting.
 	Parallel int
-	// Shards is the scale tiers' sharded-phase width (0 = serial): the route
-	// cache's bulk prefetch fans tree builds across this many goroutines.
-	// Bit-identical at any setting (DESIGN.md §15).
-	Shards int
 	// Horizon scales a tier down for smoke tests: a fraction in (0,1)
 	// multiplies its node counts, workload counts and spans (each tier keeps
 	// a floor); anything else is the full run.

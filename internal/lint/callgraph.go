@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds pqlint's whole-program call graph, the substrate of the
-// parsafe and noalloc analyzers. The graph is class-hierarchy style and
+// noalloc analyzer. The graph is class-hierarchy style and
 // deliberately over-approximates: every call site gets edges to every
 // function it *could* reach, so a walk from a root visits a superset of
 // the functions that can actually execute. Resolution rules:
@@ -47,14 +47,6 @@ type FuncNode struct {
 	// NoAlloc marks a pqlint:noalloc-annotated declaration (see
 	// directive.go), a root of the noalloc walk.
 	NoAlloc bool
-}
-
-// Pos returns the node's declaration position.
-func (n *FuncNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
 }
 
 // Body returns the node's body block.

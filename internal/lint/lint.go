@@ -14,16 +14,14 @@
 //   - noglobalrand: package-level math/rand draws are forbidden
 //   - nowallclock:  time.Now/Sleep/After/Tick &c. and os.Getpid are forbidden
 //   - detrange:     order-sensitive bodies under map iteration
-//   - parsafe:      whole-program — code reachable from a ShardedEval
-//     callback must not write shared state, schedule, send, or draw RNG
 //   - noalloc:      whole-program — pqlint:noalloc-annotated hot paths
 //     must not allocate along the call chain, up to the calls that
 //     declare a hand-off
 //
-// The last two walk a class-hierarchy-style call graph over the whole
-// module (see callgraph.go; load.go says why a function has one identity in
-// every package that calls it). Benign violations are silenced in place
-// with a reasoned directive:
+// noalloc walks a class-hierarchy-style call graph over the whole module
+// (see callgraph.go; load.go says why a function has one identity in every
+// package that calls it). Benign violations are silenced in place with a
+// reasoned directive:
 //
 //	//pqlint:allow analyzer(reason)
 //
@@ -80,23 +78,7 @@ type Analyzer struct {
 
 // Analyzers is the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		NoGlobalRand,
-		NoWallClock,
-		DetRange,
-		ParSafe,
-		NoAlloc,
-	}
-}
-
-// AnalyzerNames returns the set of valid analyzer names (for directive
-// validation).
-func AnalyzerNames() map[string]bool {
-	names := make(map[string]bool)
-	for _, az := range Analyzers() {
-		names[az.Name] = true
-	}
-	return names
+	return []*Analyzer{NoGlobalRand, NoWallClock, DetRange, NoAlloc}
 }
 
 // Pass hands one file to an analyzer and collects its findings.
@@ -206,7 +188,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // view adapts one call-graph node to the per-file Pass API so per-file
-// helpers (rngDraw, scheduleOrSend, ...) work inside program analyzers.
+// helpers (TypeOf, ObjectOf, ...) work inside program analyzers.
 func (p *ProgramPass) view(n *FuncNode) *Pass {
 	return &Pass{Pkg: n.Pkg, File: n.File, analyzer: p.analyzer, findings: p.findings}
 }
@@ -227,7 +209,10 @@ func (p *ProgramPass) walk(roots []*FuncNode, visit func(n *FuncNode, chain []st
 // directives, and returns all findings (suppressed ones included) sorted by
 // position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	valid := AnalyzerNames()
+	valid := make(map[string]bool) // analyzer names a directive may allow
+	for _, az := range Analyzers() {
+		valid[az.Name] = true
+	}
 	var out []Finding
 
 	// Pass 1: parse every file's directives up front — whole-program

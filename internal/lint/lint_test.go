@@ -27,11 +27,10 @@ func loadFixture(t *testing.T, name string) *lint.Package {
 // TestAnalyzerFixtures drives each analyzer over its fixture package:
 // positive.go must yield unsuppressed findings, clean.go none, and
 // suppressed.go only suppressed findings carrying the directive's reason.
-// The crosspkg rows run the two whole-program analyzers over a two-package
+// The crosspkg row runs the whole-program analyzer over a two-package
 // fixture whose roots sit in package a and whose violations sit in package
 // b: each chain must be printed, which takes a call graph that resolves a
-// static call, an interface call and a parallel-phase callee across the
-// package boundary.
+// static call and an interface call across the package boundary.
 func TestAnalyzerFixtures(t *testing.T) {
 	crosspkg := []string{"crosspkg/a", "crosspkg/b"}
 	rows := []struct {
@@ -44,12 +43,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{az: lint.NoGlobalRand, positives: 2}, // rand.Float64, rand.Intn
 		{az: lint.NoWallClock, positives: 3},  // time.Now, time.Sleep, os.Getpid
 		{az: lint.DetRange, positives: 3},     // RNG draw, scheduling, escaping append
-		{az: lint.ParSafe, positives: 4},      // captured write, schedule, RNG draw, callee write
 		{az: lint.NoAlloc, positives: 6},      // escaping append, &lit, boxing, closure, method value, make
 		{name: "crosspkg-noalloc", az: lint.NoAlloc, dirs: crosspkg, positives: 2,
 			chains: []string{"a.hotStatic -> b.Scratch]", "a.hotIface -> b.(*Table).Put]"}},
-		{name: "crosspkg-parsafe", az: lint.ParSafe, dirs: crosspkg, positives: 1,
-			chains: []string{" -> b.(*Table).Bump]"}},
 	}
 	covered := make(map[string]bool)
 	for _, row := range rows {

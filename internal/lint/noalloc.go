@@ -133,8 +133,7 @@ func checkNoAllocCall(p *ProgramPass, pv *Pass, call *ast.CallExpr, via string) 
 			if len(call.Args) == 0 {
 				return
 			}
-			base, through := writeBase(pv, call.Args[0])
-			if base != nil && !through {
+			if base := localBase(pv, call.Args[0]); base != nil {
 				// A bare local slice variable: its growth is private to
 				// this frame and judged by the runtime pins. Anything
 				// reached through a field, pointer, or capture escapes.
@@ -176,6 +175,31 @@ func checkNoAllocCall(p *ProgramPass, pv *Pass, call *ast.CallExpr, via string) 
 			continue
 		}
 		checkBoxing(p, pv, pt, arg, via)
+	}
+}
+
+// localBase unwraps an append target to the variable whose storage holds the
+// slice header: the base identifier when only value selectors and array
+// indexes lead to it, nil when the target is reached through a pointer, slice
+// or map (memory the base merely points to).
+func localBase(pv *Pass, e ast.Expr) *ast.Ident {
+	for {
+		switch x := unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return nil
+		}
+		if t := pv.TypeOf(e); t != nil {
+			switch t.Underlying().(type) {
+			case *types.Pointer, *types.Slice, *types.Map:
+				return nil
+			}
+		}
 	}
 }
 

@@ -7,9 +7,7 @@ type Key int
 
 // Table is the state package a's roots work on.
 type Table struct {
-	total int
-	rows  [][]int
-	marks []bool
+	rows [][]int
 }
 
 // Scratch allocates: reached from a.hotStatic by a static call.
@@ -20,9 +18,4 @@ func Scratch(n int) []int {
 // Put allocates: reached from a.hotIface through a's store interface.
 func (t *Table) Put(k Key) {
 	t.rows[k] = make([]int, k)
-}
-
-// Bump writes state every item of a parallel phase shares.
-func (t *Table) Bump() {
-	t.total++
 }

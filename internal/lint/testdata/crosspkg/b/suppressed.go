@@ -4,8 +4,3 @@ package b
 func (t *Table) Grow() {
 	t.rows = append(t.rows, nil) //pqlint:allow noalloc(fixture: grows to the row high-water mark once)
 }
-
-// Mark writes the calling item's own slot.
-func (t *Table) Mark(i int) {
-	t.marks[i] = true //pqlint:allow parsafe(fixture: per-item slot; index i is private to one item)
-}

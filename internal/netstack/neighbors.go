@@ -21,12 +21,11 @@ type NeighborProvider interface {
 	// (the oracle router's route trees) key it on this counter.
 	Version() uint64
 	// Prepare revalidates every live node's cached list at the current
-	// instant, so that a subsequent parallel phase within the same event
-	// can read them via Frozen without mutation.
+	// instant, so that a graph walk within the same event (a route-tree
+	// build) can read them via Frozen without mutation.
 	Prepare()
 	// Frozen returns id's cached list with no revalidation. Only valid
-	// after Prepare in the same event; read-only, safe for concurrent
-	// readers (DESIGN.md §15).
+	// after Prepare in the same event; read-only (DESIGN.md §15).
 	Frozen(id int) []int
 	// AliveFlipped is called by Fail and Revive, after the flip, with the
 	// node whose liveness changed.

@@ -563,8 +563,7 @@ func (net *Network) Neighbors(id int) []int { return net.neighbors.Neighbors(id)
 func (net *Network) NeighborVersion() uint64 { return net.neighbors.Version() }
 
 // PrepareNeighbors revalidates every live node's neighbor list so that a
-// sharded phase within the same event can read the frozen lists
-// concurrently (DESIGN.md §15).
+// graph walk within the same event can read the frozen lists (DESIGN.md §15).
 func (net *Network) PrepareNeighbors() { net.neighbors.Prepare() }
 
 // FrozenNeighbors returns id's cached neighbor list without revalidation.

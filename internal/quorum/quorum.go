@@ -284,7 +284,7 @@ type System struct {
 	// prefetcher is routing's bulk route-warmup hook, when it has one (the
 	// oracle router with its route cache enabled); nil otherwise. Quorum
 	// fan-outs call it with the member set they are about to contact so all
-	// missing routes build in one sharded parallel phase.
+	// missing routes build in one pass.
 	prefetcher aodv.RoutePrefetcher
 
 	stores []*Store

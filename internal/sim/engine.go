@@ -23,12 +23,6 @@
 // TestEnginesIsolated enforces the invariant under the race detector; new
 // code must preserve it.
 //
-// The one sanctioned exception is ShardedEval (shard.go): a synchronous
-// fan-out/join of independent per-item work inside a single event. Its
-// contract — no engine calls, no RNG, effects staged and committed in item
-// order after the barrier — keeps runs bit-identical at any shard count, so
-// it extends the invariant rather than weakening it.
-//
 // # Event recycling
 //
 // Events are recycled through an engine-owned free list, so steady-state
@@ -185,14 +179,6 @@ type Engine struct {
 	// and Cancel push fired or cancelled events back, so steady-state
 	// scheduling does not allocate.
 	free []*Event
-	// shards is the ShardedEval fan-out width and shardPool its lazily
-	// started goroutines; stageBufs holds the ops staged per chunk of the
-	// current phase and stageChunk that phase's chunk length (see shard.go).
-	shards       int
-	shardPool    *shardPool
-	stageBufs    [][]func()
-	stageChunk   int
-	inShardPhase bool
 }
 
 // NewEngine returns an engine at time zero whose random source is seeded

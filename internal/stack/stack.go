@@ -24,9 +24,8 @@ type Spec struct {
 	// allocated behind it for nodes that join later; they start failed and
 	// viewless, and are the fresh pool of Churn.
 	N, JoinSlots int
-	// Seed seeds the engine; Shards is its sharded-phase width.
-	Seed   int64
-	Shards int
+	// Seed seeds the engine.
+	Seed int64
 	// Link selects medium, MAC, neighbour discovery and loss injection.
 	// Build owns N, Side and Mobility: the area is sized for the initial
 	// population at Link.AvgDegree (default 10), not for N+JoinSlots.
@@ -34,10 +33,10 @@ type Spec struct {
 	// SpeedMax > 0 moves all slots by random waypoint at speedMin–SpeedMax
 	// m/s with pauseSecs pauses; zero is a static uniform placement.
 	SpeedMax float64
-	// OracleRouting replaces AODV by the zero-overhead oracle router.
-	// RouteCache additionally gives the oracle route trees on a heartbeat
-	// stack (on exact static stacks aodv.NewOracle installs them itself).
-	OracleRouting, RouteCache bool
+	// OracleRouting replaces AODV by the zero-overhead oracle router, which
+	// answers from cached route trees where the neighbor lists are exact and
+	// nothing moves (aodv.NewOracle).
+	OracleRouting bool
 	// Members configures the membership service; Build owns ViewSize: the
 	// paper's ⌈2√N⌉, or the size of a quorum drawn from the view where that
 	// is larger.
@@ -70,7 +69,6 @@ const (
 // netstack, routing, membership); Faults and Churn draw theirs when called.
 func Build(sp Spec) *Stack {
 	engine := sim.NewEngine(sp.Seed)
-	engine.SetShards(sp.Shards)
 
 	total := sp.N + sp.JoinSlots
 	cfg := sp.Link
@@ -87,18 +85,9 @@ func Build(sp Spec) *Stack {
 	net := netstack.New(engine, cfg)
 
 	var router aodv.Router
-	switch {
-	case sp.OracleRouting:
-		oracle := aodv.NewOracle(net)
-		// A heartbeat provider observes expiries lazily, so its trees also
-		// age out, after one second.
-		if sp.RouteCache && net.Config().Neighbors == netstack.NeighborsHeartbeat {
-			oracle.EnableRouteCache(aodv.RouteCacheConfig{TTLSecs: 1})
-		}
-		router = oracle
-	case sp.RouteCache:
-		panic("stack: RouteCache requires OracleRouting")
-	default:
+	if sp.OracleRouting {
+		router = aodv.NewOracle(net)
+	} else {
 		acfg := aodv.DefaultConfig()
 		// The ring-search timeouts assume NodeTraversalTime per hop; keep
 		// them consistent with an inflated ideal hop latency.

@@ -112,18 +112,6 @@ func TestFaultsArmsPartitionOracle(t *testing.T) {
 	}
 }
 
-// TestRouteCacheNeedsOracle: the misconfiguration is refused, not ignored.
-func TestRouteCacheNeedsOracle(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RouteCache without OracleRouting did not panic")
-		}
-	}()
-	sp := idealSpec(20, 0)
-	sp.OracleRouting, sp.RouteCache = false, true
-	Build(sp)
-}
-
 // TestViewCoversRandomQuorums: the membership view is the paper's ⌈2√N⌉
 // unless a strategy that draws from it — RANDOM, or RANDOM-OPT, whose
 // advertise is the same draw — is configured with a larger quorum, which Pick
