@@ -7,7 +7,7 @@
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
-#   5. spot-check — the same for the SINR/disk/AODV pqsim runs recorded in
+#   5. spot-check — the same for the SINR/DCF/AODV pqsim runs recorded in
 #               results_sinr_spot.txt, which quick-check's ideal stack misses;
 #   6. load-smoke, adapt-smoke — two of the three tiers (an invariant
 #               violation is fatal in all of them), their tables diffed
@@ -166,15 +166,18 @@ quick-check:
 		{ echo "quick-check: pqexp all differs from results_quick.txt (<: recorded, >: this tree)"; exit 1; }
 
 # spot records results_sinr_spot.txt, the gate for what quick-check's ideal
-# stack never runs: the SINR and disk radios, DCF, AODV, mobility, local
-# repair with overhearing and RANDOM-OPT, one `pqsim -seeds 2` run per line
-# of SPOT_RUNS, each under a header naming its command (about 9 s on two
-# cores). spot-check diffs a fresh run against the file; a change that means
-# to move a spot re-records it with `make spot` and says which and why.
+# stack never runs: the SINR radio, DCF, AODV, mobility, local repair with
+# overhearing, RANDOM-OPT, and RANDOM advertise at n=400 over AODV and over
+# the oracle router, one `pqsim -seeds 2` run per line of SPOT_RUNS, each
+# under a header naming its command (about 40 s on two cores, 31 s of it the
+# n=400 AODV run). spot-check diffs a fresh run against the file; a change
+# that means to move a spot re-records it with `make spot` and says which
+# and why.
 SPOT_RUNS = '-stack sinr -n 100' '-stack sinr -n 100 -speed 2' '-stack sinr -n 200' \
-	'-stack disk -n 100' '-stack sinr -n 100 -oracle' \
+	'-stack sinr -n 100 -oracle' \
 	'-stack sinr -n 100 -speed 5 -repair -overhear' \
-	'-stack disk -n 100 -adv random-opt -lookup random-opt'
+	'-stack sinr -n 100 -adv random-opt -lookup random-opt' \
+	'-stack sinr -n 400' '-stack sinr -n 400 -oracle'
 
 spot-runs:
 	@$(GO) build -o pqsim.spot ./cmd/pqsim

@@ -148,7 +148,7 @@ func figureNames() string {
 func run(args []string) error {
 	fs := flag.NewFlagSet("pqexp", flag.ContinueOnError)
 	full := fs.Bool("full", false, "paper-scale profile (SINR stack, n up to 800, 10 seeds)")
-	stack := fs.String("stack", "", "override stack: sinr | disk | ideal")
+	stack := fs.String("stack", "", "override stack: sinr | ideal")
 	seeds := fs.Int("seeds", 0, "override seeds per data point")
 	bigN := fs.Int("bign", 0, "override the large-network size")
 	seed := fs.Int64("seed", 1, "base random seed")

@@ -51,7 +51,7 @@ func run(args []string) error {
 	lkSize := fs.Int("lookup-size", 0, "lookup quorum size (default 1.15sqrt(n))")
 	ttl := fs.Int("ttl", 3, "flooding TTL")
 	speed := fs.Float64("speed", 0, "max waypoint speed m/s (0 = static)")
-	stackStr := fs.String("stack", "sinr", "stack: sinr | disk | ideal")
+	stackStr := fs.String("stack", "sinr", "stack: sinr | ideal")
 	ads := fs.Int("ads", 50, "advertisements")
 	lookups := fs.Int("lookups", 300, "lookups")
 	seeds := fs.Int("seeds", 1, "seeds to average")

@@ -6,7 +6,6 @@ import (
 	"probquorum/internal/geom"
 	"probquorum/internal/mobility"
 	"probquorum/internal/netstack"
-	"probquorum/internal/phy"
 	"probquorum/internal/sim"
 )
 
@@ -102,7 +101,7 @@ func TestOverhearSeesTheSendersCopy(t *testing.T) {
 			jammed := false
 			net.SetLinkFaultFunc(func(from, to int, pkt *netstack.Packet) netstack.FaultAction {
 				hooked = append(hooked, seenFrame{from, pkt.TTL, pkt.Hops})
-				if m, ok := net.Medium().(*phy.SINRMedium); ok && to == 1 && !jammed {
+				if m := net.Medium(); m != nil && to == 1 && !jammed {
 					jammed = true
 					m.SetExtraNoise(0, 1e-3)
 					e.Schedule(0.5e-3, func() { m.SetExtraNoise(0, 0) })

@@ -168,7 +168,7 @@ func TestFillDefaultsIdealWarmup(t *testing.T) {
 
 func TestFillDefaultsPreservesExplicit(t *testing.T) {
 	sc := Scenario{
-		Spec:           stack.Spec{N: 7, Link: netstack.Config{AvgDegree: 3, Stack: netstack.StackDisk}},
+		Spec:           stack.Spec{N: 7, Link: netstack.Config{AvgDegree: 3, Stack: netstack.StackIdeal}},
 		Advertisements: 1, Lookups: 2, LookupNodes: 3, WarmupSecs: 12,
 	}
 	got := sc

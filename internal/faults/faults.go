@@ -51,9 +51,8 @@ const (
 	// addressed to them — the classic routing-layer adversary.
 	Blackhole
 	// Jam raises the noise floor in a disk region: on the SINR stack the
-	// jam is physical (receptions corrupt, carriers go busy); on the disk
-	// and ideal stacks the affected nodes are silenced at the netstack
-	// hook instead.
+	// jam is physical (receptions corrupt, carriers go busy); on the ideal
+	// stack the affected nodes are silenced at the netstack hook instead.
 	Jam
 )
 
@@ -147,9 +146,7 @@ func New(net *netstack.Network) *Injector {
 		engine: net.Engine(),
 		rng:    net.Engine().NewStream(),
 	}
-	if m, ok := net.Medium().(*phy.SINRMedium); ok {
-		inj.sinr = m
-	}
+	inj.sinr = net.Medium()
 	net.SetPartitionFunc(inj.Partitioned)
 	net.SetLinkFaultFunc(inj.fault)
 	return inj

@@ -51,12 +51,12 @@ type DCF struct {
 	TxData, TxAck, TxRetries, Drops uint64
 }
 
-// NewDCF attaches a DCF MAC for node id to its channel on medium m.
-func NewDCF(engine *sim.Engine, id int, m phy.Medium, rng *rand.Rand) *DCF {
+// NewDCF attaches a DCF MAC for node id to its channel ch.
+func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 	d := &DCF{
 		engine:  engine,
 		id:      id,
-		channel: m.Channel(id),
+		channel: ch,
 		rng:     rng,
 		state:   dcfIdle,
 		cw:      cwMin,

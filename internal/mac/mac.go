@@ -2,7 +2,7 @@
 //
 //   - DCF: an 802.11-flavoured CSMA/CA MAC (DIFS/SIFS, slotted exponential
 //     backoff, unicast DATA/ACK with up to 7 retransmissions, broadcast
-//     without acknowledgment) running over a phy.Medium. Its send-failure
+//     without acknowledgment) running over a phy.Channel. Its send-failure
 //     upcall is the cross-layer notification the paper relies on for random
 //     walk salvation and reply-path repair (Section 6.2).
 //   - Ideal: a contention-free MAC over a unit-disk world, used by tests and

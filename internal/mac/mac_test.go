@@ -32,7 +32,7 @@ func dcfWorld(e *sim.Engine, pts []geom.Point) (*phy.SINRMedium, []*DCF, []*reco
 	macs := make([]*DCF, len(pts))
 	recs := make([]*recorder, len(pts))
 	for i := range pts {
-		macs[i] = NewDCF(e, i, m, rand.New(rand.NewSource(rng.Int63())))
+		macs[i] = NewDCF(e, i, m.Channel(i), rand.New(rand.NewSource(rng.Int63())))
 		recs[i] = &recorder{}
 		macs[i].SetHandler(recs[i])
 	}

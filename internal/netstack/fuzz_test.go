@@ -7,16 +7,16 @@ import (
 )
 
 // FuzzParseStack: ParseStack never panics, accepts a name exactly when it is
-// one of the three kinds' String() up to case, returns that kind — so a
+// one of the two kinds' String() up to case, returns that kind — so a
 // kind's String() parses back to it — and rejects everything else with an
 // error that quotes the input.
 func FuzzParseStack(f *testing.F) {
-	for _, s := range []string{"", "SINR", "disk ", "Ideal", "\x00"} {
+	for _, s := range []string{"", "SINR", "disk", "Ideal", "\x00"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, name string) {
 		var want StackKind
-		for _, k := range []StackKind{StackSINR, StackDisk, StackIdeal} {
+		for _, k := range []StackKind{StackSINR, StackIdeal} {
 			if strings.EqualFold(name, k.String()) {
 				want = k
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRxLossBlocksDelivery(t *testing.T) {
-	for _, stack := range []StackKind{StackSINR, StackDisk, StackIdeal} {
+	for _, stack := range []StackKind{StackSINR, StackIdeal} {
 		e := sim.NewEngine(1)
 		net := New(e, Config{
 			N: 3, Side: 450, Mobility: mobility.NewStatic([]geom.Point{{X: 0}, {X: 150}, {X: 300}}),

@@ -37,7 +37,7 @@ func lineNetwork(e *sim.Engine, n int, gap float64, stack StackKind) *Network {
 }
 
 func TestOneHopUnicast(t *testing.T) {
-	for _, stack := range []StackKind{StackSINR, StackDisk, StackIdeal} {
+	for _, stack := range []StackKind{StackSINR, StackIdeal} {
 		e := sim.NewEngine(1)
 		net := lineNetwork(e, 3, 150, stack)
 		s := &sink{}
@@ -450,15 +450,15 @@ func TestParseStack(t *testing.T) {
 		in   string
 		want StackKind
 	}{
-		{"sinr", StackSINR}, {"disk", StackDisk}, {"ideal", StackIdeal},
-		{"SINR", StackSINR}, {"Disk", StackDisk},
+		{"sinr", StackSINR}, {"ideal", StackIdeal},
+		{"SINR", StackSINR}, {"Ideal", StackIdeal}, {"disk", 0},
 		{"", 0}, {"sinr ", 0}, {"unitdisk", 0}, {"StackKind(0)", 0},
 	} {
 		got, err := ParseStack(tc.in)
 		if got != tc.want || (err == nil) != (tc.want != 0) {
 			t.Errorf("ParseStack(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
-		if err != nil && !strings.Contains(err.Error(), "sinr, disk or ideal") {
+		if err != nil && !strings.Contains(err.Error(), "sinr or ideal") {
 			t.Errorf("ParseStack(%q) error %q does not list the valid names", tc.in, err)
 		}
 		if err == nil && got.String() != strings.ToLower(tc.in) {

@@ -20,9 +20,6 @@ const (
 	// StackSINR runs the 802.11 DCF MAC over the cumulative-noise SINR
 	// medium — the paper-faithful configuration.
 	StackSINR StackKind = iota + 1
-	// StackDisk runs the DCF MAC over the protocol-model (unit disk)
-	// medium.
-	StackDisk
 	// StackIdeal runs the contention-free unit-disk MAC, for tests and
 	// fast sweeps.
 	StackIdeal
@@ -33,8 +30,6 @@ func (k StackKind) String() string {
 	switch k {
 	case StackSINR:
 		return "sinr"
-	case StackDisk:
-		return "disk"
 	case StackIdeal:
 		return "ideal"
 	}
@@ -49,7 +44,7 @@ func ParseStack(name string) (StackKind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown stack %q (want %v, %v or %v)", name, StackSINR, StackDisk, StackIdeal)
+	return 0, fmt.Errorf("unknown stack %q (want %v or %v)", name, StackSINR, StackIdeal)
 }
 
 // NeighborMode selects how nodes learn their one-hop neighborhood.
@@ -83,7 +78,7 @@ type Config struct {
 	// PHY holds radio parameters (zero value → phy.DefaultParams()).
 	PHY phy.Params
 	// Neighbors selects neighbor discovery (default NeighborsHeartbeat
-	// for SINR/Disk stacks, NeighborsOracle for the ideal stack).
+	// for the SINR stack, NeighborsOracle for the ideal stack).
 	Neighbors NeighborMode
 	// LossProb is the per-attempt loss probability for the ideal stack.
 	LossProb float64
@@ -99,15 +94,15 @@ type Config struct {
 	IdealHopDelay float64
 	// CellNoise selects the cell-aggregated far-field interference model
 	// — the approximate scale-out mode for very large n (see
-	// phy.SINRConfig.CellNoise). SINR stack only; ignored by the disk and
-	// ideal stacks.
+	// phy.SINRConfig.CellNoise). SINR stack only; ignored by the ideal
+	// stack.
 	CellNoise bool
 }
 
-// Range is the nominal transmission range in meters (paper: 200 m): the
-// disk medium's and the ideal MAC's, oracle neighbor discovery's, and the one
-// the deployment area is sized for. The SINR stack derives its own ≈213 m
-// from the radio parameters (Network.Range).
+// Range is the nominal transmission range in meters (paper: 200 m): the ideal
+// MAC's, oracle neighbor discovery's, and the one the deployment area is
+// sized for. The SINR stack derives its own ≈213 m from the radio parameters
+// (Network.Range).
 const Range = 200
 
 func (c *Config) fillDefaults() {
@@ -147,8 +142,8 @@ type Network struct {
 	// happen without time advancing still invalidate cached lists.
 	aliveEpoch uint64
 
-	medium    phy.Medium    // nil for the ideal stack
-	ideal     *mac.IdealNet // nil for SINR/disk stacks
+	medium    *phy.SINRMedium // nil for the ideal stack
+	ideal     *mac.IdealNet   // nil for the SINR stack
 	neighbors NeighborProvider
 
 	// lossRng, non-nil when Config.RxLossProb > 0, draws the RxLossProb
@@ -245,16 +240,7 @@ func New(engine *sim.Engine, cfg Config) *Network {
 		})
 		net.medium = m
 		for i := 0; i < cfg.N; i++ {
-			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m, engine.NewStream()))
-		}
-	case StackDisk:
-		m := phy.NewDiskMedium(engine, phy.DiskConfig{
-			N: cfg.N, Side: cfg.Side, Pos: pos,
-			MaxSpeed: net.mob.MaxSpeed(), Range: Range,
-		})
-		net.medium = m
-		for i := 0; i < cfg.N; i++ {
-			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m, engine.NewStream()))
+			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m.Channel(i), engine.NewStream()))
 		}
 	case StackIdeal:
 		in := mac.NewIdealNet(engine, cfg.N, Range, pos, engine.NewStream())
@@ -447,14 +433,13 @@ func (net *Network) Position(id int) geom.Point {
 func (net *Network) Mobility() mobility.Model { return net.mob }
 
 // Medium returns the shared physical medium (nil for the ideal stack).
-// Fault injectors use it to reach fidelity-specific hooks such as the SINR
-// medium's jamming noise.
-func (net *Network) Medium() phy.Medium { return net.medium }
+// Fault injectors use it to reach the medium's jamming noise.
+func (net *Network) Medium() *phy.SINRMedium { return net.medium }
 
 // Range returns the nominal transmission range for neighborhood purposes.
 func (net *Network) Range() float64 {
-	if m, ok := net.medium.(*phy.SINRMedium); ok {
-		return m.Params().ReceptionRange()
+	if net.medium != nil {
+		return net.medium.Params().ReceptionRange()
 	}
 	return Range
 }

@@ -74,7 +74,7 @@ type Latency int
 const (
 	// LatHop accumulates per-transmission MAC latency: the time from
 	// handing a unicast frame to the MAC until its send-done upcall (ACK
-	// or retry exhaustion). On the SINR/disk stacks this surfaces
+	// or retry exhaustion). On the SINR stack this surfaces
 	// contention; on the ideal stack it reflects the configured hop delay.
 	LatHop Latency = iota
 	// LatOp accumulates end-to-end quorum operation latency: the time

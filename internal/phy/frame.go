@@ -67,14 +67,3 @@ type Channel interface {
 	// TxDuration returns the air time of f on this medium.
 	TxDuration(f *Frame) float64
 }
-
-// Medium is a shared wireless channel connecting n nodes.
-type Medium interface {
-	// Channel returns node id's attachment.
-	Channel(id int) Channel
-	// SetEnabled includes or excludes a node from the medium (churn).
-	// Disabled nodes neither transmit nor receive nor interfere.
-	SetEnabled(id int, on bool)
-	// Enabled reports whether the node participates in the medium.
-	Enabled(id int) bool
-}

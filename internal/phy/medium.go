@@ -1,104 +1,14 @@
 package phy
 
-import (
-	"probquorum/internal/geom"
-	"probquorum/internal/sim"
-)
-
-// reception is what is left of a reception model once the shared medium has
-// done everything else (Section 2.3 of the paper gives two: physical/SINR and
-// protocol/disk). The medium calls it at fixed points of a signal's life; a
-// rule reads the radio's state (sumMw, nActive, lockedSig) but never writes it.
-type reception interface {
-	// signal classifies a transmission for a receiver at distance d; ok is
-	// false when the receiver is out of the model's reach and gets no
-	// arrival at all.
-	signal(d float64) (s signal, ok bool)
-	// locks reports whether an idle r starts decoding the new signal s
-	// (already counted in r.sumMw and r.nActive).
-	locks(r *radio, s signal) bool
-	// corrupts reports whether what r hears, which has just grown by one
-	// signal, destroys the frame r is decoding (r.lockedSig).
-	corrupts(r *radio) bool
-	// survives is asked at the end of an uncorrupted r.lockedSig (already
-	// out of r.sumMw): did the frame hold to the end?
-	survives(r *radio) bool
-	// txStart and txEnd bracket node id's time on the air; p is its
-	// position at the start.
-	txStart(id int, p geom.Point)
-	txEnd(id int)
-}
-
-// signal is what one transmission is to one receiver.
-type signal struct {
-	// powerMw is the received power: what the medium sums for carrier sense
-	// and the SINR rule for interference. The disk rule, which has no notion
-	// of power, gives every arrival 1 against a carrier-sense threshold of 1.
-	powerMw float64
-	// inRange reports a sender within the reception range r (disk rule).
-	inRange bool
-}
-
-// medium is the machinery both reception models share: per-node radios,
-// candidate receivers from the spatial index, Transmit's classify and begin
-// loops, one end event per transmission, half-duplex, carrier edges,
-// enable/disable and the transmission pool. SINRMedium and DiskMedium embed
-// it and supply the rule.
-type medium struct {
-	engine *sim.Engine
-	world  *world
-	rule   reception
-	// candRange is the candidate-query radius: no receiver beyond it can
-	// get an arrival from the rule.
-	candRange float64
-	// csThreshMw is the carrier-sense threshold: a radio senses the channel
-	// busy while its arrivals' powers plus its ambient noise sum to it.
-	csThreshMw float64
-
-	radios []*radio
-
-	// txFree recycles transmission records, arrival slices included:
-	// Transmit pops one and the transmission's end walk pushes it back, so
-	// steady-state transmission is allocation-free (DESIGN.md §9).
-	txFree []*transmission
-
-	// Corrupted counts receptions aborted by interference, collision or
-	// the receiver's own transmission — an observability hook for
-	// MAC-level loss studies.
-	Corrupted uint64
-}
-
-// init wires the shared state; w must index the n nodes with cells that suit
-// candRange. All nodes start enabled.
-func (m *medium) init(engine *sim.Engine, rule reception, w *world, candRange, csThreshMw float64) {
-	m.engine, m.rule, m.world, m.candRange, m.csThreshMw = engine, rule, w, candRange, csThreshMw
-	m.radios = make([]*radio, w.n)
-	for i := range m.radios {
-		r := &radio{medium: m, id: i, epoch: 1}
-		r.txDoneFn = r.txDone
-		m.radios[i] = r
-	}
-}
-
-// Channel implements Medium.
-func (m *medium) Channel(id int) Channel { return m.radios[id] }
-
-// SetEnabled implements Medium.
-func (m *medium) SetEnabled(id int, on bool) {
-	m.world.setEnabled(id, on)
-	if !on {
-		m.radios[id].reset()
-	}
-}
-
-// Enabled implements Medium.
-func (m *medium) Enabled(id int) bool { return m.world.enabled[id] }
+import "probquorum/internal/geom"
 
 // arrival is one transmission's signal at one radio: a value in the
 // transmission's own slice, so it lives exactly as long as the frame is on
 // the air and needs no pool and no per-radio list.
 type arrival struct {
-	signal
+	// powerMw is the received power: what the radio sums for carrier sense
+	// and for interference.
+	powerMw float64
 	// rx is the radio this arrival impinges on.
 	rx *radio
 	// epoch is rx.epoch at the moment the signal entered rx's running sum;
@@ -128,7 +38,7 @@ type transmission struct {
 // newTransmission takes a recycled transmission record from the pool.
 //
 //pqlint:noalloc
-func (m *medium) newTransmission() *transmission {
+func (m *SINRMedium) newTransmission() *transmission {
 	if n := len(m.txFree); n > 0 {
 		t := m.txFree[n-1]
 		m.txFree[n-1] = nil
@@ -147,7 +57,7 @@ func (m *medium) newTransmission() *transmission {
 // frame reference is dropped so it does not outlive the signal.
 //
 //pqlint:noalloc
-func (m *medium) endTransmission(t *transmission) {
+func (m *SINRMedium) endTransmission(t *transmission) {
 	for i := range t.arrivals {
 		a := &t.arrivals[i]
 		a.rx.signalEnd(t, a)
@@ -161,7 +71,7 @@ func (m *medium) endTransmission(t *transmission) {
 // at its end, and is set back to exactly 0 whenever nActive returns to 0, so
 // rounding residue never outlives a busy period.
 type radio struct {
-	medium  *medium
+	medium  *SINRMedium
 	id      int
 	handler Handler
 
@@ -171,14 +81,14 @@ type radio struct {
 	// epoch stamps the arrivals counted in sumMw/nActive; reset bumps it, so
 	// the end of a signal the radio forgot at a disable subtracts nothing.
 	epoch uint32
-	// locked is the transmission being decoded (nil: none), lockedSig its
-	// signal here.
+	// locked is the transmission being decoded (nil: none), lockedMw its
+	// power here.
 	locked    *transmission
-	lockedSig signal
+	lockedMw  float64
 	corrupted bool
 	busy      bool // last reported carrier state
 	// noiseMw is ambient noise injected at this receiver on top of the
-	// thermal floor (SINRMedium.SetExtraNoise); the disk rule ignores it.
+	// thermal floor (SINRMedium.SetExtraNoise).
 	noiseMw float64
 	// txDoneFn is the bound txDone method, created once so scheduling the
 	// end of a transmission does not allocate.
@@ -198,7 +108,7 @@ func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 // cost about 3 % of a contended DCF second.
 func (r *radio) Busy() bool {
 	m := r.medium
-	return m.engine.Now() < r.txUntil || r.sumMw+r.noiseMw >= m.csThreshMw
+	return m.engine.Now() < r.txUntil || r.sumMw+r.noiseMw >= m.d.CsThreshMw
 }
 
 func (r *radio) reset() {
@@ -212,8 +122,8 @@ func (r *radio) reset() {
 	r.updateCarrier()
 }
 
-// Transmit implements Channel. One loop classifies each candidate's signal
-// and builds the frame's arrivals in candidate order — it touches no
+// Transmit implements Channel. One loop computes each candidate's received
+// power and builds the frame's arrivals in candidate order — it touches no
 // receiver, so the index's own candidate buffer and the stateful position
 // functions are read out before anything can react — and a second starts
 // them.
@@ -235,14 +145,14 @@ func (r *radio) Transmit(f *Frame) {
 	r.updateCarrier()
 
 	srcPos := m.world.pos(r.id)
-	m.rule.txStart(r.id, srcPos)
+	m.txStart(r.id, srcPos)
 
 	var tx *transmission
 	for _, dst := range m.world.candidates(r.id, m.candRange) {
 		if dst == r.id {
 			continue
 		}
-		s, ok := m.rule.signal(geom.Dist(srcPos, m.world.pos(dst)))
+		p, ok := m.signal(geom.Dist(srcPos, m.world.pos(dst)))
 		if !ok {
 			continue
 		}
@@ -250,7 +160,7 @@ func (r *radio) Transmit(f *Frame) {
 			tx = m.newTransmission()
 			tx.frame = f
 		}
-		tx.arrivals = append(tx.arrivals, arrival{signal: s, rx: m.radios[dst]}) //pqlint:allow noalloc(a pooled record's slice grows to the receivers-per-frame high-water mark)
+		tx.arrivals = append(tx.arrivals, arrival{powerMw: p, rx: m.radios[dst]}) //pqlint:allow noalloc(a pooled record's slice grows to the receivers-per-frame high-water mark)
 	}
 	if tx == nil {
 		return
@@ -263,7 +173,7 @@ func (r *radio) Transmit(f *Frame) {
 }
 
 func (r *radio) txDone() {
-	r.medium.rule.txEnd(r.id)
+	r.medium.txEnd(r.id)
 	r.updateCarrier()
 }
 
@@ -280,13 +190,13 @@ func (r *radio) signalBegin(t *transmission, a *arrival) {
 	case m.engine.Now() < r.txUntil:
 		// A transmitting radio cannot receive; the signal is noise only.
 	case r.locked == nil:
-		if m.rule.locks(r, a.signal) {
-			r.locked, r.lockedSig = t, a.signal
+		if m.locks(r, a.powerMw) {
+			r.locked, r.lockedMw = t, a.powerMw
 			r.corrupted = false
 		}
 	default:
 		// Already decoding: the newcomer is interference.
-		if m.rule.corrupts(r) {
+		if m.corrupts(r) {
 			r.corrupted = true
 		}
 	}
@@ -304,7 +214,7 @@ func (r *radio) signalEnd(t *transmission, a *arrival) {
 		}
 	}
 	if r.locked == t {
-		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.rule.survives(r)
+		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.survives(r)
 		if !delivered {
 			m.Corrupted++
 		}

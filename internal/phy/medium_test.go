@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"probquorum/internal/geom"
@@ -22,7 +23,7 @@ func staticPos(pts []geom.Point) PositionFunc {
 }
 
 // attach gives every node of m a collector.
-func attach(m *medium) []*collector {
+func attach(m *SINRMedium) []*collector {
 	cs := make([]*collector, len(m.radios))
 	for i := range cs {
 		cs[i] = &collector{}
@@ -31,45 +32,22 @@ func attach(m *medium) []*collector {
 	return cs
 }
 
+// newTestSINR builds the exact medium over static points: 150 m decodes,
+// 250 m is sensed but not decoded, and 310 m is neither.
 func newTestSINR(e *sim.Engine, pts []geom.Point) (*SINRMedium, []*collector) {
 	m := NewSINRMedium(e, SINRConfig{N: len(pts), Side: 5000, Pos: staticPos(pts)})
-	return m, attach(&m.medium)
-}
-
-func newTestDisk(e *sim.Engine, pts []geom.Point) (*DiskMedium, []*collector) {
-	m := NewDiskMedium(e, DiskConfig{N: len(pts), Side: 5000, Pos: staticPos(pts), Range: 200})
-	return m, attach(&m.medium)
-}
-
-// mkCore builds one of the two media over static points and hands back the
-// shared core, which is all a test of the shared behaviour needs. Each such
-// test has one body and runs once per reception rule on the same geometry:
-// under both rules 150 m decodes, 250 m is sensed but not decoded, and 310 m
-// is neither.
-type mkCore func(e *sim.Engine, pts []geom.Point) (*medium, []*collector)
-
-func sinrCore(e *sim.Engine, pts []geom.Point) (*medium, []*collector) {
-	m, cs := newTestSINR(e, pts)
-	return &m.medium, cs
-}
-
-func diskCore(e *sim.Engine, pts []geom.Point) (*medium, []*collector) {
-	m, cs := newTestDisk(e, pts)
-	return &m.medium, cs
+	return m, attach(m)
 }
 
 func bcast(src, bytes int) *Frame {
 	return &Frame{Src: src, Dst: Broadcast, Kind: FrameData, Bytes: bytes, Rate: 2e6}
 }
 
-func TestSINRHalfDuplex(t *testing.T) { testHalfDuplex(t, sinrCore) }
-func TestDiskHalfDuplex(t *testing.T) { testHalfDuplex(t, diskCore) }
-
-func testHalfDuplex(t *testing.T, mk mkCore) {
+func TestSINRHalfDuplex(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}}
 	t.Run("deaf while transmitting", func(t *testing.T) {
 		e := sim.NewEngine(1)
-		m, cs := mk(e, pts)
+		m, cs := newTestSINR(e, pts)
 		// Node 1 starts transmitting first; node 0's frame arrives during
 		// node 1's transmission and must not be received by node 1.
 		e.Schedule(0, func() { m.Channel(1).Transmit(bcast(1, 100)) })
@@ -81,7 +59,7 @@ func testHalfDuplex(t *testing.T, mk mkCore) {
 	})
 	t.Run("transmitting aborts a reception", func(t *testing.T) {
 		e := sim.NewEngine(1)
-		m, cs := mk(e, pts)
+		m, cs := newTestSINR(e, pts)
 		// Node 1 is decoding node 0's long frame when it sends a short one
 		// of its own, over well before the long frame ends: the reception
 		// is lost all the same, and counted.
@@ -100,14 +78,11 @@ func testHalfDuplex(t *testing.T, mk mkCore) {
 	})
 }
 
-func TestSINRCarrierSense(t *testing.T) { testCarrierSense(t, sinrCore) }
-func TestDiskCarrierSense(t *testing.T) { testCarrierSense(t, diskCore) }
-
-func testCarrierSense(t *testing.T, mk mkCore) {
+func TestSINRCarrierSense(t *testing.T) {
 	e := sim.NewEngine(1)
-	// 250 m: beyond reception (SINR ≈213 m, disk 200 m) but within carrier
-	// sense (≈299 m, 300 m); 310 m: beyond both.
-	m, cs := mk(e, []geom.Point{{X: 0, Y: 0}, {X: 250, Y: 0}, {X: 310, Y: 0}})
+	// 250 m: beyond reception (≈213 m) but within carrier sense (≈299 m);
+	// 310 m: beyond both.
+	m, cs := newTestSINR(e, []geom.Point{{X: 0, Y: 0}, {X: 250, Y: 0}, {X: 310, Y: 0}})
 	var nearBusy, farBusy bool
 	e.Schedule(0, func() { m.Channel(0).Transmit(bcast(0, 100)) })
 	e.Schedule(0.0001, func() {
@@ -139,12 +114,9 @@ func testCarrierSense(t *testing.T, mk mkCore) {
 	}
 }
 
-func TestSINRDisabledNode(t *testing.T) { testDisabledNode(t, sinrCore) }
-func TestDiskDisable(t *testing.T)      { testDisabledNode(t, diskCore) }
-
-func testDisabledNode(t *testing.T, mk mkCore) {
+func TestSINRDisabledNode(t *testing.T) {
 	e := sim.NewEngine(1)
-	m, cs := mk(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}})
+	m, cs := newTestSINR(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}})
 	m.SetEnabled(1, false)
 	e.Schedule(0, func() { m.Channel(0).Transmit(bcast(0, 100)) })
 	e.Run(1)
@@ -175,12 +147,14 @@ func testDisabledNode(t *testing.T, mk mkCore) {
 // must neither deliver nor disturb the radio after it is re-enabled.
 func TestDisableMidFrame(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mk   mkCore
-	}{{"sinr", sinrCore}, {"disk", diskCore}} {
+		name      string
+		cellNoise bool
+	}{{"sinr", false}, {"sinr+CellNoise", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEngine(1)
-			m, cs := tc.mk(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}})
+			pts := []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}}
+			m := NewSINRMedium(e, SINRConfig{N: len(pts), Side: 5000, Pos: staticPos(pts), CellNoise: tc.cellNoise})
+			cs := attach(m)
 			e.Schedule(0, func() { m.Channel(0).Transmit(bcast(0, 1000)) })
 			e.Schedule(0.001, func() { m.SetEnabled(1, false) })
 			e.Schedule(0.002, func() { m.SetEnabled(1, true) })
@@ -198,13 +172,10 @@ func TestDisableMidFrame(t *testing.T) {
 	}
 }
 
-func TestSINRCorruptedCounter(t *testing.T) { testCorruptedCounter(t, sinrCore) }
-func TestDiskCorruptedCounter(t *testing.T) { testCorruptedCounter(t, diskCore) }
-
-func testCorruptedCounter(t *testing.T, mk mkCore) {
+func TestSINRCorruptedCounter(t *testing.T) {
 	e := sim.NewEngine(1)
 	// The middle node decodes 0's frame until 2's collides with it.
-	m, cs := mk(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}})
+	m, cs := newTestSINR(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 300, Y: 0}})
 	e.Schedule(0, func() { m.Channel(0).Transmit(bcast(0, 100)) })
 	e.Schedule(0.0001, func() { m.Channel(2).Transmit(bcast(2, 100)) })
 	e.Run(1)
@@ -222,71 +193,57 @@ func testCorruptedCounter(t *testing.T, mk mkCore) {
 	}
 }
 
-// transmitAllocScenario builds a static 60-node medium, warms the event and
-// transmission pools and the candidate scratch, then measures steady-state
-// allocations of one broadcast plus the run that drains its end events.
-func transmitAllocScenario(t *testing.T, e *sim.Engine, mkMedium func(n int, side float64, pos PositionFunc) Medium) float64 {
-	t.Helper()
-	const n = 60
-	side := 800.0
-	rng := e.NewStream()
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
-	}
-	m := mkMedium(n, side, staticPos(pts))
-	f := &Frame{Src: 0, Dst: Broadcast, Kind: FrameData, Bytes: 512, Rate: 2e6}
-	step := func() {
-		m.Channel(0).Transmit(f)
-		e.Run(e.Now() + 0.01)
-	}
-	for i := 0; i < 8; i++ {
-		step() // warm the pools
-	}
-	return testing.AllocsPerRun(100, step)
-}
-
 // TestTransmitAllocsBounded pins the transmit hot path at zero steady-state
-// allocations per broadcast under both reception rules and with the SINR
-// rule's far-field grid on: events and transmission records, arrival slices
-// included, must all come from their pools (DESIGN.md §9).
+// allocations per broadcast, with and without the far-field grid: events and
+// transmission records, arrival slices included, must all come from their
+// pools (DESIGN.md §9). The medium is static, 60 nodes; the pools and the
+// candidate scratch are warmed before one broadcast plus the run that drains
+// its end events is measured.
 func TestTransmitAllocsBounded(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mk   func(e *sim.Engine, n int, side float64, pos PositionFunc) Medium
-	}{
-		{"sinr", func(e *sim.Engine, n int, side float64, pos PositionFunc) Medium {
-			return NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos})
-		}},
-		{"sinr+CellNoise", func(e *sim.Engine, n int, side float64, pos PositionFunc) Medium {
-			return NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos, CellNoise: true})
-		}},
-		{"disk", func(e *sim.Engine, n int, side float64, pos PositionFunc) Medium {
-			return NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos, Range: 200})
-		}},
-	} {
+		name      string
+		cellNoise bool
+	}{{"sinr", false}, {"sinr+CellNoise", true}} {
 		t.Run(tc.name, func(t *testing.T) {
+			const n = 60
+			side := 800.0
 			e := sim.NewEngine(1)
-			avg := transmitAllocScenario(t, e, func(n int, side float64, pos PositionFunc) Medium {
-				return tc.mk(e, n, side, pos)
-			})
-			if avg != 0 {
+			rng := e.NewStream()
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
+			}
+			m := NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: staticPos(pts), CellNoise: tc.cellNoise})
+			f := &Frame{Src: 0, Dst: Broadcast, Kind: FrameData, Bytes: 512, Rate: 2e6}
+			step := func() {
+				m.Channel(0).Transmit(f)
+				e.Run(e.Now() + 0.01)
+			}
+			for i := 0; i < 8; i++ {
+				step() // warm the pools
+			}
+			if avg := testing.AllocsPerRun(100, step); avg != 0 {
 				t.Fatalf("%s broadcast allocates %.1f objects/op in steady state, want 0", tc.name, avg)
 			}
 		})
 	}
 }
 
-// TestDiskMatchesProtocolModel is the slow oracle of the disk rule: random
-// static placements, a random schedule of overlapping broadcasts at
-// real-valued start times, and the paper's protocol model (§2.3) typed out as
-// an O(n²·frames) scan over whole-frame intervals — i's frame reaches j iff
-// |Xi−Xj| ≤ r, j is enabled and does not transmit at any instant of the
-// frame, and no other node k with |Xk−Xj| ≤ (1+Δ)·r is on the air at any
-// instant of it. The event-driven medium (lock at signal start, corrupt on a
-// later arrival, half-duplex, one end walk per transmission) must agree
-// delivery for delivery.
-func TestDiskMatchesProtocolModel(t *testing.T) {
+// TestSINRMatchesPhysicalModel is the slow oracle of the medium: random
+// static placements, about a tenth of the nodes disabled, a random schedule
+// of overlapping broadcasts at real-valued start times, and the paper's
+// physical model (§2.3) typed out per receiver in frame-start order from
+// Derived, by re-summing every signal on the air at each instant it asks
+// about. Receiver j decodes frame i iff, at i's start, j is idle (not
+// transmitting, and not inside an earlier frame it locked, corrupted or
+// not), i's power at j is at least RxThreshMw, and its SINR is at least β
+// against thermal noise plus every other signal at or above CutoffMw on the
+// air; the SINR must also hold at the start of every later arrival inside
+// the frame, and j must not transmit before the frame ends. The event-driven
+// medium (lock at signal start, corruption by a later arrival, half-duplex
+// abort, disabled nodes, one end walk per transmission) must agree delivery
+// for delivery.
+func TestSINRMatchesPhysicalModel(t *testing.T) {
 	type tx struct {
 		src        int
 		start, end float64
@@ -296,8 +253,9 @@ func TestDiskMatchesProtocolModel(t *testing.T) {
 		n       = 40
 		side    = 1100.0
 		horizon = 1.0
-		r       = 200.0
 	)
+	params := DefaultParams()
+	d := params.Derived()
 	var delivered, refused int
 	for seed := int64(1); seed <= 6; seed++ {
 		e := sim.NewEngine(seed)
@@ -306,8 +264,8 @@ func TestDiskMatchesProtocolModel(t *testing.T) {
 		for i := range pts {
 			pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 		}
-		m := NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: staticPos(pts), Range: r})
-		cs := attach(&m.medium)
+		m := NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: staticPos(pts)})
+		cs := attach(m)
 		enabled := make([]bool, n)
 		for i := range enabled {
 			enabled[i] = rng.Float64() < 0.9
@@ -317,7 +275,8 @@ func TestDiskMatchesProtocolModel(t *testing.T) {
 		// Each node sends back to back with random gaps, never two frames
 		// of its own at once (the MAC's job in a full stack); frames of
 		// different nodes overlap freely. Disabled nodes are scheduled too:
-		// their Transmit must be a no-op.
+		// their Transmit must be a no-op. sched is in start order per
+		// node; air is every frame that reaches the air, in start order.
 		var sched []tx
 		for i := 0; i < n; i++ {
 			for at := rng.Float64() * 0.05; at < horizon; {
@@ -343,42 +302,70 @@ func TestDiskMatchesProtocolModel(t *testing.T) {
 				got[key] = true
 			}
 		}
-
-		overlaps := func(a, b tx) bool { return a.start < b.end && b.start < a.end }
-		for fi, x := range sched {
-			if !enabled[x.src] {
-				continue // never on the air
+		for key := range got {
+			if !enabled[sched[key[0]].src] {
+				t.Fatalf("seed %d: disabled node %d got frame %d on the air", seed, sched[key[0]].src, key[0])
 			}
-			for j := 0; j < n; j++ {
-				if j == x.src {
-					continue
-				}
-				want := enabled[j] && geom.Dist(pts[x.src], pts[j]) <= r
-				for ki := 0; want && ki < len(sched); ki++ {
+		}
+
+		var air []int // indices into sched
+		for fi, x := range sched {
+			if enabled[x.src] {
+				air = append(air, fi)
+			}
+		}
+		sort.Slice(air, func(a, b int) bool { return sched[air[a]].start < sched[air[b]].start })
+
+		for j := 0; j < n; j++ {
+			power := func(fi int) float64 { return d.ReceivedPowerMw(geom.Dist(pts[sched[fi].src], pts[j])) }
+			// sinr is frame fi's SINR at j at instant at: fi's power over
+			// noise plus every other signal on the air at j then.
+			sinr := func(fi int, at float64) float64 {
+				interference := 0.0
+				for _, ki := range air {
 					k := sched[ki]
-					if ki == fi || !enabled[k.src] || !overlaps(x, k) {
+					if ki == fi || k.src == j || k.start > at || k.end <= at {
 						continue
 					}
-					if k.src == j || geom.Dist(pts[k.src], pts[j]) <= (1+diskDelta)*r {
-						want = false
+					if p := power(ki); p >= d.CutoffMw {
+						interference += p
+					}
+				}
+				return power(fi) / (d.NoiseMw + interference)
+			}
+			busyUntil := 0.0 // end of j's own frame or of the frame it locked
+			for _, fi := range air {
+				x := sched[fi]
+				if x.src == j {
+					busyUntil = math.Max(busyUntil, x.end)
+					continue
+				}
+				want := enabled[j] && x.start >= busyUntil &&
+					power(fi) >= d.RxThreshMw && sinr(fi, x.start) >= params.SINRCapture
+				if want {
+					busyUntil = x.end
+					for _, ki := range air {
+						k := sched[ki]
+						if k.start <= x.start || k.start >= x.end {
+							continue
+						}
+						if k.src == j || (power(ki) >= d.CutoffMw && sinr(fi, k.start) < params.SINRCapture) {
+							want = false
+							break
+						}
 					}
 				}
 				if got[[2]int{fi, j}] != want {
-					t.Fatalf("seed %d: frame %d (%d→%d, [%.6f, %.6f]): medium delivered=%v, protocol model says %v",
+					t.Fatalf("seed %d: frame %d (%d→%d, [%.6f, %.6f]): medium delivered=%v, physical model says %v",
 						seed, fi, x.src, j, x.start, x.end, !want, want)
 				}
-				if geom.Dist(pts[x.src], pts[j]) <= r {
+				if enabled[j] && power(fi) >= d.RxThreshMw {
 					if want {
 						delivered++
 					} else {
 						refused++
 					}
 				}
-			}
-		}
-		for key := range got {
-			if !enabled[sched[key[0]].src] {
-				t.Fatalf("seed %d: disabled node %d got frame %d on the air", seed, sched[key[0]].src, key[0])
 			}
 		}
 	}
@@ -394,20 +381,20 @@ func TestDiskMatchesProtocolModel(t *testing.T) {
 // end, and re-adds the list whenever a power is asked for. It runs in a world
 // of its own and borrows a second medium of the same construction for all
 // that is not under test — engine, spatial index, the reception rule with its
-// far-field state, the carrier edge — feeding the rule through that medium's
+// far-field state, the carrier edge — calling the rule through that medium's
 // radios, whose sumMw/nActive it overwrites with a fresh re-sum before every
 // question. The medium's own Transmit, signalBegin and signalEnd never run
 // there.
 type resumOracle struct {
-	m      *medium
+	m      *SINRMedium
 	active [][]*listedSignal // per radio
 	locked []*listedSignal   // per radio
 }
 
 type listedSignal struct {
-	signal
-	frame *Frame
-	rx    int
+	powerMw float64
+	frame   *Frame
+	rx      int
 }
 
 func (o *resumOracle) resum(id int) float64 {
@@ -435,16 +422,16 @@ func (o *resumOracle) transmit(src int, f *Frame) {
 	}
 	r.txUntil = end
 	m.engine.At(end, func() {
-		m.rule.txEnd(src)
+		m.txEnd(src)
 		o.sync(r).updateCarrier()
 	})
 	o.sync(r).updateCarrier()
 	srcPos := m.world.pos(src)
-	m.rule.txStart(src, srcPos)
+	m.txStart(src, srcPos)
 	var arrivals []*listedSignal
 	for _, dst := range m.world.candidates(src, m.candRange) {
-		if s, ok := m.rule.signal(geom.Dist(srcPos, m.world.pos(dst))); ok && dst != src {
-			arrivals = append(arrivals, &listedSignal{s, f, dst})
+		if p, ok := m.signal(geom.Dist(srcPos, m.world.pos(dst))); ok && dst != src {
+			arrivals = append(arrivals, &listedSignal{p, f, dst})
 		}
 	}
 	if len(arrivals) == 0 {
@@ -470,12 +457,12 @@ func (o *resumOracle) begin(a *listedSignal) {
 	switch {
 	case m.engine.Now() < r.txUntil:
 	case o.locked[a.rx] == nil:
-		if m.rule.locks(r, a.signal) {
-			o.locked[a.rx], r.lockedSig = a, a.signal
+		if m.locks(r, a.powerMw) {
+			o.locked[a.rx], r.lockedMw = a, a.powerMw
 			r.corrupted = false
 		}
 	default:
-		if m.rule.corrupts(r) {
+		if m.corrupts(r) {
 			r.corrupted = true
 		}
 	}
@@ -493,7 +480,7 @@ func (o *resumOracle) end(a *listedSignal) {
 		}
 	}
 	if o.locked[a.rx] == a {
-		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.rule.survives(o.sync(r))
+		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.survives(o.sync(r))
 		if !delivered {
 			m.Corrupted++
 		}
@@ -520,7 +507,7 @@ func (o *resumOracle) setEnabled(id int, on bool) {
 func (o *resumOracle) setNoise(id int, mw float64) {
 	r := o.sync(o.m.radios[id])
 	r.noiseMw = mw
-	if o.locked[id] != nil && o.m.rule.corrupts(r) {
+	if o.locked[id] != nil && o.m.corrupts(r) {
 		r.corrupted = true
 	}
 	r.updateCarrier()
@@ -531,10 +518,10 @@ func (o *resumOracle) setNoise(id int, mw float64) {
 // everything its handlers were told.
 type stormWorld struct {
 	e          *sim.Engine
-	m          *medium
+	m          *SINRMedium
 	transmit   func(src int, f *Frame)
 	setEnabled func(id int, on bool)
-	setNoise   func(id int, mw float64) // nil under the disk rule
+	setNoise   func(id int, mw float64)
 	log        []stormEvent
 	replies    int
 }
@@ -591,32 +578,21 @@ func TestRunningSumMatchesResum(t *testing.T) {
 		horizon = 0.4
 	)
 	for _, tc := range []struct {
-		name string
-		mk   func(e *sim.Engine, pos PositionFunc) (*medium, func(int, float64))
-	}{
-		{"sinr", func(e *sim.Engine, pos PositionFunc) (*medium, func(int, float64)) {
-			m := NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos})
-			return &m.medium, m.SetExtraNoise
-		}},
-		{"sinr+CellNoise", func(e *sim.Engine, pos PositionFunc) (*medium, func(int, float64)) {
-			m := NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos, CellNoise: true})
-			return &m.medium, m.SetExtraNoise
-		}},
-		{"disk", func(e *sim.Engine, pos PositionFunc) (*medium, func(int, float64)) {
-			m := NewDiskMedium(e, DiskConfig{N: n, Side: side, Pos: pos, Range: 200})
-			return &m.medium, nil
-		}},
-	} {
+		name      string
+		cellNoise bool
+	}{{"sinr", false}, {"sinr+CellNoise", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := sim.NewEngine(7).NewStream()
 			pts := make([]geom.Point, n)
 			for i := range pts {
 				pts[i] = geom.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 			}
+			mk := func(e *sim.Engine) *SINRMedium {
+				return NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: staticPos(pts), CellNoise: tc.cellNoise})
+			}
 
 			got := &stormWorld{e: sim.NewEngine(1)}
-			var jam func(int, float64)
-			got.m, jam = tc.mk(got.e, staticPos(pts))
+			got.m = mk(got.e)
 			got.transmit = func(src int, f *Frame) { got.m.Channel(src).Transmit(f) }
 			disabledHearing := 0
 			got.setEnabled, got.setNoise = func(id int, on bool) {
@@ -624,15 +600,12 @@ func TestRunningSumMatchesResum(t *testing.T) {
 					disabledHearing++
 				}
 				got.m.SetEnabled(id, on)
-			}, jam
+			}, got.m.SetExtraNoise
 
 			want := &stormWorld{e: sim.NewEngine(1)}
-			want.m, jam = tc.mk(want.e, staticPos(pts))
+			want.m = mk(want.e)
 			o := &resumOracle{m: want.m, active: make([][]*listedSignal, n), locked: make([]*listedSignal, n)}
-			want.transmit, want.setEnabled = o.transmit, o.setEnabled
-			if jam != nil {
-				want.setNoise = o.setNoise
-			}
+			want.transmit, want.setEnabled, want.setNoise = o.transmit, o.setEnabled, o.setNoise
 			worlds := []*stormWorld{got, want}
 			for _, w := range worlds {
 				for i := 0; i < n; i++ {
@@ -663,13 +636,11 @@ func TestRunningSumMatchesResum(t *testing.T) {
 					w.e.At(back, func() { w.setEnabled(id, true) })
 				}
 			}
-			if got.setNoise != nil {
-				cs := got.m.csThreshMw
-				for at := 0.0; at < horizon; at += rng.ExpFloat64() * 0.003 {
-					id, mw := rng.Intn(n), [...]float64{0, 0, cs / 50, cs / 2, 2 * cs}[rng.Intn(5)]
-					for _, w := range worlds {
-						w.e.At(at, func() { w.setNoise(id, mw) })
-					}
+			cs := got.m.d.CsThreshMw
+			for at := 0.0; at < horizon; at += rng.ExpFloat64() * 0.003 {
+				id, mw := rng.Intn(n), [...]float64{0, 0, cs / 50, cs / 2, 2 * cs}[rng.Intn(5)]
+				for _, w := range worlds {
+					w.e.At(at, func() { w.setNoise(id, mw) })
 				}
 			}
 			// A subtraction leaves the rounding of the sum it was taken from,

@@ -1,12 +1,10 @@
 // Package phy models the wireless physical layer: radio parameters,
-// path-loss propagation (two-ray ground with a Friis near-field), and shared
-// transmission media at two fidelities:
-//
-//   - SINRMedium: cumulative-noise signal-to-interference-plus-noise model
-//     with capture, equivalent to SWANS's RadioNoiseAdditive and the paper's
-//     "physical model" (Section 2.3).
-//   - DiskMedium: the paper's "protocol model" — unit-disk reception with an
-//     interference guard zone.
+// path-loss propagation (two-ray ground with a Friis near-field), and the
+// shared transmission medium, SINRMedium: the cumulative-noise
+// signal-to-interference-plus-noise model with capture, equivalent to SWANS's
+// RadioNoiseAdditive and the paper's "physical model" (Section 2.3), which is
+// what the paper's simulations ran. The paper's "protocol model" serves only
+// its analysis, which lives in closed form in package quorum.
 //
 // The default parameters reproduce the paper's Fig. 2 exactly: with ns-2's
 // 914 MHz carrier and 1.5 m antennas, a 15 dBm transmitter crosses the

@@ -113,51 +113,6 @@ func TestSINRCapture(t *testing.T) {
 	}
 }
 
-func TestDiskDelivery(t *testing.T) {
-	e := sim.NewEngine(1)
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 199, Y: 0}, {X: 201, Y: 0}}
-	m, cs := newTestDisk(e, pts)
-	f := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	e.Schedule(0, func() { m.Channel(0).Transmit(f) })
-	e.Run(1)
-	if len(cs[1].frames) != 1 {
-		t.Fatal("node at 199 m (inside unit disk) missed the frame")
-	}
-	if len(cs[2].frames) != 0 {
-		t.Fatal("node at 201 m (outside unit disk) received the frame")
-	}
-}
-
-func TestDiskInterference(t *testing.T) {
-	e := sim.NewEngine(1)
-	// Receiver at 100 m from tx A; interferer at 250 m < (1+Δ)r = 300 m.
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 350, Y: 0}}
-	m, cs := newTestDisk(e, pts)
-	fa := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	fb := &Frame{Src: 2, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	e.Schedule(0, func() { m.Channel(0).Transmit(fa) })
-	e.Schedule(0.0001, func() { m.Channel(2).Transmit(fb) })
-	e.Run(1)
-	if len(cs[1].frames) != 0 {
-		t.Fatal("protocol model: reception should fail with interferer inside (1+Δ)r")
-	}
-}
-
-func TestDiskNoInterferenceOutsideGuard(t *testing.T) {
-	e := sim.NewEngine(1)
-	// Interferer at 301 m from the receiver: outside (1+Δ)r → reception OK.
-	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100 + 301, Y: 0}}
-	m, cs := newTestDisk(e, pts)
-	fa := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	fb := &Frame{Src: 2, Dst: Broadcast, Bytes: 100, Rate: 2e6}
-	e.Schedule(0, func() { m.Channel(0).Transmit(fa) })
-	e.Schedule(0.0001, func() { m.Channel(2).Transmit(fb) })
-	e.Run(1)
-	if len(cs[1].frames) != 1 {
-		t.Fatal("protocol model: reception should succeed with interferer beyond (1+Δ)r")
-	}
-}
-
 func TestMobileMediumUsesFreshPositions(t *testing.T) {
 	// A node that starts far away but is close at transmit time must
 	// receive, even with grid staleness.

@@ -5,25 +5,44 @@ import (
 	"probquorum/internal/sim"
 )
 
-// SINRMedium implements the paper's physical reception model (Section 2.3):
-// a transmission is decoded iff its received power clears the receive
-// threshold and its signal-to-interference-plus-noise ratio stays at or
-// above the capture threshold β for the whole frame, where interference is
-// the cumulative power of all other concurrent arrivals. This mirrors
-// SWANS's RadioNoiseAdditive (and ns-2.33's interference model), which the
-// paper's simulations use. The shared machinery is medium (medium.go); this
-// file is the reception rule.
+// SINRMedium is the shared wireless channel of n nodes under the paper's
+// physical reception model (Section 2.3): a transmission is decoded iff its
+// received power clears the receive threshold and its
+// signal-to-interference-plus-noise ratio stays at or above the capture
+// threshold β for the whole frame, where interference is the cumulative
+// power of all other concurrent arrivals. This mirrors SWANS's
+// RadioNoiseAdditive (and ns-2.33's interference model), which the paper's
+// simulations use. This file holds the medium and its reception rule; the
+// per-node radios, Transmit's compute and begin loops, one end event per
+// transmission, half-duplex, carrier edges and the transmission pool are in
+// medium.go.
 type SINRMedium struct {
-	medium
+	engine *sim.Engine
+	world  *world
 	params Params
 	// d caches the propagation constants (thresholds in mW, range
 	// cutoffs, path-loss factors) so the per-frame×receiver loop does no
 	// dBm conversion or math.Pow.
 	d Derived
+	// candRange is the candidate-query radius: no receiver beyond it gets
+	// an arrival.
+	candRange float64
 
 	// noise is the cell-level far-field interference summary; nil in the
 	// exact (default) model. See cellnoise.go.
 	noise *noiseField
+
+	radios []*radio
+
+	// txFree recycles transmission records, arrival slices included:
+	// Transmit pops one and the transmission's end walk pushes it back, so
+	// steady-state transmission is allocation-free (DESIGN.md §9).
+	txFree []*transmission
+
+	// Corrupted counts receptions aborted by interference, collision or
+	// the receiver's own transmission — an observability hook for
+	// MAC-level loss studies.
+	Corrupted uint64
 }
 
 // SINRConfig configures a SINRMedium.
@@ -55,26 +74,45 @@ func NewSINRMedium(engine *sim.Engine, cfg SINRConfig) *SINRMedium {
 		cfg.Params = DefaultParams()
 	}
 	m := &SINRMedium{
+		engine: engine,
 		params: cfg.Params,
 		d:      cfg.Params.Derived(),
 	}
 	// The candidate radius is the interference range in the exact model,
 	// the carrier-sense range under CellNoise (the far annulus is then
-	// covered by the noise field, not by arrivals). Carrier sense (the
-	// medium's, against CsThreshMw) sums arrivals only and so leaves the
-	// far field out on purpose: it generates no events on which a
-	// ChannelStateChanged could be re-notified.
-	candRange := m.d.InterferenceRange
+	// covered by the noise field, not by arrivals). Carrier sense (against
+	// CsThreshMw) sums arrivals only and so leaves the far field out on
+	// purpose: it generates no events on which a ChannelStateChanged could
+	// be re-notified.
+	m.candRange = m.d.InterferenceRange
 	if cfg.CellNoise {
-		candRange = m.d.CarrierSenseRange
+		m.candRange = m.d.CarrierSenseRange
 		m.noise = newNoiseField(cfg.N, cfg.Side, m.d, cfg.MaxSpeed)
 	}
-	w := newWorld(engine, cfg.N, cfg.Side, m.d.CarrierSenseRange, cfg.Pos, cfg.MaxSpeed)
-	m.init(engine, m, w, candRange, m.d.CsThreshMw)
+	m.world = newWorld(engine, cfg.N, cfg.Side, m.d.CarrierSenseRange, cfg.Pos, cfg.MaxSpeed)
+	m.radios = make([]*radio, cfg.N)
+	for i := range m.radios {
+		r := &radio{medium: m, id: i, epoch: 1}
+		r.txDoneFn = r.txDone
+		m.radios[i] = r
+	}
 	return m
 }
 
-var _ Medium = (*SINRMedium)(nil)
+// Channel returns node id's attachment.
+func (m *SINRMedium) Channel(id int) Channel { return m.radios[id] }
+
+// SetEnabled includes or excludes a node from the medium (churn). Disabled
+// nodes neither transmit nor receive nor interfere.
+func (m *SINRMedium) SetEnabled(id int, on bool) {
+	m.world.setEnabled(id, on)
+	if !on {
+		m.radios[id].reset()
+	}
+}
+
+// Enabled reports whether the node participates in the medium.
+func (m *SINRMedium) Enabled(id int) bool { return m.world.enabled[id] }
 
 // Params returns the radio parameters in use.
 func (m *SINRMedium) Params() Params { return m.params }
@@ -94,32 +132,43 @@ func (m *SINRMedium) SetExtraNoise(id int, mw float64) {
 	r.updateCarrier()
 }
 
-func (m *SINRMedium) signal(d float64) (signal, bool) {
+// The medium calls the rule below at fixed points of a signal's life. A rule
+// reads the radio's state (sumMw, nActive, lockedMw) but never writes it.
+
+// signal returns the power of a transmission at a receiver at distance d; ok
+// is false below the interference cutoff, where the receiver gets no arrival
+// at all.
+func (m *SINRMedium) signal(d float64) (powerMw float64, ok bool) {
 	p := m.d.ReceivedPowerMw(d)
-	return signal{powerMw: p}, p >= m.d.CutoffMw
+	return p, p >= m.d.CutoffMw
 }
 
-// locks: strong enough and clean enough at its start. The threshold is the
-// cheap question and goes first: an arrival between the reception and
-// carrier-sense ranges never walks the far-field index.
-func (m *SINRMedium) locks(r *radio, s signal) bool {
-	return s.powerMw >= m.d.RxThreshMw &&
-		m.captures(r, s, r.sumMw-s.powerMw+m.FarNoiseMw(r.id))
+// locks reports whether an idle r starts decoding a new signal of power p
+// (already counted in r.sumMw and r.nActive): strong enough and clean enough
+// at its start. The threshold is the cheap question and goes first: an
+// arrival between the reception and carrier-sense ranges never walks the
+// far-field index.
+func (m *SINRMedium) locks(r *radio, p float64) bool {
+	return p >= m.d.RxThreshMw &&
+		m.captures(r, p, r.sumMw-p+m.FarNoiseMw(r.id))
 }
 
-// corrupts: the newcomer (or a jamming change) pushes the locked signal's
-// SINR below β.
+// corrupts reports whether what r hears, which has just grown by a signal
+// (or a jamming change), pushes the locked signal's SINR below β.
 func (m *SINRMedium) corrupts(r *radio) bool {
-	return !m.captures(r, r.lockedSig, r.sumMw-r.lockedSig.powerMw+m.FarNoiseMw(r.id))
+	return !m.captures(r, r.lockedMw, r.sumMw-r.lockedMw+m.FarNoiseMw(r.id))
 }
 
-// survives: the far field raises no mid-frame events, so it is re-sampled at
-// delivery — if the aggregate now swamps the locked signal, the frame did
+// survives is asked at the end of an uncorrupted locked signal (already out
+// of r.sumMw). The far field raises no mid-frame events, so it is re-sampled
+// at delivery — if the aggregate now swamps the locked signal, the frame did
 // not survive the frame time. Always true in the exact model.
 func (m *SINRMedium) survives(r *radio) bool {
-	return m.noise == nil || m.captures(r, r.lockedSig, r.sumMw+m.FarNoiseMw(r.id))
+	return m.noise == nil || m.captures(r, r.lockedMw, r.sumMw+m.FarNoiseMw(r.id))
 }
 
+// txStart and txEnd bracket node id's time on the air; p is its position at
+// the start.
 func (m *SINRMedium) txStart(id int, p geom.Point) {
 	if m.noise != nil {
 		m.noise.txStart(id, p)
@@ -132,10 +181,11 @@ func (m *SINRMedium) txEnd(id int) {
 	}
 }
 
-// captures reports whether s's signal-to-interference-plus-noise ratio at r
-// is at or above β, given the interference power of everything else.
-func (m *SINRMedium) captures(r *radio, s signal, interference float64) bool {
-	return s.powerMw/(m.d.NoiseMw+r.noiseMw+interference) >= m.params.SINRCapture
+// captures reports whether a signal of power p has a
+// signal-to-interference-plus-noise ratio at r at or above β, given the
+// interference power of everything else.
+func (m *SINRMedium) captures(r *radio, p, interference float64) bool {
+	return p/(m.d.NoiseMw+r.noiseMw+interference) >= m.params.SINRCapture
 }
 
 // FarNoiseMw returns the cell-aggregated far-field interference power

@@ -72,8 +72,6 @@ const (
 	// StackSINR is the paper-faithful cumulative-noise radio with an
 	// 802.11-style MAC.
 	StackSINR = netstack.StackSINR
-	// StackDisk is the protocol (unit-disk) reception model.
-	StackDisk = netstack.StackDisk
 	// StackIdeal is a fast contention-free link layer.
 	StackIdeal = netstack.StackIdeal
 )
