@@ -23,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint loc bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,22 @@ loc:
 # gets its own target; see internal/experiment/chaos_test.go).
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/experiment
+
+# ab is the A/B comparison a performance change quotes: it builds the
+# benchmark (bench/) at BASE and at the work tree — WORK=<rev> builds a second
+# revision instead — runs the two alternately for PAIRS pairs on seeds SEED…,
+# and prints per end-to-end metric the median ratio work/base, its quartiles,
+# the pairs won, and whether the simulated metrics were bit-equal per seed.
+# Revisions are exported with git archive into a temporary directory; nothing
+# in the tree is written. About 70 s per pair at the default -seconds 10.
+BASE ?= HEAD
+W ?= paper-sinr-aodv
+PAIRS ?= 10
+SEED ?= 11
+WORK ?=
+
+ab:
+	$(GO) run ./cmd/ab -base $(BASE) -work '$(WORK)' -workload $(W) -pairs $(PAIRS) -seed $(SEED)
 
 # bench is the one writer of BENCH.json. It runs the root package's
 # benchmarks (the substrate micro-benchmarks and the sweep executor) with

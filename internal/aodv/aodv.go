@@ -65,14 +65,17 @@ const (
 // paper's RANDOM-OPT access strategy (Section 4.5).
 type TransitTap func(at *netstack.Node, inner *netstack.Packet) bool
 
-// route is a routing-table entry.
+// route is a routing-table entry, 24 bytes: a node's table is a row of them
+// indexed by destination. known tells "never learned" apart from "learned
+// with seq 0": only a known entry has a sequence number to bump.
 type route struct {
-	nextHop  int
-	hops     int
-	seq      uint32
-	validSeq bool
 	expiry   float64
+	nextHop  int32
+	hops     int32
+	seq      uint32
+	known    bool
 	valid    bool
+	validSeq bool
 }
 
 // outPacket is a data packet waiting for a route or in flight at its origin.
@@ -93,10 +96,9 @@ type discovery struct {
 	scoped      bool
 }
 
-type rreqKey struct {
-	orig int
-	id   uint32
-}
+// rreqKey packs a request's (originator, id) into the duplicate cache's key;
+// a uint64 key takes the map's fast path.
+func rreqKey(orig int, id uint32) uint64 { return uint64(orig)<<32 | uint64(id) }
 
 // pathDiscoveryTime is RFC 3561's PATH_DISCOVERY_TIME, 2·NET_TRAVERSAL_TIME =
 // 4·NodeTraversalTime·netDiameter: how long a node must remember a RREQ to
@@ -107,7 +109,7 @@ func (c Config) pathDiscoveryTime() float64 {
 
 // seenAt is one duplicate-RREQ cache entry in the order it was made.
 type seenAt struct {
-	key rreqKey
+	key uint64
 	at  float64
 }
 
@@ -116,10 +118,13 @@ type nodeState struct {
 	id     int
 	seq    uint32
 	rreqID uint32
-	routes map[int]*route
-	// seen is the duplicate-RREQ cache; seenOrder[seenHead:] lists its
-	// entries oldest first, so markSeen can forget the expired ones.
-	seen      map[rreqKey]struct{}
+	// routes is the routing table, one entry per destination; nil until
+	// the node installs its first route.
+	routes []route
+	// seen is the duplicate-RREQ cache (keys from rreqKey);
+	// seenOrder[seenHead:] lists its entries oldest first, so markSeen can
+	// forget the expired ones.
+	seen      map[uint64]struct{}
 	seenOrder []seenAt
 	seenHead  int
 	disc      map[int]*discovery
@@ -157,7 +162,11 @@ func (h *nodeHandler) HandlePacket(n *netstack.Node, pkt *netstack.Packet, from 
 	}
 }
 
-// New installs AODV on all nodes of net.
+// New installs AODV on all nodes of net. A node's routing table is a dense
+// row of n 24-byte entries, allocated at its first route install, so the
+// tables hold at most 24·n bytes per node and 24·n² in all: 15 MB at the
+// n=800 of the paper's largest figures. The tiers at scale run the oracle
+// router (NewOracle), not this one.
 func New(net *netstack.Network, cfg Config) *Routing {
 	if cfg == (Config{}) {
 		cfg = DefaultConfig()
@@ -170,10 +179,9 @@ func New(net *netstack.Network, cfg Config) *Routing {
 	}
 	for id := 0; id < net.N(); id++ {
 		st := &nodeState{
-			id:     id,
-			routes: make(map[int]*route),
-			seen:   make(map[rreqKey]struct{}),
-			disc:   make(map[int]*discovery),
+			id:   id,
+			seen: make(map[uint64]struct{}),
+			disc: make(map[int]*discovery),
 		}
 		st.handler = &nodeHandler{r: r, id: id}
 		r.nodes[id] = st
@@ -201,8 +209,8 @@ func (r *Routing) ResetNode(id int) {
 	for _, dst := range dsts {
 		r.finishDiscovery(st, dst, false)
 	}
-	st.routes = make(map[int]*route)
-	st.seen = make(map[rreqKey]struct{})
+	clear(st.routes)
+	st.seen = make(map[uint64]struct{})
 	st.seenOrder, st.seenHead = st.seenOrder[:0], 0
 }
 
@@ -210,7 +218,7 @@ func (r *Routing) ResetNode(id int) {
 // entry older than PATH_DISCOVERY_TIME: a copy that late is a new request as
 // far as RFC 3561 is concerned, and a cache that only grew would hold every
 // flood of the run at every node.
-func (r *Routing) markSeen(st *nodeState, key rreqKey) {
+func (r *Routing) markSeen(st *nodeState, key uint64) {
 	now, q := r.engine.Now(), st.seenOrder
 	for horizon := r.cfg.pathDiscoveryTime(); st.seenHead < len(q) && q[st.seenHead].at+horizon < now; st.seenHead++ {
 		delete(st.seen, q[st.seenHead].key)
@@ -277,9 +285,17 @@ func (r *Routing) send(src, dst int, inner *netstack.Packet, maxTTL int, done fu
 	r.enqueueDiscovery(st, op)
 }
 
+// entry returns st's table entry for dst, or nil if dst was never learned.
+func (st *nodeState) entry(dst int) *route {
+	if st.routes == nil || !st.routes[dst].known {
+		return nil
+	}
+	return &st.routes[dst]
+}
+
 // validRoute returns the live route entry for dst, if any.
 func (r *Routing) validRoute(st *nodeState, dst int) *route {
-	rt := st.routes[dst]
+	rt := st.entry(dst)
 	if rt == nil || !rt.valid || rt.expiry < r.engine.Now() {
 		return nil
 	}
@@ -289,7 +305,7 @@ func (r *Routing) validRoute(st *nodeState, dst int) *route {
 // touchRoute refreshes the lifetime of the route to dst (and is a no-op
 // otherwise), per RFC 3561's refresh-on-use.
 func (r *Routing) touchRoute(st *nodeState, dst int) {
-	if rt := st.routes[dst]; rt != nil && rt.valid {
+	if rt := st.entry(dst); rt != nil && rt.valid {
 		exp := r.engine.Now() + activeRouteTimeout
 		if exp > rt.expiry {
 			rt.expiry = exp
@@ -302,20 +318,21 @@ func (r *Routing) touchRoute(st *nodeState, dst int) {
 // fresher, equal with fewer hops, or the old entry is invalid/unknown.
 func (r *Routing) updateRoute(st *nodeState, dst, nextHop, hops int, seq uint32, hasSeq bool) {
 	now := r.engine.Now()
-	rt := st.routes[dst]
-	if rt == nil {
-		rt = &route{}
-		st.routes[dst] = rt
+	if st.routes == nil {
+		st.routes = make([]route, len(r.nodes))
 	}
+	// An entry never learned is invalid, so it is always accepted.
+	rt := &st.routes[dst]
 	accept := !rt.valid || rt.expiry < now ||
 		(hasSeq && rt.validSeq && int32(seq-rt.seq) > 0) ||
 		(hasSeq && !rt.validSeq) ||
-		((!hasSeq || (rt.validSeq && seq == rt.seq)) && hops < rt.hops)
+		((!hasSeq || (rt.validSeq && seq == rt.seq)) && hops < int(rt.hops))
 	if !accept {
 		return
 	}
-	rt.nextHop = nextHop
-	rt.hops = hops
+	rt.known = true
+	rt.nextHop = int32(nextHop)
+	rt.hops = int32(hops)
 	if hasSeq {
 		rt.seq = seq
 		rt.validSeq = true

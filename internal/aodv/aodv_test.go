@@ -3,6 +3,7 @@ package aodv
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"probquorum/internal/geom"
 	"probquorum/internal/mobility"
@@ -636,7 +637,7 @@ func TestRREQDedupHorizon(t *testing.T) {
 	// Another request after the horizon drains (0, 7) on its way in.
 	e.At(horizon+0.1, func() { copyOf(8, 1) })
 	e.Run(horizon + 1)
-	if _, held := st.seen[rreqKey{0, 7}]; held || len(st.seen) != 1 {
+	if _, held := st.seen[rreqKey(0, 7)]; held || len(st.seen) != 1 {
 		t.Fatalf("cache after the horizon: %v, want only (0, 8)", st.seen)
 	}
 }
@@ -691,8 +692,105 @@ func TestRREQDedupCacheBounded(t *testing.T) {
 	if len(st.seen) != 0 || len(st.seenOrder) != 0 || st.seenHead != 0 {
 		t.Fatalf("reset node keeps %d cached, %d queued requests (head %d)", len(st.seen), len(st.seenOrder), st.seenHead)
 	}
-	r.markSeen(st, rreqKey{0, 1})
+	r.markSeen(st, rreqKey(0, 1))
 	if len(st.seen) != 1 || len(st.seenOrder) != 1 {
 		t.Fatal("reset node's cache does not take a new entry")
+	}
+}
+
+// rerrsFrom records the RERR payloads node src broadcasts, once per frame.
+func rerrsFrom(net *netstack.Network, src int) *[][]unreachable {
+	var got [][]unreachable
+	net.SetDeliveryObserver(func(from, to int, pkt *netstack.Packet) {
+		if msg, ok := pkt.Payload.(*rerrMsg); ok && from == src && to == src-1 {
+			got = append(got, msg.Unreachable)
+		}
+	})
+	return &got
+}
+
+// TestLinkLessUnknownDestination: a forwarding node that finds no route to
+// a destination it never learned broadcasts a RERR with seq 0 and learns
+// nothing; one that learned the destination without a sequence number
+// (seq 0, known) bumps it to 1, as RFC 3561 §6.11 asks of a known route.
+func TestLinkLessUnknownDestination(t *testing.T) {
+	e := sim.NewEngine(1)
+	net, r, _ := lineWorld(e, 4, 150)
+	got := rerrsFrom(net, 1)
+	st := r.nodes[1]
+	r.linkLess(st, 3)
+	e.Run(1)
+	if len(*got) != 1 || len((*got)[0]) != 1 || (*got)[0][0] != (unreachable{dst: 3, seq: 0}) {
+		t.Fatalf("RERR for a never-learned destination carries %v, want [[{3 0}]]", *got)
+	}
+	if st.entry(3) != nil || st.routes != nil {
+		t.Fatal("linkLess created a routing entry for a destination never learned")
+	}
+
+	r.updateRoute(st, 2, 2, 1, 0, false) // learned, no sequence number
+	r.linkLess(st, 2)
+	e.Run(2)
+	if len(*got) != 2 || (*got)[1][0] != (unreachable{dst: 2, seq: 1}) {
+		t.Fatalf("RERR for a destination learned with seq 0 carries %v, want {2 1}", (*got)[1:])
+	}
+	if rt := st.entry(2); rt == nil || rt.seq != 1 {
+		t.Fatalf("known entry after linkLess: %+v, want seq 1", rt)
+	}
+	if st.entry(3) != nil {
+		t.Fatal("the never-learned destination became known")
+	}
+}
+
+// TestResetNodeForgetsEveryRoute: after a node reboots, no destination is
+// known to it, though it had routes to every other node of the line.
+func TestResetNodeForgetsEveryRoute(t *testing.T) {
+	e := sim.NewEngine(1)
+	_, r, sinks := lineWorld(e, 5, 150)
+	e.Schedule(0, func() { r.Send(0, 4, innerPkt(0, 4), nil) })
+	e.Schedule(1, func() { r.Send(4, 0, innerPkt(4, 0), nil) })
+	e.Run(5)
+	if len(sinks[4].pkts) != 1 || len(sinks[0].pkts) != 1 {
+		t.Fatal("setup: the line did not deliver both ways")
+	}
+	st := r.nodes[2]
+	for dst := range 5 {
+		if dst != 2 && st.entry(dst) == nil {
+			t.Fatalf("setup: the middle node never learned %d", dst)
+		}
+	}
+	r.ResetNode(2)
+	for dst := range 5 {
+		if st.entry(dst) != nil || r.HasRoute(2, dst) {
+			t.Fatalf("after ResetNode, destination %d is still known: %+v", dst, st.routes[dst])
+		}
+	}
+}
+
+// TestHasRouteUnknownAndInvalid: HasRoute is false for a destination never
+// learned, for one whose route was invalidated and for one whose route
+// expired, and true only for a valid, live entry.
+func TestHasRouteUnknownAndInvalid(t *testing.T) {
+	e := sim.NewEngine(1)
+	_, r, _ := lineWorld(e, 4, 150)
+	st := r.nodes[0]
+	if r.HasRoute(0, 3) {
+		t.Fatal("HasRoute true before any route was learned")
+	}
+	r.updateRoute(st, 1, 1, 1, 0, false)
+	r.updateRoute(st, 2, 1, 2, 4, true)
+	r.updateRoute(st, 3, 1, 3, 4, true)
+	if !r.HasRoute(0, 1) || !r.HasRoute(0, 2) || !r.HasRoute(0, 3) {
+		t.Fatal("HasRoute false for freshly installed routes")
+	}
+	st.routes[2].valid = false
+	st.routes[3].expiry = -1
+	if r.HasRoute(0, 2) || r.HasRoute(0, 3) {
+		t.Fatal("HasRoute true for an invalidated or expired route")
+	}
+	if st.entry(2) == nil || st.entry(3) == nil {
+		t.Fatal("invalid entries forgot they were learned")
+	}
+	if unsafe.Sizeof(route{}) != 24 {
+		t.Fatalf("a routing entry is %d bytes; New documents 24", unsafe.Sizeof(route{}))
 	}
 }

@@ -1,8 +1,6 @@
 package aodv
 
 import (
-	"sort"
-
 	"probquorum/internal/netstack"
 	"probquorum/internal/sim"
 )
@@ -66,12 +64,12 @@ func (r *Routing) broadcastRREQ(st *nodeState, dst int, d *discovery) {
 		OrigSeq: st.seq,
 		Dst:     dst,
 	}
-	if rt := st.routes[dst]; rt != nil && rt.validSeq {
+	if rt := st.entry(dst); rt != nil && rt.validSeq {
 		req.DstSeq = rt.seq
 		req.HasDSeq = true
 	}
 	// Suppress our own re-reception of this request.
-	r.markSeen(st, rreqKey{st.id, req.ID})
+	r.markSeen(st, rreqKey(st.id, req.ID))
 	pkt := &netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: d.ttl, Bytes: rreqBytes, Payload: req,
@@ -162,7 +160,7 @@ func (r *Routing) handleControl(n *netstack.Node, pkt *netstack.Packet, from int
 }
 
 func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Packet, req *rreqMsg, from int) {
-	key := rreqKey{req.Orig, req.ID}
+	key := rreqKey(req.Orig, req.ID)
 	if _, dup := st.seen[key]; dup {
 		return
 	}
@@ -185,7 +183,7 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 	// destination's behalf.
 	if rt := r.validRoute(st, req.Dst); rt != nil && rt.validSeq &&
 		(!req.HasDSeq || int32(rt.seq-req.DstSeq) >= 0) {
-		r.sendRREP(st, &rrepMsg{Orig: req.Orig, Dst: req.Dst, DstSeq: rt.seq, HopCount: rt.hops})
+		r.sendRREP(st, &rrepMsg{Orig: req.Orig, Dst: req.Dst, DstSeq: rt.seq, HopCount: int(rt.hops)})
 		return
 	}
 	if pkt.TTL <= 1 {
@@ -218,7 +216,7 @@ func (r *Routing) sendRREP(st *nodeState, rep *rrepMsg) {
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: rep.Orig,
 		Bytes: rrepBytes, Payload: rep,
 	}
-	next := rt.nextHop
+	next := int(rt.nextHop)
 	node.SendOneHop(next, pkt, func(ok bool) {
 		if !ok {
 			r.linkBroken(st, next)
@@ -241,11 +239,13 @@ func (r *Routing) handleRREP(n *netstack.Node, st *nodeState, rep *rrepMsg, from
 }
 
 // linkBroken reacts to a MAC-level delivery failure to neighbor next:
-// invalidate all routes through it and advertise the loss.
+// invalidate all routes through it and advertise the loss, in ascending
+// destination order.
 func (r *Routing) linkBroken(st *nodeState, next int) {
 	var lost []unreachable
-	for dst, rt := range st.routes {
-		if rt.valid && rt.nextHop == next {
+	for dst := range st.routes {
+		rt := &st.routes[dst]
+		if rt.valid && int(rt.nextHop) == next {
 			rt.valid = false
 			rt.seq++ // RFC 3561 §6.11: increment seq of lost routes
 			lost = append(lost, unreachable{dst: dst, seq: rt.seq})
@@ -254,9 +254,6 @@ func (r *Routing) linkBroken(st *nodeState, next int) {
 	if len(lost) == 0 {
 		return
 	}
-	// The routing-table map yields lost destinations in randomized order;
-	// sort so the RERR payload is identical across replays.
-	sort.Slice(lost, func(i, j int) bool { return lost[i].dst < lost[j].dst })
 	node := r.net.Node(st.id)
 	pkt := &netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
@@ -268,8 +265,8 @@ func (r *Routing) linkBroken(st *nodeState, next int) {
 func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from int) {
 	var propagate []unreachable
 	for _, u := range msg.Unreachable {
-		rt := st.routes[u.dst]
-		if rt != nil && rt.valid && rt.nextHop == from {
+		rt := st.entry(u.dst)
+		if rt != nil && rt.valid && int(rt.nextHop) == from {
 			rt.valid = false
 			rt.seq = u.seq
 			propagate = append(propagate, u)

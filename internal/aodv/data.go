@@ -50,7 +50,7 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 		Bytes: op.inner.Bytes + dataEnvelopeBytes,
 		Hops:  op.inner.Hops, Payload: op.inner,
 	}
-	next := rt.nextHop
+	next := int(rt.nextHop)
 	node.SendOneHop(next, &pkt, func(ok bool) {
 		if ok {
 			if op.done != nil {
@@ -62,7 +62,7 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 		// Origin-side salvage: one re-discovery attempt, then give up.
 		if !op.retried && op.maxTTL == 0 {
 			op.retried = true
-			if rt2 := r.validRoute(st, op.dst); rt2 != nil && rt2.nextHop != next {
+			if rt2 := r.validRoute(st, op.dst); rt2 != nil && int(rt2.nextHop) != next {
 				r.transmitData(st, op, rt2)
 				return
 			}
@@ -94,7 +94,7 @@ func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	fwd := *pkt
 	fwd.TTL--
 	fwd.Hops++
-	next := rt.nextHop
+	next := int(rt.nextHop)
 	n.SendOneHop(next, &fwd, func(ok bool) {
 		if !ok {
 			r.linkBroken(st, next)
@@ -104,9 +104,10 @@ func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 }
 
 // linkLess reports a missing route at a forwarding node (route expired
-// under the packet): advertise unreachability so upstream nodes repair.
+// under the packet): advertise unreachability so upstream nodes repair. A
+// destination the node never learned goes out with seq 0 and stays unknown.
 func (r *Routing) linkLess(st *nodeState, dst int) {
-	rt := st.routes[dst]
+	rt := st.entry(dst)
 	seq := uint32(0)
 	if rt != nil {
 		rt.seq++

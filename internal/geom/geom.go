@@ -6,6 +6,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"runtime"
 )
 
 // Point is a position in the plane, in meters.
@@ -13,8 +14,38 @@ type Point struct {
 	X, Y float64
 }
 
-// Dist returns the Euclidean distance between two points in the plane.
-func Dist(a, b Point) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
+// Dist returns the Euclidean distance between two points in the plane: on
+// amd64 it is math.Hypot(a.X-b.X, a.Y-b.Y) bit for bit, with Hypot's
+// special cases (+Inf if a delta is infinite, else NaN if one is NaN).
+//
+// It spells out the operation sequence of amd64's assembly Hypot,
+// max·√(1+(min/max)²), small enough to inline, so the received-power loop
+// does not call the assembly routine through its ABI wrapper once per
+// receiver. float64(q*q) rounds the square on its own, which forbids fusing
+// it with the addition (Go spec, "Arithmetic operators"); the assembly does
+// not fuse it either. max(d, -d) is |d| (max(-0, 0) is +0, and NaN stays
+// NaN) at a smaller inlining cost than math.Abs. Other architectures call
+// math.Hypot, which need not be that sequence there.
+func Dist(a, b Point) float64 {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	if runtime.GOARCH != "amd64" {
+		return math.Hypot(dx, dy)
+	}
+	p, q := max(dx, -dx), max(dy, -dy)
+	if p > math.MaxFloat64 || q > math.MaxFloat64 {
+		return inf
+	}
+	if p+q == 0 {
+		return 0
+	}
+	if p < q {
+		p, q = q, p
+	}
+	q /= p
+	return p * math.Sqrt(1+float64(q*q))
+}
+
+var inf = math.Inf(1)
 
 // Dist2 returns the squared Euclidean distance; cheaper when only
 // comparisons are needed.

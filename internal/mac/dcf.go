@@ -37,6 +37,8 @@ type DCF struct {
 	timer       *sim.Timer
 	ackTimer    *sim.Timer
 	promiscuous bool
+	// notified is what the channel was last told by SetCarrierNotify.
+	notified bool
 	// txDoneFn completes the in-flight head-of-line transmission; built
 	// once so transmitHead does not allocate a closure per frame. The
 	// queue head cannot change between transmitHead and the callback
@@ -58,7 +60,6 @@ func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 		id:      id,
 		channel: ch,
 		rng:     rng,
-		state:   dcfIdle,
 		cw:      cwMin,
 		lastSeq: make(map[int]uint32),
 	}
@@ -66,7 +67,27 @@ func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 	d.ackTimer = sim.NewTimer(engine, d.ackTimeout)
 	d.txDoneFn = func() { d.txDone(d.queue[0]) }
 	d.channel.SetHandler(d)
+	d.notified = true // a channel starts out notifying
+	d.setState(dcfIdle)
 	return d
+}
+
+// notifyAlways makes every DCF keep its channel's carrier edges on in
+// every state: the reference the carrier-gate test compares against.
+var notifyAlways = false
+
+// setState moves d to s and tells the channel whether carrier edges are
+// wanted: ChannelStateChanged acts only while d contends for the medium —
+// in defer, DIFS and backoff — and is a no-op in every other state, so the
+// channel need not call it there. The channel is told only when the answer
+// changes.
+func (d *DCF) setState(s dcfState) {
+	d.state = s
+	notify := notifyAlways || s == dcfDefer || s == dcfDIFS || s == dcfBackoff
+	if notify != d.notified {
+		d.notified = notify
+		d.channel.SetCarrierNotify(notify)
+	}
 }
 
 var _ MAC = (*DCF)(nil)
@@ -115,10 +136,10 @@ func (d *DCF) startAccess(fresh bool) {
 		d.slotsLeft = drawBackoff(d.rng, d.cw)
 	}
 	if d.channel.Busy() {
-		d.state = dcfDefer
+		d.setState(dcfDefer)
 		return // resume on ChannelStateChanged(false)
 	}
-	d.state = dcfDIFS
+	d.setState(dcfDIFS)
 	d.countStart = d.engine.Now()
 	d.timer.Reset(difs)
 }
@@ -131,7 +152,7 @@ func (d *DCF) timerFired() {
 			d.transmitHead()
 			return
 		}
-		d.state = dcfBackoff
+		d.setState(dcfBackoff)
 		d.countStart = d.engine.Now()
 		d.timer.Reset(float64(d.slotsLeft) * slotTime)
 	case dcfBackoff:
@@ -147,7 +168,7 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 		case dcfDIFS:
 			// DIFS interrupted: restart it once idle.
 			d.timer.Cancel()
-			d.state = dcfDefer
+			d.setState(dcfDefer)
 		case dcfBackoff:
 			// Freeze the backoff counter at slot granularity.
 			elapsed := int((d.engine.Now() - d.countStart) / slotTime)
@@ -156,12 +177,12 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 			}
 			d.slotsLeft -= elapsed
 			d.timer.Cancel()
-			d.state = dcfDefer
+			d.setState(dcfDefer)
 		}
 		return
 	}
 	if d.state == dcfDefer {
-		d.state = dcfDIFS
+		d.setState(dcfDIFS)
 		d.countStart = d.engine.Now()
 		d.timer.Reset(difs)
 	}
@@ -169,11 +190,11 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 
 func (d *DCF) transmitHead() {
 	if len(d.queue) == 0 {
-		d.state = dcfIdle
+		d.setState(dcfIdle)
 		return
 	}
 	f := d.queue[0]
-	d.state = dcfTx
+	d.setState(dcfTx)
 	d.attempts++
 	d.TxData++
 	if d.attempts > 1 {
@@ -190,7 +211,7 @@ func (d *DCF) txDone(f *phy.Frame) {
 		return
 	}
 	// Unicast: wait for the ACK.
-	d.state = dcfWaitAck
+	d.setState(dcfWaitAck)
 	ackAir := (&phy.Frame{Bytes: ackBytes, Rate: ackRate}).AirTime()
 	d.ackTimer.Reset(sifs + ackAir + 2*slotTime)
 }
@@ -217,7 +238,7 @@ func (d *DCF) ackTimeout() {
 func (d *DCF) finishHead(f *phy.Frame, ok bool) {
 	d.ackTimer.Cancel()
 	d.queue = d.queue[1:]
-	d.state = dcfIdle
+	d.setState(dcfIdle)
 	if d.handler != nil {
 		d.handler.MACSendDone(f, ok)
 	}

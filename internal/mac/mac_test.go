@@ -265,3 +265,136 @@ func TestIdealPromiscuous(t *testing.T) {
 		t.Fatalf("promiscuous overheard %d frames, want 1", len(recs[2].overheard))
 	}
 }
+
+// edgeCounter counts the carrier edges a channel reports to its handler.
+type edgeCounter struct {
+	phy.Handler
+	n *int
+}
+
+func (c edgeCounter) ChannelStateChanged(busy bool) {
+	*c.n++
+	c.Handler.ChannelStateChanged(busy)
+}
+
+// countingChannel hands its handler's carrier edges through an edgeCounter.
+type countingChannel struct {
+	phy.Channel
+	n *int
+}
+
+func (c countingChannel) SetHandler(h phy.Handler) { c.Channel.SetHandler(edgeCounter{h, c.n}) }
+
+// TestCarrierGateMatchesAlwaysNotify runs one contended DCF schedule twice —
+// with the carrier gate, where a DCF hears carrier edges only while it
+// defers, counts DIFS or backs off, and with notifyAlways, where it hears
+// every edge as before the gate — and requires the same simulation: per-node
+// TxData, TxRetries, TxAck and Drops, the same deliveries and send
+// completions in the same order at the same times, and the same number of
+// engine events. Twelve senders sit inside one another's carrier-sense range
+// (some pairs decode, the rest only sense), and each queues bursts of
+// unicasts and broadcasts, enough to overflow some queues.
+func TestCarrierGateMatchesAlwaysNotify(t *testing.T) {
+	type delivery struct {
+		at       float64
+		node     int
+		what     string
+		src, dst int
+		seq      uint32
+	}
+	type outcome struct {
+		stats     [][4]uint64
+		log       []delivery
+		processed uint64
+		edges     int
+	}
+	run := func(always bool) outcome {
+		defer func(old bool) { notifyAlways = old }(notifyAlways)
+		notifyAlways = always
+		const n = 12
+		rng := rand.New(rand.NewSource(41))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: rng.Float64() * 240, Y: rng.Float64() * 240}
+		}
+		e := sim.NewEngine(1)
+		m := phy.NewSINRMedium(e, phy.SINRConfig{N: n, Side: 1000, Pos: func(id int) geom.Point { return pts[id] }})
+		var out outcome
+		macs := make([]*DCF, n)
+		for i := range macs {
+			macs[i] = NewDCF(e, i, countingChannel{m.Channel(i), &out.edges}, rand.New(rand.NewSource(rng.Int63())))
+			macs[i].SetHandler(&logHandler{id: i, e: e, log: func(at float64, node int, what string, f *phy.Frame) {
+				out.log = append(out.log, delivery{at, node, what, f.Src, f.Dst, f.Seq})
+			}})
+		}
+		for i := range macs {
+			for at := rng.Float64() * 0.05; at < 2; at += rng.ExpFloat64() * 0.15 {
+				burst := 1 + rng.Intn(30)
+				dsts := make([]int, burst)
+				for k := range dsts {
+					if dsts[k] = rng.Intn(n + 3); dsts[k] >= n || dsts[k] == i {
+						dsts[k] = phy.Broadcast
+					}
+				}
+				bytes := 40 + rng.Intn(600)
+				e.At(at, func() {
+					for _, dst := range dsts {
+						macs[i].Send(&phy.Frame{Dst: dst, Bytes: bytes})
+					}
+				})
+			}
+		}
+		e.Run(10)
+		for _, d := range macs {
+			out.stats = append(out.stats, [4]uint64{d.TxData, d.TxRetries, d.TxAck, d.Drops})
+		}
+		out.processed = e.Processed()
+		return out
+	}
+	gated, always := run(false), run(true)
+	for i := range gated.stats {
+		if gated.stats[i] != always.stats[i] {
+			t.Fatalf("node %d: gated TxData/TxRetries/TxAck/Drops %v, always-notify %v", i, gated.stats[i], always.stats[i])
+		}
+	}
+	if len(gated.log) != len(always.log) {
+		t.Fatalf("gated run logs %d deliveries and completions, always-notify %d", len(gated.log), len(always.log))
+	}
+	for i := range gated.log {
+		if gated.log[i] != always.log[i] {
+			t.Fatalf("indication %d: gated %+v, always-notify %+v", i, gated.log[i], always.log[i])
+		}
+	}
+	if gated.processed != always.processed {
+		t.Fatalf("gated run processed %d events, always-notify %d", gated.processed, always.processed)
+	}
+	var retries, drops, acks uint64
+	for _, s := range gated.stats {
+		retries, drops, acks = retries+s[1], drops+s[3], acks+s[2]
+	}
+	// The schedule must contend, and the gate must cut edges, or the
+	// agreement says nothing.
+	if retries < 50 || drops == 0 || acks < 100 || gated.edges >= always.edges {
+		t.Fatalf("schedule too tame: %d retries, %d drops, %d ACKs, %d edges gated against %d",
+			retries, drops, acks, gated.edges, always.edges)
+	}
+	t.Logf("%d indications, %d events, %d retries, %d drops, %d ACKs; %d carrier edges reach the DCFs gated, %d always-notify",
+		len(gated.log), gated.processed, retries, drops, acks, gated.edges, always.edges)
+}
+
+// logHandler reports every MAC indication to log.
+type logHandler struct {
+	id  int
+	e   *sim.Engine
+	log func(at float64, node int, what string, f *phy.Frame)
+}
+
+func (h *logHandler) MACReceive(f *phy.Frame)  { h.log(h.e.Now(), h.id, "receive", f) }
+func (h *logHandler) MACOverhear(f *phy.Frame) { h.log(h.e.Now(), h.id, "overhear", f) }
+func (h *logHandler) MACSendDone(f *phy.Frame, ok bool) {
+	what := "done"
+	if !ok {
+		what = "failed"
+	}
+	h.log(h.e.Now(), h.id, what, f)
+}

@@ -66,4 +66,10 @@ type Channel interface {
 	SetHandler(h Handler)
 	// TxDuration returns the air time of f on this medium.
 	TxDuration(f *Frame) float64
+	// SetCarrierNotify turns ChannelStateChanged calls on or off; Busy and
+	// the medium's own carrier tracking are unaffected, so an edge that
+	// happens while off is simply not reported. On by default: a handler
+	// that never calls it hears every edge. A MAC that ignores edges in some
+	// of its states turns them off there to save the calls.
+	SetCarrierNotify(on bool)
 }

@@ -51,16 +51,19 @@ func (m *SINRMedium) newTransmission() *transmission {
 }
 
 // endTransmission runs signalEnd for every arrival in creation order, then
-// recycles the record. The record returns to the pool only after the walk:
-// a handler inside signalEnd may synchronously transmit, and that nested
-// transmission must not grab this record while it is being iterated. The
-// frame reference is dropped so it does not outlive the signal.
+// recycles the record. The clock and the carrier-sense threshold are read
+// once for the walk: every signal end in it happens at the same instant. The
+// record returns to the pool only after the walk: a handler inside signalEnd
+// may synchronously transmit, and that nested transmission must not grab
+// this record while it is being iterated. The frame reference is dropped so
+// it does not outlive the signal.
 //
 //pqlint:noalloc
 func (m *SINRMedium) endTransmission(t *transmission) {
+	now, cs := m.engine.Now(), m.d.CsThreshMw
 	for i := range t.arrivals {
 		a := &t.arrivals[i]
-		a.rx.signalEnd(t, a)
+		a.rx.signalEnd(t, a, now, cs)
 	}
 	t.frame, t.arrivals = nil, t.arrivals[:0]
 	m.txFree = append(m.txFree, t) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
@@ -70,26 +73,37 @@ func (m *SINRMedium) endTransmission(t *transmission) {
 // in SWANS's RadioNoiseAdditive: sumMw adds at a signal's start and subtracts
 // at its end, and is set back to exactly 0 whenever nActive returns to 0, so
 // rounding residue never outlives a busy period.
+//
+// A transmission touches every radio out to the interference range, so the
+// fields a signal's start and end read come first and the medium allocates
+// all radios as one array (DESIGN.md §9): an arrival's first touch of a
+// receiver is one cache line, not a pointer chase to a separate flag.
 type radio struct {
-	medium  *SINRMedium
-	id      int
-	handler Handler
-
-	txUntil float64 // transmitting until this time (half-duplex)
-	sumMw   float64 // Σ powerMw of the signals currently impinging
-	nActive int     // how many those are
+	// enabled is whether the node participates in the medium; this is the
+	// one copy, which the spatial index reads too.
+	enabled   bool
+	busy      bool // last computed carrier state
+	corrupted bool
+	// mute withholds carrier edges from the handler (SetCarrierNotify);
+	// busy is tracked regardless.
+	mute bool
 	// epoch stamps the arrivals counted in sumMw/nActive; reset bumps it, so
 	// the end of a signal the radio forgot at a disable subtracts nothing.
-	epoch uint32
+	epoch   uint32
+	nActive int     // how many signals are currently impinging
+	txUntil float64 // transmitting until this time (half-duplex)
+	sumMw   float64 // Σ powerMw of the signals currently impinging
 	// locked is the transmission being decoded (nil: none), lockedMw its
 	// power here.
-	locked    *transmission
-	lockedMw  float64
-	corrupted bool
-	busy      bool // last reported carrier state
+	locked   *transmission
+	lockedMw float64
 	// noiseMw is ambient noise injected at this receiver on top of the
 	// thermal floor (SINRMedium.SetExtraNoise).
 	noiseMw float64
+
+	medium  *SINRMedium
+	id      int
+	handler Handler
 	// txDoneFn is the bound txDone method, created once so scheduling the
 	// end of a transmission does not allocate.
 	txDoneFn func()
@@ -99,6 +113,9 @@ var _ Channel = (*radio)(nil)
 
 func (r *radio) SetHandler(h Handler) { r.handler = h }
 
+// SetCarrierNotify implements Channel.
+func (r *radio) SetCarrierNotify(on bool) { r.mute = !on }
+
 func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 
 // Busy implements Channel: carrier is busy while transmitting or while the
@@ -107,8 +124,13 @@ func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 // hook because it is asked at every signal start and end: as a hook it alone
 // cost about 3 % of a contended DCF second.
 func (r *radio) Busy() bool {
-	m := r.medium
-	return m.engine.Now() < r.txUntil || r.sumMw+r.noiseMw >= m.d.CsThreshMw
+	return r.busyAt(r.medium.engine.Now(), r.medium.d.CsThreshMw)
+}
+
+// busyAt is Busy at time now against carrier-sense threshold cs, for the
+// walks that read both once.
+func (r *radio) busyAt(now, cs float64) bool {
+	return now < r.txUntil || r.sumMw+r.noiseMw >= cs
 }
 
 func (r *radio) reset() {
@@ -126,15 +148,16 @@ func (r *radio) reset() {
 // power and builds the frame's arrivals in candidate order — it touches no
 // receiver, so the index's own candidate buffer and the stateful position
 // functions are read out before anything can react — and a second starts
-// them.
+// them. The clock and the carrier-sense threshold are read once.
 //
 //pqlint:noalloc
 func (r *radio) Transmit(f *Frame) {
-	m := r.medium
-	if !m.Enabled(r.id) {
+	if !r.enabled {
 		return
 	}
-	end := m.engine.Now() + r.TxDuration(f)
+	m := r.medium
+	now, cs := m.engine.Now(), m.d.CsThreshMw
+	end := now + r.TxDuration(f)
 	// Half-duplex: starting a transmission aborts any in-progress
 	// reception at this node.
 	if r.locked != nil {
@@ -142,7 +165,7 @@ func (r *radio) Transmit(f *Frame) {
 	}
 	r.txUntil = end
 	m.engine.At(end, r.txDoneFn)
-	r.updateCarrier()
+	r.carrierAt(now, cs)
 
 	srcPos := m.world.pos(r.id)
 	m.txStart(r.id, srcPos)
@@ -167,7 +190,7 @@ func (r *radio) Transmit(f *Frame) {
 	}
 	for i := range tx.arrivals {
 		a := &tx.arrivals[i]
-		a.rx.signalBegin(tx, a)
+		a.rx.signalBegin(tx, a, now, cs)
 	}
 	m.engine.At(end, tx.endFn)
 }
@@ -177,17 +200,19 @@ func (r *radio) txDone() {
 	r.updateCarrier()
 }
 
+// signalBegin enters a at r, at time now against carrier-sense threshold cs.
+//
 //pqlint:noalloc
-func (r *radio) signalBegin(t *transmission, a *arrival) {
-	m := r.medium
-	if !m.Enabled(r.id) {
+func (r *radio) signalBegin(t *transmission, a *arrival, now, cs float64) {
+	if !r.enabled {
 		return
 	}
+	m := r.medium
 	a.epoch = r.epoch
 	r.sumMw += a.powerMw
 	r.nActive++
 	switch {
-	case m.engine.Now() < r.txUntil:
+	case now < r.txUntil:
 		// A transmitting radio cannot receive; the signal is noise only.
 	case r.locked == nil:
 		if m.locks(r, a.powerMw) {
@@ -200,12 +225,14 @@ func (r *radio) signalBegin(t *transmission, a *arrival) {
 			r.corrupted = true
 		}
 	}
-	r.updateCarrier()
+	r.carrierAt(now, cs)
 }
 
+// signalEnd takes a out of r, at time now against carrier-sense threshold
+// cs, and delivers t's frame if r was decoding it cleanly.
+//
 //pqlint:noalloc
-func (r *radio) signalEnd(t *transmission, a *arrival) {
-	m := r.medium
+func (r *radio) signalEnd(t *transmission, a *arrival, now, cs float64) {
 	if a.epoch == r.epoch {
 		if r.nActive--; r.nActive == 0 {
 			r.sumMw = 0
@@ -214,24 +241,29 @@ func (r *radio) signalEnd(t *transmission, a *arrival) {
 		}
 	}
 	if r.locked == t {
-		delivered := !r.corrupted && m.engine.Now() >= r.txUntil && m.survives(r)
+		m := r.medium
+		delivered := !r.corrupted && now >= r.txUntil && m.survives(r)
 		if !delivered {
 			m.Corrupted++
 		}
 		r.locked = nil
 		r.corrupted = false
-		if delivered && r.handler != nil && m.Enabled(r.id) {
+		if delivered && r.handler != nil && r.enabled {
 			r.handler.FrameReceived(t.frame)
 		}
 	}
-	r.updateCarrier()
+	r.carrierAt(now, cs)
 }
 
-func (r *radio) updateCarrier() {
-	busy := r.Busy()
+func (r *radio) updateCarrier() { r.carrierAt(r.medium.engine.Now(), r.medium.d.CsThreshMw) }
+
+// carrierAt recomputes the carrier state at time now against threshold cs
+// and reports an edge to the handler unless it is muted.
+func (r *radio) carrierAt(now, cs float64) {
+	busy := r.busyAt(now, cs)
 	if busy != r.busy {
 		r.busy = busy
-		if r.handler != nil {
+		if r.handler != nil && !r.mute {
 			r.handler.ChannelStateChanged(busy)
 		}
 	}

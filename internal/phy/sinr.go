@@ -32,6 +32,8 @@ type SINRMedium struct {
 	// exact (default) model. See cellnoise.go.
 	noise *noiseField
 
+	// radios indexes the per-node radios, which are allocated as one array
+	// (see radio).
 	radios []*radio
 
 	// txFree recycles transmission records, arrival slices included:
@@ -89,13 +91,15 @@ func NewSINRMedium(engine *sim.Engine, cfg SINRConfig) *SINRMedium {
 		m.candRange = m.d.CarrierSenseRange
 		m.noise = newNoiseField(cfg.N, cfg.Side, m.d, cfg.MaxSpeed)
 	}
-	m.world = newWorld(engine, cfg.N, cfg.Side, m.d.CarrierSenseRange, cfg.Pos, cfg.MaxSpeed)
+	all := make([]radio, cfg.N)
 	m.radios = make([]*radio, cfg.N)
-	for i := range m.radios {
-		r := &radio{medium: m, id: i, epoch: 1}
+	for i := range all {
+		r := &all[i]
+		r.medium, r.id, r.epoch = m, i, 1
 		r.txDoneFn = r.txDone
 		m.radios[i] = r
 	}
+	m.world = newWorld(engine, m.radios, cfg.Side, m.d.CarrierSenseRange, cfg.Pos, cfg.MaxSpeed)
 	return m
 }
 
@@ -112,7 +116,7 @@ func (m *SINRMedium) SetEnabled(id int, on bool) {
 }
 
 // Enabled reports whether the node participates in the medium.
-func (m *SINRMedium) Enabled(id int) bool { return m.world.enabled[id] }
+func (m *SINRMedium) Enabled(id int) bool { return m.radios[id].enabled }
 
 // Params returns the radio parameters in use.
 func (m *SINRMedium) Params() Params { return m.params }

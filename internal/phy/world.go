@@ -34,8 +34,9 @@ type world struct {
 	n           int
 	maxSpeed    float64
 	refreshSecs float64
-	enabled     []bool
-	scratch     []int
+	// radios carry the enabled flag the index follows; setEnabled writes it.
+	radios  []*radio
+	scratch []int
 
 	// Incremental refresh state; unused when maxSpeed == 0 (a static
 	// world's index is maintained by setEnabled alone, exactly fresh).
@@ -45,7 +46,9 @@ type world struct {
 	queued  []bool    // id -> currently in queue[head:]
 }
 
-func newWorld(engine *sim.Engine, n int, side float64, cell float64, pos PositionFunc, maxSpeed float64) *world {
+// newWorld indexes the nodes of radios, all of which it enables.
+func newWorld(engine *sim.Engine, radios []*radio, side float64, cell float64, pos PositionFunc, maxSpeed float64) *world {
+	n := len(radios)
 	w := &world{
 		engine:      engine,
 		pos:         pos,
@@ -53,10 +56,10 @@ func newWorld(engine *sim.Engine, n int, side float64, cell float64, pos Positio
 		n:           n,
 		maxSpeed:    maxSpeed,
 		refreshSecs: worldRefreshSecs,
-		enabled:     make([]bool, n),
+		radios:      radios,
 	}
 	for i := 0; i < n; i++ {
-		w.enabled[i] = true
+		radios[i].enabled = true
 		w.grid.Update(i, pos(i))
 	}
 	if maxSpeed > 0 {
@@ -72,10 +75,10 @@ func newWorld(engine *sim.Engine, n int, side float64, cell float64, pos Positio
 }
 
 func (w *world) setEnabled(id int, on bool) {
-	if w.enabled[id] == on {
+	if w.radios[id].enabled == on {
 		return
 	}
-	w.enabled[id] = on
+	w.radios[id].enabled = on
 	if on {
 		w.grid.Update(id, w.pos(id))
 		if w.maxSpeed > 0 && !w.queued[id] {
@@ -103,11 +106,11 @@ func (w *world) refreshIfStale() {
 	cutoff := now - w.refreshSecs
 	for w.head < len(w.queue) {
 		id := int(w.queue[w.head])
-		if w.enabled[id] && w.idxTime[id] > cutoff {
+		if w.radios[id].enabled && w.idxTime[id] > cutoff {
 			break
 		}
 		w.head++
-		if !w.enabled[id] {
+		if !w.radios[id].enabled {
 			w.queued[id] = false
 			continue
 		}

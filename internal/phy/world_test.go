@@ -44,6 +44,15 @@ func bouncePos(n int, side, maxSpeed float64, seed int64) func(id int, t float64
 	}
 }
 
+// testRadios returns n bare radios for a world built without a medium.
+func testRadios(n int) []*radio {
+	rs := make([]*radio, n)
+	for i := range rs {
+		rs[i] = &radio{id: i}
+	}
+	return rs
+}
+
 // TestCandidatesNeverMissUnderMaxSpeedMobility is the staleness-pad
 // regression test: with every node moving at the speed bound and the index
 // refreshed incrementally with the measured-elapsed pad, a candidate query
@@ -58,7 +67,7 @@ func TestCandidatesNeverMissUnderMaxSpeedMobility(t *testing.T) {
 	truePos := bouncePos(n, side, maxSpeed, 1)
 	engine := sim.NewEngine(1)
 	pos := func(id int) geom.Point { return truePos(id, engine.Now()) }
-	w := newWorld(engine, n, side, 300, pos, maxSpeed)
+	w := newWorld(engine, testRadios(n), side, 300, pos, maxSpeed)
 	rng := rand.New(rand.NewSource(2))
 
 	radii := []float64{120, 300, 670} // the last two: carrier-sense and interference ranges
@@ -70,25 +79,25 @@ func TestCandidatesNeverMissUnderMaxSpeedMobility(t *testing.T) {
 		// Churn ~5% of nodes per step.
 		for k := 0; k < 3; k++ {
 			id := rng.Intn(n)
-			w.setEnabled(id, !w.enabled[id])
+			w.setEnabled(id, !w.radios[id].enabled)
 		}
 
 		src := rng.Intn(n)
-		if !w.enabled[src] {
+		if !w.radios[src].enabled {
 			w.setEnabled(src, true)
 		}
 		radius := radii[step%len(radii)]
 		got := w.candidates(src, radius)
 		member := make(map[int]bool, len(got))
 		for _, id := range got {
-			if !w.enabled[id] {
+			if !w.radios[id].enabled {
 				t.Fatalf("step %d: candidates returned disabled node %d", step, id)
 			}
 			member[id] = true
 		}
 		srcPos := truePos(src, engine.Now())
 		for id := 0; id < n; id++ {
-			if !w.enabled[id] {
+			if !w.radios[id].enabled {
 				continue
 			}
 			if geom.Dist(srcPos, truePos(id, engine.Now())) <= radius && !member[id] {
@@ -107,7 +116,7 @@ func TestWorldPadMeasuresElapsed(t *testing.T) {
 	truePos := bouncePos(n, side, maxSpeed, 3)
 	engine := sim.NewEngine(1)
 	pos := func(id int) geom.Point { return truePos(id, engine.Now()) }
-	w := newWorld(engine, n, side, 300, pos, maxSpeed)
+	w := newWorld(engine, testRadios(n), side, 300, pos, maxSpeed)
 
 	worst := 2 * maxSpeed * w.refreshSecs
 	// Age everything past the interval, then query: the drain restamps all
@@ -136,7 +145,7 @@ func TestWorldRefreshIsIncremental(t *testing.T) {
 		calls++
 		return geom.Point{X: float64(id), Y: float64(id)}
 	}
-	w := newWorld(engine, n, side, 300, pos, 1.0)
+	w := newWorld(engine, testRadios(n), side, 300, pos, 1.0)
 	calls = 0
 
 	// All stamps are 0. Advance past the interval and query: the drain
