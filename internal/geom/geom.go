@@ -15,37 +15,45 @@ type Point struct {
 }
 
 // Dist returns the Euclidean distance between two points in the plane: on
-// amd64 it is math.Hypot(a.X-b.X, a.Y-b.Y) bit for bit, with Hypot's
-// special cases (+Inf if a delta is infinite, else NaN if one is NaN).
+// amd64 it is math.Hypot(a.X-b.X, a.Y-b.Y) bit for bit, special cases and
+// NaN payload included.
 //
 // It spells out the operation sequence of amd64's assembly Hypot,
-// max·√(1+(min/max)²), small enough to inline, so the received-power loop
-// does not call the assembly routine through its ABI wrapper once per
-// receiver. float64(q*q) rounds the square on its own, which forbids fusing
-// it with the addition (Go spec, "Arithmetic operators"); the assembly does
-// not fuse it either. max(d, -d) is |d| (max(-0, 0) is +0, and NaN stays
-// NaN) at a smaller inlining cost than math.Abs. Other architectures call
-// math.Hypot, which need not be that sequence there.
+// max·√(1+(min/max)²), as Go, so the received-power loop calls an ordinary
+// register-ABI function instead of the assembly routine through its ABI
+// wrapper once per receiver. The magnitudes are ordered as integers — the
+// bits of non-negative floats order as the floats do — which compiles to
+// conditional moves where a float compare would branch on every other
+// receiver; float64(lo*lo) rounds the square on its own, which forbids
+// fusing it with the addition (Go spec, "Arithmetic operators"), as the
+// assembly does not fuse it. Other architectures call math.Hypot, which
+// need not be that sequence there.
 func Dist(a, b Point) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
 	if runtime.GOARCH != "amd64" {
 		return math.Hypot(dx, dy)
 	}
-	p, q := max(dx, -dx), max(dy, -dy)
-	if p > math.MaxFloat64 || q > math.MaxFloat64 {
-		return inf
-	}
-	if p+q == 0 {
-		return 0
-	}
+	p := math.Float64bits(dx) &^ (1 << 63)
+	q := math.Float64bits(dy) &^ (1 << 63)
 	if p < q {
 		p, q = q, p
 	}
-	q /= p
-	return p * math.Sqrt(1+float64(q*q))
+	if p >= infBits { // +Inf if either magnitude is +Inf, else NaN
+		if p == infBits || q == infBits {
+			return math.Inf(1)
+		}
+		return math.NaN()
+	}
+	if p == 0 {
+		return 0
+	}
+	hi, lo := math.Float64frombits(p), math.Float64frombits(q)
+	lo /= hi
+	return hi * math.Sqrt(1+float64(lo*lo))
 }
 
-var inf = math.Inf(1)
+// infBits is the bit pattern of +Inf; a larger magnitude's bits are a NaN.
+const infBits = 0x7FF0000000000000
 
 // Dist2 returns the squared Euclidean distance; cheaper when only
 // comparisons are needed.

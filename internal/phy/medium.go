@@ -215,7 +215,9 @@ func (r *radio) signalBegin(t *transmission, a *arrival, now, cs float64) {
 	case now < r.txUntil:
 		// A transmitting radio cannot receive; the signal is noise only.
 	case r.locked == nil:
-		if m.locks(r, a.powerMw) {
+		// Most arrivals are below the reception threshold: locks is
+		// asked only about the rest.
+		if a.powerMw >= m.d.RxThreshMw && m.locks(r, a.powerMw) {
 			r.locked, r.lockedMw = t, a.powerMw
 			r.corrupted = false
 		}
@@ -257,14 +259,22 @@ func (r *radio) signalEnd(t *transmission, a *arrival, now, cs float64) {
 
 func (r *radio) updateCarrier() { r.carrierAt(r.medium.engine.Now(), r.medium.d.CsThreshMw) }
 
-// carrierAt recomputes the carrier state at time now against threshold cs
-// and reports an edge to the handler unless it is muted.
+// carrierAt recomputes the carrier state at time now against threshold cs;
+// it is small enough to inline into the walks, which leaves a call only
+// for an edge.
 func (r *radio) carrierAt(now, cs float64) {
-	busy := r.busyAt(now, cs)
-	if busy != r.busy {
-		r.busy = busy
-		if r.handler != nil && !r.mute {
-			r.handler.ChannelStateChanged(busy)
-		}
+	if r.busyAt(now, cs) != r.busy {
+		r.carrierEdge()
+	}
+}
+
+// carrierEdge flips the carrier state and reports the edge to the handler
+// unless it is muted. Kept out of line so that carrierAt stays inlinable.
+//
+//go:noinline
+func (r *radio) carrierEdge() {
+	r.busy = !r.busy
+	if r.handler != nil && !r.mute {
+		r.handler.ChannelStateChanged(r.busy)
 	}
 }
