@@ -245,22 +245,29 @@ func runBench(dir, bin string, args []string) (result, error) {
 }
 
 // summarize prints, per metric, the median and quartiles of the per-pair
-// ratio work/base and the pairs the work side won (a tie wins neither), then
-// whether every simulated quantity was bit-equal on every seed.
+// ratio work/base, the pairs the work side won (a tie wins neither), each
+// side's median, and the spread of the base runs — their interquartile range
+// over their median, the noise a median gain has to beat — then whether
+// every simulated quantity was bit-equal on every seed.
 func summarize(w io.Writer, metrics []metric, base, work []result) {
-	fmt.Fprintf(w, "%-16s %-6s %8s %8s %8s %6s\n", "metric", "better", "median", "q1", "q3", "wins")
+	fmt.Fprintf(w, "%-16s %-6s %8s %8s %8s %6s %12s %12s %9s\n",
+		"metric", "better", "median", "q1", "q3", "wins", "base", "work", "base IQR")
 	for _, m := range metrics {
 		ratios := make([]float64, len(base))
+		bs, ws := make([]float64, len(base)), make([]float64, len(base))
 		wins := 0
 		for i := range base {
 			b, x := base[i].Metrics[m.Name].Value, work[i].Metrics[m.Name].Value
-			ratios[i] = x / b
+			ratios[i], bs[i], ws[i] = x/b, b, x
 			if (m.Better == "higher" && x > b) || (m.Better == "lower" && x < b) {
 				wins++
 			}
 		}
 		q1, med, q3 := quartiles(ratios)
-		fmt.Fprintf(w, "%-16s %-6s %8.4f %8.4f %8.4f %3d/%d\n", m.Name, m.Better, med, q1, q3, wins, len(base))
+		b1, bmed, b3 := quartiles(bs)
+		_, wmed, _ := quartiles(ws)
+		fmt.Fprintf(w, "%-16s %-6s %8.4f %8.4f %8.4f %3d/%-2d %12.6g %12.6g %8.2f%%\n",
+			m.Name, m.Better, med, q1, q3, wins, len(base), bmed, wmed, 100*(b3-b1)/bmed)
 	}
 	equal := "yes"
 	for i := range base {

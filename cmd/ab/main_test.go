@@ -38,8 +38,8 @@ func TestSummarize(t *testing.T) {
 	summarize(&out, metrics, base, work)
 	got := out.String()
 	for _, want := range []string{
-		"ops_per_s        higher   1.1000   1.0000   1.1500   2/3",
-		"live_heap_mb     lower    1.0000   0.9500   1.0500   1/3",
+		"ops_per_s        higher   1.1000   1.0000   1.1500   2/3           100          110     0.00%",
+		"live_heap_mb     lower    1.0000   0.9500   1.0500   1/3            10           10     0.00%",
 		"simulated metrics bit-equal per seed: yes",
 	} {
 		if !strings.Contains(got, want) {

@@ -74,7 +74,7 @@ func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 
 // notifyAlways makes every DCF keep its channel's carrier edges on in
 // every state: the reference the carrier-gate test compares against.
-var notifyAlways = false
+var notifyAlways bool
 
 // setState moves d to s and tells the channel whether carrier edges are
 // wanted: ChannelStateChanged acts only while d contends for the medium —

@@ -75,9 +75,9 @@ func (m *SINRMedium) endTransmission(t *transmission) {
 // rounding residue never outlives a busy period.
 //
 // A transmission touches every radio out to the interference range, so the
-// fields a signal's start and end read come first and the medium allocates
-// all radios as one array (DESIGN.md §9): an arrival's first touch of a
-// receiver is one cache line, not a pointer chase to a separate flag.
+// fields a signal's start and end read come first, enabled among them, and
+// the medium allocates all radios as one array (DESIGN.md §9): the first
+// touch of a receiver reads its radio and no separate flag array.
 type radio struct {
 	// enabled is whether the node participates in the medium; this is the
 	// one copy, which the spatial index reads too.
@@ -144,11 +144,16 @@ func (r *radio) reset() {
 	r.updateCarrier()
 }
 
-// Transmit implements Channel. One loop computes each candidate's received
-// power and builds the frame's arrivals in candidate order — it touches no
-// receiver, so the index's own candidate buffer and the stateful position
-// functions are read out before anything can react — and a second starts
-// them. The clock and the carrier-sense threshold are read once.
+// Transmit implements Channel. Three loops over the candidates, none of
+// which touches a receiver before the last: the first reads their positions
+// (the position function is a call per node, the source's own included), the
+// second computes each received power and builds the frame's arrivals in
+// candidate order with no call but the distance's, and the third starts
+// them. So the index's own candidate buffer and the stateful position
+// functions are read out before anything can react, and the divisions and
+// square roots of consecutive candidates overlap instead of waiting on a
+// position call each. The clock and the carrier-sense threshold are read
+// once.
 //
 //pqlint:noalloc
 func (r *radio) Transmit(f *Frame) {
@@ -170,12 +175,18 @@ func (r *radio) Transmit(f *Frame) {
 	srcPos := m.world.pos(r.id)
 	m.txStart(r.id, srcPos)
 
+	cands := m.world.candidates(r.id, m.candRange)
+	pts := m.candPos[:0]
+	for _, dst := range cands {
+		pts = append(pts, m.world.pos(dst))
+	}
+	m.candPos = pts
 	var tx *transmission
-	for _, dst := range m.world.candidates(r.id, m.candRange) {
+	for i, dst := range cands {
 		if dst == r.id {
 			continue
 		}
-		p, ok := m.signal(geom.Dist(srcPos, m.world.pos(dst)))
+		p, ok := m.signal(geom.Dist(srcPos, pts[i]))
 		if !ok {
 			continue
 		}

@@ -40,6 +40,9 @@ type SINRMedium struct {
 	// Transmit pops one and the transmission's end walk pushes it back, so
 	// steady-state transmission is allocation-free (DESIGN.md §9).
 	txFree []*transmission
+	// candPos holds the positions of one Transmit's candidates, in
+	// candidate order; reused across transmissions.
+	candPos []geom.Point
 
 	// Corrupted counts receptions aborted by interference, collision or
 	// the receiver's own transmission — an observability hook for
