@@ -8,7 +8,7 @@
 // Usage:
 //
 //	make ab BASE=<rev> W=<workload> PAIRS=10 SEED=11
-//	go run ./cmd/ab -base <rev> [-work <rev>] -workload <name> [-pairs 10] [-seed 11] [-seconds 10]
+//	go run ./cmd/ab -base <rev> [-work <rev>] -workload <name> [-pairs 10] [-seed 11]
 //
 // Pair i runs seed SEED+i on both sides; the side that runs first alternates
 // from pair to pair, so a host that drifts over the session does not favour
@@ -69,20 +69,19 @@ func main() {
 		workload = flag.String("workload", "", "benchmark workload (required)")
 		pairs    = flag.Int("pairs", 10, "number of run pairs")
 		seed     = flag.Int64("seed", 11, "seed of the first pair")
-		seconds  = flag.String("seconds", "10", "the bench binary's -seconds")
 	)
 	flag.Parse()
 	if *base == "" || *workload == "" || *pairs < 1 || flag.NArg() > 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*base, *work, *workload, *pairs, *seed, *seconds); err != nil {
+	if err := run(*base, *work, *workload, *pairs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "ab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(base, work, workload string, pairs int, seed int64, seconds string) error {
+func run(base, work, workload string, pairs int, seed int64) error {
 	metrics, err := readMetrics("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -109,7 +108,7 @@ func run(base, work, workload string, pairs int, seed int64, seconds string) err
 	var baseRuns, workRuns []result
 	for i := 0; i < pairs; i++ {
 		s := strconv.FormatInt(seed+int64(i), 10)
-		args := []string{"-workload", workload, "-seed", s, "-trace", "0", "-json", "-seconds", seconds}
+		args := []string{"-workload", workload, "-seed", s, "-trace", "0", "-json"}
 		order := []string{baseBin, workBin}
 		if i%2 == 1 {
 			order[0], order[1] = order[1], order[0]

@@ -14,9 +14,8 @@ type Point struct {
 	X, Y float64
 }
 
-// Dist returns the Euclidean distance between two points in the plane: on
-// amd64 it is math.Hypot(a.X-b.X, a.Y-b.Y) bit for bit, special cases and
-// NaN payload included.
+// Dist returns the Euclidean distance between two points in the plane,
+// math.Hypot(a.X-b.X, a.Y-b.Y) bit for bit.
 //
 // It spells out the operation sequence of amd64's assembly Hypot,
 // max·√(1+(min/max)²), as Go, so the received-power loop calls an ordinary
@@ -38,11 +37,8 @@ func Dist(a, b Point) float64 {
 	if p < q {
 		p, q = q, p
 	}
-	if p >= infBits { // +Inf if either magnitude is +Inf, else NaN
-		if p == infBits || q == infBits {
-			return math.Inf(1)
-		}
-		return math.NaN()
+	if p >= infBits { // an infinite or NaN delta: Hypot's special cases
+		return math.Hypot(dx, dy)
 	}
 	if p == 0 {
 		return 0
@@ -52,7 +48,8 @@ func Dist(a, b Point) float64 {
 	return hi * math.Sqrt(1+float64(lo*lo))
 }
 
-// infBits is the bit pattern of +Inf; a larger magnitude's bits are a NaN.
+// infBits is the bit pattern of +Inf; the bits of a larger magnitude are a
+// NaN's.
 const infBits = 0x7FF0000000000000
 
 // Dist2 returns the squared Euclidean distance; cheaper when only
