@@ -8,7 +8,6 @@
 package probquorum
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -495,9 +494,8 @@ func BenchmarkParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunSweep(context.Background(), sw, workers)
-				if err != nil || len(res) != len(scs) {
-					b.Fatalf("sweep: %d results, err=%v", len(res), err)
+				if res := experiment.RunSweep(sw, workers); len(res) != len(scs) {
+					b.Fatalf("sweep: %d results", len(res))
 				}
 			}
 		})

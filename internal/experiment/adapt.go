@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"probquorum/internal/check"
@@ -227,8 +226,7 @@ func RunAdapt(tc TierConfig) []AdaptDriftResult {
 		}
 	}
 	runs := make([]AdaptVariantResult, len(cells))
-	// Background context never cancels, so the error is impossible.
-	_ = forEachJob(context.Background(), len(cells), tc.Parallel, func(i int) {
+	forEachJob(len(cells), tc.Parallel, func(i int) {
 		runs[i] = runAdaptCell(tc, cells[i].drift, cells[i].adaptive, cells[i].seed)
 	})
 

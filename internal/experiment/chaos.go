@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"probquorum/internal/check"
@@ -186,15 +185,12 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 // RunChaosSweep executes the scenarios on a worker pool of `parallel`
 // goroutines (0 = GOMAXPROCS). Each run owns its whole stack, so results
 // are bit-identical to running serially, in any pool size.
-func RunChaosSweep(ctx context.Context, scs []ChaosScenario, parallel int) ([]ChaosResult, error) {
+func RunChaosSweep(scs []ChaosScenario, parallel int) []ChaosResult {
 	out := make([]ChaosResult, len(scs))
-	err := forEachJob(ctx, len(scs), parallel, func(j int) {
+	forEachJob(len(scs), parallel, func(j int) {
 		out[j] = RunChaos(scs[j])
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // mergeChaos aggregates per-seed chaos results into one: everything sums.

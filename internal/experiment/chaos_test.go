@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -17,10 +16,7 @@ func TestChaosSmoke(t *testing.T) {
 		{N: 50, Seed: 22, Severity: 1.0},
 		{N: 50, Seed: 33, Severity: 0.8, LookupRetries: 2, RetryBackoffSecs: 0.5},
 	}
-	results, err := RunChaosSweep(context.Background(), scs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := RunChaosSweep(scs, 0)
 	agg := mergeChaos(results)
 	if agg.Report.Violations != 0 {
 		t.Fatalf("invariant violations under chaos: %v", agg.Report.Details)
@@ -53,10 +49,7 @@ func TestChaosFiftySchedules(t *testing.T) {
 			Severity: float64(i%5) * 0.25,
 		}
 	}
-	results, err := RunChaosSweep(context.Background(), scs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := RunChaosSweep(scs, 0)
 	agg := mergeChaos(results)
 	if agg.Runs != schedules {
 		t.Fatalf("ran %d schedules, want %d", agg.Runs, schedules)
@@ -84,14 +77,8 @@ func TestChaosParallelDeterminism(t *testing.T) {
 			{N: 40, Seed: 8, Severity: 1.0, ReadvertiseSecs: 10},
 		}
 	}
-	serial, err := RunChaosSweep(context.Background(), mk(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunChaosSweep(context.Background(), mk(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := RunChaosSweep(mk(), 1)
+	parallel := RunChaosSweep(mk(), 4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("chaos sweep results differ between serial and parallel execution")
 	}

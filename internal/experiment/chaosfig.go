@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"probquorum/internal/faults"
@@ -37,7 +36,7 @@ func FigChaos(p Profile, seed int64) []Table {
 			})
 		}
 	}
-	results, _ := RunChaosSweep(context.Background(), scs, p.Parallel)
+	results := RunChaosSweep(scs, p.Parallel)
 	for i := range chaosSeverities {
 		lo := i * chaosSchedulesPerSeverity
 		bySeverity[i] = mergeChaos(results[lo : lo+chaosSchedulesPerSeverity])
@@ -108,7 +107,7 @@ func chaosRecoveryTable(p Profile, seed int64) Table {
 			scs = append(scs, v)
 		}
 	}
-	results, _ := RunChaosSweep(context.Background(), scs, p.Parallel)
+	results := RunChaosSweep(scs, p.Parallel)
 	var rows [][]string
 	for i, name := range recoveryNames {
 		r := mergeChaos(results[i*seeds : (i+1)*seeds])

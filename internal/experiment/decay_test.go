@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -74,14 +73,8 @@ func TestChurnSweepDeterminism(t *testing.T) {
 		{Scenario: mk(50, 21, 0.4), Seeds: 2},
 		{Scenario: mk(60, 33, 0.8), Seeds: 2},
 	}}
-	serial, err := RunSweep(context.Background(), sw, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(context.Background(), sw, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := RunSweep(sw, 1)
+	parallel := RunSweep(sw, 8)
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("point %d diverged:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])

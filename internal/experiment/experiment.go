@@ -12,7 +12,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -406,7 +405,7 @@ func run(sc Scenario) (Result, check.Report) {
 // base+1, … (the paper averages 10 runs per data point). It is the
 // single-point, single-worker form of RunSweep.
 func RunSeeds(sc Scenario, seeds int) Result {
-	res, _ := RunSweep(context.Background(), Sweep{Points: []Point{{Scenario: sc, Seeds: seeds}}}, 1)
+	res := RunSweep(Sweep{Points: []Point{{Scenario: sc, Seeds: seeds}}}, 1)
 	return res[0]
 }
 

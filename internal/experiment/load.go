@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"probquorum/internal/check"
@@ -115,8 +114,7 @@ func Load(tc TierConfig) ([]Table, []string, error) {
 func RunLoad(tc TierConfig) []LoadMixResult {
 	mixes := loadMixes()
 	out := make([]LoadMixResult, len(mixes))
-	// Background context never cancels, so the error is impossible.
-	_ = forEachJob(context.Background(), len(mixes), tc.Parallel, func(i int) {
+	forEachJob(len(mixes), tc.Parallel, func(i int) {
 		out[i] = runLoadMix(tc, mixes[i])
 	})
 	return out

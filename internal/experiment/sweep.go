@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -40,10 +39,7 @@ func NewSweep(scs []Scenario, seeds int) Sweep {
 // point/seed order after the pool drains. The output is therefore
 // bit-for-bit identical for any parallelism, including 1 (see
 // TestRunSweepDeterminism).
-//
-// Cancelling ctx stops the sweep between runs: in-flight runs finish, no
-// further runs start, and RunSweep returns ctx.Err() with nil results.
-func RunSweep(ctx context.Context, sw Sweep, parallel int) ([]Result, error) {
+func RunSweep(sw Sweep, parallel int) []Result {
 	type job struct{ point, seed int }
 	var jobs []job
 	perSeed := make([][]Result, len(sw.Points))
@@ -57,28 +53,23 @@ func RunSweep(ctx context.Context, sw Sweep, parallel int) ([]Result, error) {
 			jobs = append(jobs, job{point: i, seed: s})
 		}
 	}
-	err := forEachJob(ctx, len(jobs), parallel, func(j int) {
+	forEachJob(len(jobs), parallel, func(j int) {
 		pt := sw.Points[jobs[j].point]
 		sc := pt.Scenario
 		sc.Seed += int64(jobs[j].seed)
 		perSeed[jobs[j].point][jobs[j].seed] = Run(sc)
 	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]Result, len(sw.Points))
 	for i := range sw.Points {
 		out[i] = mergeRuns(perSeed[i])
 	}
-	return out, nil
+	return out
 }
 
 // forEachJob runs fn(0), …, fn(n-1) on a pool of `parallel` worker
 // goroutines (parallel < 1 means runtime.GOMAXPROCS(0)). Jobs are handed
-// out in index order. When ctx is cancelled, no further jobs are handed
-// out, already-running jobs complete, and the context's error is returned
-// after the pool drains.
-func forEachJob(ctx context.Context, n, parallel int, fn func(int)) error {
+// out in index order, and forEachJob returns when every job has completed.
+func forEachJob(n, parallel int, fn func(int)) {
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -96,18 +87,11 @@ func forEachJob(ctx context.Context, n, parallel int, fn func(int)) error {
 			}
 		}()
 	}
-	done := ctx.Done()
-feed:
 	for j := 0; j < n; j++ {
-		select {
-		case <-done:
-			break feed
-		case jobCh <- j:
-		}
+		jobCh <- j
 	}
 	close(jobCh)
 	wg.Wait()
-	return ctx.Err()
 }
 
 // addMeans adds each of src's averaged fields to dst's; divMeans divides them
@@ -156,9 +140,7 @@ func mergeRuns(runs []Result) Result {
 // sweepResults runs one scenario per element, each averaged over p.Seeds
 // seeds, with the profile's parallelism, and returns results in input order
 // — for tables that read several results side by side (see points for the
-// row-per-point figures). The background context never cancels, so the
-// error is impossible by construction.
+// row-per-point figures).
 func sweepResults(p Profile, scs []Scenario) []Result {
-	res, _ := RunSweep(context.Background(), NewSweep(scs, p.Seeds), p.Parallel)
-	return res
+	return RunSweep(NewSweep(scs, p.Seeds), p.Parallel)
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -27,14 +26,8 @@ func microSweep() Sweep {
 // regardless of run completion order.
 func TestRunSweepDeterminism(t *testing.T) {
 	sw := microSweep()
-	serial, err := RunSweep(context.Background(), sw, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunSweep(context.Background(), sw, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := RunSweep(sw, 1)
+	parallel := RunSweep(sw, 8)
 	if len(serial) != len(sw.Points) || len(parallel) != len(sw.Points) {
 		t.Fatalf("result lengths: serial=%d parallel=%d", len(serial), len(parallel))
 	}
@@ -49,10 +42,7 @@ func TestRunSweepDeterminism(t *testing.T) {
 // semantics: one point averaged over k seeds equals RunSeeds.
 func TestRunSweepMatchesRunSeeds(t *testing.T) {
 	sw := microSweep()
-	res, err := RunSweep(context.Background(), sw, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := RunSweep(sw, 4)
 	for i, pt := range sw.Points {
 		want := RunSeeds(pt.Scenario, pt.Seeds)
 		if !reflect.DeepEqual(res[i], want) {
@@ -64,52 +54,15 @@ func TestRunSweepMatchesRunSeeds(t *testing.T) {
 	}
 }
 
-func TestRunSweepCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := RunSweep(ctx, microSweep(), 2)
-	if err == nil {
-		t.Fatal("cancelled sweep returned no error")
-	}
-	if res != nil {
-		t.Fatalf("cancelled sweep returned results: %v", res)
-	}
-}
-
-// TestForEachJobCancelMidRun cancels the pool from inside a job: already
-// handed-out jobs finish, but no further jobs are dispatched.
-func TestForEachJobCancelMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	const n = 100
-	ran := 0
-	err := forEachJob(ctx, n, 1, func(j int) {
-		ran++
-		if j == 2 {
-			cancel()
-		}
-	})
-	if err == nil {
-		t.Fatal("cancelled pool returned no error")
-	}
-	// With one worker the dispatch order is 0,1,2,…: the cancel lands
-	// while job 3 is at most already handed out.
-	if ran < 3 || ran > 4 {
-		t.Fatalf("ran %d jobs after cancel at job 2, want 3 or 4", ran)
-	}
-}
-
 func TestForEachJobRunsAllOnce(t *testing.T) {
 	const n = 57
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	err := forEachJob(context.Background(), n, 8, func(j int) {
+	forEachJob(n, 8, func(j int) {
 		mu.Lock()
 		seen[j]++
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(seen) != n {
 		t.Fatalf("ran %d distinct jobs, want %d", len(seen), n)
 	}
@@ -123,7 +76,7 @@ func TestForEachJobRunsAllOnce(t *testing.T) {
 // TestForEachJobBoundedWorkers checks the pool never exceeds its size.
 func TestForEachJobBoundedWorkers(t *testing.T) {
 	var active, peak atomic.Int32
-	err := forEachJob(context.Background(), 64, 3, func(int) {
+	forEachJob(64, 3, func(int) {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -133,9 +86,6 @@ func TestForEachJobBoundedWorkers(t *testing.T) {
 		}
 		active.Add(-1)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("peak concurrency %d exceeds pool size 3", p)
 	}

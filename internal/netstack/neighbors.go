@@ -14,19 +14,6 @@ type NeighborProvider interface {
 	// sorted ascending. The returned slice is owned by the provider and
 	// valid until the node's list is next rebuilt.
 	Neighbors(id int) []int
-	// Version is a counter that advances whenever some node's neighbor
-	// *set* is observed to change — a new neighbor appears, an entry
-	// expires, liveness flips, or (for position-derived providers on a
-	// mobile network) time advances. Consumers that cache derived state
-	// (the oracle router's route trees) key it on this counter.
-	Version() uint64
-	// Prepare revalidates every live node's cached list at the current
-	// instant, so that a graph walk within the same event (a route-tree
-	// build) can read them via Frozen without mutation.
-	Prepare()
-	// Frozen returns id's cached list with no revalidation. Only valid
-	// after Prepare in the same event; read-only (DESIGN.md §15).
-	Frozen(id int) []int
 	// AliveFlipped is called by Fail and Revive, after the flip, with the
 	// node whose liveness changed.
 	AliveFlipped(id int)
@@ -134,17 +121,19 @@ func (o *oracleNeighbors) AliveFlipped(id int) {
 	o.version++
 }
 
-// Version implements NeighborProvider: the counter advances with every
-// cache invalidation, i.e. whenever liveness flipped or (mobile network)
-// time moved, which is exactly when a geometric neighbor set can change.
+// Version is a counter that advances with every cache invalidation, i.e.
+// whenever liveness flipped or (mobile network) time moved, which is exactly
+// when a geometric neighbor set can change. Consumers that cache derived
+// state (the oracle router's route trees) key it on this counter.
 func (o *oracleNeighbors) Version() uint64 {
 	o.refresh()
 	return o.version
 }
 
-// Prepare implements NeighborProvider: revalidate every live node's list,
-// once per invalidation — a route-tree miss at an unchanged version finds
-// them all valid without looking.
+// Prepare revalidates every live node's list at the current instant, so that
+// a graph walk within the same event (a route-tree build) can read them via
+// Frozen without mutation. It runs once per invalidation — a route-tree miss
+// at an unchanged version finds them all valid without looking.
 func (o *oracleNeighbors) Prepare() {
 	o.refresh()
 	if o.allLive {
@@ -158,7 +147,8 @@ func (o *oracleNeighbors) Prepare() {
 	o.allLive = true
 }
 
-// Frozen implements NeighborProvider.
+// Frozen returns id's cached list with no revalidation. Only valid after
+// Prepare in the same event; read-only (DESIGN.md §15).
 func (o *oracleNeighbors) Frozen(id int) []int { return o.lists[id] }
 
 // Heartbeat neighbor discovery: the beacon payload size, the beacon period
@@ -198,8 +188,6 @@ type heartbeatService struct {
 	expires []float64 // earliest entry expiry of each cached list
 	epochs  []uint64  // net.aliveEpoch each list was built under
 	fresh   []bool    // false forces a rebuild (new/expired-sender beacon)
-	scratch []int     // rebuild staging, for content-change detection
-	version uint64    // advances when a rebuild changes some list's content
 }
 
 func newHeartbeatService(net *Network) *heartbeatService {
@@ -262,14 +250,13 @@ func (h *heartbeatService) Neighbors(id int) []int {
 }
 
 // rebuild rescans id's beacon table: exactly the filter the uncached
-// implementation applied per call, staged through scratch so a content
-// change (vs. the previously cached list) can advance the graph version.
+// implementation applied per call, written over the node's cached list.
 func (h *heartbeatService) rebuild(id int, now float64) []int {
-	h.scratch = h.scratch[:0]
+	list := h.lists[id][:0]
 	expires := math.Inf(1)
 	for nb, seen := range h.lastSeen[id] {
 		if now-seen <= heartbeatTimeout && h.net.alive[nb] {
-			h.scratch = append(h.scratch, nb) //pqlint:allow noalloc(shared scratch: grows to the largest neighbor list once, then is reused)
+			list = append(list, nb)
 			if e := seen + heartbeatTimeout; e < expires {
 				expires = e
 			}
@@ -277,47 +264,14 @@ func (h *heartbeatService) rebuild(id int, now float64) []int {
 			delete(h.lastSeen[id], nb)
 		}
 	}
-	sort.Ints(h.scratch)
-	if !intsEqual(h.scratch, h.lists[id]) {
-		h.version++
-	}
-	h.lists[id] = append(h.lists[id][:0], h.scratch...) //pqlint:allow noalloc(the node's cached list is rewritten in place and grows to its neighbor high-water mark; a rebuild runs once per beacon expiry, not per hop — TestOracleNextHopHitAllocFree pins the hit path)
+	sort.Ints(list)
+	h.lists[id] = list
 	h.expires[id] = expires
 	h.epochs[id] = h.net.aliveEpoch
 	h.fresh[id] = true
-	return h.lists[id]
+	return list
 }
-
-// Version implements NeighborProvider: heartbeat neighbor sets change only
-// through observed rebuilds (beacon membership) and liveness flips, so the
-// content-change counter plus the alive epoch covers both. Both terms only
-// grow, so the sum is monotone.
-func (h *heartbeatService) Version() uint64 { return h.version + h.net.aliveEpoch }
-
-// Prepare implements NeighborProvider.
-func (h *heartbeatService) Prepare() {
-	for id := 0; id < h.net.N(); id++ {
-		if h.net.alive[id] {
-			h.Neighbors(id)
-		}
-	}
-}
-
-// Frozen implements NeighborProvider.
-func (h *heartbeatService) Frozen(id int) []int { return h.lists[id] }
 
 // AliveFlipped implements NeighborProvider: nothing to do, every cached list
 // is keyed on the alive epoch.
 func (h *heartbeatService) AliveFlipped(int) {}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,7 +226,7 @@ func TestOracleNeighborsFlipRelistsLocally(t *testing.T) {
 		N: n, Side: side, Mobility: mobility.NewStatic(geom.UniformPoints(rng, n, side)),
 		Stack: StackIdeal, Neighbors: NeighborsOracle,
 	})
-	o := net.neighbors.(*oracleNeighbors)
+	o := net.geo
 	net.PrepareNeighbors()
 	relisted := 0
 	for flip := 0; flip < 200; flip++ {
@@ -251,10 +252,10 @@ func TestOracleNeighborsFlipRelistsLocally(t *testing.T) {
 		fresh := newOracleNeighbors(net)
 		for v := 0; v < n; v++ {
 			want := fresh.Neighbors(v)
-			if got := net.FrozenNeighbors(v); net.Alive(v) && !intsEqual(got, want) {
+			if got := net.FrozenNeighbors(v); net.Alive(v) && !slices.Equal(got, want) {
 				t.Fatalf("flip %d (node %d): frozen list of %d = %v, a fresh provider lists %v", flip, id, v, got, want)
 			}
-			if got := net.Neighbors(v); !intsEqual(got, want) {
+			if got := net.Neighbors(v); !slices.Equal(got, want) {
 				t.Fatalf("flip %d (node %d): neighbors of %d = %v, a fresh provider lists %v", flip, id, v, got, want)
 			}
 		}

@@ -648,14 +648,14 @@ func TestRunningSumMatchesResum(t *testing.T) {
 			// radio's current busy period, not of what is left of it.
 			high, worst := make([]float64, n), 0.0
 			peak, logged := 0, 0
-			for step := 0; got.e.Pending() > 0; step++ {
+			for step := 0; got.e.QueueLen() > 0; step++ {
 				// RunAll(1) is the engine's single step: it runs one event
 				// and reports that the budget of one is used up.
 				_ = got.e.RunAll(1)
 				_ = want.e.RunAll(1)
-				if got.e.Now() != want.e.Now() || got.e.Pending() != want.e.Pending() {
+				if got.e.Now() != want.e.Now() || got.e.QueueLen() != want.e.QueueLen() {
 					t.Fatalf("step %d: worlds out of step: t=%.9f with %d pending, oracle t=%.9f with %d",
-						step, got.e.Now(), got.e.Pending(), want.e.Now(), want.e.Pending())
+						step, got.e.Now(), got.e.QueueLen(), want.e.Now(), want.e.QueueLen())
 				}
 				for id, r := range got.m.radios {
 					ref := want.m.radios[id]

@@ -85,61 +85,6 @@ func TestExpandingRingAdvertise(t *testing.T) {
 	}
 }
 
-func TestRandomSamplingAdvertise(t *testing.T) {
-	// The walks run n/2 = 50 steps, about half of them self-loops at d_max 24
-	// over degree 12, so ten lookups of one seed are a noisy reading (5 to 10
-	// hits over seeds 40–51): four seeds are pooled against the same 60 %
-	// floor.
-	hits, lookups := 0, 0
-	for seed := int64(44); seed < 48; seed++ {
-		w := newWorld(seed, 100, Config{
-			AdvertiseStrategy: RandomSampling, LookupStrategy: UniquePath,
-			AdvertiseSize: 20, LookupSize: 12,
-			EarlyHalt: true, Salvation: true, LookupTimeout: 20,
-		})
-		res := w.advertise(0, "k", "v")
-		if res.Placed < 10 {
-			t.Fatalf("seed %d: sampling advertise placed %d (walk endpoints may collide, but not this much)", seed, res.Placed)
-		}
-		for i := 0; i < 10; i++ {
-			lookups++
-			if w.lookup((i*11+3)%100, "k").Hit {
-				hits++
-			}
-		}
-	}
-	if 10*hits < 6*lookups {
-		t.Fatalf("only %d/%d hits after sampling advertise", hits, lookups)
-	}
-}
-
-func TestRandomSamplingLookup(t *testing.T) {
-	w := newWorld(45, 100, Config{
-		AdvertiseStrategy: Random, LookupStrategy: RandomSampling,
-		AdvertiseSize: 20, LookupSize: 12,
-		LookupTimeout: 25,
-	})
-	if hr := w.hitRatio(3, 12); hr < 0.6 {
-		t.Fatalf("sampling lookup hit ratio = %.2f", hr)
-	}
-}
-
-func TestSamplingCostsMixingTime(t *testing.T) {
-	// The sampling variant must cost ≈ |Q|·walkLength·P(move) messages —
-	// far more than the membership-based RANDOM at the same size.
-	w := newWorld(46, 100, Config{
-		AdvertiseStrategy: RandomSampling, LookupStrategy: UniquePath,
-		AdvertiseSize: 10, LookupSize: 10,
-		EarlyHalt: true, Salvation: true,
-	})
-	before := w.net.Stats().Get(netstack.CtrAppMsgs)
-	w.advertise(0, "k", "v")
-	used := w.net.Stats().Get(netstack.CtrAppMsgs) - before
-	if used < 100 {
-		t.Fatalf("sampling advertise used only %d msgs; expected Θ(|Q|·T_mix·p_move)", used)
-	}
-}
-
 func TestOverhearingImprovesHitRatio(t *testing.T) {
 	run := func(overhear bool) (float64, int) {
 		w := newWorld(48, 150, Config{
@@ -162,7 +107,7 @@ func TestOverhearingImprovesHitRatio(t *testing.T) {
 }
 
 func TestNewStrategyStrings(t *testing.T) {
-	if ExpandingRing.String() != "EXPANDING-RING" || RandomSampling.String() != "RANDOM-SAMPLING" {
+	if ExpandingRing.String() != "EXPANDING-RING" {
 		t.Fatal("strategy strings")
 	}
 }
@@ -170,7 +115,7 @@ func TestNewStrategyStrings(t *testing.T) {
 func TestAllMixesSmoke(t *testing.T) {
 	// Every advertise×lookup combination must run without panicking and
 	// produce some hits on a well-provisioned network.
-	strategies := []Strategy{Random, RandomOpt, Path, UniquePath, Flooding, ExpandingRing, RandomSampling}
+	strategies := []Strategy{Random, RandomOpt, Path, UniquePath, Flooding, ExpandingRing}
 	for _, adv := range strategies {
 		for _, lk := range strategies {
 			t.Run(fmt.Sprintf("%v_x_%v", adv, lk), func(t *testing.T) {

@@ -43,11 +43,6 @@ const (
 	// successive floods of growing TTL until the quorum is reached (for
 	// lookups: until a hit), robust to unknown densities and topologies.
 	ExpandingRing
-	// RandomSampling is the direct sampling-based RANDOM implementation
-	// (Section 4.1): each quorum member is the endpoint of a maximum-
-	// degree random walk of about the mixing time, so no routing or
-	// membership service is needed — at a Θ(|Q|·T_mix) message cost.
-	RandomSampling
 )
 
 // String implements fmt.Stringer.
@@ -65,8 +60,6 @@ func (s Strategy) String() string {
 		return "FLOODING"
 	case ExpandingRing:
 		return "EXPANDING-RING"
-	case RandomSampling:
-		return "RANDOM-SAMPLING"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -79,8 +72,7 @@ func (s Strategy) DrawsFromView() bool { return s == Random || s == RandomOpt }
 // Config selects the strategy mix, the two sizes, the flood TTLs and which of
 // the Section 6–7 techniques are on. What the paper fixes rather than varies
 // is not a field but a constant beside its one use: payloadBytes (below),
-// walkTTLFactor (walk.go), repairTTL (reply.go), maxRingTTL (ring.go),
-// maxDegreeEstimate and the n/2 walk length (sampling.go).
+// walkTTLFactor (walk.go), repairTTL (reply.go) and maxRingTTL (ring.go).
 type Config struct {
 	// AdvertiseStrategy and LookupStrategy pick the biquorum mix. Any
 	// combination is legal; Lemma 5.2 guarantees the intersection bound
@@ -119,12 +111,12 @@ type Config struct {
 	LookupTimeout float64
 	// AdvertiseTimeoutSecs bounds how long an advertise may stay pending
 	// before it is force-settled with whatever placements it achieved
-	// (default 60). Walk-carried advertises (PATH, UNIQUE-PATH,
-	// RANDOM-SAMPLING) settle when the walk terminates — but a walk frame
-	// dropped at a receiver (loss, partition, injected fault) vanishes
-	// without any terminal event, which would otherwise leave the
-	// operation pending forever: a callback that never fires and, under
-	// open-loop load, an unbounded s.ads leak.
+	// (default 60). Walk-carried advertises (PATH, UNIQUE-PATH) settle
+	// when the walk terminates — but a walk frame dropped at a receiver
+	// (loss, partition, injected fault) vanishes without any terminal
+	// event, which would otherwise leave the operation pending forever: a
+	// callback that never fires and, under open-loop load, an unbounded
+	// s.ads leak.
 	AdvertiseTimeoutSecs float64
 	// LookupRetries is how many times a timed-out lookup is retried with a
 	// freshly drawn quorum before reporting the miss — the client-side
@@ -606,8 +598,6 @@ func (d *nodeDispatch) HandlePacket(n *netstack.Node, pkt *netstack.Packet, from
 		d.s.handleReply(n, m)
 	case *floodMsg:
 		d.s.handleFlood(n, pkt, m, from)
-	case *sampleMsg:
-		d.s.handleSample(n, m)
 	}
 }
 

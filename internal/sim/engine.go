@@ -323,10 +323,7 @@ func (e *Engine) step() {
 	e.release(ev)
 }
 
-// Pending returns the number of queued events; every one of them will fire
-// unless it is cancelled first.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// QueueLen returns the queue length. It equals Pending, since a cancelled
-// event leaves the queue at once; the benchmark samples it as the heap depth.
+// QueueLen returns the number of queued events; every one of them will fire
+// unless it is cancelled first, since a cancelled event leaves the queue at
+// once. The benchmark samples it as the heap depth.
 func (e *Engine) QueueLen() int { return len(e.queue) }

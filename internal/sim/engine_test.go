@@ -43,8 +43,8 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
 	ev.Cancel()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after the only event was cancelled, want 0", e.Pending())
+	if e.QueueLen() != 0 {
+		t.Fatalf("QueueLen() = %d after the only event was cancelled, want 0", e.QueueLen())
 	}
 	e.Run(2)
 	if fired {
@@ -82,8 +82,8 @@ func TestNaNTimeRejected(t *testing.T) {
 	}
 	e.At(math.Inf(1), fn)
 	e.Run(5)
-	if e.Now() != 5 || e.Pending() != 1 {
-		t.Fatalf("after Run(5): Now()=%v Pending()=%d, want 5 and the +Inf event still queued", e.Now(), e.Pending())
+	if e.Now() != 5 || e.QueueLen() != 1 {
+		t.Fatalf("after Run(5): Now()=%v QueueLen()=%d, want 5 and the +Inf event still queued", e.Now(), e.QueueLen())
 	}
 }
 
@@ -302,18 +302,15 @@ func TestPendingCountsLiveOnly(t *testing.T) {
 	e.Schedule(3, fn)
 	for i, ev := range []*Event{a, b} {
 		ev.Cancel()
-		if got, want := e.Pending(), 2-i; got != want {
-			t.Fatalf("Pending() = %d after %d cancels of 3, want %d", got, i+1, want)
-		}
-		if e.QueueLen() != e.Pending() {
-			t.Fatalf("QueueLen() = %d, Pending() = %d: a cancelled event stayed queued", e.QueueLen(), e.Pending())
+		if got, want := e.QueueLen(), 2-i; got != want {
+			t.Fatalf("QueueLen() = %d after %d cancels of 3, want %d: a cancelled event stayed queued", got, i+1, want)
 		}
 	}
 	if n := e.Run(10); n != 1 {
 		t.Fatalf("Run executed %d events, want 1", n)
 	}
-	if e.Pending() != 0 || e.QueueLen() != 0 {
-		t.Fatalf("queue not drained: Pending=%d QueueLen=%d", e.Pending(), e.QueueLen())
+	if e.QueueLen() != 0 {
+		t.Fatalf("queue not drained: QueueLen=%d", e.QueueLen())
 	}
 }
 
@@ -501,9 +498,8 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 				e.Run(e.Now() + float64(rng.Intn(3)))
 			}
 			// The queue holds exactly the events still due to fire.
-			if live := len(want) - len(fired); e.QueueLen() != live || e.Pending() != live {
-				t.Fatalf("seed %d step %d: QueueLen=%d Pending=%d, want both %d",
-					seed, step, e.QueueLen(), e.Pending(), live)
+			if live := len(want) - len(fired); e.QueueLen() != live {
+				t.Fatalf("seed %d step %d: QueueLen=%d, want %d", seed, step, e.QueueLen(), live)
 			}
 		}
 		e.Run(math.Inf(1))
@@ -527,8 +523,8 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 					seed, i, fired[i], ref[i].id, ref[i].time, ref[i].seq)
 			}
 		}
-		if e.Pending() != 0 || e.QueueLen() != 0 {
-			t.Fatalf("seed %d: queue not drained: Pending=%d QueueLen=%d", seed, e.Pending(), e.QueueLen())
+		if e.QueueLen() != 0 {
+			t.Fatalf("seed %d: queue not drained: QueueLen=%d", seed, e.QueueLen())
 		}
 	}
 }

@@ -55,16 +55,15 @@ type (
 	OpRef = quorum.OpRef
 )
 
-// Access strategies (Section 4 of the paper, plus the expanding-ring and
-// direct-sampling variants it describes).
+// Access strategies (Section 4 of the paper, plus the expanding-ring variant
+// it describes).
 const (
-	Random         = quorum.Random
-	RandomOpt      = quorum.RandomOpt
-	Path           = quorum.Path
-	UniquePath     = quorum.UniquePath
-	Flooding       = quorum.Flooding
-	ExpandingRing  = quorum.ExpandingRing
-	RandomSampling = quorum.RandomSampling
+	Random        = quorum.Random
+	RandomOpt     = quorum.RandomOpt
+	Path          = quorum.Path
+	UniquePath    = quorum.UniquePath
+	Flooding      = quorum.Flooding
+	ExpandingRing = quorum.ExpandingRing
 )
 
 // Link-layer fidelities.
