@@ -134,8 +134,9 @@ func (st *Stack) Faults() *faults.Injector {
 
 // Churn builds a churn process over the stack: joins take the join slots
 // first, then reboot crashed nodes, and either way the joiner comes up with
-// an empty store and bootstraps a fresh view at once — everyone else's views
-// catch up at the next refresh, stale in between as a real service's would be.
+// an empty store, no AODV state and a fresh view bootstrapped at once —
+// everyone else's views catch up at the next refresh, stale in between as a
+// real service's would be. The oracle router keeps no per-node state.
 func (st *Stack) Churn(cfg churn.Config) *churn.Process {
 	proc := churn.New(st.Net, cfg)
 	fresh := make([]int, 0, st.Net.N()-st.n)
@@ -143,7 +144,11 @@ func (st *Stack) Churn(cfg churn.Config) *churn.Process {
 		fresh = append(fresh, id)
 	}
 	proc.SetFreshPool(fresh)
+	routing, _ := st.Router.(*aodv.Routing)
 	proc.OnJoin(func(id int) {
+		if routing != nil {
+			routing.ResetNode(id)
+		}
 		st.Sys.ResetNode(id)
 		st.Members.RefreshNode(id)
 	})

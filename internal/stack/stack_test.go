@@ -3,6 +3,7 @@ package stack
 import (
 	"testing"
 
+	"probquorum/internal/aodv"
 	"probquorum/internal/churn"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
@@ -74,6 +75,48 @@ func TestChurnJoinersComeBackClean(t *testing.T) {
 	}
 	if rep := st.Suite.Final(); !rep.OK() {
 		t.Errorf("violations: %v", rep.Details)
+	}
+}
+
+// TestChurnRebootForgetsAODVRoutes: a node that crashes and reboots over AODV
+// comes back without the routes it held before the crash — its routing table,
+// like its store, does not survive the reboot.
+func TestChurnRebootForgetsAODVRoutes(t *testing.T) {
+	sp := idealSpec(40, 0)
+	sp.OracleRouting = false
+	st := Build(sp)
+	routing := st.Router.(*aodv.Routing)
+	st.Engine.Run(5)
+	for origin := 0; origin < 40; origin += 4 {
+		st.Suite.Advertise(origin, "k", "v", nil)
+	}
+	st.Engine.Run(st.Engine.Now() + 2)
+
+	held := make(map[int][]int) // crashed node -> destinations it had routes to
+	proc := st.Churn(churn.Config{Schedule: []churn.Event{
+		{At: 0.1, Op: churn.Fail, Count: 15},
+		{At: 0.2, Op: churn.Join, Count: 15}, // no join slots: every join reboots a crash
+	}})
+	proc.OnFail(func(id int) {
+		for dst := 0; dst < st.Net.N(); dst++ {
+			if routing.HasRoute(id, dst) {
+				held[id] = append(held[id], dst)
+			}
+		}
+	})
+	checked := 0
+	proc.OnJoin(func(id int) {
+		for _, dst := range held[id] {
+			checked++
+			if routing.HasRoute(id, dst) {
+				t.Errorf("node %d rebooted still holding its pre-crash route to %d", id, dst)
+			}
+		}
+	})
+	proc.Start()
+	st.Engine.Run(st.Engine.Now() + 1)
+	if checked == 0 {
+		t.Fatal("no rebooted node held a route before its crash: the test checked nothing")
 	}
 }
 
