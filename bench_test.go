@@ -481,11 +481,10 @@ func BenchmarkRouteTreeBuild(b *testing.B) {
 // independent full-stack simulations, so the speedup should be near
 // linear until the pool exceeds the core count.
 func BenchmarkParallelSweep(b *testing.B) {
-	var scs []experiment.Scenario
+	var pts []experiment.Point // 4 points × 4 seeds = 16 runs
 	for _, n := range []int{50, 80, 100, 120} {
-		scs = append(scs, benchScenario(netstack.StackIdeal, n, 1, 10, 50, 5))
+		pts = append(pts, experiment.Point{Scenario: benchScenario(netstack.StackIdeal, n, 1, 10, 50, 5), Seeds: 4})
 	}
-	sw := experiment.NewSweep(scs, 4) // 4 points × 4 seeds = 16 runs
 	pools := []int{1, 2, 4}
 	if ncpu := runtime.NumCPU(); ncpu != 1 && ncpu != 2 && ncpu != 4 {
 		pools = append(pools, ncpu)
@@ -494,7 +493,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if res := experiment.RunSweep(sw, workers); len(res) != len(scs) {
+				if res := experiment.RunSweep(pts, workers); len(res) != len(pts) {
 					b.Fatalf("sweep: %d results", len(res))
 				}
 			}

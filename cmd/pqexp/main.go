@@ -155,7 +155,6 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", runtime.NumCPU(), "sweep worker-pool size (independent runs in flight at once)")
 	n := fs.Int("n", 0, "node count for the mega scale tier (0 = its default: 10000)")
 	short := fs.Bool("short", false, "shrink the mega/load/adapt tiers to their smoke-test horizon")
-	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering every figure run to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile taken after all figures to this file")
 	if err := fs.Parse(args); err != nil {
@@ -248,15 +247,6 @@ func run(args []string) error {
 		fmt.Printf("# %s: %.2fs wall clock, parallel=%d\n\n", name, time.Since(start).Seconds(), effective)
 		if err != nil {
 			return err
-		}
-		if *csvDir != "" {
-			paths, err := experiment.WriteCSVFiles(*csvDir, tables)
-			if err != nil {
-				return err
-			}
-			for _, path := range paths {
-				fmt.Fprintln(os.Stderr, "wrote", path)
-			}
 		}
 	}
 	return nil

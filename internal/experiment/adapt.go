@@ -225,9 +225,8 @@ func RunAdapt(tc TierConfig) []AdaptDriftResult {
 			}
 		}
 	}
-	runs := make([]AdaptVariantResult, len(cells))
-	forEachJob(len(cells), tc.Parallel, func(i int) {
-		runs[i] = runAdaptCell(tc, cells[i].drift, cells[i].adaptive, cells[i].seed)
+	runs := runJobs(len(cells), tc.Parallel, func(i int) AdaptVariantResult {
+		return runAdaptCell(tc, cells[i].drift, cells[i].adaptive, cells[i].seed)
 	})
 
 	out := make([]AdaptDriftResult, len(drifts))

@@ -182,17 +182,6 @@ func RunChaos(cs ChaosScenario) ChaosResult {
 	return res
 }
 
-// RunChaosSweep executes the scenarios on a worker pool of `parallel`
-// goroutines (0 = GOMAXPROCS). Each run owns its whole stack, so results
-// are bit-identical to running serially, in any pool size.
-func RunChaosSweep(scs []ChaosScenario, parallel int) []ChaosResult {
-	out := make([]ChaosResult, len(scs))
-	forEachJob(len(scs), parallel, func(j int) {
-		out[j] = RunChaos(scs[j])
-	})
-	return out
-}
-
 // mergeChaos aggregates per-seed chaos results into one: everything sums.
 func mergeChaos(runs []ChaosResult) ChaosResult {
 	var agg ChaosResult

@@ -7,6 +7,11 @@ import (
 	"probquorum/internal/faults"
 )
 
+// chaosRuns runs each scenario on a pool of parallel workers, in index order.
+func chaosRuns(scs []ChaosScenario, parallel int) []ChaosResult {
+	return runJobs(len(scs), parallel, func(i int) ChaosResult { return RunChaos(scs[i]) })
+}
+
 // TestChaosSmoke is the deterministic chaos gate: fixed seeds, checkers
 // armed, zero invariant violations required, and the post-heal phase must
 // sit at (or above) the designed 1−ε bound in aggregate.
@@ -16,7 +21,7 @@ func TestChaosSmoke(t *testing.T) {
 		{N: 50, Seed: 22, Severity: 1.0},
 		{N: 50, Seed: 33, Severity: 0.8, LookupRetries: 2, RetryBackoffSecs: 0.5},
 	}
-	results := RunChaosSweep(scs, 0)
+	results := chaosRuns(scs, 0)
 	agg := mergeChaos(results)
 	if agg.Report.Violations != 0 {
 		t.Fatalf("invariant violations under chaos: %v", agg.Report.Details)
@@ -49,7 +54,7 @@ func TestChaosFiftySchedules(t *testing.T) {
 			Severity: float64(i%5) * 0.25,
 		}
 	}
-	results := RunChaosSweep(scs, 0)
+	results := chaosRuns(scs, 0)
 	agg := mergeChaos(results)
 	if agg.Runs != schedules {
 		t.Fatalf("ran %d schedules, want %d", agg.Runs, schedules)
@@ -77,8 +82,8 @@ func TestChaosParallelDeterminism(t *testing.T) {
 			{N: 40, Seed: 8, Severity: 1.0, ReadvertiseSecs: 10},
 		}
 	}
-	serial := RunChaosSweep(mk(), 1)
-	parallel := RunChaosSweep(mk(), 4)
+	serial := chaosRuns(mk(), 1)
+	parallel := chaosRuns(mk(), 4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("chaos sweep results differ between serial and parallel execution")
 	}

@@ -36,7 +36,7 @@ func FigChaos(p Profile, seed int64) []Table {
 			})
 		}
 	}
-	results := RunChaosSweep(scs, p.Parallel)
+	results := runJobs(len(scs), p.Parallel, func(i int) ChaosResult { return RunChaos(scs[i]) })
 	for i := range chaosSeverities {
 		lo := i * chaosSchedulesPerSeverity
 		bySeverity[i] = mergeChaos(results[lo : lo+chaosSchedulesPerSeverity])
@@ -107,7 +107,7 @@ func chaosRecoveryTable(p Profile, seed int64) Table {
 			scs = append(scs, v)
 		}
 	}
-	results := RunChaosSweep(scs, p.Parallel)
+	results := runJobs(len(scs), p.Parallel, func(i int) ChaosResult { return RunChaos(scs[i]) })
 	var rows [][]string
 	for i, name := range recoveryNames {
 		r := mergeChaos(results[i*seeds : (i+1)*seeds])

@@ -49,7 +49,7 @@ func decayScenario(p Profile, n int, seed int64, targetF float64) Scenario {
 // then hit ratio per bucket with and without the recovery mechanisms
 // (lookup retry/backoff and periodic re-advertise) around a churn burst.
 func FigDecay(p Profile, seed int64) []Table {
-	results := sweepResults(p, burstScenarios(p, p.BigN, seed))
+	results := RunSweep(burstPoints(p, p.BigN, seed), p.Parallel)
 	return []Table{decayTable(p, seed), recoveryTable(results), recoveryCounters(results)}
 }
 
@@ -75,17 +75,18 @@ func decayTable(p Profile, seed int64) Table {
 	return t
 }
 
-// recoveryNames labels burstScenarios' three configurations.
+// recoveryNames labels burstPoints' three configurations.
 var recoveryNames = []string{"baseline", "retries", "retries+re-advertise"}
 
-// burstScenarios returns three variants of the same churn burst — ~25% of
+// burstPoints returns three variants of the same churn burst — ~25% of
 // the network fails (and is replaced) inside one bucket starting a third of
 // the way into the lookup phase — with escalating recovery machinery:
 // none, lookup retry/backoff only, and retry plus periodic re-advertise.
 // Retries recover individual lookups (each re-draw multiplies the miss
 // probability by ε^(1−f) again); re-advertise repairs the advertise quorums
-// themselves, so first attempts stop missing at all.
-func burstScenarios(p Profile, n int, seed int64) []Scenario {
+// themselves, so first attempts stop missing at all. Each is averaged over
+// p.Seeds runs.
+func burstPoints(p Profile, n int, seed int64) []Point {
 	base := decayScenario(p, n, seed+59, 0)
 	span := base.lookupSpanSecs()
 	burst := span / decayBuckets
@@ -100,7 +101,7 @@ func burstScenarios(p Profile, n int, seed int64) []Scenario {
 
 	full := retry
 	full.Quorum.ReadvertiseSecs = span / decayBuckets
-	return []Scenario{base, retry, full}
+	return []Point{{base, p.Seeds}, {retry, p.Seeds}, {full, p.Seeds}}
 }
 
 func recoveryTable(results []Result) Table {

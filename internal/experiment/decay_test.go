@@ -69,12 +69,12 @@ func TestChurnSweepDeterminism(t *testing.T) {
 		sc.Quorum.ReadvertiseSecs = 5
 		return sc
 	}
-	sw := Sweep{Points: []Point{
+	pts := []Point{
 		{Scenario: mk(50, 21, 0.4), Seeds: 2},
 		{Scenario: mk(60, 33, 0.8), Seeds: 2},
-	}}
-	serial := RunSweep(sw, 1)
-	parallel := RunSweep(sw, 8)
+	}
+	serial := RunSweep(pts, 1)
+	parallel := RunSweep(pts, 8)
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("point %d diverged:\nserial:   %+v\nparallel: %+v", i, serial[i], parallel[i])
@@ -101,13 +101,13 @@ func TestRetryAndReadvertiseRecoverFromBurst(t *testing.T) {
 	p := decayProfile()
 	p.Seeds = 2
 	p.Lookups = 180
-	scs := burstScenarios(p, p.BigN, 555)
+	pts := burstPoints(p, p.BigN, 555)
 	// Double the burst to ~50% churn so the recovery gap clears noise.
-	for i := range scs {
-		scs[i].ChurnFailRate *= 2
-		scs[i].ChurnJoinRate *= 2
+	for i := range pts {
+		pts[i].Scenario.ChurnFailRate *= 2
+		pts[i].Scenario.ChurnJoinRate *= 2
 	}
-	results := sweepResults(p, scs)
+	results := RunSweep(pts, p.Parallel)
 	base, retry, full := results[0], results[1], results[2]
 
 	if base.Counters.LookupRetries != 0 || base.Counters.Readvertises != 0 {

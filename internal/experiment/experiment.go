@@ -405,8 +405,7 @@ func run(sc Scenario) (Result, check.Report) {
 // base+1, … (the paper averages 10 runs per data point). It is the
 // single-point, single-worker form of RunSweep.
 func RunSeeds(sc Scenario, seeds int) Result {
-	res := RunSweep(Sweep{Points: []Point{{Scenario: sc, Seeds: seeds}}}, 1)
-	return res[0]
+	return RunSweep([]Point{{Scenario: sc, Seeds: seeds}}, 1)[0]
 }
 
 // pickDistinct draws k distinct live ids among 0..limit-1.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -191,40 +190,6 @@ func TestMobileScenario(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := Table{Title: "Fig. X — demo, n=800", Header: []string{"a", "b"}, Rows: [][]string{{"1", "2"}, {"3", "4"}}}
-	csv := tb.CSV()
-	want := "a,b\n1,2\n3,4\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
-	}
-	if s := tb.slug(); s == "" || strings.Contains(s, " ") {
-		t.Fatalf("slug = %q", s)
-	}
-}
-
-func TestWriteCSVFiles(t *testing.T) {
-	dir := t.TempDir()
-	tables := []Table{
-		{Title: "First Table", Header: []string{"x"}, Rows: [][]string{{"1"}}},
-		{Title: "", Header: []string{"y"}, Rows: [][]string{{"2"}}},
-	}
-	paths, err := WriteCSVFiles(dir, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("paths = %v", paths)
-	}
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "x\n1\n" {
-		t.Fatalf("file content %q", data)
-	}
-}
-
 // microProfile keeps figure generators fast enough for unit tests.
 func microProfile() Profile {
 	return Profile{
@@ -273,7 +238,7 @@ func TestAllFigureGenerators(t *testing.T) {
 						t.Fatalf("%s: row width %d != header width %d", name, len(row), len(tb.Header))
 					}
 				}
-				if tb.String() == "" || tb.CSV() == "" {
+				if tb.String() == "" {
 					t.Fatalf("%s: rendering failed", name)
 				}
 			}

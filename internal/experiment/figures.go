@@ -148,7 +148,7 @@ func Fig4(p Profile, seed int64) []Table {
 		side := geom.AreaSide(n, 200, davg)
 		total, count := 0, 0
 		for count < p.WalkTrials {
-			g, _ := graph.NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+			g, _ := graph.NewRGG(rng, n, 200, side)
 			if !g.Connected() {
 				continue
 			}
@@ -325,7 +325,7 @@ func Fig4Series(p Profile, seed int64) []Table {
 	side := geom.AreaSide(n, 200, 10)
 	var g *graph.Graph
 	for {
-		cand, _ := graph.NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+		cand, _ := graph.NewRGG(rng, n, 200, side)
 		if cand.Connected() {
 			g = cand
 			break
@@ -366,7 +366,7 @@ func CrossingTime(p Profile, seed int64) []Table {
 		side := geom.AreaSide(n, 200, 10)
 		total, count := 0, 0
 		for count < p.WalkTrials/2+10 {
-			g, _ := graph.NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+			g, _ := graph.NewRGG(rng, n, 200, side)
 			if !g.Connected() {
 				continue
 			}

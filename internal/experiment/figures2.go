@@ -41,7 +41,7 @@ func (ps *points) add(sc Scenario, seeds int, then func(Result)) {
 
 // run executes the sweep and feeds each point's closure, in point order.
 func (ps *points) run(p Profile) {
-	results := RunSweep(Sweep{Points: ps.pts}, p.Parallel)
+	results := RunSweep(ps.pts, p.Parallel)
 	for i, r := range results {
 		ps.then[i](r)
 	}

@@ -113,11 +113,9 @@ func Load(tc TierConfig) ([]Table, []string, error) {
 // index.
 func RunLoad(tc TierConfig) []LoadMixResult {
 	mixes := loadMixes()
-	out := make([]LoadMixResult, len(mixes))
-	forEachJob(len(mixes), tc.Parallel, func(i int) {
-		out[i] = runLoadMix(tc, mixes[i])
+	return runJobs(len(mixes), tc.Parallel, func(i int) LoadMixResult {
+		return runLoadMix(tc, mixes[i])
 	})
-	return out
 }
 
 // runLoadMix runs one strategy/traffic mix: warmup, a seeding phase that

@@ -13,69 +13,49 @@ type Point struct {
 	Seeds    int
 }
 
-// Sweep is an ordered set of independent points. Every (point, seed) pair
-// is an isolated simulation run — the ensemble structure behind all of the
-// paper's figures — so the pairs can execute in any order, on any number
-// of workers, without changing the merged output.
-type Sweep struct {
-	Points []Point
-}
-
-// NewSweep builds a sweep that averages each scenario over seeds runs.
-func NewSweep(scs []Scenario, seeds int) Sweep {
-	pts := make([]Point, len(scs))
-	for i, sc := range scs {
-		pts[i] = Point{Scenario: sc, Seeds: seeds}
-	}
-	return Sweep{Points: pts}
-}
-
-// RunSweep executes every (point, seed) run of the sweep on a pool of
-// `parallel` workers (parallel < 1 means runtime.GOMAXPROCS(0)) and
-// returns one averaged Result per point, in point order.
+// RunSweep executes every (point, seed) run of pts on a pool of `parallel`
+// workers (parallel < 1 means runtime.GOMAXPROCS(0)) and returns one averaged
+// Result per point, in point order.
 //
-// Each run owns its entire stack — engine, network, RNG streams, metrics —
-// so runs share nothing and the merge is performed in deterministic
-// point/seed order after the pool drains. The output is therefore
-// bit-for-bit identical for any parallelism, including 1 (see
-// TestRunSweepDeterminism).
-func RunSweep(sw Sweep, parallel int) []Result {
-	type job struct{ point, seed int }
-	var jobs []job
-	perSeed := make([][]Result, len(sw.Points))
-	for i, pt := range sw.Points {
-		seeds := pt.Seeds
-		if seeds < 1 {
-			seeds = 1
-		}
-		perSeed[i] = make([]Result, seeds)
-		for s := 0; s < seeds; s++ {
-			jobs = append(jobs, job{point: i, seed: s})
+// Every (point, seed) pair is an isolated simulation run — the ensemble
+// structure behind all of the paper's figures. Each run owns its entire
+// stack — engine, network, RNG streams, metrics — so runs share nothing and
+// the merge is performed in deterministic point/seed order after the pool
+// drains. The output is therefore bit-for-bit identical for any parallelism,
+// including 1 (see TestRunSweepDeterminism).
+func RunSweep(pts []Point, parallel int) []Result {
+	var jobs []Scenario
+	for _, pt := range pts {
+		for s := 0; s < max(pt.Seeds, 1); s++ {
+			sc := pt.Scenario
+			sc.Seed += int64(s)
+			jobs = append(jobs, sc)
 		}
 	}
-	forEachJob(len(jobs), parallel, func(j int) {
-		pt := sw.Points[jobs[j].point]
-		sc := pt.Scenario
-		sc.Seed += int64(jobs[j].seed)
-		perSeed[jobs[j].point][jobs[j].seed] = Run(sc)
-	})
-	out := make([]Result, len(sw.Points))
-	for i := range sw.Points {
-		out[i] = mergeRuns(perSeed[i])
+	runs := runJobs(len(jobs), parallel, func(j int) Result { return Run(jobs[j]) })
+	out := make([]Result, len(pts))
+	for i, pt := range pts {
+		seeds := max(pt.Seeds, 1)
+		out[i] = mergeRuns(runs[:seeds])
+		runs = runs[seeds:]
 	}
 	return out
 }
 
-// forEachJob runs fn(0), …, fn(n-1) on a pool of `parallel` worker
-// goroutines (parallel < 1 means runtime.GOMAXPROCS(0)). Jobs are handed
-// out in index order, and forEachJob returns when every job has completed.
-func forEachJob(n, parallel int, fn func(int)) {
+// runJobs runs run(0), …, run(n-1) on a pool of `parallel` worker goroutines
+// (parallel < 1 means runtime.GOMAXPROCS(0)) and returns the results by
+// index. Jobs are handed out in index order; runJobs returns when every job
+// has completed. It is the package's one way to fan out independent runs:
+// each caller merges the results in index order, so its output does not
+// depend on the pool size.
+func runJobs[T any](n, parallel int, run func(int) T) []T {
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	if parallel > n {
 		parallel = n
 	}
+	out := make([]T, n)
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -83,7 +63,7 @@ func forEachJob(n, parallel int, fn func(int)) {
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				fn(j)
+				out[j] = run(j)
 			}
 		}()
 	}
@@ -92,6 +72,7 @@ func forEachJob(n, parallel int, fn func(int)) {
 	}
 	close(jobCh)
 	wg.Wait()
+	return out
 }
 
 // addMeans adds each of src's averaged fields to dst's; divMeans divides them
@@ -135,12 +116,4 @@ func mergeRuns(runs []Result) Result {
 		divMeans(agg.Decay[bi].means(), len(runs))
 	}
 	return agg
-}
-
-// sweepResults runs one scenario per element, each averaged over p.Seeds
-// seeds, with the profile's parallelism, and returns results in input order
-// — for tables that read several results side by side (see points for the
-// row-per-point figures).
-func sweepResults(p Profile, scs []Scenario) []Result {
-	return RunSweep(NewSweep(scs, p.Seeds), p.Parallel)
 }

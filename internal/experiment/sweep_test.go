@@ -11,24 +11,24 @@ import (
 )
 
 // microSweep is a small two-point sweep used by the executor tests.
-func microSweep() Sweep {
+func microSweep() []Point {
 	mk := func(n int, seed int64) Scenario {
 		return testScenario(netstack.StackIdeal, n, seed, 6, 24, 4)
 	}
-	return Sweep{Points: []Point{
+	return []Point{
 		{Scenario: mk(40, 3), Seeds: 3},
 		{Scenario: mk(60, 9), Seeds: 2},
-	}}
+	}
 }
 
 // TestRunSweepDeterminism is the bit-for-bit determinism guard: the same
 // sweep must produce identical Result values at parallel=1 and parallel=8,
 // regardless of run completion order.
 func TestRunSweepDeterminism(t *testing.T) {
-	sw := microSweep()
-	serial := RunSweep(sw, 1)
-	parallel := RunSweep(sw, 8)
-	if len(serial) != len(sw.Points) || len(parallel) != len(sw.Points) {
+	pts := microSweep()
+	serial := RunSweep(pts, 1)
+	parallel := RunSweep(pts, 8)
+	if len(serial) != len(pts) || len(parallel) != len(pts) {
 		t.Fatalf("result lengths: serial=%d parallel=%d", len(serial), len(parallel))
 	}
 	for i := range serial {
@@ -41,9 +41,9 @@ func TestRunSweepDeterminism(t *testing.T) {
 // TestRunSweepMatchesRunSeeds pins the executor to the legacy serial
 // semantics: one point averaged over k seeds equals RunSeeds.
 func TestRunSweepMatchesRunSeeds(t *testing.T) {
-	sw := microSweep()
-	res := RunSweep(sw, 4)
-	for i, pt := range sw.Points {
+	pts := microSweep()
+	res := RunSweep(pts, 4)
+	for i, pt := range pts {
 		want := RunSeeds(pt.Scenario, pt.Seeds)
 		if !reflect.DeepEqual(res[i], want) {
 			t.Fatalf("point %d: sweep %+v != RunSeeds %+v", i, res[i], want)
@@ -54,29 +54,36 @@ func TestRunSweepMatchesRunSeeds(t *testing.T) {
 	}
 }
 
+// TestForEachJobRunsAllOnce checks that runJobs runs every job exactly once
+// and returns each result at its job's index.
 func TestForEachJobRunsAllOnce(t *testing.T) {
 	const n = 57
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	forEachJob(n, 8, func(j int) {
+	out := runJobs(n, 8, func(j int) int {
 		mu.Lock()
 		seen[j]++
 		mu.Unlock()
+		return j * j
 	})
-	if len(seen) != n {
-		t.Fatalf("ran %d distinct jobs, want %d", len(seen), n)
+	if len(seen) != n || len(out) != n {
+		t.Fatalf("ran %d distinct jobs and returned %d results, want %d", len(seen), len(out), n)
 	}
 	for j, c := range seen {
 		if c != 1 {
 			t.Fatalf("job %d ran %d times", j, c)
 		}
+		if out[j] != j*j {
+			t.Fatalf("result %d = %d, want %d", j, out[j], j*j)
+		}
 	}
 }
 
-// TestForEachJobBoundedWorkers checks the pool never exceeds its size.
+// TestForEachJobBoundedWorkers checks that runJobs's pool never exceeds its
+// size.
 func TestForEachJobBoundedWorkers(t *testing.T) {
 	var active, peak atomic.Int32
-	forEachJob(64, 3, func(int) {
+	runJobs(64, 3, func(int) struct{} {
 		cur := active.Add(1)
 		for {
 			p := peak.Load()
@@ -85,6 +92,7 @@ func TestForEachJobBoundedWorkers(t *testing.T) {
 			}
 		}
 		active.Add(-1)
+		return struct{}{}
 	})
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("peak concurrency %d exceeds pool size 3", p)

@@ -114,9 +114,6 @@ type Episode struct {
 	// Radius extends a Jam episode to every node within Radius meters of
 	// the first selected node's position at episode start.
 	Radius float64
-	// NoiseDBm is the jamming noise level injected at each affected SINR
-	// receiver (default −80 dBm, well above the −101 dBm thermal floor).
-	NoiseDBm float64
 }
 
 // Injector binds fault injection to one network. Construct with New; it
@@ -282,6 +279,10 @@ func (inj *Injector) nodeSet(ep Episode) map[int]bool {
 	return set
 }
 
+// jamNoiseDBm is the jamming noise level injected at each affected SINR
+// receiver, well above the −101 dBm thermal floor.
+const jamNoiseDBm = -80
+
 // startJam begins a jamming burst: the affected set is the episode's nodes
 // plus, with Radius > 0, every node within Radius of the first one.
 func (inj *Injector) startJam(ep Episode) {
@@ -302,11 +303,7 @@ func (inj *Injector) startJam(ep Episode) {
 		}
 	}
 	if inj.sinr != nil {
-		noise := ep.NoiseDBm
-		if noise == 0 {
-			noise = -80
-		}
-		mw := phy.DBmToMilliwatt(noise)
+		mw := phy.DBmToMilliwatt(jamNoiseDBm)
 		ids := make([]int, 0, len(set))
 		for id := range set {
 			ids = append(ids, id)

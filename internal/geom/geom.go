@@ -1,5 +1,5 @@
 // Package geom provides 2-D geometry for wireless network simulation:
-// points, plane and torus metrics, uniform random placement, the paper's
+// points, the plane and torus distances, uniform random placement, the paper's
 // area-scaling rule, and a grid spatial index for range queries.
 package geom
 
@@ -59,34 +59,17 @@ func Dist2(a, b Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Metric measures distance on a surface. The simulator uses the plane (flat
-// square, like the paper's simulations); the analytic random-geometric-graph
-// model uses the torus (like the paper's theory, footnote 4).
-type Metric interface {
-	// Dist returns the distance between a and b.
-	Dist(a, b Point) float64
-	// Dist2 returns the squared distance between a and b.
-	Dist2(a, b Point) float64
-}
-
-// Plane is the flat Euclidean metric.
-type Plane struct{}
-
-// Dist implements Metric.
-func (Plane) Dist(a, b Point) float64 { return Dist(a, b) }
-
-// Dist2 implements Metric.
-func (Plane) Dist2(a, b Point) float64 { return Dist2(a, b) }
-
-// Torus is the metric on a side×side square with wraparound.
+// Torus is the metric on a side×side square with wraparound: the surface of
+// the paper's analytic random-geometric-graph model (footnote 4). The
+// simulator itself measures on the flat square with Dist.
 type Torus struct {
 	Side float64
 }
 
-// Dist implements Metric.
+// Dist returns the distance between a and b on the torus.
 func (t Torus) Dist(a, b Point) float64 { return math.Sqrt(t.Dist2(a, b)) }
 
-// Dist2 implements Metric.
+// Dist2 returns the squared distance between a and b on the torus.
 func (t Torus) Dist2(a, b Point) float64 {
 	dx := wrapDelta(a.X-b.X, t.Side)
 	dy := wrapDelta(a.Y-b.Y, t.Side)

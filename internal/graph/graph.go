@@ -1,6 +1,6 @@
 // Package graph provides the random-geometric-graph (RGG) toolkit behind
-// the paper's random-walk theory: G²(n,r) construction on the unit torus or
-// square, connectivity and BFS-distance utilities, and the three walk flavours
+// the paper's random-walk theory: G²(n,r) construction on the torus,
+// connectivity utilities, and the three walk flavours
 // the paper studies — simple random walks (PATH), self-avoiding walks
 // (UNIQUE-PATH), and maximum-degree walks (uniform sampling for RANDOM).
 //
@@ -59,29 +59,26 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // NewRGG builds a random geometric graph G²(n,r): n nodes placed uniformly
-// at random in a side×side square, connected when within distance r under
-// the given metric (geom.Torus for the paper's analytic model, geom.Plane
-// for the simulated deployment). It returns the graph and the positions.
-func NewRGG(rng *rand.Rand, n int, r, side float64, metric geom.Metric) (*Graph, []geom.Point) {
+// at random in a side×side square, connected when within distance r on the
+// torus of that side (the paper's analytic model, footnote 4). It returns the
+// graph and the positions.
+func NewRGG(rng *rand.Rand, n int, r, side float64) (*Graph, []geom.Point) {
 	pts := geom.UniformPoints(rng, n, side)
-	g := FromPoints(pts, r, side, metric)
+	g := FromPoints(pts, r, side)
 	return g, pts
 }
 
-// FromPoints builds the geometric graph over fixed positions in a side×side
-// area. A grid-bucketed pair search keeps construction near O(n) for the
+// FromPoints builds the geometric graph over fixed positions on the torus of
+// side side. A grid-bucketed pair search keeps construction near O(n) for the
 // sparse regimes the paper uses.
-func FromPoints(pts []geom.Point, r, side float64, metric geom.Metric) *Graph {
-	g := New(len(pts))
-	_, isTorus := metric.(geom.Torus)
+func FromPoints(pts []geom.Point, r, side float64) *Graph {
 	cols := int(side / r)
-	if cols < 1 {
-		cols = 1
-	}
-	if cols < 3 && isTorus {
+	if cols < 3 {
 		// Too few cells to wrap cleanly: fall back to all pairs.
-		return fromPointsAllPairs(pts, r, metric)
+		return fromPointsAllPairs(pts, r, side)
 	}
+	g := New(len(pts))
+	torus := geom.Torus{Side: side}
 	cell := side / float64(cols)
 	buckets := make([][]int32, cols*cols)
 	idx := func(p geom.Point) (int, int) {
@@ -104,18 +101,13 @@ func FromPoints(pts []geom.Point, r, side float64, metric geom.Metric) *Graph {
 		cx, cy := idx(p)
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
-				bx, by := cx+dx, cy+dy
-				if isTorus {
-					bx = ((bx % cols) + cols) % cols
-					by = ((by % cols) + cols) % cols
-				} else if bx < 0 || bx >= cols || by < 0 || by >= cols {
-					continue
-				}
+				bx := ((cx+dx)%cols + cols) % cols
+				by := ((cy+dy)%cols + cols) % cols
 				for _, j := range buckets[by*cols+bx] {
 					if int(j) <= i {
 						continue
 					}
-					if metric.Dist2(p, pts[j]) <= r2 {
+					if torus.Dist2(p, pts[j]) <= r2 {
 						g.AddEdge(i, int(j))
 					}
 				}
@@ -125,12 +117,13 @@ func FromPoints(pts []geom.Point, r, side float64, metric geom.Metric) *Graph {
 	return g
 }
 
-func fromPointsAllPairs(pts []geom.Point, r float64, metric geom.Metric) *Graph {
+func fromPointsAllPairs(pts []geom.Point, r, side float64) *Graph {
 	g := New(len(pts))
+	torus := geom.Torus{Side: side}
 	r2 := r * r
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			if metric.Dist2(pts[i], pts[j]) <= r2 {
+			if torus.Dist2(pts[i], pts[j]) <= r2 {
 				g.AddEdge(i, j)
 			}
 		}
@@ -162,25 +155,4 @@ func (g *Graph) ComponentSize(start int) int {
 		}
 	}
 	return count
-}
-
-// BFSDist returns hop distances from src (-1 for unreachable nodes).
-func (g *Graph) BFSDist(src int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int32{int32(src)}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.adj[v] {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
 }

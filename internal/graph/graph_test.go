@@ -45,32 +45,15 @@ func TestConnectivity(t *testing.T) {
 	}
 }
 
-func TestBFSDist(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 3)
-	dist := g.BFSDist(0)
-	want := []int{0, 1, 2, 1, -1}
-	for i := range want {
-		if dist[i] != want[i] {
-			t.Fatalf("dist = %v, want %v", dist, want)
-		}
-	}
-}
-
 func TestRGGMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, metric := range []geom.Metric{geom.Plane{}, geom.Torus{Side: 1}} {
-		pts := geom.UniformPoints(rng, 150, 1)
-		r := 0.13
-		g := FromPoints(pts, r, 1, metric)
-		want := fromPointsAllPairs(pts, r, metric)
-		for v := 0; v < 150; v++ {
-			if g.Degree(v) != want.Degree(v) {
-				t.Fatalf("metric %T: node %d degree %d, brute force %d",
-					metric, v, g.Degree(v), want.Degree(v))
-			}
+	pts := geom.UniformPoints(rng, 150, 1)
+	r := 0.13
+	g := FromPoints(pts, r, 1)
+	want := fromPointsAllPairs(pts, r, 1)
+	for v := 0; v < 150; v++ {
+		if g.Degree(v) != want.Degree(v) {
+			t.Fatalf("node %d degree %d, brute force %d", v, g.Degree(v), want.Degree(v))
 		}
 	}
 }
@@ -80,7 +63,7 @@ func TestRGGDegreeMatchesDensityTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, r, davg := 400, 200.0, 10.0
 	side := geom.AreaSide(n, r, davg)
-	g, _ := NewRGG(rng, n, r, side, geom.Torus{Side: side})
+	g, _ := NewRGG(rng, n, r, side)
 	got := g.AvgDegree()
 	if math.Abs(got-davg) > 1.5 {
 		t.Fatalf("avg degree %v, want ≈%v", got, davg)
@@ -95,7 +78,7 @@ func TestRGGConnectedAboveThreshold(t *testing.T) {
 	r := math.Sqrt(2 * math.Log(float64(n)) / (math.Pi * float64(n)))
 	connected := 0
 	for trial := 0; trial < 10; trial++ {
-		g, _ := NewRGG(rng, n, r, 1, geom.Torus{Side: 1})
+		g, _ := NewRGG(rng, n, r, 1)
 		if g.Connected() {
 			connected++
 		}
@@ -124,7 +107,7 @@ func TestSelfAvoidingBeatsSimple(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 400
 	side := geom.AreaSide(n, 200, 10)
-	g, _ := NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+	g, _ := NewRGG(rng, n, 200, side)
 	target := 2 * int(math.Sqrt(float64(n)))
 	var simple, unique int
 	const trials = 30
@@ -159,7 +142,7 @@ func TestPartialCoverTimeLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 800
 	side := geom.AreaSide(n, 200, 10)
-	g, _ := NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+	g, _ := NewRGG(rng, n, 200, side)
 	target := int(math.Sqrt(float64(n)))
 	total := 0
 	const trials = 50
@@ -182,7 +165,7 @@ func TestMaxDegreeWalkUniformity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := 100
 	side := geom.AreaSide(n, 200, 12)
-	g, _ := NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+	g, _ := NewRGG(rng, n, 200, side)
 	if !g.Connected() {
 		t.Skip("rare disconnected instance")
 	}
@@ -204,7 +187,7 @@ func TestCrossingSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 200
 	side := geom.AreaSide(n, 200, 12)
-	g, _ := NewRGG(rng, n, 200, side, geom.Torus{Side: side})
+	g, _ := NewRGG(rng, n, 200, side)
 	if !g.Connected() {
 		t.Skip("rare disconnected instance")
 	}

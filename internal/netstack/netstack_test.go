@@ -135,9 +135,6 @@ func TestStatsSnapshotDiff(t *testing.T) {
 	if acc := s.Latency(LatHop); acc.Count != 3 || acc.Min != 0.1 || acc.Max != 0.5 {
 		t.Fatalf("accumulator = %+v", acc)
 	}
-	if s.String() == "" {
-		t.Fatal("String() empty")
-	}
 }
 
 func TestStatsSnapshotAllocFree(t *testing.T) {

@@ -1,10 +1,6 @@
 package netstack
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Counter identifies one of the fixed per-run message counters. Counters
 // are array indices, so incrementing one on the transmit hot path is a
@@ -53,20 +49,6 @@ const (
 	numCounters
 )
 
-// counterNames renders Counter values for String().
-var counterNames = [numCounters]string{
-	CtrAppMsgs:        "msgs.app",
-	CtrRoutingMsgs:    "msgs.routing",
-	CtrBeaconMsgs:     "msgs.beacon",
-	CtrLossDrops:      "msgs.lossdrops",
-	CtrRxArrivals:     "msgs.rxarrivals",
-	CtrRxDelivered:    "msgs.rxdelivered",
-	CtrPartitionDrops: "msgs.partitiondrops",
-	CtrFaultDrops:     "msgs.faultdrops",
-	CtrDupes:          "msgs.dupes",
-	CtrReorders:       "msgs.reorders",
-}
-
 // Latency identifies one of the fixed per-run latency accumulators.
 type Latency int
 
@@ -84,12 +66,6 @@ const (
 	LatOp
 	numLatencies
 )
-
-// latencyNames renders Latency values for String().
-var latencyNames = [numLatencies]string{
-	LatHop: "latency.hop",
-	LatOp:  "latency.op",
-}
 
 // Log-scale histogram layout. Each power-of-two octave is split into
 // histSubBuckets equal-width sub-buckets, so the relative resolution is
@@ -197,13 +173,6 @@ func (h *Hist) quantile(q float64, count int64, min, max float64) float64 {
 	return max
 }
 
-// add folds another histogram's buckets in (for merging per-run stats).
-func (h *Hist) add(o *Hist) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
 // sub subtracts an earlier histogram's buckets (for phase diffs).
 func (h *Hist) sub(o *Hist) {
 	for i := range h.buckets {
@@ -267,22 +236,6 @@ func (a Accumulator) Mean() float64 {
 // exact to the histogram's ~12.5% bucket resolution.
 func (a *Accumulator) Quantile(q float64) float64 {
 	return a.Hist.quantile(q, a.Count, a.Min, a.Max)
-}
-
-// Merge folds another accumulator's samples in.
-func (a *Accumulator) Merge(o Accumulator) {
-	if o.Count == 0 {
-		return
-	}
-	if a.Count == 0 || o.Min < a.Min {
-		a.Min = o.Min
-	}
-	if a.Count == 0 || o.Max > a.Max {
-		a.Max = o.Max
-	}
-	a.Count += o.Count
-	a.Sum += o.Sum
-	a.Hist.add(&o.Hist)
 }
 
 // Stats is the typed per-run metrics set: fixed-size counter and latency
@@ -369,21 +322,4 @@ func (s *Stats) DiffSince(snap Snapshot) Snapshot {
 		}
 	}
 	return d
-}
-
-// String renders the metrics one per line, counters then latencies.
-func (s *Stats) String() string {
-	var b strings.Builder
-	for c, name := range counterNames {
-		fmt.Fprintf(&b, "%-32s %d\n", name, s.counters[c])
-	}
-	for l, name := range latencyNames {
-		acc := s.latencies[l]
-		if acc.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "%-32s n=%d mean=%.4gs min=%.4gs max=%.4gs p50=%.4gs p99=%.4gs\n",
-			name, acc.Count, acc.Mean(), acc.Min, acc.Max, acc.Quantile(0.5), acc.Quantile(0.99))
-	}
-	return b.String()
 }

@@ -124,30 +124,3 @@ func TestSnapshotCarriesExtremaAndHist(t *testing.T) {
 			full.latencies[LatHop].Min, full.latencies[LatHop].Max)
 	}
 }
-
-// TestAccumulatorMerge checks cross-run merging folds counts, extrema, and
-// histogram buckets.
-func TestAccumulatorMerge(t *testing.T) {
-	var a, b Accumulator
-	for _, v := range []float64{0.1, 0.2} {
-		a.Observe(v)
-	}
-	for _, v := range []float64{0.05, 0.4} {
-		b.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count != 4 {
-		t.Fatalf("merged count = %d", a.Count)
-	}
-	if a.Min != 0.05 || a.Max != 0.4 {
-		t.Fatalf("merged extrema = %g/%g", a.Min, a.Max)
-	}
-	if got := a.Quantile(1); got != 0.4 {
-		t.Fatalf("merged q1 = %g", got)
-	}
-	var empty Accumulator
-	empty.Merge(a)
-	if empty.Count != 4 || empty.Min != 0.05 {
-		t.Fatalf("merge into empty lost state: %+v", empty)
-	}
-}

@@ -168,11 +168,10 @@ func (h eventHeap) fix(i int) {
 // Engine is a discrete-event scheduler with an attached random source.
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	now     float64
-	seq     uint64
-	queue   eventHeap
-	rng     *rand.Rand
-	stopped bool
+	now   float64
+	seq   uint64
+	queue eventHeap
+	rng   *rand.Rand
 	// processed counts events executed so far.
 	processed uint64
 	// free is the recycled-Event pool; At pops from it, and the run loop
@@ -283,19 +282,15 @@ func (e *Engine) clamp(t float64) float64 {
 	return t
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Run executes events until the queue is empty or simulation time would
 // exceed until. Events scheduled exactly at until are executed. It returns
 // the number of events executed during this call.
 func (e *Engine) Run(until float64) uint64 {
 	start := e.processed
-	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].time <= until {
+	for len(e.queue) > 0 && e.queue[0].time <= until {
 		e.step()
 	}
-	if e.now < until && !e.stopped {
+	if e.now < until {
 		e.now = until
 	}
 	return e.processed - start
@@ -304,8 +299,7 @@ func (e *Engine) Run(until float64) uint64 {
 // RunAll executes events until the queue is empty. It is intended for tests
 // and analytic drivers; simulations with periodic timers never drain.
 func (e *Engine) RunAll(maxEvents uint64) error {
-	e.stopped = false
-	for n := uint64(1); len(e.queue) > 0 && !e.stopped; n++ {
+	for n := uint64(1); len(e.queue) > 0; n++ {
 		e.step()
 		if n >= maxEvents {
 			return fmt.Errorf("sim: RunAll exceeded %d events", maxEvents)

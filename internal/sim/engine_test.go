@@ -153,23 +153,6 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(float64(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run(100)
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-}
-
 func TestEngineDeterminism(t *testing.T) {
 	run := func(seed int64) []float64 {
 		e := NewEngine(seed)
