@@ -157,6 +157,17 @@ func (s *Service) RefreshAll() {
 	}
 }
 
+// GrowView raises the view size to k and redraws every view at once when k
+// exceeds it, so a quorum of k members drawn from a view is not cut to the
+// old size. A k at or below the view size leaves the views alone.
+func (s *Service) GrowView(k int) {
+	if k <= s.cfg.ViewSize {
+		return
+	}
+	s.cfg.ViewSize = k
+	s.RefreshAll()
+}
+
 // DeadRefreshSkips reports how many times a refresh pass skipped a dead id
 // (releasing its view without drawing) instead of materializing a view for
 // a node that is down.
@@ -244,7 +255,8 @@ func mix64(vals ...uint64) uint64 {
 // Pick returns up to k distinct ids drawn without replacement from node
 // id's view — the RANDOM strategy's quorum selection. Requesting more than
 // the view holds returns the whole view (the paper's cost plateau for
-// |Q| ≥ 2√n, Section 8.1).
+// |Q| ≥ 2√n, Section 8.1); the quorum system keeps its sizes within the view
+// with GrowView.
 func (s *Service) Pick(rng *rand.Rand, id, k int) []int {
 	view := s.View(id)
 	if k >= len(view) {

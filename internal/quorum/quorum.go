@@ -452,6 +452,21 @@ func applyDefaults(cfg *Config, n int) {
 // Config returns the defaults-filled configuration in use.
 func (s *System) Config() Config { return s.cfg }
 
+// ViewDraw returns the largest quorum c draws from a membership view: |Qa|
+// when the advertise strategy draws from it (RANDOM and RANDOM-OPT advertise
+// through the same draw), |Qℓ| when the lookup is RANDOM (RANDOM-OPT lookups
+// draw their ~ln n targets), 0 when neither does.
+func (c Config) ViewDraw() int {
+	k := 0
+	if c.AdvertiseStrategy.DrawsFromView() {
+		k = c.AdvertiseSize
+	}
+	if c.LookupStrategy == Random {
+		k = max(k, c.LookupSize)
+	}
+	return k
+}
+
 // SetLookupSize adjusts |Qℓ| at runtime — the paper's dynamic adaptation of
 // the lookup quorum to an estimated network size n(t) (Section 6.1).
 func (s *System) SetLookupSize(k int) {
@@ -459,6 +474,7 @@ func (s *System) SetLookupSize(k int) {
 		k = 1
 	}
 	s.cfg.LookupSize = k
+	s.growView()
 }
 
 // Resize adjusts both quorum sizes at runtime (sizes below 1 are clamped).
@@ -466,7 +482,8 @@ func (s *System) SetLookupSize(k int) {
 // draw time, so a lookup that times out after a resize retries with the new
 // |Qℓ| (see TestRetryUsesResizedQuorum). Re-advertises likewise pick up the
 // new |Qa| on their next refresh, which is how an adaptive system restores
-// the Corollary 5.3 product after n drifts.
+// the Corollary 5.3 product after n drifts. A size that draws from the
+// membership view and outgrows it grows the view at once (growView).
 func (s *System) Resize(advertiseSize, lookupSize int) {
 	if advertiseSize < 1 {
 		advertiseSize = 1
@@ -477,6 +494,16 @@ func (s *System) Resize(advertiseSize, lookupSize int) {
 	s.cfg.AdvertiseSize = advertiseSize
 	s.cfg.LookupSize = lookupSize
 	s.counters.Resizes++
+	s.growView()
+}
+
+// growView grows the membership view to the largest size drawn from it, so
+// a resize is never cut to the view stack.Build sized for the initial
+// quorums. Shrinking leaves the view alone.
+func (s *System) growView() {
+	if k := s.cfg.ViewDraw(); k > 0 {
+		s.members.GrowView(k)
+	}
 }
 
 // SetReadvertiseSecs retunes the periodic re-advertise interval at runtime:

@@ -99,16 +99,10 @@ func Build(sp Spec) *Stack {
 
 	// membership.Pick returns at most the view, so a quorum drawn from it
 	// that is larger than the paper's 2√n view would be truncated without a
-	// word. RANDOM and RANDOM-OPT advertise through the same draw of |Qa|; of
-	// the lookups only RANDOM draws |Qℓ| (RANDOM-OPT draws its ~ln n targets).
+	// word: the view holds the largest quorum drawn from it. A later resize
+	// past the view grows it the same way (System.Resize).
 	mcfg := sp.Members
-	mcfg.ViewSize = membership.DefaultViewSize(sp.N)
-	if sp.Quorum.AdvertiseStrategy.DrawsFromView() {
-		mcfg.ViewSize = max(mcfg.ViewSize, sp.Quorum.AdvertiseSize)
-	}
-	if sp.Quorum.LookupStrategy == quorum.Random {
-		mcfg.ViewSize = max(mcfg.ViewSize, sp.Quorum.LookupSize)
-	}
+	mcfg.ViewSize = max(membership.DefaultViewSize(sp.N), sp.Quorum.ViewDraw())
 	members := membership.New(net, mcfg)
 	sys := quorum.New(net, router, members, sp.Quorum)
 	for id := sp.N; id < total; id++ {

@@ -181,3 +181,31 @@ func TestViewCoversRandomQuorums(t *testing.T) {
 		}
 	}
 }
+
+// TestResizeGrowsTheView: a resize that raises |Qa| above the view the stack
+// was built with grows the view at once, so the next RANDOM advertise places
+// the new |Qa| instead of the old view's worth — in eager and in lazy mode.
+// The placements are counted in the stores after the run: the oracle router
+// reports a send done at hand-off, before the member stores it.
+func TestResizeGrowsTheView(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		sp := idealSpec(60, 0)
+		sp.Members.Lazy = lazy
+		st := Build(sp)
+		st.Engine.Run(5)
+		view := len(st.Members.View(0))
+		qa := view + 14
+		st.Sys.Resize(qa, st.Sys.Config().LookupSize)
+		st.Suite.Advertise(0, "k", "v", nil)
+		st.Engine.Run(st.Engine.Now() + 30)
+		placed := 0
+		for id := 0; id < st.Net.N(); id++ {
+			if _, ok := st.Sys.Store(id).Get("k"); ok {
+				placed++
+			}
+		}
+		if placed != qa {
+			t.Errorf("lazy=%v: advertise placed %d after resizing |Qa| to %d over a %d-member view", lazy, placed, qa, view)
+		}
+	}
+}
