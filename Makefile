@@ -23,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint loc ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint loc reach ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,34 @@ loc:
 		printf '%7d %s\n' $$(find $$d -maxdepth 1 $(LOC_FIND) -exec cat {} + | wc -l) $${d#./}; \
 	done
 	@printf '%7d total (without bench)\n' $$(find . $(LOC_FIND) -not -path './bench/*' -exec cat {} + | wc -l)
+
+# reach lists the functions that no figure, tier, spot run, example or
+# benchmark workload executes: the coverage run a simplicity PR starts from.
+# It builds pqexp, pqsim, bench and the five examples with coverage over the
+# whole module into a temporary directory, runs the examples, all four
+# bench/ workloads (untraced and traced), `pqexp -short mega|load|adapt`,
+# SPOT_RUNS but its n=400 AODV line (the n=200 line runs the same mix) and
+# `pqexp all`, and prints the functions left at 0.0 %, leaving out the
+# tooling that none of those runs is meant to reach (internal/lint,
+# cmd/pqlint, cmd/ab, cmd/benchjson) and bench/. It writes no tracked file
+# and is no part of check: it takes about 22 minutes on two cores.
+REACH_EXAMPLES = churnresilience locationservice pubsub quickstart sharedregister
+REACH_SKIP = ^probquorum/(internal/lint|cmd/(pqlint|ab|benchjson)|bench)/
+
+reach:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/cov" && \
+	for p in cmd/pqexp cmd/pqsim bench $(addprefix examples/,$(REACH_EXAMPLES)); do \
+		$(GO) build -cover -coverpkg=./... -o "$$d/$$(basename $$p)" ./$$p || exit 1; \
+	done && \
+	export GOCOVERDIR="$$d/cov" && \
+	for e in $(REACH_EXAMPLES); do "$$d/$$e" > /dev/null || exit 1; done && \
+	for w in $(BENCH_WORKLOADS); do "$$d/bench" -workload $$w > /dev/null || exit 1; done && \
+	for t in mega load adapt; do "$$d/pqexp" -short $$t > /dev/null || exit 1; done && \
+	for a in $(SPOT_RUNS); do \
+		[ "$$a" = "-stack sinr -n 400" ] || "$$d/pqsim" -seeds 2 $$a > /dev/null || exit 1; \
+	done && \
+	"$$d/pqexp" all > /dev/null && \
+	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%"' | { grep -Ev '$(REACH_SKIP)' || true; }
 
 # chaos runs the fault-injection acceptance sweep: ≥50 randomized fault
 # schedules with the invariant checkers armed (skipped under -short, so it
