@@ -13,6 +13,7 @@
 package aodv
 
 import (
+	"slices"
 	"sort"
 
 	"probquorum/internal/netstack"
@@ -51,9 +52,11 @@ const (
 
 // Control message sizes in bytes (RFC 3561 formats).
 const (
-	rreqBytes = 24
-	rrepBytes = 20
-	rerrBytes = 12
+	// rreqBytes is a request naming one destination; each further target
+	// repeats the destination address and sequence-number fields.
+	rreqBytes, rreqTargetBytes = 24, 8
+	rrepBytes                  = 20
+	rerrBytes                  = 12
 	// dataEnvelopeBytes is the per-hop overhead of the routed-data
 	// envelope.
 	dataEnvelopeBytes = 4
@@ -87,13 +90,28 @@ type outPacket struct {
 	retried bool
 }
 
-// discovery tracks an in-progress route request at its originator.
+// discovery tracks an in-progress route request at its originator: one ring
+// schedule and one timer for every destination it still searches for.
 type discovery struct {
 	ttl         int
 	fullRetries int
 	timer       *sim.Timer
-	pending     []*outPacket
-	scoped      bool
+	// targets are the destinations not yet resolved, in the order the
+	// request names them.
+	targets []*target
+	scoped  bool
+}
+
+// target is one destination of a discovery and the packets waiting for it.
+type target struct {
+	dst     int
+	pending []*outPacket
+}
+
+// index returns the position of dst among d's targets; dst must be one, as
+// it is whenever st.disc registers d under it.
+func (d *discovery) index(dst int) int {
+	return slices.IndexFunc(d.targets, func(t *target) bool { return t.dst == dst })
 }
 
 // rreqKey packs a request's (originator, id) into the duplicate cache's key;
@@ -127,9 +145,11 @@ type nodeState struct {
 	seen      map[uint64]struct{}
 	seenOrder []seenAt
 	seenHead  int
-	disc      map[int]*discovery
-	taps      []TransitTap
-	handler   *nodeHandler
+	// disc registers each discovery under every destination it still
+	// searches for.
+	disc    map[int]*discovery
+	taps    []TransitTap
+	handler *nodeHandler
 }
 
 // Routing runs AODV on every node of a network.
@@ -139,7 +159,8 @@ type Routing struct {
 	engine *sim.Engine
 	nodes  []*nodeState
 
-	// Discoveries counts route discoveries started (for the harness).
+	// Discoveries counts RREQ rings originated: one per ring of a
+	// discovery, however many destinations it names.
 	Discoveries uint64
 	// DataDrops counts routed data packets dropped in the network.
 	DataDrops uint64
@@ -193,8 +214,8 @@ func New(net *netstack.Network, cfg Config) *Routing {
 
 // ResetNode discards node id's AODV state — the routing table, the
 // duplicate-RREQ cache, and every in-progress discovery — the state a node
-// rebooting after a crash must not retain. Pending discoveries fail (each
-// buffered packet's done callback fires with ok=false) in ascending
+// rebooting after a crash must not retain. Each pending target fails once
+// (each buffered packet's done callback fires with ok=false), in ascending
 // destination order: the discovery map's iteration order is randomized, so
 // the teardown walks a sorted key snapshot to keep replays bit-identical.
 // Sequence numbers survive the reset; RFC 3561 relies on them growing
@@ -207,7 +228,7 @@ func (r *Routing) ResetNode(id int) {
 	}
 	sort.Ints(dsts)
 	for _, dst := range dsts {
-		r.finishDiscovery(st, dst, false)
+		r.resolveTarget(st, dst, false)
 	}
 	clear(st.routes)
 	st.seen = make(map[uint64]struct{})

@@ -5,8 +5,9 @@ import "probquorum/internal/netstack"
 // RoutePrefetcher is implemented by routers that can bulk-prepare routing
 // state for an imminent fan-out: the quorum layer calls it with the member
 // set it is about to message, so the router can build all missing routes in
-// one pass instead of one at a time on first use. Routers without a cache
-// implement it as a no-op.
+// one pass instead of one at a time on first use. AODV starts one discovery
+// naming every member it lacks a route to; the oracle grows the members'
+// route trees, and is a no-op without its cache.
 type RoutePrefetcher interface {
 	PrefetchRoutes(origin int, dsts []int)
 }

@@ -2,9 +2,10 @@ package quorum
 
 import "probquorum/internal/netstack"
 
-// prefetchRoutes warms the router's route cache for an imminent fan-out from
-// origin to members; a no-op unless the router exposes a prefetcher (the
-// oracle with its route cache on).
+// prefetchRoutes readies the router for an imminent fan-out from origin to
+// members: AODV starts one route discovery for all of them, the oracle with
+// its route cache builds their routes in bulk. A no-op unless the router
+// exposes a prefetcher.
 func (s *System) prefetchRoutes(origin int, members []int) {
 	if s.prefetcher != nil {
 		s.prefetcher.PrefetchRoutes(origin, members)

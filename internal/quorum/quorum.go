@@ -273,10 +273,10 @@ type System struct {
 	cfg     Config
 	engine  *sim.Engine
 
-	// prefetcher is routing's bulk route-warmup hook, when it has one (the
-	// oracle router with its route cache enabled); nil otherwise. Quorum
-	// fan-outs call it with the member set they are about to contact so all
-	// missing routes build in one pass.
+	// prefetcher is routing's bulk route-warmup hook, when it has one (AODV,
+	// and the oracle router with its route cache enabled); nil otherwise.
+	// Quorum fan-outs call it with the member set they are about to contact
+	// so all missing routes build in one pass.
 	prefetcher aodv.RoutePrefetcher
 
 	stores []*Store
