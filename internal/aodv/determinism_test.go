@@ -14,7 +14,7 @@ import (
 // to a dead destination so failures mix with successes — and asserts the
 // per-op resolution sequence (which op resolved, with what outcome, at
 // what simulated time) is identical. This is the regression gate for
-// finishDiscovery's ordering: resolution must follow d.pending's
+// settle's ordering: resolution must follow each target's pending
 // insertion order, never map iteration order.
 func TestDiscoveryResolutionDeterministic(t *testing.T) {
 	workload := func() []string {
