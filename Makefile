@@ -200,7 +200,7 @@ quick:
 	$(GO) run ./cmd/pqexp all > results_quick.txt
 
 # quick-check gates "the recorded numbers stay put": it regenerates the
-# quick-profile figures (about a minute and a half on one core) and diffs
+# quick-profile figures (under a minute on two cores) and diffs
 # them against the committed results_quick.txt, ignoring only the per-figure
 # `# … wall clock` lines. A refactor must pass it untouched; a change that
 # means to move a figure re-records the file with `make quick` in the same
@@ -213,7 +213,7 @@ quick-check:
 # stack never runs: the SINR radio, DCF, AODV, mobility, local repair with
 # overhearing, RANDOM-OPT, and RANDOM advertise at n=400 over AODV and over
 # the oracle router, one `pqsim -seeds 2` run per line of SPOT_RUNS, each
-# under a header naming its command (about 40 s on two cores, 31 s of it the
+# under a header naming its command (about 15 s on two cores, 8 s of it the
 # n=400 AODV run). spot-check diffs a fresh run against the file; a change
 # that means to move a spot re-records it with `make spot` and says which
 # and why.
