@@ -4,6 +4,8 @@
 # check is the CI gate and runs in this order:
 #   1. build  — the whole tree compiles;
 #   2. lint   — pqlint's determinism invariants (fast, fails early);
+#      inline-check — the compiler still inlines the radio's per-arrival
+#               helpers (a few seconds);
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte;
@@ -23,7 +25,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint loc reach ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint inline-check loc reach ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -31,7 +33,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint chaos quick-check spot-check load-smoke adapt-smoke
+check: build lint inline-check chaos quick-check spot-check load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -44,6 +46,21 @@ check: build lint chaos quick-check spot-check load-smoke adapt-smoke
 # see DESIGN.md §8. Any finding fails the target.
 lint:
 	$(GO) run ./cmd/pqlint ./...
+
+# inline-check fails when a function the SINR medium's per-arrival walks rely
+# on inlining no longer does: it builds internal/phy and internal/geom with
+# -gcflags=-m and requires a "can inline" line for each of INLINE_MUST (the
+# last field of the line, matched exactly). An inlining lost to a small edit
+# costs speed and changes no output, so no other gate notices: a mute test
+# inside carrierAt took it past the inliner's budget once.
+INLINE_MUST = '(*radio).carrierAt' '(*radio).busyAt' '(*Derived).ReceivedPowerMw' 'Dist2'
+
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/phy ./internal/geom 2>&1) || { echo "$$out"; exit 1; }; \
+	for f in $(INLINE_MUST); do \
+		echo "$$out" | awk -v f="$$f" '$$(NF-2) == "can" && $$(NF-1) == "inline" && $$NF == f { found = 1 } END { exit !found }' || \
+			{ echo "inline-check: $$f is no longer inlinable (go build -gcflags=-m ./internal/phy ./internal/geom)"; exit 1; }; \
+	done
 
 # loc prints the size every design PR quotes: non-test Go lines outside
 # testdata, per package directory and in total. bench/ (the repository's

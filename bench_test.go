@@ -45,7 +45,7 @@ func BenchmarkSINRBroadcast(b *testing.B) {
 	side := geom.AreaSide(200, 200, 10)
 	pts := geom.UniformPoints(rng, 200, side)
 	m := phy.NewSINRMedium(e, phy.SINRConfig{
-		N: 200, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+		N: 200, Side: side, Pos: mobility.NewStatic(pts),
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +71,7 @@ func BenchmarkSINRBroadcastStorm(b *testing.B) {
 	side := geom.AreaSide(n, 200, 10)
 	pts := geom.UniformPoints(rng, n, side)
 	m := phy.NewSINRMedium(e, phy.SINRConfig{
-		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+		N: n, Side: side, Pos: mobility.NewStatic(pts),
 	})
 	d := phy.DefaultParams().Derived()
 	reach := make([]int, n) // arrivals one frame of sender i creates
@@ -124,7 +124,7 @@ func sinrField10k() (*sim.Engine, *phy.SINRMedium, []geom.Point) {
 	side := geom.AreaSide(n, 200, 10)
 	pts := geom.UniformPoints(rng, n, side)
 	return e, phy.NewSINRMedium(e, phy.SINRConfig{
-		N: n, Side: side, Pos: func(id int) geom.Point { return pts[id] },
+		N: n, Side: side, Pos: mobility.NewStatic(pts),
 		CellNoise: true,
 	}), pts
 }

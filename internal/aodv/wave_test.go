@@ -1,6 +1,8 @@
 package aodv
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -253,4 +255,161 @@ func TestResetNodeMidWave(t *testing.T) {
 	if len(r.nodes[0].disc) != 0 {
 		t.Fatalf("%d targets still registered after the reset", len(r.nodes[0].disc))
 	}
+}
+
+// noPrefetch hides Routing's PrefetchRoutes: a fan-out through it runs one
+// single-target discovery per member, the oracle of the wave.
+type noPrefetch struct{ Router }
+
+// fanKey names one member of one fan-out.
+type fanKey struct{ fan, member int }
+
+// fanOutcome is what a run of fan-outs did: the hops each delivered packet
+// took, and per send how often its done fired and with what.
+type fanOutcome struct {
+	hops        map[fanKey]int
+	dones, oks  map[fanKey]int
+	discoveries uint64
+}
+
+// runFanOuts drives fan-outs (origin first, members after) through AODV on a
+// static ideal-MAC field, one every 0.7 s so that later ones meet the routes
+// earlier ones left, the way a RANDOM quorum access does (quorum/direct.go):
+// a prefetch if the router offers one, then a Send per member. wrap may hide
+// the prefetch.
+func runFanOuts(pts []geom.Point, side float64, fanOuts [][]int, wrap func(*Routing) Router) fanOutcome {
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{N: len(pts), Side: side, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal})
+	r := New(net, Config{})
+	router := wrap(r)
+	out := fanOutcome{hops: map[fanKey]int{}, dones: map[fanKey]int{}, oks: map[fanKey]int{}}
+	sinks := make([]*sink, len(pts))
+	for i := range sinks {
+		sinks[i] = &sink{}
+		net.Node(i).Register(testProto, sinks[i])
+	}
+	for k, fan := range fanOuts {
+		origin, members := fan[0], fan[1:]
+		e.At(0.7*float64(k), func() {
+			if p, ok := router.(RoutePrefetcher); ok {
+				p.PrefetchRoutes(origin, members)
+			}
+			for _, m := range members {
+				key := fanKey{k, m}
+				pkt := &netstack.Packet{Proto: testProto, Src: origin, Dst: m, Bytes: 512, Payload: key}
+				router.Send(origin, m, pkt, func(ok bool) {
+					out.dones[key]++
+					if ok {
+						out.oks[key]++
+					}
+				})
+			}
+		})
+	}
+	e.Run(0.7*float64(len(fanOuts)) + 60)
+	for _, s := range sinks {
+		for _, pkt := range s.pkts {
+			out.hops[pkt.Payload.(fanKey)] = pkt.Hops
+		}
+	}
+	out.discoveries = r.Discoveries
+	return out
+}
+
+// TestWaveMatchesPerMemberDiscovery is the wave's oracle (DESIGN §9, the
+// fast-path table): the same RANDOM-style fan-outs on the same static
+// ideal-MAC field, once through Routing itself, where each fan-out runs one
+// multi-target discovery, and once through noPrefetch, where every member
+// runs its own. Both must reach the same members, and every send's done must
+// fire exactly once with the same verdict. Route lengths are held to a
+// stated bound rather than to equality: a search takes the first request to
+// arrive, and with 10 ms of control jitter per hop against a sub-millisecond
+// hop, and intermediate nodes answering from routes earlier fan-outs left,
+// the first to arrive need not have come the shortest way, in either run.
+// So every route must be at least the field's shortest path and at most
+// maxExcess hops longer, and the two runs' mean excess over the shortest
+// paths must agree within maxMeanGap hops. Seed 5 reads 0.47 through the
+// wave and 0.53 per member, with a worst excess of 5 in both.
+func TestWaveMatchesPerMemberDiscovery(t *testing.T) {
+	const (
+		n          = 90
+		side       = 1100.0
+		fans       = 14
+		size       = 19 // 2√n
+		maxExcess  = 6
+		maxMeanGap = 0.2
+	)
+	rng := rand.New(rand.NewSource(5))
+	pts := geom.UniformPoints(rng, n, side)
+	// hopsFrom is the unit-disk graph's BFS hop count from src; -1: not
+	// reachable.
+	hopsFrom := func(src int) []int {
+		d := make([]int, n)
+		for i := range d {
+			d[i] = -1
+		}
+		d[src] = 0
+		for q := []int{src}; len(q) > 0; q = q[1:] {
+			for v := range pts {
+				if d[v] < 0 && geom.Dist(pts[q[0]], pts[v]) <= netstack.Range {
+					d[v] = d[q[0]] + 1
+					q = append(q, v)
+				}
+			}
+		}
+		return d
+	}
+	var fanOuts [][]int
+	shortest := map[fanKey]int{}
+	for k := 0; k < fans; k++ {
+		origin := rng.Intn(n)
+		d := hopsFrom(origin)
+		fan := []int{origin}
+		for _, m := range rng.Perm(n) {
+			if len(fan) <= size && m != origin && d[m] > 0 {
+				fan = append(fan, m)
+				shortest[fanKey{k, m}] = d[m]
+			}
+		}
+		fanOuts = append(fanOuts, fan)
+	}
+
+	wave := runFanOuts(pts, side, fanOuts, func(r *Routing) Router { return r })
+	single := runFanOuts(pts, side, fanOuts, func(r *Routing) Router { return noPrefetch{r} })
+
+	excessWave, excessSingle := 0, 0
+	for key, want := range shortest {
+		if wave.dones[key] != 1 || single.dones[key] != 1 {
+			t.Fatalf("fan-out %d, member %d: done fired %d times through the wave, %d per member; want once each",
+				key.fan, key.member, wave.dones[key], single.dones[key])
+		}
+		hw, okw := wave.hops[key]
+		hs, oks := single.hops[key]
+		if okw != oks || wave.oks[key] != single.oks[key] {
+			t.Fatalf("fan-out %d, member %d: reached %v (done ok %d) through the wave, %v (done ok %d) per member",
+				key.fan, key.member, okw, wave.oks[key], oks, single.oks[key])
+		}
+		if !okw {
+			continue
+		}
+		if hw < want || hs < want || hw > want+maxExcess || hs > want+maxExcess {
+			t.Fatalf("fan-out %d, member %d: %d hops through the wave, %d per member; want both in [%d, %d]",
+				key.fan, key.member, hw, hs, want, want+maxExcess)
+		}
+		excessWave, excessSingle = excessWave+hw-want, excessSingle+hs-want
+	}
+	reached := float64(len(wave.hops))
+	meanWave, meanSingle := float64(excessWave)/reached, float64(excessSingle)/reached
+	if math.Abs(meanWave-meanSingle) > maxMeanGap {
+		t.Fatalf("mean excess over the shortest path: %.3f hops through the wave, %.3f per member; want within %.2f",
+			meanWave, meanSingle, maxMeanGap)
+	}
+	// The comparison must cover what it claims: nearly every member
+	// reached, and far fewer rings through the wave.
+	if len(wave.hops) < len(shortest)*95/100 || 2*wave.discoveries > single.discoveries {
+		t.Fatalf("comparison too weak: %d of %d members reached; %d rings through the wave, %d per member",
+			len(wave.hops), len(shortest), wave.discoveries, single.discoveries)
+	}
+	t.Logf("%d sends, %d reached; mean excess over the shortest path %.3f hops through the wave, %.3f per member; rings %d wave, %d per member",
+		len(shortest), len(wave.hops), meanWave, meanSingle, wave.discoveries, single.discoveries)
 }

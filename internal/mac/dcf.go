@@ -45,6 +45,12 @@ type DCF struct {
 	// (only finishHead pops, and only from later states), so it is
 	// always the transmitted frame.
 	txDoneFn func()
+	// ack is the ACK frame this node sends, reused while none is pending,
+	// and ackFn the bound SIFS callback that puts it on the air; ackEnd is
+	// when the last ACK scheduled leaves the air (see sendAck).
+	ack    phy.Frame
+	ackFn  func()
+	ackEnd float64
 
 	// duplicate detection: highest delivered MAC seq per source.
 	lastSeq map[int]uint32
@@ -66,6 +72,7 @@ func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 	d.timer = sim.NewTimer(engine, d.timerFired)
 	d.ackTimer = sim.NewTimer(engine, d.ackTimeout)
 	d.txDoneFn = func() { d.txDone(d.queue[0]) }
+	d.ackFn = func() { d.transmitAck(&d.ack) }
 	d.channel.SetHandler(d)
 	d.notified = true // a channel starts out notifying
 	d.setState(dcfIdle)
@@ -121,7 +128,7 @@ func (d *DCF) Send(f *phy.Frame) {
 	} else {
 		f.Rate = unicastRate
 	}
-	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: the queue holds at most queueLimit frames and is re-housed only when it has slid to the end of its backing array)
+	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: finishHead copies the queue down, so its capacity settles at its high-water mark, at most queueLimit frames)
 	if d.state == dcfIdle {
 		d.startAccess(true)
 	}
@@ -234,10 +241,14 @@ func (d *DCF) ackTimeout() {
 	d.startAccess(false)
 }
 
-// finishHead completes the head-of-line frame and moves on.
+// finishHead completes the head-of-line frame and moves on. The queue is
+// copied down rather than re-sliced, so it keeps its backing array and Send's
+// append never re-houses it.
 func (d *DCF) finishHead(f *phy.Frame, ok bool) {
 	d.ackTimer.Cancel()
-	d.queue = d.queue[1:]
+	n := copy(d.queue, d.queue[1:])
+	d.queue[n] = nil
+	d.queue = d.queue[:n]
 	d.setState(dcfIdle)
 	if d.handler != nil {
 		d.handler.MACSendDone(f, ok)
@@ -283,8 +294,24 @@ func (d *DCF) FrameReceived(f *phy.Frame) {
 // sendAck transmits a MAC-level ACK after SIFS. ACKs have priority over the
 // DCF access procedure and are sent regardless of carrier state, matching
 // the standard's SIFS rule.
+//
+// The medium reads an ACK frame until its transmission ends, after this
+// upcall, so the DCF's own frame and bound callback serve only while no ACK
+// is pending, that is up to ackEnd. On a medium that is always so: a node has
+// at most one ACK pending or on the air. A data frame that starts during the
+// SIFS wait is still on the air when the ACK starts, which aborts its
+// reception (half-duplex), and one that starts while the ACK is on the air is
+// noise, so the next data frame the node decodes ends after its ACK has. Only
+// a caller of FrameReceived twice in one instant, as a test does, takes the
+// allocating path.
 func (d *DCF) sendAck(data *phy.Frame) {
-	ack := &phy.Frame{ //pqlint:allow noalloc(one ACK frame per received unicast, not pooled: the medium reads it until the ACK's transmission ends, after this upcall; it shows in BenchmarkDCFUnicastHop's allocs/op)
+	now := d.engine.Now()
+	ack, fn := &d.ack, d.ackFn
+	if now <= d.ackEnd {
+		ack = &phy.Frame{}                 //pqlint:allow noalloc(cold path: an ACK is still pending, which no medium produces; see above)
+		fn = func() { d.transmitAck(ack) } //pqlint:allow noalloc(the SIFS event of that cold-path ACK)
+	}
+	*ack = phy.Frame{
 		Src:   d.id,
 		Dst:   data.Src,
 		Kind:  phy.FrameAck,
@@ -292,8 +319,12 @@ func (d *DCF) sendAck(data *phy.Frame) {
 		Bytes: ackBytes,
 		Rate:  ackRate,
 	}
-	d.engine.Schedule(sifs, func() { //pqlint:allow noalloc(the SIFS event of that ACK, the frame's one companion object)
-		d.TxAck++
-		d.channel.Transmit(ack)
-	})
+	d.ackEnd = now + sifs + d.channel.TxDuration(ack)
+	d.engine.Schedule(sifs, fn)
+}
+
+// transmitAck puts ack on the air when its SIFS has passed.
+func (d *DCF) transmitAck(ack *phy.Frame) {
+	d.TxAck++
+	d.channel.Transmit(ack)
 }

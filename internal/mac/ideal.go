@@ -22,7 +22,7 @@ import (
 // fidelity.
 type IdealNet struct {
 	engine  *sim.Engine
-	pos     phy.PositionFunc
+	src     phy.PositionSource
 	r       float64
 	rng     *rand.Rand
 	macs    []*IdealMAC
@@ -51,10 +51,11 @@ type IdealNet struct {
 }
 
 // NewIdealNet creates the shared layer for n nodes with transmission range r.
-func NewIdealNet(engine *sim.Engine, n int, r float64, pos phy.PositionFunc, rng *rand.Rand) *IdealNet {
+// It reads positions from src, as the SINR medium does.
+func NewIdealNet(engine *sim.Engine, n int, r float64, src phy.PositionSource, rng *rand.Rand) *IdealNet {
 	in := &IdealNet{
 		engine:  engine,
-		pos:     pos,
+		src:     src,
 		r:       r,
 		rng:     rng,
 		macs:    make([]*IdealMAC, n),
@@ -66,6 +67,9 @@ func NewIdealNet(engine *sim.Engine, n int, r float64, pos phy.PositionFunc, rng
 	}
 	return in
 }
+
+// pos is node id's position now.
+func (in *IdealNet) pos(id int) geom.Point { return in.src.Position(id, in.engine.Now()) }
 
 // MAC returns node id's link layer.
 func (in *IdealNet) MAC(id int) *IdealMAC { return in.macs[id] }

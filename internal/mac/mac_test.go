@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"probquorum/internal/geom"
+	"probquorum/internal/mobility"
 	"probquorum/internal/phy"
 	"probquorum/internal/sim"
 )
@@ -26,8 +27,7 @@ func (r *recorder) MACSendDone(f *phy.Frame, ok bool) {
 
 // dcfWorld builds n DCF MACs on a SINR medium at fixed positions.
 func dcfWorld(e *sim.Engine, pts []geom.Point) (*phy.SINRMedium, []*DCF, []*recorder) {
-	pos := func(id int) geom.Point { return pts[id] }
-	m := phy.NewSINRMedium(e, phy.SINRConfig{N: len(pts), Side: 10000, Pos: pos})
+	m := phy.NewSINRMedium(e, phy.SINRConfig{N: len(pts), Side: 10000, Pos: mobility.NewStatic(pts)})
 	rng := rand.New(rand.NewSource(7))
 	macs := make([]*DCF, len(pts))
 	recs := make([]*recorder, len(pts))
@@ -50,6 +50,36 @@ func TestDCFUnicastDelivery(t *testing.T) {
 	}
 	if len(recs[0].done) != 1 || !recs[0].done[0] {
 		t.Fatalf("sender MACSendDone = %v, want [true]", recs[0].done)
+	}
+}
+
+// TestDCFUnicastHopAllocFree pins the allocation-free unicast hop: on a
+// two-node SINR medium, once the pools are warm, a data frame's access,
+// transmission and delivery, the receiver's ACK after SIFS and the sender's
+// completion allocate nothing.
+func TestDCFUnicastHopAllocFree(t *testing.T) {
+	e := sim.NewEngine(1)
+	_, macs, _ := dcfWorld(e, []geom.Point{{X: 0, Y: 0}, {X: 150, Y: 0}})
+	for _, d := range macs {
+		d.SetHandler(nopHandler{})
+	}
+	f := &phy.Frame{Dst: 1}
+	hop := func() {
+		f.Bytes = 512 // Send adds the MAC header
+		macs[0].Send(f)
+		e.Run(e.Now() + 0.01)
+	}
+	for i := 0; i < 8; i++ {
+		hop()
+	}
+	if a := testing.AllocsPerRun(100, hop); a != 0 {
+		t.Fatalf("a DATA/ACK exchange allocates %.1f objects, want 0", a)
+	}
+	// 8 warm-up hops, AllocsPerRun's own warm-up and 100: each acknowledged
+	// at its first attempt.
+	if macs[0].TxData != 109 || macs[0].TxRetries != 0 || macs[0].QueueLen() != 0 || macs[1].TxAck != 109 {
+		t.Fatalf("%d data frames, %d retries, %d still queued, %d ACKs; want 109, 0, 0, 109",
+			macs[0].TxData, macs[0].TxRetries, macs[0].QueueLen(), macs[1].TxAck)
 	}
 }
 
@@ -196,8 +226,7 @@ func TestDCFDuplicateSuppression(t *testing.T) {
 }
 
 func idealWorld(e *sim.Engine, pts []geom.Point) (*IdealNet, []*recorder) {
-	pos := func(id int) geom.Point { return pts[id] }
-	in := NewIdealNet(e, len(pts), 200, pos, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, len(pts), 200, mobility.NewStatic(pts), rand.New(rand.NewSource(3)))
 	recs := make([]*recorder, len(pts))
 	for i := range pts {
 		recs[i] = &recorder{}
@@ -243,8 +272,7 @@ func TestIdealBroadcastAndDisable(t *testing.T) {
 func TestIdealLossModel(t *testing.T) {
 	e := sim.NewEngine(1)
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}
-	pos := func(id int) geom.Point { return pts[id] }
-	in := NewIdealNet(e, 2, 200, pos, rand.New(rand.NewSource(3)))
+	in := NewIdealNet(e, 2, 200, mobility.NewStatic(pts), rand.New(rand.NewSource(3)))
 	in.LossProb = 1.0 // every attempt fails
 	rec := &recorder{}
 	in.MAC(0).SetHandler(rec)
@@ -293,7 +321,11 @@ func (c countingChannel) SetHandler(h phy.Handler) { c.Channel.SetHandler(edgeCo
 // completions in the same order at the same times, and the same number of
 // engine events. Twelve senders sit inside one another's carrier-sense range
 // (some pairs decode, the rest only sense), and each queues bursts of
-// unicasts and broadcasts, enough to overflow some queues.
+// unicasts and broadcasts, enough to overflow some queues. Every third
+// unicast a node receives it forwards from inside MACReceive, so a DCF that
+// was idle, and its radio muted, starts contending in the middle of the
+// radio's signal end: the one place where the radio unmutes between a change
+// of its sum and the carrier check that follows it.
 func TestCarrierGateMatchesAlwaysNotify(t *testing.T) {
 	type delivery struct {
 		at       float64
@@ -307,6 +339,8 @@ func TestCarrierGateMatchesAlwaysNotify(t *testing.T) {
 		log       []delivery
 		processed uint64
 		edges     int
+		// idleForwards counts forwards sent by an idle DCF.
+		idleForwards int
 	}
 	run := func(always bool) outcome {
 		defer func(old bool) { notifyAlways = old }(notifyAlways)
@@ -318,13 +352,21 @@ func TestCarrierGateMatchesAlwaysNotify(t *testing.T) {
 			pts[i] = geom.Point{X: rng.Float64() * 240, Y: rng.Float64() * 240}
 		}
 		e := sim.NewEngine(1)
-		m := phy.NewSINRMedium(e, phy.SINRConfig{N: n, Side: 1000, Pos: func(id int) geom.Point { return pts[id] }})
+		m := phy.NewSINRMedium(e, phy.SINRConfig{N: n, Side: 1000, Pos: mobility.NewStatic(pts)})
 		var out outcome
 		macs := make([]*DCF, n)
 		for i := range macs {
 			macs[i] = NewDCF(e, i, countingChannel{m.Channel(i), &out.edges}, rand.New(rand.NewSource(rng.Int63())))
 			macs[i].SetHandler(&logHandler{id: i, e: e, log: func(at float64, node int, what string, f *phy.Frame) {
 				out.log = append(out.log, delivery{at, node, what, f.Src, f.Dst, f.Seq})
+			}, forward: func(f *phy.Frame) {
+				if f.Dst != i || f.Seq%3 != 0 || f.Payload != nil {
+					return
+				}
+				if macs[i].state == dcfIdle {
+					out.idleForwards++
+				}
+				macs[i].Send(&phy.Frame{Dst: (i + 1 + int(f.Seq)%(n-1)) % n, Bytes: 100, Payload: "forwarded"})
 			}})
 		}
 		for i := range macs {
@@ -374,22 +416,30 @@ func TestCarrierGateMatchesAlwaysNotify(t *testing.T) {
 	}
 	// The schedule must contend, and the gate must cut edges, or the
 	// agreement says nothing.
-	if retries < 50 || drops == 0 || acks < 100 || gated.edges >= always.edges {
-		t.Fatalf("schedule too tame: %d retries, %d drops, %d ACKs, %d edges gated against %d",
-			retries, drops, acks, gated.edges, always.edges)
+	if retries < 50 || drops == 0 || acks < 100 || gated.edges >= always.edges || gated.idleForwards < 20 {
+		t.Fatalf("schedule too tame: %d retries, %d drops, %d ACKs, %d edges gated against %d, %d forwards from an idle DCF",
+			retries, drops, acks, gated.edges, always.edges, gated.idleForwards)
 	}
-	t.Logf("%d indications, %d events, %d retries, %d drops, %d ACKs; %d carrier edges reach the DCFs gated, %d always-notify",
-		len(gated.log), gated.processed, retries, drops, acks, gated.edges, always.edges)
+	t.Logf("%d indications, %d events, %d retries, %d drops, %d ACKs, %d forwards from an idle DCF; %d carrier edges reach the DCFs gated, %d always-notify",
+		len(gated.log), gated.processed, retries, drops, acks, gated.idleForwards, gated.edges, always.edges)
 }
 
-// logHandler reports every MAC indication to log.
+// logHandler reports every MAC indication to log, and hands every received
+// frame to forward when it is set.
 type logHandler struct {
-	id  int
-	e   *sim.Engine
-	log func(at float64, node int, what string, f *phy.Frame)
+	id      int
+	e       *sim.Engine
+	log     func(at float64, node int, what string, f *phy.Frame)
+	forward func(f *phy.Frame)
 }
 
-func (h *logHandler) MACReceive(f *phy.Frame)  { h.log(h.e.Now(), h.id, "receive", f) }
+func (h *logHandler) MACReceive(f *phy.Frame) {
+	h.log(h.e.Now(), h.id, "receive", f)
+	if h.forward != nil {
+		h.forward(f)
+	}
+}
+
 func (h *logHandler) MACOverhear(f *phy.Frame) { h.log(h.e.Now(), h.id, "overhear", f) }
 func (h *logHandler) MACSendDone(f *phy.Frame, ok bool) {
 	what := "done"

@@ -19,6 +19,11 @@ type Model interface {
 	// Position returns node id's position at simulation time t (seconds).
 	// t must be nondecreasing across calls for the same id.
 	Position(id int, t float64) geom.Point
+	// Positions appends the positions of ids at time t to out, in ids'
+	// order, and returns the extended slice: for each id exactly what
+	// Position(id, t) would return, one call for a whole candidate list.
+	// t must be nondecreasing across calls for the same id.
+	Positions(ids []int, t float64, out []geom.Point) []geom.Point
 	// MaxSpeed returns an upper bound on any node's speed in m/s, used to
 	// pad spatial-index query radii against staleness. Zero for static.
 	MaxSpeed() float64
@@ -44,6 +49,14 @@ func NewStaticUniform(rng *rand.Rand, n int, side float64) *Static {
 
 // Position implements Model.
 func (s *Static) Position(id int, _ float64) geom.Point { return s.pts[id] }
+
+// Positions implements Model.
+func (s *Static) Positions(ids []int, _ float64, out []geom.Point) []geom.Point {
+	for _, id := range ids {
+		out = append(out, s.pts[id])
+	}
+	return out
+}
 
 // MaxSpeed implements Model.
 func (s *Static) MaxSpeed() float64 { return 0 }
@@ -131,6 +144,15 @@ func (w *Waypoint) Position(id int, t float64) geom.Point {
 		X: l.from.X + (l.dest.X-l.from.X)*frac,
 		Y: l.from.Y + (l.dest.Y-l.from.Y)*frac,
 	}
+}
+
+// Positions implements Model with a direct call of Position per id, so each
+// node's legs advance exactly as they would under Position.
+func (w *Waypoint) Positions(ids []int, t float64, out []geom.Point) []geom.Point {
+	for _, id := range ids {
+		out = append(out, w.Position(id, t))
+	}
+	return out
 }
 
 // MaxSpeed implements Model.

@@ -128,3 +128,65 @@ func TestWaypointRejectsBadConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	NewWaypoint(rng, 1, WaypointConfig{MinSpeed: 0, MaxSpeed: 2, Side: 100}, nil)
 }
+
+// TestPositionsMatchPosition is the oracle of the batched read: one model
+// answers Positions for a random subset of ids (in random order, the subset
+// growing a fresh prefix onto a reused buffer) at each of a nondecreasing
+// sequence of times, some repeated, its twin answers Position per id at the
+// same times, and every point must be bit-equal. The waypoint field is small
+// and the pause short, so legs end between most queries; the test requires
+// that the batched calls advanced every node across several leg boundaries.
+func TestPositionsMatchPosition(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(9))
+	pts := geom.UniformPoints(rng, n, 500)
+	cfg := WaypointConfig{MinSpeed: 1, MaxSpeed: 20, Pause: 2, Side: 500}
+	for _, tc := range []struct {
+		name          string
+		batch, single Model
+	}{
+		{"static", NewStatic(pts), NewStatic(pts)},
+		{"waypoint", NewWaypoint(rand.New(rand.NewSource(10)), n, cfg, pts), NewWaypoint(rand.New(rand.NewSource(10)), n, cfg, pts)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out []geom.Point
+			ids := make([]int, 0, n)
+			at := 0.0
+			w, _ := tc.batch.(*Waypoint)
+			legs := make([]int, n) // leg boundaries Positions crossed, per node
+			for step := 0; step < 2000; step++ {
+				if rng.Intn(4) != 0 {
+					at += rng.ExpFloat64() * 3 // otherwise a second call at the same t
+				}
+				ids = ids[:0]
+				for _, id := range rng.Perm(n)[:1+rng.Intn(n)] {
+					ids = append(ids, id)
+				}
+				var before []leg
+				if w != nil {
+					before = append(before, w.legs...)
+				}
+				prefix := geom.Point{X: -1, Y: float64(step)}
+				out = tc.batch.Positions(ids, at, append(out[:0], prefix))
+				for id := range before {
+					if w.legs[id] != before[id] {
+						legs[id]++
+					}
+				}
+				if len(out) != 1+len(ids) || out[0] != prefix {
+					t.Fatalf("step %d: Positions of %d ids returned %d points over the prefix %v", step, len(ids), len(out), out[0])
+				}
+				for i, id := range ids {
+					if want := tc.single.Position(id, at); out[1+i] != want {
+						t.Fatalf("step %d t=%.3f: Positions gives node %d %v, Position %v", step, at, id, out[1+i], want)
+					}
+				}
+			}
+			for id, k := range legs {
+				if w != nil && k < 10 {
+					t.Fatalf("node %d crossed %d leg boundaries under Positions in %.0f s, want at least 10", id, k, at)
+				}
+			}
+		})
+	}
+}

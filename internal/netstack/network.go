@@ -232,12 +232,11 @@ func New(engine *sim.Engine, cfg Config) *Network {
 	for i := range net.alive {
 		net.alive[i] = true
 	}
-	pos := func(id int) geom.Point { return net.mob.Position(id, engine.Now()) }
 
 	switch cfg.Stack {
 	case StackSINR:
 		m := phy.NewSINRMedium(engine, phy.SINRConfig{
-			N: cfg.N, Side: cfg.Side, Pos: pos,
+			N: cfg.N, Side: cfg.Side, Pos: net.mob,
 			MaxSpeed: net.mob.MaxSpeed(), Params: cfg.PHY,
 			CellNoise: cfg.CellNoise,
 		})
@@ -246,7 +245,7 @@ func New(engine *sim.Engine, cfg Config) *Network {
 			net.nodes[i] = newNode(net, i, mac.NewDCF(engine, i, m.Channel(i), engine.NewStream()))
 		}
 	case StackIdeal:
-		in := mac.NewIdealNet(engine, cfg.N, Range, pos, engine.NewStream())
+		in := mac.NewIdealNet(engine, cfg.N, Range, net.mob, engine.NewStream())
 		in.LossProb = cfg.LossProb
 		in.HopDelay = cfg.IdealHopDelay
 		net.ideal = in

@@ -84,8 +84,9 @@ type radio struct {
 	enabled   bool
 	busy      bool // last computed carrier state
 	corrupted bool
-	// mute withholds carrier edges from the handler (SetCarrierNotify);
-	// busy is tracked regardless.
+	// mute withholds carrier edges from the handler (SetCarrierNotify).
+	// Signal starts and ends leave busy alone while it is set, and
+	// unmuting resynchronizes it, so it is exact only while unmuted.
 	mute bool
 	// epoch stamps the arrivals counted in sumMw/nActive; reset bumps it, so
 	// the end of a signal the radio forgot at a disable subtracts nothing.
@@ -113,8 +114,16 @@ var _ Channel = (*radio)(nil)
 
 func (r *radio) SetHandler(h Handler) { r.handler = h }
 
-// SetCarrierNotify implements Channel.
-func (r *radio) SetCarrierNotify(on bool) { r.mute = !on }
+// SetCarrierNotify implements Channel. Only edges are reported, and Busy
+// computes its answer fresh, so a muted radio tracks no carrier state: the
+// signal walks skip carrierAt while it is muted, and unmuting first sets
+// busy to the state now, without reporting it, as if it had been tracked.
+func (r *radio) SetCarrierNotify(on bool) {
+	if on && r.mute {
+		r.busy = r.busyAt(r.medium.engine.Now(), r.medium.d.CsThreshMw)
+	}
+	r.mute = !on
+}
 
 func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 
@@ -144,13 +153,13 @@ func (r *radio) reset() {
 	r.updateCarrier()
 }
 
-// Transmit implements Channel. Three loops over the candidates, none of
-// which touches a receiver before the last: the first reads their positions
-// (the position function is a call per node, the source's own included), the
-// second computes each received power and builds the frame's arrivals in
-// candidate order with no call but the distance's, and the third starts
-// them. So the index's own candidate buffer and the stateful position
-// functions are read out before anything can react, and the divisions and
+// Transmit implements Channel. One batched read and two loops over the
+// candidates, none of which touches a receiver before the last: the read
+// takes all their positions in one Positions call (the source's own among
+// them), the first loop computes each received power and builds the frame's
+// arrivals in candidate order with no call but the distance's, and the second
+// starts them. So the index's own candidate buffer and the stateful position
+// source are read out before anything can react, and the divisions and
 // square roots of consecutive candidates overlap instead of waiting on a
 // position call each. The clock and the carrier-sense threshold are read
 // once.
@@ -176,10 +185,7 @@ func (r *radio) Transmit(f *Frame) {
 	m.txStart(r.id, srcPos)
 
 	cands := m.world.candidates(r.id, m.candRange)
-	pts := m.candPos[:0]
-	for _, dst := range cands {
-		pts = append(pts, m.world.pos(dst))
-	}
+	pts := m.world.src.Positions(cands, now, m.candPos[:0])
 	m.candPos = pts
 	var tx *transmission
 	for i, dst := range cands {
@@ -238,7 +244,9 @@ func (r *radio) signalBegin(t *transmission, a *arrival, now, cs float64) {
 			r.corrupted = true
 		}
 	}
-	r.carrierAt(now, cs)
+	if !r.mute {
+		r.carrierAt(now, cs)
+	}
 }
 
 // signalEnd takes a out of r, at time now against carrier-sense threshold
@@ -265,14 +273,23 @@ func (r *radio) signalEnd(t *transmission, a *arrival, now, cs float64) {
 			r.handler.FrameReceived(t.frame)
 		}
 	}
-	r.carrierAt(now, cs)
+	// The handler can unmute r above (a DCF that queues a frame from
+	// inside FrameReceived starts contending), after the sum has dropped:
+	// SetCarrierNotify then resynchronizes busy, and the busy→idle edge the
+	// carrierAt below would have reported is lost. It is the only edge this
+	// end can leave pending, and the DCF, now in DIFS, ignores it.
+	if !r.mute {
+		r.carrierAt(now, cs)
+	}
 }
 
 func (r *radio) updateCarrier() { r.carrierAt(r.medium.engine.Now(), r.medium.d.CsThreshMw) }
 
 // carrierAt recomputes the carrier state at time now against threshold cs;
 // it is small enough to inline into the walks, which leaves a call only
-// for an edge.
+// for an edge. The walks test mute at their call sites rather than here: the
+// test inside would push carrierAt past the inliner's budget (make
+// inline-check).
 func (r *radio) carrierAt(now, cs float64) {
 	if r.busyAt(now, cs) != r.busy {
 		r.carrierEdge()

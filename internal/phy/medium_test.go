@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probquorum/internal/geom"
+	"probquorum/internal/mobility"
 	"probquorum/internal/sim"
 )
 
@@ -18,9 +19,7 @@ type collector struct {
 func (c *collector) ChannelStateChanged(b bool) { c.busy = append(c.busy, b) }
 func (c *collector) FrameReceived(f *Frame)     { c.frames = append(c.frames, f) }
 
-func staticPos(pts []geom.Point) PositionFunc {
-	return func(id int) geom.Point { return pts[id] }
-}
+func staticPos(pts []geom.Point) PositionSource { return mobility.NewStatic(pts) }
 
 // attach gives every node of m a collector.
 func attach(m *SINRMedium) []*collector {

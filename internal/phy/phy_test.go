@@ -117,18 +117,15 @@ func TestMobileMediumUsesFreshPositions(t *testing.T) {
 	// A node that starts far away but is close at transmit time must
 	// receive, even with grid staleness.
 	e := sim.NewEngine(1)
-	pos := func(id int) geom.Point {
+	// Node 1 moves from (1000,0) toward the origin at 20 m/s, to a stop at
+	// 50 m.
+	approach := func(id int, t float64) geom.Point {
 		if id == 0 {
 			return geom.Point{X: 0, Y: 0}
 		}
-		// Node 1 moves from (1000,0) toward origin at 20 m/s.
-		x := 1000 - 20*e.Now()
-		if x < 50 {
-			x = 50
-		}
-		return geom.Point{X: x, Y: 0}
+		return geom.Point{X: math.Max(1000-20*t, 50), Y: 0}
 	}
-	m := NewSINRMedium(e, SINRConfig{N: 2, Side: 2000, Pos: pos, MaxSpeed: 20})
+	m := NewSINRMedium(e, SINRConfig{N: 2, Side: 2000, Pos: posFunc(approach), MaxSpeed: 20})
 	c := &collector{}
 	m.Channel(1).SetHandler(c)
 	f := &Frame{Src: 0, Dst: Broadcast, Bytes: 100, Rate: 2e6}

@@ -57,8 +57,8 @@ type SINRConfig struct {
 	// Side is the deployment area side length in meters (for the spatial
 	// index).
 	Side float64
-	// Pos reports node positions.
-	Pos PositionFunc
+	// Pos reports node positions; a mobility.Model is one.
+	Pos PositionSource
 	// MaxSpeed is the mobility model's speed bound (index staleness pad).
 	MaxSpeed float64
 	// Params are the radio parameters; zero value means DefaultParams.

@@ -5,9 +5,15 @@ import (
 	"probquorum/internal/sim"
 )
 
-// PositionFunc reports the current position of a node. Implementations are
-// typically closures over a mobility model and the engine clock.
-type PositionFunc func(id int) geom.Point
+// PositionSource is where a medium reads node positions at simulation time
+// t: one node with Position, a whole candidate list with Positions, which
+// appends to out in ids' order exactly what Position would return per id.
+// mobility.Model satisfies it; t is nondecreasing per node, as the model
+// requires.
+type PositionSource interface {
+	Position(id int, t float64) geom.Point
+	Positions(ids []int, t float64, out []geom.Point) []geom.Point
+}
 
 // worldRefreshSecs bounds how stale an enabled node's indexed position may
 // get in a mobile world before a candidate query re-indexes it.
@@ -29,7 +35,7 @@ const worldRefreshSecs = 1.0
 // at the tail.
 type world struct {
 	engine      *sim.Engine
-	pos         PositionFunc
+	src         PositionSource
 	grid        *geom.Grid
 	n           int
 	maxSpeed    float64
@@ -47,11 +53,11 @@ type world struct {
 }
 
 // newWorld indexes the nodes of radios, all of which it enables.
-func newWorld(engine *sim.Engine, radios []*radio, side float64, cell float64, pos PositionFunc, maxSpeed float64) *world {
+func newWorld(engine *sim.Engine, radios []*radio, side float64, cell float64, src PositionSource, maxSpeed float64) *world {
 	n := len(radios)
 	w := &world{
 		engine:      engine,
-		pos:         pos,
+		src:         src,
 		grid:        geom.NewGrid(n, side, cell),
 		n:           n,
 		maxSpeed:    maxSpeed,
@@ -60,7 +66,7 @@ func newWorld(engine *sim.Engine, radios []*radio, side float64, cell float64, p
 	}
 	for i := 0; i < n; i++ {
 		radios[i].enabled = true
-		w.grid.Update(i, pos(i))
+		w.grid.Update(i, w.pos(i))
 	}
 	if maxSpeed > 0 {
 		w.idxTime = make([]float64, n) // stamped at construction time zero
@@ -73,6 +79,9 @@ func newWorld(engine *sim.Engine, radios []*radio, side float64, cell float64, p
 	}
 	return w
 }
+
+// pos is node id's position now.
+func (w *world) pos(id int) geom.Point { return w.src.Position(id, w.engine.Now()) }
 
 func (w *world) setEnabled(id int, on bool) {
 	if w.radios[id].enabled == on {

@@ -44,6 +44,18 @@ func bouncePos(n int, side, maxSpeed float64, seed int64) func(id int, t float64
 	}
 }
 
+// posFunc is a PositionSource over a function of node and time.
+type posFunc func(id int, t float64) geom.Point
+
+func (f posFunc) Position(id int, t float64) geom.Point { return f(id, t) }
+
+func (f posFunc) Positions(ids []int, t float64, out []geom.Point) []geom.Point {
+	for _, id := range ids {
+		out = append(out, f(id, t))
+	}
+	return out
+}
+
 // testRadios returns n bare radios for a world built without a medium.
 func testRadios(n int) []*radio {
 	rs := make([]*radio, n)
@@ -66,8 +78,7 @@ func TestCandidatesNeverMissUnderMaxSpeedMobility(t *testing.T) {
 	)
 	truePos := bouncePos(n, side, maxSpeed, 1)
 	engine := sim.NewEngine(1)
-	pos := func(id int) geom.Point { return truePos(id, engine.Now()) }
-	w := newWorld(engine, testRadios(n), side, 300, pos, maxSpeed)
+	w := newWorld(engine, testRadios(n), side, 300, posFunc(truePos), maxSpeed)
 	rng := rand.New(rand.NewSource(2))
 
 	radii := []float64{120, 300, 670} // the last two: carrier-sense and interference ranges
@@ -113,10 +124,8 @@ func TestCandidatesNeverMissUnderMaxSpeedMobility(t *testing.T) {
 // staleness instead of the worst-case full refresh interval.
 func TestWorldPadMeasuresElapsed(t *testing.T) {
 	const n, side, maxSpeed = 10, 500.0, 2.0
-	truePos := bouncePos(n, side, maxSpeed, 3)
 	engine := sim.NewEngine(1)
-	pos := func(id int) geom.Point { return truePos(id, engine.Now()) }
-	w := newWorld(engine, testRadios(n), side, 300, pos, maxSpeed)
+	w := newWorld(engine, testRadios(n), side, 300, posFunc(bouncePos(n, side, maxSpeed, 3)), maxSpeed)
 
 	worst := 2 * maxSpeed * w.refreshSecs
 	// Age everything past the interval, then query: the drain restamps all
@@ -141,11 +150,11 @@ func TestWorldRefreshIsIncremental(t *testing.T) {
 	const n, side = 50, 1000.0
 	engine := sim.NewEngine(1)
 	calls := 0
-	pos := func(id int) geom.Point {
+	pos := func(id int, _ float64) geom.Point {
 		calls++
 		return geom.Point{X: float64(id), Y: float64(id)}
 	}
-	w := newWorld(engine, testRadios(n), side, 300, pos, 1.0)
+	w := newWorld(engine, testRadios(n), side, 300, posFunc(pos), 1.0)
 	calls = 0
 
 	// All stamps are 0. Advance past the interval and query: the drain
