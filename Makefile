@@ -163,26 +163,53 @@ bench-digest:
 # shortened horizon: SINR/DCF with cell-noise interference, churn and a
 # fault schedule live, invariant checkers armed and fatal (a violation or a
 # leaked op makes pqexp exit nonzero). No -race — the point is that 10k nodes
-# complete in CI time. Its table carries wall clock, so the exit status is
-# the whole gate.
+# complete in CI time. It is a does-it-run-and-stay-put gate: its 9 lookups
+# carry no science claim, but its simulated rows (lookups, hit and intersect
+# ratio, churn, violations, events) must match the 10000-node section of
+# results_tiers.txt byte for byte. The host rows are left out (wall clock,
+# allocs, peak heap, the Benchmark line: MEGA_ROWS), and bench-digest covers
+# neither this tier nor giga-smoke.
 mega-smoke:
-	$(GO) run ./cmd/pqexp -short mega
+	$(call mega-smoke,10000)
 
 # giga-smoke runs the mega tier (DESIGN.md §15: oracle neighbors, lazy
 # membership, route cache) at a CI-sized 25k nodes on the shortened horizon,
-# churn/faults/invariants armed and fatal. The full 100k run is
-# `pqexp -n 100000 mega`; this is the does-it-scale gate.
+# churn/faults/invariants armed and fatal, and holds its simulated rows to
+# the 25000-node section of results_tiers.txt as mega-smoke does. The full
+# 100k run is `pqexp -n 100000 mega`; this is the does-it-scale gate.
 giga-smoke:
-	$(GO) run ./cmd/pqexp -short -n 25000 mega
+	$(call mega-smoke,25000)
 
-# tiers records what `pqexp -short load` and `pqexp -short adapt` print apart
-# from their `# … wall clock` lines: the tier tables, free of wall-clock fields
-# by construction. results_quick.txt covers `pqexp all` only; this file is the
-# same gate for the two tiers whose smoke runs are part of check. A refactor
-# must pass it untouched; a change that means to move a tier table re-records
-# the file with `make tiers` in the same commit and says which rows and why.
+# MEGA_ROWS filters what `pqexp mega` prints down to its simulated rows: it
+# drops the host rows (wall clock, allocs, peak heap), the Benchmark line and
+# the closing wall-clock line, strips the value column's trailing padding
+# (sized by the allocs row) and keeps one blank line between sections.
+MEGA_ROWS = awk '/^(wall clock|allocs|peak heap) |^Benchmark| wall clock, / { next } \
+	{ sub(/ +$$/, "") } $$0 != "" || last != "" { print } { last = $$0 }'
+
+# tiers records what the tier smoke runs print apart from host figures: the
+# `pqexp -short load` and `-short adapt` tables without their `# … wall clock`
+# lines (free of wall-clock fields by construction), then MEGA_ROWS of
+# `pqexp -short mega` at 10000 and at 25000 nodes, two "## mega" sections told
+# apart by their node count. results_quick.txt covers `pqexp all` only; this
+# file is the same gate for the four tiers CI smoke-runs. A refactor must pass
+# it untouched; a change that means to move a tier table re-records the file
+# with `make tiers` in the same commit and says which rows and why.
 tiers:
-	@for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^# .* wall clock' > results_tiers.txt
+	@{ for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^# .* wall clock'; \
+		for n in 10000 25000; do $(GO) run ./cmd/pqexp -short -n $$n mega | $(MEGA_ROWS); done; } > results_tiers.txt
+
+# mega-smoke runs `pqexp -short -n $(1) mega` into mega$(1).out — a
+# violation, a leaked op or a crash exits nonzero, which fails the target with
+# the output shown — and diffs its MEGA_ROWS against the section of
+# results_tiers.txt whose "## mega" title names $(1) nodes.
+define mega-smoke
+	$(GO) run ./cmd/pqexp -short -n $(1) mega > mega$(1).out || { cat mega$(1).out; rm -f mega$(1).out; exit 1; }
+	@$(MEGA_ROWS) mega$(1).out > mega$(1).rows; \
+	awk '/^## /{on = ($$2 == "mega" && $$4 == "$(1)-node")} on' results_tiers.txt | diff - mega$(1).rows || \
+		{ echo "$@: pqexp -short -n $(1) mega differs from results_tiers.txt (<: recorded, >: this tree)"; rm -f mega$(1).out mega$(1).rows; exit 1; }
+	@rm -f mega$(1).out mega$(1).rows
+endef
 
 # tier-smoke runs tier $(1) on its smoke horizon into $(1).out — a violation,
 # a leaked op or a crash exits nonzero, which fails the target with the output

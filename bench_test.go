@@ -151,8 +151,9 @@ func BenchmarkSINRBroadcast10k(b *testing.B) {
 // nothing on the air (the common case at delivery: the frame's own sender
 // has just left the index), with the handful of concurrent frames a 10k run
 // carries network-wide, asked at every node (sparse=8) or at the receivers
-// within carrier-sense range of one more sender on the air (lock: the
-// question each of them asks as the frame arrives), and with a load no DCF
+// within carrier-sense range of one more sender on the air (lock: what a
+// lock asks near another frame's sender; a frame's own receivers ask before
+// Transmit enters their sender, so they see sparse=8), and with a load no DCF
 // network reaches, where the occupied-row walk must still not lose to
 // scanning the whole cell box.
 func BenchmarkFarNoise(b *testing.B) {

@@ -27,16 +27,15 @@ type DCF struct {
 	handler Handler
 	rng     *rand.Rand
 
-	state       dcfState
-	queue       []*phy.Frame
-	seq         uint32
-	cw          int
-	attempts    int
-	slotsLeft   int
-	countStart  float64 // when the current DIFS/backoff countdown began
-	timer       *sim.Timer
-	ackTimer    *sim.Timer
-	promiscuous bool
+	state      dcfState
+	queue      []*phy.Frame
+	seq        uint32
+	cw         int
+	attempts   int
+	slotsLeft  int
+	countStart float64 // when the current DIFS/backoff countdown began
+	timer      *sim.Timer
+	ackTimer   *sim.Timer
 	// notified is what the channel was last told by SetCarrierNotify.
 	notified bool
 	// txDoneFn completes the in-flight head-of-line transmission; built
@@ -103,8 +102,9 @@ var _ phy.Handler = (*DCF)(nil)
 // SetHandler implements MAC.
 func (d *DCF) SetHandler(h Handler) { d.handler = h }
 
-// SetPromiscuous implements MAC.
-func (d *DCF) SetPromiscuous(on bool) { d.promiscuous = on }
+// SetPromiscuous implements MAC. The radio holds the flag: it hands up
+// frames addressed to other nodes only while it overhears.
+func (d *DCF) SetPromiscuous(on bool) { d.channel.SetOverhear(on) }
 
 // QueueLen implements MAC.
 func (d *DCF) QueueLen() int { return len(d.queue) }
@@ -284,7 +284,8 @@ func (d *DCF) FrameReceived(f *phy.Frame) {
 				d.handler.MACReceive(f)
 			}
 		default:
-			if d.promiscuous && d.handler != nil {
+			// Only an overhearing radio hands up another node's frame.
+			if d.handler != nil {
 				d.handler.MACOverhear(f)
 			}
 		}

@@ -448,3 +448,123 @@ func (h *logHandler) MACSendDone(f *phy.Frame, ok bool) {
 	}
 	h.log(h.e.Now(), h.id, what, f)
 }
+
+// TestAddresseeFilterMatchesDeliverAll runs one DCF schedule of unicasts and
+// broadcasts twice — with the radios' addressee filter, where a radio hands up
+// only the frames addressed to its node or broadcast (and everything at the
+// three promiscuous nodes), and with every radio overhearing, where each
+// decoded frame reaches its DCF as before the filter and the DCF discards the
+// ones for other nodes — on the exact medium and under CellNoise, whose far
+// field the filter no longer re-samples for an unwanted frame. It requires the
+// same simulation: per-node TxData, TxAck, TxRetries and Drops, the same
+// deliveries, promiscuous overhearings and send completions in the same order
+// at the same times, and the same number of engine events. Forty nodes on a
+// 900 m square sit within decode, carrier-sense and far-field range of one
+// another, and each sends bursts to its decode-range neighbours or broadcasts.
+func TestAddresseeFilterMatchesDeliverAll(t *testing.T) {
+	type delivery struct {
+		at       float64
+		node     int
+		what     string
+		src, dst int
+		seq      uint32
+	}
+	type outcome struct {
+		stats     [][4]uint64
+		log       []delivery
+		processed uint64
+		// unwanted counts the frames for another node handed to a DCF that
+		// is not promiscuous: what the filter keeps from the MAC.
+		unwanted  int
+		overheard int
+	}
+	const n = 40
+	promiscuous := func(id int) bool { return id < 3 }
+	run := func(cellNoise, deliverAll bool) outcome {
+		rng := rand.New(rand.NewSource(43))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: rng.Float64() * 900, Y: rng.Float64() * 900}
+		}
+		e := sim.NewEngine(1)
+		m := phy.NewSINRMedium(e, phy.SINRConfig{N: n, Side: 900, Pos: mobility.NewStatic(pts), CellNoise: cellNoise})
+		var out outcome
+		macs := make([]*DCF, n)
+		for i := range macs {
+			macs[i] = NewDCF(e, i, m.Channel(i), rand.New(rand.NewSource(rng.Int63())))
+			macs[i].SetHandler(&logHandler{id: i, e: e, log: func(at float64, node int, what string, f *phy.Frame) {
+				if what == "overhear" {
+					if !promiscuous(node) {
+						out.unwanted++
+						return
+					}
+					out.overheard++
+				}
+				out.log = append(out.log, delivery{at, node, what, f.Src, f.Dst, f.Seq})
+			}})
+			if promiscuous(i) {
+				macs[i].SetPromiscuous(true)
+			}
+			if deliverAll {
+				m.Channel(i).SetOverhear(true)
+			}
+		}
+		for i := range macs {
+			var nbrs []int
+			for j, p := range pts {
+				if j != i && geom.Dist(p, pts[i]) < 190 {
+					nbrs = append(nbrs, j)
+				}
+			}
+			for at := rng.Float64() * 0.05; at < 2; at += rng.ExpFloat64() * 0.2 {
+				burst := 1 + rng.Intn(10)
+				dsts := make([]int, burst)
+				for k := range dsts {
+					dsts[k] = phy.Broadcast
+					if len(nbrs) > 0 && rng.Intn(3) > 0 {
+						dsts[k] = nbrs[rng.Intn(len(nbrs))]
+					}
+				}
+				bytes := 40 + rng.Intn(600)
+				e.At(at, func() {
+					for _, dst := range dsts {
+						macs[i].Send(&phy.Frame{Dst: dst, Bytes: bytes})
+					}
+				})
+			}
+		}
+		e.Run(10)
+		for _, d := range macs {
+			out.stats = append(out.stats, [4]uint64{d.TxData, d.TxRetries, d.TxAck, d.Drops})
+		}
+		out.processed = e.Processed()
+		return out
+	}
+	for _, cellNoise := range []bool{false, true} {
+		filtered, all := run(cellNoise, false), run(cellNoise, true)
+		for i := range filtered.stats {
+			if filtered.stats[i] != all.stats[i] {
+				t.Fatalf("CellNoise=%v node %d: filtered TxData/TxRetries/TxAck/Drops %v, deliver-all %v", cellNoise, i, filtered.stats[i], all.stats[i])
+			}
+		}
+		if len(filtered.log) != len(all.log) {
+			t.Fatalf("CellNoise=%v: filtered run logs %d indications, deliver-all %d", cellNoise, len(filtered.log), len(all.log))
+		}
+		for i := range filtered.log {
+			if filtered.log[i] != all.log[i] {
+				t.Fatalf("CellNoise=%v indication %d: filtered %+v, deliver-all %+v", cellNoise, i, filtered.log[i], all.log[i])
+			}
+		}
+		if filtered.processed != all.processed {
+			t.Fatalf("CellNoise=%v: filtered run processed %d events, deliver-all %d", cellNoise, filtered.processed, all.processed)
+		}
+		// The filter must have frames to keep back, and the promiscuous
+		// nodes frames to overhear, or the agreement says nothing.
+		if filtered.unwanted != 0 || all.unwanted < 1000 || filtered.overheard < 100 || len(filtered.log) < 3000 {
+			t.Fatalf("CellNoise=%v: %d and %d unwanted frames handed up (filtered, deliver-all), %d overheard, %d indications",
+				cellNoise, filtered.unwanted, all.unwanted, filtered.overheard, len(filtered.log))
+		}
+		t.Logf("CellNoise=%v: %d indications (%d overheard), %d events; deliver-all handed up %d unwanted frames",
+			cellNoise, len(filtered.log), filtered.overheard, filtered.processed, all.unwanted)
+	}
+}

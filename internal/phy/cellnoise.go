@@ -33,6 +33,9 @@ import (
 //     receiver, so they must not be double counted. A transmitter falling in
 //     the slop annulus is dropped from both sides — CellNoise slightly
 //     understates interference there rather than ever overstating it.
+//     Every receiver of a frame lies within innerRadius of its sender, so
+//     the sender's own cell is never a term at them, which is why Transmit
+//     may index the sender after its arrivals have begun.
 //   - Carrier sense stays near-field-only, so Busy() and the
 //     ChannelStateChanged notifications remain mutually consistent (the far
 //     field generates no begin/end events that could re-notify DCF).

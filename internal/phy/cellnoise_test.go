@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"probquorum/internal/geom"
+	"probquorum/internal/mobility"
 	"probquorum/internal/sim"
 )
 
@@ -296,5 +297,92 @@ func TestCellNoiseNearFieldNotDoubleCounted(t *testing.T) {
 	e.Run(1)
 	if len(c.frames) != 1 {
 		t.Fatalf("near-field frame delivered %d times, want 1", len(c.frames))
+	}
+}
+
+// TestSenderOutsideItsReceiversFarField is the oracle of Transmit's order,
+// which enters the sender into the far field only after its arrivals have
+// begun: for random CellNoise transmissions over a changing population of
+// far transmitters, every receiver's far sum with the sender indexed must
+// equal, to the bit, the sum without it. It holds because every receiver lies
+// within innerRadius of the sender, so the sender's cell is never counted at
+// it. On a static field that is the carrier-sense range itself; on a mobile
+// one the candidate query pads the range against index staleness, and
+// innerRadius carries the matching slop, which the mobile case checks: it
+// requires receivers whose true distance from the sender exceeds the
+// carrier-sense range.
+func TestSenderOutsideItsReceiversFarField(t *testing.T) {
+	const (
+		n             = 900
+		side          = 3000.0
+		transmissions = 2500
+	)
+	for _, tc := range []struct {
+		name     string
+		maxSpeed float64
+	}{{"static", 0}, {"mobile", 25}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(5)
+			rng := e.NewStream()
+			var pos PositionSource = mobility.NewStatic(geom.UniformPoints(rng, n, side))
+			if tc.maxSpeed > 0 {
+				pos = mobility.NewWaypoint(rng, n, mobility.WaypointConfig{MinSpeed: 1, MaxSpeed: tc.maxSpeed, Side: side}, nil)
+			}
+			m := NewSINRMedium(e, SINRConfig{N: n, Side: side, Pos: pos, MaxSpeed: tc.maxSpeed, CellNoise: true})
+			f := m.noise
+			var onAir []int // the far transmitters indexed now
+			var receivers, heard, slop int
+			for sent := 0; sent < transmissions; {
+				e.Run(e.Now() + rng.Float64()*0.2)
+				// The population drifts: a transmitter joins or leaves.
+				if len(onAir) < 20 || (len(onAir) < 60 && rng.Intn(2) == 0) {
+					id := rng.Intn(n)
+					f.txStart(id, m.world.pos(id))
+					onAir = append(onAir, id)
+				} else {
+					i := rng.Intn(len(onAir))
+					f.txEnd(onAir[i])
+					onAir[i] = onAir[len(onAir)-1]
+					onAir = onAir[:len(onAir)-1]
+				}
+				src := rng.Intn(n)
+				if f.txCount[src] > 0 {
+					continue
+				}
+				// The receivers Transmit gives an arrival, found as it finds them.
+				srcPos := m.world.pos(src)
+				var rx []int
+				var without []float64
+				for _, id := range m.world.candidates(src, m.candRange) {
+					if _, ok := m.signal(geom.Dist(srcPos, m.world.pos(id))); ok && id != src {
+						rx = append(rx, id)
+						without = append(without, m.FarNoiseMw(id))
+					}
+				}
+				f.txStart(src, srcPos)
+				for i, id := range rx {
+					with := m.FarNoiseMw(id)
+					if math.Float64bits(with) != math.Float64bits(without[i]) {
+						t.Fatalf("transmission %d: receiver %d at %.3f m from sender %d hears %g far with the sender indexed, %g without",
+							sent, id, geom.Dist(srcPos, m.world.pos(id)), src, with, without[i])
+					}
+					if with != 0 {
+						heard++
+					}
+					if geom.Dist(srcPos, m.world.pos(id)) > m.d.CarrierSenseRange {
+						slop++
+					}
+				}
+				f.txEnd(src)
+				receivers += len(rx)
+				sent++
+			}
+			// The sums must be walks, not the zero read, and a mobile field
+			// must put receivers in the slop annulus, or equality is hollow.
+			if receivers < 20000 || heard < receivers/4 || (tc.maxSpeed > 0 && slop < 50) {
+				t.Fatalf("too tame: %d receivers, %d hearing a far field, %d beyond the carrier-sense range", receivers, heard, slop)
+			}
+			t.Logf("%d receivers, %d hearing a far field, %d beyond the carrier-sense range", receivers, heard, slop)
+		})
 	}
 }

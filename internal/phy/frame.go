@@ -50,8 +50,10 @@ type Handler interface {
 	// when the sensed power rises to or above the carrier-sense
 	// threshold, busy=false when it falls below.
 	ChannelStateChanged(busy bool)
-	// FrameReceived delivers a successfully decoded frame (addressed to
-	// this node, broadcast, or overheard — filtering is the MAC's job).
+	// FrameReceived delivers a successfully decoded frame that the node
+	// wants: one addressed to it or broadcast, or any frame while the
+	// channel overhears (SetOverhear). The radio filters; a frame for
+	// another node that is not overheard ends its reception unjudged.
 	FrameReceived(f *Frame)
 }
 
@@ -72,4 +74,8 @@ type Channel interface {
 	// that never calls it hears every edge. A MAC that ignores edges in some
 	// of its states turns them off there to save the calls.
 	SetCarrierNotify(on bool)
+	// SetOverhear turns on or off the delivery of decoded frames addressed
+	// to other nodes, which the MAC reads in promiscuous mode. Off by
+	// default.
+	SetOverhear(on bool)
 }

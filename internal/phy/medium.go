@@ -88,6 +88,10 @@ type radio struct {
 	// Signal starts and ends leave busy alone while it is set, and
 	// unmuting resynchronizes it, so it is exact only while unmuted.
 	mute bool
+	// overhear hands up decoded frames addressed to other nodes too
+	// (SetOverhear); without it signalEnd judges and delivers only the
+	// frames addressed to this node or broadcast.
+	overhear bool
 	// epoch stamps the arrivals counted in sumMw/nActive; reset bumps it, so
 	// the end of a signal the radio forgot at a disable subtracts nothing.
 	epoch   uint32
@@ -124,6 +128,9 @@ func (r *radio) SetCarrierNotify(on bool) {
 	}
 	r.mute = !on
 }
+
+// SetOverhear implements Channel.
+func (r *radio) SetOverhear(on bool) { r.overhear = on }
 
 func (r *radio) TxDuration(f *Frame) float64 { return f.AirTime() }
 
@@ -164,6 +171,14 @@ func (r *radio) reset() {
 // position call each. The clock and the carrier-sense threshold are read
 // once.
 //
+// The sender enters the far field (txStart) only after its arrivals have
+// begun. Every receiver lies within the far field's inner radius of it
+// (cellnoise.go), so its cell adds no term to what they hear, and entering
+// it first would only defeat the one-read zero test for every lock the loop
+// asks about. A handler that transmitted from inside a signal start would
+// miss the sender in its own receivers' far sums; the DCF never does, as a
+// carrier edge there only stops its countdown.
+//
 //pqlint:noalloc
 func (r *radio) Transmit(f *Frame) {
 	if !r.enabled {
@@ -182,8 +197,6 @@ func (r *radio) Transmit(f *Frame) {
 	r.carrierAt(now, cs)
 
 	srcPos := m.world.pos(r.id)
-	m.txStart(r.id, srcPos)
-
 	cands := m.world.candidates(r.id, m.candRange)
 	pts := m.world.src.Positions(cands, now, m.candPos[:0])
 	m.candPos = pts
@@ -202,14 +215,14 @@ func (r *radio) Transmit(f *Frame) {
 		}
 		tx.arrivals = append(tx.arrivals, arrival{powerMw: p, rx: m.radios[dst]}) //pqlint:allow noalloc(a pooled record's slice grows to the receivers-per-frame high-water mark)
 	}
-	if tx == nil {
-		return
+	if tx != nil {
+		for i := range tx.arrivals {
+			a := &tx.arrivals[i]
+			a.rx.signalBegin(tx, a, now, cs)
+		}
+		m.engine.At(end, tx.endFn)
 	}
-	for i := range tx.arrivals {
-		a := &tx.arrivals[i]
-		a.rx.signalBegin(tx, a, now, cs)
-	}
-	m.engine.At(end, tx.endFn)
+	m.txStart(r.id, srcPos)
 }
 
 func (r *radio) txDone() {
@@ -250,7 +263,10 @@ func (r *radio) signalBegin(t *transmission, a *arrival, now, cs float64) {
 }
 
 // signalEnd takes a out of r, at time now against carrier-sense threshold
-// cs, and delivers t's frame if r was decoding it cleanly.
+// cs, and delivers t's frame if r was decoding it cleanly and wants it: the
+// frame is addressed to r or broadcast, or r overhears. The lock on a frame r
+// does not want just ends, unjudged: no far-field re-sample, no Corrupted
+// count, no upcall, which the MAC would have discarded.
 //
 //pqlint:noalloc
 func (r *radio) signalEnd(t *transmission, a *arrival, now, cs float64) {
@@ -262,15 +278,16 @@ func (r *radio) signalEnd(t *transmission, a *arrival, now, cs float64) {
 		}
 	}
 	if r.locked == t {
-		m := r.medium
-		delivered := !r.corrupted && now >= r.txUntil && m.survives(r)
-		if !delivered {
-			m.Corrupted++
-		}
+		corrupted := r.corrupted
 		r.locked = nil
 		r.corrupted = false
-		if delivered && r.handler != nil && r.enabled {
-			r.handler.FrameReceived(t.frame)
+		if f := t.frame; f.Dst == r.id || f.Dst == Broadcast || r.overhear {
+			m := r.medium
+			if corrupted || now < r.txUntil || !m.survives(r) {
+				m.Corrupted++
+			} else if r.handler != nil && r.enabled {
+				r.handler.FrameReceived(f)
+			}
 		}
 	}
 	// The handler can unmute r above (a DCF that queues a frame from

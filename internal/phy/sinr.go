@@ -45,8 +45,9 @@ type SINRMedium struct {
 	candPos []geom.Point
 
 	// Corrupted counts receptions aborted by interference, collision or
-	// the receiver's own transmission — an observability hook for
-	// MAC-level loss studies.
+	// the receiver's own transmission, among the frames the radio would
+	// hand up (addressed to it, broadcast, or overheard): a frame for
+	// another node ends unjudged. Read by tests only.
 	Corrupted uint64
 }
 
