@@ -229,6 +229,42 @@ func BenchmarkDCFUnicastHop(b *testing.B) {
 	}
 }
 
+// BenchmarkNewStream makes one engine stream and takes its first 32
+// draws, the back-off draws of a DCF's first frames: what every node's
+// stream costs at set-up and first contention. sim.NewRand computes a
+// stream's first 607 draws from its seed, so this holds no register.
+func BenchmarkNewStream(b *testing.B) {
+	e := sim.NewEngine(1)
+	b.ReportAllocs()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		r := e.NewStream()
+		for j := 0; j < 32; j++ {
+			sum += r.Intn(32)
+		}
+	}
+	drawSink = sum
+}
+
+// BenchmarkStreamDraw takes one Int63 from a stream past its 608th draw,
+// which runs math/rand's recurrence on the register the stream built.
+func BenchmarkStreamDraw(b *testing.B) {
+	r := sim.NewRand(1)
+	for i := 0; i < 1000; i++ {
+		r.Int63()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum int64
+	for i := 0; i < b.N; i++ {
+		sum += r.Int63()
+	}
+	drawSink = int(sum)
+}
+
+// drawSink keeps the stream benchmarks' draws live.
+var drawSink int
+
 // BenchmarkIdealUnicastHop measures one acknowledged unicast on the ideal
 // stack — SendOneHop, the MAC's delivery event, MACSendDone — at two network
 // sizes. A hop touches the sender, the destination and the promiscuous

@@ -3,13 +3,13 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"probquorum/internal/analysis"
 	"probquorum/internal/geom"
 	"probquorum/internal/graph"
 	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
+	"probquorum/internal/sim"
 	"probquorum/internal/stack"
 )
 
@@ -143,7 +143,7 @@ func Fig6() Table {
 // visited, for PATH and UNIQUE-PATH, across network sizes (a,c,d) and
 // densities (b).
 func Fig4(p Profile, seed int64) []Table {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	measure := func(n int, davg float64, kind graph.WalkKind, target int) float64 {
 		side := geom.AreaSide(n, 200, davg)
 		total, count := 0, 0
@@ -321,7 +321,7 @@ func Fig7() []Table {
 // UNIQUE-PATH on one network size.
 func Fig4Series(p Profile, seed int64) []Table {
 	n := p.BigN
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	side := geom.AreaSide(n, 200, 10)
 	var g *graph.Graph
 	for {
@@ -357,7 +357,7 @@ func Fig4Series(p Profile, seed int64) []Table {
 // steps before two simple random walks first share a visited node, against
 // the paper's Ω(n/log n) threshold-radius lower bound.
 func CrossingTime(p Profile, seed int64) []Table {
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	t := Table{
 		Title:  "Theorem 5.5 — empirical crossing time of two simple random walks (d_avg=10)",
 		Header: []string{"n", "measured steps", "n/ln n (bound scale)", "steps/n"},

@@ -107,6 +107,21 @@ func TestLazyPickAllocs(t *testing.T) {
 	}
 }
 
+// TestLazyRedrawAllocFree pins the lazy view draw: re-drawing a warmed view
+// after a generation bump allocates nothing. The service's one view stream is
+// re-seeded in O(1) for the draw, and the view and scratch slices are reused.
+func TestLazyRedrawAllocFree(t *testing.T) {
+	s := lazyService(17, 400, 40)
+	s.View(3) // materialize + warm scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		s.RefreshAll()
+		s.View(3)
+	})
+	if allocs != 0 {
+		t.Fatalf("re-drawing a lazy view allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestDeadRefreshSkips is the satellite regression: every refresh path
 // releases a dead id's view without drawing, and counts the skip. The
 // no-draw property is checked by comparing against a twin service that

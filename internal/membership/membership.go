@@ -79,7 +79,9 @@ type Service struct {
 	// Lazy-mode state (Config.Lazy): lazySeed keys all on-demand draws,
 	// curGen advances on RefreshAll, bootEpoch[id] advances when id alone
 	// re-bootstraps (join/reboot), and viewGen/viewEpoch tag which
-	// (generation, epoch) each cached view slice was drawn under.
+	// (generation, epoch) each cached view slice was drawn under. viewRng
+	// is re-seeded for every draw, so a draw allocates nothing.
+	viewRng   *rand.Rand
 	lazySeed  uint64
 	curGen    uint64
 	bootEpoch []uint64
@@ -110,6 +112,7 @@ func New(net *netstack.Network, cfg Config) *Service {
 		// lazy mode; eager runs never reach this line, so their stream
 		// usage — and every recorded result — is untouched.
 		s.lazySeed = s.rng.Uint64()
+		s.viewRng = sim.NewRand(0)
 		s.curGen = 1
 		s.bootEpoch = make([]uint64, net.N())
 		s.viewGen = make([]uint64, net.N())
@@ -212,7 +215,8 @@ func (s *Service) ensureView(id int) []int {
 	if s.views[id] != nil && s.viewGen[id] == s.curGen && s.viewEpoch[id] == s.bootEpoch[id] {
 		return s.views[id]
 	}
-	rng := rand.New(rand.NewSource(int64(mix64(s.lazySeed, uint64(id), s.curGen, s.bootEpoch[id]))))
+	rng := s.viewRng
+	rng.Seed(int64(mix64(s.lazySeed, uint64(id), s.curGen, s.bootEpoch[id])))
 	// Same uniform without-replacement draw as sampleDistinct, staged
 	// through the reused scratch so materialization doesn't allocate the
 	// O(n) candidate slice eager refreshes pay per node.

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"probquorum/internal/geom"
+	"probquorum/internal/sim"
 )
 
 // Model yields node positions over time.
@@ -108,7 +109,7 @@ func NewWaypoint(rng *rand.Rand, n int, cfg WaypointConfig, start []geom.Point) 
 		legs: make([]leg, n),
 	}
 	for i := 0; i < n; i++ {
-		w.rngs[i] = rand.New(rand.NewSource(rng.Int63()))
+		w.rngs[i] = sim.NewRand(rng.Int63())
 		w.legs[i] = w.nextLeg(i, start[i], 0)
 	}
 	return w
