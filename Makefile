@@ -9,14 +9,13 @@
 #               seconds);
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. quick-check — `pqexp all` reproduces the data lines of the recorded
-#               results_quick.txt byte for byte;
-#   5. spot-check — the same for the SINR/DCF/AODV pqsim runs recorded in
-#               results_sinr_spot.txt, which quick-check's ideal stack misses;
-#   6. load-smoke, adapt-smoke — two of the three tiers (an invariant
+#               results_quick.txt byte for byte, the spot figure's
+#               SINR/DCF/AODV runs included;
+#   5. load-smoke, adapt-smoke — two of the three tiers (an invariant
 #               violation is fatal in all of them), their tables diffed
 #               against the recorded results_tiers.txt;
-#   7. vet    — the standard toolchain's analyzers;
-#   8. race   — the short test set under the race detector, which enforces
+#   6. vet    — the standard toolchain's analyzers;
+#   7. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
@@ -26,7 +25,7 @@
 
 GO ?= go
 
-.PHONY: build test check lint inline-check loc reach ab bench bench-digest bench-digests quick quick-check spot spot-runs spot-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
+.PHONY: build test check lint inline-check loc reach ab bench bench-digest bench-digests quick quick-check tiers chaos mega-smoke load-smoke adapt-smoke giga-smoke
 
 build:
 	$(GO) build ./...
@@ -34,7 +33,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint inline-check chaos quick-check spot-check load-smoke adapt-smoke
+check: build lint inline-check chaos quick-check load-smoke adapt-smoke
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -78,13 +77,13 @@ loc:
 	done
 	@printf '%7d total (without bench)\n' $$(find . $(LOC_FIND) -not -path './bench/*' -exec cat {} + | wc -l)
 
-# reach lists the functions that no figure, tier, spot run, example or
-# benchmark workload executes: the coverage run a simplicity PR starts from.
-# It builds pqexp, pqsim, bench and the five examples with coverage over the
-# whole module into a temporary directory, runs the examples, all four
-# bench/ workloads (untraced and traced), `pqexp -short mega|load|adapt`,
-# SPOT_RUNS but its n=400 AODV line (the n=200 line runs the same mix) and
-# `pqexp all`, and prints the functions left at 0.0 %, leaving out the
+# reach lists the functions that no figure, tier, example or benchmark
+# workload executes: the coverage run a simplicity PR starts from. It builds
+# pqexp, pqsim, bench and the five examples with coverage over the whole
+# module into a temporary directory, runs the examples, all four bench/
+# workloads (untraced and traced), `pqexp -short mega|load|adapt`, pqsim once
+# with its default flags (the spot figure runs the same scenarios in-process)
+# and `pqexp all`, and prints the functions left at 0.0 %, leaving out the
 # tooling that none of those runs is meant to reach (internal/lint,
 # cmd/pqlint, cmd/ab, cmd/benchjson) and bench/. It writes no tracked file
 # and is no part of check: it takes about 22 minutes on two cores.
@@ -100,9 +99,7 @@ reach:
 	for e in $(REACH_EXAMPLES); do "$$d/$$e" > /dev/null || exit 1; done && \
 	for w in $(BENCH_WORKLOADS); do "$$d/bench" -workload $$w > /dev/null || exit 1; done && \
 	for t in mega load adapt; do "$$d/pqexp" -short $$t > /dev/null || exit 1; done && \
-	for a in $(SPOT_RUNS); do \
-		[ "$$a" = "-stack sinr -n 400" ] || "$$d/pqsim" -seeds 2 $$a > /dev/null || exit 1; \
-	done && \
+	"$$d/pqsim" > /dev/null && \
 	"$$d/pqexp" all > /dev/null && \
 	$(GO) tool covdata func -i "$$d/cov" | awk '$$NF == "0.0%"' | { grep -Ev '$(REACH_SKIP)' || true; }
 
@@ -149,18 +146,25 @@ bench:
 # that only makes the host faster must leave all four digests equal to the
 # committed BENCH_DIGESTS.txt (seed 1, -seconds 10: the benchmark's own
 # defaults); a change that deliberately alters simulated behaviour re-records
-# the file in the same commit with `make -s bench-digests > BENCH_DIGESTS.txt`
-# and says why. Takes about three minutes (one untraced and one traced run
-# per workload).
+# the file in the same commit with `make bench-digests` and says why. Takes
+# about three minutes (one traced run per workload).
 BENCH_WORKLOADS = paper-sinr-aodv ideal-walk-read ideal-routed-mixed scale-sinr-churn
 
-bench-digests:
-	@for w in $(BENCH_WORKLOADS); do \
-		echo "$$w $$($(GO) run ./bench -workload $$w -trace 1 -json | sed -n 's/.*"sim.digest":{"value":\([0-9]*\).*/\1/p')"; \
+# BENCH_DIGEST_LINES prints a "<workload> <sim.digest>" line per workload and
+# exits nonzero on a failed run or a run that printed no digest.
+BENCH_DIGEST_LINES = for w in $(BENCH_WORKLOADS); do \
+		j=$$($(GO) run ./bench -workload $$w -trace 1 -json) || exit 1; \
+		v=$$(echo "$$j" | sed -n 's/.*"sim.digest":{"value":\([0-9]*\).*/\1/p'); \
+		[ -n "$$v" ] || { echo "bench-digests: $$w printed no sim.digest" >&2; exit 1; }; \
+		echo "$$w $$v"; \
 	done
 
+bench-digests:
+	@( $(BENCH_DIGEST_LINES) ) > bench-digests.out && mv bench-digests.out BENCH_DIGESTS.txt || \
+		{ rm -f bench-digests.out; exit 1; }
+
 bench-digest:
-	@$(MAKE) -s bench-digests | diff BENCH_DIGESTS.txt - || \
+	@out=$$( $(BENCH_DIGEST_LINES) ) || exit 1; echo "$$out" | diff BENCH_DIGESTS.txt - || \
 		{ echo "bench-digest: sim.digest differs from BENCH_DIGESTS.txt (<: committed, >: this tree): the change is not host-side only"; exit 1; }
 
 # mega-smoke runs the 10k-node scale scenario (DESIGN.md §12) on a
@@ -198,10 +202,13 @@ MEGA_ROWS = awk '/^(wall clock|allocs|peak heap) |^Benchmark| wall clock, / { ne
 # apart by their node count. results_quick.txt covers `pqexp all` only; this
 # file is the same gate for the four tiers CI smoke-runs. A refactor must pass
 # it untouched; a change that means to move a tier table re-records the file
-# with `make tiers` in the same commit and says which rows and why.
+# with `make tiers` in the same commit and says which rows and why. Each run
+# goes to tiers.run before it is filtered, so a failed run fails the target,
+# and the file is replaced only when all four succeeded.
 tiers:
-	@{ for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t; done | grep -v '^# .* wall clock'; \
-		for n in 10000 25000; do $(GO) run ./cmd/pqexp -short -n $$n mega | $(MEGA_ROWS); done; } > results_tiers.txt
+	@( for t in load adapt; do $(GO) run ./cmd/pqexp -short $$t > tiers.run || exit 1; grep -v '^# .* wall clock' tiers.run; done; \
+		for n in 10000 25000; do $(GO) run ./cmd/pqexp -short -n $$n mega > tiers.run || exit 1; $(MEGA_ROWS) tiers.run; done ) > tiers.out && \
+		mv tiers.out results_tiers.txt; s=$$?; rm -f tiers.run tiers.out; exit $$s
 
 # mega-smoke runs `pqexp -short -n $(1) mega` into mega$(1).out — a
 # violation, a leaked op or a crash exits nonzero, which fails the target with
@@ -243,9 +250,10 @@ adapt-smoke:
 	$(call tier-smoke,adapt)
 
 # quick regenerates the recorded quick-profile results (with per-figure
-# wall clock and effective parallelism).
+# wall clock and effective parallelism), replacing the file only when the run
+# succeeded.
 quick:
-	$(GO) run ./cmd/pqexp all > results_quick.txt
+	@$(GO) run ./cmd/pqexp all > quick.out && mv quick.out results_quick.txt || { rm -f quick.out; exit 1; }
 
 # quick-check gates "the recorded numbers stay put": it regenerates the
 # quick-profile figures (under a minute on two cores) and diffs
@@ -256,30 +264,3 @@ quick:
 quick-check:
 	@$(GO) run ./cmd/pqexp all | diff -I '^# .* wall clock' results_quick.txt - || \
 		{ echo "quick-check: pqexp all differs from results_quick.txt (<: recorded, >: this tree)"; exit 1; }
-
-# spot records results_sinr_spot.txt, the gate for what quick-check's ideal
-# stack never runs: the SINR radio, DCF, AODV, mobility, local repair with
-# overhearing, RANDOM-OPT, and RANDOM advertise at n=400 over AODV and over
-# the oracle router, one `pqsim -seeds 2` run per line of SPOT_RUNS, each
-# under a header naming its command (about 15 s on two cores, 8 s of it the
-# n=400 AODV run). spot-check diffs a fresh run against the file; a change
-# that means to move a spot re-records it with `make spot` and says which
-# and why.
-SPOT_RUNS = '-stack sinr -n 100' '-stack sinr -n 100 -speed 2' '-stack sinr -n 200' \
-	'-stack sinr -n 100 -oracle' \
-	'-stack sinr -n 100 -speed 5 -repair -overhear' \
-	'-stack sinr -n 100 -adv random-opt -lookup random-opt' \
-	'-stack sinr -n 400' '-stack sinr -n 400 -oracle'
-
-spot-runs:
-	@$(GO) build -o pqsim.spot ./cmd/pqsim
-	@for a in $(SPOT_RUNS); do \
-		echo "== pqsim -seeds 2 $$a =="; ./pqsim.spot -seeds 2 $$a || { rm -f pqsim.spot; exit 1; }; \
-	done; rm -f pqsim.spot
-
-spot:
-	@$(MAKE) -s spot-runs > spot.out && mv spot.out results_sinr_spot.txt || { rm -f spot.out; exit 1; }
-
-spot-check:
-	@$(MAKE) -s spot-runs | diff results_sinr_spot.txt - || \
-		{ echo "spot-check: pqsim differs from results_sinr_spot.txt (<: recorded, >: this tree)"; exit 1; }

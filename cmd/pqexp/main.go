@@ -9,8 +9,9 @@
 //
 // The figures table below is the whole catalogue: the paper's Fig. 3–16,
 // tau (Lemma 5.6), fig4series, crt (Theorem 5.5), decay (§6.1 continuous
-// churn) and chaos (fault injection under invariant checkers) make up
-// "all"; run with no argument to list every name.
+// churn), chaos (fault injection under invariant checkers) and spot (the
+// paper's SINR/DCF/AODV stack, experiment.SpotRuns) make up "all"; run with
+// no argument to list every name.
 //
 // Three tiers are deliberately not part of "all". They share one contract
 // (experiment.TierConfig in; tables, the lines that follow them and an error
@@ -31,7 +32,8 @@
 //
 // By default it runs the quick profile (ideal link layer, scaled-down
 // sweep). Pass -full for the paper-scale configuration on the SINR stack
-// (slow: hours), or tune -stack/-seeds/-bign individually.
+// (slow: hours), or tune -stack/-seeds/-bign individually. The analytic
+// figures and spot, whose rows are fixed pqsim runs, take none of these.
 //
 // Simulation-backed figures fan their independent (point, seed) runs out
 // on a worker pool; -parallel sizes it (default: all cores). Results are
@@ -121,6 +123,10 @@ var figures = []figure{
 	{"crt", "crossing", true, sweep(experiment.CrossingTime)},
 	{"decay", "churn", true, sweep(experiment.FigDecay)},
 	{"chaos", "faults", true, sweep(experiment.FigChaos)},
+	{"spot", "", true, func(o options) ([]experiment.Table, []string, error) {
+		tables, err := experiment.FigSpot(o.profile.Parallel)
+		return tables, nil, err
+	}},
 	{"mega", "", false, tier(experiment.Mega, 0.15)},
 	{"load", "", false, tier(experiment.Load, 0.2)},
 	{"adapt", "", false, tier(experiment.Adapt, 0.2)},

@@ -17,7 +17,7 @@ func TestFigureTableCoversOldDispatch(t *testing.T) {
 		"fig10": "", "fig11": "", "fig12": "", "fig13": "", "fig14": "", "fig15": "", "fig16": "",
 		"tau": "", "lemma56": "tau", "fig4series": "", "crt": "", "crossing": "crt",
 		"decay": "", "churn": "decay", "chaos": "", "faults": "chaos",
-		"mega": "", "load": "", "adapt": "",
+		"spot": "", "mega": "", "load": "", "adapt": "",
 	}
 	for name, canonical := range aliasOf {
 		if canonical == "" {
@@ -41,7 +41,7 @@ func TestFigureTableCoversOldDispatch(t *testing.T) {
 		}
 	}
 	want := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tau", "fig4series", "crt", "decay", "chaos"}
+		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tau", "fig4series", "crt", "decay", "chaos", "spot"}
 	if !reflect.DeepEqual(all, want) {
 		t.Errorf("`all` runs %v\nwant      %v", all, want)
 	}
