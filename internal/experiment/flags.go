@@ -38,6 +38,11 @@ func ParseFlags(args []string) (Point, error) {
 	if err := fs.Parse(args); err != nil {
 		return Point{}, err
 	}
+	// The flag package stops at the first argument that is not a flag; what
+	// follows it would be dropped without a word.
+	if fs.NArg() > 0 {
+		return Point{}, fmt.Errorf("unexpected argument %q: a scenario takes flags only", fs.Arg(0))
+	}
 	for _, f := range []struct {
 		name   string
 		v, min int

@@ -32,3 +32,21 @@ func TestRandomAdvertisePlacesOverAODV(t *testing.T) {
 		t.Fatalf("%d invariant breaches", r.Violations)
 	}
 }
+
+// TestParseFlagsRejectsArguments: an argument that is not a flag is an
+// error. The flag package stops at it, so `-lookups 10 extra -n 7` used to
+// run n=100 — every flag after the stray word was ignored — and exit 0.
+func TestParseFlagsRejectsArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"-stack", "ideal", "-lookups", "10", "-ads", "5", "extra", "-n", "7"},
+		{"extra"},
+		{"-n", "7", "extra"},
+	} {
+		if _, err := ParseFlags(args); err == nil || !strings.Contains(err.Error(), `"extra"`) {
+			t.Errorf("ParseFlags(%q): err = %v, want the stray argument named", args, err)
+		}
+	}
+	if _, err := ParseFlags([]string{"-stack", "ideal", "-n", "7"}); err != nil {
+		t.Fatalf("flags alone: %v", err)
+	}
+}
