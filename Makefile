@@ -5,8 +5,8 @@
 #   1. build  — the whole tree compiles;
 #   2. lint   — pqlint's determinism invariants (fast, fails early);
 #      inline-check — the compiler still inlines the radio's per-arrival
-#               helpers and a random stream's per-entry seeding (a few
-#               seconds);
+#               helpers, a random stream's per-entry seeding and the
+#               engine's event order (a few seconds);
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte, the spot figure's
@@ -52,11 +52,12 @@ lint:
 # line for each of INLINE_MUST (the last field of the line, matched exactly).
 # The first four serve the SINR medium's per-arrival walks; sim's entry is
 # what a random stream's first 607 draws cost, and (*source).step what each
-# later draw costs (sim/rand.go). An inlining lost
+# later draw costs (sim/rand.go); precedes is the event order that the heap's
+# sifts and the run loop's merge of lanes compare with. An inlining lost
 # to a small edit costs speed and changes no output, so no other gate
 # notices: a mute test inside carrierAt took it past the inliner's budget once.
 INLINE_PKGS = ./internal/phy ./internal/geom ./internal/sim
-INLINE_MUST = '(*radio).carrierAt' '(*radio).busyAt' '(*Derived).ReceivedPowerMw' 'Dist2' 'entry' '(*source).step'
+INLINE_MUST = '(*radio).carrierAt' '(*radio).busyAt' '(*Derived).ReceivedPowerMw' 'Dist2' 'entry' '(*source).step' 'precedes'
 
 inline-check:
 	@out=$$($(GO) build -gcflags=-m $(INLINE_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \

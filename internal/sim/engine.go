@@ -36,6 +36,28 @@
 // Ticker encapsulate this discipline; prefer them for cancellable or
 // repeating deadlines.
 //
+// # Lanes
+//
+// A Lane (Engine.NewLane) is a FIFO of events that each fire one fixed
+// delay after they were scheduled. Lane.Schedule(fn) fires fn exactly when
+// Engine.Schedule(delay, fn) would, with the same place among same-time
+// events, but it skips the heap: an entry is appended to the lane's slice
+// and taken from its front. A caller may use a lane for events whose delay
+// is a constant of the lane and that are never cancelled — Lane.Schedule
+// returns no handle. The ideal MAC's unicast flights are such events: a
+// flight's delay is a function of its frame's size alone.
+//
+// The order is exact because each lane is sorted by construction. An entry
+// takes its sequence number from the engine's one counter, and its time is
+// now + delay. The clock never goes back and IEEE addition of a fixed delay
+// is monotone, so a later entry's (time, seq) key is never smaller than an
+// earlier one's. The run loop (Run, RunAll) fires the least of the heap top
+// and the lane heads under the heap's own (time, seq) order, which is
+// therefore the event a single heap holding everything would pop next:
+// Processed() and the firing sequence are what they would be without lanes,
+// and QueueLen() counts lane entries. Each step scans every lane, so an
+// engine keeps few of them (the ideal MAC caps its lanes at four).
+//
 // Times are absolute seconds. A NaN time panics, since it would poison the
 // clock; +Inf is legal and means "never".
 package sim
@@ -78,11 +100,16 @@ func (e *Event) Cancel() {
 type eventHeap []*Event
 
 // before is the order: earlier time first, FIFO among equal times.
-func (a *Event) before(b *Event) bool {
-	if a.time != b.time {
-		return a.time < b.time
+func (a *Event) before(b *Event) bool { return precedes(a.time, a.seq, b.time, b.seq) }
+
+// precedes is the engine's one order on (time, seq) keys, which the heap's
+// sifts and the run loop's merge of lanes share: earlier time first, FIFO
+// among equal times.
+func precedes(at float64, as uint64, bt float64, bs uint64) bool {
+	if at != bt {
+		return at < bt
 	}
-	return a.seq < b.seq
+	return as < bs
 }
 
 // up sifts element j toward the root; like down, it shifts the displaced
@@ -171,6 +198,9 @@ type Engine struct {
 	now   float64
 	seq   uint64
 	queue eventHeap
+	// lanes are the engine's fixed-delay FIFOs (NewLane), merged with the
+	// heap by the run loop.
+	lanes []*Lane
 	rng   *rand.Rand
 	// processed counts events executed so far.
 	processed uint64
@@ -288,8 +318,12 @@ func (e *Engine) clamp(t float64) float64 {
 // the number of events executed during this call.
 func (e *Engine) Run(until float64) uint64 {
 	start := e.processed
-	for len(e.queue) > 0 && e.queue[0].time <= until {
-		e.step()
+	for {
+		l, t, ok := e.next()
+		if !ok || !(t <= until) {
+			break
+		}
+		e.fire(l)
 	}
 	if e.now < until {
 		e.now = until
@@ -300,25 +334,67 @@ func (e *Engine) Run(until float64) uint64 {
 // RunAll executes events until the queue is empty. It is intended for tests
 // and analytic drivers; simulations with periodic timers never drain.
 func (e *Engine) RunAll(maxEvents uint64) error {
-	for n := uint64(1); len(e.queue) > 0; n++ {
-		e.step()
+	for n := uint64(1); ; n++ {
+		l, _, ok := e.next()
+		if !ok {
+			return nil
+		}
+		e.fire(l)
 		if n >= maxEvents {
 			return fmt.Errorf("sim: RunAll exceeded %d events", maxEvents)
 		}
 	}
-	return nil
 }
 
-// step pops the earliest event, runs it and recycles it.
-func (e *Engine) step() {
-	ev := e.queue.pop()
-	e.now = ev.time
-	ev.fn()
+// next finds the earliest queued event under the heap's order: it returns
+// that event's time and the lane whose head it is, or a nil lane for the
+// heap's top. ok is false when nothing is queued.
+//
+//pqlint:noalloc
+func (e *Engine) next() (lane *Lane, t float64, ok bool) {
+	var seq uint64
+	if len(e.queue) > 0 {
+		top := e.queue[0]
+		t, seq, ok = top.time, top.seq, true
+	}
+	for _, l := range e.lanes {
+		if l.head == len(l.q) {
+			continue
+		}
+		h := &l.q[l.head]
+		if !ok || precedes(h.time, h.seq, t, seq) {
+			lane, t, seq, ok = l, h.time, h.seq, true
+		}
+	}
+	return lane, t, ok
+}
+
+// fire runs the event next found: lane's head, or the heap's top when lane
+// is nil. The event leaves its queue before its callback runs, so the
+// callback may schedule on the same lane.
+func (e *Engine) fire(lane *Lane) {
+	if lane == nil {
+		ev := e.queue.pop()
+		e.now = ev.time
+		ev.fn()
+		e.processed++
+		e.release(ev)
+		return
+	}
+	t, fn := lane.pop()
+	e.now = t
+	fn()
 	e.processed++
-	e.release(ev)
 }
 
-// QueueLen returns the number of queued events; every one of them will fire
-// unless it is cancelled first, since a cancelled event leaves the queue at
-// once. The benchmark samples it as the heap depth.
-func (e *Engine) QueueLen() int { return len(e.queue) }
+// QueueLen returns the number of queued events, lane entries included;
+// every one of them will fire unless it is cancelled first, since a
+// cancelled event leaves the queue at once. The benchmark samples it as the
+// heap depth.
+func (e *Engine) QueueLen() int {
+	n := len(e.queue)
+	for _, l := range e.lanes {
+		n += len(l.q) - l.head
+	}
+	return n
+}
