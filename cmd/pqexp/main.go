@@ -33,7 +33,9 @@
 // By default it runs the quick profile (ideal link layer, scaled-down
 // sweep). Pass -full for the paper-scale configuration on the SINR stack
 // (slow: hours), or tune -stack/-seeds/-bign individually. The analytic
-// figures and spot, whose rows are fixed pqsim runs, take none of these.
+// figures and spot, whose rows are fixed pqsim runs, take none of these,
+// and Figs. 13 and 14(a–e) run on the SINR stack in every profile, so
+// -stack does not move them.
 //
 // Simulation-backed figures fan their independent (point, seed) runs out
 // on a worker pool; -parallel sizes it (default: all cores). Results are

@@ -20,12 +20,11 @@ import (
 	"probquorum/internal/sim"
 )
 
-// Config holds the one AODV setting a stack varies. The zero value is
-// replaced by DefaultConfig.
+// Config holds AODV's one setting. The zero value is replaced by
+// DefaultConfig.
 type Config struct {
 	// NodeTraversalTime estimates one-hop traversal latency; ring-search
-	// timeouts derive from it (stack.Build raises it with the ideal
-	// stack's hop delay).
+	// timeouts derive from it.
 	NodeTraversalTime float64
 }
 

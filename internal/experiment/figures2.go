@@ -6,6 +6,7 @@ import (
 
 	"probquorum/internal/analysis"
 	"probquorum/internal/membership"
+	"probquorum/internal/netstack"
 	"probquorum/internal/quorum"
 )
 
@@ -218,24 +219,19 @@ func Fig12(p Profile, seed int64) []Table {
 	return []Table{t}
 }
 
-// mobilityHopDelay is the fixed per-hop latency used by the fast-mobility
-// experiments on the ideal stack: ~80 ms of queueing/channel access per
-// hop, so a full walk-and-reply round trip spans enough wall-clock time for
-// links recorded early in the walk to drift out of range at VANET speeds —
-// the effect Fig. 13 isolates. On the SINR stack contention produces this
-// latency and the MAC adds none, but the knob still acts there: stack.Build
-// raises AODV's NodeTraversalTime to twice it on every stack (DESIGN.md §11).
-const mobilityHopDelay = 0.08
-
 // figSpeeds is the fast-mobility sweep's max speeds in m/s.
 var figSpeeds = []float64{2, 5, 10, 20}
 
 // fastMobility is the Fig. 13/14 scenario: RANDOM × UNIQUE-PATH at n=BigN
-// under waypoint mobility up to speed, reply-path local repair as given.
+// under waypoint mobility up to speed, reply-path local repair as given. It
+// runs on the SINR stack in every profile: the reply loss Fig. 13 isolates
+// comes from 802.11 contention stretching a walk-and-reply round trip while
+// links recorded early in the walk drift out of range, and the
+// contention-free ideal MAC has none (DESIGN.md §11).
 func fastMobility(p Profile, seed int64, speed float64, repair bool) Scenario {
 	sc := baseScenario(p, p.BigN, seed)
 	sc.SpeedMax = speed
-	sc.Link.IdealHopDelay = mobilityHopDelay
+	sc.Link.Stack = netstack.StackSINR
 	sc.Quorum = mixConfig(p.BigN, quorum.Random, quorum.UniquePath)
 	sc.Quorum.ReplyLocalRepair = repair
 	return sc

@@ -48,7 +48,7 @@ func ParseFlags(args []string) (Point, error) {
 		v, min int
 	}{
 		{"n", *n, 1}, {"seeds", *nSeeds, 1}, {"adv-size", *advSize, 0}, {"lookup-size", *lkSize, 0},
-		{"ttl", *ttl, 0}, {"ads", *ads, 0}, {"lookups", *lookups, 0},
+		{"ttl", *ttl, 1}, {"ads", *ads, 0}, {"lookups", *lookups, 0},
 	} {
 		if f.v < f.min {
 			return Point{}, fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.v)
@@ -162,7 +162,7 @@ func FlagTables(title string, args [][]string, parallel int) ([]Table, error) {
 // SpotRuns are the spot scenarios, each as the pqsim flags that reproduce its
 // rows: the paper's §8 stack (802.11 DCF over the cumulative-SINR radio,
 // heartbeat neighbor discovery, AODV unless -oracle) that the quick profile's
-// ideal stack never runs, under mobility, local repair with overhearing,
+// ideal-stack figures never run, under mobility, local repair with overhearing,
 // RANDOM-OPT, and RANDOM advertise at n=400 over AODV and over the oracle
 // router. RANDOM × UNIQUE-PATH with default sizes unless the flags say
 // otherwise; two seeds each.

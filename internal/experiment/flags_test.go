@@ -50,3 +50,15 @@ func TestParseFlagsRejectsArguments(t *testing.T) {
 		t.Fatalf("flags alone: %v", err)
 	}
 }
+
+// TestParseFlagsRejectsTTLZero: quorum.Config reads a zero TTL as "use the
+// default 3", so `-ttl 0` used to run TTL-3 floods under a row keyed
+// `-ttl 0`. The flag's minimum is 1, and the error names it.
+func TestParseFlagsRejectsTTLZero(t *testing.T) {
+	if _, err := ParseFlags([]string{"-ttl", "0"}); err == nil || !strings.Contains(err.Error(), "-ttl must be at least 1") {
+		t.Fatalf("ParseFlags(-ttl 0): err = %v, want the -ttl minimum named", err)
+	}
+	if _, err := ParseFlags([]string{"-ttl", "1"}); err != nil {
+		t.Fatalf("-ttl 1: %v", err)
+	}
+}

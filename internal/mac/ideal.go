@@ -45,12 +45,6 @@ type IdealNet struct {
 	// is lost only if all retryLimit attempts fail) and a single-shot
 	// loss for broadcast receptions.
 	LossProb float64
-	// HopDelay adds a fixed per-frame latency (seconds) on top of the
-	// air time, modelling queueing and channel-access delay without
-	// simulating contention. Raising it exposes mobility effects (links
-	// drift while multi-hop operations are in flight), which matters for
-	// reply-path breakage experiments (the paper's Fig. 13).
-	HopDelay float64
 }
 
 // NewIdealNet creates the shared layer for n nodes with transmission range r.
@@ -134,7 +128,7 @@ func (m *IdealMAC) Send(f *phy.Frame) {
 	} else {
 		f.Rate = unicastRate
 	}
-	air := f.AirTime() + difs + in.HopDelay
+	air := f.AirTime() + difs
 	m.pending++
 	fn := in.newFlight(m, f).fn
 	if f.Dst != phy.Broadcast {

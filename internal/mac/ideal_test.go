@@ -239,7 +239,7 @@ func TestIdealLanesMatchHeap(t *testing.T) {
 			pts[i] = geom.Point{X: rng.Float64() * 500, Y: rng.Float64() * 500}
 		}
 		w := &laneWorld{e: e, rng: rng, in: NewIdealNet(e, n, 200, mobility.NewStatic(pts), rand.New(rand.NewSource(3)))}
-		w.in.LossProb, w.in.HopDelay = 0.2, 0.001
+		w.in.LossProb = 0.2
 		if allHeap {
 			for i := 0; i < maxLanes; i++ {
 				w.in.lanes = append(w.in.lanes, e.NewLane(1e6+float64(i)))

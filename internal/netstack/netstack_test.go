@@ -418,29 +418,6 @@ func TestPacketClone(t *testing.T) {
 	}
 }
 
-func TestIdealHopDelay(t *testing.T) {
-	// Delivery latency grows by the configured per-hop delay.
-	e := sim.NewEngine(1)
-	net := New(e, Config{
-		N: 2, Side: 400, Mobility: mobility.NewStatic([]geom.Point{{X: 0, Y: 0}, {X: 100, Y: 0}}),
-		Stack: StackIdeal, IdealHopDelay: 0.5,
-	})
-	var when float64 = -1
-	s := &sink{}
-	net.Node(1).Register(testProto, s)
-	e.Schedule(0, func() {
-		net.Node(0).SendOneHop(1, &Packet{Proto: testProto, Src: 0, Dst: 1, Bytes: 512},
-			func(bool) { when = e.Now() })
-	})
-	e.Run(5)
-	if len(s.pkts) != 1 {
-		t.Fatal("packet lost")
-	}
-	if when < 0.5 {
-		t.Fatalf("delivery at %v, want >= configured 0.5s hop delay", when)
-	}
-}
-
 // TestParseStack: every kind round-trips through its name in any case, and
 // an unknown name is an error that lists the valid ones.
 func TestParseStack(t *testing.T) {

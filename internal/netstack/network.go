@@ -89,11 +89,6 @@ type Config struct {
 	// environment of gossip-routing studies — and is counted under
 	// CtrLossDrops.
 	RxLossProb float64
-	// IdealHopDelay adds fixed per-hop latency on the ideal stack
-	// (models queueing/channel access without contention). The SINR stack
-	// adds none, but stack.Build raises AODV's traversal time from it on
-	// either stack.
-	IdealHopDelay float64
 	// CellNoise selects the cell-aggregated far-field interference model
 	// — the approximate scale-out mode for very large n (see
 	// phy.SINRConfig.CellNoise). SINR stack only; ignored by the ideal
@@ -247,7 +242,6 @@ func New(engine *sim.Engine, cfg Config) *Network {
 	case StackIdeal:
 		in := mac.NewIdealNet(engine, cfg.N, Range, net.mob, engine.NewStream())
 		in.LossProb = cfg.LossProb
-		in.HopDelay = cfg.IdealHopDelay
 		net.ideal = in
 		for i := 0; i < cfg.N; i++ {
 			net.nodes[i] = newNode(net, i, in.MAC(i))

@@ -57,7 +57,7 @@ const (
 	// LatHop accumulates per-transmission MAC latency: the time from
 	// handing a unicast frame to the MAC until its send-done upcall (ACK
 	// or retry exhaustion). On the SINR stack this surfaces
-	// contention; on the ideal stack it reflects the configured hop delay.
+	// contention; on the ideal stack it is the frame's air time plus DIFS.
 	LatHop Latency = iota
 	// LatOp accumulates end-to-end quorum operation latency: the time
 	// from an operation being issued (by the open-loop workload engine)

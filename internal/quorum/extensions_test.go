@@ -61,28 +61,16 @@ func TestExpandingRingCheaperOnEarlyHit(t *testing.T) {
 	}
 }
 
-func TestExpandingRingAdvertise(t *testing.T) {
-	// Ring advertise covers a ball around the origin — an arbitrary
-	// (nonrandom) quorum. By the mix-and-match lemma the *other* side
-	// must then be RANDOM to keep the intersection guarantee.
-	w := newWorld(43, 150, Config{
-		AdvertiseStrategy: ExpandingRing, LookupStrategy: Random,
-		AdvertiseSize: 20, LookupSize: 25,
-		LookupTimeout: 20,
-	})
-	res := w.advertise(10, "k", "v")
-	if res.Placed < 20 {
-		t.Fatalf("expanding-ring advertise placed %d, want ≥ 20", res.Placed)
-	}
-	hits := 0
-	for i := 0; i < 6; i++ {
-		if w.lookup((i*23+50)%150, "k").Hit {
-			hits++
+// TestNewRejectsExpandingRingAdvertise: EXPANDING-RING is a lookup strategy
+// only, so New panics on it as an advertise strategy, like on its other
+// configuration errors, instead of building a system Advertise cannot run.
+func TestNewRejectsExpandingRingAdvertise(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "quorum: EXPANDING-RING is a lookup strategy only" {
+			t.Fatalf("New recovered %v, want its EXPANDING-RING advertise panic", r)
 		}
-	}
-	if hits < 4 {
-		t.Fatalf("only %d/6 RANDOM lookups hit the ring-advertised quorum", hits)
-	}
+	}()
+	newWorld(43, 20, Config{AdvertiseStrategy: ExpandingRing, LookupStrategy: Random})
 }
 
 func TestOverhearingImprovesHitRatio(t *testing.T) {
@@ -114,11 +102,19 @@ func TestNewStrategyStrings(t *testing.T) {
 
 func TestAllMixesSmoke(t *testing.T) {
 	// Every advertise×lookup combination must run without panicking and
-	// produce some hits on a well-provisioned network.
+	// produce some hits on a well-provisioned network, except that New
+	// rejects an EXPANDING-RING advertise.
 	strategies := []Strategy{Random, RandomOpt, Path, UniquePath, Flooding, ExpandingRing}
 	for _, adv := range strategies {
 		for _, lk := range strategies {
 			t.Run(fmt.Sprintf("%v_x_%v", adv, lk), func(t *testing.T) {
+				if adv == ExpandingRing {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("New accepted an EXPANDING-RING advertise")
+						}
+					}()
+				}
 				w := newWorld(49, 80, Config{
 					AdvertiseStrategy: adv, LookupStrategy: lk,
 					AdvertiseSize: 18, LookupSize: 12,

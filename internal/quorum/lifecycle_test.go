@@ -121,8 +121,12 @@ func TestAdvertiseDeadlineDrainsVanishedAccess(t *testing.T) {
 func TestOpMapsDrainUnderReceiverLoss(t *testing.T) {
 	for _, strat := range []Strategy{Random, Path, UniquePath, Flooding, ExpandingRing} {
 		t.Run(strat.String(), func(t *testing.T) {
+			adv := strat
+			if strat == ExpandingRing {
+				adv = Flooding // EXPANDING-RING is a lookup strategy only
+			}
 			w := newWorld(3, 40, Config{
-				AdvertiseStrategy: strat,
+				AdvertiseStrategy: adv,
 				LookupStrategy:    strat,
 				AdvertiseSize:     6,
 				LookupSize:        6,

@@ -62,8 +62,6 @@ func (s *System) Advertise(origin int, key, value string, done func(AdvertiseRes
 		})
 	case Flooding:
 		s.advertiseFlood(origin, op, key, value)
-	case ExpandingRing:
-		s.advertiseExpandingRing(origin, op, key, value)
 	default:
 		panic(fmt.Sprintf("quorum: unknown advertise strategy %v", s.cfg.AdvertiseStrategy))
 	}

@@ -39,9 +39,10 @@ const (
 	UniquePath
 	// Flooding covers the quorum with a TTL-scoped flood (Section 4.4).
 	Flooding
-	// ExpandingRing is Flooding's adaptive implementation (Section 4.4):
-	// successive floods of growing TTL until the quorum is reached (for
-	// lookups: until a hit), robust to unknown densities and topologies.
+	// ExpandingRing is Flooding's adaptive implementation (Section 4.4),
+	// for lookups only: successive floods of growing TTL until a hit,
+	// robust to unknown densities and topologies. New rejects it as an
+	// advertise strategy.
 	ExpandingRing
 )
 
@@ -75,8 +76,9 @@ func (s Strategy) DrawsFromView() bool { return s == Random || s == RandomOpt }
 // walkTTLFactor (walk.go), repairTTL (reply.go) and maxRingTTL (ring.go).
 type Config struct {
 	// AdvertiseStrategy and LookupStrategy pick the biquorum mix. Any
-	// combination is legal; Lemma 5.2 guarantees the intersection bound
-	// whenever at least one side is Random (or RandomOpt).
+	// combination is legal except an ExpandingRing advertise; Lemma 5.2
+	// guarantees the intersection bound whenever at least one side is
+	// Random (or RandomOpt).
 	AdvertiseStrategy, LookupStrategy Strategy
 	// AdvertiseSize and LookupSize are target quorum sizes |Qa| and |Qℓ|
 	// (distinct nodes to cover). For Flooding strategies the TTL fields
@@ -375,6 +377,9 @@ type pendingAdvertise struct {
 // only when neither strategy needs it (pure walk/flood mixes); members may
 // be nil only when no Random/RandomOpt strategy is used.
 func New(net *netstack.Network, routing aodv.Router, members *membership.Service, cfg Config) *System {
+	if cfg.AdvertiseStrategy == ExpandingRing {
+		panic("quorum: EXPANDING-RING is a lookup strategy only")
+	}
 	applyDefaults(&cfg, net.N())
 	s := &System{
 		net:     net,

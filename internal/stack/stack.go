@@ -88,13 +88,7 @@ func Build(sp Spec) *Stack {
 	if sp.OracleRouting {
 		router = aodv.NewOracle(net)
 	} else {
-		acfg := aodv.DefaultConfig()
-		// The ring-search timeouts assume NodeTraversalTime per hop; keep
-		// them consistent with an inflated ideal hop latency.
-		if t := 2 * cfg.IdealHopDelay; t > acfg.NodeTraversalTime {
-			acfg.NodeTraversalTime = t
-		}
-		router = aodv.New(net, acfg)
+		router = aodv.New(net, aodv.DefaultConfig())
 	}
 
 	// membership.Pick returns at most the view, so a quorum drawn from it

@@ -56,7 +56,7 @@ type (
 )
 
 // Access strategies (Section 4 of the paper, plus the expanding-ring variant
-// it describes).
+// it describes, which is a lookup strategy only).
 const (
 	Random        = quorum.Random
 	RandomOpt     = quorum.RandomOpt
