@@ -629,6 +629,9 @@ func TestSequenceNumberFreshness(t *testing.T) {
 	}
 }
 
+// cached is st's duplicate-RREQ cache, oldest first.
+func cached(st *nodeState) []seenAt { return st.seenOrder[st.seenHead:] }
+
 // TestRREQDedupHorizon: a copy of a request inside PATH_DISCOVERY_TIME is
 // still a duplicate (it must not touch the reverse route), and the cache lets
 // go of an entry once a later insert finds it older than that.
@@ -655,14 +658,14 @@ func TestRREQDedupHorizon(t *testing.T) {
 	if hop := st.routes[0].nextHop; hop != 1 {
 		t.Fatalf("a copy inside the horizon was processed: reverse route now via %d, want 1", hop)
 	}
-	if len(st.seen) != 1 {
-		t.Fatalf("cache holds %d entries after one request and its copy, want 1", len(st.seen))
+	if live := cached(st); len(live) != 1 {
+		t.Fatalf("cache holds %v after one request and its copy, want one entry", live)
 	}
 	// Another request after the horizon drains (0, 7) on its way in.
 	e.At(horizon+0.1, func() { copyOf(8, 1) })
 	e.Run(horizon + 1)
-	if _, held := st.seen[rreqKey(0, 7)]; held || len(st.seen) != 1 {
-		t.Fatalf("cache after the horizon: %v, want only (0, 8)", st.seen)
+	if live := cached(st); st.seen(rreqKey(0, 7)) || len(live) != 1 || live[0].key != rreqKey(0, 8) {
+		t.Fatalf("cache after the horizon: %v, want only (0, 8)", live)
 	}
 }
 
@@ -686,23 +689,25 @@ func TestRREQDedupCacheBounded(t *testing.T) {
 		e.At(at, func() {
 			r.Send(src, 5, innerPkt(src, 5), nil)
 			for _, st := range r.nodes {
-				if len(st.seen) > peak {
-					peak = len(st.seen)
+				if live := len(cached(st)); live > peak {
+					peak = live
 				}
 			}
 		})
 	}
 	e.Run(horizonRuns * horizon)
 	for _, st := range r.nodes[:5] {
-		live := st.seenOrder[st.seenHead:]
-		if len(live) != len(st.seen) || len(live) == 0 {
-			t.Fatalf("node %d: %d queued entries for %d cached", st.id, len(live), len(st.seen))
+		live := cached(st)
+		if len(live) == 0 {
+			t.Fatalf("node %d caches no request", st.id)
 		}
 		newest := live[len(live)-1].at
+		keys := map[uint64]bool{}
 		for i, s := range live {
-			if _, ok := st.seen[s.key]; !ok || s.at+horizon < newest || (i > 0 && s.at < live[i-1].at) {
-				t.Fatalf("node %d: entry %d %+v is unknown to the map, out of order, or older than the horizon before the newest (%g)", st.id, i, s, newest)
+			if keys[s.key] || s.at+horizon < newest || (i > 0 && s.at < live[i-1].at) {
+				t.Fatalf("node %d: entry %d %+v is cached twice, out of order, or older than the horizon before the newest (%g)", st.id, i, s, newest)
 			}
+			keys[s.key] = true
 		}
 	}
 	// Every request reaches all five nodes, so a cache that never forgot
@@ -713,11 +718,11 @@ func TestRREQDedupCacheBounded(t *testing.T) {
 
 	r.ResetNode(2)
 	st := r.nodes[2]
-	if len(st.seen) != 0 || len(st.seenOrder) != 0 || st.seenHead != 0 {
-		t.Fatalf("reset node keeps %d cached, %d queued requests (head %d)", len(st.seen), len(st.seenOrder), st.seenHead)
+	if len(st.seenOrder) != 0 || st.seenHead != 0 {
+		t.Fatalf("reset node keeps %d queued requests (head %d)", len(st.seenOrder), st.seenHead)
 	}
 	r.markSeen(st, rreqKey(0, 1))
-	if len(st.seen) != 1 || len(st.seenOrder) != 1 {
+	if len(st.seenOrder) != 1 || !st.seen(rreqKey(0, 1)) {
 		t.Fatal("reset node's cache does not take a new entry")
 	}
 }

@@ -260,7 +260,7 @@ func (r *Routing) handleControl(n *netstack.Node, pkt *netstack.Packet, from int
 
 func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Packet, req *rreqMsg, from int) {
 	key := rreqKey(req.Orig, req.ID)
-	if _, dup := st.seen[key]; dup {
+	if st.seen(key) {
 		return
 	}
 	r.markSeen(st, key)

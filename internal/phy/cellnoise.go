@@ -28,7 +28,7 @@ import (
 // lock, corruption, jamming, and delivery checks. Two guards keep it sound:
 //
 //   - Cells whose nearest point lies within innerRadius (carrier-sense range
-//     plus index-staleness slop for both the world index and this one) are
+//     plus index-staleness slop for both the node index and this one) are
 //     skipped: those transmitters are already exact arrivals at the
 //     receiver, so they must not be double counted. A transmitter falling in
 //     the slop annulus is dropped from both sides — CellNoise slightly
@@ -102,10 +102,10 @@ func newNoiseField(n int, side float64, d Derived, maxSpeed float64) *noiseField
 		txCount: make([]int32, n),
 		cellOf:  make([]int32, n),
 		rows:    make([][]noiseCell, cols),
-		// Both the world index and this one can be up to worldRefreshSecs
+		// Both the node index and this one can be up to indexRefreshSecs
 		// stale, so a transmitter's true distance can differ from the
 		// indexed one by 2·maxSpeed·refresh on each side.
-		innerRadius: d.CarrierSenseRange + 4*maxSpeed*worldRefreshSecs,
+		innerRadius: d.CarrierSenseRange + 4*maxSpeed*indexRefreshSecs,
 		intfRange:   d.InterferenceRange,
 		cell:        side / float64(cols),
 		cols:        cols,

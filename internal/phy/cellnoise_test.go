@@ -337,7 +337,7 @@ func TestSenderOutsideItsReceiversFarField(t *testing.T) {
 				// The population drifts: a transmitter joins or leaves.
 				if len(onAir) < 20 || (len(onAir) < 60 && rng.Intn(2) == 0) {
 					id := rng.Intn(n)
-					f.txStart(id, m.world.pos(id))
+					f.txStart(id, m.index.pos(id))
 					onAir = append(onAir, id)
 				} else {
 					i := rng.Intn(len(onAir))
@@ -350,11 +350,11 @@ func TestSenderOutsideItsReceiversFarField(t *testing.T) {
 					continue
 				}
 				// The receivers Transmit gives an arrival, found as it finds them.
-				srcPos := m.world.pos(src)
+				srcPos := m.index.pos(src)
 				var rx []int
 				var without []float64
-				for _, id := range m.world.candidates(src, m.candRange) {
-					if _, ok := m.signal(geom.Dist(srcPos, m.world.pos(id))); ok && id != src {
+				for _, id := range m.index.Candidates(src, m.candRange) {
+					if _, ok := m.signal(geom.Dist(srcPos, m.index.pos(id))); ok && id != src {
 						rx = append(rx, id)
 						without = append(without, m.FarNoiseMw(id))
 					}
@@ -364,12 +364,12 @@ func TestSenderOutsideItsReceiversFarField(t *testing.T) {
 					with := m.FarNoiseMw(id)
 					if math.Float64bits(with) != math.Float64bits(without[i]) {
 						t.Fatalf("transmission %d: receiver %d at %.3f m from sender %d hears %g far with the sender indexed, %g without",
-							sent, id, geom.Dist(srcPos, m.world.pos(id)), src, with, without[i])
+							sent, id, geom.Dist(srcPos, m.index.pos(id)), src, with, without[i])
 					}
 					if with != 0 {
 						heard++
 					}
-					if geom.Dist(srcPos, m.world.pos(id)) > m.d.CarrierSenseRange {
+					if geom.Dist(srcPos, m.index.pos(id)) > m.d.CarrierSenseRange {
 						slop++
 					}
 				}

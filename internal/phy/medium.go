@@ -79,8 +79,8 @@ func (m *SINRMedium) endTransmission(t *transmission) {
 // the medium allocates all radios as one array (DESIGN.md §9): the first
 // touch of a receiver reads its radio and no separate flag array.
 type radio struct {
-	// enabled is whether the node participates in the medium; this is the
-	// one copy, which the spatial index reads too.
+	// enabled is whether the node participates in the medium, read at
+	// every arrival; the spatial index keeps its own flags for its refresh.
 	enabled   bool
 	busy      bool // last computed carrier state
 	corrupted bool
@@ -196,9 +196,9 @@ func (r *radio) Transmit(f *Frame) {
 	m.engine.At(end, r.txDoneFn)
 	r.carrierAt(now, cs)
 
-	srcPos := m.world.pos(r.id)
-	cands := m.world.candidates(r.id, m.candRange)
-	pts := m.world.src.Positions(cands, now, m.candPos[:0])
+	srcPos := m.index.pos(r.id)
+	cands := m.index.Candidates(r.id, m.candRange)
+	pts := m.index.src.Positions(cands, now, m.candPos[:0])
 	m.candPos = pts
 	var tx *transmission
 	for i, dst := range cands {
