@@ -290,6 +290,38 @@ func BenchmarkIdealUnicastHop(b *testing.B) {
 	}
 }
 
+// BenchmarkIdealBroadcast measures one one-hop broadcast on the ideal stack —
+// BroadcastOneHop, the MAC's delivery to every node in range, MACSendDone —
+// from each node in turn, at two network sizes, on a static field and on a
+// waypoint field at up to 5 m/s, where each broadcast's 10 ms step moves the
+// clock and so rebuilds the sender's neighbour list. The receivers are the
+// sender's list, about ten nodes, so ns/op must not grow with n.
+func BenchmarkIdealBroadcast(b *testing.B) {
+	for _, n := range []int{200, 1000} {
+		for _, moving := range []bool{false, true} {
+			b.Run(fmt.Sprintf("n=%d/moving=%v", n, moving), func(b *testing.B) {
+				e := sim.NewEngine(1)
+				cfg := netstack.Config{N: n, Stack: netstack.StackIdeal, Side: geom.AreaSide(n, netstack.Range, 10)}
+				if moving {
+					cfg.Mobility = mobility.NewWaypoint(e.NewStream(), n, mobility.WaypointConfig{
+						MinSpeed: 0.5, MaxSpeed: 5, Pause: 30, Side: cfg.Side,
+					}, nil)
+				}
+				net := netstack.New(e, cfg)
+				pkt := &netstack.Packet{Proto: netstack.ProtoQuorum, Dst: netstack.Broadcast, Bytes: 512}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src := i % n
+					pkt.Src = src
+					net.Node(src).BroadcastOneHop(pkt)
+					e.Run(e.Now() + 0.01)
+				}
+			})
+		}
+	}
+}
+
 // routedSink is the destination of BenchmarkOracleRoutedMember.
 type routedSink struct{ delivered int }
 
