@@ -14,8 +14,11 @@
 #   5. load-smoke, adapt-smoke — two of the three tiers (an invariant
 #               violation is fatal in all of them), their tables diffed
 #               against the recorded results_tiers.txt;
-#   6. vet    — the standard toolchain's analyzers;
-#   7. race   — the short test set under the race detector, which enforces
+#   6. bench-digest — the benchmark's four sim.digests against the recorded
+#               BENCH_DIGESTS.txt, so a host-side-only change is held to
+#               its simulated behaviour without a manual step;
+#   7. vet    — the standard toolchain's analyzers;
+#   8. race   — the short test set under the race detector, which enforces
 #               the per-engine isolation invariant (sim.TestEnginesIsolated
 #               and the parallel-vs-serial sweep determinism tests in
 #               internal/experiment run concurrent full stacks).
@@ -33,7 +36,7 @@ build:
 test:
 	$(GO) test ./...
 
-check: build lint inline-check chaos quick-check load-smoke adapt-smoke
+check: build lint inline-check chaos quick-check load-smoke adapt-smoke bench-digest
 	$(GO) vet ./...
 	$(GO) test -race -short ./...
 
@@ -148,7 +151,8 @@ bench:
 # committed BENCH_DIGESTS.txt (seed 1, -seconds 10: the benchmark's own
 # defaults); a change that deliberately alters simulated behaviour re-records
 # the file in the same commit with `make bench-digests` and says why. Takes
-# about three minutes (one traced run per workload).
+# about half a minute (one traced run per workload: 33 s for the four on two
+# vCPUs). It is a step of check.
 BENCH_WORKLOADS = paper-sinr-aodv ideal-walk-read ideal-routed-mixed scale-sinr-churn
 
 # BENCH_DIGEST_LINES prints a "<workload> <sim.digest>" line per workload and

@@ -155,6 +155,9 @@ type Routing struct {
 	engine *sim.Engine
 	nodes  []*nodeState
 
+	// view is what a routed arrival hands the application (arrive).
+	view upcallView
+
 	// Discoveries counts RREQ rings originated: one per ring of a
 	// discovery, however many destinations it names.
 	Discoveries uint64

@@ -19,7 +19,7 @@ type sink struct {
 }
 
 func (s *sink) HandlePacket(_ *netstack.Node, pkt *netstack.Packet, from int) {
-	s.pkts = append(s.pkts, pkt)
+	s.pkts = append(s.pkts, pkt.Clone()) // valid for the upcall only
 	s.from = append(s.from, from)
 }
 

@@ -2,26 +2,65 @@ package aodv
 
 import "probquorum/internal/netstack"
 
+// upcallView is the packet a router hands the application at a routed-data
+// arrival: the inner packet with Hops filled in, owned by the router and
+// valid for the upcall only, as a one-hop delivery is (netstack.Packet). It
+// is cleared when the upcall returns. An upcall that re-enters the router
+// and reaches another arrival while the view is in use gets a heap copy.
+type upcallView struct {
+	pkt  netstack.Packet
+	busy bool
+}
+
+// open returns inner as the node receiving envelope pkt sees it: the view,
+// or a copy when the view is already handed out. Pass the result to close
+// once the upcall has returned.
+func (v *upcallView) open(inner, pkt *netstack.Packet) *netstack.Packet {
+	if v.busy {
+		cp := inner.Clone() //pqlint:allow noalloc(re-entrant upcall only: the outer upcall still holds the view)
+		cp.Hops = pkt.Hops + 1
+		return cp
+	}
+	v.busy = true
+	v.pkt = *inner
+	v.pkt.Hops = pkt.Hops + 1
+	return &v.pkt
+}
+
+// close ends the upcall that open's p was handed to.
+func (v *upcallView) close(p *netstack.Packet) {
+	if p == &v.pkt {
+		v.pkt = netstack.Packet{}
+		v.busy = false
+	}
+}
+
 // arrive is what both routers do with a routed-data envelope — a ProtoRouted
 // packet whose Payload is the inner *netstack.Packet, shared by every hop's
 // copy — arriving at n, before either looks for a next hop: the destination
 // hands the inner packet up, a transit node offers it to each tap, and an
-// envelope out of TTL is counted in *drops. What is handed out is a heap copy
-// with Hops filled in, which the receiver may keep. arrive reports whether
-// the envelope is still to be forwarded.
+// envelope out of TTL is counted in *drops. What is handed out is the
+// router's view (upcallView): valid for the upcall only, so a receiver that
+// keeps the packet keeps a Clone. arrive reports whether the envelope is
+// still to be forwarded.
 //
 //pqlint:noalloc
-func arrive(n *netstack.Node, pkt *netstack.Packet, from int, taps []TransitTap, drops *uint64) bool {
+func arrive(n *netstack.Node, pkt *netstack.Packet, from int, taps []TransitTap, view *upcallView, drops *uint64) bool {
 	inner, ok := pkt.Payload.(*netstack.Packet)
 	if !ok {
 		return false
 	}
 	if pkt.Dst == n.ID() {
-		n.DeliverLocal(delivered(inner, pkt), from) //pqlint:allow noalloc(end of the forwarding path: the application's handler takes over)
+		p := view.open(inner, pkt)
+		n.DeliverLocal(p, from) //pqlint:allow noalloc(end of the forwarding path: the application's handler takes over)
+		view.close(p)
 		return false
 	}
 	for _, tap := range taps {
-		if tap(n, delivered(inner, pkt)) { //pqlint:allow noalloc(a tap is application code, installed by RANDOM-OPT and caching only)
+		p := view.open(inner, pkt)
+		consumed := tap(n, p) //pqlint:allow noalloc(a tap is application code, installed by RANDOM-OPT and caching only)
+		view.close(p)
+		if consumed {
 			return false
 		}
 	}
@@ -30,13 +69,6 @@ func arrive(n *netstack.Node, pkt *netstack.Packet, from int, taps []TransitTap,
 		return false
 	}
 	return true
-}
-
-// delivered returns inner as the node receiving envelope pkt sees it.
-func delivered(inner, pkt *netstack.Packet) *netstack.Packet {
-	cp := inner.Clone()
-	cp.Hops = pkt.Hops + 1
-	return cp
 }
 
 // transmitData sends op's packet toward its destination via route rt from
@@ -82,7 +114,7 @@ func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	r.updateRoute(st, from, from, 1, 0, false)
 	r.touchRoute(st, pkt.Src)
 	r.touchRoute(st, pkt.Dst)
-	if !arrive(n, pkt, from, st.taps, &r.DataDrops) {
+	if !arrive(n, pkt, from, st.taps, &r.view, &r.DataDrops) {
 		return
 	}
 	rt := r.validRoute(st, pkt.Dst)

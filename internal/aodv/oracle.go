@@ -15,7 +15,12 @@ import (
 // (Section 4.1).
 type Router interface {
 	// Send routes inner from src to dst; done (may be nil) reports
-	// whether the packet was handed off toward a live route.
+	// whether the packet was handed off toward a live route. The router
+	// reads inner, and never changes it, until the last hop has arrived;
+	// the destination's handler and the transit taps are handed a packet
+	// they may read during the upcall only. Send addresses the packet from
+	// dst, never from inner's Src or Dst, so one inner packet may go to
+	// many destinations.
 	Send(src, dst int, inner *netstack.Packet, done func(ok bool))
 	// SendScoped is Send limited to maxTTL hops; it fails fast when the
 	// destination is farther.
@@ -61,6 +66,12 @@ type Oracle struct {
 	// bound once: it captures only o, and a literal at the call site is
 	// built per hop.
 	hopDone func(ok bool)
+	// sentFree recycles the first-hop completions of the sends whose
+	// caller passed a done (sentHop).
+	sentFree []*sentHop
+
+	// view is what a routed arrival hands the application (arrive).
+	view upcallView
 
 	// DataDrops counts packets dropped because no path existed or a hop
 	// failed.
@@ -155,12 +166,44 @@ func (o *Oracle) send(src, dst int, inner *netstack.Packet, maxTTL int, done fun
 	}
 	hop := o.hopDone
 	if done != nil {
-		hop = func(ok bool) {
-			done(ok)
-			o.hopDone(ok)
-		}
+		hop = o.newSentHop(done)
 	}
 	node.SendOneHop(next, &pkt, hop)
+}
+
+// sentHop is the first-hop completion of a send whose caller passed a done:
+// it runs done, then counts a failure as hopDone does. It is pooled, with fn
+// bound once per object. The MAC calls a hop's completion at most once, and
+// fire puts the object back on the free list before it runs done, so a send
+// made from inside done can reuse it.
+type sentHop struct {
+	o    *Oracle
+	done func(ok bool)
+	fn   func(ok bool)
+}
+
+func (h *sentHop) fire(ok bool) {
+	o, done := h.o, h.done
+	h.done = nil
+	o.sentFree = append(o.sentFree, h)
+	done(ok)
+	o.hopDone(ok)
+}
+
+// newSentHop takes a completion from the free list, or makes one with fn
+// bound when the list is dry, and returns its fn running done.
+func (o *Oracle) newSentHop(done func(ok bool)) func(ok bool) {
+	var h *sentHop
+	if n := len(o.sentFree); n > 0 {
+		h = o.sentFree[n-1]
+		o.sentFree[n-1] = nil
+		o.sentFree = o.sentFree[:n-1]
+	} else {
+		h = &sentHop{o: o}
+		h.fn = h.fire
+	}
+	h.done = done
+	return h.fn
 }
 
 func (o *Oracle) fail(done func(bool)) {
@@ -175,7 +218,7 @@ func (o *Oracle) fail(done func(bool)) {
 //
 //pqlint:noalloc
 func (o *Oracle) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
-	if !arrive(n, pkt, from, o.taps[n.ID()], &o.DataDrops) {
+	if !arrive(n, pkt, from, o.taps[n.ID()], &o.view, &o.DataDrops) {
 		return
 	}
 	next, found := o.nextHop(n.ID(), pkt.Dst, pkt.TTL-1)

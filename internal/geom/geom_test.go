@@ -189,11 +189,11 @@ func TestGridRemove(t *testing.T) {
 			t.Fatal("removed id still returned")
 		}
 	}
-	if g.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", g.Count())
+	if g.count() != 2 {
+		t.Fatalf("Count = %d, want 2", g.count())
 	}
 	g.Remove(1) // double remove is a no-op
-	if g.Count() != 2 {
+	if g.count() != 2 {
 		t.Fatal("double Remove changed count")
 	}
 }
@@ -243,8 +243,8 @@ func TestGridBoundaryPoints(t *testing.T) {
 	if got := g.Within(Point{100, 100}, 1, nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("corner point lost: %v", got)
 	}
-	if g.Count() != 4 {
-		t.Fatalf("Count = %d", g.Count())
+	if g.count() != 4 {
+		t.Fatalf("Count = %d", g.count())
 	}
 }
 
@@ -252,8 +252,8 @@ func TestGridMaxQueryRadius(t *testing.T) {
 	const n = 50
 	const side = 100.0
 	g := NewGrid(n, side, 10)
-	if got, want := g.MaxQueryRadius(), side*math.Sqrt2; got != want {
-		t.Fatalf("MaxQueryRadius = %g, want area diameter %g", got, want)
+	if got, want := g.maxQueryRadius(), side*math.Sqrt2; got != want {
+		t.Fatalf("maxQueryRadius = %g, want area diameter %g", got, want)
 	}
 	// At the area diameter, a query from any in-area point — including the
 	// far corner — must return every indexed id: it is the "no radius
@@ -263,8 +263,8 @@ func TestGridMaxQueryRadius(t *testing.T) {
 		g.Update(i, p)
 	}
 	for _, from := range []Point{{0, 0}, {side, side}, {side / 2, side / 2}, {0, side}} {
-		if got := g.Within(from, g.MaxQueryRadius(), nil); len(got) != n {
-			t.Fatalf("Within(%v, MaxQueryRadius) = %d ids, want all %d", from, len(got), n)
+		if got := g.Within(from, g.maxQueryRadius(), nil); len(got) != n {
+			t.Fatalf("Within(%v, maxQueryRadius) = %d ids, want all %d", from, len(got), n)
 		}
 	}
 }

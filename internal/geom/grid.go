@@ -1,13 +1,10 @@
 package geom
 
-import "math"
-
 // Grid is a uniform-cell spatial index over a fixed set of ids with
 // updatable positions. It answers "which ids are within radius of p" without
 // scanning the full id set. Positions may go slightly stale between updates;
 // callers that tolerate staleness should pad the query radius accordingly.
 type Grid struct {
-	side     float64
 	cellSize float64
 	cols     int
 	cells    [][]int32 // cell -> ids
@@ -26,7 +23,6 @@ func NewGrid(n int, side, cellSize float64) *Grid {
 		cols = 1
 	}
 	g := &Grid{
-		side:     side,
 		cellSize: side / float64(cols),
 		cols:     cols,
 		cells:    make([][]int32, cols*cols),
@@ -120,20 +116,3 @@ func (g *Grid) Within(p Point, radius float64, out []int) []int {
 	}
 	return out
 }
-
-// Count returns the number of indexed ids.
-func (g *Grid) Count() int {
-	n := 0
-	for _, c := range g.cells {
-		n += len(c)
-	}
-	return n
-}
-
-// MaxQueryRadius returns the diameter of the indexed area (side·√2). A
-// Query at or beyond this radius from any in-area point covers every cell,
-// so it degenerates to a full scan and always returns all present ids;
-// callers can use it as a "no radius limit" sentinel. Queries stop gaining
-// from the index well before this — beyond ~half the side most cells are
-// visited anyway.
-func (g *Grid) MaxQueryRadius() float64 { return g.side * math.Sqrt2 }

@@ -1,10 +1,25 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
+
+// count returns the number of indexed ids.
+func (g *Grid) count() int {
+	n := 0
+	for _, c := range g.cells {
+		n += len(c)
+	}
+	return n
+}
+
+// maxQueryRadius returns the diameter of the area the cells tile (side·√2):
+// a query at or beyond it from any in-area point covers every cell, so it
+// degenerates to a full scan and returns every indexed id.
+func (g *Grid) maxQueryRadius() float64 { return float64(g.cols) * g.cellSize * math.Sqrt2 }
 
 // bruteWithin is the O(n) oracle: scan every present id and test the exact
 // distance against the query radius.
@@ -41,7 +56,7 @@ func equalIDs(a, b []int) bool {
 // TestGridWithinOracle property-tests Within against the brute-force oracle
 // under random positions, updates, and removals, with query points placed
 // randomly, on cell boundaries, and at the area corners, and radii from
-// zero through the MaxQueryRadius sentinel.
+// zero through the maxQueryRadius sentinel.
 func TestGridWithinOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -50,7 +65,7 @@ func TestGridWithinOracle(t *testing.T) {
 		cellSize := side * (0.02 + rng.Float64()*1.2) // from tiny cells to one cell
 		g := NewGrid(n, side, cellSize)
 		present := map[int]Point{}
-		hasOutside := false // out-of-area points can exceed MaxQueryRadius
+		hasOutside := false // out-of-area points can exceed maxQueryRadius
 
 		// Random churn: insert, move, and remove ids.
 		steps := 3 * n
@@ -73,8 +88,8 @@ func TestGridWithinOracle(t *testing.T) {
 				present[id] = p
 			}
 		}
-		if g.Count() != len(present) {
-			t.Fatalf("trial %d: Count=%d want %d", trial, g.Count(), len(present))
+		if g.count() != len(present) {
+			t.Fatalf("trial %d: Count=%d want %d", trial, g.count(), len(present))
 		}
 
 		// The grid rounds the cell size so that whole cells tile the area.
@@ -86,7 +101,7 @@ func TestGridWithinOracle(t *testing.T) {
 			{X: cs * float64(rng.Intn(cols)), Y: cs * float64(rng.Intn(cols))}, // cell corner
 			{X: cs*float64(rng.Intn(cols)) + cs/2, Y: rng.Float64() * side},    // cell edge midline
 		}
-		radii := []float64{0, cs * 0.5, cs, cs * 1.7, side / 3, side, g.MaxQueryRadius()}
+		radii := []float64{0, cs * 0.5, cs, cs * 1.7, side / 3, side, g.maxQueryRadius()}
 		var scratch []int
 		for _, q := range queries {
 			for _, r := range radii {
@@ -97,12 +112,12 @@ func TestGridWithinOracle(t *testing.T) {
 						trial, q, r, got, want, n, side, cs)
 				}
 			}
-			// The MaxQueryRadius sentinel must degenerate to a full scan
+			// The maxQueryRadius sentinel must degenerate to a full scan
 			// (guaranteed only when every point lies in the indexed area).
 			if !hasOutside {
-				all := sortedCopy(g.Within(q, g.MaxQueryRadius(), scratch[:0]))
+				all := sortedCopy(g.Within(q, g.maxQueryRadius(), scratch[:0]))
 				if len(all) != len(present) {
-					t.Fatalf("trial %d: MaxQueryRadius query returned %d of %d ids", trial, len(all), len(present))
+					t.Fatalf("trial %d: maxQueryRadius query returned %d of %d ids", trial, len(all), len(present))
 				}
 			}
 		}

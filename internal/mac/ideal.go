@@ -2,7 +2,6 @@ package mac
 
 import (
 	"math/rand"
-	"sort"
 
 	"probquorum/internal/phy"
 	"probquorum/internal/sim"
@@ -26,12 +25,11 @@ type IdealNet struct {
 	rng       *rand.Rand
 	macs      []*IdealMAC
 	enabled   []bool
-	// listeners holds the ids of the promiscuous MACs in ascending order,
-	// maintained by SetPromiscuous, so a unicast delivery visits only the
-	// nodes that could overhear it — none at all in most runs — instead
-	// of scanning all n.
-	listeners []int
-	near      []int // a broadcast's receivers, copied before an upcall can rebuild them
+	// listening counts the promiscuous MACs, maintained by SetPromiscuous,
+	// so a unicast delivery reads the sender's list for overhearers only
+	// when some node listens — none does in most runs.
+	listening int
+	near      []int // a frame's receivers, copied before an upcall can rebuild them
 	// flightFree recycles the per-send delivery callbacks: Send pops one
 	// and fire pushes it back, so steady-state sending does not allocate
 	// a closure per frame (DESIGN.md §9).
@@ -95,14 +93,10 @@ func (m *IdealMAC) SetPromiscuous(on bool) {
 		return
 	}
 	m.promiscuous = on
-	in := m.net
-	i := sort.SearchInts(in.listeners, m.id)
 	if on {
-		in.listeners = append(in.listeners, 0)
-		copy(in.listeners[i+1:], in.listeners[i:])
-		in.listeners[i] = m.id
+		m.net.listening++
 	} else {
-		in.listeners = append(in.listeners[:i], in.listeners[i+1:]...)
+		m.net.listening--
 	}
 }
 
@@ -199,8 +193,10 @@ func (fl *flight) fire() {
 
 // deliver completes one frame to the enabled members of the sender's list,
 // in ascending id: all of them for a broadcast; for a unicast, the
-// destination and the listening ones. A unicast asks linked, not the list: a
-// pair of positions is cheaper to read than a list once per hop.
+// destination and the listening ones. A unicast asks linked of its
+// destination, not the list: a pair of positions is cheaper to read than a
+// list once per hop. Overhearers are the listening members of the list, read
+// only when some node listens, so a hop costs O(degree) however many do.
 func (m *IdealMAC) deliver(f *phy.Frame) {
 	in := m.net
 	m.pending--
@@ -226,12 +222,12 @@ func (m *IdealMAC) deliver(f *phy.Frame) {
 		if h := in.macs[dst].handler; h != nil {
 			h.MACReceive(f)
 		}
-		for _, id := range in.listeners {
-			if id == dst || !in.enabled[id] {
-				continue
-			}
-			if mac := in.macs[id]; in.linked(m.id, id) && mac.handler != nil {
-				mac.handler.MACOverhear(f)
+		if in.listening > 0 {
+			in.near = append(in.near[:0], in.neighbors(m.id)...)
+			for _, id := range in.near {
+				if mac := in.macs[id]; id != dst && mac.promiscuous && in.enabled[id] && mac.handler != nil {
+					mac.handler.MACOverhear(f)
+				}
 			}
 		}
 	}

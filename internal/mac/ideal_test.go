@@ -2,8 +2,7 @@ package mac
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"probquorum/internal/geom"
@@ -11,21 +10,21 @@ import (
 	"probquorum/internal/sim"
 )
 
-// TestIdealListenerListExact pins the bookkeeping behind the O(listeners)
-// unicast path: the list holds exactly the promiscuous MACs, ascending,
-// whatever the order and repetition of the toggles, and liveness flips do
-// not touch it (a disabled listener is skipped at delivery, not unlisted).
+// TestIdealListenerListExact pins the bookkeeping behind the unicast path's
+// overhearing: the count of listening MACs and their promiscuous flags are
+// exactly the MACs switched on, whatever the order and repetition of the
+// toggles, and liveness flips do not touch them (a disabled listener is
+// skipped at delivery, not unlisted).
 func TestIdealListenerListExact(t *testing.T) {
 	e := sim.NewEngine(1)
 	in, _ := idealWorld(e, make([]geom.Point, 6))
 	check := func(step string, want ...int) {
 		t.Helper()
-		if len(in.listeners) != len(want) || (len(want) > 0 && !reflect.DeepEqual(in.listeners, want)) {
-			t.Fatalf("%s: listeners = %v, want %v", step, in.listeners, want)
+		if in.listening != len(want) {
+			t.Fatalf("%s: %d listening, want %v", step, in.listening, want)
 		}
 		for id, m := range in.macs {
-			i := sort.SearchInts(in.listeners, id)
-			if listed := i < len(in.listeners) && in.listeners[i] == id; listed != m.promiscuous {
+			if listed := slices.Contains(want, id); listed != m.promiscuous {
 				t.Fatalf("%s: node %d promiscuous=%v but listed=%v", step, id, m.promiscuous, listed)
 			}
 		}

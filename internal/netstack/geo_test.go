@@ -153,10 +153,12 @@ func (l *deliveryLogger) MACSendDone(f *phy.Frame, ok bool) {
 // upcall at the same time and in the same order, and the same Processed(),
 // as the same net whose medium is an all-node scan with Dist2 ≤ r², linked
 // meaning membership in the scanned list. A provider that hands over its
-// candidates in cell order fails it.
+// candidates in cell order fails it. Each field runs twice: with a fifth of
+// the nodes listening and toggling, and with every node listening.
 func TestIdealDeliveryMatchesFullScan(t *testing.T) {
 	const n, side = 100, 800.0
-	for _, moving := range []bool{false, true} {
+	for _, c := range []struct{ moving, allListen bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		moving := c.moving
 		run := func(fullScan bool) *deliveryRun {
 			e := sim.NewEngine(1)
 			mob := mobility.Model(mobility.NewStatic(geom.UniformPoints(rand.New(rand.NewSource(4)), n, side)))
@@ -175,7 +177,7 @@ func TestIdealDeliveryMatchesFullScan(t *testing.T) {
 				if i%13 != 0 { // a few MACs have no layer above
 					r.in.MAC(i).SetHandler(&deliveryLogger{id: i, run: r})
 				}
-				r.in.MAC(i).SetPromiscuous(i%5 == 0)
+				r.in.MAC(i).SetPromiscuous(c.allListen || i%5 == 0)
 			}
 			script := rand.New(rand.NewSource(7))
 			for k := 0; k < 3000; k++ {
@@ -195,7 +197,7 @@ func TestIdealDeliveryMatchesFullScan(t *testing.T) {
 						r.in.SetEnabled(id, on)
 					})
 				case 1:
-					on := script.Intn(2) == 0
+					on := script.Intn(2) == 0 || c.allListen
 					e.At(at, func() { r.in.MAC(id).SetPromiscuous(on) })
 				case 2, 3, 4, 5, 6:
 					e.At(at, func() { r.send(id, phy.Broadcast) })
@@ -209,18 +211,18 @@ func TestIdealDeliveryMatchesFullScan(t *testing.T) {
 		}
 		fast, ref := run(false), run(true)
 		if fast.e.Processed() != ref.e.Processed() || len(fast.log) != len(ref.log) {
-			t.Fatalf("moving=%v: %d events and %d upcalls over the provider, %d and %d over the full scan",
-				moving, fast.e.Processed(), len(fast.log), ref.e.Processed(), len(ref.log))
+			t.Fatalf("%+v: %d events and %d upcalls over the provider, %d and %d over the full scan",
+				c, fast.e.Processed(), len(fast.log), ref.e.Processed(), len(ref.log))
 		}
 		kinds := map[string]int{}
 		for i := range fast.log {
 			if fast.log[i] != ref.log[i] {
-				t.Fatalf("moving=%v: upcall %d is %+v over the provider, %+v over the full scan", moving, i, fast.log[i], ref.log[i])
+				t.Fatalf("%+v: upcall %d is %+v over the provider, %+v over the full scan", c, i, fast.log[i], ref.log[i])
 			}
 			kinds[fast.log[i].kind]++
 		}
 		if kinds["rx"] < 2000 || kinds["overhear"] < 200 || fast.forwarded < 500 {
-			t.Fatalf("moving=%v: %v upcalls and %d frames forwarded: too few to test anything", moving, kinds, fast.forwarded)
+			t.Fatalf("%+v: %v upcalls and %d frames forwarded: too few to test anything", c, kinds, fast.forwarded)
 		}
 	}
 }

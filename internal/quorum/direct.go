@@ -12,9 +12,11 @@ func (s *System) prefetchRoutes(origin int, members []int) {
 	}
 }
 
-// directMsg carries a RANDOM / RANDOM-OPT quorum access delivered to a
-// specific member via multihop routing. The message and the inner packet the
-// router carries it in are one object.
+// directMsg carries a RANDOM / RANDOM-OPT quorum access to the members it is
+// routed to. An access builds one and sends it to every member it contacts,
+// adaptation alternates included, and nobody changes it once sent. The inner
+// packet the router carries it in is part of the same object and names no
+// member: a router addresses each send from its dst argument.
 type directMsg struct {
 	Op         opID
 	Advertise  bool
@@ -23,16 +25,17 @@ type directMsg struct {
 	pkt netstack.Packet
 }
 
-// sendDirect routes one directMsg from origin to member.
-func (s *System) sendDirect(origin, member int, op opID, advertise bool, key, value string, done func(ok bool)) {
-	msg := &directMsg{Op: op, Advertise: advertise, Key: key, Value: value}
-	msg.pkt = s.packet(origin, member, msg)
-	s.routing.Send(origin, member, &msg.pkt, done)
+// newDirect builds op's one message from origin.
+func (s *System) newDirect(origin int, op opID, advertise bool, key, value string) *directMsg {
+	m := &directMsg{Op: op, Advertise: advertise, Key: key, Value: value}
+	m.pkt = s.packet(origin, netstack.Broadcast, m)
+	return m
 }
 
 // advertiseRandom contacts |Qa| uniformly sampled members through routing.
 // On a routing failure the origin adapts by redirecting the contact to a
-// fresh random node (Section 6.2), once per member.
+// fresh random node (Section 6.2), once per member. The drawn members share
+// one send-done callback and the alternates another.
 func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 	ad := s.ads[op]
 	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.AdvertiseSize)
@@ -46,29 +49,27 @@ func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 	ad.pending = len(members)
 	ad.contacted = members
 	s.prefetchRoutes(origin, members)
-	for _, m := range members {
-		s.sendAdvertiseTo(ad, key, value, m, true)
-	}
-}
-
-func (s *System) sendAdvertiseTo(ad *pendingAdvertise, key, value string, member int, mayAdapt bool) {
-	op, origin := ad.id, ad.id.Origin
-	s.sendDirect(origin, member, op, true, key, value, func(ok bool) {
-		if ok {
-			s.advertiseSettled(op)
-			return
+	msg := s.newDirect(origin, op, true, key, value)
+	alternateSent := func(ok bool) {
+		if !ok {
+			ad.res.FailedSends++
 		}
-		if mayAdapt {
+		s.advertiseSettled(op)
+	}
+	memberSent := func(ok bool) {
+		if !ok {
 			if alt, found := s.pickFreshMember(origin, ad.contacted); found {
 				s.counters.Adaptations++
 				ad.contacted = append(ad.contacted, alt)
-				s.sendAdvertiseTo(ad, key, value, alt, false)
+				s.routing.Send(origin, alt, &msg.pkt, alternateSent)
 				return
 			}
 		}
-		ad.res.FailedSends++
-		s.advertiseSettled(op)
-	})
+		alternateSent(ok)
+	}
+	for _, m := range members {
+		s.routing.Send(origin, m, &msg.pkt, memberSent)
+	}
 }
 
 // pickFreshMember draws a membership-view node the op has not contacted yet.
@@ -93,10 +94,7 @@ func (s *System) lookupRandom(origin int, op opID, key string) {
 	if len(members) == 0 {
 		return // origin-only quorum: timeout will declare the miss
 	}
-	s.prefetchRoutes(origin, members)
-	for _, m := range members {
-		s.sendDirect(origin, m, op, false, key, "", nil)
-	}
+	s.sendLookups(origin, op, key, members)
 }
 
 // lookupRandomOpt sends ~ln n routed lookups; every transit node performs a
@@ -105,9 +103,15 @@ func (s *System) lookupRandom(origin int, op opID, key string) {
 func (s *System) lookupRandomOpt(origin int, op opID, key string) {
 	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.RandomOptTargets)
 	s.observeMembers(origin, members)
+	s.sendLookups(origin, op, key, members)
+}
+
+// sendLookups routes op's one lookup message to every member.
+func (s *System) sendLookups(origin int, op opID, key string, members []int) {
 	s.prefetchRoutes(origin, members)
+	msg := s.newDirect(origin, op, false, key, "")
 	for _, m := range members {
-		s.sendDirect(origin, m, op, false, key, "", nil)
+		s.routing.Send(origin, m, &msg.pkt, nil)
 	}
 }
 
@@ -129,8 +133,7 @@ func (s *System) handleDirect(n *netstack.Node, m *directMsg) {
 // sendRoutedReply returns a hit to the originator via routing.
 func (s *System) sendRoutedReply(from int, op opID, key, value string) {
 	r := &replyMsg{Op: op, Key: key, Value: value}
-	pkt := s.newPacket(from, op.Origin, r)
-	s.routing.Send(from, op.Origin, pkt, nil)
+	s.routing.Send(from, op.Origin, s.routedReply(r, from, op.Origin), nil)
 }
 
 // transitTap is the RANDOM-OPT cross-layer hook: it observes every routed

@@ -642,8 +642,9 @@ func (s *System) nextOp(origin int) opID {
 const payloadBytes = 512
 
 // packet fills in a quorum packet. A one-hop send takes it from the sender's
-// stack; a routed message's inner packet and a jittered broadcast outlive the
-// call and live on the heap (newPacket).
+// stack; a routed message's inner packet outlives the call and is part of the
+// message (directMsg, replyMsg), and a jittered broadcast's lives on the heap
+// (newPacket).
 func (s *System) packet(src, dst int, payload any) netstack.Packet {
 	return netstack.Packet{
 		Proto: netstack.ProtoQuorum, Src: src, Dst: dst,

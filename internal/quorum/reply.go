@@ -21,6 +21,16 @@ type replyMsg struct {
 	// op it answers.
 	Flood bool
 	Round int
+
+	// pkt is the inner packet a routed reply travels in (routedReply); a
+	// reply sent one hop at a time leaves it empty.
+	pkt netstack.Packet
+}
+
+// routedReply fills in r's inner packet for a routed send from src to dst.
+func (s *System) routedReply(r *replyMsg, src, dst int) *netstack.Packet {
+	r.pkt = s.packet(src, dst, r)
+	return &r.pkt
 }
 
 // handleReply processes a reply arriving at node n (off the air or via
@@ -167,8 +177,7 @@ func (s *System) tryScopedRepair(n *netstack.Node, r *replyMsg, c int) {
 		return
 	}
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: c}
-	pkt := s.newPacket(n.ID(), r.Path[c], next)
-	s.routing.SendScoped(n.ID(), r.Path[c], pkt, repairTTL, func(ok bool) {
+	s.routing.SendScoped(n.ID(), r.Path[c], s.routedReply(next, n.ID(), r.Path[c]), repairTTL, func(ok bool) {
 		if ok {
 			s.counters.LocalRepairs++
 			return
@@ -185,8 +194,7 @@ func (s *System) tryScopedRepair(n *netstack.Node, r *replyMsg, c int) {
 func (s *System) fullRouteReply(n *netstack.Node, r *replyMsg) {
 	origin := r.Op.Origin
 	next := &replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: 0}
-	pkt := s.newPacket(n.ID(), origin, next)
-	s.routing.Send(n.ID(), origin, pkt, func(ok bool) {
+	s.routing.Send(n.ID(), origin, s.routedReply(next, n.ID(), origin), func(ok bool) {
 		if ok {
 			s.counters.FullRouteRepairs++
 		} else {
