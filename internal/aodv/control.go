@@ -126,12 +126,10 @@ func (r *Routing) broadcastRREQ(st *nodeState, d *discovery) {
 	}
 	// Suppress our own re-reception of this request.
 	r.markSeen(st, rreqKey(st.id, req.ID))
-	pkt := &netstack.Packet{
+	r.broadcastJittered(r.net.Node(st.id), netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: d.ttl, Bytes: rreqSize(len(req.Targets)), Payload: req,
-	}
-	node := r.net.Node(st.id)
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
+	})
 	// Ring traversal timeout: out and back at NodeTraversalTime per hop,
 	// with RFC 3561's two-hop safety margin.
 	d.timer.Reset(2 * r.cfg.NodeTraversalTime * float64(d.ttl+2))
@@ -292,11 +290,10 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 		ID: req.ID, Orig: req.Orig, OrigSeq: req.OrigSeq,
 		Targets: rest, HopCount: req.HopCount + 1,
 	}
-	out := &netstack.Packet{
+	r.broadcastJittered(n, netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: pkt.TTL - 1, Bytes: rreqSize(len(rest)), Payload: fwd, Hops: pkt.Hops + 1,
-	}
-	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(out) })
+	})
 }
 
 // answerRREQ replies to orig's request for target t if st may, and reports
@@ -374,12 +371,10 @@ func (r *Routing) linkBroken(st *nodeState, next int) {
 	if len(lost) == 0 {
 		return
 	}
-	node := r.net.Node(st.id)
-	pkt := &netstack.Packet{
+	r.broadcastJittered(r.net.Node(st.id), netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: lost},
-	}
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
+	})
 }
 
 func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from int) {
@@ -395,9 +390,8 @@ func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from
 	if len(propagate) == 0 {
 		return
 	}
-	pkt := &netstack.Packet{
+	r.broadcastJittered(n, netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: propagate},
-	}
-	r.engine.Schedule(r.jitter(), func() { n.BroadcastOneHop(pkt) })
+	})
 }

@@ -145,10 +145,8 @@ func (r *Routing) linkLess(st *nodeState, dst int) {
 		rt.seq++
 		seq = rt.seq
 	}
-	node := r.net.Node(st.id)
-	pkt := &netstack.Packet{
+	r.broadcastJittered(r.net.Node(st.id), netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
 		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: []unreachable{{dst: dst, seq: seq}}},
-	}
-	r.engine.Schedule(r.jitter(), func() { node.BroadcastOneHop(pkt) })
+	})
 }

@@ -98,7 +98,10 @@ func (n *Node) SendOneHop(next int, pkt *Packet, done func(ok bool)) {
 	n.mac.Send(&env.frame)
 }
 
-// BroadcastOneHop transmits a copy of *pkt to all direct neighbors.
+// BroadcastOneHop transmits a copy of *pkt to all direct neighbors; the
+// caller keeps pkt and may reuse it as soon as the call returns.
+//
+//pqlint:noalloc
 func (n *Node) BroadcastOneHop(pkt *Packet) {
 	if !n.Alive() {
 		return

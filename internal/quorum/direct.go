@@ -35,7 +35,7 @@ func (s *System) newDirect(origin int, op opID, advertise bool, key, value strin
 // advertiseRandom contacts |Qa| uniformly sampled members through routing.
 // On a routing failure the origin adapts by redirecting the contact to a
 // fresh random node (Section 6.2), once per member. The drawn members share
-// one send-done callback and the alternates another.
+// the record's memberSent and the alternates its alternateSent.
 func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 	ad := s.ads[op]
 	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.AdvertiseSize)
@@ -46,29 +46,43 @@ func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 		s.advertiseSettled(op)
 		return
 	}
-	ad.pending = len(members)
-	ad.contacted = members
+	ad.pending, ad.sends = len(members), len(members)
+	ad.origin, ad.contacted = origin, members
 	s.prefetchRoutes(origin, members)
 	msg := s.newDirect(origin, op, true, key, value)
-	alternateSent := func(ok bool) {
-		if !ok {
-			ad.res.FailedSends++
-		}
-		s.advertiseSettled(op)
-	}
-	memberSent := func(ok bool) {
-		if !ok {
-			if alt, found := s.pickFreshMember(origin, ad.contacted); found {
-				s.counters.Adaptations++
-				ad.contacted = append(ad.contacted, alt)
-				s.routing.Send(origin, alt, &msg.pkt, alternateSent)
-				return
-			}
-		}
-		alternateSent(ok)
-	}
+	ad.msg = msg
 	for _, m := range members {
-		s.routing.Send(origin, m, &msg.pkt, memberSent)
+		s.routing.Send(origin, m, &msg.pkt, ad.memberSent)
+	}
+}
+
+// memberSent is a drawn member's send-done (ad.memberSent). A failed contact
+// goes on as an alternate's send when a fresh member can be drawn; this runs
+// also after a deadline has force-settled ad, as every send-done does.
+func (s *System) memberSent(ad *pendingAdvertise, ok bool) {
+	if !ok {
+		if alt, found := s.pickFreshMember(ad.origin, ad.contacted); found {
+			s.counters.Adaptations++
+			ad.contacted = append(ad.contacted, alt)
+			s.routing.Send(ad.origin, alt, &ad.msg.pkt, ad.alternateSent)
+			return
+		}
+	}
+	s.sendSettled(ad, ok)
+}
+
+// sendSettled ends one member contact of ad (ad.alternateSent): it counts a
+// failure and settles the contact, or, once ad has ended, hands the record
+// back when this was its last send.
+func (s *System) sendSettled(ad *pendingAdvertise, ok bool) {
+	ad.sends--
+	if !ok {
+		ad.res.FailedSends++
+	}
+	if !ad.ended {
+		s.contactSettled(ad)
+	} else if ad.sends == 0 {
+		s.freeAdvertise(ad)
 	}
 }
 

@@ -45,7 +45,9 @@ func randomAccessAllocs(q int) (lookup, advertise float64) {
 // RANDOM access builds one message and binds its callbacks once, and the
 // oracle router neither copies a delivered packet nor wraps a completion per
 // send, so four times the members cost what a quarter of them does, within
-// one object. Nobody holds the looked-up key, so no member replies.
+// one object. Nobody holds the looked-up key, so no member replies. Each
+// reads 2 objects at both sizes, the membership draw and the shared message:
+// the op's record, timer and send-dones come from the System's free list.
 func TestRandomAccessAllocsIndependentOfQuorum(t *testing.T) {
 	l8, a8 := randomAccessAllocs(8)
 	l32, a32 := randomAccessAllocs(32)

@@ -38,17 +38,14 @@ func (s *System) Advertise(origin int, key, value string, done func(AdvertiseRes
 	}
 	s.issuedAds++
 	s.owned[ownedKey{origin: origin, key: key}] = value
-	ad := &pendingAdvertise{id: op, done: done, issued: s.engine.Now(), storedAt: make(map[int]bool)}
+	ad := s.newAdvertise()
+	ad.id, ad.done, ad.issued = op, done, s.engine.Now()
 	s.ads[op] = ad
 	// Deadline against quorum accesses that never reach a terminal event (a
 	// walk frame dropped at a receiver leaves no one to call advertiseSettled):
 	// force-settle with the placements achieved so far, so s.ads drains and
 	// done always fires — under open-loop load a leaked op would be unbounded
 	// memory.
-	ad.timer = sim.NewTimer(s.engine, func() {
-		s.counters.AdvertiseTimeouts++
-		s.endAdvertise(ad)
-	})
 	ad.timer.Reset(s.cfg.AdvertiseTimeoutSecs)
 	switch s.cfg.AdvertiseStrategy {
 	case Random, RandomOpt:
@@ -83,12 +80,10 @@ func (s *System) Lookup(origin int, key string, done func(LookupResult)) OpRef {
 		return OpRef{id: op}
 	}
 	s.issuedLookups++
-	lk := &pendingLookup{
-		id: op, key: key, done: done, issued: s.engine.Now(),
-		retriesLeft: s.cfg.LookupRetries,
-	}
+	lk := s.newLookup()
+	lk.id, lk.key, lk.done, lk.issued = op, key, done, s.engine.Now()
+	lk.retriesLeft = s.cfg.LookupRetries
 	s.lookups[op] = lk
-	lk.timer = sim.NewTimer(s.engine, func() { s.lookupTimeout(lk) })
 	lk.timer.Reset(s.cfg.LookupTimeout)
 
 	// The originator includes itself in the lookup quorum (Section 8.3).
@@ -152,13 +147,11 @@ func (s *System) LookupCollect(origin int, key string, window float64, done func
 		return OpRef{id: op}
 	}
 	s.issuedLookups++
-	lk := &pendingLookup{
-		id: op, key: key, issued: s.engine.Now(),
-		collect: true, collectDone: done,
-	}
+	lk := s.newLookup()
+	lk.id, lk.key, lk.issued = op, key, s.engine.Now()
+	lk.collect, lk.collectDone = true, done
 	s.lookups[op] = lk
-	lk.timer = sim.NewTimer(s.engine, func() { s.endLookup(lk, false, "") })
-	lk.timer.Reset(window)
+	lk.timer.Reset(window) // with no retries left, its timeout ends the window
 
 	// The originator's own store contributes a value.
 	if value, ok := s.stores[origin].Get(key); ok {
@@ -255,7 +248,8 @@ func (s *System) completeLookup(op opID, value string) {
 // case the lookup backs off exponentially and re-draws a fresh quorum
 // (graceful degradation under churn: a miss against a decayed advertise
 // quorum is independent across draws, so each retry multiplies the miss
-// probability by ε^(1−f) again).
+// probability by ε^(1−f) again). A collect lookup has no retries: its
+// timeout closes the window.
 func (s *System) lookupTimeout(lk *pendingLookup) {
 	if lk.retriesLeft > 0 && s.net.Alive(lk.id.Origin) {
 		lk.retriesLeft--
@@ -263,18 +257,27 @@ func (s *System) lookupTimeout(lk *pendingLookup) {
 		s.counters.LookupRetries++
 		backoff := s.cfg.RetryBackoffSecs * float64(int(1)<<(lk.attempt-1))
 		lk.timer.Reset(backoff + s.cfg.LookupTimeout)
-		s.engine.Schedule(backoff, func() { s.retryLookup(lk) })
+		lk.retries++
+		s.engine.Schedule(backoff, lk.retryFn)
 		return
 	}
 	s.endLookup(lk, false, "")
 }
 
 // retryLookup re-launches a timed-out lookup with a freshly drawn quorum,
-// under the same op: its flood, if any, is a new round of it.
+// under the same op: its flood, if any, is a new round of it. A lookup that
+// ended during the back-off goes back to the free list here instead.
 func (s *System) retryLookup(lk *pendingLookup) {
+	lk.retries--
+	if lk.ended {
+		if lk.retries == 0 {
+			s.freeLookup(lk)
+		}
+		return
+	}
 	origin := lk.id.Origin
-	if s.lookups[lk.id] == nil || !s.net.Alive(origin) {
-		return // settled, or crashed since the timeout (the rearmed timer ends the op)
+	if !s.net.Alive(origin) {
+		return // crashed since the timeout (the rearmed timer ends the op)
 	}
 	// A cached reply may have landed since the first attempt.
 	if value, ok := s.stores[origin].Get(lk.key); ok {
@@ -290,11 +293,13 @@ func (s *System) retryLookup(lk *pendingLookup) {
 // timeout, or when its collect window closes. It takes lk out of s.lookups —
 // a lookup is finished exactly when it has left the map — cancels its timer
 // (a no-op once the timer has fired), queues the release of its flood
-// rounds and runs the caller's callback.
+// rounds and runs the caller's callback. Then lk goes back to the free list,
+// unless a retry event still holds it (retryLookup frees it then).
 func (s *System) endLookup(lk *pendingLookup, hit bool, value string) {
 	delete(s.lookups, lk.id)
 	lk.timer.Cancel()
 	s.releaseOpState(lk.id)
+	lk.ended = true
 	switch {
 	case lk.collect:
 		if lk.collectDone != nil {
@@ -306,32 +311,117 @@ func (s *System) endLookup(lk *pendingLookup, hit bool, value string) {
 	default:
 		lk.done(LookupResult{Intersected: lk.intersected})
 	}
+	if lk.retries == 0 {
+		s.freeLookup(lk)
+	}
 }
 
-// advertiseSettled decrements the outstanding-contact count and finishes
-// the advertise op when it reaches zero.
+// advertiseSettled decrements the outstanding-contact count of op, if it
+// is still pending, and finishes it when the count reaches zero.
 func (s *System) advertiseSettled(op opID) {
-	ad := s.ads[op]
-	if ad == nil {
-		return
+	if ad := s.ads[op]; ad != nil {
+		s.contactSettled(ad)
 	}
+}
+
+// contactSettled decrements pending ad's outstanding-contact count and
+// finishes it when the count reaches zero.
+func (s *System) contactSettled(ad *pendingAdvertise) {
 	ad.pending--
 	if ad.pending <= 0 {
 		s.endAdvertise(ad)
 	}
 }
 
+// advertiseTimedOut force-settles ad at its deadline.
+func (s *System) advertiseTimedOut(ad *pendingAdvertise) {
+	s.counters.AdvertiseTimeouts++
+	s.endAdvertise(ad)
+}
+
 // endAdvertise is where every advertise ends: when its last contact settles,
 // or at its AdvertiseTimeoutSecs deadline. Like endLookup it takes ad out of
 // s.ads, cancels its timer, queues the release of its flood rounds and runs
-// the caller's callback.
+// the caller's callback. ad goes back to the free list first, unless a send
+// of it has yet to call back (sendSettled frees it then); the callback gets
+// copies, so an advertise it issues may reuse the record.
 func (s *System) endAdvertise(ad *pendingAdvertise) {
 	delete(s.ads, ad.id)
 	ad.timer.Cancel()
 	s.releaseOpState(ad.id)
-	if ad.done != nil {
-		ad.done(ad.res)
+	ad.ended = true
+	done, res := ad.done, ad.res
+	if ad.sends == 0 {
+		s.freeAdvertise(ad)
 	}
+	if done != nil {
+		done(res)
+	}
+}
+
+// newLookup takes a lookup record from the free list, or makes one with its
+// timer and retry callback bound when the list is dry.
+//
+//pqlint:noalloc
+func (s *System) newLookup() *pendingLookup {
+	if n := len(s.lookupFree); n > 0 {
+		lk := s.lookupFree[n-1]
+		s.lookupFree[n-1] = nil
+		s.lookupFree = s.lookupFree[:n-1]
+		return lk
+	}
+	//pqlint:allow noalloc(pool-dry cold path: one record per increase of the pending-lookup high-water mark)
+	lk := &pendingLookup{}
+	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
+	lk.timer = sim.NewTimer(s.engine, func() { s.lookupTimeout(lk) })
+	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
+	lk.retryFn = func() { s.retryLookup(lk) }
+	return lk
+}
+
+// freeLookup hands an ended lookup with no retry event left back to the
+// free list. Its collected values belong to the caller now.
+//
+//pqlint:noalloc
+func (s *System) freeLookup(lk *pendingLookup) {
+	*lk = pendingLookup{timer: lk.timer, retryFn: lk.retryFn}
+	s.lookupFree = append(s.lookupFree, lk) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+}
+
+// newAdvertise takes an advertise record from the free list, or makes one
+// with its storedAt map, timer and send-done callbacks bound when the list is
+// dry.
+//
+//pqlint:noalloc
+func (s *System) newAdvertise() *pendingAdvertise {
+	if n := len(s.adFree); n > 0 {
+		ad := s.adFree[n-1]
+		s.adFree[n-1] = nil
+		s.adFree = s.adFree[:n-1]
+		return ad
+	}
+	//pqlint:allow noalloc(pool-dry cold path: one record per increase of the pending-advertise high-water mark)
+	ad := &pendingAdvertise{storedAt: make(map[int]bool)}
+	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
+	ad.timer = sim.NewTimer(s.engine, func() { s.advertiseTimedOut(ad) })
+	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
+	ad.memberSent = func(ok bool) { s.memberSent(ad, ok) }
+	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
+	ad.alternateSent = func(ok bool) { s.sendSettled(ad, ok) }
+	return ad
+}
+
+// freeAdvertise hands an ended advertise with no send left to call back to
+// the free list, its storedAt map emptied.
+//
+//pqlint:noalloc
+func (s *System) freeAdvertise(ad *pendingAdvertise) {
+	clear(ad.storedAt)
+	*ad = pendingAdvertise{
+		storedAt: ad.storedAt, timer: ad.timer,
+		memberSent: ad.memberSent, alternateSent: ad.alternateSent,
+	}
+	s.adFree = append(s.adFree, ad) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
 }
 
 // FloodCoverage returns how many distinct nodes a Flooding operation

@@ -310,11 +310,15 @@ type System struct {
 	// stamp[id] == stampGen); poolFree recycles the walks' salvation
 	// candidate pools, walkFree and replyFree the hop messages themselves.
 	// Together they keep a walk or reply hop free of allocations.
-	stamp     []uint32
-	stampGen  uint32
-	poolFree  [][]int
-	walkFree  []*walkMsg
-	replyFree []*replyHop
+	// lookupFree and adFree recycle the pending-op records, so issuing an
+	// operation allocates no state of its own either.
+	stamp      []uint32
+	stampGen   uint32
+	poolFree   [][]int
+	walkFree   []*walkMsg
+	replyFree  []*replyHop
+	lookupFree []*pendingLookup
+	adFree     []*pendingAdvertise
 
 	// served counts lookup answers produced per node (owner and bystander
 	// alike) — the server-side load behind the load figure's skew metric.
@@ -338,15 +342,21 @@ type ownedKey struct {
 	key    string
 }
 
+// pendingLookup is one lookup's state while it is pending, and after it has
+// ended until no event of its own is left to run. It comes from the System's
+// free list (newLookup) with its timer and retry callback bound once, and goes
+// back to it (freeLookup) when it has ended and no retry is scheduled: a hit
+// can end the lookup during a retry's back-off, and the retry event still
+// holds the record then.
 type pendingLookup struct {
 	id          opID
 	key         string
 	done        func(LookupResult)
-	timer       *sim.Timer
 	issued      float64
 	intersected bool
 	// collect mode (LookupCollect): gather every reply in a window
-	// instead of finishing on the first one.
+	// instead of finishing on the first one. collected is handed to the
+	// caller and never reused.
 	collect     bool
 	collected   []string
 	collectDone func(CollectResult)
@@ -354,22 +364,48 @@ type pendingLookup struct {
 	// how many attempts have run (drives the exponential backoff).
 	retriesLeft int
 	attempt     int
+	// ended is set when the lookup ends (endLookup); retries counts the
+	// scheduled retry events that have not run yet.
+	ended   bool
+	retries int
+
+	// timer is the lookup's timeout (lookupTimeout) and retryFn its
+	// retryLookup, both bound once per record and kept across reuses.
+	timer   *sim.Timer
+	retryFn func()
 }
 
+// pendingAdvertise is one advertise's state while it is pending, and after it
+// has ended until no send of its own is left to call back. It comes from the
+// System's free list (newAdvertise) with its timer and send-done callbacks
+// bound once, and goes back to it (freeAdvertise) when it has ended and every
+// Send it issued has called back; a record whose sends never call back is
+// left to the collector.
 type pendingAdvertise struct {
 	id      opID
 	res     AdvertiseResult
 	done    func(AdvertiseResult)
 	pending int // outstanding member contacts (Random) or 1 while walk alive
 	issued  float64
-	// timer is the AdvertiseTimeoutSecs deadline that force-settles the
-	// op if its quorum access never reaches a terminal event.
-	timer *sim.Timer
-	// storedAt tracks the distinct nodes this operation has written.
+	// storedAt tracks the distinct nodes this operation has written. It is
+	// kept, emptied, across reuses.
 	storedAt map[int]bool
-	// contacted lists the members a RANDOM advertise has sent to, the drawn
-	// quorum first, so that an adaptation draws a node not among them.
+	// A RANDOM advertise's fan-out: its origin, its one message and the
+	// members it has sent to, the drawn quorum first, so that an adaptation
+	// draws a node not among them. sends counts its Sends whose send-done
+	// has not run yet.
+	origin    int
+	msg       *directMsg
 	contacted []int
+	sends     int
+	ended     bool
+
+	// timer is the AdvertiseTimeoutSecs deadline that force-settles the op
+	// if its quorum access never reaches a terminal event; memberSent and
+	// alternateSent are the send-dones of the drawn members and of an
+	// adaptation's alternates. All three are bound once per record.
+	timer                     *sim.Timer
+	memberSent, alternateSent func(ok bool)
 }
 
 // New installs the quorum protocol on every node of net. routing is any

@@ -355,8 +355,8 @@ func primeReply(w *world, origin int) (opID, *replyMsg, *LookupResult) {
 	op := w.sys.nextOp(origin)
 	var res LookupResult
 	got := &res
-	lk := &pendingLookup{id: op, key: "k", issued: w.e.Now(), done: func(r LookupResult) { *got = r }}
-	lk.timer = sim.NewTimer(w.e, func() { w.sys.lookupTimeout(lk) })
+	lk := w.sys.newLookup()
+	lk.id, lk.key, lk.issued, lk.done = op, "k", w.e.Now(), func(r LookupResult) { *got = r }
 	lk.timer.Reset(10)
 	w.sys.lookups[op] = lk
 	r := &replyMsg{Op: op, Key: "k", Value: "v", Path: []int{0, 1, 2, 3, 4}, Idx: 4}

@@ -53,7 +53,11 @@ type walkMsg struct {
 }
 
 // walkPathCap is the initial capacity of a walk's visited list: most early-
-// halting lookups end within it, longer walks grow it geometrically.
+// halting lookups end within it, longer walks grow it geometrically. A count
+// of the list's length at walk end puts 85 % of the walks of the paper's
+// setting (bench's paper-sinr-aodv) within 8 entries and 44 % of
+// ideal-walk-read's; 16 would save ideal-walk-read 0.56 objects a walk but
+// cost the paper's setting 45 bytes a walk, so 8 stays.
 const walkPathCap = 8
 
 // walkStart is what launching a walk allocates: the header all of its
