@@ -158,9 +158,9 @@ type Routing struct {
 	// view is what a routed arrival hands the application (arrive).
 	view upcallView
 
-	// jitFree recycles the control broadcasts waiting out their jitter
+	// jittered recycles the control broadcasts waiting out their jitter
 	// (broadcastJittered).
-	jitFree []*jitteredBroadcast
+	jittered sim.Pool[*jitteredBroadcast]
 
 	// Discoveries counts RREQ rings originated: one per ring of a
 	// discovery, however many destinations it names.
@@ -201,6 +201,7 @@ func New(net *netstack.Network, cfg Config) *Routing {
 		engine: net.Engine(),
 		nodes:  make([]*nodeState, net.N()),
 	}
+	r.jittered.New = r.newJittered
 	for id := 0; id < net.N(); id++ {
 		st := &nodeState{
 			id:   id,
@@ -381,7 +382,7 @@ func (r *Routing) jitter() float64 {
 
 // jitteredBroadcast is one control broadcast waiting out its jitter: the node
 // that sends it, the packet, and fn, the event that sends it, bound once per
-// object and kept across reuses. It goes back to the free list as soon as
+// object and kept across reuses. It goes back to the pool as soon as
 // BroadcastOneHop returns, which copies the packet into its envelope. The
 // payload (a rreqMsg or rerrMsg) is not part of it: receivers read that until
 // the frame ends.
@@ -396,27 +397,25 @@ type jitteredBroadcast struct {
 //
 //pqlint:noalloc
 func (r *Routing) broadcastJittered(node *netstack.Node, pkt netstack.Packet) {
-	var b *jitteredBroadcast
-	if n := len(r.jitFree); n > 0 {
-		b = r.jitFree[n-1]
-		r.jitFree[n-1] = nil
-		r.jitFree = r.jitFree[:n-1]
-	} else {
-		//pqlint:allow noalloc(pool-dry cold path: one record per increase of the jittered-broadcast high-water mark)
-		b = &jitteredBroadcast{}
-		//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
-		b.fn = func() { r.sendJittered(b) }
-	}
+	b := r.jittered.Get()
 	b.node, b.pkt = node, pkt
 	r.engine.Schedule(r.jitter(), b.fn)
 }
 
+// newJittered is the jittered-broadcast pool's New: a record with its event
+// bound.
+func (r *Routing) newJittered() *jitteredBroadcast {
+	b := &jitteredBroadcast{}
+	b.fn = func() { r.sendJittered(b) }
+	return b
+}
+
 // sendJittered is b's event: it broadcasts the packet — a node that died
-// meanwhile sends nothing — and hands b back to the free list.
+// meanwhile sends nothing — and hands b back to the pool.
 //
 //pqlint:noalloc
 func (r *Routing) sendJittered(b *jitteredBroadcast) {
 	b.node.BroadcastOneHop(&b.pkt)
 	*b = jitteredBroadcast{fn: b.fn}
-	r.jitFree = append(r.jitFree, b) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	r.jittered.Put(b)
 }

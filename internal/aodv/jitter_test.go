@@ -50,11 +50,11 @@ func TestJitteredRREQOfDeadNode(t *testing.T) {
 	if len(own) != 2 || own[1] != 1 || own[3] != 1 {
 		t.Fatalf("node 2's request reached its neighbours %v times, want once each at 1 and 3", own)
 	}
-	if len(r.jitFree) < 2 {
-		t.Fatalf("%d jittered records back on the free list after two broadcasts, want >= 2", len(r.jitFree))
+	if r.jittered.Len() < 2 {
+		t.Fatalf("%d jittered records back on the free list after two broadcasts, want >= 2", r.jittered.Len())
 	}
-	for i, b := range r.jitFree {
-		if b.node != nil || b.pkt != (netstack.Packet{}) || b.fn == nil {
+	for i := 0; r.jittered.Len() > 0; i++ {
+		if b := r.jittered.Get(); b.node != nil || b.pkt != (netstack.Packet{}) || b.fn == nil {
 			t.Fatalf("free record %d not emptied or lost its bound event: %+v", i, *b)
 		}
 	}

@@ -66,9 +66,9 @@ type Oracle struct {
 	// bound once: it captures only o, and a literal at the call site is
 	// built per hop.
 	hopDone func(ok bool)
-	// sentFree recycles the first-hop completions of the sends whose
+	// sentHops recycles the first-hop completions of the sends whose
 	// caller passed a done (sentHop).
-	sentFree []*sentHop
+	sentHops sim.Pool[*sentHop]
 
 	// view is what a routed arrival hands the application (arrive).
 	view upcallView
@@ -103,6 +103,7 @@ func NewOracle(net *netstack.Network) *Oracle {
 			o.DataDrops++
 		}
 	}
+	o.sentHops.New = o.newSentHop
 	h := &oracleHandler{o: o}
 	for id := 0; id < net.N(); id++ {
 		net.Node(id).Register(netstack.ProtoRouted, h)
@@ -166,7 +167,9 @@ func (o *Oracle) send(src, dst int, inner *netstack.Packet, maxTTL int, done fun
 	}
 	hop := o.hopDone
 	if done != nil {
-		hop = o.newSentHop(done)
+		h := o.sentHops.Get()
+		h.done = done
+		hop = h.fn
 	}
 	node.SendOneHop(next, &pkt, hop)
 }
@@ -174,8 +177,8 @@ func (o *Oracle) send(src, dst int, inner *netstack.Packet, maxTTL int, done fun
 // sentHop is the first-hop completion of a send whose caller passed a done:
 // it runs done, then counts a failure as hopDone does. It is pooled, with fn
 // bound once per object. The MAC calls a hop's completion at most once, and
-// fire puts the object back on the free list before it runs done, so a send
-// made from inside done can reuse it.
+// fire puts the object back in the pool before it runs done, so a send made
+// from inside done can reuse it.
 type sentHop struct {
 	o    *Oracle
 	done func(ok bool)
@@ -185,25 +188,16 @@ type sentHop struct {
 func (h *sentHop) fire(ok bool) {
 	o, done := h.o, h.done
 	h.done = nil
-	o.sentFree = append(o.sentFree, h)
+	o.sentHops.Put(h)
 	done(ok)
 	o.hopDone(ok)
 }
 
-// newSentHop takes a completion from the free list, or makes one with fn
-// bound when the list is dry, and returns its fn running done.
-func (o *Oracle) newSentHop(done func(ok bool)) func(ok bool) {
-	var h *sentHop
-	if n := len(o.sentFree); n > 0 {
-		h = o.sentFree[n-1]
-		o.sentFree[n-1] = nil
-		o.sentFree = o.sentFree[:n-1]
-	} else {
-		h = &sentHop{o: o}
-		h.fn = h.fire
-	}
-	h.done = done
-	return h.fn
+// newSentHop is the completion pool's New: a sentHop with its fn bound.
+func (o *Oracle) newSentHop() *sentHop {
+	h := &sentHop{o: o}
+	h.fn = h.fire
+	return h
 }
 
 func (o *Oracle) fail(done func(bool)) {

@@ -1,6 +1,9 @@
 package aodv
 
-import "probquorum/internal/netstack"
+import (
+	"probquorum/internal/netstack"
+	"probquorum/internal/sim"
+)
 
 // RoutePrefetcher is implemented by routers that can bulk-prepare routing
 // state for an imminent fan-out: the quorum layer calls it with the member
@@ -61,10 +64,10 @@ type routeCache struct {
 	trees []*routeTree // by destination; nil = none
 	// order holds every tree of trees exactly once, in installation order
 	// (head is the logical front): a rebuild keeps the tree's place, eviction
-	// pops the front into the free list.
+	// pops the front into spare.
 	order []*routeTree
 	head  int
-	free  []*routeTree
+	spare sim.Pool[*routeTree]
 
 	// Prefetch scratch: pending holds the trees the current prefetch starts
 	// and extends to its origin; seen is a stamp array deduplicating the dst
@@ -92,6 +95,7 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 	if o.cache == nil {
 		n := o.net.N()
 		o.cache = &routeCache{o: o, trees: make([]*routeTree, n), seen: make([]int32, n)}
+		o.cache.spare.New = func() *routeTree { return &routeTree{dist: make([]uint16, n)} }
 	}
 	o.cache.maxTrees = cfg.MaxTrees
 }
@@ -200,15 +204,11 @@ func (c *routeCache) miss(dst int, ver uint64) *routeTree {
 
 // claim returns the tree a miss on dst has to fill, stamped valid as of ver:
 // dst's stale tree, which keeps its storage and its place in the eviction
-// order, or a tree off the free list that install must publish.
+// order, or a spare tree that install must publish.
 func (c *routeCache) claim(dst int, ver uint64) *routeTree {
 	t := c.trees[dst]
 	if t == nil {
-		if k := len(c.free); k > 0 {
-			t, c.free = c.free[k-1], c.free[:k-1]
-		} else {
-			t = &routeTree{dist: make([]uint16, len(c.trees))}
-		}
+		t = c.spare.Get()
 		t.dst = dst
 	}
 	t.version = ver
@@ -285,7 +285,7 @@ func (c *routeCache) install(t *routeTree) {
 		c.order[c.head] = nil
 		c.head++
 		c.trees[old.dst] = nil
-		c.free = append(c.free, old)
+		c.spare.Put(old)
 	}
 	if c.head > len(c.order)/2 && c.head > 64 {
 		c.order = append(c.order[:0], c.order[c.head:]...)

@@ -518,8 +518,8 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 			live++
 		}
 	}
-	if len(c.order) > n || live+len(c.free) > n || live != len(c.order)-c.head {
-		t.Fatalf("after 1000 version bumps: order=%d head=%d trees=%d free=%d, want ≤ %d each", len(c.order), c.head, live, len(c.free), n)
+	if len(c.order) > n || live+c.spare.Len() > n || live != len(c.order)-c.head {
+		t.Fatalf("after 1000 version bumps: order=%d head=%d trees=%d free=%d, want ≤ %d each", len(c.order), c.head, live, c.spare.Len(), n)
 	}
 	checkAgainstBFS(t, "after 1000 bumps", net, o)
 }
@@ -527,7 +527,7 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 // TestRouteCacheEvictionUnderPrefetch drives a cache far smaller than the
 // destination set through prefetches that mix in-place rebuilds, new trees
 // and evictions in one phase: every tree stays owned by exactly one of
-// trees/free, the cap holds, and answers still equal the BFS's.
+// trees/spare, the cap holds, and answers still equal the BFS's.
 func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, side, maxTrees = 60, 1000.0, 8
@@ -552,8 +552,14 @@ func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 				t.Fatalf("round %d: order holds a tree for %d that trees does not", round, tr.dst)
 			}
 		}
-		for _, tr := range c.free {
-			owner[tr]++
+		// The spare trees, popped and put back in their order.
+		spare := make([]*routeTree, c.spare.Len())
+		for i := range spare {
+			spare[i] = c.spare.Get()
+			owner[spare[i]]++
+		}
+		for i := len(spare) - 1; i >= 0; i-- {
+			c.spare.Put(spare[i])
 		}
 		for tr, k := range owner {
 			if k != 1 {

@@ -32,9 +32,6 @@ func (g *Graph) AddEdge(u, v int) {
 	g.adj[v] = append(g.adj[v], int32(u))
 }
 
-// Degree returns the degree of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Neighbors returns v's adjacency list (not a copy; do not modify).
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
@@ -47,15 +44,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return maxDeg
-}
-
-// AvgDegree returns the mean degree.
-func (g *Graph) AvgDegree() float64 {
-	sum := 0
-	for v := range g.adj {
-		sum += len(g.adj[v])
-	}
-	return float64(sum) / float64(len(g.adj))
 }
 
 // NewRGG builds a random geometric graph G²(n,r): n nodes placed uniformly

@@ -23,7 +23,11 @@ import (
 //     the set of functions ever assigned to that specific object, tracked
 //     through assignments, var initializers, and composite-literal fields;
 //   - calls through function values with no tracked assignment fall back
-//     to every address-taken function with an identical signature.
+//     to every address-taken function with an identical signature;
+//   - a method or field of an instantiated generic type resolves to its
+//     declaration (Origin): a call to Pool[*Event].Get reaches the body of
+//     Pool[T].Get, and a func-valued field assigned on one instantiation is
+//     the field every instantiation calls through.
 //
 // Only the module's own type-checked, non-test files contribute nodes;
 // calls into the standard library are opaque (assumed pure and
@@ -187,7 +191,7 @@ func (g *CallGraph) collectReferences(pkg *Package, file *SourceFile) {
 		if fn == nil {
 			return
 		}
-		if obj := objOfExpr(pkg, lhs); obj != nil {
+		if obj := origin(objOfExpr(pkg, lhs)); obj != nil {
 			g.assigned[obj] = append(g.assigned[obj], fn)
 		}
 	}
@@ -213,7 +217,7 @@ func (g *CallGraph) collectReferences(pkg *Package, file *SourceFile) {
 				return true
 			}
 			if obj, ok := pkg.Info.Uses[n].(*types.Func); ok {
-				if fn := g.byObj[obj]; fn != nil && !seen[fn] {
+				if fn := g.node(obj); fn != nil && !seen[fn] {
 					seen[fn] = true
 					g.addrTaken = append(g.addrTaken, fn)
 				}
@@ -236,6 +240,22 @@ func (g *CallGraph) collectReferences(pkg *Package, file *SourceFile) {
 	})
 }
 
+// node returns the node of a declared function or method, nil for one outside
+// the module. A method of an instantiated generic type is an object of its
+// own; Origin maps it to the declared one (and is the identity otherwise).
+func (g *CallGraph) node(obj *types.Func) *FuncNode {
+	return g.byObj[obj.Origin()]
+}
+
+// origin maps a field or variable of an instantiated generic type to its
+// declaration, so that assignments and calls through it share one key.
+func origin(obj types.Object) types.Object {
+	if v, ok := obj.(*types.Var); ok && v != nil {
+		return v.Origin()
+	}
+	return obj
+}
+
 // funcValue resolves an expression used as a function value to its node:
 // a literal, a named function, or a method value. Returns nil when the
 // expression is not a direct module-function reference.
@@ -245,17 +265,17 @@ func (g *CallGraph) funcValue(pkg *Package, e ast.Expr) *FuncNode {
 		return g.byLit[e]
 	case *ast.Ident:
 		if obj, ok := pkg.Info.Uses[e].(*types.Func); ok {
-			return g.byObj[obj]
+			return g.node(obj)
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[e]; ok && sel.Kind() == types.MethodVal {
 			if obj, ok := sel.Obj().(*types.Func); ok {
-				return g.byObj[obj]
+				return g.node(obj)
 			}
 			return nil
 		}
 		if obj, ok := pkg.Info.Uses[e.Sel].(*types.Func); ok {
-			return g.byObj[obj]
+			return g.node(obj)
 		}
 	}
 	return nil
@@ -295,7 +315,7 @@ func (g *CallGraph) callees(pkg *Package, call *ast.CallExpr) []*FuncNode {
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
 		case *types.Func:
-			if n := g.byObj[obj]; n != nil {
+			if n := g.node(obj); n != nil {
 				return []*FuncNode{n}
 			}
 			return nil // stdlib or external: opaque
@@ -318,7 +338,7 @@ func (g *CallGraph) callees(pkg *Package, call *ast.CallExpr) []*FuncNode {
 				if recv := sel.Recv(); recv != nil && types.IsInterface(recv) {
 					return g.implementers(obj.Name(), recv)
 				}
-				if n := g.byObj[obj]; n != nil {
+				if n := g.node(obj); n != nil {
 					return []*FuncNode{n}
 				}
 				return nil
@@ -327,7 +347,7 @@ func (g *CallGraph) callees(pkg *Package, call *ast.CallExpr) []*FuncNode {
 		// Package-qualified reference (pkg.F or pkg.Var).
 		switch obj := info.Uses[fun.Sel].(type) {
 		case *types.Func:
-			if n := g.byObj[obj]; n != nil {
+			if n := g.node(obj); n != nil {
 				return []*FuncNode{n}
 			}
 			return nil
@@ -348,7 +368,7 @@ func (g *CallGraph) callees(pkg *Package, call *ast.CallExpr) []*FuncNode {
 // assignment set of obj when available, otherwise every address-taken
 // function whose signature matches the call.
 func (g *CallGraph) funcValueCallees(pkg *Package, call *ast.CallExpr, obj types.Object) []*FuncNode {
-	if obj != nil {
+	if obj := origin(obj); obj != nil {
 		if set := g.assigned[obj]; len(set) > 0 {
 			return set
 		}

@@ -30,7 +30,8 @@ func loadFixture(t *testing.T, name string) *lint.Package {
 // The crosspkg row runs the whole-program analyzer over a two-package
 // fixture whose roots sit in package a and whose violations sit in package
 // b: each chain must be printed, which takes a call graph that resolves a
-// static call and an interface call across the package boundary.
+// static call and an interface call across the package boundary. The
+// noalloc row's chain is a call to a method of an instantiated generic type.
 func TestAnalyzerFixtures(t *testing.T) {
 	crosspkg := []string{"crosspkg/a", "crosspkg/b"}
 	rows := []struct {
@@ -43,7 +44,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{az: lint.NoGlobalRand, positives: 2}, // rand.Float64, rand.Intn
 		{az: lint.NoWallClock, positives: 3},  // time.Now, time.Sleep, os.Getpid
 		{az: lint.DetRange, positives: 3},     // RNG draw, scheduling, escaping append
-		{az: lint.NoAlloc, positives: 6},      // escaping append, &lit, boxing, closure, method value, make
+		{az: lint.NoAlloc, positives: 7, // escaping append, &lit, boxing, closure, method value, make, generic method's append
+			chains: []string{"noalloc.pushNode -> noalloc.(*stack).push]"}},
 		{name: "crosspkg-noalloc", az: lint.NoAlloc, dirs: crosspkg, positives: 2,
 			chains: []string{"a.hotStatic -> b.Scratch]", "a.hotIface -> b.(*Table).Put]"}},
 	}

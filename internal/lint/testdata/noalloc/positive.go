@@ -43,3 +43,18 @@ func grow(p *pool) {
 	m := make(map[int]*node)
 	m[0] = p.get()
 }
+
+// stack is generic: a call to push on an instantiation must reach push's
+// declaration, and the allocation in it.
+type stack[T any] struct {
+	items []T
+}
+
+func (s *stack[T]) push(x T) {
+	s.items = append(s.items, x)
+}
+
+//pqlint:noalloc
+func pushNode(s *stack[*node], n *node) {
+	s.push(n)
+}

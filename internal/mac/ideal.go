@@ -30,10 +30,10 @@ type IdealNet struct {
 	// when some node listens — none does in most runs.
 	listening int
 	near      []int // a frame's receivers, copied before an upcall can rebuild them
-	// flightFree recycles the per-send delivery callbacks: Send pops one
-	// and fire pushes it back, so steady-state sending does not allocate
+	// flights recycles the per-send delivery callbacks: Send takes one
+	// and fire puts it back, so steady-state sending does not allocate
 	// a closure per frame (DESIGN.md §9).
-	flightFree []*flight
+	flights sim.Pool[*flight]
 	// lanes hold the unicast flights in the air, one engine lane per air
 	// time, at most maxLanes of them (flightLane).
 	lanes []*sim.Lane
@@ -58,6 +58,7 @@ func NewIdealNet(engine *sim.Engine, n int, neighbors func(id int) []int, linked
 		macs:      make([]*IdealMAC, n),
 		enabled:   make([]bool, n),
 	}
+	in.flights.New = in.newFlight
 	for i := range in.macs {
 		in.macs[i] = &IdealMAC{net: in, id: i}
 		in.enabled[i] = true
@@ -120,14 +121,15 @@ func (m *IdealMAC) Send(f *phy.Frame) {
 	}
 	air := f.AirTime() + difs
 	m.pending++
-	fn := in.newFlight(m, f).fn
+	fl := in.flights.Get()
+	fl.mac, fl.f = m, f
 	if f.Dst != phy.Broadcast {
 		if l := in.flightLane(air); l != nil {
-			l.Schedule(fn)
+			l.Schedule(fl.fn)
 			return
 		}
 	}
-	in.engine.Schedule(air, fn)
+	in.engine.Schedule(air, fl.fn)
 }
 
 // maxLanes caps the engine lanes a net makes, because the engine scans
@@ -167,18 +169,10 @@ type flight struct {
 	fn  func()
 }
 
-//pqlint:noalloc
-func (in *IdealNet) newFlight(m *IdealMAC, f *phy.Frame) *flight {
-	var fl *flight
-	if n := len(in.flightFree); n > 0 {
-		fl = in.flightFree[n-1]
-		in.flightFree[n-1] = nil
-		in.flightFree = in.flightFree[:n-1]
-	} else {
-		fl = &flight{net: in} //pqlint:allow noalloc(pool-dry cold path: one flight per in-flight-frame high-water increase)
-		fl.fn = fl.fire       //pqlint:allow noalloc(bound once per pooled flight, on the same cold path)
-	}
-	fl.mac, fl.f = m, f
+// newFlight is the flight pool's New: a flight with its fn bound.
+func (in *IdealNet) newFlight() *flight {
+	fl := &flight{net: in}
+	fl.fn = fl.fire
 	return fl
 }
 
@@ -187,7 +181,7 @@ func (in *IdealNet) newFlight(m *IdealMAC, f *phy.Frame) *flight {
 func (fl *flight) fire() {
 	m, f := fl.mac, fl.f
 	fl.mac, fl.f = nil, nil
-	fl.net.flightFree = append(fl.net.flightFree, fl)
+	fl.net.flights.Put(fl)
 	m.deliver(f)
 }
 

@@ -140,16 +140,10 @@ func (e *Estimator) Observe(now float64, group int64, ids []int) {
 }
 
 // Evidence returns the accumulators decayed to now — the poolable raw
-// material behind Estimate (AggregateEstimate sums these across nodes).
+// material behind an Estimate (AggregateEstimate sums these across nodes).
 func (e *Estimator) Evidence(now float64) (pairs, collisions float64) {
 	e.decayTo(now)
 	return e.wPairs, e.wColl
-}
-
-// Estimate derives the current reading at time now.
-func (e *Estimator) Estimate(now float64) Estimate {
-	e.decayTo(now)
-	return estimateFrom(e.wPairs, e.wColl)
 }
 
 // estimateFrom turns pooled (pairs, collisions) evidence into an Estimate.

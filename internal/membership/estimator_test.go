@@ -26,7 +26,7 @@ func TestEstimatorRecoversN(t *testing.T) {
 	e := NewEstimator()
 	rng := rand.New(rand.NewSource(7))
 	feedUniform(e, rng, 0, 12, 10, n)
-	est := e.Estimate(0)
+	est := estimateFrom(e.Evidence(0))
 	if !est.OK {
 		t.Fatalf("estimate not OK with %.0f pairs", est.Pairs)
 	}
@@ -53,7 +53,7 @@ func TestEstimatorZeroCollision(t *testing.T) {
 	e.Observe(0, 1, []int{1, 2, 3})
 	e.Observe(0, 2, []int{4, 5, 6})
 	e.Observe(0, 3, []int{7, 8, 9})
-	est := e.Estimate(0)
+	est := estimateFrom(e.Evidence(0))
 	if !est.OK {
 		t.Fatalf("estimate not OK with %.0f pairs", est.Pairs)
 	}
@@ -75,7 +75,7 @@ func TestEstimatorSingleCollision(t *testing.T) {
 	e.Observe(0, 1, []int{1, 2, 3})
 	e.Observe(0, 2, []int{4, 5, 6})
 	e.Observe(0, 3, []int{7, 8, 1}) // one id recurs across groups
-	est := e.Estimate(0)
+	est := estimateFrom(e.Evidence(0))
 	if !est.OK || est.AtLeast {
 		t.Fatalf("one collision must give a point estimate: %+v", est)
 	}
@@ -109,7 +109,7 @@ func TestEstimatorDecay(t *testing.T) {
 	if p1 < 0.45*p0 || p1 > 0.55*p0 {
 		t.Fatalf("pairs after one half-life: %.1f of %.1f, want ≈ half", p1, p0)
 	}
-	if est := e.Estimate(20 * halfLifeSecs); est.OK {
+	if est := estimateFrom(e.Evidence(20 * halfLifeSecs)); est.OK {
 		t.Fatalf("estimate still OK after 20 half-lives: %+v", est)
 	}
 }

@@ -173,13 +173,13 @@ func TestFaultDelayedDeliveryOwnsItsPacket(t *testing.T) {
 		return FaultAction{Delay: 0.5}
 	})
 	var freeAtDelivery []int
-	net.SetDeliveryObserver(func(int, int, *Packet) { freeAtDelivery = append(freeAtDelivery, len(net.envFree)) })
+	net.SetDeliveryObserver(func(int, int, *Packet) { freeAtDelivery = append(freeAtDelivery, net.envs.Len()) })
 	e.Schedule(0, func() { send("delayed", 7) })
 	e.Run(2)
 
-	if len(freeAtDelivery) != 2 || freeAtDelivery[0] != 0 || len(net.envFree) != 1 {
+	if len(freeAtDelivery) != 2 || freeAtDelivery[0] != 0 || net.envs.Len() != 1 {
 		t.Fatalf("free envelopes at the deliveries %v, %d at the end; want the one envelope in flight again when the delayed frame lands",
-			freeAtDelivery, len(net.envFree))
+			freeAtDelivery, net.envs.Len())
 	}
 	if len(s.pkts) != 2 {
 		t.Fatalf("delivered %d packets, want 2", len(s.pkts))

@@ -167,11 +167,11 @@ type Network struct {
 	// function is installed, so reorders are observable as a counter.
 	linkOrder map[linkKey]*linkOrder
 
-	// envFree recycles the envelopes (MAC frame + in-flight send state)
-	// nodes wrap around outgoing packets: SendOneHop/BroadcastOneHop pop
-	// one and MACSendDone — the MAC's last touch of a frame — pushes it
+	// envs recycles the envelopes (MAC frame + in-flight send state)
+	// nodes wrap around outgoing packets: SendOneHop/BroadcastOneHop take
+	// one and MACSendDone — the MAC's last touch of a frame — puts it
 	// back, so steady-state sending is allocation-free (DESIGN.md §9).
-	envFree []*sendEnv
+	envs sim.Pool[*sendEnv]
 	// aliveScratch backs AliveIDs.
 	aliveScratch []int
 }
@@ -222,6 +222,7 @@ func New(engine *sim.Engine, cfg Config) *Network {
 		alive:  make([]bool, cfg.N),
 		nAlive: cfg.N,
 	}
+	net.envs.New = func() *sendEnv { return new(sendEnv) }
 	if cfg.Mobility == nil {
 		net.mob = mobility.NewStaticUniform(engine.NewStream(), cfg.N, cfg.Side)
 	} else {
@@ -468,21 +469,14 @@ func (net *Network) AliveIDs() []int {
 	return net.aliveScratch
 }
 
-// allocEnv takes a recycled envelope from the pool, or allocates when the
-// pool is dry, copies *pkt into it and addresses its frame. Envelopes are
-// zeroed at release, so apart from the fields set here the frame is
-// field-for-field identical to a fresh phy.Frame{}.
+// allocEnv takes an envelope from the pool, copies *pkt into it and
+// addresses its frame. Envelopes are zeroed at release, so apart from the
+// fields set here the frame is field-for-field identical to a fresh
+// phy.Frame{}.
 //
 //pqlint:noalloc
 func (net *Network) allocEnv(dst int, pkt *Packet) *sendEnv {
-	var env *sendEnv
-	if n := len(net.envFree); n > 0 {
-		env = net.envFree[n-1]
-		net.envFree[n-1] = nil
-		net.envFree = net.envFree[:n-1]
-	} else {
-		env = &sendEnv{} //pqlint:allow noalloc(pool-dry cold path: one envelope per in-flight-frame high-water increase)
-	}
+	env := net.envs.Get()
 	env.pkt = *pkt
 	env.frame.Dst, env.frame.Bytes, env.frame.Payload = dst, pkt.Bytes+IPHeaderBytes, env
 	return env
@@ -496,7 +490,7 @@ func (net *Network) allocEnv(dst int, pkt *Packet) *sendEnv {
 //pqlint:noalloc
 func (net *Network) freeEnv(env *sendEnv) {
 	*env = sendEnv{}
-	net.envFree = append(net.envFree, env) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	net.envs.Put(env)
 }
 
 // RandomAliveID returns a uniformly random live node id.

@@ -35,18 +35,11 @@ type transmission struct {
 	endFn func()
 }
 
-// newTransmission takes a recycled transmission record from the pool.
-//
-//pqlint:noalloc
+// newTransmission is the transmission pool's New: a record with its end walk
+// bound.
 func (m *SINRMedium) newTransmission() *transmission {
-	if n := len(m.txFree); n > 0 {
-		t := m.txFree[n-1]
-		m.txFree[n-1] = nil
-		m.txFree = m.txFree[:n-1]
-		return t
-	}
-	t := &transmission{}                      //pqlint:allow noalloc(pool-dry cold path: one record per in-flight-broadcast high-water increase)
-	t.endFn = func() { m.endTransmission(t) } //pqlint:allow noalloc(the closure is created once per pooled record, precisely so the hot path does not allocate it)
+	t := &transmission{}
+	t.endFn = func() { m.endTransmission(t) }
 	return t
 }
 
@@ -66,7 +59,7 @@ func (m *SINRMedium) endTransmission(t *transmission) {
 		a.rx.signalEnd(t, a, now, cs)
 	}
 	t.frame, t.arrivals = nil, t.arrivals[:0]
-	m.txFree = append(m.txFree, t) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	m.txs.Put(t)
 }
 
 // radio is the per-node receiver state. What it hears is a running total, as
@@ -210,7 +203,7 @@ func (r *radio) Transmit(f *Frame) {
 			continue
 		}
 		if tx == nil {
-			tx = m.newTransmission()
+			tx = m.txs.Get()
 			tx.frame = f
 		}
 		tx.arrivals = append(tx.arrivals, arrival{powerMw: p, rx: m.radios[dst]}) //pqlint:allow noalloc(a pooled record's slice grows to the receivers-per-frame high-water mark)

@@ -36,10 +36,10 @@ type SINRMedium struct {
 	// (see radio).
 	radios []*radio
 
-	// txFree recycles transmission records, arrival slices included:
-	// Transmit pops one and the transmission's end walk pushes it back, so
+	// txs recycles transmission records, arrival slices included:
+	// Transmit takes one and the transmission's end walk puts it back, so
 	// steady-state transmission is allocation-free (DESIGN.md §9).
-	txFree []*transmission
+	txs sim.Pool[*transmission]
 	// candPos holds the positions of one Transmit's candidates, in
 	// candidate order; reused across transmissions.
 	candPos []geom.Point
@@ -84,6 +84,7 @@ func NewSINRMedium(engine *sim.Engine, cfg SINRConfig) *SINRMedium {
 		params: cfg.Params,
 		d:      cfg.Params.Derived(),
 	}
+	m.txs.New = m.newTransmission
 	// The candidate radius is the interference range in the exact model,
 	// the carrier-sense range under CellNoise (the far annulus is then
 	// covered by the noise field, not by arrivals). Carrier sense (against

@@ -6,6 +6,10 @@ import (
 	"probquorum/internal/netstack"
 )
 
+// PendingOps reports how many lookups and advertises are still registered
+// in s's pending maps: zero once a run has drained.
+func PendingOps(s *System) (lookups, ads int) { return len(s.lookups), len(s.ads) }
+
 // PathPayload exposes, to the external tests, the node list a quorum packet
 // carries: a walk's visited list or a reply's reverse path (the live slice,
 // not a copy), with the message's identity and whether it is a walk. ok is

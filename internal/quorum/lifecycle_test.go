@@ -34,7 +34,7 @@ func TestDeadOriginOpRefInvalid(t *testing.T) {
 	if clRef.Valid() {
 		t.Fatalf("dead-origin LookupCollect returned a valid ref")
 	}
-	if lk, ads := w.sys.PendingOps(); lk != 0 || ads != 0 {
+	if lk, ads := len(w.sys.lookups), len(w.sys.ads); lk != 0 || ads != 0 {
 		t.Fatalf("dead-origin ops registered in pending maps: %d lookups, %d ads", lk, ads)
 	}
 
@@ -95,7 +95,7 @@ func TestAdvertiseDeadlineDrainsVanishedAccess(t *testing.T) {
 					t.Fatalf("advertise %d returned invalid ref", i)
 				}
 			}
-			if _, ads := w.sys.PendingOps(); ads != ops {
+			if ads := len(w.sys.ads); ads != ops {
 				t.Fatalf("pending ads before deadline = %d, want %d", ads, ops)
 			}
 
@@ -104,7 +104,7 @@ func TestAdvertiseDeadlineDrainsVanishedAccess(t *testing.T) {
 			if fired != ops {
 				t.Fatalf("done callbacks fired = %d, want %d", fired, ops)
 			}
-			if lk, ads := w.sys.PendingOps(); lk != 0 || ads != 0 {
+			if lk, ads := len(w.sys.lookups), len(w.sys.ads); lk != 0 || ads != 0 {
 				t.Fatalf("pending maps not drained: %d lookups, %d ads", lk, ads)
 			}
 			if got := w.sys.Counters().AdvertiseTimeouts; got != ops {
@@ -159,7 +159,7 @@ func TestOpMapsDrainUnderReceiverLoss(t *testing.T) {
 			if adFired != ops || lkFired != ops {
 				t.Fatalf("callbacks fired ad=%d lk=%d, want %d each", adFired, lkFired, ops)
 			}
-			if lk, ads := w.sys.PendingOps(); lk != 0 || ads != 0 {
+			if lk, ads := len(w.sys.lookups), len(w.sys.ads); lk != 0 || ads != 0 {
 				t.Fatalf("pending maps not drained: %d lookups, %d ads", lk, ads)
 			}
 		})
@@ -200,7 +200,7 @@ func TestOpStateGraceQueue(t *testing.T) {
 			w.e.Run(w.e.Now() + 40)
 
 			s := w.sys
-			if lk, _ := s.PendingOps(); lk != 0 {
+			if lk := len(s.lookups); lk != 0 {
 				t.Fatalf("%d lookups still pending", lk)
 			}
 			if q := len(s.grace) - s.graceHead; q != ops {
@@ -318,7 +318,7 @@ func TestOpRounds(t *testing.T) {
 		s := w.sys
 		ref := s.Advertise(0, "k", "v", nil)
 		w.e.Run(w.e.Now() + 10 + opStateGraceSecs)
-		if _, ads := s.PendingOps(); ads != 0 || len(s.floods) != 0 {
+		if ads := len(s.ads); ads != 0 || len(s.floods) != 0 {
 			t.Fatalf("%d ads pending and %d ops holding rounds after the grace, want none", ads, len(s.floods))
 		}
 

@@ -38,7 +38,7 @@ func (s *System) Advertise(origin int, key, value string, done func(AdvertiseRes
 	}
 	s.issuedAds++
 	s.owned[ownedKey{origin: origin, key: key}] = value
-	ad := s.newAdvertise()
+	ad := s.adRecs.Get()
 	ad.id, ad.done, ad.issued = op, done, s.engine.Now()
 	s.ads[op] = ad
 	// Deadline against quorum accesses that never reach a terminal event (a
@@ -80,7 +80,7 @@ func (s *System) Lookup(origin int, key string, done func(LookupResult)) OpRef {
 		return OpRef{id: op}
 	}
 	s.issuedLookups++
-	lk := s.newLookup()
+	lk := s.lookupRecs.Get()
 	lk.id, lk.key, lk.done, lk.issued = op, key, done, s.engine.Now()
 	lk.retriesLeft = s.cfg.LookupRetries
 	s.lookups[op] = lk
@@ -147,7 +147,7 @@ func (s *System) LookupCollect(origin int, key string, window float64, done func
 		return OpRef{id: op}
 	}
 	s.issuedLookups++
-	lk := s.newLookup()
+	lk := s.lookupRecs.Get()
 	lk.id, lk.key, lk.issued = op, key, s.engine.Now()
 	lk.collect, lk.collectDone = true, done
 	s.lookups[op] = lk
@@ -266,7 +266,7 @@ func (s *System) lookupTimeout(lk *pendingLookup) {
 
 // retryLookup re-launches a timed-out lookup with a freshly drawn quorum,
 // under the same op: its flood, if any, is a new round of it. A lookup that
-// ended during the back-off goes back to the free list here instead.
+// ended during the back-off goes back to the pool here instead.
 func (s *System) retryLookup(lk *pendingLookup) {
 	lk.retries--
 	if lk.ended {
@@ -293,7 +293,7 @@ func (s *System) retryLookup(lk *pendingLookup) {
 // timeout, or when its collect window closes. It takes lk out of s.lookups —
 // a lookup is finished exactly when it has left the map — cancels its timer
 // (a no-op once the timer has fired), queues the release of its flood
-// rounds and runs the caller's callback. Then lk goes back to the free list,
+// rounds and runs the caller's callback. Then lk goes back to the pool,
 // unless a retry event still holds it (retryLookup frees it then).
 func (s *System) endLookup(lk *pendingLookup, hit bool, value string) {
 	delete(s.lookups, lk.id)
@@ -342,7 +342,7 @@ func (s *System) advertiseTimedOut(ad *pendingAdvertise) {
 // endAdvertise is where every advertise ends: when its last contact settles,
 // or at its AdvertiseTimeoutSecs deadline. Like endLookup it takes ad out of
 // s.ads, cancels its timer, queues the release of its flood rounds and runs
-// the caller's callback. ad goes back to the free list first, unless a send
+// the caller's callback. ad goes back to the pool first, unless a send
 // of it has yet to call back (sendSettled frees it then); the callback gets
 // copies, so an advertise it issues may reuse the record.
 func (s *System) endAdvertise(ad *pendingAdvertise) {
@@ -359,60 +359,36 @@ func (s *System) endAdvertise(ad *pendingAdvertise) {
 	}
 }
 
-// newLookup takes a lookup record from the free list, or makes one with its
-// timer and retry callback bound when the list is dry.
-//
-//pqlint:noalloc
+// newLookup is the lookup pool's New: a record with its timer and retry
+// callback bound.
 func (s *System) newLookup() *pendingLookup {
-	if n := len(s.lookupFree); n > 0 {
-		lk := s.lookupFree[n-1]
-		s.lookupFree[n-1] = nil
-		s.lookupFree = s.lookupFree[:n-1]
-		return lk
-	}
-	//pqlint:allow noalloc(pool-dry cold path: one record per increase of the pending-lookup high-water mark)
 	lk := &pendingLookup{}
-	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
 	lk.timer = sim.NewTimer(s.engine, func() { s.lookupTimeout(lk) })
-	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
 	lk.retryFn = func() { s.retryLookup(lk) }
 	return lk
 }
 
 // freeLookup hands an ended lookup with no retry event left back to the
-// free list. Its collected values belong to the caller now.
+// pool. Its collected values belong to the caller now.
 //
 //pqlint:noalloc
 func (s *System) freeLookup(lk *pendingLookup) {
 	*lk = pendingLookup{timer: lk.timer, retryFn: lk.retryFn}
-	s.lookupFree = append(s.lookupFree, lk) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	s.lookupRecs.Put(lk)
 }
 
-// newAdvertise takes an advertise record from the free list, or makes one
-// with its storedAt map, timer and send-done callbacks bound when the list is
-// dry.
-//
-//pqlint:noalloc
+// newAdvertise is the advertise pool's New: a record with its storedAt map,
+// timer and send-done callbacks bound.
 func (s *System) newAdvertise() *pendingAdvertise {
-	if n := len(s.adFree); n > 0 {
-		ad := s.adFree[n-1]
-		s.adFree[n-1] = nil
-		s.adFree = s.adFree[:n-1]
-		return ad
-	}
-	//pqlint:allow noalloc(pool-dry cold path: one record per increase of the pending-advertise high-water mark)
 	ad := &pendingAdvertise{storedAt: make(map[int]bool)}
-	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
 	ad.timer = sim.NewTimer(s.engine, func() { s.advertiseTimedOut(ad) })
-	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
 	ad.memberSent = func(ok bool) { s.memberSent(ad, ok) }
-	//pqlint:allow noalloc(bound once per pooled record and kept across its reuses)
 	ad.alternateSent = func(ok bool) { s.sendSettled(ad, ok) }
 	return ad
 }
 
 // freeAdvertise hands an ended advertise with no send left to call back to
-// the free list, its storedAt map emptied.
+// the pool, its storedAt map emptied.
 //
 //pqlint:noalloc
 func (s *System) freeAdvertise(ad *pendingAdvertise) {
@@ -421,7 +397,7 @@ func (s *System) freeAdvertise(ad *pendingAdvertise) {
 		storedAt: ad.storedAt, timer: ad.timer,
 		memberSent: ad.memberSent, alternateSent: ad.alternateSent,
 	}
-	s.adFree = append(s.adFree, ad) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	s.adRecs.Put(ad)
 }
 
 // FloodCoverage returns how many distinct nodes a Flooding operation

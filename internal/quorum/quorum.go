@@ -307,18 +307,18 @@ type System struct {
 	graceFn   func()
 
 	// stamp is the n-sized scratch set behind mark (id is a member iff
-	// stamp[id] == stampGen); poolFree recycles the walks' salvation
-	// candidate pools, walkFree and replyFree the hop messages themselves.
+	// stamp[id] == stampGen); candPools recycles the walks' salvation
+	// candidate pools, walkMsgs and replyHops the hop messages themselves.
 	// Together they keep a walk or reply hop free of allocations.
-	// lookupFree and adFree recycle the pending-op records, so issuing an
+	// lookupRecs and adRecs recycle the pending-op records, so issuing an
 	// operation allocates no state of its own either.
 	stamp      []uint32
 	stampGen   uint32
-	poolFree   [][]int
-	walkFree   []*walkMsg
-	replyFree  []*replyHop
-	lookupFree []*pendingLookup
-	adFree     []*pendingAdvertise
+	candPools  sim.Pool[[]int]
+	walkMsgs   sim.Pool[*walkMsg]
+	replyHops  sim.Pool[*replyHop]
+	lookupRecs sim.Pool[*pendingLookup]
+	adRecs     sim.Pool[*pendingAdvertise]
 
 	// served counts lookup answers produced per node (owner and bystander
 	// alike) — the server-side load behind the load figure's skew metric.
@@ -344,7 +344,7 @@ type ownedKey struct {
 
 // pendingLookup is one lookup's state while it is pending, and after it has
 // ended until no event of its own is left to run. It comes from the System's
-// free list (newLookup) with its timer and retry callback bound once, and goes
+// pool (newLookup) with its timer and retry callback bound once, and goes
 // back to it (freeLookup) when it has ended and no retry is scheduled: a hit
 // can end the lookup during a retry's back-off, and the retry event still
 // holds the record then.
@@ -377,7 +377,7 @@ type pendingLookup struct {
 
 // pendingAdvertise is one advertise's state while it is pending, and after it
 // has ended until no send of its own is left to call back. It comes from the
-// System's free list (newAdvertise) with its timer and send-done callbacks
+// System's pool (newAdvertise) with its timer and send-done callbacks
 // bound once, and goes back to it (freeAdvertise) when it has ended and every
 // Send it issued has called back; a record whose sends never call back is
 // left to the collector.
@@ -433,6 +433,11 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)
 	s.graceFn = s.expireOpState
+	s.candPools.New = func() []int { return nil } // the first snapshot into it allocates
+	s.walkMsgs.New = s.newWalkMsg
+	s.replyHops.New = s.newReplyHop
+	s.lookupRecs.New = s.newLookup
+	s.adRecs.New = s.newAdvertise
 	needsMembers := cfg.AdvertiseStrategy.DrawsFromView() || cfg.LookupStrategy.DrawsFromView()
 	if (needsMembers || cfg.ReplyLocalRepair) && routing == nil {
 		panic("quorum: configuration requires routing but none was provided")
@@ -606,15 +611,6 @@ func (s *System) recordServe(id int, key string) {
 // reports, GeoQuorum's load-balance motivation measured directly.
 func (s *System) ServedCounts() []int64 { return s.served }
 
-// PendingOps reports how many lookup and advertise operations are still
-// registered in the pending maps. After a run has fully drained (every
-// issued op's timeout horizon has passed) both must be zero; a nonzero
-// count is a leaked op-termination path — under open-loop load, unbounded
-// memory. The check package asserts this in Suite.Final.
-func (s *System) PendingOps() (lookups, ads int) {
-	return len(s.lookups), len(s.ads)
-}
-
 // LookupHorizon is the longest a lookup can stay unresolved: one timeout,
 // plus a doubling backoff and another timeout per retry. Runners drain past
 // it; LeakedOps counts what is still pending beyond it.
@@ -630,12 +626,11 @@ func (c Config) LookupHorizon() float64 {
 
 // LeakedOps counts pending ops past the horizon at which their termination
 // path must have settled them: the full retry/backoff ladder plus one
-// timeout for lookups, AdvertiseTimeoutSecs for advertises. Unlike
-// PendingOps it is meaningful at any instant — a pending entry inside its
-// horizon is an op in flight (periodic re-advertising keeps some in flight
-// forever), one beyond it is a leaked termination path, and under
-// open-loop load, unbounded memory. The check package asserts zero in
-// Suite.Final.
+// timeout for lookups, AdvertiseTimeoutSecs for advertises. It is
+// meaningful at any instant — a pending entry inside its horizon is an op
+// in flight (periodic re-advertising keeps some in flight forever), one
+// beyond it is a leaked termination path, and under open-loop load,
+// unbounded memory. The check package asserts zero in Suite.Final.
 func (s *System) LeakedOps() (lookups, ads int) {
 	now := s.engine.Now()
 	horizon := s.cfg.LookupHorizon()

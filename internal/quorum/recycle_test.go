@@ -41,8 +41,8 @@ func TestStaleRetryLeavesReusedLookupAlone(t *testing.T) {
 	if got := dispatched[ref2.id]; got != 2 || len(second) != 1 || second[0].Hit {
 		t.Fatalf("second lookup: %d dispatches, results %+v; want its attempt and its retry, then one miss", got, second)
 	}
-	if len(w.sys.lookupFree) != 2 {
-		t.Fatalf("%d lookup records on the free list after both ended, want 2", len(w.sys.lookupFree))
+	if w.sys.lookupRecs.Len() != 2 {
+		t.Fatalf("%d lookup records on the free list after both ended, want 2", w.sys.lookupRecs.Len())
 	}
 }
 
@@ -126,8 +126,8 @@ func TestLateSendsLeaveReusedAdvertiseAlone(t *testing.T) {
 			t.Fatalf("second advertise's contacted %v, was %v", ad2.contacted, own)
 		}
 	}
-	if len(sys.adFree) != 1 {
-		t.Fatalf("%d advertise records on the free list after the first one's last send, want 1", len(sys.adFree))
+	if sys.adRecs.Len() != 1 {
+		t.Fatalf("%d advertise records on the free list after the first one's last send, want 1", sys.adRecs.Len())
 	}
 
 	for i := 3; i < 6; i++ {
@@ -136,8 +136,8 @@ func TestLateSendsLeaveReusedAdvertiseAlone(t *testing.T) {
 	if len(res2) != 1 || res2[0] != (AdvertiseResult{Requested: 3, Placed: 3}) {
 		t.Fatalf("second advertise resolved with %+v, want one result placing all 3 members", res2)
 	}
-	if len(sys.adFree) != 2 {
-		t.Fatalf("%d advertise records on the free list after both ended, want 2", len(sys.adFree))
+	if sys.adRecs.Len() != 2 {
+		t.Fatalf("%d advertise records on the free list after both ended, want 2", sys.adRecs.Len())
 	}
 }
 
@@ -170,7 +170,7 @@ func TestWalkLookupAllocatesNoOpState(t *testing.T) {
 	if perWalk != 1 || perLookup != perWalk {
 		t.Fatalf("a walk lookup allocates %.2f objects, its walk alone %.2f: want 1 each, the walkStart", perLookup, perWalk)
 	}
-	if lk, ads := w.sys.PendingOps(); lk != 0 || ads != 0 {
+	if lk, ads := len(w.sys.lookups), len(w.sys.ads); lk != 0 || ads != 0 {
 		t.Fatalf("%d lookups and %d advertises still pending", lk, ads)
 	}
 }

@@ -70,7 +70,7 @@ func (s *System) handleReply(n *netstack.Node, r *replyMsg) {
 // and the sender's state for the completion, which is bound once per object
 // (newReplyHop). Routed and flooding replies are plain replyMsgs and carry
 // none of it. Like a walkMsg, a hop belongs to its send: it goes back to the
-// free list when the send settles ok (DESIGN.md §9).
+// pool when the send settles ok (DESIGN.md §9).
 type replyHop struct {
 	msg  replyMsg
 	from *netstack.Node
@@ -101,7 +101,7 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 			}
 		}
 	}
-	h := s.newReplyHop()
+	h := s.replyHops.Get()
 	h.msg = replyMsg{Op: r.Op, Key: r.Key, Value: r.Value, Path: r.Path, Idx: j}
 	h.from = n
 	pkt := s.packet(n.ID(), r.Path[j], &h.msg)
@@ -109,7 +109,7 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 }
 
 // replySent is a reply hop's completion (h.done). A delivered hop goes back
-// to the free list; a failed one hands its message to repair, whose routed
+// to the pool; a failed one hands its message to repair, whose routed
 // retries keep it, so it is never reused.
 func (s *System) replySent(h *replyHop, ok bool) {
 	if !ok {
@@ -119,25 +119,14 @@ func (s *System) replySent(h *replyHop, ok bool) {
 	s.freeReplyHop(h)
 }
 
-// newReplyHop takes a reply hop from the free list, or makes one with its
-// completion bound when the list is dry.
-//
-//pqlint:noalloc
+// newReplyHop is the reply-hop pool's New: a hop with its completion bound.
 func (s *System) newReplyHop() *replyHop {
-	if n := len(s.replyFree); n > 0 {
-		h := s.replyFree[n-1]
-		s.replyFree[n-1] = nil
-		s.replyFree = s.replyFree[:n-1]
-		return h
-	}
-	//pqlint:allow noalloc(pool-dry cold path: one hop per increase of the in-flight reply high-water mark)
 	h := &replyHop{}
-	//pqlint:allow noalloc(bound once per pooled hop and kept across its reuses)
 	h.done = func(ok bool) { s.replySent(h, ok) }
 	return h
 }
 
-// freeReplyHop hands a settled hop back to the free list, unless a
+// freeReplyHop hands a settled hop back to the pool, unless a
 // fault-delayed copy of it may still be in flight (see freeWalkMsg).
 //
 //pqlint:noalloc
@@ -146,7 +135,7 @@ func (s *System) freeReplyHop(h *replyHop) {
 		return
 	}
 	*h = replyHop{done: h.done}
-	s.replyFree = append(s.replyFree, h) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	s.replyHops.Put(h)
 }
 
 // replyHopBroken reacts to a MAC failure delivering a reply to Path[j]:

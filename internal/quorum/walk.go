@@ -21,10 +21,10 @@ type walkHeader struct {
 // describes (Section 4.2).
 //
 // The part the receiver reads and the sender's forwarding state are a single
-// object, drawn from the System's free list (newWalkMsg) with its completion
+// object, drawn from the System's pool (newWalkMsg) with its completion
 // func bound once; the packet it travels in is built on the sender's stack. A
 // walkMsg belongs to its send: a receiver may read it during its upcall only,
-// and it goes back to the free list once the send has settled ok or the walk
+// and it goes back to the pool once the send has settled ok or the walk
 // has ended (DESIGN.md §9).
 type walkMsg struct {
 	*walkHeader
@@ -71,7 +71,7 @@ type walkStart struct {
 // itself is the first covered node.
 func (s *System) startWalk(origin int, h walkHeader) {
 	w := &walkStart{walkHeader: h}
-	m := s.newWalkMsg()
+	m := s.walkMsgs.Get()
 	m.walkHeader, m.Visited, m.Unique = &w.walkHeader, append(w.visited[:0], origin), 1
 	if h.Advertise {
 		s.storeAt(origin, h.Key, h.Value, true, h.Op)
@@ -120,7 +120,7 @@ func (s *System) handleWalk(n *netstack.Node, m *walkMsg) {
 		}
 	}
 
-	next := s.newWalkMsg()
+	next := s.walkMsgs.Get()
 	next.walkHeader, next.Visited, next.Unique = m.walkHeader, visited, unique
 	if next.Unique >= next.Target {
 		s.walkEnded(next)
@@ -168,7 +168,7 @@ func (s *System) tryForwardWalk(m *walkMsg) {
 }
 
 // walkSent is a walk hop's completion (m.done): a delivered message goes back
-// to the free list, a failed one is salvaged through another candidate or
+// to the pool, a failed one is salvaged through another candidate or
 // ends the walk.
 func (s *System) walkSent(m *walkMsg, ok bool) {
 	switch {
@@ -183,26 +183,16 @@ func (s *System) walkSent(m *walkMsg, ok bool) {
 	}
 }
 
-// newWalkMsg takes a walk message from the free list, or makes one with its
-// completion bound when the list is dry.
-//
-//pqlint:noalloc
+// newWalkMsg is the walk-message pool's New: a message with its completion
+// bound.
 func (s *System) newWalkMsg() *walkMsg {
-	if n := len(s.walkFree); n > 0 {
-		m := s.walkFree[n-1]
-		s.walkFree[n-1] = nil
-		s.walkFree = s.walkFree[:n-1]
-		return m
-	}
-	//pqlint:allow noalloc(pool-dry cold path: one message per increase of the in-flight walk high-water mark)
 	m := &walkMsg{}
-	//pqlint:allow noalloc(bound once per pooled message and kept across its reuses)
 	m.done = func(ok bool) { s.walkSent(m, ok) }
 	return m
 }
 
 // freeWalkMsg ends m's life: its candidate pool and, unless a fault-delayed
-// frame is still in flight, m itself go back to their free lists. A delayed
+// frame is still in flight, m itself go back to their pools. A delayed
 // copy is the one delivery that can outlive its hop's send-done — every
 // other receiver runs before it — and it may point at m; while one is
 // pending, m is left to the collector instead.
@@ -210,26 +200,22 @@ func (s *System) newWalkMsg() *walkMsg {
 //pqlint:noalloc
 func (s *System) freeWalkMsg(m *walkMsg) {
 	if m.pool != nil {
-		s.poolFree = append(s.poolFree, m.pool[:0]) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+		s.candPools.Put(m.pool[:0])
 		m.pool = nil
 	}
 	if s.net.PendingFaultDeliveries() > 0 {
 		return
 	}
 	*m = walkMsg{done: m.done}
-	s.walkFree = append(s.walkFree, m) //pqlint:allow noalloc(free-list growth is amortized to the pool high-water mark)
+	s.walkMsgs.Put(m)
 }
 
 // takePool snapshots a neighbor list (owned by its provider, valid until the
 // next query) into a recycled candidate pool; freeWalkMsg hands the pool
 // back once the walk's message is done with.
 func (s *System) takePool(neighbors []int) []int {
-	var pool []int
-	if n := len(s.poolFree); n > 0 {
-		pool = s.poolFree[n-1]
-		s.poolFree = s.poolFree[:n-1]
-	}
-	return append(pool[:0], neighbors...)
+	pool := s.candPools.Get()
+	return append(pool, neighbors...)
 }
 
 // mark stamps ids into the System's n-sized scratch set and returns the

@@ -129,7 +129,7 @@ func TestWalksUnderDuplicateFault(t *testing.T) {
 	if rep := suite.Final(); !rep.OK() {
 		t.Fatalf("invariant violations under duplication: %v", rep.Details)
 	}
-	if lk, ad := sys.PendingOps(); lk != 0 || ad != 0 {
+	if lk, ad := quorum.PendingOps(sys); lk != 0 || ad != 0 {
 		t.Fatalf("operations still pending after the drain: %d lookups, %d advertises", lk, ad)
 	}
 }
@@ -235,7 +235,7 @@ func TestHopMessageOutlivesDelayedDelivery(t *testing.T) {
 	if rep := suite.Final(); !rep.OK() {
 		t.Fatalf("invariant violations under delay: %v", rep.Details)
 	}
-	if lk, ad := sys.PendingOps(); lk != 0 || ad != 0 {
+	if lk, ad := quorum.PendingOps(sys); lk != 0 || ad != 0 {
 		t.Fatalf("operations still pending after the drain: %d lookups, %d advertises", lk, ad)
 	}
 }

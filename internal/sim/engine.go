@@ -25,7 +25,7 @@
 //
 // # Event recycling
 //
-// Events are recycled through an engine-owned free list, so steady-state
+// Events are recycled through an engine-owned Pool, so steady-state
 // scheduling is allocation-free (DESIGN.md §9). The queue holds only events
 // that will fire: Cancel takes its event out of the heap at once and hands
 // it straight back to the free list. The handle returned by At/Schedule is
@@ -204,16 +204,18 @@ type Engine struct {
 	rng   *rand.Rand
 	// processed counts events executed so far.
 	processed uint64
-	// free is the recycled-Event pool; At pops from it, and the run loop
-	// and Cancel push fired or cancelled events back, so steady-state
-	// scheduling does not allocate.
-	free []*Event
+	// events is the recycled-Event pool; At pops from it, and the run loop
+	// and Cancel push fired or cancelled events back (release), so
+	// steady-state scheduling does not allocate.
+	events Pool[*Event]
 }
 
 // NewEngine returns an engine at time zero whose random source is seeded
 // with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	e := &Engine{rng: NewRand(seed)}
+	e.events.New = func() *Event { return &Event{eng: e, index: -1} }
+	return e
 }
 
 // Now returns the current simulation time in seconds.
@@ -234,27 +236,13 @@ func (e *Engine) NewStream() *rand.Rand {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// alloc takes an Event from the free list, or allocates when the pool is
-// dry.
-//
-//pqlint:noalloc
-func (e *Engine) alloc() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &Event{eng: e, index: -1} //pqlint:allow noalloc(pool-dry cold path: one event per live-event high-water increase)
-}
-
-// release returns a fired or cancelled event to the free list. The closure
-// is dropped immediately so it does not outlive its scheduling.
+// release returns a fired or cancelled event to the pool. The closure is
+// dropped immediately so it does not outlive its scheduling.
 //
 //pqlint:noalloc
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
-	e.free = append(e.free, ev) //pqlint:allow noalloc(free-list growth is amortized to the live-event high-water mark)
+	e.events.Put(ev)
 }
 
 // Schedule runs fn after delay seconds. A negative delay is an error by the
@@ -279,7 +267,7 @@ func (e *Engine) At(t float64, fn func()) *Event {
 		panic("sim: At called with nil fn")
 	}
 	t = e.clamp(t)
-	ev := e.alloc()
+	ev := e.events.Get()
 	ev.time, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.queue.push(ev)

@@ -254,7 +254,7 @@ func TestTimerResetAndCancel(t *testing.T) {
 	if len(fired) != 1 || fired[0] != 2 {
 		t.Fatalf("timer fired %v, want [2]", fired)
 	}
-	if tm.Armed() {
+	if tm.event != nil {
 		t.Fatal("timer should be disarmed after firing")
 	}
 	tm.Reset(1)
@@ -334,7 +334,7 @@ func TestTimerRearmAllocFree(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("rearmed timer fired %d times, want 1", fired)
 	}
-	if tm.Armed() {
+	if tm.event != nil {
 		t.Fatal("timer should be disarmed after firing")
 	}
 }
@@ -366,7 +366,7 @@ func TestTimerFireResetAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("Reset after a Cancel allocates %.1f objects/op, want 0", avg)
 	}
-	if fired != 202 || tm.Armed() {
+	if fired != 202 || tm.event != nil {
 		t.Fatalf("cancelled timer fired (%d) or is still armed", fired)
 	}
 }
@@ -419,7 +419,7 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 			timers[i] = NewTimer(e, func() { fired = append(fired, timerID[i]) })
 		}
 		reset := func(i int, dt float64) {
-			if !timers[i].Armed() { // a fresh scheduling: new identity
+			if timers[i].event == nil { // a fresh scheduling: new identity
 				timerID[i] = nextID
 				nextID++
 			}

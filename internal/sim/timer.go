@@ -99,6 +99,3 @@ func (t *Timer) Cancel() {
 		t.event = nil
 	}
 }
-
-// Armed reports whether the timer has a pending deadline.
-func (t *Timer) Armed() bool { return t.event != nil }
