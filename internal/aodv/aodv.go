@@ -161,6 +161,13 @@ type Routing struct {
 	// jittered recycles the control broadcasts waiting out their jitter
 	// (broadcastJittered).
 	jittered sim.Pool[*jitteredBroadcast]
+	// linkWatches recycles the completions of the hops sendRREP and
+	// handleData send (linkWatch).
+	linkWatches sim.Pool[*linkWatch]
+	// rreqRest and rerrKept are handleRREQ's and handleRERR's scratch: the
+	// targets a node forwards, the entries it propagates.
+	rreqRest []rreqTarget
+	rerrKept []unreachable
 
 	// Discoveries counts RREQ rings originated: one per ring of a
 	// discovery, however many destinations it names.
@@ -202,6 +209,7 @@ func New(net *netstack.Network, cfg Config) *Routing {
 		nodes:  make([]*nodeState, net.N()),
 	}
 	r.jittered.New = r.newJittered
+	r.linkWatches.New = r.newLinkWatch
 	for id := 0; id < net.N(); id++ {
 		st := &nodeState{
 			id:   id,
@@ -353,7 +361,7 @@ func (r *Routing) touchRoute(st *nodeState, dst int) {
 func (r *Routing) updateRoute(st *nodeState, dst, nextHop, hops int, seq uint32, hasSeq bool) {
 	now := r.engine.Now()
 	if st.routes == nil {
-		st.routes = make([]route, len(r.nodes))
+		st.routes = make([]route, len(r.nodes)) //pqlint:allow noalloc(a node's first route install: its table row, once per node)
 	}
 	// An entry never learned is invalid, so it is always accepted.
 	rt := &st.routes[dst]

@@ -649,8 +649,8 @@ func TestRREQDedupHorizon(t *testing.T) {
 	seq := uint32(10)
 	copyOf := func(id uint32, from int) {
 		seq++
-		req := &rreqMsg{ID: id, Orig: 0, OrigSeq: seq, Targets: []rreqTarget{{Dst: 4}}, HopCount: 1}
-		r.handleRREQ(n, st, &netstack.Packet{Proto: netstack.ProtoAODV, Src: from, TTL: 5, Payload: req}, req, from)
+		req := &rreqMsg{ID: id, Orig: 0, OrigSeq: seq, Targets: []rreqTarget{{Dst: 4}}}
+		r.handleRREQ(n, st, &netstack.Packet{Proto: netstack.ProtoAODV, Src: from, TTL: 5, Hops: 1, Payload: req}, req, from)
 	}
 	e.At(0, func() { copyOf(7, 1) })
 	e.At(horizon-0.1, func() { copyOf(7, 3) })

@@ -9,12 +9,13 @@ import (
 
 // rreqMsg is a route request, flooded with limited TTL. It names one or more
 // destinations: a fan-out's discovery names every member it searches for.
+// Its hop count is the packet's Hops: the originator sends 0 and each relay
+// one more than it heard.
 type rreqMsg struct {
-	ID       uint32
-	Orig     int
-	OrigSeq  uint32
-	Targets  []rreqTarget
-	HopCount int
+	ID      uint32
+	Orig    int
+	OrigSeq uint32
+	Targets []rreqTarget
 }
 
 // rreqTarget is one destination a request names, with the sequence number
@@ -30,9 +31,12 @@ func rreqSize(targets int) int { return rreqBytes + rreqTargetBytes*(targets-1) 
 
 // rrepMsg is a route reply, unicast hop-by-hop along the reverse path.
 type rrepMsg struct {
-	Orig     int
-	Dst      int
-	DstSeq   uint32
+	Orig   int
+	Dst    int
+	DstSeq uint32
+	// HopCount is the replying node's distance to Dst: 0 from Dst itself.
+	// It does not change along the path; a receiver's distance to Dst is
+	// HopCount plus the packet's Hops plus one.
 	HopCount int
 }
 
@@ -250,12 +254,17 @@ func (r *Routing) handleControl(n *netstack.Node, pkt *netstack.Packet, from int
 	case *rreqMsg:
 		r.handleRREQ(n, st, pkt, msg, from)
 	case *rrepMsg:
-		r.handleRREP(n, st, msg, from)
+		r.handleRREP(st, pkt, msg, from)
 	case *rerrMsg:
 		r.handleRERR(n, st, msg, from)
 	}
 }
 
+// handleRREQ processes request req at n. A relay that answers none of its
+// targets re-broadcasts req itself (payloads are immutable once sent,
+// netstack.Packet); only a trimmed forward is a new message.
+//
+//pqlint:noalloc
 func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Packet, req *rreqMsg, from int) {
 	key := rreqKey(req.Orig, req.ID)
 	if st.seen(key) {
@@ -264,35 +273,29 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 	r.markSeen(st, key)
 	// Reverse route to the previous hop and to the originator.
 	r.updateRoute(st, from, from, 1, 0, false)
-	r.updateRoute(st, req.Orig, from, req.HopCount+1, req.OrigSeq, true)
+	r.updateRoute(st, req.Orig, from, pkt.Hops+1, req.OrigSeq, true)
 
-	// Each target is answered on its own; the forwarded copy names only the
-	// ones no reply went out for here. rest stays nil until one does.
-	var rest []rreqTarget
-	for i, t := range req.Targets {
-		switch {
-		case r.answerRREQ(st, req.Orig, t):
-			if rest == nil {
-				rest = make([]rreqTarget, i, len(req.Targets))
-				copy(rest, req.Targets[:i])
-			}
-		case rest != nil:
+	// Each target is answered on its own; a forward names only the ones no
+	// reply went out for here, collected in r.rreqRest. A reply goes out
+	// through the MAC, which never delivers inside a send, so no other
+	// handleRREQ runs while rest is in use.
+	rest := r.rreqRest[:0]
+	for _, t := range req.Targets {
+		if !r.answerRREQ(st, req.Orig, t) {
 			rest = append(rest, t)
 		}
 	}
-	if rest == nil {
-		rest = req.Targets
-	}
+	r.rreqRest = rest
 	if len(rest) == 0 || pkt.TTL <= 1 {
 		return
 	}
-	fwd := &rreqMsg{
-		ID: req.ID, Orig: req.Orig, OrigSeq: req.OrigSeq,
-		Targets: rest, HopCount: req.HopCount + 1,
+	fwd := req
+	if len(rest) < len(req.Targets) {
+		fwd = &rreqMsg{ID: req.ID, Orig: req.Orig, OrigSeq: req.OrigSeq, Targets: slices.Clone(rest)} //pqlint:allow noalloc(trimmed forward: the request minus the targets answered here)
 	}
 	r.broadcastJittered(n, netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
-		TTL: pkt.TTL - 1, Bytes: rreqSize(len(rest)), Payload: fwd, Hops: pkt.Hops + 1,
+		TTL: pkt.TTL - 1, Bytes: rreqSize(len(fwd.Targets)), Payload: fwd, Hops: pkt.Hops + 1,
 	})
 }
 
@@ -300,6 +303,8 @@ func (r *Routing) handleRREQ(n *netstack.Node, st *nodeState, pkt *netstack.Pack
 // whether it did: as the destination itself, or as a node holding a route
 // to it at least as fresh as the one the request asks for.
 func (r *Routing) answerRREQ(st *nodeState, orig int, t rreqTarget) bool {
+	var seq uint32
+	var hops int
 	if st.id == t.Dst {
 		// RFC 3561 §6.6.1: the destination bumps its sequence number to
 		// at least the requested one.
@@ -307,22 +312,24 @@ func (r *Routing) answerRREQ(st *nodeState, orig int, t rreqTarget) bool {
 			st.seq = t.DstSeq
 		}
 		st.seq++
-		r.sendRREP(st, &rrepMsg{Orig: orig, Dst: st.id, DstSeq: st.seq, HopCount: 0})
-		return true
-	}
-	// §6.6.2: an intermediate node with a fresh-enough route answers on the
-	// destination's behalf.
-	if rt := r.validRoute(st, t.Dst); rt != nil && rt.validSeq &&
+		seq = st.seq
+	} else if rt := r.validRoute(st, t.Dst); rt != nil && rt.validSeq &&
 		(!t.HasDSeq || int32(rt.seq-t.DstSeq) >= 0) {
-		r.sendRREP(st, &rrepMsg{Orig: orig, Dst: t.Dst, DstSeq: rt.seq, HopCount: int(rt.hops)})
-		return true
+		// §6.6.2: an intermediate node with a fresh-enough route answers
+		// on the destination's behalf.
+		seq, hops = rt.seq, int(rt.hops)
+	} else {
+		return false
 	}
-	return false
+	r.sendRREP(st, &rrepMsg{Orig: orig, Dst: t.Dst, DstSeq: seq, HopCount: hops}, 0) //pqlint:allow noalloc(the answering node's reply, read by every hop until the originator)
+	return true
 }
 
-// sendRREP unicasts a reply from st toward the request originator along the
-// reverse route.
-func (r *Routing) sendRREP(st *nodeState, rep *rrepMsg) {
+// sendRREP unicasts reply rep, which has travelled hops hops so far, from st
+// toward the request originator along the reverse route.
+//
+//pqlint:noalloc
+func (r *Routing) sendRREP(st *nodeState, rep *rrepMsg, hops int) {
 	if st.id == rep.Orig {
 		return // we are the originator; route is already installed
 	}
@@ -330,29 +337,71 @@ func (r *Routing) sendRREP(st *nodeState, rep *rrepMsg) {
 	if rt == nil {
 		return // reverse route evaporated; the ring search will retry
 	}
-	node := r.net.Node(st.id)
-	pkt := &netstack.Packet{
+	pkt := netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: rep.Orig,
-		Bytes: rrepBytes, Payload: rep,
+		Bytes: rrepBytes, Payload: rep, Hops: hops,
 	}
 	next := int(rt.nextHop)
-	node.SendOneHop(next, pkt, func(ok bool) {
-		if !ok {
-			r.linkBroken(st, next)
-		}
-	})
+	r.net.Node(st.id).SendOneHop(next, &pkt, r.watchLink(st, next, false))
 }
 
-func (r *Routing) handleRREP(n *netstack.Node, st *nodeState, rep *rrepMsg, from int) {
+// handleRREP processes reply rep at st: a relay passes rep itself on.
+//
+//pqlint:noalloc
+func (r *Routing) handleRREP(st *nodeState, pkt *netstack.Packet, rep *rrepMsg, from int) {
 	// Forward route to the replying destination.
 	r.updateRoute(st, from, from, 1, 0, false)
-	r.updateRoute(st, rep.Dst, from, rep.HopCount+1, rep.DstSeq, true)
+	r.updateRoute(st, rep.Dst, from, rep.HopCount+pkt.Hops+1, rep.DstSeq, true)
 	if st.id == rep.Orig {
-		r.resolveTarget(st, rep.Dst, true)
+		r.resolveTarget(st, rep.Dst, true) //pqlint:allow noalloc(end of a discovery at its originator: the packets waiting for the route are sent)
 		return
 	}
-	fwd := &rrepMsg{Orig: rep.Orig, Dst: rep.Dst, DstSeq: rep.DstSeq, HopCount: rep.HopCount + 1}
-	r.sendRREP(st, fwd)
+	r.sendRREP(st, rep, pkt.Hops+1)
+}
+
+// linkWatch is the completion of a hop AODV sends without a caller's done —
+// a RREP, or a routed envelope a node forwards: a failed hop breaks the link
+// from st to next, and a data hop counts a drop. It is pooled, with fn bound
+// once per object. The MAC calls a hop's completion at most once, and
+// linkDone puts the record back before it reacts, so a hop sent from within
+// that reaction can reuse it.
+type linkWatch struct {
+	st   *nodeState
+	next int
+	data bool
+	fn   func(ok bool)
+}
+
+// watchLink returns the completion of a hop from st to next.
+//
+//pqlint:noalloc
+func (r *Routing) watchLink(st *nodeState, next int, data bool) func(ok bool) {
+	w := r.linkWatches.Get()
+	w.st, w.next, w.data = st, next, data
+	return w.fn
+}
+
+// newLinkWatch is the link-watch pool's New: a record with fn bound.
+func (r *Routing) newLinkWatch() *linkWatch {
+	w := &linkWatch{}
+	w.fn = func(ok bool) { r.linkDone(w, ok) }
+	return w
+}
+
+// linkDone is w's completion.
+//
+//pqlint:noalloc
+func (r *Routing) linkDone(w *linkWatch, ok bool) {
+	st, next, data := w.st, w.next, w.data
+	*w = linkWatch{fn: w.fn}
+	r.linkWatches.Put(w)
+	if ok {
+		return
+	}
+	r.linkBroken(st, next) //pqlint:allow noalloc(cold path: a failed hop invalidates routes and sends a new RERR)
+	if data {
+		r.DataDrops++
+	}
 }
 
 // linkBroken reacts to a MAC-level delivery failure to neighbor next:
@@ -377,21 +426,33 @@ func (r *Routing) linkBroken(st *nodeState, next int) {
 	})
 }
 
+// handleRERR processes msg at n: the routes through from to the
+// destinations it names are lost, and those n held are announced in turn.
+// The kept entries are collected in r.rerrKept; when they are all of msg's,
+// n re-broadcasts msg itself, and only a partial forward is a new message.
+//
+//pqlint:noalloc
 func (r *Routing) handleRERR(n *netstack.Node, st *nodeState, msg *rerrMsg, from int) {
-	var propagate []unreachable
+	kept := r.rerrKept[:0]
 	for _, u := range msg.Unreachable {
 		rt := st.entry(u.dst)
 		if rt != nil && rt.valid && int(rt.nextHop) == from {
 			rt.valid = false
 			rt.seq = u.seq
-			propagate = append(propagate, u)
+			kept = append(kept, u)
 		}
 	}
-	if len(propagate) == 0 {
+	r.rerrKept = kept
+	fwd := msg
+	switch len(kept) {
+	case 0:
 		return
+	case len(msg.Unreachable): // every entry goes on: msg itself does
+	default:
+		fwd = &rerrMsg{Unreachable: slices.Clone(kept)} //pqlint:allow noalloc(partial forward: the entries this node held a route for)
 	}
 	r.broadcastJittered(n, netstack.Packet{
 		Proto: netstack.ProtoAODV, Src: st.id, Dst: netstack.Broadcast,
-		TTL: 1, Bytes: rerrBytes, Payload: &rerrMsg{Unreachable: propagate},
+		TTL: 1, Bytes: rerrBytes, Payload: fwd,
 	})
 }

@@ -107,7 +107,10 @@ func (r *Routing) transmitData(st *nodeState, op *outPacket, rt *route) {
 	})
 }
 
-// handleData processes a routed envelope arriving at node n.
+// handleData processes a routed envelope arriving at node n. The next hop's
+// envelope is built on this stack: SendOneHop copies it.
+//
+//pqlint:noalloc
 func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	st := r.nodes[n.ID()]
 	// Keep the active paths fresh in both directions.
@@ -120,19 +123,14 @@ func (r *Routing) handleData(n *netstack.Node, pkt *netstack.Packet, from int) {
 	rt := r.validRoute(st, pkt.Dst)
 	if rt == nil {
 		r.DataDrops++
-		r.linkLess(st, pkt.Dst)
+		r.linkLess(st, pkt.Dst) //pqlint:allow noalloc(cold path: a route expired under the packet, announced by a new RERR)
 		return
 	}
 	fwd := *pkt
 	fwd.TTL--
 	fwd.Hops++
 	next := int(rt.nextHop)
-	n.SendOneHop(next, &fwd, func(ok bool) {
-		if !ok {
-			r.linkBroken(st, next)
-			r.DataDrops++
-		}
-	})
+	n.SendOneHop(next, &fwd, r.watchLink(st, next, true))
 }
 
 // linkLess reports a missing route at a forwarding node (route expired

@@ -70,6 +70,52 @@ func TestForwardedHopAllocFree(t *testing.T) {
 	}
 }
 
+// TestAODVForwardedHopAllocFree is TestForwardedHopAllocFree on AODV: once
+// the route is up, a member ten hops away costs what one a hop away does —
+// the test's message, the origin's outPacket and its first-hop completion —
+// and an intermediate hop nothing, its completion coming from a pool.
+func TestAODVForwardedHopAllocFree(t *testing.T) {
+	const hops = 10
+	pts := make([]geom.Point, hops+1)
+	for i := range pts {
+		pts[i] = geom.Point{X: float64(i) * 150}
+	}
+	e := sim.NewEngine(1)
+	net := netstack.New(e, netstack.Config{
+		N: len(pts), Side: hops*150 + 1, Mobility: mobility.NewStatic(pts), Stack: netstack.StackIdeal,
+	})
+	r := New(net, Config{})
+	sinks := make([]countSink, len(pts))
+	for i := range sinks {
+		net.Node(i).Register(testProto, &sinks[i])
+	}
+	cost := func(dst int) float64 {
+		send := func() {
+			m := &memberMsg{key: "k"}
+			m.pkt = netstack.Packet{Proto: testProto, Src: 0, Dst: dst, Bytes: 512, Payload: m}
+			r.Send(0, dst, &m.pkt, nil)
+			e.Run(e.Now() + 1)
+		}
+		for i := 0; i < 8; i++ {
+			send() // discover the route, warm the tables and the pools
+		}
+		return testing.AllocsPerRun(100, send)
+	}
+	near, far := cost(1), cost(hops)
+	if far > 3 {
+		t.Errorf("a member %d hops away costs %.1f objects, want <= 3 (the message, the outPacket, its completion)", hops, far)
+	}
+	if far != near {
+		t.Errorf("a member %d hops away costs %.1f objects, one hop away %.1f: an intermediate hop allocates", hops, far, near)
+	}
+	if s := sinks[hops]; s.n != 8+101 || s.hops != hops {
+		t.Errorf("destination saw %d deliveries with Hops=%d, want %d with Hops=%d", s.n, s.hops, 8+101, hops)
+	}
+	if r.DataDrops != 0 {
+		t.Errorf("%d data drops on a connected line", r.DataDrops)
+	}
+}
+
 // seenFrame is one routed envelope as some observer saw it on the air.
 type seenFrame struct{ from, ttl, hops int }
 

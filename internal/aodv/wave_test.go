@@ -158,9 +158,9 @@ func TestIntermediateAnswersSomeTargets(t *testing.T) {
 	}
 	fwd := fwds[0].Payload.(*rreqMsg)
 	wantRest := []rreqTarget{{Dst: 5, DstSeq: 6, HasDSeq: true}, {Dst: 6}}
-	if !reflect.DeepEqual(fwd.Targets, wantRest) || fwds[0].Bytes != rreqBytes+rreqTargetBytes || fwds[0].TTL != 1 || fwd.HopCount != 1 {
+	if !reflect.DeepEqual(fwd.Targets, wantRest) || fwds[0].Bytes != rreqBytes+rreqTargetBytes || fwds[0].TTL != 1 || fwds[0].Hops != 1 {
 		t.Fatalf("forwarded %+v in %d bytes at TTL %d, hop count %d; want %+v in %d bytes at TTL 1, hop count 1",
-			fwd.Targets, fwds[0].Bytes, fwds[0].TTL, fwd.HopCount, wantRest, rreqBytes+rreqTargetBytes)
+			fwd.Targets, fwds[0].Bytes, fwds[0].TTL, fwds[0].Hops, wantRest, rreqBytes+rreqTargetBytes)
 	}
 
 	e.At(2, func() { ask(2, rreqTarget{Dst: 4}, rreqTarget{Dst: 5}) })

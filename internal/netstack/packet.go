@@ -34,7 +34,9 @@ const IPHeaderBytes = 20
 // instance shared, read-only, by every receiver of the hop and valid for the
 // upcall only. A forwarder edits and sends its own copy (fwd := *pkt); code
 // that keeps a packet past the upcall — a jittered rebroadcast, a delayed
-// delivery — takes a heap copy with Clone. All copies share Payload.
+// delivery — takes a heap copy with Clone. All copies share Payload, and a
+// payload is immutable once sent: a relay may re-send the one it received,
+// and a forward that changes a field builds a new payload.
 type Packet struct {
 	// Proto selects the handler at the receiving node.
 	Proto ProtocolID
