@@ -5,8 +5,9 @@
 #   1. build  — the whole tree compiles;
 #   2. lint   — pqlint's determinism invariants (fast, fails early);
 #      inline-check — the compiler still inlines the radio's per-arrival
-#               helpers, a random stream's per-entry seeding and the
-#               engine's event order (a few seconds);
+#               helpers, a random stream's per-entry seeding, the
+#               engine's event order and the queue and mark-set methods
+#               the hot paths call (a few seconds);
 #   3. chaos  — the fault-injection acceptance sweep;
 #   4. quick-check — `pqexp all` reproduces the data lines of the recorded
 #               results_quick.txt byte for byte, the spot figure's
@@ -52,7 +53,7 @@ lint:
 
 # inline-check fails when a function a hot path relies on inlining no longer
 # does: it builds INLINE_PKGS with -gcflags=-m and requires a "can inline"
-# line for each of INLINE_MUST (the last field of the line, matched exactly).
+# line for each of INLINE_MUST (the name after "can inline", matched exactly).
 # The first four serve the SINR medium's per-arrival walks; sim's entry is
 # what a random stream's first 607 draws cost, and (*source).step what each
 # later draw costs (sim/rand.go); precedes is the event order that the heap's
@@ -61,16 +62,23 @@ lint:
 # is the body that pointer instantiations share. Get is not listed: its call
 # to New alone costs 57 of the inliner's budget of 80, so no Get with a cold
 # path inlines, and the "can inline (*Pool[*…Event]).Get" that -m prints is a
-# wrapper that only forwards to that body. An inlining lost
+# wrapper that only forwards to that body. The Queue's Len, Front and Pop are
+# the run loop's scan and pop of lane heads (the lane entry's shape, LANE_SHAPE)
+# and the index refresh's drain (the int32 shape, compiled in phy).
+# (*Marks).Has is the membership test of the walk's candidate scan and the
+# oracle's BFS. An inlining lost
 # to a small edit costs speed and changes no output, so no other gate
 # notices: a mute test inside carrierAt took it past the inliner's budget once.
 INLINE_PKGS = ./internal/phy ./internal/geom ./internal/sim
-INLINE_MUST = '(*radio).carrierAt' '(*radio).busyAt' '(*Derived).ReceivedPowerMw' 'Dist2' 'entry' '(*source).step' 'precedes' '(*Pool[go.shape.*uint8]).Put'
+LANE_SHAPE = go.shape.struct { probquorum/internal/sim.time float64; probquorum/internal/sim.seq uint64; probquorum/internal/sim.fn func() }
+INLINE_MUST = '(*radio).carrierAt' '(*radio).busyAt' '(*Derived).ReceivedPowerMw' 'Dist2' 'entry' '(*source).step' 'precedes' '(*Pool[go.shape.*uint8]).Put' \
+	'(*Queue[$(LANE_SHAPE)]).Len' '(*Queue[$(LANE_SHAPE)]).Front' '(*Queue[$(LANE_SHAPE)]).Pop' \
+	'sim.(*Queue[go.shape.int32]).Len' 'sim.(*Queue[go.shape.int32]).Front' 'sim.(*Queue[go.shape.int32]).Pop' '(*Marks).Has'
 
 inline-check:
 	@out=$$($(GO) build -gcflags=-m $(INLINE_PKGS) 2>&1) || { echo "$$out"; exit 1; }; \
 	for f in $(INLINE_MUST); do \
-		echo "$$out" | awk -v f="$$f" '$$(NF-2) == "can" && $$(NF-1) == "inline" && $$NF == f { found = 1 } END { exit !found }' || \
+		echo "$$out" | awk -v f="$$f" '{ i = index($$0, ": can inline ") } i && substr($$0, i + 13) == f { found = 1 } END { exit !found }' || \
 			{ echo "inline-check: $$f is no longer inlinable (go build -gcflags=-m $(INLINE_PKGS))"; exit 1; }; \
 	done
 

@@ -18,7 +18,7 @@ func main() {
 
 	// Node 3 publishes where the printer is.
 	ad := c.AdvertiseWait(3, "printer", "room-217")
-	fmt.Printf("advertise: stored at %d nodes (requested %d)\n", ad.Placed, ad.Requested)
+	fmt.Printf("advertise: %d members had stored it when it reported done (requested %d)\n", ad.Placed, ad.Requested)
 
 	// Node 42, far away, looks it up.
 	res := c.LookupWait(42, "printer")

@@ -137,10 +137,9 @@ type nodeState struct {
 	// routes is the routing table, one entry per destination; nil until
 	// the node installs its first route.
 	routes []route
-	// seenOrder[seenHead:] is the duplicate-RREQ cache (keys from
-	// rreqKey), oldest first, so markSeen can forget the expired ones.
-	seenOrder []seenAt
-	seenHead  int
+	// seenOrder is the duplicate-RREQ cache (keys from rreqKey), oldest
+	// first, so markSeen can forget the expired ones.
+	seenOrder sim.Queue[seenAt]
 	// disc registers each discovery under every destination it still
 	// searches for.
 	disc    map[int]*discovery
@@ -242,7 +241,7 @@ func (r *Routing) ResetNode(id int) {
 		r.resolveTarget(st, dst, false)
 	}
 	clear(st.routes)
-	st.seenOrder, st.seenHead = st.seenOrder[:0], 0
+	st.seenOrder = sim.Queue[seenAt]{}
 }
 
 // markSeen enters key into st's duplicate-RREQ cache, first forgetting every
@@ -250,21 +249,17 @@ func (r *Routing) ResetNode(id int) {
 // far as RFC 3561 is concerned, and a cache that only grew would hold every
 // flood of the run at every node.
 func (r *Routing) markSeen(st *nodeState, key uint64) {
-	now, q, horizon := r.engine.Now(), st.seenOrder, r.cfg.pathDiscoveryTime()
-	for st.seenHead < len(q) && q[st.seenHead].at+horizon < now {
-		st.seenHead++
+	now, horizon := r.engine.Now(), r.cfg.pathDiscoveryTime()
+	for st.seenOrder.Len() > 0 && st.seenOrder.Front().at+horizon < now {
+		st.seenOrder.Pop()
 	}
-	if st.seenHead > len(q)/2 {
-		q = q[:copy(q, q[st.seenHead:])]
-		st.seenHead = 0
-	}
-	st.seenOrder = append(q, seenAt{key, now})
+	st.seenOrder.Push(seenAt{key, now})
 }
 
 // seen reports whether key is in st's duplicate-RREQ cache, scanning newest
 // first, where a flood's copies find their entry.
 func (st *nodeState) seen(key uint64) bool {
-	live := st.seenOrder[st.seenHead:]
+	live := st.seenOrder.Items()
 	for i := len(live) - 1; i >= 0; i-- {
 		if live[i].key == key {
 			return true

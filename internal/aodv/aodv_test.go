@@ -630,7 +630,7 @@ func TestSequenceNumberFreshness(t *testing.T) {
 }
 
 // cached is st's duplicate-RREQ cache, oldest first.
-func cached(st *nodeState) []seenAt { return st.seenOrder[st.seenHead:] }
+func cached(st *nodeState) []seenAt { return st.seenOrder.Items() }
 
 // TestRREQDedupHorizon: a copy of a request inside PATH_DISCOVERY_TIME is
 // still a duplicate (it must not touch the reverse route), and the cache lets
@@ -718,11 +718,11 @@ func TestRREQDedupCacheBounded(t *testing.T) {
 
 	r.ResetNode(2)
 	st := r.nodes[2]
-	if len(st.seenOrder) != 0 || st.seenHead != 0 {
-		t.Fatalf("reset node keeps %d queued requests (head %d)", len(st.seenOrder), st.seenHead)
+	if n := st.seenOrder.Len(); n != 0 {
+		t.Fatalf("reset node keeps %d queued requests", n)
 	}
 	r.markSeen(st, rreqKey(0, 1))
-	if len(st.seenOrder) != 1 || !st.seen(rreqKey(0, 1)) {
+	if st.seenOrder.Len() != 1 || !st.seen(rreqKey(0, 1)) {
 		t.Fatal("reset node's cache does not take a new entry")
 	}
 }

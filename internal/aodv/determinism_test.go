@@ -103,7 +103,7 @@ func TestResetNodeClearsRoutes(t *testing.T) {
 	if r.HasRoute(0, 5) {
 		t.Fatal("route should be gone after reset")
 	}
-	if n := len(r.nodes[0].seenOrder); n != 0 {
+	if n := r.nodes[0].seenOrder.Len(); n != 0 {
 		t.Fatalf("seen cache should be empty after reset, has %d entries", n)
 	}
 	var redelivered *bool

@@ -1,8 +1,6 @@
 package aodv
 
 import (
-	"math"
-
 	"probquorum/internal/netstack"
 	"probquorum/internal/sim"
 )
@@ -27,8 +25,6 @@ type Router interface {
 	SendScoped(src, dst int, inner *netstack.Packet, maxTTL int, done func(ok bool))
 	// AddTransitTap observes routed packets at transit nodes (RANDOM-OPT).
 	AddTransitTap(id int, tap TransitTap)
-	// HasRoute reports whether src can currently reach dst.
-	HasRoute(src, dst int) bool
 }
 
 var (
@@ -46,12 +42,11 @@ type Oracle struct {
 	taps   [][]TransitTap
 
 	// BFS scratch, reused across nextHop calls so steady-state routing does
-	// not allocate: visited is a stamp array (visited[i] == stamp means
-	// "seen in the current traversal"), parent/queue/depths are the
-	// traversal state. The traversal order is exactly the previous
-	// allocate-per-call implementation's, so results are bit-identical.
-	visited []int32
-	stamp   int32
+	// not allocate: visited is the set of nodes seen in the current
+	// traversal, parent/queue/depths are the traversal state. The traversal
+	// order is exactly the previous allocate-per-call implementation's, so
+	// results are bit-identical.
+	visited sim.Marks
 	parent  []int32
 	queue   []int32
 	depths  []int32
@@ -119,7 +114,7 @@ func (o *Oracle) AddTransitTap(id int, tap TransitTap) {
 	o.taps[id] = append(o.taps[id], tap)
 }
 
-// HasRoute implements Router.
+// HasRoute reports whether src can currently reach dst.
 func (o *Oracle) HasRoute(src, dst int) bool {
 	_, ok := o.nextHop(src, dst, 0)
 	return ok
@@ -244,20 +239,11 @@ func (o *Oracle) nextHop(src, dst int, maxTTL int) (int, bool) {
 	if o.cache != nil {
 		return o.cache.nextHop(src, dst, maxTTL)
 	}
-	n := o.net.N()
-	if len(o.visited) != n {
-		o.visited, o.parent = make([]int32, n), make([]int32, n) //pqlint:allow noalloc(BFS scratch, sized once per network and reused)
-		o.stamp = 0
+	if n := o.net.N(); len(o.parent) != n {
+		o.visited, o.parent = sim.NewMarks(n), make([]int32, n) //pqlint:allow noalloc(BFS scratch, sized once per network and reused)
 	}
-	if o.stamp == math.MaxInt32 {
-		for i := range o.visited {
-			o.visited[i] = 0
-		}
-		o.stamp = 0
-	}
-	o.stamp++
-	stamp := o.stamp
-	o.visited[src] = stamp
+	o.visited.Clear()
+	o.visited.Add(src)
 	o.parent[src] = -1
 	queue, depths := o.queue[:0], o.depths[:0]
 	queue = append(queue, int32(src))
@@ -268,10 +254,10 @@ func (o *Oracle) nextHop(src, dst int, maxTTL int) (int, bool) {
 			continue
 		}
 		for _, nb := range o.net.Neighbors(cur) {
-			if o.visited[nb] == stamp {
+			if o.visited.Has(nb) {
 				continue
 			}
-			o.visited[nb] = stamp
+			o.visited.Add(nb)
 			o.parent[nb] = int32(cur)
 			if nb == dst {
 				// Walk back to find the first hop.

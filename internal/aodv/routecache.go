@@ -62,19 +62,15 @@ type routeCache struct {
 	maxTrees int
 
 	trees []*routeTree // by destination; nil = none
-	// order holds every tree of trees exactly once, in installation order
-	// (head is the logical front): a rebuild keeps the tree's place, eviction
-	// pops the front into spare.
-	order []*routeTree
-	head  int
+	// order holds every tree of trees exactly once, in installation order:
+	// a rebuild keeps the tree's place, eviction pops the front into spare.
+	order sim.Queue[*routeTree]
 	spare sim.Pool[*routeTree]
 
 	// Prefetch scratch: pending holds the trees the current prefetch starts
-	// and extends to its origin; seen is a stamp array deduplicating the dst
-	// list.
-	pending   []*routeTree
-	seen      []int32
-	seenStamp int32
+	// and extends to its origin; seen deduplicates the dst list.
+	pending []*routeTree
+	seen    sim.Marks
 
 	queue []int32 // BFS scratch of extend
 }
@@ -94,7 +90,7 @@ func (o *Oracle) EnableRouteCache(cfg RouteCacheConfig) {
 	}
 	if o.cache == nil {
 		n := o.net.N()
-		o.cache = &routeCache{o: o, trees: make([]*routeTree, n), seen: make([]int32, n)}
+		o.cache = &routeCache{o: o, trees: make([]*routeTree, n), seen: sim.NewMarks(n)}
 		o.cache.spare.New = func() *routeTree { return &routeTree{dist: make([]uint16, n)} }
 	}
 	o.cache.maxTrees = cfg.MaxTrees
@@ -130,13 +126,7 @@ func (c *routeCache) prefetch(origin int, dsts []int) {
 	net := c.o.net
 	net.PrepareNeighbors()
 	ver := net.NeighborVersion()
-	if c.seenStamp == 1<<31-1 {
-		for i := range c.seen {
-			c.seen[i] = 0
-		}
-		c.seenStamp = 0
-	}
-	c.seenStamp++
+	c.seen.Clear()
 	// Claim every tree, grow every tree, then install the new ones in item
 	// order: no install runs while a claimed tree is still to grow, so an
 	// eviction never frees one. The origin's tree is made valid before the
@@ -145,10 +135,10 @@ func (c *routeCache) prefetch(origin int, dsts []int) {
 	var ot *routeTree
 	c.pending = c.pending[:0]
 	for _, dst := range dsts {
-		if c.seen[dst] == c.seenStamp {
+		if c.seen.Has(dst) {
 			continue
 		}
-		c.seen[dst] = c.seenStamp
+		c.seen.Add(dst)
 		if t := c.trees[dst]; !net.Alive(dst) || t != nil && t.version == ver {
 			continue
 		}
@@ -280,19 +270,13 @@ func (c *routeCache) extend(t *routeTree, src, ttl int, lens []uint16) {
 
 // install publishes a new tree, evicting the oldest ones past the cap.
 func (c *routeCache) install(t *routeTree) {
-	for len(c.order)-c.head >= c.maxTrees {
-		old := c.order[c.head]
-		c.order[c.head] = nil
-		c.head++
+	for c.order.Len() >= c.maxTrees {
+		old := c.order.Pop()
 		c.trees[old.dst] = nil
 		c.spare.Put(old)
 	}
-	if c.head > len(c.order)/2 && c.head > 64 {
-		c.order = append(c.order[:0], c.order[c.head:]...)
-		c.head = 0
-	}
 	c.trees[t.dst] = t
-	c.order = append(c.order, t)
+	c.order.Push(t)
 }
 
 // nextHop answers a query from the destination's distance field, starting it

@@ -518,8 +518,10 @@ func TestRouteCacheStaleTreesRebuiltInPlace(t *testing.T) {
 			live++
 		}
 	}
-	if len(c.order) > n || live+c.spare.Len() > n || live != len(c.order)-c.head {
-		t.Fatalf("after 1000 version bumps: order=%d head=%d trees=%d free=%d, want ≤ %d each", len(c.order), c.head, live, c.spare.Len(), n)
+	// No tree is evicted below the MaxTrees cap, so nothing was popped from
+	// order and its array holds exactly its Len() entries.
+	if c.order.Len() > n || live+c.spare.Len() > n || live != c.order.Len() {
+		t.Fatalf("after 1000 version bumps: order=%d trees=%d free=%d, want ≤ %d each", c.order.Len(), live, c.spare.Len(), n)
 	}
 	checkAgainstBFS(t, "after 1000 bumps", net, o)
 }
@@ -546,7 +548,7 @@ func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 		}
 		o.PrefetchRoutes(0, dsts)
 		owner := map[*routeTree]int{}
-		for _, tr := range c.order[c.head:] {
+		for _, tr := range c.order.Items() {
 			owner[tr]++
 			if c.trees[tr.dst] != tr {
 				t.Fatalf("round %d: order holds a tree for %d that trees does not", round, tr.dst)
@@ -573,7 +575,7 @@ func TestRouteCacheEvictionUnderPrefetch(t *testing.T) {
 		if len(frontierCap) > 3*maxTrees {
 			t.Fatalf("round %d: %d trees allocated for a cap of %d: evicted trees are not recycled", round, len(frontierCap), maxTrees)
 		}
-		if live := len(c.order) - c.head; live > maxTrees {
+		if live := c.order.Len(); live > maxTrees {
 			t.Fatalf("round %d: %d live trees past the cap of %d", round, live, maxTrees)
 		}
 		src, dst := rng.Intn(n), dsts[0]
@@ -636,7 +638,7 @@ func TestPrefetchTreesMatchSerialMiss(t *testing.T) {
 	_, _, serial := oracleWorld(pts, side)
 	check := func(name string, net *netstack.Network, o *Oracle) {
 		t.Helper()
-		if got := len(o.cache.order) - o.cache.head; got != n {
+		if got := o.cache.order.Len(); got != n {
 			t.Fatalf("%s: %d trees installed, want %d", name, got, n)
 		}
 		for dst := 0; dst < n; dst++ {

@@ -145,7 +145,7 @@ type Result struct {
 	LookupAppMsgs float64
 	// LookupRoutingMsgs is AODV control messages per lookup.
 	LookupRoutingMsgs float64
-	// AvgPlaced is the mean advertise quorum actually written.
+	// AvgPlaced is the mean AdvertiseResult.Placed, a lower bound on the quorum written.
 	AvgPlaced float64
 	// AvgLatency is the mean hit latency in seconds.
 	AvgLatency float64

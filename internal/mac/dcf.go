@@ -28,7 +28,7 @@ type DCF struct {
 	rng     *rand.Rand
 
 	state      dcfState
-	queue      []*phy.Frame
+	queue      sim.Queue[*phy.Frame]
 	seq        uint32
 	cw         int
 	attempts   int
@@ -70,7 +70,7 @@ func NewDCF(engine *sim.Engine, id int, ch phy.Channel, rng *rand.Rand) *DCF {
 	}
 	d.timer = sim.NewTimer(engine, d.timerFired)
 	d.ackTimer = sim.NewTimer(engine, d.ackTimeout)
-	d.txDoneFn = func() { d.txDone(d.queue[0]) }
+	d.txDoneFn = func() { d.txDone(*d.queue.Front()) }
 	d.ackFn = func() { d.transmitAck(&d.ack) }
 	d.channel.SetHandler(d)
 	d.notified = true // a channel starts out notifying
@@ -107,11 +107,11 @@ func (d *DCF) SetHandler(h Handler) { d.handler = h }
 func (d *DCF) SetPromiscuous(on bool) { d.channel.SetOverhear(on) }
 
 // QueueLen implements MAC.
-func (d *DCF) QueueLen() int { return len(d.queue) }
+func (d *DCF) QueueLen() int { return d.queue.Len() }
 
 // Send implements MAC.
 func (d *DCF) Send(f *phy.Frame) {
-	if len(d.queue) >= queueLimit {
+	if d.queue.Len() >= queueLimit {
 		d.Drops++
 		if d.handler != nil {
 			d.handler.MACSendDone(f, false)
@@ -128,7 +128,7 @@ func (d *DCF) Send(f *phy.Frame) {
 	} else {
 		f.Rate = unicastRate
 	}
-	d.queue = append(d.queue, f) //pqlint:allow noalloc(amortized and bounded: finishHead copies the queue down, so its capacity settles at its high-water mark, at most queueLimit frames)
+	d.queue.Push(f)
 	if d.state == dcfIdle {
 		d.startAccess(true)
 	}
@@ -196,11 +196,11 @@ func (d *DCF) ChannelStateChanged(busy bool) {
 }
 
 func (d *DCF) transmitHead() {
-	if len(d.queue) == 0 {
+	if d.queue.Len() == 0 {
 		d.setState(dcfIdle)
 		return
 	}
-	f := d.queue[0]
+	f := *d.queue.Front()
 	d.setState(dcfTx)
 	d.attempts++
 	d.TxData++
@@ -227,7 +227,7 @@ func (d *DCF) ackTimeout() {
 	if d.state != dcfWaitAck {
 		return
 	}
-	f := d.queue[0]
+	f := *d.queue.Front()
 	if d.attempts >= retryLimit {
 		d.finishHead(f, false)
 		return
@@ -241,19 +241,15 @@ func (d *DCF) ackTimeout() {
 	d.startAccess(false)
 }
 
-// finishHead completes the head-of-line frame and moves on. The queue is
-// copied down rather than re-sliced, so it keeps its backing array and Send's
-// append never re-houses it.
+// finishHead completes the head-of-line frame f and moves on.
 func (d *DCF) finishHead(f *phy.Frame, ok bool) {
 	d.ackTimer.Cancel()
-	n := copy(d.queue, d.queue[1:])
-	d.queue[n] = nil
-	d.queue = d.queue[:n]
+	d.queue.Pop()
 	d.setState(dcfIdle)
 	if d.handler != nil {
 		d.handler.MACSendDone(f, ok)
 	}
-	if len(d.queue) > 0 {
+	if d.queue.Len() > 0 {
 		d.startAccess(true)
 	}
 }
@@ -262,11 +258,11 @@ func (d *DCF) finishHead(f *phy.Frame, ok bool) {
 func (d *DCF) FrameReceived(f *phy.Frame) {
 	switch f.Kind {
 	case phy.FrameAck:
-		if f.Dst != d.id || d.state != dcfWaitAck || len(d.queue) == 0 {
+		if f.Dst != d.id || d.state != dcfWaitAck || d.queue.Len() == 0 {
 			return
 		}
-		if f.Seq == d.queue[0].Seq {
-			d.finishHead(d.queue[0], true)
+		if head := *d.queue.Front(); f.Seq == head.Seq {
+			d.finishHead(head, true)
 		}
 	case phy.FrameData:
 		switch {

@@ -27,7 +27,7 @@ const indexRefreshSecs = 1.0
 //
 // Staleness is tracked per node: idxTime stamps when each node was last
 // re-indexed, and queue holds the enabled nodes in stamp order (oldest at
-// head). A refresh pops and re-indexes only the entries older than
+// the front). A refresh pops and re-indexes only the entries older than
 // indexRefreshSecs — re-stamping them to now and re-appending — instead of
 // re-inserting all n nodes, so refresh cost is proportional to how many
 // nodes actually went stale since the last query, not to n. The queue stays
@@ -44,10 +44,9 @@ type Index struct {
 
 	// Incremental refresh state; unused when maxSpeed == 0 (a static
 	// index is maintained by SetEnabled alone, exactly fresh).
-	idxTime []float64 // id -> last re-index stamp
-	queue   []int32   // enabled ids in stamp order; disabled ids drop lazily
-	head    int       // queue[head:] are the live entries
-	queued  []bool    // id -> currently in queue[head:]
+	idxTime []float64        // id -> last re-index stamp
+	queue   sim.Queue[int32] // enabled ids in stamp order; disabled ids drop lazily
+	queued  []bool           // id -> currently in queue
 }
 
 // NewIndex indexes nodes 0..n-1, all enabled, in a side×side area with grid
@@ -68,9 +67,8 @@ func NewIndex(engine *sim.Engine, n int, side, cell float64, src PositionSource,
 	if maxSpeed > 0 {
 		x.idxTime = make([]float64, n) // stamped at construction time zero
 		x.queued = make([]bool, n)
-		x.queue = make([]int32, n, 2*n)
 		for i := 0; i < n; i++ {
-			x.queue[i] = int32(i)
+			x.queue.Push(int32(i))
 			x.queued[i] = true
 		}
 	}
@@ -91,7 +89,7 @@ func (x *Index) SetEnabled(id int, on bool) {
 		x.grid.Update(id, x.pos(id))
 		if x.maxSpeed > 0 && !x.queued[id] {
 			x.idxTime[id] = x.engine.Now()
-			x.queue = append(x.queue, int32(id))
+			x.queue.Push(int32(id))
 			x.queued[id] = true
 		}
 		// If the id's stale entry is still queued (disabled and re-enabled
@@ -112,26 +110,19 @@ func (x *Index) refreshIfStale() {
 	}
 	now := x.engine.Now()
 	cutoff := now - indexRefreshSecs
-	for x.head < len(x.queue) {
-		id := int(x.queue[x.head])
+	for x.queue.Len() > 0 {
+		id := int(*x.queue.Front())
 		if x.enabled[id] && x.idxTime[id] > cutoff {
 			break
 		}
-		x.head++
+		x.queue.Pop()
 		if !x.enabled[id] {
 			x.queued[id] = false
 			continue
 		}
 		x.grid.Update(id, x.pos(id))
 		x.idxTime[id] = now
-		x.queue = append(x.queue, int32(id)) //pqlint:allow noalloc(the queue is compacted below once its dead prefix passes n, so its capacity settles at a high-water mark)
-	}
-	// Compact once the dead prefix dominates; copy tolerates overlap, and
-	// capacity is reused so steady state does not allocate.
-	if x.head > len(x.enabled) {
-		m := copy(x.queue, x.queue[x.head:])
-		x.queue = x.queue[:m]
-		x.head = 0
+		x.queue.Push(int32(id))
 	}
 }
 
@@ -146,8 +137,8 @@ func (x *Index) pad() float64 {
 		return 0
 	}
 	oldest := x.engine.Now()
-	if x.head < len(x.queue) {
-		oldest = x.idxTime[x.queue[x.head]]
+	if x.queue.Len() > 0 {
+		oldest = x.idxTime[*x.queue.Front()]
 	}
 	return 2 * x.maxSpeed * (x.engine.Now() - oldest)
 }

@@ -90,10 +90,10 @@ func (s *System) sendSettled(ad *pendingAdvertise, ok bool) {
 func (s *System) pickFreshMember(origin int, contacted []int) (int, bool) {
 	view := s.members.View(origin)
 	rng := s.engine.Rand()
-	used := s.mark(contacted)
+	s.mark(contacted)
 	for attempts := 0; attempts < 2*len(view) && len(view) > 0; attempts++ {
 		c := view[rng.Intn(len(view))]
-		if s.stamp[c] != used && c != origin {
+		if !s.marks.Has(c) && c != origin {
 			return c, true
 		}
 	}

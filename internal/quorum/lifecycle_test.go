@@ -203,7 +203,7 @@ func TestOpStateGraceQueue(t *testing.T) {
 			if lk := len(s.lookups); lk != 0 {
 				t.Fatalf("%d lookups still pending", lk)
 			}
-			if q := len(s.grace) - s.graceHead; q != ops {
+			if q := s.grace.Len(); q != ops {
 				t.Fatalf("grace queue holds %d ops, want %d", q, ops)
 			}
 			if got := w.e.QueueLen() - base; got != 1 {

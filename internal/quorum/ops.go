@@ -436,9 +436,9 @@ type graceEntry struct {
 //
 //pqlint:noalloc
 func (s *System) releaseOpState(op opID) {
-	s.grace = append(s.grace, graceEntry{at: s.engine.Now() + opStateGraceSecs, op: op}) //pqlint:allow noalloc(grace-queue growth is amortized to the settled-op high-water mark)
-	if len(s.grace)-s.graceHead == 1 {
-		s.engine.At(s.grace[s.graceHead].at, s.graceFn)
+	s.grace.Push(graceEntry{at: s.engine.Now() + opStateGraceSecs, op: op})
+	if s.grace.Len() == 1 {
+		s.engine.At(s.grace.Front().at, s.graceFn)
 	}
 }
 
@@ -448,16 +448,8 @@ func (s *System) releaseOpState(op opID) {
 //
 //pqlint:noalloc
 func (s *System) expireOpState() {
-	op := s.grace[s.graceHead].op
-	s.graceHead++
-	delete(s.floods, op)
-	if 2*s.graceHead >= len(s.grace) {
-		// The expired prefix is at least as long as what is left: slide the
-		// rest down, which costs at most one copy per expiry.
-		n := copy(s.grace, s.grace[s.graceHead:])
-		s.grace, s.graceHead = s.grace[:n], 0
-	}
-	if s.graceHead < len(s.grace) {
-		s.engine.At(s.grace[s.graceHead].at, s.graceFn)
+	delete(s.floods, s.grace.Pop().op)
+	if s.grace.Len() > 0 {
+		s.engine.At(s.grace.Front().at, s.graceFn)
 	}
 }

@@ -182,7 +182,8 @@ type LookupResult struct {
 type AdvertiseResult struct {
 	// Requested is the target quorum size.
 	Requested int
-	// Placed is how many nodes stored the advertisement.
+	// Placed counts the members that had stored the key when the operation
+	// reported done: a lower bound on how many hold it.
 	Placed int
 	// FailedSends counts member contacts that failed at the routing or
 	// MAC layer.
@@ -299,21 +300,18 @@ type System struct {
 	// retried flood lookup.
 	floods map[opID][]floodRound
 
-	// grace[graceHead:] holds the settled operations whose flood rounds are
-	// still kept, oldest first (see releaseOpState). Only the head is an
-	// engine event; graceFn is expireOpState bound once.
-	grace     []graceEntry
-	graceHead int
-	graceFn   func()
+	// grace holds the settled operations whose flood rounds are still kept,
+	// oldest first (see releaseOpState). Only the front is an engine event;
+	// graceFn is expireOpState bound once.
+	grace   sim.Queue[graceEntry]
+	graceFn func()
 
-	// stamp is the n-sized scratch set behind mark (id is a member iff
-	// stamp[id] == stampGen); candPools recycles the walks' salvation
-	// candidate pools, walkMsgs and replyHops the hop messages themselves.
-	// Together they keep a walk or reply hop free of allocations.
-	// lookupRecs and adRecs recycle the pending-op records, so issuing an
-	// operation allocates no state of its own either.
-	stamp      []uint32
-	stampGen   uint32
+	// marks is the n-sized scratch set mark rebuilds; candPools recycles the
+	// walks' salvation candidate pools, walkMsgs and replyHops the hop
+	// messages themselves. Together they keep a walk or reply hop free of
+	// allocations. lookupRecs and adRecs recycle the pending-op records, so
+	// issuing an operation allocates no state of its own either.
+	marks      sim.Marks
 	candPools  sim.Pool[[]int]
 	walkMsgs   sim.Pool[*walkMsg]
 	replyHops  sim.Pool[*replyHop]
@@ -428,7 +426,7 @@ func New(net *netstack.Network, routing aodv.Router, members *membership.Service
 		ads:     make(map[opID]*pendingAdvertise),
 		owned:   make(map[ownedKey]string),
 		floods:  make(map[opID][]floodRound),
-		stamp:   make([]uint32, net.N()),
+		marks:   sim.NewMarks(net.N()),
 		served:  make([]int64, net.N()),
 	}
 	s.prefetcher, _ = routing.(aodv.RoutePrefetcher)

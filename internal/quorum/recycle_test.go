@@ -70,8 +70,6 @@ func (h *heldRouter) SendScoped(src, dst int, inner *netstack.Packet, _ int, don
 
 func (h *heldRouter) AddTransitTap(int, aodv.TransitTap) {}
 
-func (h *heldRouter) HasRoute(int, int) bool { return true }
-
 func (h *heldRouter) settle(i int, ok bool) {
 	s := h.sends[i]
 	if ok {

@@ -92,9 +92,9 @@ func (s *System) forwardReply(n *netstack.Node, r *replyMsg, idx int) {
 	if s.cfg.ReplyPathReduction {
 		// Skip to the earliest path node that is currently a direct
 		// neighbor (Section 7.2).
-		neighbor := s.mark(s.net.Neighbors(n.ID()))
+		s.mark(s.net.Neighbors(n.ID()))
 		for i := 0; i < j; i++ {
-			if s.stamp[r.Path[i]] == neighbor {
+			if s.marks.Has(r.Path[i]) {
 				s.counters.PathReductions += j - i
 				j = i
 				break

@@ -218,21 +218,15 @@ func (s *System) takePool(neighbors []int) []int {
 	return append(pool, neighbors...)
 }
 
-// mark stamps ids into the System's n-sized scratch set and returns the
-// stamp: id is a member iff s.stamp[id] equals it. The set lasts until the
-// next mark.
+// mark makes the System's n-sized scratch set s.marks hold exactly ids, until
+// the next mark.
 //
 //pqlint:noalloc
-func (s *System) mark(ids []int) uint32 {
-	s.stampGen++
-	if s.stampGen == 0 { // wrapped: stamps of 2^32 marks ago would read as members
-		clear(s.stamp)
-		s.stampGen = 1
-	}
+func (s *System) mark(ids []int) {
+	s.marks.Clear()
 	for _, id := range ids {
-		s.stamp[id] = s.stampGen
+		s.marks.Add(id)
 	}
-	return s.stampGen
 }
 
 // pickWalkNext selects the candidate index: a uniformly random neighbor for
@@ -245,10 +239,10 @@ func (s *System) pickWalkNext(m *walkMsg, pool []int) int {
 	if !m.SelfAvoiding {
 		return rng.Intn(len(pool))
 	}
-	visited := s.mark(m.Visited)
+	s.mark(m.Visited)
 	fresh := 0
 	for _, c := range pool {
-		if s.stamp[c] != visited {
+		if !s.marks.Has(c) {
 			fresh++
 		}
 	}
@@ -258,7 +252,7 @@ func (s *System) pickWalkNext(m *walkMsg, pool []int) int {
 	// The k-th unvisited candidate in pool order, k uniform.
 	k := rng.Intn(fresh)
 	for i, c := range pool {
-		if s.stamp[c] != visited {
+		if !s.marks.Has(c) {
 			if k == 0 {
 				return i
 			}

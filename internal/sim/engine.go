@@ -41,7 +41,7 @@
 // A Lane (Engine.NewLane) is a FIFO of events that each fire one fixed
 // delay after they were scheduled. Lane.Schedule(fn) fires fn exactly when
 // Engine.Schedule(delay, fn) would, with the same place among same-time
-// events, but it skips the heap: an entry is appended to the lane's slice
+// events, but it skips the heap: an entry is pushed onto the lane's Queue
 // and taken from its front. A caller may use a lane for events whose delay
 // is a constant of the lane and that are never cancelled — Lane.Schedule
 // returns no handle. The ideal MAC's unicast flights are such events: a
@@ -346,10 +346,10 @@ func (e *Engine) next() (lane *Lane, t float64, ok bool) {
 		t, seq, ok = top.time, top.seq, true
 	}
 	for _, l := range e.lanes {
-		if l.head == len(l.q) {
+		if l.q.Len() == 0 {
 			continue
 		}
-		h := &l.q[l.head]
+		h := l.q.Front()
 		if !ok || precedes(h.time, h.seq, t, seq) {
 			lane, t, seq, ok = l, h.time, h.seq, true
 		}
@@ -369,9 +369,9 @@ func (e *Engine) fire(lane *Lane) {
 		e.release(ev)
 		return
 	}
-	t, fn := lane.pop()
-	e.now = t
-	fn()
+	h := lane.q.Pop()
+	e.now = h.time
+	h.fn()
 	e.processed++
 }
 
@@ -382,7 +382,7 @@ func (e *Engine) fire(lane *Lane) {
 func (e *Engine) QueueLen() int {
 	n := len(e.queue)
 	for _, l := range e.lanes {
-		n += len(l.q) - l.head
+		n += l.q.Len()
 	}
 	return n
 }

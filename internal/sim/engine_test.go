@@ -244,6 +244,21 @@ func TestTickerStopTwice(t *testing.T) {
 	}
 }
 
+// TestTickerAllocFree: a tick re-arms the ticker's timer, whose callback is
+// bound once, with a pooled event, so ticking allocates nothing.
+func TestTickerAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	ticks := 0
+	NewTicker(e, 0, 1, func() { ticks++ })
+	e.Run(1)
+	if avg := testing.AllocsPerRun(200, func() { e.Run(e.Now() + 1) }); avg != 0 {
+		t.Fatalf("a tick allocates %.2f objects, want 0", avg)
+	}
+	if ticks != 2+201 {
+		t.Fatalf("%d ticks, want one per second: %d", ticks, 2+201)
+	}
+}
+
 func TestTimerResetAndCancel(t *testing.T) {
 	e := NewEngine(1)
 	var fired []float64

@@ -6,12 +6,8 @@ package sim
 type Lane struct {
 	eng   *Engine
 	delay float64
-	// q[head:] are the queued entries in firing order; q[:head] have fired
-	// and hold no closure. The slice grows to its high-water mark and is
-	// reused: it is reset when it empties, and copied down when it is full
-	// and at least half of it has fired.
-	q    []laneEntry
-	head int
+	// q holds the queued entries in firing order.
+	q Queue[laneEntry]
 }
 
 // laneEntry is one queued lane event: its key under the heap's order and
@@ -47,25 +43,6 @@ func (l *Lane) Schedule(fn func()) {
 		panic("sim: Lane.Schedule called with nil fn")
 	}
 	e := l.eng
-	if len(l.q) == cap(l.q) && l.head > 0 && 2*l.head >= len(l.q) {
-		n := copy(l.q, l.q[l.head:])
-		clear(l.q[n:])
-		l.q, l.head = l.q[:n], 0
-	}
-	l.q = append(l.q, laneEntry{time: e.now + l.delay, seq: e.seq, fn: fn}) //pqlint:allow noalloc(lane growth is amortized to the lane's high-water mark; a full lane at least half fired is copied down instead)
+	l.q.Push(laneEntry{time: e.now + l.delay, seq: e.seq, fn: fn})
 	e.seq++
-}
-
-// pop takes the head entry off the lane and returns its time and closure.
-//
-//pqlint:noalloc
-func (l *Lane) pop() (float64, func()) {
-	h := &l.q[l.head]
-	t, fn := h.time, h.fn
-	h.fn = nil
-	l.head++
-	if l.head == len(l.q) {
-		l.q, l.head = l.q[:0], 0
-	}
-	return t, fn
 }

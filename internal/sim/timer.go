@@ -4,10 +4,11 @@ package sim
 // fires after an initial delay (use 0 for an immediate tick, or a random
 // phase to desynchronize nodes).
 type Ticker struct {
-	engine   *Engine
+	// timer runs tick; tick re-arms it after fn, so each tick's event is
+	// scheduled after fn's own, and nothing is allocated per tick.
+	timer    *Timer
 	interval float64
 	fn       func()
-	event    *Event
 	stopped  bool
 }
 
@@ -17,15 +18,16 @@ func NewTicker(e *Engine, phase, interval float64, fn func()) *Ticker {
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{engine: e, interval: interval, fn: fn}
-	t.event = e.Schedule(phase, t.tick)
+	t := &Ticker{interval: interval, fn: fn}
+	t.timer = NewTimer(e, t.tick)
+	t.timer.Reset(phase)
 	return t
 }
 
 func (t *Ticker) tick() {
 	t.fn()
 	if !t.stopped { // fn may have stopped us
-		t.event = t.engine.Schedule(t.interval, t.tick)
+		t.timer.Reset(t.interval)
 	}
 }
 
@@ -39,15 +41,11 @@ func (t *Ticker) SetInterval(interval float64) {
 	t.interval = interval
 }
 
-// Stop cancels future ticks. The handle is dropped with the cancel: the
-// event is back in the engine's pool, and a later Stop must not cancel
-// whatever scheduling reuses it.
+// Stop cancels future ticks: it cancels the timer, which drops its event
+// handle, so a later Stop cannot cancel whatever scheduling reuses the event.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.event != nil {
-		t.event.Cancel()
-		t.event = nil
-	}
+	t.timer.Cancel()
 }
 
 // Timer is a single-shot resettable timeout.

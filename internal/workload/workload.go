@@ -206,8 +206,8 @@ type Stats struct {
 type nodeState struct {
 	id       int
 	inFlight int
-	on       bool // MMPP modulation state
-	queue    []Op // bounded by 2×MaxInFlight
+	on       bool          // MMPP modulation state
+	queue    sim.Queue[Op] // bounded by 2×MaxInFlight
 }
 
 // Generator drives an open-loop workload against a set of nodes. Construct
@@ -344,12 +344,10 @@ func (g *Generator) arrive(i int) {
 	switch {
 	case n.inFlight < g.cfg.MaxInFlight:
 		g.launch(i, op)
-	case len(n.queue) < 2*g.cfg.MaxInFlight:
+	case n.queue.Len() < 2*g.cfg.MaxInFlight:
 		g.stats.Queued++
-		n.queue = append(n.queue, op)
-		if len(n.queue) > g.stats.PeakQueue {
-			g.stats.PeakQueue = len(n.queue)
-		}
+		n.queue.Push(op)
+		g.stats.PeakQueue = max(g.stats.PeakQueue, n.queue.Len())
 	default:
 		g.stats.Shed++
 	}
@@ -384,11 +382,8 @@ func (g *Generator) launch(i int, op Op) {
 		}
 		n.inFlight--
 		// A window slot opened: promote the oldest queued arrival.
-		if len(n.queue) > 0 {
-			next := n.queue[0]
-			copy(n.queue, n.queue[1:])
-			n.queue = n.queue[:len(n.queue)-1]
-			g.launch(i, next)
+		if n.queue.Len() > 0 {
+			g.launch(i, n.queue.Pop())
 		}
 	})
 }
