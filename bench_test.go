@@ -265,6 +265,25 @@ func BenchmarkStreamDraw(b *testing.B) {
 // drawSink keeps the stream benchmarks' draws live.
 var drawSink int
 
+// BenchmarkMembershipRefresh redraws every eager membership view (2√n ids
+// each) once per iteration at two network sizes: O(n²) time for staging the
+// candidates, and 0 allocs/op, since each view is redrawn into its own array
+// (DESIGN.md §15, "Lazy membership").
+func BenchmarkMembershipRefresh(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e := sim.NewEngine(1)
+			net := netstack.New(e, netstack.Config{N: n, Stack: netstack.StackIdeal, Neighbors: netstack.NeighborsOracle})
+			s := membership.New(net, membership.Config{RefreshSecs: 1e9})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RefreshAll()
+			}
+		})
+	}
+}
+
 // BenchmarkIdealUnicastHop measures one acknowledged unicast on the ideal
 // stack — SendOneHop, the MAC's delivery event, MACSendDone — at two network
 // sizes. A hop touches the sender, the destination and the promiscuous

@@ -35,9 +35,10 @@ type Config struct {
 	// Lazy switches to draw-on-demand views: no view is
 	// materialized until some quorum access reads it, and a refresh is an
 	// O(1) generation bump instead of an O(n·|view|) redraw of every node.
-	// At n=100k the dense views alone are ~500 MB and each periodic
-	// refresh allocates O(n²) candidate scratch; lazily only the working
-	// set (the operation origins) ever materializes. Draws are keyed on
+	// Eager views cost O(n·|view|) memory — 0.5 MiB at n=1000, 4.1 MiB at
+	// n=4000, ~500 MB at n=100k — and a steady-state refresh allocates
+	// nothing but takes O(n²) time; lazily only the working set (the
+	// operation origins) ever materializes. Draws are keyed on
 	// (service seed, node id, generation, boot epoch), so each node's view
 	// is a deterministic function independent of which other views were
 	// read, or in what order — see DESIGN.md §15. The drawn views follow
@@ -55,8 +56,9 @@ type Service struct {
 	cfg   Config
 	rng   *rand.Rand
 	views [][]int
-	// scratch is reused by Pick so the quorum hot path allocates only its
-	// result slice.
+	// scratch stages the candidates of every draw (draw), so neither a
+	// refresh nor a Pick allocates once it has grown to n; each view keeps
+	// an array of its own, of capacity ViewSize.
 	scratch []int
 
 	// Continuous estimation state (nil slices when disabled). gens counts
@@ -144,6 +146,8 @@ func DefaultViewSize(n int) int {
 
 // RefreshAll redraws every live node's view. In lazy mode this is an O(1)
 // generation bump: views redraw themselves on next read.
+//
+//pqlint:noalloc
 func (s *Service) RefreshAll() {
 	if s.cfg.Lazy {
 		s.curGen++
@@ -155,7 +159,7 @@ func (s *Service) RefreshAll() {
 			s.skipDead(id)
 			continue
 		}
-		s.views[id] = sampleDistinct(s.rng, alive, id, s.cfg.ViewSize)
+		s.drawView(s.rng, alive, id)
 		s.bumpGen(id)
 	}
 }
@@ -203,8 +207,10 @@ func (s *Service) View(id int) []int {
 // ensureView returns id's lazy view, drawing it if the cached slice predates
 // the current (generation, boot epoch). The draw is a pure function of
 // (lazySeed, id, generation, epoch) and the current alive set, so it does
-// not depend on which other views were read or in what order — reading
-// every view equals refreshing eagerly (see TestLazyMatchesEagerDraw).
+// not depend on which other views were read or in what order (see
+// TestLazyDrawIndependentOfAccessOrder).
+//
+//pqlint:noalloc
 func (s *Service) ensureView(id int) []int {
 	if !s.net.Alive(id) {
 		if s.views[id] != nil {
@@ -215,31 +221,10 @@ func (s *Service) ensureView(id int) []int {
 	if s.views[id] != nil && s.viewGen[id] == s.curGen && s.viewEpoch[id] == s.bootEpoch[id] {
 		return s.views[id]
 	}
-	rng := s.viewRng
-	rng.Seed(int64(mix64(s.lazySeed, uint64(id), s.curGen, s.bootEpoch[id])))
-	// Same uniform without-replacement draw as sampleDistinct, staged
-	// through the reused scratch so materialization doesn't allocate the
-	// O(n) candidate slice eager refreshes pay per node.
-	s.scratch = s.scratch[:0]
-	for _, v := range s.net.AliveIDs() {
-		if v != id {
-			s.scratch = append(s.scratch, v)
-		}
-	}
-	k := s.cfg.ViewSize
-	if k > len(s.scratch) {
-		k = len(s.scratch)
-	}
-	view := s.views[id][:0]
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(s.scratch)-i)
-		s.scratch[i], s.scratch[j] = s.scratch[j], s.scratch[i]
-		view = append(view, s.scratch[i])
-	}
-	s.views[id] = view
+	s.viewRng.Seed(int64(mix64(s.lazySeed, uint64(id), s.curGen, s.bootEpoch[id])))
 	s.viewGen[id] = s.curGen
 	s.viewEpoch[id] = s.bootEpoch[id]
-	return view
+	return s.drawView(s.viewRng, s.net.AliveIDs(), id)
 }
 
 // mix64 folds the inputs through splitmix64 steps into one well-distributed
@@ -257,33 +242,30 @@ func mix64(vals ...uint64) uint64 {
 }
 
 // Pick returns up to k distinct ids drawn without replacement from node
-// id's view — the RANDOM strategy's quorum selection. Requesting more than
-// the view holds returns the whole view (the paper's cost plateau for
-// |Q| ≥ 2√n, Section 8.1); the quorum system keeps its sizes within the view
-// with GrowView.
+// id's view — the RANDOM strategy's quorum selection — in a new slice.
 func (s *Service) Pick(rng *rand.Rand, id, k int) []int {
+	return s.AppendPick(make([]int, 0, k), rng, id, k)
+}
+
+// AppendPick is Pick appending to dst, which it may grow. Requesting the
+// whole view or more returns the view in order and draws nothing (the paper's
+// cost plateau for |Q| ≥ 2√n, Section 8.1); the quorum system keeps its sizes
+// within the view with GrowView.
+//
+//pqlint:noalloc
+func (s *Service) AppendPick(dst []int, rng *rand.Rand, id, k int) []int {
 	view := s.View(id)
 	if k >= len(view) {
-		out := make([]int, len(view))
-		copy(out, view)
-		return out
+		return append(dst, view...)
 	}
-	// Partial Fisher–Yates over a reused scratch copy: the same uniform
-	// without-replacement distribution as a full Perm, but only k swaps
-	// and no O(len(view)) garbage per quorum access.
-	s.scratch = append(s.scratch[:0], view...)
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(s.scratch)-i)
-		s.scratch[i], s.scratch[j] = s.scratch[j], s.scratch[i]
-		out[i] = s.scratch[i]
-	}
-	return out
+	return s.draw(rng, view, -1, k, dst) // ids are ≥ 0: no candidate is excluded
 }
 
 // RefreshNode redraws a single node's view immediately — e.g. to bootstrap
 // a node that just joined, which would otherwise stay viewless (and hold a
 // stale spot in other views) until the next periodic RefreshAll.
+//
+//pqlint:noalloc
 func (s *Service) RefreshNode(id int) {
 	if !s.net.Alive(id) {
 		s.skipDead(id)
@@ -294,25 +276,42 @@ func (s *Service) RefreshNode(id int) {
 		s.bootEpoch[id]++
 		return
 	}
-	s.views[id] = sampleDistinct(s.rng, s.net.AliveIDs(), id, s.cfg.ViewSize)
+	s.drawView(s.rng, s.net.AliveIDs(), id)
 	s.bumpGen(id)
 }
 
-// sampleDistinct draws k distinct elements of pool, excluding exclude.
-func sampleDistinct(rng *rand.Rand, pool []int, exclude, k int) []int {
-	candidates := make([]int, 0, len(pool))
+// drawView redraws id's view with rng into the view's own array: ViewSize
+// ids of pool other than id.
+func (s *Service) drawView(rng *rand.Rand, pool []int, id int) []int {
+	s.views[id] = s.draw(rng, pool, id, s.cfg.ViewSize, reserve(s.views[id], s.cfg.ViewSize))
+	return s.views[id]
+}
+
+// draw is the service's one sampler: it stages the ids of pool other than
+// exclude in the reused scratch and appends min(k, their count) of them to
+// dst, drawn uniformly without replacement by a partial Fisher–Yates
+// shuffle, one rng.Intn each.
+func (s *Service) draw(rng *rand.Rand, pool []int, exclude, k int, dst []int) []int {
+	c := reserve(s.scratch, len(pool))
 	for _, v := range pool {
 		if v != exclude {
-			candidates = append(candidates, v)
+			c = append(c, v)
 		}
 	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	// Partial Fisher–Yates shuffle.
+	s.scratch = c
+	k = min(k, len(c))
 	for i := 0; i < k; i++ {
-		j := i + rng.Intn(len(candidates)-i)
-		candidates[i], candidates[j] = candidates[j], candidates[i]
+		j := i + rng.Intn(len(c)-i)
+		c[i], c[j] = c[j], c[i]
+		dst = append(dst, c[i])
 	}
-	return candidates[:k]
+	return dst
+}
+
+// reserve returns buf emptied, or an empty new array when buf cannot hold n.
+func reserve(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, 0, n) //pqlint:allow noalloc(a view array's or the scratch's first growth, to ViewSize or to the live-node count)
+	}
+	return buf[:0]
 }

@@ -33,19 +33,23 @@ func TestPickDistribution(t *testing.T) {
 	}
 }
 
-// TestPickAllocs pins the hot-path allocation count: one slice for the
-// result, nothing proportional to the view.
+// TestPickAllocs pins the hot-path allocation count: a pick into a reused
+// slice allocates nothing, and Pick only its result slice.
 func TestPickAllocs(t *testing.T) {
 	e := sim.NewEngine(6)
 	net := testNet(e, 400)
 	s := New(net, Config{ViewSize: 40, RefreshSecs: 1e9})
 	rng := rand.New(rand.NewSource(13))
-	s.Pick(rng, 0, 8) // warm the scratch buffer
-	allocs := testing.AllocsPerRun(100, func() {
+	dst := s.AppendPick(nil, rng, 0, 8) // warm the scratch buffer
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst = s.AppendPick(dst[:0], rng, 0, 8)
+	}); allocs != 0 {
+		t.Fatalf("AppendPick allocates %.1f objects per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
 		s.Pick(rng, 0, 8)
-	})
-	if allocs > 1 {
-		t.Fatalf("Pick allocates %.1f objects per call, want ≤ 1 (result only)", allocs)
+	}); allocs != 1 {
+		t.Fatalf("Pick allocates %.1f objects per call, want 1 (its result)", allocs)
 	}
 }
 

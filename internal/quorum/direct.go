@@ -38,7 +38,7 @@ func (s *System) newDirect(origin int, op opID, advertise bool, key, value strin
 // the record's memberSent and the alternates its alternateSent.
 func (s *System) advertiseRandom(origin int, op opID, key, value string) {
 	ad := s.ads[op]
-	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.AdvertiseSize)
+	members := s.members.AppendPick(ad.contacted[:0], s.engine.Rand(), origin, s.cfg.AdvertiseSize)
 	s.observeMembers(origin, members)
 	ad.res.Requested = s.cfg.AdvertiseSize
 	if len(members) == 0 {
@@ -103,8 +103,7 @@ func (s *System) pickFreshMember(origin int, contacted []int) (int, bool) {
 // lookupRandom contacts |Qℓ| sampled members in parallel; each member
 // holding the key replies through routing.
 func (s *System) lookupRandom(origin int, op opID, key string) {
-	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.LookupSize)
-	s.observeMembers(origin, members)
+	members := s.drawLookupMembers(origin, op, s.cfg.LookupSize)
 	if len(members) == 0 {
 		return // origin-only quorum: timeout will declare the miss
 	}
@@ -115,9 +114,16 @@ func (s *System) lookupRandom(origin int, op opID, key string) {
 // local lookup via the cross-layer tap, so the effective quorum is the union
 // of the routes (Section 4.5).
 func (s *System) lookupRandomOpt(origin int, op opID, key string) {
-	members := s.members.Pick(s.engine.Rand(), origin, s.cfg.RandomOptTargets)
-	s.observeMembers(origin, members)
-	s.sendLookups(origin, op, key, members)
+	s.sendLookups(origin, op, key, s.drawLookupMembers(origin, op, s.cfg.RandomOptTargets))
+}
+
+// drawLookupMembers draws k members of origin's view for op's lookup into
+// the record's members array, which the fan-out reads and nothing keeps.
+func (s *System) drawLookupMembers(origin int, op opID, k int) []int {
+	lk := s.lookups[op]
+	lk.members = s.members.AppendPick(lk.members[:0], s.engine.Rand(), origin, k)
+	s.observeMembers(origin, lk.members)
+	return lk.members
 }
 
 // sendLookups routes op's one lookup message to every member.

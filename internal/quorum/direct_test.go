@@ -44,17 +44,21 @@ func randomAccessAllocs(q int) (lookup, advertise float64) {
 // TestRandomAccessAllocsIndependentOfQuorum pins the one-message fan-out: a
 // RANDOM access builds one message and binds its callbacks once, and the
 // oracle router neither copies a delivered packet nor wraps a completion per
-// send, so four times the members cost what a quarter of them does, within
-// one object. Nobody holds the looked-up key, so no member replies. Each
-// reads 2 objects at both sizes, the membership draw and the shared message:
-// the op's record, timer and send-dones come from the System's free list.
+// send, so four times the members cost what a quarter of them does. Nobody
+// holds the looked-up key, so no member replies. Each costs exactly 1
+// object at both sizes, the shared message: the op's record, timer and
+// send-dones come from the System's free list, and the membership draw lands
+// in the record's own members or contacted array.
 func TestRandomAccessAllocsIndependentOfQuorum(t *testing.T) {
 	l8, a8 := randomAccessAllocs(8)
 	l32, a32 := randomAccessAllocs(32)
-	if d := l32 - l8; d > 1 || d < -1 {
-		t.Errorf("a RANDOM lookup costs %.1f objects at |Q|=8 and %.1f at |Q|=32: something is allocated per member", l8, l32)
-	}
-	if d := a32 - a8; d > 1 || d < -1 {
-		t.Errorf("a RANDOM advertise costs %.1f objects at |Q|=8 and %.1f at |Q|=32: something is allocated per member", a8, a32)
+	for _, c := range []struct {
+		what   string
+		q      int
+		allocs float64
+	}{{"lookup", 8, l8}, {"lookup", 32, l32}, {"advertise", 8, a8}, {"advertise", 32, a32}} {
+		if c.allocs != 1 {
+			t.Errorf("a RANDOM %s at |Q|=%d costs %.1f objects, want 1 (the shared message)", c.what, c.q, c.allocs)
+		}
 	}
 }

@@ -369,11 +369,12 @@ func (s *System) newLookup() *pendingLookup {
 }
 
 // freeLookup hands an ended lookup with no retry event left back to the
-// pool. Its collected values belong to the caller now.
+// pool, its members array emptied. Its collected values belong to the
+// caller now.
 //
 //pqlint:noalloc
 func (s *System) freeLookup(lk *pendingLookup) {
-	*lk = pendingLookup{timer: lk.timer, retryFn: lk.retryFn}
+	*lk = pendingLookup{members: lk.members[:0], timer: lk.timer, retryFn: lk.retryFn}
 	s.lookupRecs.Put(lk)
 }
 
@@ -388,13 +389,13 @@ func (s *System) newAdvertise() *pendingAdvertise {
 }
 
 // freeAdvertise hands an ended advertise with no send left to call back to
-// the pool, its storedAt map emptied.
+// the pool, its storedAt map and contacted array emptied.
 //
 //pqlint:noalloc
 func (s *System) freeAdvertise(ad *pendingAdvertise) {
 	clear(ad.storedAt)
 	*ad = pendingAdvertise{
-		storedAt: ad.storedAt, timer: ad.timer,
+		storedAt: ad.storedAt, contacted: ad.contacted[:0], timer: ad.timer,
 		memberSent: ad.memberSent, alternateSent: ad.alternateSent,
 	}
 	s.adRecs.Put(ad)

@@ -366,6 +366,9 @@ type pendingLookup struct {
 	// scheduled retry events that have not run yet.
 	ended   bool
 	retries int
+	// members is a RANDOM or RANDOM-OPT attempt's drawn quorum; its array
+	// is kept across attempts and reuses.
+	members []int
 
 	// timer is the lookup's timeout (lookupTimeout) and retryFn its
 	// retryLookup, both bound once per record and kept across reuses.
@@ -390,8 +393,8 @@ type pendingAdvertise struct {
 	storedAt map[int]bool
 	// A RANDOM advertise's fan-out: its origin, its one message and the
 	// members it has sent to, the drawn quorum first, so that an adaptation
-	// draws a node not among them. sends counts its Sends whose send-done
-	// has not run yet.
+	// draws a node not among them; the contacted array is kept across
+	// reuses. sends counts its Sends whose send-done has not run yet.
 	origin    int
 	msg       *directMsg
 	contacted []int
